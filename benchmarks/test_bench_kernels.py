@@ -14,8 +14,10 @@ on every refresh is what current code can still prove:
   geometry build; steady-state cycles must be measurably cheaper;
 * repeat determinism — re-running an analysis through the cached
   geometry/workspaces must be bit-identical;
-* EnSF seeded reproducibility — two identically-seeded analyses must
-  consume the random stream identically and match bit for bit.
+* EnSF seeded reproducibility — two identically-seeded analyses must match
+  bit for bit — and the coupled-equivalence residual of the ensemble-space
+  reverse-SDE integrator against the full-space loop (same recorded noise,
+  projected) stays at rounding level.
 
 Record layout (see :mod:`repro.utils.timing` for the generic format)::
 
@@ -27,18 +29,19 @@ Record layout (see :mod:`repro.utils.timing` for the generic format)::
                         speedup_note},
       "shard_payloads": {cases: [ ...per grid: shm-vs-pickle per-shard IPC
                          bytes + wall time... ], note},
-      "noise_pool": {block_shape, n_blocks, cases: [ ...per bit generator:
-                     direct vs pooled wall + bit-identity... ],
-                     rng_wall_reduction, note},
       "eigh_blocked": {members, cases: [ ...per grid 64²→256²: monolithic
                        stacked eigh + block-size sweep... ], note},
       "ensf":  {grid, members, sampler, n_sde_steps, optimized_s,
-                rng_stream_parity, max_repeat_delta},
-      "ensf_cases": [ ...one row per (grid, sampler mode)... ]
+                coupled_residual, max_repeat_delta},
+      "ensf_cases": [ ...one row per (grid, sampler mode)... ],
+      "ensf_paths": {grid, members, n_sde_steps, ensemble_space_s,
+                     full_space_s, speedup, note}
     }
 
 EnSF is benchmarked in both sampler modes; the headline ``"ensf"`` entry is
 the fastest case, every case is recorded in ``"ensf_cases"``.
+``"ensf_paths"`` is the 64×64, 20-member, 100-step analysis on both
+reverse-SDE paths (the configuration of the e2e ``ensf_serial_64`` workload).
 """
 
 import json
@@ -50,7 +53,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.ensf import EnSF, EnSFConfig
+from repro.core.ensf import EnSF, EnSFConfig, _ScaledOperator, _StateScaler
 from repro.core.observations import IdentityObservation
 from repro.da.letkf import LETKF, LETKFConfig
 from repro.da.localization import LocalizationConfig
@@ -66,10 +69,7 @@ LETKF_GRID = (64, 64)
 LETKF_SHARD_GRIDS = ((64, 64), (128, 128))
 LETKF_SHARD_WORKERS = (1, 2, 4)
 ENSF_GRIDS = ((16, 16), (32, 32), (64, 64))
-# One EnSF analysis at 64x64 draws n_sde_steps blocks of this shape; the
-# noise-pool bench measures exactly that sequence for each bit generator.
-NOISE_POOL_SHAPE = (N_MEMBERS, 64 * 64)
-NOISE_POOL_BITGENS = ("pcg64", "sfc64", "philox")
+ENSF_PATHS_GRID = (64, 64)
 EIGH_GRIDS = ((64, 64), (128, 128), (256, 256))
 EIGH_BLOCKS = (1024, 8192)
 
@@ -274,97 +274,6 @@ def _bench_shard_payloads():
     return {"cases": rows, "note": note}
 
 
-def _bench_noise_pool():
-    """Pooled Gaussian-block generation vs direct per-step generator draws.
-
-    Measures the exact draw sequence one 64×64 EnSF analysis consumes
-    (``n_sde_steps`` blocks of ``(members, columns)``) three ways per bit
-    generator family: the unpooled per-step loop, and the
-    :class:`~repro.utils.random.NoisePool` chunked path.  The recorded
-    ``rng_wall_reduction`` compares the best pooled configuration against
-    the default (``pcg64``, unpooled) — on a single-CPU host the async
-    refill cannot overlap compute, so the reduction is carried by the
-    batched fills and the faster ``REPRO_RNG_BITGEN=sfc64`` family.
-    Bit-identity of pooled vs direct draws is asserted per family.
-    """
-    from repro.utils.random import NoisePool, make_generator
-
-    n_blocks = EnSFConfig().n_sde_steps
-    env_prev = os.environ.get("REPRO_RNG_BITGEN")
-    rows = []
-    try:
-        for name in NOISE_POOL_BITGENS:
-            os.environ["REPRO_RNG_BITGEN"] = name
-
-            def direct():
-                rng = make_generator(2024)
-                out = np.empty(NOISE_POOL_SHAPE)
-                for _ in range(n_blocks):
-                    rng.standard_normal(out=out)
-                return out
-
-            def pooled():
-                out = np.empty(NOISE_POOL_SHAPE)
-                with NoisePool(
-                    make_generator(2024), NOISE_POOL_SHAPE, n_blocks
-                ) as pool:
-                    for _ in range(n_blocks):
-                        pool.standard_normal(out=out)
-                return out
-
-            t_direct, _ = best_of(direct, repeats=3)
-            t_pooled, _ = best_of(pooled, repeats=3)
-            # bit-identity of the full pooled sequence vs the direct one
-            ref_rng = make_generator(2024)
-            identical = True
-            with NoisePool(
-                make_generator(2024), NOISE_POOL_SHAPE, n_blocks
-            ) as pool:
-                for _ in range(n_blocks):
-                    identical = identical and np.array_equal(
-                        pool.standard_normal(NOISE_POOL_SHAPE),
-                        ref_rng.standard_normal(NOISE_POOL_SHAPE),
-                    )
-            rows.append(
-                {
-                    "bitgen": name,
-                    "direct_s": t_direct,
-                    "pooled_s": t_pooled,
-                    "bit_identical": bool(identical),
-                }
-            )
-    finally:
-        if env_prev is None:
-            os.environ.pop("REPRO_RNG_BITGEN", None)
-        else:
-            os.environ["REPRO_RNG_BITGEN"] = env_prev
-
-    baseline = next(r for r in rows if r["bitgen"] == "pcg64")["direct_s"]
-    best = min(rows, key=lambda r: r["pooled_s"])
-    note = (
-        "rng_wall_reduction compares the default stream (pcg64, unpooled "
-        "per-step draws) against the best pooled configuration "
-        f"(REPRO_RNG_BITGEN={best['bitgen']}).  pcg64 pooled draws are "
-        "contractually bit-identical to the unpooled sequence; switching "
-        "the family changes the stream but not its SeedSequence-derived "
-        "worker layout."
-    )
-    if (os.cpu_count() or 1) <= 1:
-        note += (
-            " Single-CPU host: the async refill thread cannot overlap the "
-            "consumer, so the measured reduction comes from batched fills "
-            "and the faster bit generator, not concurrency."
-        )
-    return {
-        "block_shape": list(NOISE_POOL_SHAPE),
-        "n_blocks": n_blocks,
-        "cases": rows,
-        "rng_wall_reduction": BenchRecorder.speedup(baseline, best["pooled_s"]),
-        "best_bitgen": best["bitgen"],
-        "note": note,
-    }
-
-
 def _bench_eigh_blocked():
     """Stacked-eigh footprint sweep: monolithic vs cache-sized blocks.
 
@@ -428,13 +337,56 @@ def _bench_eigh_blocked():
     return {"members": N_MEMBERS, "cases": rows, "note": note}
 
 
-def _bench_ensf_case(shape, stochastic):
+def _ensf_problem(shape):
     grid = Grid2D(*shape)
     rng = np.random.default_rng(7)
     ensemble = rng.standard_normal((N_MEMBERS, grid.size)) * 3.0
     truth = rng.standard_normal(grid.size) * 3.0
     operator = IdentityObservation(grid.size, 1.0)
-    observation = operator.observe(truth, rng=rng)
+    return ensemble, truth, operator, operator.observe(truth, rng=rng)
+
+
+class _Replay:
+    """Serves recorded noise blocks through ``standard_normal(out=)``."""
+
+    def __init__(self, blocks):
+        self.blocks = iter(blocks)
+
+    def standard_normal(self, size=None, out=None):
+        out[...] = next(self.blocks)
+        return out
+
+
+def _coupled_residual(filt, ensemble, observation, operator, n_samples=4):
+    """Max |Δ| between the full-space Euler loop on recorded noise and the
+    ensemble-space recursion on that noise's projections ``ξ_s Xᵀ``."""
+    sampler, config = filt.sampler, filt.config
+    scaler = _StateScaler(ensemble)
+    x = scaler.forward(ensemble)
+    work_operator = _ScaledOperator(operator, scaler, config.scaled_obs_var_floor)
+    y = work_operator.scale_observation(observation)
+    xi = np.random.default_rng(11).standard_normal(
+        (sampler.n_steps + 1, n_samples, ensemble.shape[1])
+    )
+    grid = sampler.schedule.time_grid(
+        sampler.n_steps, t_end=sampler.t_end, t_start=sampler.t_start
+    )
+    full = sampler._integrate_buffered(
+        filt.posterior_score_fn(x, y, work_operator), xi[0].copy(), grid, _Replay(xi[1:]), None
+    )
+    coef = sampler._closure_coefficients(float(1.0 / work_operator.obs_error_var[0]), config.damping)
+    blocks = xi if sampler.stochastic else xi[:1]
+    coefs, ybar, _, _ = sampler._integrate_closure(
+        (x @ x.T)[None], x @ y, np.einsum("bnd,md->nbm", blocks, x)[None], coef
+    )
+    accumulated = xi[0].copy()
+    for i in range(sampler.n_steps):
+        accumulated = coef.c_z[0, i] * accumulated + coef.c_n[i] * xi[i + 1]
+    return float(np.abs(coefs[0] @ x + ybar * y + accumulated - full).max())
+
+
+def _bench_ensf_case(shape, stochastic):
+    ensemble, truth, operator, observation = _ensf_problem(shape)
 
     def run(seed):
         filt = EnSF(EnSFConfig(stochastic_sampler=stochastic), rng=seed)
@@ -442,7 +394,7 @@ def _bench_ensf_case(shape, stochastic):
         return filt, analysis
 
     t_a, (filt_a, a) = best_of(lambda: run(seed=2024), repeats=5)
-    t_b, (filt_b, b) = best_of(lambda: run(seed=2024), repeats=5)
+    t_b, (_, b) = best_of(lambda: run(seed=2024), repeats=5)
 
     return {
         "grid": list(shape),
@@ -450,12 +402,50 @@ def _bench_ensf_case(shape, stochastic):
         "sampler": "reverse-sde" if stochastic else "probability-flow-ode",
         "n_sde_steps": EnSFConfig().n_sde_steps,
         "optimized_s": min(t_a, t_b),
-        # Identical consumption of the PCG64 stream => two identically-seeded
-        # analyses drew exactly the same Gaussians.
-        "rng_stream_parity": filt_a.rng.bit_generator.state
-        == filt_b.rng.bit_generator.state,
+        "coupled_residual": _coupled_residual(filt_a, ensemble, observation, operator),
         "analysis_rmse": _rmse(a, truth),
         "max_repeat_delta": float(np.abs(a - b).max()),
+    }
+
+
+def _bench_ensf_paths():
+    """One 64×64, 20-member, 100-step EnSF analysis on each reverse-SDE path.
+
+    The identity operator with uniform R takes the ensemble-space
+    integrator; perturbing one entry of R makes it non-uniform, which is
+    the dispatch condition for the full-space loop — same operator class,
+    same ensemble, same step count.
+    """
+    ensemble, truth, operator, observation = _ensf_problem(ENSF_PATHS_GRID)
+    obs_var = np.ones(operator.state_dim)
+    obs_var[0] += 1.0e-9
+    fallback = IdentityObservation(operator.state_dim, obs_var)
+    config = EnSFConfig()
+
+    t_new, new = best_of(
+        lambda: EnSF(config, rng=2024).analyze(ensemble, observation, operator), repeats=5
+    )
+    t_full, full = best_of(
+        lambda: EnSF(config, rng=2024).analyze(ensemble, observation, fallback), repeats=3
+    )
+    return {
+        "grid": list(ENSF_PATHS_GRID),
+        "members": N_MEMBERS,
+        "n_sde_steps": config.n_sde_steps,
+        "ensemble_space_s": t_new,
+        "full_space_s": t_full,
+        "speedup": BenchRecorder.speedup(t_full, t_new),
+        "ensemble_space_rmse": _rmse(new, truth),
+        "full_space_rmse": _rmse(full, truth),
+        "note": (
+            "same discretisation and output law, different draws: the "
+            "ensemble-space path costs O(M^2 d + n_steps n M^2), the "
+            "full-space loop O(n_steps n M d); full_space_s is the loop "
+            "every EnSF analysis ran before the ensemble-space integrator "
+            "(here with the broadcast multiply of a non-uniform R, which is "
+            "what forces it) and what nonlinear operators, non-uniform R "
+            "and minibatched scores still pay"
+        ),
     }
 
 
@@ -476,10 +466,6 @@ def kernel_record():
         tag = f"shard_payloads_{row['grid'][0]}x{row['grid'][1]}"
         recorder.add(f"{tag}_shm", row["shm"]["wall_s"])
         recorder.add(f"{tag}_pickle", row["pickle"]["wall_s"])
-    noise_pool = _bench_noise_pool()
-    for row in noise_pool["cases"]:
-        recorder.add(f"noise_pool_{row['bitgen']}_direct", row["direct_s"])
-        recorder.add(f"noise_pool_{row['bitgen']}_pooled", row["pooled_s"])
     eigh_blocked = _bench_eigh_blocked()
     for row in eigh_blocked["cases"]:
         tag = f"eigh_blocked_{row['grid'][0]}x{row['grid'][1]}"
@@ -494,6 +480,9 @@ def kernel_record():
     for row in cases:
         recorder.add(f"ensf_{row['sampler']}_fused", row["optimized_s"])
     ensf = min(cases, key=lambda row: row["optimized_s"])
+    ensf_paths = _bench_ensf_paths()
+    recorder.add("ensf_paths_ensemble_space", ensf_paths["ensemble_space_s"])
+    recorder.add("ensf_paths_full_space", ensf_paths["full_space_s"])
     from repro.utils.xp import default_backend_name
 
     return recorder.write_json(
@@ -503,10 +492,10 @@ def kernel_record():
         letkf=letkf,
         letkf_sharded=letkf_sharded,
         shard_payloads=shard_payloads,
-        noise_pool=noise_pool,
         eigh_blocked=eigh_blocked,
         ensf=ensf,
         ensf_cases=cases,
+        ensf_paths=ensf_paths,
     )
 
 
@@ -571,30 +560,6 @@ def test_shard_payload_transport(kernel_record, report):
     assert payloads["note"]
 
 
-def test_noise_pool_rng_reduction(kernel_record, report):
-    pool = kernel_record["noise_pool"]
-    report(
-        "EnSF noise generation (pooled vs direct, "
-        f"{pool['n_blocks']} blocks of {tuple(pool['block_shape'])})",
-        [
-            f"{row['bitgen']}: direct {row['direct_s']:.4f}s -> pooled "
-            f"{row['pooled_s']:.4f}s (bit-identical: {row['bit_identical']})"
-            for row in pool["cases"]
-        ]
-        + [
-            f"rng_wall_reduction {pool['rng_wall_reduction']:.2f}x "
-            f"(best: {pool['best_bitgen']} pooled vs pcg64 direct)"
-        ],
-    )
-    # Pooled draws reproduce the direct sequence bit for bit within every
-    # stream family, and the best pooled configuration measurably beats the
-    # default unpooled stream.
-    for row in pool["cases"]:
-        assert row["bit_identical"], row["bitgen"]
-    assert pool["rng_wall_reduction"] > 1.05
-    assert pool["note"]
-
-
 def test_eigh_blocked_profile(kernel_record, report):
     blocked = kernel_record["eigh_blocked"]
     lines = []
@@ -622,14 +587,31 @@ def test_ensf_fused_reproducibility(kernel_record, report):
         "EnSF fused analysis kernel (M=20)",
         [
             f"{row['grid'][0]}x{row['grid'][1]} {row['sampler']}: "
-            f"{row['optimized_s']:.4f}s (repeat delta {row['max_repeat_delta']:.1e})"
+            f"{row['optimized_s']:.4f}s (repeat delta {row['max_repeat_delta']:.1e}, "
+            f"coupled residual {row['coupled_residual']:.1e})"
             for row in rows
         ],
     )
     for row in rows:
-        assert row["rng_stream_parity"]
+        assert row["coupled_residual"] < 1.0e-12
         assert row["max_repeat_delta"] == 0.0
         assert np.isfinite(row["analysis_rmse"])
+
+
+def test_ensf_ensemble_space_speedup(kernel_record, report):
+    row = kernel_record["ensf_paths"]
+    report(
+        f"EnSF analysis paths ({row['grid'][0]}x{row['grid'][1]}, M={row['members']}, "
+        f"{row['n_sde_steps']} steps)",
+        [
+            f"ensemble space {row['ensemble_space_s']:.4f}s vs full space "
+            f"{row['full_space_s']:.4f}s: {row['speedup']:.1f}x "
+            f"(rmse {row['ensemble_space_rmse']:.3f} / {row['full_space_rmse']:.3f})"
+        ],
+    )
+    assert row["speedup"] > 5.0
+    assert abs(row["ensemble_space_rmse"] / row["full_space_rmse"] - 1.0) < 0.1
+    assert row["note"]
 
 
 def test_record_written(kernel_record):

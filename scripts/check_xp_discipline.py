@@ -80,17 +80,23 @@ HOST_SIDE: dict[str, set[str]] = {
         # catalogue-weight diagnostic over host arrays
         "MonteCarloScoreEstimator.weights",
     },
-    "src/repro/core/sde.py": set(),
+    "src/repro/core/sde.py": {
+        # The ensemble-space integrator keeps its (n, M) recursion on the
+        # host by design: these see only M×M / (n, M) arrays and scalars.
+        # ``sample_ensemble_space`` itself — the part that touches (n, d)
+        # and (M, d) arrays: K = X Xᵀ, ζ Xᵀ, coef·X — is NOT listed, so
+        # its full-size contractions stay deny-checked.
+        "_rowwise_matmul",
+        "_colour_noise",
+        "ReverseSDESampler._integrate_closure",
+    },
     "src/repro/utils/random.py": {
         # The RNG module is the host side of the noise contract: stream
         # construction and seed derivation legitimately live on np.random.
-        # Everything else — the NoisePool serving path, MemberStreams
-        # fills — stays deny-checked so host compute cannot creep into the
-        # pooled hot path.
+        # Everything else (MemberStreams fills) stays deny-checked.
         "make_generator",
         "split_rng",
         "SeedSequenceFactory.seed_for",
-        "NoisePool.__init__",
     },
     "src/repro/core/ensf.py": {
         # observation-noise scaling constant, computed once on the host

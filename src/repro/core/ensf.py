@@ -8,7 +8,9 @@ cycle ``k``:
 2. *Posterior score*: add the damped analytic likelihood score,
    ``ŝ_{k|k}(z, t) = ŝ_{k|k−1}(z, t) + h(t) ∇ log p(y_k | z)`` (Eq. 17).
 3. *Sampling*: draw standard Gaussian vectors and integrate the reverse-time
-   SDE (Eq. 7) with the posterior score to obtain the analysis ensemble.
+   SDE (Eq. 7) with the posterior score to obtain the analysis ensemble —
+   on ``(n, M)`` ensemble-space coefficients when the likelihood score
+   allows it (:func:`_affine_likelihood`), in full space otherwise.
 4. *Stabilisation*: relax the analysis spread to the forecast spread (the
    paper's only regularisation — no localization, no tuning).
 
@@ -169,17 +171,47 @@ class _ScaledOperator(ObservationOperator):
         return (np.asarray(observation, dtype=float) - self._center_obs) / self._scaler.scale
 
 
+def _fixed_index_set(operator: ObservationOperator) -> tuple[str, np.ndarray | None]:
+    """``(kind, indices)`` of the coordinates ``operator`` reads directly.
+
+    ``"identity"`` / ``"subsampled"`` operators — also behind a
+    :class:`_ScaledOperator`, whose affine maps cancel exactly for them —
+    have the likelihood score ``(y − z[..., indices]) / R``; anything else
+    is ``"generic"``.
+    """
+    inner = operator._inner if isinstance(operator, _ScaledOperator) else operator
+    if isinstance(inner, IdentityObservation):
+        return "identity", None
+    if isinstance(inner, SubsampledObservation):
+        return "subsampled", inner.indices
+    return "generic", None
+
+
+def _affine_likelihood(operator: ObservationOperator) -> tuple[np.ndarray | None, float] | None:
+    """``(indices, 1/R)`` when the likelihood score is a scalar multiple of
+    ``y − z`` on a fixed set of distinct coordinates, else ``None``.
+
+    This is the condition under which the reverse SDE closes in ensemble
+    space (:meth:`ReverseSDESampler.sample_ensemble_space`).
+    """
+    kind, indices = _fixed_index_set(operator)
+    inv_var = 1.0 / operator.obs_error_var
+    if kind == "generic" or not np.all(inv_var == inv_var[0]):
+        return None
+    if indices is not None and np.unique(indices).size != indices.size:
+        return None
+    return indices, float(inv_var[0])
+
+
 class _FusedPosteriorScore:
     """Posterior score ``ŝ_{k|k}(z, t)`` evaluated into a reused workspace.
 
     Combines the fused Monte-Carlo prior score
     (:meth:`MonteCarloScoreEstimator.score_into`) with an in-place damped
-    likelihood accumulation.  For operators that act as a (possibly scaled)
-    identity or subsampling — which covers the paper's experiments, including
-    the :class:`_ScaledOperator` wrappers whose forward/inverse affine maps
-    cancel exactly for those inner operators — the likelihood score reduces
-    to ``h(t) · (y − z[..., idx]) / R`` and is applied with one subtraction
-    and one broadcast multiply instead of the full inverse→apply→adjoint
+    likelihood accumulation.  For identity / subsampled operators (see
+    :func:`_fixed_index_set`) the likelihood score
+    ``h(t) · (y − z[..., idx]) / R`` is applied with one subtraction and one
+    broadcast multiply instead of the full inverse→apply→adjoint
     round-trip.  Other operators fall back to
     :meth:`GaussianLikelihoodScore.add_damped_score`.
 
@@ -201,16 +233,7 @@ class _FusedPosteriorScore:
         self._out: np.ndarray | None = None
         self._lik_buf: np.ndarray | None = None
 
-        inner = operator._inner if isinstance(operator, _ScaledOperator) else operator
-        if isinstance(inner, IdentityObservation):
-            self._kind = "identity"
-            self._indices = None
-        elif isinstance(inner, SubsampledObservation):
-            self._kind = "subsampled"
-            self._indices = inner.indices
-        else:
-            self._kind = "generic"
-            self._indices = None
+        self._kind, self._indices = _fixed_index_set(operator)
         self._observation = np.asarray(observation, dtype=float)
         self._observation_dev = self.xp.to_device(self._observation)
         inv_var = 1.0 / operator.obs_error_var
@@ -280,14 +303,20 @@ class EnSF(EnsembleFilter):
         forecast_ensemble: np.ndarray,
         observation: np.ndarray,
         operator: ObservationOperator,
+        member_rows: bool = False,
     ):
-        """Build the posterior score callable ``ŝ_{k|k}(z, t)`` (Eq. 17)."""
+        """Build the posterior score callable ``ŝ_{k|k}(z, t)`` (Eq. 17).
+
+        ``member_rows`` makes every evaluation row independent of the rest
+        of its batch (see :class:`MonteCarloScoreEstimator`).
+        """
         prior = MonteCarloScoreEstimator(
             forecast_ensemble,
             schedule=self.schedule,
             minibatch=self.config.minibatch,
             rng=self.rng,
             backend=self.config.backend,
+            member_rows=member_rows,
         )
         likelihood = GaussianLikelihoodScore(operator, observation, damping=self.config.damping)
         return _FusedPosteriorScore(prior, likelihood, operator, observation)
@@ -313,19 +342,23 @@ class EnSF(EnsembleFilter):
             work_operator = operator
             work_observation = observation
 
-        score_fn = self.posterior_score_fn(work_ensemble, work_observation, work_operator)
-        # Pool the reverse-SDE noise draws (batched generation + background
-        # refill, bit-identical to direct draws) whenever the sampler owns
-        # the stream for the whole integration.  A minibatched score draws
-        # its subsets from the same rng *between* noise draws, so pooling
-        # would reorder the stream — leave it direct in that mode.
-        analysis = self.sampler.sample(
-            score_fn,
-            n_samples=n_samples,
-            dim=dim,
-            rng=rng,
-            noise_pool=self.config.minibatch is None,
-        )
+        affine = _affine_likelihood(work_operator)
+        if affine is not None and self.config.minibatch is None:
+            # Full-ensemble prior score + scalar multiple of (y − z) on fixed
+            # coordinates: the integration closes on (n, M) coefficients.
+            analysis = self.sampler.sample_ensemble_space(
+                work_ensemble, work_observation, *affine, self.config.damping, n_samples, rng
+            )
+        else:
+            # Nonlinear h, non-uniform R or a minibatched score: full-space
+            # loop; member-seeded calls keep their rows batch-independent.
+            score_fn = self.posterior_score_fn(
+                work_ensemble,
+                work_observation,
+                work_operator,
+                member_rows=isinstance(rng, MemberStreams),
+            )
+            analysis = self.sampler.sample(score_fn, n_samples=n_samples, dim=dim, rng=rng)
         if scaler is not None:
             analysis = scaler.inverse(analysis)
         return analysis

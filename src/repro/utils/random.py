@@ -11,36 +11,20 @@ Bit-generator selection
 ``REPRO_RNG_BITGEN`` chooses the bit generator behind every stream this
 module constructs from a *seed* (``pcg64`` — the numpy default and ours —
 ``sfc64`` or ``philox``).  SFC64 generates Gaussian doubles measurably
-faster than PCG64, which matters for the reverse-SDE EnSF whose noise
-draws dominate the analysis wall time; the knob swaps the stream family
-without touching any call site.  Streams are still derived from the same
+faster than PCG64, which matters for the full-space reverse-SDE EnSF path
+(one full-size Gaussian block per Euler step); the knob swaps the stream
+family without touching any call site.  Streams are still derived from the same
 :class:`numpy.random.SeedSequence`, so worker layouts stay invariant: the
 same env value in parent and pool workers yields bit-identical analyses
 for every worker count.  Generators passed in ready-made are never
 rewrapped, and the default (``pcg64``) reproduces the historical streams
 exactly.
-
-Noise pools
------------
-:class:`NoisePool` serves a *known-length* sequence of identically shaped
-Gaussian blocks from batched draws: it pre-generates whole chunks of blocks
-(one bulk ``standard_normal`` per chunk — bit-identical to the per-block
-calls it replaces, because numpy fills a ``(k,) + shape`` array in exactly
-the order ``k`` sequential ``shape`` draws consume the stream) and refills
-the next chunk on a background thread while the consumer works through the
-current one.  The pool mimics the ``standard_normal(size)/(out=)`` subset
-of the generator API, so it drops into the backend RNG hook
-(:meth:`repro.utils.xp.ArrayBackend.standard_normal`) as the ``rng``
-argument — transfer metering and host-parity staging are untouched.
-``REPRO_NOISE_POOL`` caps the chunk length in blocks (``0`` disables
-pooling; the in-flight memory is additionally budget-capped).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,19 +34,12 @@ __all__ = [
     "split_rng",
     "bitgen_name",
     "make_generator",
-    "noise_pool_blocks",
-    "NoisePool",
     "SeedSequenceFactory",
     "MemberStreams",
     "sample_from_catalogue",
 ]
 
 _ENV_BITGEN = "REPRO_RNG_BITGEN"
-_ENV_NOISE_POOL = "REPRO_NOISE_POOL"
-_DEFAULT_POOL_BLOCKS = 8
-# In-flight pool memory cap (per chunk buffer; two chunks may be live while
-# the background refill runs ahead of the consumer).
-_POOL_CHUNK_BYTES = 32 << 20
 
 _BITGENS = {
     "pcg64": np.random.PCG64,
@@ -100,25 +77,6 @@ def make_generator(seed=None) -> np.random.Generator:
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     return np.random.Generator(_BITGENS[name](seed))
-
-
-def noise_pool_blocks() -> int:
-    """Chunk length (in blocks) for :class:`NoisePool` refills.
-
-    Read from ``REPRO_NOISE_POOL``; ``0`` disables pooling and restores the
-    direct per-step generator draws (bit-identical either way — the knob
-    trades memory/threading for batched generation, never the stream).
-    """
-    raw = os.environ.get(_ENV_NOISE_POOL, "").strip()
-    if not raw:
-        return _DEFAULT_POOL_BLOCKS
-    try:
-        blocks = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"invalid ${_ENV_NOISE_POOL}={raw!r}; expected an int >= 0") from exc
-    if blocks < 0:
-        raise ValueError(f"invalid ${_ENV_NOISE_POOL}={raw!r}; expected an int >= 0")
-    return blocks
 
 
 def default_rng(
@@ -243,168 +201,6 @@ class MemberStreams:
         for generator, row in zip(self.generators, out):
             generator.standard_normal(out=row)
         return out
-
-
-class NoisePool:
-    """Pooled Gaussian blocks with the exact stream semantics of its source.
-
-    A pool serves ``n_blocks`` equally shaped blocks drawn from ``rng`` — a
-    :class:`numpy.random.Generator` or a :class:`MemberStreams` bundle — in
-    chunks of up to ``chunk_blocks`` blocks per bulk draw.  Bit-identity with
-    the unpooled per-block calls holds for **every** chunking because numpy
-    fills a ``(k,) + block_shape`` array in exactly the order ``k``
-    sequential ``block_shape`` draws consume the stream (and a
-    :class:`MemberStreams` pool batches per member stream, which preserves
-    the member-wise order the same way).  The *next* chunk is generated on a
-    single background thread while the consumer works through the current
-    one (numpy releases the GIL during the fill), so on a multi-core host
-    generation overlaps the compute between draws; ``async_refill=False``
-    degrades to synchronous chunked draws.
-
-    The pool mimics the ``standard_normal(size)/(out=)`` generator subset,
-    so it substitutes for ``rng`` at the backend RNG hook
-    (:meth:`repro.utils.xp.ArrayBackend.standard_normal`): host-parity
-    staging and mock-device transfer metering see one call per block,
-    exactly as before.  Every block must match ``block_shape``; requesting
-    more than ``n_blocks`` raises (the pool's length is part of the draw
-    contract — a completed consumer leaves ``rng`` advanced by exactly the
-    unpooled amount).  Chunk buffers are additionally capped at ~32 MiB so
-    paper-scale states do not balloon the in-flight pool memory.
-
-    Use as a context manager (or call :meth:`close`) so the refill thread
-    is always reaped.
-    """
-
-    def __init__(
-        self,
-        rng,
-        block_shape: Sequence[int],
-        n_blocks: int,
-        chunk_blocks: int | None = None,
-        async_refill: bool = True,
-    ) -> None:
-        self.block_shape = tuple(int(s) for s in block_shape)
-        if not self.block_shape:
-            raise ValueError("NoisePool needs a non-scalar block shape")
-        if int(n_blocks) < 1:
-            raise ValueError("NoisePool needs at least one block")
-        self._member = isinstance(rng, MemberStreams)
-        if self._member and self.block_shape[0] != len(rng):
-            raise ValueError(
-                f"block leading axis {self.block_shape[0]} does not match "
-                f"{len(rng)} member streams"
-            )
-        self.rng = rng
-        self.n_blocks = int(n_blocks)
-        block_bytes = int(np.prod(self.block_shape)) * np.dtype(float).itemsize
-        if chunk_blocks is None:
-            chunk_blocks = _DEFAULT_POOL_BLOCKS
-        if int(chunk_blocks) < 1:
-            raise ValueError("chunk_blocks must be positive")
-        budget = max(1, _POOL_CHUNK_BYTES // max(block_bytes, 1))
-        self.chunk_blocks = max(1, min(int(chunk_blocks), self.n_blocks, budget))
-        self._scheduled = 0  # blocks whose generation has been issued
-        self._served = 0
-        self._chunks: deque = deque()  # (future | None, buffer, k)
-        self._current: tuple[np.ndarray, int] | None = None
-        self._offset = 0
-        self._executor = None
-        if async_refill and self.chunk_blocks < self.n_blocks:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # One worker: chunk fills execute FIFO, so the stream order is
-            # exactly the serial order no matter how far refill runs ahead.
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="noise-pool"
-            )
-        # The consumer needs the first chunk immediately — fill it inline —
-        # and the second is scheduled right away so generation runs ahead.
-        self._schedule(sync=True)
-        self._schedule()
-
-    # ------------------------------------------------------------------ #
-    @property
-    def served(self) -> int:
-        """Blocks handed out so far."""
-        return self._served
-
-    def _fill(self, buffer: np.ndarray, k: int) -> None:
-        if self._member:
-            # (m, k, ...) layout: each member stream bulk-fills its own
-            # contiguous row-block — the per-member stream order of
-            # MemberStreams.standard_normal, k blocks at a time.
-            for generator, rows in zip(self.rng.generators, buffer):
-                generator.standard_normal(out=rows)
-        else:
-            self.rng.standard_normal(out=buffer)
-
-    def _schedule(self, sync: bool = False) -> None:
-        k = min(self.chunk_blocks, self.n_blocks - self._scheduled)
-        if k <= 0:
-            return
-        if self._member:
-            buffer = np.empty((self.block_shape[0], k) + self.block_shape[1:])
-        else:
-            buffer = np.empty((k,) + self.block_shape)
-        self._scheduled += k
-        if sync or self._executor is None:
-            self._fill(buffer, k)
-            self._chunks.append((None, buffer, k))
-        else:
-            self._chunks.append((self._executor.submit(self._fill, buffer, k), buffer, k))
-
-    def _next_block(self) -> np.ndarray:
-        if self._current is None or self._offset >= self._current[1]:
-            if not self._chunks:
-                raise RuntimeError(
-                    f"noise pool exhausted: {self.n_blocks} block(s) already served"
-                )
-            future, buffer, k = self._chunks.popleft()
-            if future is not None:
-                future.result()
-            self._current = (buffer, k)
-            self._offset = 0
-            self._schedule()  # keep one chunk in flight ahead of the consumer
-        buffer, _ = self._current
-        j = self._offset
-        self._offset += 1
-        self._served += 1
-        return buffer[:, j] if self._member else buffer[j]
-
-    def standard_normal(self, size=None, out: np.ndarray | None = None) -> np.ndarray:
-        """Serve the next pooled block (generator-compatible signature)."""
-        if out is not None:
-            if tuple(out.shape) != self.block_shape:
-                raise ValueError(
-                    f"pooled draw shape {tuple(out.shape)} != block shape {self.block_shape}"
-                )
-            np.copyto(out, self._next_block())
-            return out
-        if size is None or np.ndim(size) == 0:
-            raise ValueError("NoisePool draws need the pool's full block shape")
-        if tuple(size) != self.block_shape:
-            raise ValueError(
-                f"pooled draw shape {tuple(size)} != block shape {self.block_shape}"
-            )
-        return np.ascontiguousarray(self._next_block())
-
-    def close(self) -> None:
-        """Reap the refill thread (idempotent; in-flight fills complete)."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def __enter__(self) -> "NoisePool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - GC backstop
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 def sample_from_catalogue(

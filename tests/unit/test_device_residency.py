@@ -69,6 +69,16 @@ def _ensf(model: SQGModel) -> EnSF:
     return EnSF(EnSFConfig(n_sde_steps=N_SDE_STEPS), rng=4)
 
 
+def _ensf_long(model: SQGModel) -> EnSF:
+    return EnSF(EnSFConfig(n_sde_steps=3 * N_SDE_STEPS), rng=4)
+
+
+def _ensf_full_space(model: SQGModel) -> EnSF:
+    """Minibatched score: the one configuration knob that keeps the
+    full-space reverse-SDE loop under an identity operator."""
+    return EnSF(EnSFConfig(n_sde_steps=N_SDE_STEPS, minibatch=4), rng=4)
+
+
 def _run_counts(mock_xp, filter_factory, nx, members, cycles, executor=None):
     """Run one SQG OSSE and return (result, transfer-call counts)."""
     model = _make_model(nx)
@@ -207,6 +217,26 @@ class TestPerCycleBudget:
         assert _per_cycle_delta(mock_xp, _ensf, 16, 4) == base
         assert _per_cycle_delta(mock_xp, _ensf, 8, 6) == base
 
+    def test_ensf_budget_is_six_up_six_down_for_any_sde_step_count(self, mock_xp):
+        """Ensemble-space EnSF cycle: 6 uploads / 6 downloads.
+
+        Truth and ensemble trajectories are 1↑/1↓ each; the analysis uploads
+        the scaled ensemble, the observation, the one full-size draw ``ζ``
+        and the final ``(n, M)`` coefficients (4↑) and downloads ``K``,
+        ``X y``, ``ζ Xᵀ`` and the analysis (4↓).  The ``(n, M)`` recursion
+        is host-side, so none of it scales with ``n_sde_steps``.
+        """
+        base = _per_cycle_delta(mock_xp, _ensf, 8, 4)
+        assert base == {"h2d": 6, "d2h": 6}
+        assert _per_cycle_delta(mock_xp, _ensf_long, 8, 4) == base
+
+    def test_full_space_ensf_uploads_one_draw_per_sde_step(self, mock_xp):
+        """The full-space loop stages every host-parity noise block: the
+        initial sample plus one per Euler step, on top of the ensemble and
+        observation uploads — the budget the ensemble-space path removed."""
+        full_space = _per_cycle_delta(mock_xp, _ensf_full_space, 8, 4)
+        assert full_space["h2d"] == 2 + 2 + N_SDE_STEPS + 1
+
     @pytest.mark.parametrize("filter_factory", [_letkf, _ensf], ids=["letkf", "ensf"])
     def test_pool_budget_independent_of_grid(self, mock_xp, filter_factory):
         """Parent-side counters stay grid-independent through a real pool.
@@ -298,8 +328,9 @@ class TestDeviceRNGMode:
     def test_device_mode_bit_identical_and_cheaper(self, mock_xp, monkeypatch):
         """On mock-device the two modes share one generator, so results are
         bitwise identical while device mode drops the per-draw upload
-        metering: exactly ``n_sde_steps + 1`` fewer uploads per analysis
-        (the initial sample plus one noise draw per SDE step)."""
+        metering: exactly one fewer upload per analysis — the single
+        full-size draw the ensemble-space integrator materialises from (its
+        ``(blocks, M)`` draws are host-side in both modes)."""
         parity_result, _ = _run_counts(mock_xp, _ensf, 8, 4, 2)
         parity_delta = _per_cycle_delta(mock_xp, _ensf, 8, 4)
         monkeypatch.setenv("REPRO_DEVICE_RNG", "device")
@@ -311,5 +342,5 @@ class TestDeviceRNGMode:
         np.testing.assert_array_equal(
             parity_result.analysis_mean_final, device_result.analysis_mean_final
         )
-        assert parity_delta["h2d"] - device_delta["h2d"] == N_SDE_STEPS + 1
+        assert parity_delta["h2d"] - device_delta["h2d"] == 1
         assert parity_delta["d2h"] == device_delta["d2h"]

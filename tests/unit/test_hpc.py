@@ -654,6 +654,30 @@ class TestParallelAnalysis:
         np.testing.assert_array_equal(from_seq, reused)
         assert seq.n_children_spawned == 0
 
+    @pytest.mark.parametrize("path", ["ensemble-space", "full-space"])
+    @pytest.mark.parametrize("members,shape", [(6, (8, 8)), (20, (64, 64))])
+    def test_analyze_members_every_split_point_concat_invariant(self, members, shape, path):
+        """Every split of the member list concatenates to the unsplit call,
+        bit for bit, on both reverse-SDE paths.  (Weights here are *not*
+        saturated, so a GEMM over the batch — whose last bit depends on the
+        row count — would show up; a non-uniform R forces the full-space
+        fallback under the same identity operator.)"""
+        filt, ensemble, observation, operator = self._ensf_case(members, shape)
+        if path == "full-space":
+            operator = IdentityObservation(
+                operator.state_dim, np.linspace(0.8, 1.2, operator.state_dim)
+            )
+        seeds = np.random.SeedSequence(3).spawn(members)
+        full = filt.analyze_members(ensemble, observation, operator, member_seeds=seeds)
+        for split in range(1, members):
+            head = filt.analyze_members(
+                ensemble, observation, operator, member_seeds=seeds[:split]
+            )
+            tail = filt.analyze_members(
+                ensemble, observation, operator, member_seeds=seeds[split:]
+            )
+            np.testing.assert_array_equal(full, np.concatenate([head, tail], axis=0))
+
     def test_analyze_members_member_seeds_concat_invariant(self):
         """Member-wise streams: any split of the seed list concatenates to
         the full-batch draw (the property the executor relies on)."""

@@ -478,80 +478,6 @@ class TestFusedScorePath:
         )
 
 
-class TestPooledNoiseParity:
-    """NoisePool integration with the reverse-SDE loop.
-
-    Pooled draws must be bit-identical to the direct per-step generator
-    draws — with identical random-stream consumption — for every chunk size
-    (``REPRO_NOISE_POOL``), on every backend (host-parity staging sees one
-    call per block, exactly as before), and in both the shared-stream and
-    member-seeded EnSF modes.
-    """
-
-    def test_pooled_sampler_matches_unpooled(self, array_backend, monkeypatch):
-        schedule = LinearAlphaSchedule()
-        score = lambda z, t: -z
-        sampler = ReverseSDESampler(schedule, n_steps=25)
-        rng_a = default_rng(5)
-        base = sampler.sample(score, 6, 4, rng=rng_a)
-        # "0" disables pooling even when the caller opts in; nonzero values
-        # pool with that chunk length — all bit-identical, with the source
-        # stream left in exactly the unpooled end state.
-        for chunk in ("0", "1", "3", "1000"):
-            monkeypatch.setenv("REPRO_NOISE_POOL", chunk)
-            rng_b = default_rng(5)
-            pooled = sampler.sample(score, 6, 4, rng=rng_b, noise_pool=True)
-            np.testing.assert_array_equal(pooled, base)
-            assert rng_b.bit_generator.state == rng_a.bit_generator.state
-
-    def test_pooled_ensf_analysis_matches_unpooled(self, monkeypatch):
-        grid, rng, ensemble, truth = _case(seed=31, members=10)
-        operator = IdentityObservation(grid.size, 1.0)
-        observation = operator.observe(truth, rng=rng)
-        monkeypatch.setenv("REPRO_NOISE_POOL", "0")
-        unpooled_filter = EnSF(EnSFConfig(n_sde_steps=20), rng=13)
-        unpooled = unpooled_filter.analyze(ensemble, observation, operator)
-        monkeypatch.setenv("REPRO_NOISE_POOL", "3")
-        pooled_filter = EnSF(EnSFConfig(n_sde_steps=20), rng=13)
-        pooled = pooled_filter.analyze(ensemble, observation, operator)
-        assert (
-            pooled_filter.rng.bit_generator.state
-            == unpooled_filter.rng.bit_generator.state
-        )
-        np.testing.assert_array_equal(pooled, unpooled)
-
-    def test_pooled_member_seeded_analysis_matches_unpooled(self, monkeypatch):
-        grid, rng, ensemble, truth = _case(seed=32, members=6)
-        operator = IdentityObservation(grid.size, 1.0)
-        observation = operator.observe(truth, rng=rng)
-        seeds = np.random.SeedSequence(8).spawn(6)
-        filt = EnSF(EnSFConfig(n_sde_steps=12), rng=0)
-        monkeypatch.setenv("REPRO_NOISE_POOL", "0")
-        unpooled = filt.analyze_members(
-            ensemble, observation, operator, member_seeds=seeds
-        )
-        monkeypatch.setenv("REPRO_NOISE_POOL", "4")
-        pooled = filt.analyze_members(
-            ensemble, observation, operator, member_seeds=seeds
-        )
-        np.testing.assert_array_equal(pooled, unpooled)
-
-    def test_minibatch_filter_bypasses_pool_and_reproduces(self):
-        """Minibatched score draws interleave with noise draws on the same
-        stream, so the EnSF never pools them — the run must still reproduce
-        itself exactly under the default (pooling-enabled) environment."""
-        grid, rng, ensemble, truth = _case(seed=33, members=10)
-        operator = IdentityObservation(grid.size, 1.0)
-        observation = operator.observe(truth, rng=rng)
-        a = EnSF(EnSFConfig(n_sde_steps=10, minibatch=4), rng=2).analyze(
-            ensemble, observation, operator
-        )
-        b = EnSF(EnSFConfig(n_sde_steps=10, minibatch=4), rng=2).analyze(
-            ensemble, observation, operator
-        )
-        np.testing.assert_array_equal(a, b)
-
-
 class TestFusedEnSFDeterminism:
     """Exactness certification without an oracle (reference-path retirement,
     ROADMAP): the operator parametrization covers the identity/subsampled
@@ -580,6 +506,21 @@ class TestFusedEnSFDeterminism:
         a_base = baseline.analyze(ensemble, observation, operator)
         assert routed.rng.bit_generator.state == baseline.rng.bit_generator.state
         np.testing.assert_array_equal(a_routed, a_base)
+
+
+    def test_minibatch_filter_reproduces(self):
+        """Minibatched score draws interleave with noise draws on the same
+        stream (full-space path); the run must reproduce itself exactly."""
+        grid, rng, ensemble, truth = _case(seed=33, members=10)
+        operator = IdentityObservation(grid.size, 1.0)
+        observation = operator.observe(truth, rng=rng)
+        a = EnSF(EnSFConfig(n_sde_steps=10, minibatch=4), rng=2).analyze(
+            ensemble, observation, operator
+        )
+        b = EnSF(EnSFConfig(n_sde_steps=10, minibatch=4), rng=2).analyze(
+            ensemble, observation, operator
+        )
+        np.testing.assert_array_equal(a, b)
 
 
 class TestBenchRecorder:

@@ -7,12 +7,10 @@ from repro.utils.grid import Grid2D, periodic_delta, periodic_distance_matrix, c
 import repro.utils.random as random_mod
 from repro.utils.random import (
     MemberStreams,
-    NoisePool,
     SeedSequenceFactory,
     bitgen_name,
     default_rng,
     make_generator,
-    noise_pool_blocks,
     sample_from_catalogue,
     split_rng,
 )
@@ -108,115 +106,6 @@ class TestRandom:
             sample_from_catalogue(np.zeros((3, 2)), 5, default_rng(0), replace=False)
 
 
-class TestNoisePool:
-    """Bit-identity contract of pooled Gaussian blocks (ISSUE 10 tentpole).
-
-    Every chunking of a :class:`NoisePool` must serve exactly the sequence
-    the unpooled per-block ``standard_normal`` calls would have drawn, and a
-    drained pool must leave the source generator's state advanced by exactly
-    the unpooled amount.
-    """
-
-    _SHAPE = (5, 4)
-    _N_BLOCKS = 11
-
-    def _reference(self, seed=0):
-        rng = np.random.default_rng(seed)
-        return [rng.standard_normal(self._SHAPE) for _ in range(self._N_BLOCKS)], rng
-
-    @pytest.mark.parametrize("chunk_blocks", [1, 3, 8, 100])
-    def test_pool_matches_unpooled_for_every_chunking(self, chunk_blocks):
-        """Chunk 3 over 11 blocks straddles refill boundaries at blocks
-        3/6/9; chunk 1 refills on every draw; chunk 100 is one bulk draw."""
-        expected, ref_rng = self._reference()
-        rng = np.random.default_rng(0)
-        with NoisePool(rng, self._SHAPE, self._N_BLOCKS, chunk_blocks=chunk_blocks) as pool:
-            for block in expected:
-                np.testing.assert_array_equal(pool.standard_normal(self._SHAPE), block)
-            assert pool.served == self._N_BLOCKS
-        # drained pool leaves the source stream exactly where unpooled
-        # consumption would have (the cycling loop keeps drawing from it)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    def test_sync_refill_identical_to_async(self):
-        draws = {}
-        for async_refill in (True, False):
-            rng = np.random.default_rng(7)
-            with NoisePool(
-                rng, self._SHAPE, self._N_BLOCKS, chunk_blocks=4, async_refill=async_refill
-            ) as pool:
-                draws[async_refill] = np.stack(
-                    [pool.standard_normal(self._SHAPE) for _ in range(self._N_BLOCKS)]
-                )
-        np.testing.assert_array_equal(draws[True], draws[False])
-
-    def test_member_streams_pool_matches_unpooled(self):
-        seeds = np.random.SeedSequence(5).spawn(4)
-        reference = MemberStreams(seeds)
-        expected = [reference.standard_normal((4, 6)) for _ in range(7)]
-        with NoisePool(MemberStreams(seeds), (4, 6), 7, chunk_blocks=3) as pool:
-            for block in expected:
-                np.testing.assert_array_equal(pool.standard_normal((4, 6)), block)
-
-    def test_out_parameter_and_shape_validation(self):
-        with NoisePool(np.random.default_rng(1), (3, 2), 4, chunk_blocks=2) as pool:
-            out = np.empty((3, 2))
-            assert pool.standard_normal(out=out) is out
-            np.testing.assert_array_equal(
-                out, np.random.default_rng(1).standard_normal((3, 2))
-            )
-            with pytest.raises(ValueError):
-                pool.standard_normal((3, 3))
-            with pytest.raises(ValueError):
-                pool.standard_normal(out=np.empty((2, 3)))
-            with pytest.raises(ValueError):
-                pool.standard_normal()  # scalar draws are not pooled
-
-    def test_exhaustion_raises(self):
-        with NoisePool(np.random.default_rng(2), (2,), 3, chunk_blocks=2) as pool:
-            for _ in range(3):
-                pool.standard_normal((2,))
-            with pytest.raises(RuntimeError, match="exhausted"):
-                pool.standard_normal((2,))
-
-    def test_constructor_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            NoisePool(rng, (), 4)  # scalar block shape
-        with pytest.raises(ValueError):
-            NoisePool(rng, (2, 2), 0)  # no blocks
-        with pytest.raises(ValueError):
-            NoisePool(rng, (2, 2), 4, chunk_blocks=0)
-        with pytest.raises(ValueError):
-            # member pools must match the bundle's leading axis
-            NoisePool(MemberStreams([1, 2, 3]), (4, 5), 2)
-
-    def test_chunk_memory_budget_caps_chunk_blocks(self):
-        # 4 MiB blocks → at most 8 fit the ~32 MiB chunk budget even when a
-        # larger chunk is requested; the cap never breaks bit-identity.
-        n_elem = (32 << 20) // 8 // 8  # 8 blocks per chunk budget
-        with NoisePool(np.random.default_rng(3), (n_elem,), 20, chunk_blocks=100) as pool:
-            assert pool.chunk_blocks == 8
-            first = pool.standard_normal((n_elem,))
-        np.testing.assert_array_equal(
-            first, np.random.default_rng(3).standard_normal((n_elem,))
-        )
-
-    def test_noise_pool_blocks_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NOISE_POOL", raising=False)
-        assert noise_pool_blocks() == 8  # documented default
-        monkeypatch.setenv("REPRO_NOISE_POOL", "0")
-        assert noise_pool_blocks() == 0  # disables pooling
-        monkeypatch.setenv("REPRO_NOISE_POOL", "5")
-        assert noise_pool_blocks() == 5
-        monkeypatch.setenv("REPRO_NOISE_POOL", "nope")
-        with pytest.raises(ValueError):
-            noise_pool_blocks()
-        monkeypatch.setenv("REPRO_NOISE_POOL", "-1")
-        with pytest.raises(ValueError):
-            noise_pool_blocks()
-
-
 class TestBitGenerator:
     """``REPRO_RNG_BITGEN`` selection (ISSUE 10 tentpole satellite)."""
 
@@ -270,14 +159,6 @@ class TestBitGenerator:
         head = MemberStreams(seeds[:2]).standard_normal((2, 4))
         tail = MemberStreams(seeds[2:]).standard_normal((4, 4))
         np.testing.assert_array_equal(full, np.concatenate([head, tail], axis=0))
-
-    def test_pooled_draws_bit_identical_under_sfc64(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RNG_BITGEN", "sfc64")
-        expected_rng = make_generator(9)
-        expected = [expected_rng.standard_normal((4, 3)) for _ in range(9)]
-        with NoisePool(make_generator(9), (4, 3), 9, chunk_blocks=2) as pool:
-            for block in expected:
-                np.testing.assert_array_equal(pool.standard_normal((4, 3)), block)
 
     def test_bitgen_round_trip_through_executor_workers(self, monkeypatch):
         """The env knob must survive worker pickling/spawn: a pool analysis
