@@ -29,8 +29,6 @@ Record layout (see :mod:`repro.utils.timing` for the generic format)::
                         speedup_note},
       "shard_payloads": {cases: [ ...per grid: shm-vs-pickle per-shard IPC
                          bytes + wall time... ], note},
-      "eigh_blocked": {members, cases: [ ...per grid 64²→256²: monolithic
-                       stacked eigh + block-size sweep... ], note},
       "ensf":  {grid, members, sampler, n_sde_steps, optimized_s,
                 coupled_residual, max_repeat_delta},
       "ensf_cases": [ ...one row per (grid, sampler mode)... ],
@@ -70,8 +68,6 @@ LETKF_SHARD_GRIDS = ((64, 64), (128, 128))
 LETKF_SHARD_WORKERS = (1, 2, 4)
 ENSF_GRIDS = ((16, 16), (32, 32), (64, 64))
 ENSF_PATHS_GRID = (64, 64)
-EIGH_GRIDS = ((64, 64), (128, 128), (256, 256))
-EIGH_BLOCKS = (1024, 8192)
 
 
 def _rmse(ensemble, truth):
@@ -274,69 +270,6 @@ def _bench_shard_payloads():
     return {"cases": rows, "note": note}
 
 
-def _bench_eigh_blocked():
-    """Stacked-eigh footprint sweep: monolithic vs cache-sized blocks.
-
-    Profiles the LETKF's ``(n_columns, m, m)`` stacked eigendecomposition
-    at the paper's analysis footprints (64² → 256² columns, m=20 members)
-    against the blocked solve path (``LETKFConfig.eigh_block``), which
-    partitions the column stack into contiguous eig batches.  Per-column
-    problems are independent, so every block size is asserted bit-identical
-    to the monolithic solve; the timings record where blocking pays (it
-    bounds the eigen-workspace, which matters once the monolithic
-    temporaries outgrow cache — on hosts with small caches or busy memory
-    buses the blocked path wins, elsewhere it is neutral).
-    """
-    from repro.utils.xp import resolve_backend
-
-    xp = resolve_backend(None)
-    rows = []
-    for shape in EIGH_GRIDS:
-        n_cols = shape[0] * shape[1]
-        rng = np.random.default_rng(2026)
-        y = rng.standard_normal((n_cols, N_MEMBERS, 5))
-        a_stack = (N_MEMBERS - 1) * np.eye(N_MEMBERS)[None] + np.matmul(
-            y, y.transpose(0, 2, 1)
-        )
-        a_dev = xp.to_device(a_stack)
-        t_mono, (evals0, evecs0) = best_of(
-            lambda: xp.stacked_eigh(a_dev), repeats=2
-        )
-        block_rows = []
-        for block in EIGH_BLOCKS:
-            t_blk, (evals, evecs) = best_of(
-                lambda: xp.stacked_eigh(a_dev, block=block), repeats=2
-            )
-            block_rows.append(
-                {
-                    "block": block,
-                    "blocked_s": t_blk,
-                    "speedup_vs_monolithic": BenchRecorder.speedup(t_mono, t_blk),
-                    "bit_identical": bool(
-                        np.array_equal(xp.to_host(evals), xp.to_host(evals0))
-                        and np.array_equal(xp.to_host(evecs), xp.to_host(evecs0))
-                    ),
-                }
-            )
-        rows.append(
-            {
-                "grid": list(shape),
-                "members": N_MEMBERS,
-                "n_columns": n_cols,
-                "monolithic_s": t_mono,
-                "blocks": block_rows,
-            }
-        )
-    note = (
-        "blocked stacked eigh is bit-identical to the monolithic solve for "
-        "every block size (per-column problems are independent); the block "
-        "knob bounds the eigen-workspace and matmul temporaries, so its "
-        "wall-time effect is cache- and host-dependent — the profile above "
-        "is the measurement, not a claimed floor."
-    )
-    return {"members": N_MEMBERS, "cases": rows, "note": note}
-
-
 def _ensf_problem(shape):
     grid = Grid2D(*shape)
     rng = np.random.default_rng(7)
@@ -466,12 +399,6 @@ def kernel_record():
         tag = f"shard_payloads_{row['grid'][0]}x{row['grid'][1]}"
         recorder.add(f"{tag}_shm", row["shm"]["wall_s"])
         recorder.add(f"{tag}_pickle", row["pickle"]["wall_s"])
-    eigh_blocked = _bench_eigh_blocked()
-    for row in eigh_blocked["cases"]:
-        tag = f"eigh_blocked_{row['grid'][0]}x{row['grid'][1]}"
-        recorder.add(f"{tag}_monolithic", row["monolithic_s"])
-        for brow in row["blocks"]:
-            recorder.add(f"{tag}_b{brow['block']}", brow["blocked_s"])
     cases = [
         _bench_ensf_case(shape, stochastic)
         for shape in ENSF_GRIDS
@@ -492,7 +419,6 @@ def kernel_record():
         letkf=letkf,
         letkf_sharded=letkf_sharded,
         shard_payloads=shard_payloads,
-        eigh_blocked=eigh_blocked,
         ensf=ensf,
         ensf_cases=cases,
         ensf_paths=ensf_paths,
@@ -558,27 +484,6 @@ def test_shard_payload_transport(kernel_record, report):
         assert row["ipc_reduction"] > 5.0
         assert row["shm"]["total_ipc_bytes"] < row["pickle"]["total_ipc_bytes"]
     assert payloads["note"]
-
-
-def test_eigh_blocked_profile(kernel_record, report):
-    blocked = kernel_record["eigh_blocked"]
-    lines = []
-    for row in blocked["cases"]:
-        for brow in row["blocks"]:
-            lines.append(
-                f"{row['grid'][0]}x{row['grid'][1]} ({row['n_columns']} cols) "
-                f"block={brow['block']}: {brow['speedup_vs_monolithic']:.2f}x vs "
-                f"monolithic (mono {row['monolithic_s']:.3f}s, "
-                f"blocked {brow['blocked_s']:.3f}s)"
-            )
-    report("LETKF stacked eigh (blocked vs monolithic, m=20)", lines)
-    # Bit-identity is the contract; wall time is a recorded profile (the
-    # blocked path bounds the workspace — see the note — not a speed floor).
-    for row in blocked["cases"]:
-        assert row["monolithic_s"] > 0.0
-        for brow in row["blocks"]:
-            assert brow["bit_identical"], (row["grid"], brow["block"])
-    assert blocked["note"]
 
 
 def test_ensf_fused_reproducibility(kernel_record, report):

@@ -94,9 +94,12 @@ HOST_SIDE: dict[str, set[str]] = {
         # The RNG module is the host side of the noise contract: stream
         # construction and seed derivation legitimately live on np.random.
         # Everything else (MemberStreams fills) stays deny-checked.
-        "make_generator",
+        "default_rng",
         "split_rng",
         "SeedSequenceFactory.seed_for",
+        "SeedSequenceFactory.rng",
+        "SeedSequenceFactory.member_rngs",
+        "MemberStreams.__init__",
     },
     "src/repro/core/ensf.py": {
         # observation-noise scaling constant, computed once on the host

@@ -105,10 +105,9 @@ SPECS = {
     "BENCH_kernels.json": dict(
         required=["benchmark", "created_unix", "sections",
                   "letkf", "letkf_sharded", "shard_payloads",
-                  "eigh_blocked",
                   "ensf", "ensf_cases", "ensf_paths"],
         notes=[("letkf_sharded", "speedup_note"), ("shard_payloads", "note"),
-               ("eigh_blocked", "note"), ("ensf_paths", "note")],
+               ("ensf_paths", "note")],
     ),
     "BENCH_forecast.json": dict(
         required=["benchmark", "created_unix", "sections", "fft_backend",

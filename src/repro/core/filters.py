@@ -127,8 +127,8 @@ class EnsembleFilter(ABC):
         process pool — e.g. the LETKF's local column analyses.  The default
         implementation ignores the executor and runs :meth:`analyze`
         in-process, so the OSSE driver can pass its executor unconditionally.
-        Overrides must produce results bit-identical across worker counts
-        and member-wise equivalent to :meth:`analyze`.
+        Overrides must produce results bit-identical to :meth:`analyze`
+        for every executor and worker count.
         """
         return self.analyze(forecast_ensemble, observation, operator)
 

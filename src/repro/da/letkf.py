@@ -16,35 +16,40 @@ with the same local weights (the paper couples horizontal and vertical
 localization through the Rossby radius; with only two boundary levels this
 reduces to whole-column updates).
 
-Vectorized analysis kernels
----------------------------
-:meth:`LETKF.analyze` is the **batched kernel**.  A
-:class:`~repro.da.localization.LocalAnalysisGeometry` is built once per
-``(grid, observation network)`` pair and cached across cycles; the local
-eigenproblems of all columns are then solved with a single stacked
-``np.linalg.eigh`` over ``(n_columns, m, m)`` tensors and the weights are
-applied with batched matrix products.  The local Gram matrices are
-assembled either by circular FFT convolution (uniform observation errors,
-``min_weight == 0``) or by grouped gathers over precomputed footprints.
-(The original per-column Python loop served as the numerical oracle through
-several releases of equivalence testing and has since been retired.)
+One local-solve pipeline
+------------------------
+:meth:`LETKF.analyze` and :meth:`LETKF.analyze_parallel` are the same five
+steps — the paper's "independent local analyses per column, then gather"
+(§III-A3):
 
-Column-sharded parallel analysis
---------------------------------
-:meth:`LETKF.analyze_parallel` shards the batched path across an
-:class:`~repro.hpc.ensemble_parallel.EnsembleExecutor` process pool — the
-local equivalent of the paper's per-rank local analyses plus gather
-(§III-A3).  The global ensemble statistics (means, perturbations,
-innovation) are computed once by the parent; the per-column system assembly
-and stacked-``eigh`` solve/weight stage then runs over contiguous column
-blocks of ``config.shard_columns`` columns, each worker receiving only the
-small slice it needs (convolved channels in convolution mode;
-``y_pert``/``innovation`` subsets plus a
-:class:`~repro.da.localization.GeometryBlock` in grouped mode), and the
-block results are scatter-gathered into the analysis array.  Because the
-shard decomposition depends only on the grid — never on the worker count —
-the sharded analysis is bit-identical for every executor layout and
-member-wise equivalent to the serial batched kernel.
+1. **global statistics** (means, perturbations, innovation), computed once
+   on the host by :meth:`LETKF._update_statistics`;
+2. **the shard list**: the columns cut into contiguous runs of
+   ``config.shard_columns``.  A *shard* is a function of the grid only —
+   never of the executor or its worker count;
+3. **one kernel per assembly mode**, run once per shard on device-resident
+   arrays.  A :class:`~repro.da.localization.LocalAnalysisGeometry` (built
+   once per ``(grid, observation network)`` pair and cached across cycles)
+   selects the mode: :func:`_solve_convolution` slices the shard's columns
+   out of a global circular FFT convolution (uniform observation errors,
+   ``min_weight == 0``); :func:`_solve_grouped` gathers the shard's
+   precomputed footprints (a :class:`~repro.da.localization.GeometryBlock`).
+   Both end in :func:`solve_local_batch`, a stacked ``eigh`` over
+   ``(n, m, m)`` tensors plus batched matrix products;
+4. **concatenate** the shard results in column order;
+5. **RTPS** inflation on the whole ensemble.
+
+With ``executor=None`` the parent runs step 3 in-process: the statistics are
+uploaded to the analysis backend's device once, every shard works on slices
+of them, and one download returns the result.  With an
+:class:`~repro.hpc.ensemble_parallel.EnsembleExecutor` the shards go through
+``map_blocks``, and all a *worker entry point* (:func:`_solve_shard_convolution`,
+:func:`_solve_shard_grouped`) adds is upload → the same kernel → download;
+each worker receives only its shard's slice (convolved channels, or the
+``y_pert``/``innovation`` subset plus the block's footprint groups).  Every
+column's problem is independent and sees the same numbers whichever route
+delivered them, so any ``shard_columns`` / ``block_columns`` / executor
+layout gives the same bits, by construction rather than by tolerance.
 """
 
 from __future__ import annotations
@@ -77,15 +82,12 @@ def solve_local_batch(
     local_pert: np.ndarray,
     local_mean: np.ndarray,
     xp: ArrayBackend | None = None,
-    eigh_block: int | None = None,
-    solve_rank: int | None = None,
 ) -> np.ndarray:
     """Solve a stack of local ETKF problems.
 
-    This is the LETKF's per-column work-unit (module-level so the
-    column-sharded parallel path can ship it to pool workers by reference).
-    Every batch element is solved independently, so any contiguous
-    re-blocking of the stack yields bit-identical results.
+    This is the LETKF's per-column work-unit.  Every batch element is
+    solved independently, so any contiguous re-blocking of the stack yields
+    bit-identical results.
 
     Parameters
     ----------
@@ -101,57 +103,13 @@ def solve_local_batch(
         Array backend the inputs live on (``None`` = the process default).
         All arithmetic — the stacked ``eigh`` included — runs on that
         backend; the numpy backend is bit-identical to the pre-shim kernel.
-    eigh_block:
-        ``None`` solves the whole stack monolithically.  A positive value
-        partitions the stack into contiguous batches of at most this many
-        columns and solves batch-by-batch into a preallocated output, so
-        the eigen-workspace and matmul temporaries stay cache-sized at
-        paper-scale footprints (256² = 65536 columns).  **Bit-identical**
-        to the monolithic solve for every block size — per-column problems
-        are independent (see :meth:`ArrayBackend.stacked_eigh`).
-    solve_rank:
-        ``None`` (default) applies the full symmetric-root transform.  A
-        positive value ``r < m`` switches to the truncated solve: only the
-        top-``r`` eigenpairs of the local system carry the update, the
-        orthogonal complement is treated at the prior eigenvalue ``m - 1``
-        (i.e. the localized Gram matrix is rank-``r`` approximated).  This
-        **changes the arithmetic** — opt-in for throughput studies; the
-        weight-application cost drops from O(m²) to O(m·r) per column.
-        ``r >= m`` falls back to the exact full-rank path.
 
     Returns
     -------
     Local analysis states, shape ``(B, nlev, m)`` (member axis last).
     """
     xp = resolve_backend(xp)
-    n_stack = a_stack.shape[0]
-    if eigh_block is not None and int(eigh_block) < 1:
-        raise ValueError("eigh_block must be positive")
-    if eigh_block is not None and int(eigh_block) < n_stack:
-        # Blocked path: identical per-column arithmetic over contiguous
-        # sub-stacks, written into one preallocated output.
-        eigh_block = int(eigh_block)
-        analysis = xp.empty(local_pert.shape)
-        for start in range(0, n_stack, eigh_block):
-            stop = min(start + eigh_block, n_stack)
-            analysis[start:stop] = solve_local_batch(
-                a_stack[start:stop],
-                c_innov[start:stop],
-                local_pert[start:stop],
-                local_mean[start:stop],
-                xp,
-                solve_rank=solve_rank,
-            )
-        return analysis
-
     n_members = a_stack.shape[-1]
-    if solve_rank is not None and int(solve_rank) < 1:
-        raise ValueError("solve_rank must be positive")
-    if solve_rank is not None and int(solve_rank) < n_members:
-        return _solve_truncated(
-            a_stack, c_innov, local_pert, local_mean, int(solve_rank), xp
-        )
-
     evals, evecs = xp.stacked_eigh(a_stack)
     xp.maximum(evals, 1.0e-12, out=evals)
 
@@ -164,51 +122,6 @@ def solve_local_batch(
     v = xp.matmul(local_pert, evecs)
     v *= xp.sqrt((n_members - 1) / evals)[:, None, :]
     analysis = xp.matmul(v, xp.ascontiguousarray(evecs.transpose(0, 2, 1)))
-    analysis += xp.matmul(local_pert, w_mean[:, :, None])
-    analysis += local_mean[:, :, None]
-    return analysis
-
-
-def _solve_truncated(
-    a_stack: np.ndarray,
-    c_innov: np.ndarray,
-    local_pert: np.ndarray,
-    local_mean: np.ndarray,
-    rank: int,
-    xp: ArrayBackend,
-) -> np.ndarray:
-    """Rank-``r`` truncated local solve (changes arithmetic; opt-in).
-
-    The local system is ``A = (m-1) I + Q`` with ``Q`` PSD, so every
-    eigenvalue is ``>= m - 1``.  Keeping only the top-``r`` eigenpairs
-    ``(λ_r, E_r)`` and treating the complement at the prior eigenvalue
-    ``m - 1`` (a rank-``r`` approximation of ``Q``) gives closed forms that
-    never materialise the complement basis:
-
-    * mean weights  ``w̄ = E_r (E_rᵀ c / λ_r) + (c - E_r E_rᵀ c) / (m-1)``
-    * perturbations ``Xᵃ = X + (X E_r) diag(√((m-1)/λ_r) - 1) E_rᵀ``
-
-    (the complement's symmetric-root factor ``√((m-1)/(m-1)) = 1`` leaves
-    those directions untouched).  Cost: one stacked ``eigh`` plus
-    O(m·r)-per-column matmuls instead of O(m²).
-    """
-    n_members = a_stack.shape[-1]
-    evals, evecs = xp.stacked_eigh(a_stack)
-    xp.maximum(evals, 1.0e-12, out=evals)
-    # eigh returns ascending eigenvalues: the top-r pairs are the last r.
-    lam_r = evals[:, -rank:]
-    e_r = xp.ascontiguousarray(evecs[:, :, -rank:])  # (B, m, r)
-    e_r_t = xp.ascontiguousarray(e_r.transpose(0, 2, 1))  # (B, r, m)
-
-    # Mean-update weights.
-    u_r = xp.einsum("bji,bj->bi", e_r, c_innov)  # E_rᵀ c, (B, r)
-    w_mean = xp.matmul(e_r, (u_r / lam_r)[:, :, None])[..., 0]
-    w_mean += (c_innov - xp.matmul(e_r, u_r[:, :, None])[..., 0]) / (n_members - 1)
-
-    # Perturbation transform.
-    xe = xp.matmul(local_pert, e_r)  # (B, nlev, r)
-    xe *= (xp.sqrt((n_members - 1) / lam_r) - 1.0)[:, None, :]
-    analysis = local_pert + xp.matmul(xe, e_r_t)
     analysis += xp.matmul(local_pert, w_mean[:, :, None])
     analysis += local_mean[:, :, None]
     return analysis
@@ -238,78 +151,84 @@ def _assemble_from_conv(
     return a_stack, c_innov
 
 
+def _solve_convolution(conv_block, local_pert, local_mean, xp: ArrayBackend):
+    """Convolution-mode shard kernel: assemble from channels, then solve.
+
+    All arguments live on ``xp``'s device; ``conv_block`` is the shard's
+    column slice of :meth:`LETKF._convolution_channels`.
+    """
+    a_stack, c_innov = _assemble_from_conv(conv_block, local_pert.shape[-1], xp)
+    return solve_local_batch(a_stack, c_innov, local_pert, local_mean, xp)
+
+
+def _solve_grouped(groups, y_sub_t, innov_sub, local_pert, local_mean, max_batch, xp):
+    """Grouped-mode shard kernel: gather footprints, assemble, solve.
+
+    All arguments live on ``xp``'s device.  ``groups`` are the shard's
+    :class:`~repro.da.localization.FootprintGroup` slices (block-local
+    columns, observation indices into ``y_sub_t`` ``(p_sub, m)`` /
+    ``innov_sub`` ``(p_sub,)``); at most ``max_batch`` columns are gathered
+    at a time.  Columns without a footprint come back as mean + perturbation
+    — the caller restores their exact prior.
+    """
+    n_members = local_pert.shape[-1]
+    diag = xp.arange(n_members)
+    analysis = local_pert + local_mean[:, :, None]
+    for group in groups:
+        n_group = group.columns.shape[0]
+        for start in range(0, n_group, max_batch):
+            sl = slice(start, min(start + max_batch, n_group))
+            idx = group.obs_indices[sl]
+            sqrt_r = group.sqrt_r_inv[sl]
+            cols = group.columns[sl]
+
+            q = xp.take(y_sub_t, idx, axis=0)  # (B, p, m)
+            q *= sqrt_r[:, :, None]
+            a_stack = xp.matmul(q.transpose(0, 2, 1), q)
+            a_stack[:, diag, diag] += n_members - 1
+            c_innov = xp.einsum("bpm,bp->bm", q, sqrt_r * innov_sub[idx])
+            analysis[cols] = solve_local_batch(
+                a_stack, c_innov, local_pert[cols], local_mean[cols], xp
+            )
+    return analysis
+
+
 def _solve_shard_convolution(args) -> np.ndarray:
-    """Worker entry point: assemble + solve one convolution-mode column shard.
+    """Worker entry point: upload one shard, :func:`_solve_convolution`, download.
 
     The shard's arrays move to the worker's device **once** (and the result
     moves back once) — the per-column work inside never touches the host,
     which the mock-device transfer counters assert in the tests.
     """
-    conv_block, local_pert, local_mean, backend, eigh_block, solve_rank = args
+    conv_block, local_pert, local_mean, backend = args
     xp = resolve_backend(backend)
-    conv_block = xp.to_device(conv_block)
-    local_pert = xp.to_device(local_pert)
-    local_mean = xp.to_device(local_mean)
-    n_members = local_pert.shape[-1]
-    a_stack, c_innov = _assemble_from_conv(conv_block, n_members, xp)
     return xp.to_host(
-        solve_local_batch(
-            a_stack,
-            c_innov,
-            local_pert,
-            local_mean,
-            xp,
-            eigh_block=eigh_block,
-            solve_rank=solve_rank,
+        _solve_convolution(
+            xp.to_device(conv_block), xp.to_device(local_pert), xp.to_device(local_mean), xp
         )
     )
 
 
 def _solve_shard_grouped(args) -> np.ndarray:
-    """Worker entry point: assemble + solve one grouped-mode column shard.
+    """Worker entry point: upload one shard, :func:`_solve_grouped`, download.
 
-    ``y_sub_t`` / ``innov_sub`` are the block's observation subset
-    (``(p_sub, m)`` and ``(p_sub,)``), gathered by the parent;
-    ``block.groups`` index into them.  Columns without a footprint keep the
-    prior, exactly like the serial grouped path.  Device transfers happen
-    once per shard input (plus once per footprint group for the precomputed
-    geometry tensors) — never inside the per-column batch loop.
+    Device transfers happen once per shard input plus once per footprint
+    group (the geometry tensors arrive with the job) — never inside the
+    per-column batch loop.
     """
-    block, y_sub_t, innov_sub, local_pert, local_mean, max_batch, backend, eigh_block, solve_rank = args
+    groups, y_sub_t, innov_sub, local_pert, local_mean, max_batch, backend = args
     xp = resolve_backend(backend)
-    y_sub_t = xp.to_device(y_sub_t)
-    innov_sub = xp.to_device(innov_sub)
-    local_pert = xp.to_device(local_pert)
-    local_mean = xp.to_device(local_mean)
-    n_members = local_pert.shape[-1]
-    analysis = local_pert + local_mean[:, :, None]  # prior block (member axis last)
-    for group in block.groups:
-        obs_indices = xp.to_device(group.obs_indices)
-        sqrt_r_inv = xp.to_device(group.sqrt_r_inv)
-        columns = xp.to_device(group.columns)
-        n_group = group.columns.size
-        for start in range(0, n_group, max_batch):
-            sl = slice(start, min(start + max_batch, n_group))
-            idx = obs_indices[sl]
-            sqrt_r = sqrt_r_inv[sl]
-            cols = columns[sl]
-
-            q = xp.take(y_sub_t, idx, axis=0)  # (B, p, m)
-            q *= sqrt_r[:, :, None]
-            a_stack = xp.matmul(q.transpose(0, 2, 1), q)
-            diag = xp.arange(n_members)
-            a_stack[:, diag, diag] += n_members - 1
-            c_innov = xp.einsum("bpm,bp->bm", q, sqrt_r * innov_sub[idx])
-            analysis[cols] = solve_local_batch(
-                a_stack,
-                c_innov,
-                local_pert[cols],
-                local_mean[cols],
-                xp,
-                eigh_block=eigh_block,
-                solve_rank=solve_rank,
-            )
-    return xp.to_host(analysis)
+    return xp.to_host(
+        _solve_grouped(
+            tuple(group.to_device(xp) for group in groups),
+            xp.to_device(y_sub_t),
+            xp.to_device(innov_sub),
+            xp.to_device(local_pert),
+            xp.to_device(local_mean),
+            max_batch,
+            xp,
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -326,32 +245,19 @@ class LETKFConfig:
     Attributes
     ----------
     block_columns:
-        Upper bound on the number of columns per grouped-gather block; caps
-        the peak size of the stacked local-observation tensors.
+        Upper bound on the number of columns per grouped-gather batch; caps
+        the peak size of the stacked ``(B, p, m)`` local-observation
+        tensors, whose size depends on the footprint.
     shard_columns:
-        Number of contiguous columns per parallel shard in
-        :meth:`LETKF.analyze_parallel`.  The shard decomposition is a
-        function of the grid only — never of the worker count — which is
-        what makes the sharded analysis bit-identical for any executor
-        layout.
+        Number of contiguous columns per shard — the unit the local solves
+        run over, in-process and on a pool alike, and therefore the bound on
+        the stacked-``eigh`` workspace.  The shard list is a function of the
+        grid only, never of the executor.
     backend:
-        Array backend name for the batched/sharded analysis kernels
+        Array backend name for the shard kernels
         (``None`` = the ``REPRO_ARRAY_BACKEND`` process default).  The
         numpy backend is bit-identical to the pre-shim kernels; the name is
         what ships to pool workers, which resolve their own backend handle.
-    eigh_block:
-        ``None`` (default) runs the per-column eigen-solve/weight stage
-        monolithically over each assembled stack.  A positive value blocks
-        that stage into batches of at most this many columns (see
-        :func:`solve_local_batch`) — bounds the peak eigen-workspace and
-        matmul temporaries at paper-scale footprints, **bit-identical** to
-        the monolithic solve for every value, serial and sharded.
-    solve_rank:
-        Opt-in truncated local solve: keep only the top-``solve_rank``
-        eigenpairs of each local system and treat the complement at the
-        prior eigenvalue (see :func:`solve_local_batch`).  **Changes the
-        arithmetic** — default ``None`` (exact); values ``>= m`` also fall
-        back to the exact path.
     """
 
     localization: LocalizationConfig = field(default_factory=LocalizationConfig)
@@ -360,8 +266,6 @@ class LETKFConfig:
     block_columns: int = 512
     shard_columns: int = 1024
     backend: str | None = None
-    eigh_block: int | None = None
-    solve_rank: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rtps_factor <= 1.0:
@@ -372,10 +276,6 @@ class LETKFConfig:
             raise ValueError("block_columns must be positive")
         if self.shard_columns < 1:
             raise ValueError("shard_columns must be positive")
-        if self.eigh_block is not None and self.eigh_block < 1:
-            raise ValueError("eigh_block must be positive or None")
-        if self.solve_rank is not None and self.solve_rank < 1:
-            raise ValueError("solve_rank must be positive or None")
 
 
 class LETKF(EnsembleFilter):
@@ -469,12 +369,10 @@ class LETKF(EnsembleFilter):
         observation: np.ndarray,
         operator: ObservationOperator,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Global ensemble statistics shared by the batched analysis paths.
+        """Global ensemble statistics, the pipeline's first step (host side).
 
         Returns ``(prior, x_mean, x_pert, y_pert, innovation)`` with prior
-        multiplicative inflation already applied; both the serial and the
-        column-sharded analysis start from exactly this computation, so the
-        two paths cannot drift apart.
+        multiplicative inflation already applied.
         """
         prior = forecast_ensemble
         if self.config.prior_inflation > 1.0:
@@ -494,25 +392,7 @@ class LETKF(EnsembleFilter):
         observation: np.ndarray,
         operator: ObservationOperator,
     ) -> np.ndarray:
-        forecast_ensemble = self._validate(forecast_ensemble)
-        observation = np.asarray(observation, dtype=float)
-
-        prior, x_mean, x_pert, y_pert, innovation = self._update_statistics(
-            forecast_ensemble, observation, operator
-        )
-        geometry = self.geometry(operator)
-        if geometry.mode == "convolution":
-            analysis = self._analyze_convolution(
-                prior, x_mean, x_pert, y_pert, innovation, geometry
-            )
-        else:
-            analysis = self._analyze_grouped(
-                prior, x_mean, x_pert, y_pert, innovation, geometry
-            )
-
-        if self.config.rtps_factor > 0.0:
-            analysis = rtps_inflation(analysis, forecast_ensemble, self.config.rtps_factor)
-        return analysis
+        return self.analyze_parallel(forecast_ensemble, observation, operator)
 
     def analyze_parallel(
         self,
@@ -521,28 +401,19 @@ class LETKF(EnsembleFilter):
         operator: ObservationOperator,
         executor=None,
     ) -> np.ndarray:
-        """Column-sharded batched analysis over an executor's process pool.
+        """The analysis pipeline (see the module docstring), on any layout.
 
-        The parent computes the global ensemble statistics once, cuts the
-        grid into contiguous shards of ``config.shard_columns`` columns, and
-        maps the per-column assembly + stacked-``eigh`` solve/weight stage
-        over the pool via :meth:`EnsembleExecutor.map_blocks`; each worker
-        receives only the small slice it needs (see the module docstring)
-        and the results are scatter-gathered into the analysis array before
-        the global RTPS inflation.  The shard decomposition never depends on
-        the worker count, so results are bit-identical for any executor
-        layout; with ``executor=None`` the serial :meth:`analyze` runs
-        instead.
+        ``executor=None`` runs the shard kernels in-process on slices of
+        device-resident statistics; an executor maps the same shards over
+        its process pool via :meth:`EnsembleExecutor.map_blocks`.  Either
+        way — and for every worker count — the result is bit-identical.
 
         Shard payloads ride the executor's transport: where shared memory
-        is available the large per-shard slices (and the ensemble arrays
-        broadcast to every shard) cross the process boundary as ~100-byte
-        segment handles rather than per-shard pickles (see
+        is available the large per-shard slices cross the process boundary
+        as ~100-byte segment handles rather than per-shard pickles (see
         :mod:`repro.hpc.shm`), which is transparent here — workers copy
-        out on attach, so the analysis is bit-identical either way.
+        out on attach.
         """
-        if executor is None:
-            return self.analyze(forecast_ensemble, observation, operator)
         forecast_ensemble = self._validate(forecast_ensemble)
         observation = np.asarray(observation, dtype=float)
 
@@ -550,6 +421,7 @@ class LETKF(EnsembleFilter):
             forecast_ensemble, observation, operator
         )
         geometry = self.geometry(operator)
+        xp = self.xp
         n_members = prior.shape[0]
         n_columns, n_levels = geometry.n_columns, self.grid.nlev
         shard = self.config.shard_columns
@@ -557,105 +429,59 @@ class LETKF(EnsembleFilter):
             (start, min(start + shard, n_columns)) for start in range(0, n_columns, shard)
         ]
 
-        local_pert = np.ascontiguousarray(
-            x_pert.reshape(n_members, n_levels, n_columns).transpose(2, 1, 0)
+        # Shard inputs live where the kernels read them: on this process's
+        # device in-process, on the host when they ship to pool workers.
+        in_process = executor is None
+        stage = xp.to_device if in_process else np.asarray
+        # Column-major prior, member axis last: (n_columns, nlev, m).
+        local_pert = stage(
+            np.ascontiguousarray(x_pert.reshape(n_members, n_levels, n_columns).transpose(2, 1, 0))
         )
-        local_mean = np.ascontiguousarray(x_mean.reshape(n_levels, n_columns).T)
+        local_mean = stage(np.ascontiguousarray(x_mean.reshape(n_levels, n_columns).T))
 
-        backend_name = self.xp.name
         if geometry.mode == "convolution":
-            # The circular convolution is global, so the parent assembles the
-            # channels (on its own device) and scatters host column slices.
-            conv = self.xp.to_host(
-                self._convolution_channels(y_pert, innovation, geometry, n_members)
-            )
-            jobs = [
-                (
-                    np.ascontiguousarray(conv[:, a:b]),
-                    local_pert[a:b],
-                    local_mean[a:b],
-                    backend_name,
-                    self.config.eigh_block,
-                    self.config.solve_rank,
-                )
-                for a, b in bounds
-            ]
-            results = executor.map_blocks(_solve_shard_convolution, jobs)
+            kernel, worker_entry = _solve_convolution, _solve_shard_convolution
+            # The circular convolution is global: it runs once, on this
+            # process's device, and each shard takes its column slice.
+            conv = self._convolution_channels(y_pert, innovation, geometry, n_members)
+            if not in_process:
+                conv = xp.to_host(conv)
+            jobs = ((conv[:, a:b], local_pert[a:b], local_mean[a:b]) for a, b in bounds)
         else:
-            y_t = np.ascontiguousarray(y_pert.T)
-            jobs = []
-            for a, b in bounds:
-                block = geometry.column_block(a, b)
-                jobs.append(
-                    (
-                        block,
-                        np.ascontiguousarray(y_t[block.obs_subset]),
-                        innovation[block.obs_subset],
-                        local_pert[a:b],
-                        local_mean[a:b],
-                        self.config.block_columns,
-                        backend_name,
-                        self.config.eigh_block,
-                        self.config.solve_rank,
-                    )
+            kernel, worker_entry = _solve_grouped, _solve_shard_grouped
+            y_t = stage(np.ascontiguousarray(y_pert.T))  # (n_obs, m)
+            innovation = stage(innovation)
+            blocks = (geometry.block(a, b, xp if in_process else None) for a, b in bounds)
+            jobs = (
+                (
+                    block.groups,
+                    y_t[block.obs_subset],
+                    innovation[block.obs_subset],
+                    local_pert[block.start : block.stop],
+                    local_mean[block.start : block.stop],
+                    self.config.block_columns,
                 )
-            results = executor.map_blocks(_solve_shard_grouped, jobs)
+                for block in blocks
+            )
 
-        analysis_t = np.concatenate(results, axis=0)  # (n_columns, nlev, m)
+        # The jobs are lazy, so in-process only one shard's gather is alive.
+        if in_process:
+            analysis_t = xp.to_host(xp.concatenate([kernel(*job, xp) for job in jobs], axis=0))
+        else:
+            shards = executor.map_blocks(worker_entry, [(*job, xp.name) for job in jobs])
+            analysis_t = np.concatenate(shards, axis=0)
         analysis = np.ascontiguousarray(analysis_t.transpose(2, 1, 0)).reshape(
             n_members, n_levels * n_columns
         )
+        if geometry.empty_columns.size:
+            # Columns no observation reaches keep the prior, bit for bit.
+            keep = (geometry.empty_columns + np.arange(n_levels)[:, None] * n_columns).ravel()
+            analysis[:, keep] = prior[:, keep]
         if self.config.rtps_factor > 0.0:
             analysis = rtps_inflation(analysis, forecast_ensemble, self.config.rtps_factor)
         return analysis
 
     # ------------------------------------------------------------------ #
-    def _analyze_convolution(
-        self,
-        prior: np.ndarray,
-        x_mean: np.ndarray,
-        x_pert: np.ndarray,
-        y_pert: np.ndarray,
-        innovation: np.ndarray,
-        geometry: LocalAnalysisGeometry,
-    ) -> np.ndarray:
-        """Assemble all local systems with circular FFT convolutions.
-
-        For uniform observation errors the localized Gram matrix of column
-        ``c`` is ``A_c = (m-1)I + Σ_o k(c ⊖ col(o)) y_o y_oᵀ / r`` — a
-        circular convolution of the per-column outer-product channels with
-        the fixed Gaspari–Cohn kernel.  One batched real FFT over the
-        ``m(m+1)/2`` symmetric channels (plus ``m`` innovation channels)
-        replaces every per-column distance/weight/gather operation.
-        """
-        xp = self.xp
-        n_members = prior.shape[0]
-        n_columns, n_levels = geometry.n_columns, self.grid.nlev
-
-        conv = self._convolution_channels(y_pert, innovation, geometry, n_members)
-        a_stack, c_innov = _assemble_from_conv(conv, n_members, xp)
-
-        local_pert = xp.to_device(
-            np.ascontiguousarray(
-                x_pert.reshape(n_members, n_levels, n_columns).transpose(2, 1, 0)
-            )
-        )
-        local_mean = xp.to_device(x_mean.reshape(n_levels, n_columns).T)
-        analysis_t = xp.to_host(
-            solve_local_batch(
-                a_stack,
-                c_innov,
-                local_pert,
-                local_mean,
-                xp,
-                eigh_block=self.config.eigh_block,
-                solve_rank=self.config.solve_rank,
-            )
-        )
-        return np.ascontiguousarray(analysis_t.transpose(2, 1, 0)).reshape(
-            n_members, n_levels * n_columns
-        )
-
     def _convolution_channels(
         self,
         y_pert: np.ndarray,
@@ -665,20 +491,21 @@ class LETKF(EnsembleFilter):
     ) -> np.ndarray:
         """Convolved Gram/innovation channels for *all* columns.
 
+        For uniform observation errors the localized Gram matrix of column
+        ``c`` is ``A_c = (m-1)I + Σ_o k(c ⊖ col(o)) y_o y_oᵀ / r`` — a
+        circular convolution of the per-column outer-product channels with
+        the fixed Gaspari–Cohn kernel.  One batched real FFT over the
+        ``m(m+1)/2`` symmetric channels (plus ``m`` innovation channels)
+        replaces every per-column distance/weight/gather operation.
+
         Returns the ``(m(m+1)/2 + m, n_columns)`` array of per-column local
         system entries (upper-triangle Gram channels then innovation
-        channels) on the analysis backend's device.  The circular
-        convolution is inherently global, so the parallel path runs it once
-        in the parent and ships each shard only its column slice.
+        channels) on the analysis backend's device.
         """
         xp = self.xp
         grid = self.grid
         n_columns, n_levels = geometry.n_columns, grid.nlev
         ny, nx = grid.ny, grid.nx
-        obs_columns = geometry.obs_columns
-        identity_network = geometry.n_obs == n_levels * n_columns and np.array_equal(
-            obs_columns, np.tile(np.arange(n_columns), n_levels)
-        )
 
         y_pert = xp.to_device(y_pert)
         innovation = xp.to_device(innovation)
@@ -686,7 +513,7 @@ class LETKF(EnsembleFilter):
         n_pair = iu0.size
         channels = xp.zeros((n_pair + n_members, n_columns))
 
-        if identity_network:
+        if geometry.identity_network:
             # Fast path for the fully observed grid: observations are the
             # state columns themselves, so the scatter is a reshape.
             y_lev = y_pert.reshape(n_members, n_levels, n_columns)
@@ -695,7 +522,7 @@ class LETKF(EnsembleFilter):
                 channels[:n_pair] += y_lev[iu0, lev] * y_lev[iu1, lev]
                 channels[n_pair:] += y_lev[:, lev] * innov_lev[lev][None, :]
         else:
-            obs_cols_dev = xp.to_device(obs_columns)
+            obs_cols_dev = xp.to_device(geometry.obs_columns)
             contrib = y_pert[iu0] * y_pert[iu1]
             proj = y_pert * innovation[None, :]
             for q in range(n_pair):
@@ -710,63 +537,3 @@ class LETKF(EnsembleFilter):
         spectra = xp.rfft2(channels.reshape(-1, ny, nx), axes=(-2, -1))
         spectra *= geometry.conv_kernel(xp)
         return xp.irfft2(spectra, s=(ny, nx), axes=(-2, -1)).reshape(-1, n_columns)
-
-    def _analyze_grouped(
-        self,
-        prior: np.ndarray,
-        x_mean: np.ndarray,
-        x_pert: np.ndarray,
-        y_pert: np.ndarray,
-        innovation: np.ndarray,
-        geometry: LocalAnalysisGeometry,
-    ) -> np.ndarray:
-        """Solve the local problems group-by-group with stacked tensors.
-
-        The ensemble statistics move to the analysis backend's device once
-        before the group loop, and the device geometry tensors are cached on
-        the geometry per backend (:meth:`LocalAnalysisGeometry.device_groups`)
-        — steady-state cycles therefore transfer only the per-cycle
-        statistics, never per-column or per-block data.
-        """
-        xp = self.xp
-        n_members = prior.shape[0]
-        n_columns, n_levels = geometry.n_columns, self.grid.nlev
-        analysis = xp.to_device(prior).copy()  # empty-footprint columns keep the prior
-        analysis_t = analysis.T  # (state_dim, m) view for scattered writes
-        y_t = xp.to_device(np.ascontiguousarray(y_pert.T))  # (n_obs, m)
-        x_t = xp.to_device(np.ascontiguousarray(x_pert.T))  # (state_dim, m)
-        x_mean = xp.to_device(x_mean)
-        innovation = xp.to_device(innovation)
-        lev_offsets = xp.arange(n_levels) * n_columns
-
-        block = self.config.block_columns
-        for group, dev_group in zip(geometry.groups, geometry.device_groups(xp)):
-            columns, obs_indices, sqrt_r_inv = dev_group
-            n_group = group.columns.size
-            for start in range(0, n_group, block):
-                sl = slice(start, min(start + block, n_group))
-                idx = obs_indices[sl]
-                sqrt_r = sqrt_r_inv[sl]
-                cols = columns[sl]
-
-                q = xp.take(y_t, idx, axis=0)  # (B, p, m)
-                q *= sqrt_r[:, :, None]
-                a_stack = xp.matmul(q.transpose(0, 2, 1), q)
-                diag = xp.arange(n_members)
-                a_stack[:, diag, diag] += n_members - 1
-                c_innov = xp.einsum("bpm,bp->bm", q, sqrt_r * innovation[idx])
-
-                state_idx = cols[:, None] + lev_offsets[None, :]  # (B, nlev)
-                local_pert = x_t[state_idx]  # (B, nlev, m), member axis last
-                local_mean = x_mean[state_idx]
-                analysis_t[state_idx] = solve_local_batch(
-                    a_stack,
-                    c_innov,
-                    local_pert,
-                    local_mean,
-                    xp,
-                    eigh_block=self.config.eigh_block,
-                    solve_rank=self.config.solve_rank,
-                )
-        return xp.to_host(analysis)
-

@@ -11,7 +11,7 @@ updated together).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,15 +133,23 @@ class FootprintGroup:
     def n_local_obs(self) -> int:
         return int(self.obs_indices.shape[1])
 
+    def to_device(self, xp) -> "FootprintGroup":
+        """Copy of this group with its tensors on backend ``xp``'s device."""
+        return FootprintGroup(
+            xp.to_device(self.columns),
+            xp.to_device(self.obs_indices),
+            xp.to_device(self.sqrt_r_inv),
+        )
+
 
 @dataclass(frozen=True)
 class GeometryBlock:
     """Slice of a :class:`LocalAnalysisGeometry` over contiguous columns.
 
-    This is the shippable work-unit of the column-sharded parallel LETKF
-    (see :meth:`LocalAnalysisGeometry.column_block`): it carries only what
-    one worker needs to assemble and solve the local systems of columns
-    ``[start, stop)``, so blocks pickle cheaply to pool processes.
+    This is the geometry of one LETKF shard (see
+    :meth:`LocalAnalysisGeometry.column_block`): it carries only what is
+    needed to assemble and solve the local systems of columns
+    ``[start, stop)``, so its groups pickle cheaply to pool processes.
 
     Attributes
     ----------
@@ -230,11 +238,10 @@ class LocalAnalysisGeometry:
         self.n_columns = grid.ny * grid.nx
         self.n_obs = int(self.obs_columns.size)
 
-        # Per-array-backend device copies of the cycle-invariant tensors
-        # (the convolution kernel spectrum / the grouped footprint arrays),
-        # keyed by backend name: steady-state analysis cycles perform zero
-        # geometry transfers after the first cycle on a device backend.
-        self._device_cache: dict[str, object] = {}
+        # Cycle-invariant derived data — the shard blocks and the per-backend
+        # device copies of them and of the convolution kernel spectrum —
+        # so steady-state cycles do no geometry work and no geometry transfers.
+        self._cache: dict[tuple, object] = {}
 
         uniform_var = bool(np.all(self.obs_error_var == self.obs_error_var[0]))
         if uniform_var and config.min_weight == 0.0:
@@ -245,6 +252,7 @@ class LocalAnalysisGeometry:
         else:
             self.mode = "grouped"
             self.kernel_rfft2 = None
+            self.identity_network = False
             self._build_grouped(chunk)
 
     # ------------------------------------------------------------------ #
@@ -255,6 +263,12 @@ class LocalAnalysisGeometry:
         # The kernel is even under periodic index negation, so its spectrum
         # is exactly real; taking .real only discards FFT round-off.
         self.kernel_rfft2 = np.fft.rfft2(kernel).real
+        # Fully observed grid (observation i *is* state variable i): the
+        # per-cycle channel scatter degenerates to a reshape.
+        n_levels = self.grid.nlev
+        self.identity_network = self.n_obs == n_levels * self.n_columns and np.array_equal(
+            self.obs_columns, np.tile(np.arange(self.n_columns), n_levels)
+        )
 
     def _build_grouped(self, chunk: int) -> None:
         """Group columns by footprint size with precomputed weights."""
@@ -309,32 +323,33 @@ class LocalAnalysisGeometry:
         if self.mode != "convolution":
             raise ValueError("conv_kernel is only defined for convolution-mode geometries")
         key = ("kernel", xp.name)
-        cached = self._device_cache.get(key)
+        cached = self._cache.get(key)
         if cached is None:
-            cached = xp.to_device(self.kernel_rfft2)
-            self._device_cache[key] = cached
+            cached = self._cache[key] = xp.to_device(self.kernel_rfft2)
         return cached
 
-    def device_groups(self, xp) -> tuple:
-        """Footprint-group tensors on backend ``xp``'s device (cached).
+    def block(self, start: int, stop: int, xp=None) -> GeometryBlock:
+        """Cached :meth:`column_block`; with ``xp``, its copy on that device.
 
-        Returns one ``(columns, obs_indices, sqrt_r_inv)`` triple per entry
-        of :attr:`groups`, each moved to the device once per backend — the
-        batched grouped solver indexes these inside its block loop, so
-        caching them keeps the loop free of host↔device traffic.
+        A static network is cut into the same shards every cycle, so each
+        ``(start, stop)`` block is built once (a second copy of its share of
+        the footprint arrays) and moved to a device once per backend; the
+        grouped solver indexes the device copy inside its batch loop, which
+        keeps that loop free of host↔device traffic.
         """
-        key = ("groups", xp.name)
-        cached = self._device_cache.get(key)
+        key = ("block", int(start), int(stop), None if xp is None else xp.name)
+        cached = self._cache.get(key)
         if cached is None:
-            cached = tuple(
-                (
-                    xp.to_device(group.columns),
-                    xp.to_device(group.obs_indices),
-                    xp.to_device(group.sqrt_r_inv),
+            if xp is None:
+                cached = self.column_block(start, stop)
+            else:
+                host = self.block(start, stop)
+                cached = replace(
+                    host,
+                    obs_subset=xp.to_device(host.obs_subset),
+                    groups=tuple(group.to_device(xp) for group in host.groups),
                 )
-                for group in self.groups
-            )
-            self._device_cache[key] = cached
+            self._cache[key] = cached
         return cached
 
     def column_block(self, start: int, stop: int) -> GeometryBlock:

@@ -45,7 +45,7 @@ from repro.utils.spectra import (
     spectral_slope,
     kinetic_energy_spectrum,
 )
-from repro.utils.timing import Timer, Stopwatch, best_of
+from repro.utils.timing import best_of
 
 __all__ = [
     "SeedSequenceFactory",
@@ -81,7 +81,5 @@ __all__ = [
     "isotropic_spectrum",
     "spectral_slope",
     "kinetic_energy_spectrum",
-    "Timer",
-    "Stopwatch",
     "best_of",
 ]

@@ -5,26 +5,11 @@ mixture, observation noise, EnSF reverse-SDE noise, ViT weight init, dropout)
 accepts either a seed or a :class:`numpy.random.Generator`.  These helpers
 centralise the conversion so that experiments are reproducible end to end and
 parallel workers receive statistically independent streams.
-
-Bit-generator selection
------------------------
-``REPRO_RNG_BITGEN`` chooses the bit generator behind every stream this
-module constructs from a *seed* (``pcg64`` — the numpy default and ours —
-``sfc64`` or ``philox``).  SFC64 generates Gaussian doubles measurably
-faster than PCG64, which matters for the full-space reverse-SDE EnSF path
-(one full-size Gaussian block per Euler step); the knob swaps the stream
-family without touching any call site.  Streams are still derived from the same
-:class:`numpy.random.SeedSequence`, so worker layouts stay invariant: the
-same env value in parent and pool workers yields bit-identical analyses
-for every worker count.  Generators passed in ready-made are never
-rewrapped, and the default (``pcg64``) reproduces the historical streams
-exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,51 +17,10 @@ import numpy as np
 __all__ = [
     "default_rng",
     "split_rng",
-    "bitgen_name",
-    "make_generator",
     "SeedSequenceFactory",
     "MemberStreams",
     "sample_from_catalogue",
 ]
-
-_ENV_BITGEN = "REPRO_RNG_BITGEN"
-
-_BITGENS = {
-    "pcg64": np.random.PCG64,
-    "sfc64": np.random.SFC64,
-    "philox": np.random.Philox,
-}
-
-
-def bitgen_name() -> str:
-    """Active bit-generator family for seed-constructed streams.
-
-    Read from ``REPRO_RNG_BITGEN``; ``"pcg64"`` (the numpy default) when
-    unset.  The default configuration is contractually bit-identical to the
-    historical ``np.random.default_rng`` streams.
-    """
-    name = os.environ.get(_ENV_BITGEN, "pcg64").strip().lower() or "pcg64"
-    if name not in _BITGENS:
-        raise ValueError(
-            f"invalid ${_ENV_BITGEN}={name!r}; choose from {sorted(_BITGENS)}"
-        )
-    return name
-
-
-def make_generator(seed=None) -> np.random.Generator:
-    """Construct a generator from a seed honouring ``REPRO_RNG_BITGEN``.
-
-    ``seed`` is anything :class:`numpy.random.SeedSequence` accepts (``None``
-    for fresh entropy, an int, or a SeedSequence — the latter is used as-is so
-    spawned member seeds keep their identity).  With the default ``pcg64``
-    this is exactly ``np.random.default_rng(seed)``, bit for bit.
-    """
-    name = bitgen_name()
-    if name == "pcg64":
-        return np.random.default_rng(seed)
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return np.random.Generator(_BITGENS[name](seed))
 
 
 def default_rng(
@@ -94,7 +38,7 @@ def default_rng(
     """
     if isinstance(seed, (np.random.Generator, MemberStreams)):
         return seed
-    return make_generator(seed)
+    return np.random.default_rng(seed)
 
 
 def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
@@ -110,7 +54,7 @@ def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     if seed_seq is None:  # pragma: no cover - numpy always exposes seed_seq
         seed_seq = np.random.SeedSequence()
     children = seed_seq.spawn(n)
-    return [make_generator(child) for child in children]
+    return [np.random.default_rng(child) for child in children]
 
 
 class SeedSequenceFactory:
@@ -153,7 +97,7 @@ class SeedSequenceFactory:
 
     def rng(self, name: str) -> np.random.Generator:
         """Return a fresh generator for stream ``name`` (same name → same stream)."""
-        return make_generator(self.seed_for(name))
+        return np.random.default_rng(self.seed_for(name))
 
     def rngs(self, names: Iterable[str]) -> dict[str, np.random.Generator]:
         """Return a dictionary of generators for several stream names."""
@@ -162,7 +106,7 @@ class SeedSequenceFactory:
     def member_rngs(self, name: str, n_members: int) -> list[np.random.Generator]:
         """Return ``n_members`` independent streams under a common ``name``."""
         base = self.seed_for(name)
-        return [make_generator(child) for child in base.spawn(n_members)]
+        return [np.random.default_rng(child) for child in base.spawn(n_members)]
 
 
 class MemberStreams:
@@ -184,7 +128,7 @@ class MemberStreams:
     def __init__(self, seeds: Sequence) -> None:
         if len(seeds) < 1:
             raise ValueError("MemberStreams needs at least one member seed")
-        self.generators = [make_generator(s) for s in seeds]
+        self.generators = [np.random.default_rng(s) for s in seeds]
 
     def __len__(self) -> int:
         return len(self.generators)

@@ -1,9 +1,9 @@
 """Lightweight timing helpers for the benchmark harness and profiler.
 
-Besides the generic :class:`Timer` and :class:`Stopwatch`, this module
-provides :class:`BenchRecorder`, the per-cycle wall-time recorder wired
-through the OSSE cycling driver (:func:`repro.da.cycling.run_osse`) and the
-kernel benchmarks.
+:func:`best_of` is the kernel benchmarks' measurement loop and
+:class:`BenchRecorder` the per-cycle wall-time recorder wired through the
+OSSE cycling driver (:func:`repro.da.cycling.run_osse`) and the kernel
+benchmarks.
 
 ``BENCH_*.json`` format
 -----------------------
@@ -32,9 +32,8 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
-__all__ = ["Timer", "Stopwatch", "BenchRecorder", "best_of"]
+__all__ = ["BenchRecorder", "best_of"]
 
 
 def best_of(fn, repeats: int = 3):
@@ -55,81 +54,13 @@ def best_of(fn, repeats: int = 3):
     return best, value
 
 
-class Timer:
-    """Context manager measuring wall-clock time of a code block.
-
-    Examples
-    --------
-    >>> with Timer() as t:
-    ...     _ = sum(range(1000))
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.start: float = 0.0
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self.start
-
-
-@dataclass
-class Stopwatch:
-    """Accumulating stopwatch with named laps.
-
-    Used by the real-time workflow to attribute wall time to the two
-    sequential scalability tasks of the paper (online ViT training and EnSF
-    execution) plus the forecast step.
-    """
-
-    laps: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
-    _open: dict[str, float] = field(default_factory=dict)
-
-    def start(self, name: str) -> None:
-        """Start timing the lap ``name``."""
-        self._open[name] = time.perf_counter()
-
-    def stop(self, name: str) -> float:
-        """Stop the lap ``name`` and return the elapsed time of this lap."""
-        if name not in self._open:
-            raise KeyError(f"lap {name!r} was never started")
-        dt = time.perf_counter() - self._open.pop(name)
-        self.laps[name] = self.laps.get(name, 0.0) + dt
-        self.counts[name] = self.counts.get(name, 0) + 1
-        return dt
-
-    def total(self) -> float:
-        """Total accumulated time over all laps."""
-        return float(sum(self.laps.values()))
-
-    def mean(self, name: str) -> float:
-        """Mean time per occurrence of lap ``name``."""
-        if self.counts.get(name, 0) == 0:
-            raise KeyError(f"lap {name!r} has no recorded occurrences")
-        return self.laps[name] / self.counts[name]
-
-    def fractions(self) -> dict[str, float]:
-        """Fraction of total time spent in each lap (sums to 1 when nonempty)."""
-        total = self.total()
-        if total == 0.0:
-            return {name: 0.0 for name in self.laps}
-        return {name: value / total for name, value in self.laps.items()}
-
-
 class BenchRecorder:
     """Per-cycle wall-time recorder for the DA cycling hot paths.
 
-    Unlike :class:`Stopwatch` (which only accumulates totals), the recorder
-    keeps the full per-occurrence time series of every named section, so an
-    OSSE run can report how forecast and analysis cost evolve cycle by cycle
-    and the benchmark harness can persist the breakdown (see the module
-    docstring for the on-disk format).
+    The recorder keeps the full per-occurrence time series of every named
+    section (not only totals), so an OSSE run can report how forecast and
+    analysis cost evolve cycle by cycle and the benchmark harness can
+    persist the breakdown (see the module docstring for the on-disk format).
 
     Examples
     --------

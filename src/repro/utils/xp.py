@@ -133,8 +133,8 @@ class ArrayBackend:
     * elementwise (all accepting ``out=``): ``add``, ``subtract``,
       ``multiply``, ``divide``, ``negative``, ``maximum``, ``sqrt``,
       ``exp``, ``clip``
-    * linear algebra: ``eigh`` (stacked), ``stacked_eigh`` (optionally
-      blocked), ``matmul`` (stacked), ``dot``, ``einsum``
+    * linear algebra: ``eigh`` / ``stacked_eigh`` (stacked), ``matmul``
+      (stacked), ``dot``, ``einsum``
     * reductions: ``sum``, ``amax``, ``amin``, ``mean``
     * gather/scatter: ``take``, ``put``, ``bincount``, ``triu_indices``
     * FFT (LETKF convolution assembly): ``rfft2``, ``irfft2``
@@ -197,30 +197,13 @@ class ArrayBackend:
     def synchronize(self) -> None:
         """Block until queued device work completes (no-op on CPU)."""
 
-    def stacked_eigh(self, a_stack, block: int | None = None):
-        """Eigendecomposition of a ``(B, m, m)`` symmetric stack, optionally blocked.
+    def stacked_eigh(self, a_stack):
+        """Eigendecomposition of a ``(B, m, m)`` symmetric stack.
 
-        ``block=None`` (or ``block >= B``) is the monolithic stacked
-        :func:`numpy.linalg.eigh` call.  A positive ``block`` partitions the
-        stack into contiguous batches of at most ``block`` matrices and
-        solves them one batch at a time into preallocated outputs — the
-        LAPACK workspace and output temporaries then stay batch-sized
-        instead of stack-sized.  Every stack element is an independent
-        problem, so the blocked result is **bit-identical** to the
-        monolithic one for every block size.
+        Every stack element is an independent problem, so any re-blocking
+        of the stack by the caller is bit-identical.
         """
-        n_stack = a_stack.shape[0]
-        if block is None or int(block) >= n_stack:
-            return self.eigh(a_stack)
-        block = int(block)
-        if block < 1:
-            raise ValueError("stacked_eigh block size must be positive")
-        evals = self.empty(a_stack.shape[:-1])
-        evecs = self.empty(a_stack.shape)
-        for start in range(0, n_stack, block):
-            stop = min(start + block, n_stack)
-            evals[start:stop], evecs[start:stop] = self.eigh(a_stack[start:stop])
-        return evals, evecs
+        return self.eigh(a_stack)
 
     def standard_normal(self, rng, size=None, out=None) -> np.ndarray:
         """Gaussian draws with **host** stream semantics.

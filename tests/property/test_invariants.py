@@ -4,10 +4,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.filters import relax_spread
+from repro.core.observations import IdentityObservation, SubsampledObservation
 from repro.core.schedules import LinearAlphaSchedule
 from repro.core.score import MonteCarloScoreEstimator
 from repro.da.inflation import rtps_inflation
-from repro.da.localization import gaspari_cohn
+from repro.da.letkf import LETKF, LETKFConfig
+from repro.da.localization import LocalizationConfig, gaspari_cohn
+from repro.hpc.ensemble_parallel import EnsembleExecutor
 from repro.hpc.collectives import CollectiveKind, CollectiveModel
 from repro.hpc.comm import LocalCommGroup
 from repro.hpc.ddp import bucketize
@@ -220,3 +223,41 @@ def test_collective_times_positive_and_finite(msg_mb, n_gpus, kind):
     model = CollectiveModel()
     t = model.time_seconds(kind, msg_mb * 2.0**20, n_gpus)
     assert np.isfinite(t) and t > 0.0
+
+
+@settings(**SETTINGS)
+@given(
+    shard_columns=st.integers(1, 200),
+    block_columns=st.integers(1, 200),
+    min_weight=st.sampled_from([0.0, 1.0e-4]),
+    every=st.sampled_from([1, 7]),
+    pooled=st.booleans(),
+    seed=st.integers(0, 1000),
+)
+def test_letkf_analysis_invariant_under_layout(
+    shard_columns, block_columns, min_weight, every, pooled, seed
+):
+    """Shard and gather-batch sizes re-partition independent column solves:
+    the analysis is bit-identical for every draw, with or without an executor."""
+    grid = Grid2D(nx=8, ny=8)
+    rng = np.random.default_rng(seed)
+    ensemble = rng.normal(size=(6, grid.size))
+    if every == 1:
+        operator = IdentityObservation(grid.size, 1.0)
+    else:
+        operator = SubsampledObservation.every_nth(grid.size, every, 1.0)
+    observation = operator.observe(rng.normal(size=grid.size), rng=rng)
+    # every 7th variable at 0.8 dx with a selection threshold: several
+    # footprint sizes, and some columns no observation reaches
+    cutoff = 4.0e6 if min_weight == 0.0 else grid.dx * 0.8
+    loc = LocalizationConfig(cutoff=cutoff, min_weight=min_weight)
+    reference = LETKF(grid, LETKFConfig(localization=loc)).analyze(
+        ensemble, observation, operator
+    )
+    letkf = LETKF(
+        grid,
+        LETKFConfig(localization=loc, shard_columns=shard_columns, block_columns=block_columns),
+    )
+    executor = EnsembleExecutor(n_workers=1) if pooled else None
+    analysis = letkf.analyze_parallel(ensemble, observation, operator, executor=executor)
+    assert np.array_equal(analysis, reference)

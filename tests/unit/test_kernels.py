@@ -22,7 +22,7 @@ from repro.core.schedules import LinearAlphaSchedule
 from repro.core.score import MonteCarloScoreEstimator
 from repro.core.sde import ReverseSDESampler
 from repro.da.cycling import OSSEConfig, run_osse
-from repro.da.letkf import LETKF, LETKFConfig, solve_local_batch
+from repro.da.letkf import LETKF, LETKFConfig
 from repro.da.localization import LocalAnalysisGeometry, LocalizationConfig
 from repro.models.lorenz96 import Lorenz96
 from repro.utils.grid import Grid2D
@@ -114,81 +114,67 @@ class TestBatchedLETKFDeterminism:
         np.testing.assert_array_equal(batched[:, state_idx], ensemble[:, state_idx])
 
 
-class TestShardedLETKF:
-    """Column-sharded parallel analysis vs the serial batched kernel.
+def _layout_case(mode):
+    """``(grid, ensemble, observation, operator, config kwargs)`` per assembly mode."""
+    seeds = {"convolution": 11, "grouped": 12, "grouped-empty": 13}
+    grid, rng, ensemble, truth = _case(seed=seeds[mode])
+    kwargs = {"localization": LocalizationConfig(cutoff=4.0e6)}
+    if mode == "convolution":
+        operator = IdentityObservation(grid.size, 1.2)
+    elif mode == "grouped":
+        operator = IdentityObservation(grid.size, 0.5 + rng.random(grid.size))
+    else:  # "grouped-empty": grouped, with columns no observation reaches
+        operator = SubsampledObservation.every_nth(grid.size, 7, 1.0)
+        kwargs = {
+            "localization": LocalizationConfig(cutoff=grid.dx * 0.55, min_weight=1e-4),
+            "rtps_factor": 0.0,
+        }
+    return grid, ensemble, operator.observe(truth, rng=rng), operator, kwargs
 
-    The shard decomposition is fixed by ``shard_columns`` (never by the
-    worker count), and every local problem is solved independently, so the
-    sharded path must reproduce the serial batched kernel member-wise; the
-    cross-worker-count bit-identity contract is exercised with real process
-    pools in ``tests/unit/test_hpc.py``.  ``n_workers=1`` executors run the
-    same shard jobs serially in-process, which keeps these cases cheap.
+
+@pytest.fixture(scope="module")
+def layout_executors():
+    from repro.hpc.ensemble_parallel import EnsembleExecutor
+
+    with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as pool:
+        yield {"none": None, "in-process": EnsembleExecutor(n_workers=1), "pool-2": pool}
+
+
+class TestShardedLETKF:
+    """One pipeline, any layout, the same bits.
+
+    ``analyze`` is ``analyze_parallel(executor=None)``: the shard kernels run
+    in-process over the ``shard_columns`` shard list.  An executor only
+    changes where a shard runs (``n_workers=1`` runs the worker entry points
+    serially in-process; ``pool-2`` is a real process pool).  Every cell of
+    mode x shard size x executor must equal the single-shard in-process
+    analysis exactly.
     """
 
-    def _executor(self):
-        from repro.hpc.ensemble_parallel import EnsembleExecutor
+    N_COLUMNS = 16 * 16
 
-        return EnsembleExecutor(n_workers=1)
+    @pytest.fixture(scope="class")
+    def reference(self):
+        out = {}
+        for mode in ("convolution", "grouped", "grouped-empty"):
+            grid, ensemble, observation, operator, kwargs = _layout_case(mode)
+            letkf = LETKF(grid, LETKFConfig(**kwargs))
+            geometry = letkf.geometry(operator)
+            assert geometry.mode == mode.split("-")[0]
+            assert (geometry.empty_columns.size > 0) == (mode == "grouped-empty")
+            out[mode] = letkf.analyze(ensemble, observation, operator)
+        return out
 
-    @pytest.mark.parametrize("shard_columns", [1, 37, 64, 1000])
-    def test_sharded_matches_serial_convolution(self, shard_columns):
-        grid, rng, ensemble, truth = _case(seed=11)
-        operator = IdentityObservation(grid.size, 1.2)
-        observation = operator.observe(truth, rng=rng)
-        cfg = LETKFConfig(
-            localization=LocalizationConfig(cutoff=4.0e6), shard_columns=shard_columns
+    @pytest.mark.parametrize("executor", ["none", "in-process", "pool-2"])
+    @pytest.mark.parametrize("shard_columns", [1, 37, 64, N_COLUMNS, 10 * N_COLUMNS])
+    @pytest.mark.parametrize("mode", ["convolution", "grouped", "grouped-empty"])
+    def test_layout_matrix(self, mode, shard_columns, executor, reference, layout_executors):
+        grid, ensemble, observation, operator, kwargs = _layout_case(mode)
+        letkf = LETKF(grid, LETKFConfig(shard_columns=shard_columns, **kwargs))
+        analysis = letkf.analyze_parallel(
+            ensemble, observation, operator, executor=layout_executors[executor]
         )
-        letkf = LETKF(grid, cfg)
-        assert letkf.geometry(operator).mode == "convolution"
-        serial = letkf.analyze(ensemble, observation, operator)
-        sharded = letkf.analyze_parallel(
-            ensemble, observation, operator, executor=self._executor()
-        )
-        np.testing.assert_allclose(sharded, serial, atol=1e-11, rtol=1e-11)
-
-    @pytest.mark.parametrize("shard_columns", [50, 128])
-    def test_sharded_matches_serial_grouped(self, shard_columns):
-        grid, rng, ensemble, truth = _case(seed=12)
-        var = 0.5 + rng.random(grid.size)
-        operator = IdentityObservation(grid.size, var)
-        observation = operator.observe(truth, rng=rng)
-        cfg = LETKFConfig(
-            localization=LocalizationConfig(cutoff=4.0e6), shard_columns=shard_columns
-        )
-        letkf = LETKF(grid, cfg)
-        assert letkf.geometry(operator).mode == "grouped"
-        serial = letkf.analyze(ensemble, observation, operator)
-        sharded = letkf.analyze_parallel(
-            ensemble, observation, operator, executor=self._executor()
-        )
-        np.testing.assert_allclose(sharded, serial, atol=1e-11, rtol=1e-11)
-
-    def test_sharded_grouped_with_empty_footprints(self):
-        grid, rng, ensemble, truth = _case(seed=13)
-        operator = SubsampledObservation.every_nth(grid.size, 7, 1.0)
-        observation = operator.observe(truth, rng=rng)
-        cfg = LETKFConfig(
-            localization=LocalizationConfig(cutoff=grid.dx * 0.55, min_weight=1e-4),
-            rtps_factor=0.0,
-            shard_columns=60,
-        )
-        letkf = LETKF(grid, cfg)
-        assert letkf.geometry(operator).empty_columns.size > 0
-        serial = letkf.analyze(ensemble, observation, operator)
-        sharded = letkf.analyze_parallel(
-            ensemble, observation, operator, executor=self._executor()
-        )
-        np.testing.assert_allclose(sharded, serial, atol=1e-11, rtol=1e-11)
-
-    def test_sharded_without_executor_or_batching_falls_back(self):
-        grid, rng, ensemble, truth = _case(seed=14)
-        operator = IdentityObservation(grid.size, 1.0)
-        observation = operator.observe(truth, rng=rng)
-        letkf = LETKF(grid, LETKFConfig())
-        np.testing.assert_array_equal(
-            letkf.analyze_parallel(ensemble, observation, operator, executor=None),
-            letkf.analyze(ensemble, observation, operator),
-        )
+        np.testing.assert_array_equal(analysis, reference[mode])
 
     def test_geometry_column_block_roundtrip(self):
         grid = Grid2D(10, 8)
@@ -224,132 +210,6 @@ class TestShardedLETKF:
             geometry.column_block(5, 3)
 
 
-class TestBlockedEigh:
-    """Blocked stacked-eigh solve path.
-
-    Every local problem in the ``(B, m, m)`` stack is solved independently,
-    so partitioning the stack into cache-sized eig batches (``eigh_block``)
-    must be **bit-identical** to the monolithic solve for every block size
-    and through every analysis path (serial convolution/grouped, sharded).
-    The truncated rank-``r`` solve (``solve_rank``) is opt-in and changes
-    the arithmetic; ``r >= m`` must fall back to the exact path.
-    """
-
-    def _local_case(self, b=37, m=6, nlev=2, seed=0):
-        rng = np.random.default_rng(seed)
-        y = rng.standard_normal((b, m, 3))
-        a_stack = (m - 1) * np.eye(m)[None] + np.matmul(y, y.transpose(0, 2, 1))
-        c_innov = rng.standard_normal((b, m))
-        local_pert = rng.standard_normal((b, nlev, m))
-        local_mean = rng.standard_normal((b, nlev))
-        return a_stack, c_innov, local_pert, local_mean
-
-    @pytest.mark.parametrize("block", [1, 2, 5, 16, 36, 37, 38, 1000])
-    def test_solve_local_batch_blocked_bit_identical(self, block):
-        a, c, pert, mean = self._local_case()
-        mono = solve_local_batch(a, c, pert, mean)
-        np.testing.assert_array_equal(
-            solve_local_batch(a, c, pert, mean, eigh_block=block), mono
-        )
-
-    def test_stacked_eigh_block_sweep(self, array_backend):
-        xp = array_backend
-        a, *_ = self._local_case(b=23)
-        a_dev = xp.to_device(a)
-        evals0, evecs0 = xp.stacked_eigh(a_dev)
-        for block in (1, 4, 22, 23, 24, 1000):
-            evals, evecs = xp.stacked_eigh(a_dev, block=block)
-            np.testing.assert_array_equal(xp.to_host(evals), xp.to_host(evals0))
-            np.testing.assert_array_equal(xp.to_host(evecs), xp.to_host(evecs0))
-        with pytest.raises(ValueError):
-            xp.stacked_eigh(a_dev, block=0)
-
-    @pytest.mark.parametrize("block", [1, 5, 37, 100])
-    def test_truncated_solve_blocked_matches_monolithic(self, block):
-        a, c, pert, mean = self._local_case()
-        mono = solve_local_batch(a, c, pert, mean, solve_rank=3)
-        np.testing.assert_array_equal(
-            solve_local_batch(a, c, pert, mean, eigh_block=block, solve_rank=3), mono
-        )
-
-    def test_solve_rank_at_member_count_is_exact(self):
-        a, c, pert, mean = self._local_case()
-        exact = solve_local_batch(a, c, pert, mean)
-        for rank in (6, 17):  # r >= m: exact full-rank fallback
-            np.testing.assert_array_equal(
-                solve_local_batch(a, c, pert, mean, solve_rank=rank), exact
-            )
-        # below m the truncation is a genuine approximation — it must engage
-        truncated = solve_local_batch(a, c, pert, mean, solve_rank=5)
-        assert not np.array_equal(truncated, exact)
-        assert np.all(np.isfinite(truncated))
-
-    def test_solve_validation(self):
-        a, c, pert, mean = self._local_case(b=4)
-        with pytest.raises(ValueError):
-            solve_local_batch(a, c, pert, mean, eigh_block=0)
-        with pytest.raises(ValueError):
-            solve_local_batch(a, c, pert, mean, solve_rank=0)
-
-    @pytest.mark.parametrize("eigh_block", [1, 7, 64, 10_000])
-    def test_letkf_eigh_block_serial_bit_identical(self, eigh_block):
-        grid, rng, ensemble, truth = _case(seed=21)
-        var = 0.5 + rng.random(grid.size)
-        loc = LocalizationConfig(cutoff=4.0e6)
-        for operator, mode in (
-            (IdentityObservation(grid.size, 1.2), "convolution"),
-            (IdentityObservation(grid.size, var), "grouped"),
-        ):
-            observation = operator.observe(truth, rng=np.random.default_rng(2))
-            base = LETKF(grid, LETKFConfig(localization=loc)).analyze(
-                ensemble, observation, operator
-            )
-            letkf = LETKF(grid, LETKFConfig(localization=loc, eigh_block=eigh_block))
-            assert letkf.geometry(operator).mode == mode
-            np.testing.assert_array_equal(
-                letkf.analyze(ensemble, observation, operator), base
-            )
-
-    def test_letkf_eigh_block_sharded_bit_identical(self):
-        from repro.hpc.ensemble_parallel import EnsembleExecutor
-
-        grid, rng, ensemble, truth = _case(seed=22)
-        operator = IdentityObservation(grid.size, 1.0)
-        observation = operator.observe(truth, rng=rng)
-        loc = LocalizationConfig(cutoff=4.0e6)
-        plain = LETKF(grid, LETKFConfig(localization=loc, shard_columns=48))
-        blocked = LETKF(
-            grid, LETKFConfig(localization=loc, shard_columns=48, eigh_block=5)
-        )
-        with EnsembleExecutor(n_workers=1) as ex:
-            a = plain.analyze_parallel(ensemble, observation, operator, executor=ex)
-            b = blocked.analyze_parallel(ensemble, observation, operator, executor=ex)
-        np.testing.assert_array_equal(b, a)
-
-    def test_letkf_config_validation_and_rank_fallback(self):
-        with pytest.raises(ValueError):
-            LETKFConfig(eigh_block=0)
-        with pytest.raises(ValueError):
-            LETKFConfig(solve_rank=0)
-        grid, rng, ensemble, truth = _case(seed=23)
-        operator = IdentityObservation(grid.size, 1.0)
-        observation = operator.observe(truth, rng=rng)
-        loc = LocalizationConfig(cutoff=4.0e6)
-        exact = LETKF(grid, LETKFConfig(localization=loc)).analyze(
-            ensemble, observation, operator
-        )
-        # ensemble has 12 members: rank 12 falls back to the exact solve
-        fallback = LETKF(grid, LETKFConfig(localization=loc, solve_rank=12)).analyze(
-            ensemble, observation, operator
-        )
-        np.testing.assert_array_equal(fallback, exact)
-        truncated = LETKF(grid, LETKFConfig(localization=loc, solve_rank=4)).analyze(
-            ensemble, observation, operator
-        )
-        assert not np.array_equal(truncated, exact)
-        assert np.all(np.isfinite(truncated))
-
-
 class TestGeometryCache:
     def _counting(self, monkeypatch):
         calls = {"n": 0}
@@ -380,6 +240,30 @@ class TestGeometryCache:
         letkf.analyze(ensemble, observation, operator)
         letkf.analyze(ensemble, observation, operator)
         assert calls["n"] == 0  # static network: geometry fully cached
+
+        # Grouped mode: the shard blocks are part of the cached geometry, so
+        # a second analysis slices no footprints either — in-process or
+        # through an executor.
+        from repro.hpc.ensemble_parallel import EnsembleExecutor
+
+        operator = IdentityObservation(grid.size, 0.5 + rng.random(grid.size))
+        letkf = LETKF(grid, LETKFConfig(shard_columns=100))
+        assert letkf.geometry(operator).mode == "grouped"
+        blocks = {"n": 0}
+        original = LocalAnalysisGeometry.column_block
+
+        def counted_block(self, start, stop):
+            blocks["n"] += 1
+            return original(self, start, stop)
+
+        monkeypatch.setattr(LocalAnalysisGeometry, "column_block", counted_block)
+        for executor in (None, EnsembleExecutor(n_workers=1)):
+            letkf.analyze_parallel(ensemble, observation, operator, executor=executor)
+        assert blocks["n"] == 3  # 256 columns / 100 per shard, built once
+        blocks["n"] = calls["n"] = 0
+        for executor in (None, EnsembleExecutor(n_workers=1)):
+            letkf.analyze_parallel(ensemble, observation, operator, executor=executor)
+        assert blocks["n"] == 0 and calls["n"] == 0
 
     def test_geometry_cached_per_network(self):
         grid, rng, ensemble, truth = _case(seed=8)

@@ -335,22 +335,26 @@ class TestShardedTransferDiscipline:
         assert counts_fine == counts_coarse
 
     def test_serial_grouped_steady_state_transfers_constant(self):
-        """Serial grouped path: per-cycle traffic is the statistics + result,
-        independent of the number of footprint groups (device cache)."""
+        """In-process grouped path: per-cycle traffic is the statistics + the
+        result, independent of the number of footprint groups and of shards
+        (the shard blocks' device copies are cached on the geometry)."""
         grid, rng, ensemble, truth = _case(seed=8)
         operator = IdentityObservation(grid.size, 0.5 + rng.random(grid.size))
         observation = operator.observe(truth, rng=rng)
-        letkf = LETKF(
-            grid,
-            LETKFConfig(
-                localization=LocalizationConfig(cutoff=4.0e6), backend="mock-device"
-            ),
-        )
         xp = resolve_backend("mock-device")
-        letkf.analyze(ensemble, observation, operator)  # builds + stages geometry
-        xp.reset_transfers()
-        letkf.analyze(ensemble, observation, operator)
-        counts = xp.transfer_counts()
-        # prior, y_pert.T, x_pert.T, x_mean, innovation in; analysis out
-        assert counts["h2d_calls"] == 5
-        assert counts["d2h_calls"] == 1
+        for shard_columns in (1024, 50):
+            letkf = LETKF(
+                grid,
+                LETKFConfig(
+                    localization=LocalizationConfig(cutoff=4.0e6),
+                    backend="mock-device",
+                    shard_columns=shard_columns,
+                ),
+            )
+            letkf.analyze(ensemble, observation, operator)  # builds + stages geometry
+            xp.reset_transfers()
+            letkf.analyze(ensemble, observation, operator)
+            counts = xp.transfer_counts()
+            # local_pert, local_mean, y_pert.T, innovation in; analysis out
+            assert counts["h2d_calls"] == 4
+            assert counts["d2h_calls"] == 1
