@@ -27,6 +27,9 @@ Record layout (see :mod:`repro.utils.timing` for the generic format)::
                 geometry_build_s, cache_amortization, max_repeat_delta},
       "letkf_sharded": {cases: [ ...per grid: serial_s + worker sweep... ],
                         speedup_note},
+      "letkf_stride_curve": {grid, members, cycles, cutoff_m, derived_stride,
+                             rows: [ {stride, spacing_over_cutoff,
+                             mean_analysis_rmse, analysis_s} ... ], note},
       "shard_payloads": {cases: [ ...per grid: shm-vs-pickle per-shard IPC
                          bytes + wall time... ], note},
       "ensf":  {grid, members, sampler, n_sde_steps, optimized_s,
@@ -51,11 +54,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.da.localization as loc_mod
+from benchmarks.e2e.inputs import climatological_inputs
 from repro.core.ensf import EnSF, EnSFConfig, _ScaledOperator, _StateScaler
 from repro.core.observations import IdentityObservation
+from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
-from repro.da.localization import LocalizationConfig
+from repro.da.localization import LocalizationConfig, analysis_stride
 from repro.hpc.ensemble_parallel import EnsembleExecutor
+from repro.models.sqg import SQGModel, SQGParameters
 from repro.utils.grid import Grid2D
 from repro.utils.timing import BenchRecorder, best_of
 
@@ -66,6 +73,9 @@ N_MEMBERS = 20
 LETKF_GRID = (64, 64)
 LETKF_SHARD_GRIDS = ((64, 64), (128, 128))
 LETKF_SHARD_WORKERS = (1, 2, 4)
+LETKF_SWEEP_SHARD = 64
+LETKF_STRIDES = (1, 2, 4, 8)
+LETKF_STRIDE_CYCLES = 60
 ENSF_GRIDS = ((16, 16), (32, 32), (64, 64))
 ENSF_PATHS_GRID = (64, 64)
 
@@ -130,7 +140,11 @@ def _bench_letkf_sharded():
         truth = rng.standard_normal(grid.size)
         operator = IdentityObservation(grid.size, 1.0)
         observation = operator.observe(truth, rng=rng)
-        config = LETKFConfig(localization=LocalizationConfig(cutoff=2.0e6))
+        # 64 of the 256 analysis-grid columns per shard: at the default
+        # shard_columns the whole analysis grid is one shard, run in-process.
+        config = LETKFConfig(
+            localization=LocalizationConfig(cutoff=2.0e6), shard_columns=LETKF_SWEEP_SHARD
+        )
         letkf = LETKF(grid, config)
 
         letkf.analyze(ensemble, observation, operator)  # build + cache geometry
@@ -168,7 +182,9 @@ def _bench_letkf_sharded():
                 "grid": list(shape),
                 "members": N_MEMBERS,
                 "shard_columns": config.shard_columns,
-                "n_shards": math.ceil(grid.ny * grid.nx / config.shard_columns),
+                "n_shards": math.ceil(
+                    letkf.geometry(operator).n_columns / config.shard_columns
+                ),
                 "serial_s": t_serial,
                 "max_member_delta_vs_serial": float(
                     np.abs(serial - reference_sharded).max()
@@ -190,6 +206,57 @@ def _bench_letkf_sharded():
             "overhead and the reproducibility contract."
         )
     return {"cases": rows, "speedup_note": note}
+
+
+def _bench_letkf_stride_curve():
+    """Accuracy against the analysis-grid stride, as a curve.
+
+    The 64×64 perfect-model SQG OSSE of the e2e ``letkf_serial_64`` workload
+    (climatological initial ensemble, 20 members, R = I), cycled at forced
+    strides.  The stride has no public knob: each run moves the spacing
+    bound of :func:`repro.da.localization.analysis_stride` so that the rule
+    picks the wanted stride, and restores it.
+    """
+    model = SQGModel(SQGParameters(nx=LETKF_GRID[1], ny=LETKF_GRID[0]))
+    grid = model.grid
+    truth0, ensemble = climatological_inputs(model, spinup_seed=7, sigma0=0.03)
+    operator = IdentityObservation(model.state_size, obs_error_var=1.0)
+    config = OSSEConfig(
+        n_cycles=LETKF_STRIDE_CYCLES, steps_per_cycle=4, ensemble_size=N_MEMBERS, seed=7,
+        apply_model_error_to_truth=False,
+    )
+    cutoff = LocalizationConfig().cutoff
+    rows = []
+    for stride in LETKF_STRIDES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(loc_mod, "_SPACING_FRACTION", (stride + 0.5) * grid.dx / cutoff)
+            letkf = LETKF(grid, LETKFConfig())
+            assert letkf.geometry(operator).stride == stride
+            result = run_osse(
+                model, model, letkf, operator, truth0, config, initial_ensemble=ensemble
+            )
+        rows.append(
+            {
+                "stride": stride,
+                "spacing_over_cutoff": stride * grid.dx / cutoff,
+                "mean_analysis_rmse": result.mean_analysis_rmse,
+                "analysis_s": float(np.median(result.timing["analysis"]["per_cycle_s"])),
+            }
+        )
+    return {
+        "grid": list(LETKF_GRID),
+        "members": N_MEMBERS,
+        "cycles": LETKF_STRIDE_CYCLES,
+        "cutoff_m": cutoff,
+        "derived_stride": analysis_stride(grid, cutoff),
+        "rows": rows,
+        "note": (
+            "weights solved on every stride-th row and column and interpolated "
+            "bilinearly (Yang et al. 2009); the rule picks the largest common "
+            "divisor with spacing <= 2/3 cutoff. analysis_s is the median "
+            "in-process analysis per cycle on the recording host."
+        ),
+    }
 
 
 def _bench_shard_payloads():
@@ -215,8 +282,12 @@ def _bench_shard_payloads():
         truth = rng.standard_normal(grid.size)
         operator = IdentityObservation(grid.size, 1.0)
         observation = operator.observe(truth, rng=rng)
-        letkf = LETKF(grid, LETKFConfig(localization=LocalizationConfig(cutoff=2.0e6)))
+        # A cut-off within a few grid lengths keeps the every-column path
+        # (stride 1), whose 1024-column shards are what the transport is for;
+        # at the default cut-off the analysis grid is one 0.5 MB shard.
+        letkf = LETKF(grid, LETKFConfig(localization=LocalizationConfig(cutoff=1.4 * grid.dx)))
         letkf.analyze(ensemble, observation, operator)  # build + cache geometry
+        assert letkf.geometry(operator).stride == 1
 
         per_transport = {}
         for label, shm_on in (("shm", True), ("pickle", False)):
@@ -265,7 +336,10 @@ def _bench_shard_payloads():
         "/dev/shm segments (shared_segment_bytes) and each shard ships "
         "~100-byte handles, so the reduction grows with grid size. "
         "Wall-time parity mirrors the letkf_sharded speedup_note: with no "
-        "spare cores the pool measures transport overhead, not compute."
+        "spare cores the pool measures transport overhead, not compute. "
+        "Measured on the every-column path (cut-off 1.4 dx, stride 1): at "
+        "the default cut-off the LETKF solves a 16x16 analysis grid, one "
+        "shard below the shm threshold."
     )
     return {"cases": rows, "note": note}
 
@@ -394,6 +468,9 @@ def kernel_record():
         recorder.add(f"{tag}_serial", row["serial_s"])
         for wrow in row["workers"]:
             recorder.add(f"{tag}_w{wrow['n_workers']}", wrow["sharded_s"])
+    letkf_stride_curve = _bench_letkf_stride_curve()
+    for row in letkf_stride_curve["rows"]:
+        recorder.add(f"letkf_stride_{row['stride']}", row["analysis_s"])
     shard_payloads = _bench_shard_payloads()
     for row in shard_payloads["cases"]:
         tag = f"shard_payloads_{row['grid'][0]}x{row['grid'][1]}"
@@ -418,6 +495,7 @@ def kernel_record():
         array_backend=default_backend_name(),
         letkf=letkf,
         letkf_sharded=letkf_sharded,
+        letkf_stride_curve=letkf_stride_curve,
         shard_payloads=shard_payloads,
         ensf=ensf,
         ensf_cases=cases,
@@ -459,6 +537,27 @@ def test_letkf_sharded_worker_sweep(kernel_record, report):
         assert row["max_member_delta_vs_serial"] < 1.0e-10
         for wrow in row["workers"]:
             assert wrow["bit_identical_to_n_workers_1"]
+
+
+def test_letkf_stride_accuracy_curve(kernel_record, report):
+    curve = kernel_record["letkf_stride_curve"]
+    rmse = {row["stride"]: row["mean_analysis_rmse"] for row in curve["rows"]}
+    report(
+        f"LETKF analysis-grid stride ({curve['grid'][0]}x{curve['grid'][1]}, "
+        f"M={curve['members']}, {curve['cycles']} cycles; rule picks {curve['derived_stride']})",
+        [
+            f"stride {row['stride']} (spacing {row['spacing_over_cutoff']:.2f} cutoff): "
+            f"rmse {row['mean_analysis_rmse']:.5f}, analysis {row['analysis_s']:.4f}s"
+            for row in curve["rows"]
+        ],
+    )
+    # The derived stride costs no accuracy, and the rule stops short of a
+    # spacing beyond the cut-off (stride 8 at 64x64 is 1.25 cutoff).
+    assert curve["derived_stride"] == 4
+    assert abs(rmse[4] / rmse[1] - 1.0) < 0.03
+    spacing = {row["stride"]: row["spacing_over_cutoff"] for row in curve["rows"]}
+    assert spacing[8] > 1.0 and spacing[curve["derived_stride"]] <= 2.0 / 3.0
+    assert curve["note"]
 
 
 def test_shard_payload_transport(kernel_record, report):

@@ -5,7 +5,11 @@
 #      installs keep working.
 #   2. The parallel-analysis worker-invariance contract must hold through a
 #      real n_workers=2 process pool (EnSF member-seeded executor and the
-#      column-sharded LETKF), so CI always exercises the pool path.
+#      column-sharded LETKF), so CI always exercises the pool path; the
+#      LETKF analysis-grid stride must be the derived 4 / 8 / 2 on the
+#      64x64 / 128x128 / 32x32 benchmark grids (1 on this script's own
+#      10x2 grid), and a 2-worker analysis through the weight interpolation
+#      must equal the in-process one bit for bit.
 #   3. The backend-parametrized kernel-equivalence suite must pass with the
 #      array backend forced to ``mock-device`` via the environment variable
 #      (proving both the env-var precedence path and the transfer-metered
@@ -75,6 +79,34 @@ EOF
 
 echo "== smoke 2/9: parallel-analysis worker invariance (n_workers=2 pool) =="
 python -m pytest -x -q tests/unit/test_hpc.py::TestParallelAnalysis
+python - <<'EOF'
+import numpy as np
+
+from repro.core.observations import IdentityObservation
+from repro.da.letkf import LETKF, LETKFConfig
+from repro.da.localization import LocalizationConfig, analysis_stride
+from repro.hpc.ensemble_parallel import EnsembleExecutor
+from repro.utils.grid import Grid2D
+
+cutoff = LocalizationConfig().cutoff
+for n, stride in ((64, 4), (128, 8), (32, 2)):
+    assert analysis_stride(Grid2D(n, n), cutoff) == stride, (n, stride)
+# step 7's grid: fewer than 4 analysis points per axis, every column is solved
+assert analysis_stride(Grid2D(10, 2, nlev=2), 4.0e6) == 1
+
+grid = Grid2D(32, 32)
+rng = np.random.default_rng(5)
+ensemble = rng.standard_normal((10, grid.size))
+operator = IdentityObservation(grid.size, 1.0)
+observation = operator.observe(rng.standard_normal(grid.size), rng=rng)
+letkf = LETKF(grid, LETKFConfig(shard_columns=50))
+assert letkf.geometry(operator).stride == 2
+serial = letkf.analyze(ensemble, observation, operator)
+with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as executor:
+    pooled = letkf.analyze_parallel(ensemble, observation, operator, executor=executor)
+assert np.array_equal(pooled, serial)
+print("analysis-grid strides OK; 2-worker analysis bit-identical at stride 2")
+EOF
 
 echo "== smoke 3/9: backend suite under REPRO_ARRAY_BACKEND=mock-device =="
 # Prove the env-var resolution path itself in a fresh process (the
@@ -104,9 +136,10 @@ import json
 SPECS = {
     "BENCH_kernels.json": dict(
         required=["benchmark", "created_unix", "sections",
-                  "letkf", "letkf_sharded", "shard_payloads",
+                  "letkf", "letkf_sharded", "letkf_stride_curve", "shard_payloads",
                   "ensf", "ensf_cases", "ensf_paths"],
-        notes=[("letkf_sharded", "speedup_note"), ("shard_payloads", "note"),
+        notes=[("letkf_sharded", "speedup_note"), ("letkf_stride_curve", "note"),
+               ("shard_payloads", "note"),
                ("ensf_paths", "note")],
     ),
     "BENCH_forecast.json": dict(

@@ -16,40 +16,56 @@ with the same local weights (the paper couples horizontal and vertical
 localization through the Rossby radius; with only two boundary levels this
 reduces to whole-column updates).
 
-One local-solve pipeline
-------------------------
-:meth:`LETKF.analyze` and :meth:`LETKF.analyze_parallel` are the same five
-steps — the paper's "independent local analyses per column, then gather"
-(§III-A3):
+One local-solve pipeline, on an analysis grid
+---------------------------------------------
+The ensemble-space transform of a column varies on the localization scale
+(``cutoff``), not the grid scale, so — as in operational LETKFs (Yang,
+Kalnay, Hunt & Bowler 2009, QJRMS 135; KENDA) — it is solved on a coarser
+**analysis grid** and interpolated.  :meth:`LETKF.analyze` and
+:meth:`LETKF.analyze_parallel` are the same six steps:
 
 1. **global statistics** (means, perturbations, innovation), computed once
    on the host by :meth:`LETKF._update_statistics`;
-2. **the shard list**: the columns cut into contiguous runs of
-   ``config.shard_columns``.  A *shard* is a function of the grid only —
-   never of the executor or its worker count;
-3. **one kernel per assembly mode**, run once per shard on device-resident
-   arrays.  A :class:`~repro.da.localization.LocalAnalysisGeometry` (built
-   once per ``(grid, observation network)`` pair and cached across cycles)
-   selects the mode: :func:`_solve_convolution` slices the shard's columns
-   out of a global circular FFT convolution (uniform observation errors,
-   ``min_weight == 0``); :func:`_solve_grouped` gathers the shard's
-   precomputed footprints (a :class:`~repro.da.localization.GeometryBlock`).
-   Both end in :func:`solve_local_batch`, a stacked ``eigh`` over
-   ``(n, m, m)`` tensors plus batched matrix products;
-4. **concatenate** the shard results in column order;
-5. **RTPS** inflation on the whole ensemble.
+2. **the analysis grid**: every ``s``-th row and column, with ``s`` the
+   largest common divisor of ``ny`` and ``nx`` such that
+   ``s·max(Δx, Δy) ≤ ⅔·cutoff`` and ≥ 4 analysis points remain per axis
+   (:func:`~repro.da.localization.analysis_stride`: 4 at 64², 8 at 128², 1
+   when the cut-off is within a few grid lengths).  The stride is derived,
+   never configured.  A :class:`~repro.da.localization.LocalAnalysisGeometry`
+   (cached across cycles) describes the analysis-grid columns only;
+3. **the shard list**: the analysis-grid columns cut into contiguous runs of
+   ``config.shard_columns`` — a function of the grid only, never of the
+   executor or its worker count;
+4. **one kernel per assembly mode**, run once per shard on device-resident
+   arrays: :func:`_solve_convolution` takes the shard's columns of a global
+   circular FFT convolution (uniform observation errors, ``min_weight ==
+   0``); :func:`_solve_grouped` gathers the shard's precomputed footprints
+   (a :class:`~repro.da.localization.GeometryBlock`).  Both end in
+   :func:`solve_local_batch`, a stacked ``eigh`` over ``(n, m, m)`` tensors,
+   and return each column's ``(m, m)`` weight matrix
+   ``W_c = E √((m-1)/λ) Eᵀ + w̄_c 1ᵀ``;
+5. **interpolate and apply** (:func:`_interpolate_apply`): periodic bilinear
+   interpolation of ``W`` to every state column fused with
+   ``x̄_c + X′_c W_c``, one grid row at a time so the full-resolution weight
+   field never exists.  With ``s = 1`` the interpolation is skipped.  State
+   columns whose interpolation neighbours all lack observations keep the
+   prior bit for bit;
+6. **RTPS** inflation on the whole ensemble.
 
-With ``executor=None`` the parent runs step 3 in-process: the statistics are
-uploaded to the analysis backend's device once, every shard works on slices
-of them, and one download returns the result.  With an
+Mean analysis RMSE against the stride (64² SQG, 20 members, 60 cycles; the
+rule picks 4): 0.02776 / 0.02767 / 0.02738 / 0.02711 K at ``s`` = 1 / 2 / 4 /
+8 (``letkf_stride_curve`` in ``BENCH_kernels.json``).
+
+With ``executor=None`` the parent runs step 4 in-process on slices of
+statistics it uploaded once.  With an
 :class:`~repro.hpc.ensemble_parallel.EnsembleExecutor` the shards go through
-``map_blocks``, and all a *worker entry point* (:func:`_solve_shard_convolution`,
-:func:`_solve_shard_grouped`) adds is upload → the same kernel → download;
-each worker receives only its shard's slice (convolved channels, or the
-``y_pert``/``innovation`` subset plus the block's footprint groups).  Every
-column's problem is independent and sees the same numbers whichever route
-delivered them, so any ``shard_columns`` / ``block_columns`` / executor
-layout gives the same bits, by construction rather than by tolerance.
+``map_blocks``, all a *worker entry point* (:func:`_solve_shard_convolution`,
+:func:`_solve_shard_grouped`) adds is upload → the same kernel → download,
+and the parent interpolates.  Every analysis column is an independent problem
+fed the same numbers whichever route delivered them, and a state column's
+weights are an elementwise function of its four neighbours', so any
+``shard_columns`` / ``block_columns`` / executor layout gives the same bits,
+by construction rather than by tolerance.
 """
 
 from __future__ import annotations
@@ -77,13 +93,9 @@ __all__ = ["LETKFConfig", "LETKF", "solve_local_batch"]
 
 
 def solve_local_batch(
-    a_stack: np.ndarray,
-    c_innov: np.ndarray,
-    local_pert: np.ndarray,
-    local_mean: np.ndarray,
-    xp: ArrayBackend | None = None,
+    a_stack: np.ndarray, c_innov: np.ndarray, xp: ArrayBackend | None = None
 ) -> np.ndarray:
-    """Solve a stack of local ETKF problems.
+    """Solve a stack of local ETKF problems for their weight matrices.
 
     This is the LETKF's per-column work-unit.  Every batch element is
     solved independently, so any contiguous re-blocking of the stack yields
@@ -95,18 +107,16 @@ def solve_local_batch(
         Local system matrices ``(m-1) I + C Yᵀ``, shape ``(B, m, m)``.
     c_innov:
         Projected innovations ``C (y - ȳ)``, shape ``(B, m)``.
-    local_pert:
-        Per-column prior perturbations, shape ``(B, nlev, m)``.
-    local_mean:
-        Per-column prior means, shape ``(B, nlev)``.
     xp:
         Array backend the inputs live on (``None`` = the process default).
         All arithmetic — the stacked ``eigh`` included — runs on that
-        backend; the numpy backend is bit-identical to the pre-shim kernel.
+        backend.
 
     Returns
     -------
-    Local analysis states, shape ``(B, nlev, m)`` (member axis last).
+    Weights ``W = E √((m-1)/λ) Eᵀ + w̄ 1ᵀ``, shape ``(B, m, m)``: analysis
+    member ``k`` of a column with prior mean ``x̄`` and perturbations ``X′``
+    is ``x̄ + X′ W[:, k]``.
     """
     xp = resolve_backend(xp)
     n_members = a_stack.shape[-1]
@@ -116,13 +126,44 @@ def solve_local_batch(
     # Mean-update weights: w̄ = A⁻¹ C δy = E (Eᵀ C δy / λ).
     u = xp.einsum("bji,bj->bi", evecs, c_innov)
     u /= evals
-    w_mean = xp.matmul(evecs, u[:, :, None])[..., 0]
+    w_mean = xp.matmul(evecs, u[:, :, None])
 
-    # Perturbation transform: Xᵃ = X E √((m-1)/λ) Eᵀ  (symmetric root).
-    v = xp.matmul(local_pert, evecs)
-    v *= xp.sqrt((n_members - 1) / evals)[:, None, :]
-    analysis = xp.matmul(v, xp.ascontiguousarray(evecs.transpose(0, 2, 1)))
-    analysis += xp.matmul(local_pert, w_mean[:, :, None])
+    # Perturbation transform: the symmetric root E √((m-1)/λ) Eᵀ.
+    scaled = evecs * xp.sqrt((n_members - 1) / evals)[:, None, :]
+    weights = xp.matmul(scaled, xp.ascontiguousarray(evecs.transpose(0, 2, 1)))
+    weights += w_mean
+    return weights
+
+
+def _interpolate_apply(weights, local_pert, local_mean, shape, stride, xp: ArrayBackend):
+    """Interpolate analysis-grid weights to every state column and apply them.
+
+    ``weights`` ``(ny_a * nx_a, m, m)`` sit on the analysis grid ``shape =
+    (ny_a, nx_a)``, i.e. at rows and columns ``0, stride, 2·stride, …`` of the
+    state grid; ``local_pert`` ``(n_columns, nlev, m)`` and ``local_mean``
+    ``(n_columns, nlev)`` cover every state column.  Returns
+    ``x̄_c + X′_c W_c`` ``(n_columns, nlev, m)`` with ``W_c`` the periodic
+    bilinear interpolant, built and consumed one grid row at a time.
+    """
+    if stride == 1:
+        analysis = xp.matmul(local_pert, weights)
+    else:
+        (ny_a, nx_a), n_members = shape, weights.shape[-1]
+        w = weights.reshape(ny_a, nx_a, 1, n_members, n_members)
+        w = xp.concatenate([w, w[:1]], axis=0)  # periodic wrap-around
+        w = xp.concatenate([w, w[:, :1]], axis=1)
+        pert = local_pert.reshape(ny_a, stride, nx_a, stride, -1, n_members)
+        analysis = xp.empty(pert.shape)
+        band = xp.empty((nx_a, stride, n_members, n_members))
+        frac_x = (xp.arange(stride) / stride).reshape(stride, 1, 1)
+        for j in range(ny_a):
+            step_y = w[j + 1] - w[j]
+            for r in range(stride):
+                row = w[j] + (r / stride) * step_y  # (nx_a + 1, 1, m, m)
+                xp.multiply(row[1:] - row[:-1], frac_x, out=band)
+                band += row[:-1]
+                xp.matmul(pert[j, r], band, out=analysis[j, r])
+        analysis = analysis.reshape(local_pert.shape)
     analysis += local_mean[:, :, None]
     return analysis
 
@@ -132,48 +173,44 @@ def _assemble_from_conv(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build ``(a_stack, c_innov)`` from a block of convolved channels.
 
-    ``conv_block`` holds the ``m(m+1)/2`` upper-triangle Gram channels
-    followed by the ``m`` innovation channels, shape
-    ``(n_pair + m, n_block_columns)`` — the per-column output of the global
-    circular convolution (see :meth:`LETKF._convolution_channels`) — on
-    ``xp``'s device.
+    Each row of ``conv_block`` ``(n_block_columns, n_pair + m)`` holds one
+    column's ``m(m+1)/2`` upper-triangle Gram channels followed by its ``m``
+    innovation channels — the output of the global circular convolution (see
+    :meth:`LETKF._convolution_channels`) — on ``xp``'s device.
     """
     iu0, iu1 = xp.triu_indices(n_members)
     n_pair = iu0.size
-    n_block = conv_block.shape[1]
-    a_stack = xp.empty((n_block, n_members, n_members))
-    pair_t = xp.ascontiguousarray(conv_block[:n_pair].T)
-    a_stack[:, iu0, iu1] = pair_t
-    a_stack[:, iu1, iu0] = pair_t
+    a_stack = xp.empty((conv_block.shape[0], n_members, n_members))
+    a_stack[:, iu0, iu1] = conv_block[:, :n_pair]
+    a_stack[:, iu1, iu0] = conv_block[:, :n_pair]
     diag = xp.arange(n_members)
     a_stack[:, diag, diag] += n_members - 1
-    c_innov = xp.ascontiguousarray(conv_block[n_pair:].T)
-    return a_stack, c_innov
+    return a_stack, conv_block[:, n_pair:]
 
 
-def _solve_convolution(conv_block, local_pert, local_mean, xp: ArrayBackend):
+def _solve_convolution(conv_block, n_members: int, xp: ArrayBackend):
     """Convolution-mode shard kernel: assemble from channels, then solve.
 
-    All arguments live on ``xp``'s device; ``conv_block`` is the shard's
-    column slice of :meth:`LETKF._convolution_channels`.
+    ``conv_block`` (on ``xp``'s device) is the shard's rows of
+    :meth:`LETKF._convolution_channels`.  Returns weights ``(n_block, m, m)``.
     """
-    a_stack, c_innov = _assemble_from_conv(conv_block, local_pert.shape[-1], xp)
-    return solve_local_batch(a_stack, c_innov, local_pert, local_mean, xp)
+    return solve_local_batch(*_assemble_from_conv(conv_block, n_members, xp), xp)
 
 
-def _solve_grouped(groups, y_sub_t, innov_sub, local_pert, local_mean, max_batch, xp):
+def _solve_grouped(groups, y_sub_t, innov_sub, n_block, max_batch, xp):
     """Grouped-mode shard kernel: gather footprints, assemble, solve.
 
-    All arguments live on ``xp``'s device.  ``groups`` are the shard's
+    All arrays live on ``xp``'s device.  ``groups`` are the shard's
     :class:`~repro.da.localization.FootprintGroup` slices (block-local
     columns, observation indices into ``y_sub_t`` ``(p_sub, m)`` /
     ``innov_sub`` ``(p_sub,)``); at most ``max_batch`` columns are gathered
-    at a time.  Columns without a footprint come back as mean + perturbation
-    — the caller restores their exact prior.
+    at a time.  Returns weights ``(n_block, m, m)``; a column without a
+    footprint gets the identity.
     """
-    n_members = local_pert.shape[-1]
+    n_members = y_sub_t.shape[-1]
     diag = xp.arange(n_members)
-    analysis = local_pert + local_mean[:, :, None]
+    weights = xp.zeros((n_block, n_members, n_members))
+    weights[:, diag, diag] = 1.0
     for group in groups:
         n_group = group.columns.shape[0]
         for start in range(0, n_group, max_batch):
@@ -187,26 +224,20 @@ def _solve_grouped(groups, y_sub_t, innov_sub, local_pert, local_mean, max_batch
             a_stack = xp.matmul(q.transpose(0, 2, 1), q)
             a_stack[:, diag, diag] += n_members - 1
             c_innov = xp.einsum("bpm,bp->bm", q, sqrt_r * innov_sub[idx])
-            analysis[cols] = solve_local_batch(
-                a_stack, c_innov, local_pert[cols], local_mean[cols], xp
-            )
-    return analysis
+            weights[cols] = solve_local_batch(a_stack, c_innov, xp)
+    return weights
 
 
 def _solve_shard_convolution(args) -> np.ndarray:
     """Worker entry point: upload one shard, :func:`_solve_convolution`, download.
 
-    The shard's arrays move to the worker's device **once** (and the result
-    moves back once) — the per-column work inside never touches the host,
-    which the mock-device transfer counters assert in the tests.
+    The shard's channels move to the worker's device **once** (and the
+    weights move back once) — the per-column work inside never touches the
+    host, which the mock-device transfer counters assert in the tests.
     """
-    conv_block, local_pert, local_mean, backend = args
+    conv_block, n_members, backend = args
     xp = resolve_backend(backend)
-    return xp.to_host(
-        _solve_convolution(
-            xp.to_device(conv_block), xp.to_device(local_pert), xp.to_device(local_mean), xp
-        )
-    )
+    return xp.to_host(_solve_convolution(xp.to_device(conv_block), n_members, xp))
 
 
 def _solve_shard_grouped(args) -> np.ndarray:
@@ -216,15 +247,14 @@ def _solve_shard_grouped(args) -> np.ndarray:
     group (the geometry tensors arrive with the job) — never inside the
     per-column batch loop.
     """
-    groups, y_sub_t, innov_sub, local_pert, local_mean, max_batch, backend = args
+    groups, y_sub_t, innov_sub, n_block, max_batch, backend = args
     xp = resolve_backend(backend)
     return xp.to_host(
         _solve_grouped(
             tuple(group.to_device(xp) for group in groups),
             xp.to_device(y_sub_t),
             xp.to_device(innov_sub),
-            xp.to_device(local_pert),
-            xp.to_device(local_mean),
+            n_block,
             max_batch,
             xp,
         )
@@ -249,10 +279,10 @@ class LETKFConfig:
         the peak size of the stacked ``(B, p, m)`` local-observation
         tensors, whose size depends on the footprint.
     shard_columns:
-        Number of contiguous columns per shard — the unit the local solves
-        run over, in-process and on a pool alike, and therefore the bound on
-        the stacked-``eigh`` workspace.  The shard list is a function of the
-        grid only, never of the executor.
+        Number of contiguous analysis-grid columns per shard — the unit the
+        local solves run over, in-process and on a pool alike, and therefore
+        the bound on the stacked-``eigh`` workspace.  The shard list is a
+        function of the grid only, never of the executor.
     backend:
         Array backend name for the shard kernels
         (``None`` = the ``REPRO_ARRAY_BACKEND`` process default).  The
@@ -423,30 +453,25 @@ class LETKF(EnsembleFilter):
         geometry = self.geometry(operator)
         xp = self.xp
         n_members = prior.shape[0]
-        n_columns, n_levels = geometry.n_columns, self.grid.nlev
+        n_columns, n_levels = self.grid.ny * self.grid.nx, self.grid.nlev
         shard = self.config.shard_columns
         bounds = [
-            (start, min(start + shard, n_columns)) for start in range(0, n_columns, shard)
+            (start, min(start + shard, geometry.n_columns))
+            for start in range(0, geometry.n_columns, shard)
         ]
 
         # Shard inputs live where the kernels read them: on this process's
         # device in-process, on the host when they ship to pool workers.
         in_process = executor is None
         stage = xp.to_device if in_process else np.asarray
-        # Column-major prior, member axis last: (n_columns, nlev, m).
-        local_pert = stage(
-            np.ascontiguousarray(x_pert.reshape(n_members, n_levels, n_columns).transpose(2, 1, 0))
-        )
-        local_mean = stage(np.ascontiguousarray(x_mean.reshape(n_levels, n_columns).T))
-
         if geometry.mode == "convolution":
             kernel, worker_entry = _solve_convolution, _solve_shard_convolution
             # The circular convolution is global: it runs once, on this
-            # process's device, and each shard takes its column slice.
+            # process's device, and each shard takes its columns' rows.
             conv = self._convolution_channels(y_pert, innovation, geometry, n_members)
             if not in_process:
                 conv = xp.to_host(conv)
-            jobs = ((conv[:, a:b], local_pert[a:b], local_mean[a:b]) for a, b in bounds)
+            jobs = ((conv[a:b], n_members) for a, b in bounds)
         else:
             kernel, worker_entry = _solve_grouped, _solve_shard_grouped
             y_t = stage(np.ascontiguousarray(y_pert.T))  # (n_obs, m)
@@ -457,8 +482,7 @@ class LETKF(EnsembleFilter):
                     block.groups,
                     y_t[block.obs_subset],
                     innovation[block.obs_subset],
-                    local_pert[block.start : block.stop],
-                    local_mean[block.start : block.stop],
+                    block.n_block_columns,
                     self.config.block_columns,
                 )
                 for block in blocks
@@ -466,16 +490,27 @@ class LETKF(EnsembleFilter):
 
         # The jobs are lazy, so in-process only one shard's gather is alive.
         if in_process:
-            analysis_t = xp.to_host(xp.concatenate([kernel(*job, xp) for job in jobs], axis=0))
+            weights = xp.concatenate([kernel(*job, xp) for job in jobs], axis=0)
         else:
             shards = executor.map_blocks(worker_entry, [(*job, xp.name) for job in jobs])
-            analysis_t = np.concatenate(shards, axis=0)
+            weights = xp.to_device(np.concatenate(shards, axis=0))
+
+        # Column-major prior, member axis last: (n_columns, nlev, m).
+        local_pert = xp.to_device(
+            np.ascontiguousarray(x_pert.reshape(n_members, n_levels, n_columns).transpose(2, 1, 0))
+        )
+        local_mean = xp.to_device(np.ascontiguousarray(x_mean.reshape(n_levels, n_columns).T))
+        analysis_t = xp.to_host(
+            _interpolate_apply(
+                weights, local_pert, local_mean, geometry.shape, geometry.stride, xp
+            )
+        )
         analysis = np.ascontiguousarray(analysis_t.transpose(2, 1, 0)).reshape(
             n_members, n_levels * n_columns
         )
-        if geometry.empty_columns.size:
+        if geometry.prior_columns.size:
             # Columns no observation reaches keep the prior, bit for bit.
-            keep = (geometry.empty_columns + np.arange(n_levels)[:, None] * n_columns).ravel()
+            keep = (geometry.prior_columns + np.arange(n_levels)[:, None] * n_columns).ravel()
             analysis[:, keep] = prior[:, keep]
         if self.config.rtps_factor > 0.0:
             analysis = rtps_inflation(analysis, forecast_ensemble, self.config.rtps_factor)
@@ -489,7 +524,7 @@ class LETKF(EnsembleFilter):
         geometry: LocalAnalysisGeometry,
         n_members: int,
     ) -> np.ndarray:
-        """Convolved Gram/innovation channels for *all* columns.
+        """Convolved Gram/innovation channels at the analysis-grid columns.
 
         For uniform observation errors the localized Gram matrix of column
         ``c`` is ``A_c = (m-1)I + Σ_o k(c ⊖ col(o)) y_o y_oᵀ / r`` — a
@@ -498,30 +533,36 @@ class LETKF(EnsembleFilter):
         ``m(m+1)/2`` symmetric channels (plus ``m`` innovation channels)
         replaces every per-column distance/weight/gather operation.
 
-        Returns the ``(m(m+1)/2 + m, n_columns)`` array of per-column local
-        system entries (upper-triangle Gram channels then innovation
-        channels) on the analysis backend's device.
+        Returns the ``(geometry.n_columns, m(m+1)/2 + m)`` array of local
+        system entries (one row per analysis-grid column: upper-triangle Gram
+        channels then innovation channels) on the analysis backend's device.
         """
         xp = self.xp
         grid = self.grid
-        n_columns, n_levels = geometry.n_columns, grid.nlev
-        ny, nx = grid.ny, grid.nx
+        ny, nx, n_levels = grid.ny, grid.nx, grid.nlev
+        n_columns = ny * nx
 
         y_pert = xp.to_device(y_pert)
         innovation = xp.to_device(innovation)
-        iu0, iu1 = xp.triu_indices(n_members)
-        n_pair = iu0.size
+        n_pair = n_members * (n_members + 1) // 2
         channels = xp.zeros((n_pair + n_members, n_columns))
 
         if geometry.identity_network:
             # Fast path for the fully observed grid: observations are the
-            # state columns themselves, so the scatter is a reshape.
+            # state columns themselves, so the scatter is a reshape.  Row i
+            # of the upper triangle — pairs (i, i), …, (i, m-1), contiguous
+            # in ``triu_indices`` order — is one product of contiguous slices.
             y_lev = y_pert.reshape(n_members, n_levels, n_columns)
             innov_lev = innovation.reshape(n_levels, n_columns)
             for lev in range(n_levels):
-                channels[:n_pair] += y_lev[iu0, lev] * y_lev[iu1, lev]
+                start = 0
+                for i in range(n_members):
+                    stop = start + n_members - i
+                    channels[start:stop] += y_lev[i:, lev] * y_lev[i, lev]
+                    start = stop
                 channels[n_pair:] += y_lev[:, lev] * innov_lev[lev][None, :]
         else:
+            iu0, iu1 = xp.triu_indices(n_members)
             obs_cols_dev = xp.to_device(geometry.obs_columns)
             contrib = y_pert[iu0] * y_pert[iu1]
             proj = y_pert * innovation[None, :]
@@ -536,4 +577,8 @@ class LETKF(EnsembleFilter):
 
         spectra = xp.rfft2(channels.reshape(-1, ny, nx), axes=(-2, -1))
         spectra *= geometry.conv_kernel(xp)
-        return xp.irfft2(spectra, s=(ny, nx), axes=(-2, -1)).reshape(-1, n_columns)
+        conv = xp.irfft2(spectra, s=(ny, nx), axes=(-2, -1))
+        stride = geometry.stride
+        return xp.ascontiguousarray(conv[:, ::stride, ::stride].transpose(1, 2, 0)).reshape(
+            geometry.n_columns, -1
+        )

@@ -7,6 +7,12 @@ observation-error (R-)localization, with the cut-off radius optimally tuned
 to 2000 km; horizontal and vertical extents are coupled through the Rossby
 radius of deformation (so for the two-boundary SQG state the whole column is
 updated together).
+
+The local transforms vary on the localization scale, not the grid scale, so
+they are solved on a coarser *analysis grid* — every ``s``-th row and column,
+``s`` = :func:`analysis_stride` — and interpolated to the state columns (Yang,
+Kalnay, Hunt & Bowler 2009, QJRMS 135).  :class:`LocalAnalysisGeometry` is
+built over the analysis-grid columns only.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from repro.utils.grid import Grid2D, periodic_distance_matrix
 __all__ = [
     "gaspari_cohn",
     "LocalizationConfig",
+    "analysis_stride",
     "column_distances",
     "FootprintGroup",
     "GeometryBlock",
@@ -101,6 +108,28 @@ class LocalizationConfig:
         return gaspari_cohn(distance, self.cutoff)
 
 
+# The analysis grid is spaced at most this fraction of the cut-off (the
+# Gaspari–Cohn half-width) and keeps at least this many points per axis.
+_SPACING_FRACTION = 2.0 / 3.0
+_MIN_POINTS = 4
+
+
+def analysis_stride(grid: Grid2D, cutoff: float) -> int:
+    """Stride ``s`` of the LETKF analysis grid: derived, never configured.
+
+    The largest common divisor of ``ny`` and ``nx`` whose analysis-grid
+    spacing ``s·max(Δx, Δy)`` stays within ⅔ of ``cutoff`` and leaves at
+    least four analysis points per axis; 1 (every column is solved) when the
+    cut-off is within a few grid lengths or no such divisor exists.
+    """
+    limit = _SPACING_FRACTION * cutoff / max(grid.dx, grid.dy)
+    candidates = range(2, min(grid.ny, grid.nx) // _MIN_POINTS + 1)
+    return max(
+        (s for s in candidates if s <= limit and grid.ny % s == 0 and grid.nx % s == 0),
+        default=1,
+    )
+
+
 @dataclass(frozen=True)
 class FootprintGroup:
     """Columns whose local observation footprints have the same size.
@@ -114,7 +143,7 @@ class FootprintGroup:
     Attributes
     ----------
     columns:
-        Analysis column indices in this group, shape ``(g,)``.
+        Analysis-grid column indices in this group, shape ``(g,)``.
     obs_indices:
         Indices into the observation vector of each column's local
         observations, shape ``(g, p)``.
@@ -154,7 +183,7 @@ class GeometryBlock:
     Attributes
     ----------
     start, stop:
-        Half-open global column range covered by this block.
+        Half-open analysis-grid column range covered by this block.
     mode:
         ``"convolution"`` or ``"grouped"`` (inherited from the geometry).
     obs_subset:
@@ -187,6 +216,15 @@ class LocalAnalysisGeometry:
     full column→observation distance structure, Gaspari–Cohn weights, and
     per-column selection footprints are computed **once** and reused across
     cycles, so steady-state analysis steps perform zero distance evaluations.
+
+    The columns it describes are those of the **analysis grid** — rows and
+    columns ``0, s, 2s, …`` of the state grid with ``s = stride`` from
+    :func:`analysis_stride` — numbered row-major ``0 … n_columns - 1``;
+    ``columns`` maps them to state-grid column indices and ``shape`` is the
+    analysis grid's ``(ny / s, nx / s)``.  Footprints, blocks and
+    ``empty_columns`` all index the analysis grid, so they are ``s²`` times
+    smaller than the state grid's.  ``prior_columns`` are the *state* columns
+    every one of whose interpolation neighbours is empty: they keep the prior.
 
     Two execution modes are selected at build time:
 
@@ -235,7 +273,12 @@ class LocalAnalysisGeometry:
         self.obs_error_var = np.asarray(obs_error_var, dtype=float)
         if self.obs_error_var.shape != self.obs_columns.shape:
             raise ValueError("obs_error_var and obs_columns must have the same length")
-        self.n_columns = grid.ny * grid.nx
+        self.stride = stride = analysis_stride(grid, config.cutoff)
+        self.shape = (grid.ny // stride, grid.nx // stride)
+        self.columns = (
+            np.arange(0, grid.ny, stride)[:, None] * grid.nx + np.arange(0, grid.nx, stride)
+        ).ravel()
+        self.n_columns = int(self.columns.size)
         self.n_obs = int(self.obs_columns.size)
 
         # Cycle-invariant derived data — the shard blocks and the per-backend
@@ -248,7 +291,7 @@ class LocalAnalysisGeometry:
             self.mode = "convolution"
             self._build_convolution()
             self.groups: list[FootprintGroup] = []
-            self.empty_columns = np.empty(0, dtype=np.intp)
+            self.empty_columns = self.prior_columns = np.empty(0, dtype=np.intp)
         else:
             self.mode = "grouped"
             self.kernel_rfft2 = None
@@ -265,9 +308,9 @@ class LocalAnalysisGeometry:
         self.kernel_rfft2 = np.fft.rfft2(kernel).real
         # Fully observed grid (observation i *is* state variable i): the
         # per-cycle channel scatter degenerates to a reshape.
-        n_levels = self.grid.nlev
-        self.identity_network = self.n_obs == n_levels * self.n_columns and np.array_equal(
-            self.obs_columns, np.tile(np.arange(self.n_columns), n_levels)
+        grid = self.grid
+        self.identity_network = self.n_obs == grid.size and np.array_equal(
+            self.obs_columns, np.tile(np.arange(grid.ny * grid.nx), grid.nlev)
         )
 
     def _build_grouped(self, chunk: int) -> None:
@@ -281,7 +324,9 @@ class LocalAnalysisGeometry:
         all_columns = np.arange(self.n_columns, dtype=np.intp)
         for start in range(0, self.n_columns, chunk):
             cols = all_columns[start : start + chunk]
-            dist = self.grid.column_pair_distances(cols, self.obs_columns, stencil=stencil)
+            dist = self.grid.column_pair_distances(
+                self.columns[cols], self.obs_columns, stencil=stencil
+            )
             weight = gaspari_cohn(dist, cutoff)
             mask = weight > min_weight
             counts = mask.sum(axis=1)
@@ -311,6 +356,15 @@ class LocalAnalysisGeometry:
         self.empty_columns = (
             np.concatenate(empty) if empty else np.empty(0, dtype=np.intp)
         )
+        # Interpolate the occupancy (1 = has a footprint) exactly as the LETKF
+        # interpolates weights: it is 0.0 where only empty columns contribute.
+        occupied = np.ones(self.shape)
+        occupied.ravel()[self.empty_columns] = 0.0
+        frac = np.arange(self.stride) / self.stride
+        rows = occupied[:, None] + frac[:, None] * (np.roll(occupied, -1, 0) - occupied)[:, None]
+        rows = rows.reshape(self.grid.ny, -1, 1)
+        full = rows + frac * (np.roll(rows, -1, 1) - rows)
+        self.prior_columns = np.flatnonzero(full.ravel() == 0.0)
 
     # ------------------------------------------------------------------ #
     def conv_kernel(self, xp):

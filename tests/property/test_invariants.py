@@ -1,8 +1,10 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.da.localization as loc_mod
 from repro.core.filters import relax_spread
 from repro.core.observations import IdentityObservation, SubsampledObservation
 from repro.core.schedules import LinearAlphaSchedule
@@ -261,3 +263,73 @@ def test_letkf_analysis_invariant_under_layout(
     executor = EnsembleExecutor(n_workers=1) if pooled else None
     analysis = letkf.analyze_parallel(ensemble, observation, operator, executor=executor)
     assert np.array_equal(analysis, reference)
+
+
+def _bilinear_periodic(field, stride):
+    """Independent periodic bilinear interpolation of ``field (ny_a, nx_a, ...)``
+    to a grid ``stride`` times finer (the convex-combination form)."""
+    t = (np.arange(stride) / stride).reshape((stride,) + (1,) * (field.ndim - 1))
+    rows = np.stack([(1 - t) * a + t * b for a, b in zip(field, np.roll(field, -1, 0))])
+    rows = rows.reshape((-1,) + field.shape[1:])  # (ny, nx_a, ...)
+    t = t.reshape((1, stride) + (1,) * (field.ndim - 2))
+    fine = (1 - t) * rows[:, :, None] + t * np.roll(rows, -1, 1)[:, :, None]
+    return fine.reshape((rows.shape[0], -1) + field.shape[2:])  # (ny, nx, ...)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    cutoff=st.sampled_from([4.0e6, 8.0e6]),  # 16x16: strides 2 and 4
+    members=st.integers(3, 8),
+    seed=st.integers(0, 1000),
+)
+def test_letkf_interpolated_transform_preserves_the_mean(cutoff, members, seed):
+    """The symmetric root has 1 as an eigenvector and bilinear interpolation is
+    linear, so the analysis mean is x̄ + X′·interp(w̄) with w̄ solved (here by a
+    dense ``solve``) on the analysis grid only."""
+    grid = Grid2D(nx=16, ny=16)
+    rng = np.random.default_rng(seed)
+    ensemble = rng.normal(size=(members, grid.size))
+    operator = IdentityObservation(grid.size, 0.7)
+    observation = operator.observe(rng.normal(size=grid.size), rng=rng)
+    letkf = LETKF(grid, LETKFConfig(localization=LocalizationConfig(cutoff=cutoff), rtps_factor=0.0))
+    geometry = letkf.geometry(operator)
+    assert geometry.stride == (2 if cutoff == 4.0e6 else 4)
+    analysis = letkf.analyze(ensemble, observation, operator)
+
+    x_mean = ensemble.mean(axis=0)
+    x_pert = ensemble - x_mean
+    innovation = observation - x_mean
+    obs_columns = grid.column_index(np.arange(grid.size))
+    r_inv = gaspari_cohn(grid.column_pair_distances(geometry.columns, obs_columns), cutoff) / 0.7
+    c = x_pert[None] * r_inv[:, None, :]  # (n_analysis, m, p)
+    a = (members - 1) * np.eye(members) + c @ x_pert.T
+    w_mean = np.linalg.solve(a, (c @ innovation)[:, :, None])[..., 0]
+    w_fine = _bilinear_periodic(w_mean.reshape(geometry.shape + (members,)), geometry.stride)
+    pert = x_pert.reshape(members, grid.nlev, grid.ny, grid.nx)
+    expected = x_mean + np.einsum("klyx,yxk->lyx", pert, w_fine).ravel()
+    np.testing.assert_allclose(analysis.mean(axis=0), expected, rtol=1e-10, atol=1e-10)
+
+
+@settings(max_examples=10, deadline=None)
+@given(members=st.integers(3, 8), seed=st.integers(0, 1000))
+def test_letkf_interpolation_is_exact_for_uniform_local_problems(members, seed):
+    """Spatially uniform perturbations and innovation give every column the
+    same local problem, so interpolated weights equal the solved ones."""
+    grid = Grid2D(nx=16, ny=16)
+    rng = np.random.default_rng(seed)
+    n_columns = grid.ny * grid.nx
+    ensemble = np.repeat(rng.normal(size=(members, grid.nlev)), n_columns, axis=1)
+    operator = IdentityObservation(grid.size, 0.7)
+    observation = np.repeat(rng.normal(size=grid.nlev), n_columns)
+    loc = LocalizationConfig(cutoff=4.0e6)
+    config = LETKFConfig(localization=loc, rtps_factor=0.0)
+    strided = LETKF(grid, config)
+    assert strided.geometry(operator).stride == 2
+    analysis = strided.analyze(ensemble, observation, operator)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(loc_mod, "_SPACING_FRACTION", 0.0)  # test-only: every column
+        every_column = LETKF(grid, config)
+        assert every_column.geometry(operator).stride == 1
+        expected = every_column.analyze(ensemble, observation, operator)
+    assert np.abs(expected - ensemble).max() > 1e-3
+    np.testing.assert_allclose(analysis, expected, rtol=1e-10, atol=1e-10)

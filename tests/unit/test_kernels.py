@@ -15,6 +15,7 @@ single bit.  The whole-OSSE cross-backend certification lives in
 import numpy as np
 import pytest
 
+import repro.da.localization as loc_mod
 import repro.utils.grid as grid_mod
 from repro.core.ensf import EnSF, EnSFConfig
 from repro.core.observations import IdentityObservation, NonlinearObservation, SubsampledObservation
@@ -23,7 +24,12 @@ from repro.core.score import MonteCarloScoreEstimator
 from repro.core.sde import ReverseSDESampler
 from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
-from repro.da.localization import LocalAnalysisGeometry, LocalizationConfig
+from repro.da.localization import (
+    LocalAnalysisGeometry,
+    LocalizationConfig,
+    analysis_stride,
+    gaspari_cohn,
+)
 from repro.models.lorenz96 import Lorenz96
 from repro.utils.grid import Grid2D
 from repro.utils.random import default_rng
@@ -114,21 +120,43 @@ class TestBatchedLETKFDeterminism:
         np.testing.assert_array_equal(batched[:, state_idx], ensemble[:, state_idx])
 
 
+def _patch_network(grid, obs_error_var=1.0):
+    """Both levels observed on an 8x8 patch of columns: on a 32x32 grid at the
+    default cut-off most analysis-grid columns are beyond its reach."""
+    columns = (np.arange(8)[:, None] * grid.nx + np.arange(8)).ravel()
+    indices = np.concatenate([columns + lev * grid.ny * grid.nx for lev in range(grid.nlev)])
+    return SubsampledObservation(grid.size, indices, obs_error_var)
+
+
+# assembly mode -> derived analysis-grid stride
+LAYOUT_MODES = {
+    "convolution": 2,
+    "grouped": 2,
+    "grouped-empty": 1,
+    "convolution-s4": 4,
+    "grouped-s2-empty": 2,
+}
+
+
 def _layout_case(mode):
     """``(grid, ensemble, observation, operator, config kwargs)`` per assembly mode."""
-    seeds = {"convolution": 11, "grouped": 12, "grouped-empty": 13}
-    grid, rng, ensemble, truth = _case(seed=seeds[mode])
+    seeds = {name: 11 + i for i, name in enumerate(LAYOUT_MODES)}
+    shape = (32, 32) if mode in ("convolution-s4", "grouped-s2-empty") else (16, 16)
+    grid, rng, ensemble, truth = _case(seed=seeds[mode], shape=shape)
     kwargs = {"localization": LocalizationConfig(cutoff=4.0e6)}
-    if mode == "convolution":
+    if mode.startswith("convolution"):
         operator = IdentityObservation(grid.size, 1.2)
     elif mode == "grouped":
         operator = IdentityObservation(grid.size, 0.5 + rng.random(grid.size))
-    else:  # "grouped-empty": grouped, with columns no observation reaches
+    elif mode == "grouped-empty":  # grouped, with columns no observation reaches
         operator = SubsampledObservation.every_nth(grid.size, 7, 1.0)
         kwargs = {
             "localization": LocalizationConfig(cutoff=grid.dx * 0.55, min_weight=1e-4),
             "rtps_factor": 0.0,
         }
+    else:  # "grouped-s2-empty": interpolation between empty and solved columns
+        operator = _patch_network(grid)
+        kwargs = {"localization": LocalizationConfig(min_weight=1e-4), "rtps_factor": 0.0}
     return grid, ensemble, operator.observe(truth, rng=rng), operator, kwargs
 
 
@@ -148,7 +176,8 @@ class TestShardedLETKF:
     changes where a shard runs (``n_workers=1`` runs the worker entry points
     serially in-process; ``pool-2`` is a real process pool).  Every cell of
     mode x shard size x executor must equal the single-shard in-process
-    analysis exactly.
+    analysis exactly — on the every-column path (stride 1) and through the
+    weight interpolation (strides 2 and 4) alike.
     """
 
     N_COLUMNS = 16 * 16
@@ -156,18 +185,22 @@ class TestShardedLETKF:
     @pytest.fixture(scope="class")
     def reference(self):
         out = {}
-        for mode in ("convolution", "grouped", "grouped-empty"):
+        for mode, stride in LAYOUT_MODES.items():
             grid, ensemble, observation, operator, kwargs = _layout_case(mode)
-            letkf = LETKF(grid, LETKFConfig(**kwargs))
+            letkf = LETKF(grid, LETKFConfig(backend="numpy", **kwargs))
             geometry = letkf.geometry(operator)
             assert geometry.mode == mode.split("-")[0]
-            assert (geometry.empty_columns.size > 0) == (mode == "grouped-empty")
+            assert geometry.stride == stride
+            assert geometry.n_columns * stride**2 == grid.ny * grid.nx
+            assert (geometry.empty_columns.size > 0) == mode.endswith("empty")
+            if geometry.mode == "convolution":
+                assert geometry.identity_network  # the reshape fast path, at any stride
             out[mode] = letkf.analyze(ensemble, observation, operator)
         return out
 
     @pytest.mark.parametrize("executor", ["none", "in-process", "pool-2"])
     @pytest.mark.parametrize("shard_columns", [1, 37, 64, N_COLUMNS, 10 * N_COLUMNS])
-    @pytest.mark.parametrize("mode", ["convolution", "grouped", "grouped-empty"])
+    @pytest.mark.parametrize("mode", list(LAYOUT_MODES))
     def test_layout_matrix(self, mode, shard_columns, executor, reference, layout_executors):
         grid, ensemble, observation, operator, kwargs = _layout_case(mode)
         letkf = LETKF(grid, LETKFConfig(shard_columns=shard_columns, **kwargs))
@@ -175,6 +208,15 @@ class TestShardedLETKF:
             ensemble, observation, operator, executor=layout_executors[executor]
         )
         np.testing.assert_array_equal(analysis, reference[mode])
+
+    @pytest.mark.parametrize("mode", list(LAYOUT_MODES))
+    def test_backends_agree(self, mode, reference, array_backend):
+        grid, ensemble, observation, operator, kwargs = _layout_case(mode)
+        letkf = LETKF(grid, LETKFConfig(shard_columns=37, **kwargs))
+        assert letkf.xp is array_backend
+        np.testing.assert_array_equal(
+            letkf.analyze(ensemble, observation, operator), reference[mode]
+        )
 
     def test_geometry_column_block_roundtrip(self):
         grid = Grid2D(10, 8)
@@ -208,6 +250,142 @@ class TestShardedLETKF:
         assert np.array_equal(np.sort(covered), expected)
         with pytest.raises(ValueError):
             geometry.column_block(5, 3)
+
+
+def _force_stride(monkeypatch, grid, cutoff, stride):
+    """Test-only hook: move the stride rule's spacing bound so that it picks
+    ``stride`` (a power of two dividing the grid) — there is no public knob."""
+    fraction = (stride + 0.5) * max(grid.dx, grid.dy) / cutoff
+    monkeypatch.setattr(loc_mod, "_SPACING_FRACTION", fraction)
+    assert analysis_stride(grid, cutoff) == stride
+
+
+class TestAnalysisGrid:
+    """The stride rule and the interpolate-and-apply stage it feeds."""
+
+    @pytest.mark.parametrize(
+        "grid, cutoff, stride",
+        [
+            (Grid2D(64, 64), 2.0e6, 4),  # the benchmark grids at the default cut-off:
+            (Grid2D(128, 128), 2.0e6, 8),  # spacing 1250 km <= 2/3 * 2000 km; 8 at 64x64
+            (Grid2D(32, 32), 2.0e6, 2),  # would be 2500 km, beyond the cut-off
+            (Grid2D(16, 16), 4.0e6, 2),
+            (Grid2D(16, 16), 2.0e6, 1),  # cut-off within a few grid lengths
+            (Grid2D(10, 2), 4.0e6, 1),  # fewer than 4 analysis points per axis
+            (Grid2D(4, 4), 1.0e9, 1),  # cut-off >> domain: the >= 4-points cap
+            (Grid2D(16, 16), 1.0e9, 4),
+            (Grid2D(64, 64), 1.0e9, 16),
+            (Grid2D(nx=64, ny=32), 2.0e6, 2),  # ny != nx: the coarser axis decides
+            (Grid2D(nx=32, ny=64), 2.0e6, 2),
+            (Grid2D(64, 64, ly=4.0e7), 2.0e6, 2),  # anisotropic spacing, dy = 2 dx
+            (Grid2D(nx=48, ny=64), 3.0e6, 4),  # largest *common* divisor under the bound
+            (Grid2D(nx=63, ny=64), 2.0e6, 1),  # coprime sizes
+            (Grid2D(61, 61), 2.0e6, 1),  # prime size
+            (Grid2D(nx=62, ny=62), 2.0e6, 2),  # divisors 2 and 31; 4 is not one
+            (Grid2D(nx=35, ny=15), 1.0e6, 1),  # common divisor 5 exceeds the bound
+        ],
+    )
+    def test_stride_rule(self, grid, cutoff, stride):
+        assert analysis_stride(grid, cutoff) == stride
+        geometry = LocalAnalysisGeometry(
+            grid, np.arange(grid.ny * grid.nx), LocalizationConfig(cutoff=cutoff),
+            np.ones(grid.ny * grid.nx),
+        )
+        assert geometry.stride == stride
+        assert geometry.shape == (grid.ny // stride, grid.nx // stride)
+        iy, ix = np.divmod(geometry.columns, grid.nx)
+        assert np.all(iy % stride == 0) and np.all(ix % stride == 0)
+        assert geometry.n_columns == geometry.shape[0] * geometry.shape[1]
+
+    def test_every_column_path_matches_dense_etkf(self):
+        """Stride 1 against an independent per-column formula (explicit
+        inverse, SVD square root): same law, not the same bits."""
+        grid, rng, ensemble, truth = _case(seed=21, shape=(8, 8), members=6)
+        operator = IdentityObservation(grid.size, 0.8)
+        observation = operator.observe(truth, rng=rng)
+        letkf = LETKF(grid, LETKFConfig(rtps_factor=0.0))
+        assert letkf.geometry(operator).stride == 1
+        analysis = letkf.analyze(ensemble, observation, operator)
+
+        m, n_columns = ensemble.shape[0], grid.ny * grid.nx
+        x_mean = ensemble.mean(axis=0)
+        x_pert = ensemble - x_mean
+        innovation = observation - x_mean  # identity operator
+        obs_columns = grid.column_index(np.arange(grid.size))
+        expected = np.empty_like(ensemble)
+        for col in range(n_columns):
+            dist = grid.column_pair_distances(np.array([col]), obs_columns)[0]
+            r_inv = gaspari_cohn(dist, letkf.config.localization.cutoff) / 0.8
+            c = x_pert * r_inv  # (m, p): C = Y' R_loc^-1
+            pa = np.linalg.inv((m - 1) * np.eye(m) + c @ x_pert.T)
+            u, sv, vt = np.linalg.svd((m - 1) * pa)
+            weights = (u * np.sqrt(sv)) @ vt + (pa @ c @ innovation)[:, None]
+            state = col + np.arange(grid.nlev) * n_columns
+            expected[:, state] = x_mean[state] + (x_pert[:, state].T @ weights).T
+        np.testing.assert_allclose(analysis, expected, rtol=1e-12, atol=1e-12)
+
+    def test_broad_localization_interpolates_equal_weights(self, monkeypatch):
+        """Cut-off >> domain: the >= 4-points cap sets the stride, and the
+        local problems differ only by the O(1e-4) variation of the
+        Gaspari-Cohn weights over the domain, so interpolating costs nothing."""
+        grid, rng, ensemble, truth = _case(seed=22)
+        operator = IdentityObservation(grid.size, 0.5)
+        observation = operator.observe(truth, rng=rng)
+        config = LETKFConfig(localization=LocalizationConfig(cutoff=1.0e9), rtps_factor=0.0)
+        strided = LETKF(grid, config)
+        assert strided.geometry(operator).stride == 4
+        analysis = strided.analyze(ensemble, observation, operator)
+        _force_stride(monkeypatch, grid, 1.0e9, 1)
+        every_column = LETKF(grid, config)
+        assert every_column.geometry(operator).stride == 1
+        np.testing.assert_allclose(
+            analysis, every_column.analyze(ensemble, observation, operator), atol=1e-4
+        )
+
+    def test_interpolation_error_is_small_and_vanishes_on_the_analysis_grid(self, monkeypatch):
+        grid, rng, ensemble, truth = _case(seed=23, shape=(32, 32))
+        operator = IdentityObservation(grid.size, 1.0)
+        observation = operator.observe(truth, rng=rng)
+        config = LETKFConfig(localization=LocalizationConfig(cutoff=4.0e6), rtps_factor=0.0)
+        strided = LETKF(grid, config)
+        geometry = strided.geometry(operator)
+        assert geometry.stride == 4
+        analysis = strided.analyze(ensemble, observation, operator)
+        _force_stride(monkeypatch, grid, 4.0e6, 1)
+        exact = LETKF(grid, config).analyze(ensemble, observation, operator)
+        increment = np.abs(exact - ensemble).max()
+        # on the analysis grid the interpolant is the solved weight itself
+        on_grid = (geometry.columns + np.arange(grid.nlev)[:, None] * grid.ny * grid.nx).ravel()
+        np.testing.assert_allclose(analysis[:, on_grid], exact[:, on_grid], atol=1e-12)
+        assert 0.0 < np.abs(analysis - exact).max() < 0.2 * increment
+
+    def test_columns_between_empty_analysis_columns_keep_prior(self):
+        grid, ensemble, observation, operator, kwargs = _layout_case("grouped-s2-empty")
+        letkf = LETKF(grid, LETKFConfig(**kwargs))
+        geometry = letkf.geometry(operator)
+        stride, (ny_a, nx_a) = geometry.stride, geometry.shape
+        assert stride == 2 and geometry.empty_columns.size > 0
+        empty = np.zeros(geometry.shape, dtype=bool)
+        empty.ravel()[geometry.empty_columns] = True
+        # brute force: a state column keeps its prior iff every analysis
+        # column its bilinear weights touch is empty
+        expected = []
+        for iy in range(grid.ny):
+            for ix in range(grid.nx):
+                rows = {iy // stride} | ({(iy // stride + 1) % ny_a} if iy % stride else set())
+                cols = {ix // stride} | ({(ix // stride + 1) % nx_a} if ix % stride else set())
+                if all(empty[j, i] for j in rows for i in cols):
+                    expected.append(iy * grid.nx + ix)
+        np.testing.assert_array_equal(geometry.prior_columns, expected)
+        iy, ix = np.divmod(geometry.prior_columns, grid.nx)
+        assert np.any((iy % stride == 1) & (ix % stride == 1))  # a four-neighbour case
+
+        analysis = letkf.analyze(ensemble, observation, operator)
+        n_columns = grid.ny * grid.nx
+        keep = (geometry.prior_columns + np.arange(grid.nlev)[:, None] * n_columns).ravel()
+        np.testing.assert_array_equal(analysis[:, keep], ensemble[:, keep])
+        changed = np.setdiff1d(np.arange(grid.size), keep)
+        assert not np.any(np.all(analysis[:, changed] == ensemble[:, changed], axis=0))
 
 
 class TestGeometryCache:
