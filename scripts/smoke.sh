@@ -38,6 +38,10 @@
 #      The orchestrator polls the HTTP status frontend (GET /jobs)
 #      throughout the kill/restart; every response that lands must parse
 #      as strict JSON, and at least one poll must succeed.
+#      Afterwards a 4-job Lorenz-96 campaign plus one 32x32 SQG job on a
+#      2-worker pool must show, in the executor's placement ledger and the
+#      jobs' checkpoint rings, that cheap gathers moved into the parent and
+#      the ring was written less often than once a cycle.
 #   9. The tier-1 suite itself must pass; --durations=10 surfaces creeping
 #      slow tests.
 # Usage: scripts/smoke.sh [extra pytest args for step 9]
@@ -297,6 +301,50 @@ EOF
 
 echo "== smoke 8/9: experiment-service chaos soak (kill + restart + bit-identity + status polling) =="
 python scripts/chaos_soak.py
+python - <<'EOF'
+# What the service did with cheap work, read from its own ledgers (counts,
+# not timings): Lorenz-96 gathers placed in the parent once measured, a 32x32
+# SQG forecast measured on the pool, and the ring written less often than
+# once a cycle -- with nothing left behind.
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, "benchmarks/e2e")  # runners:sqg_letkf_job
+
+from repro.hpc.ensemble_parallel import EnsembleExecutor
+from repro.workflow import ExperimentService, ServiceConfig
+from repro.workflow.engine import CheckpointRing
+
+L96 = {"dim": 12, "n_cycles": 40, "ensemble_size": 8, "n_sde_steps": 6}
+shm_before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+with tempfile.TemporaryDirectory() as tmp, EnsembleExecutor(n_workers=2) as pool:
+    config = ServiceConfig(max_running=2, poll_s=0.01)
+    with ExperimentService(Path(tmp) / "journal.json", executor=pool, config=config) as svc:
+        for i in range(4):
+            svc.submit(f"l96-{i}", "repro.workflow.scheduler:lorenz96_ensf_job",
+                       params=dict(L96, seed=100 + i))
+        svc.submit("sqg", "runners:sqg_letkf_job", params={"n": 32, "n_cycles": 3, "seed": 5})
+        states = svc.run_until_complete(timeout=300.0)
+        assert set(states.values()) == {"done"}, states
+        for i in range(4):
+            ring = CheckpointRing(svc.workdir / f"l96-{i}" / "engine.ckpt", config.keep_last)
+            cycles = [int(p.name.rsplit(".c", 1)[1]) for p in ring.paths()]
+            # every cycle written => the surviving members would be consecutive
+            assert cycles and cycles[-1] - cycles[0] > len(cycles) - 1, cycles
+        assert not list(Path(tmp).rglob("*.tmp"))
+    forecasts = {key[2][0]: seen for key, seen in pool.placements.items()
+                 if key[0] == "_forecast_chunk"}
+    l96, sqg = forecasts["Lorenz96"], forecasts["SQGModel"]
+    assert l96["in_process"] > l96["shipped"] >= 1, l96
+    assert sqg["shipped"] > 0, sqg
+    assert pool.active_leases == 0
+if os.path.isdir("/dev/shm"):
+    assert set(os.listdir("/dev/shm")) <= shm_before
+print(f"placement OK: Lorenz-96 {l96['in_process']} in-process / {l96['shipped']} shipped; "
+      f"SQG 32x32 {sqg['in_process']} / {sqg['shipped']}; ring amortised; nothing leaked")
+EOF
 
 echo "== smoke 9/9: tier-1 suite with --durations=10 =="
 exec python -m pytest -x -q --durations=10 "$@"

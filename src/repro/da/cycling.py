@@ -232,7 +232,8 @@ def run_osse(
         checkpoint on disk (walking past truncated files) and starts fresh
         when none exists.
     checkpoint_every, checkpoint_path:
-        Write a rolling engine checkpoint after every so-many cycles.
+        Write a rolling engine checkpoint after every so-many cycles (an
+        integer, or a :class:`~repro.workflow.engine.CheckpointCadence`).
     keep_last:
         Keep a rotating :class:`~repro.workflow.engine.CheckpointRing` of
         the ``k`` newest checkpoints instead of one self-replacing file.

@@ -63,6 +63,9 @@ def _guarded_call(fn, job, fault, parent_pid: int):
     array) before ``fn`` ever sees the job, so worker functions are
     transport-agnostic: they receive exactly the arrays a pickled payload
     would have delivered, whichever path shipped them.
+
+    Returns ``(result, seconds inside fn)`` — what the work-unit would have
+    cost in the parent (see :meth:`EnsembleExecutor._cheaper_in_process`).
     """
     if fault is not None:
         if fault.kind == "worker-crash":
@@ -71,7 +74,24 @@ def _guarded_call(fn, job, fault, parent_pid: int):
             raise FaultInjected("injected worker crash (serial in-process shard)")
         elif fault.kind == "task-hang":
             time.sleep(float(fault.payload.get("hang_s", 0.25)))
-    return fn(resolve_payloads(job))
+    job = resolve_payloads(job)
+    start = time.perf_counter()
+    result = fn(job)
+    return result, time.perf_counter() - start
+
+
+def _work_key(fn, jobs) -> tuple:
+    """Identity of a recurring gather: entry point, job count, and what the
+    first work-unit says about its cost (array shapes, step counts)."""
+
+    def describe(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.shape
+        if isinstance(obj, (tuple, list)):
+            return tuple(describe(v) for v in obj)
+        return int(obj) if isinstance(obj, (int, np.integer)) else type(obj).__name__
+
+    return (getattr(fn, "__qualname__", repr(fn)), len(jobs), describe(jobs[0]))
 
 
 def ensemble_slices(n_members: int, n_workers: int) -> list[slice]:
@@ -256,15 +276,27 @@ class EnsembleExecutor:
     workers and rebuild them there on first use, so shipping a model per
     chunk stays cheap.
 
+    **Placement.**  A gather's job list is always built the same way; only
+    *where* it runs is decided.  The first gather of a kind (entry point +
+    work-unit shapes) is shipped and its workers report their compute time;
+    from then on it runs in the parent, through the ``n_workers=1`` path,
+    whenever its jobs back to back would have beaten the shipped gather
+    (:meth:`_cheaper_in_process`; ledger in :attr:`placements`).  Serial,
+    in-process and pool runs of one job list are bit-identical, and a
+    fault-carrying attempt is always shipped, so neither results nor
+    fault-site numbering depend on placement.
+
     Parameters
     ----------
     n_workers:
         Number of worker processes; defaults to the CPU count (capped at 8 to
         stay friendly on shared machines).  ``1`` disables multiprocessing
-        and runs serially in-process, which is also the fallback whenever the
-        work is too small to amortise process start-up.
+        and runs serially in-process, which is also where a measured gather
+        runs once shipping it has been seen not to pay (see *Placement*).
     min_members_per_worker:
-        Below this many members per worker the executor runs serially.
+        Shapes the decomposition only: an ensemble is split into at most
+        ``n_members // min_members_per_worker`` chunks.  Whether the chunks
+        are worth shipping is measured, not inferred from this number.
     reuse_pool:
         Keep the worker pool alive between calls (default).  ``False``
         restores the tear-down-per-call behaviour.  Use :meth:`close` (or the
@@ -362,6 +394,9 @@ class EnsembleExecutor:
         self._arena_lock = threading.Lock()
         self._arenas: set[SharedPayloadArena] = set()
         self._active_leases = 0
+        # Work key -> what its shipped gathers cost (see _cheaper_in_process).
+        self._placement_lock = threading.Lock()
+        self._placements: dict[tuple, dict] = {}
 
     # ------------------------------------------------------------------ #
     def _effective_workers(self, n_members: int) -> int:
@@ -418,14 +453,14 @@ class EnsembleExecutor:
         failed, error = [], None
         for idx in pending:
             try:
-                results[idx] = _guarded_call(fn, jobs[idx], faults.get(idx), os.getpid())
+                results[idx], _ = _guarded_call(fn, jobs[idx], faults.get(idx), os.getpid())
             except _RETRYABLE as exc:
                 failed.append(idx)
                 error = exc
         return failed, error
 
     def _attempt_pool(
-        self, fn, jobs, results, pending, faults, workers, fault_log,
+        self, fn, jobs, results, seconds, pending, faults, workers, fault_log,
         max_slots=None, on_success=None,
     ):
         """One pool attempt over ``pending``, in-flight capped by ``max_slots``.
@@ -444,7 +479,8 @@ class EnsembleExecutor:
         ``task_deadline_s`` bounds the whole attempt; if it expires with
         shards still running they are treated as hung exactly as before.
         ``on_success`` fires per completed shard (the gather uses it to
-        release that shard's shared-memory payloads early).
+        release that shard's shared-memory payloads early); ``seconds``
+        receives each completed shard's compute time.
         """
         pool = self._acquire_pool(workers)
         parent_pid = os.getpid()
@@ -514,7 +550,7 @@ class EnsembleExecutor:
                     slots.release(token)
                     exc = fut.exception()
                     if exc is None:
-                        results[idx] = fut.result()
+                        results[idx], seconds[idx] = fut.result()
                         if on_success is not None:
                             on_success(idx)
                     elif isinstance(exc, _RETRYABLE):
@@ -553,6 +589,41 @@ class EnsembleExecutor:
         with self._backoff_lock:
             jitter = float(self._backoff_rng.uniform(0.5, 1.5))
         return self.retry_backoff_s * (2 ** (attempt - 1)) * jitter
+
+    # ------------------------------------------------------------------ #
+    # Placement: ship a gather to the pool, or run it here
+    def _cheaper_in_process(self, key: tuple, lanes: int) -> bool:
+        """Would running this gather's jobs back to back here beat shipping it?
+
+        With ``c`` the summed worker-side compute and ``o`` the dispatch
+        overhead of its shipped runs (smallest seen, so contention inflates
+        neither), shipping over ``lanes`` slots costs about ``c / lanes + o``
+        and running here ``c``.  Unknown work is shipped: that measures it
+        without ever running big work in the parent.
+        """
+        with self._placement_lock:
+            seen = self._placements.get(key)
+            if seen is None or seen["compute_s"] is None:
+                return False
+            return seen["compute_s"] * (1.0 - 1.0 / lanes) <= seen["overhead_s"]
+
+    def _record_placement(self, key: tuple, where: str, measured=None) -> None:
+        with self._placement_lock:
+            seen = self._placements.setdefault(
+                key, {"shipped": 0, "in_process": 0, "compute_s": None, "overhead_s": None}
+            )
+            seen[where] += 1
+            if measured is not None:
+                for name, value in zip(("compute_s", "overhead_s"), measured):
+                    seen[name] = value if seen[name] is None else min(seen[name], value)
+
+    @property
+    def placements(self) -> dict[tuple, dict]:
+        """Per work key: attempts ``shipped`` / run ``in_process``, and the
+        ``compute_s`` / ``overhead_s`` measured on its shipped gathers (``None``
+        until one completed).  A copy; :meth:`close` clears the ledger."""
+        with self._placement_lock:
+            return {key: dict(seen) for key, seen in self._placements.items()}
 
     # ------------------------------------------------------------------ #
     # Shared-memory payload transport
@@ -635,7 +706,7 @@ class EnsembleExecutor:
         fault_plan: FaultPlan | None | str = "inherit",
         max_slots: int | None = None,
     ) -> list:
-        """Run ``jobs`` (serially or on the pool), retrying failed shards.
+        """Run ``jobs`` (here or on the pool), retrying failed shards.
 
         Results are returned in job order.  Failed shards are recomputed with
         jittered exponential backoff up to ``max_retries`` extra attempts;
@@ -658,15 +729,21 @@ class EnsembleExecutor:
         fault_log = self.fault_log if fault_log is None else fault_log
         if isinstance(fault_plan, str):
             fault_plan = self.fault_plan
+        # One worker leaves nothing to place (key None); otherwise the gather
+        # runs here once its shipped runs have shown that to be cheaper.
+        key = _work_key(fn, jobs) if workers > 1 else None
+        quota = max_slots.capacity if isinstance(max_slots, LeaseSlotScheduler) else max_slots
+        lanes = min(workers, quota) if quota else workers
+        here = key is None or self._cheaper_in_process(key, lanes)
         arena, shipped = None, jobs
         names_per_job: list[list[str]] | None = None
-        if workers > 1 and self.shm_payloads:
+        if not here and self.shm_payloads:
             try:
                 arena, shipped, names_per_job = self._prepare_payloads(jobs)
             except Exception:
                 arena, shipped, names_per_job = None, jobs, None  # pickle fallback
         if self.payload_stats:
-            self._record_payload_stats(jobs, shipped, arena, workers)
+            self._record_payload_stats(jobs, shipped, arena, 1 if here else workers)
         if arena is not None:
             with self._arena_lock:
                 self._arenas.add(arena)
@@ -678,17 +755,29 @@ class EnsembleExecutor:
 
         try:
             results: list = [None] * len(jobs)
+            seconds = [0.0] * len(jobs)
             pending = list(range(len(jobs)))
             attempt = 0
             while True:
                 faults = self._faults_for(pending, fault_plan)
-                if workers == 1:
+                # An injected worker fault always meets a worker, so the
+                # site numbering and the recovery ledger ignore placement.
+                where, measured = "in_process", None
+                if here and (key is None or not faults):
                     failed, error = self._attempt_serial(fn, jobs, results, pending, faults)
                 else:
+                    where, start = "shipped", time.perf_counter()
                     failed, error = self._attempt_pool(
-                        fn, shipped, results, pending, faults, workers, fault_log,
+                        fn, shipped, results, seconds, pending, faults, workers, fault_log,
                         max_slots=max_slots, on_success=on_success,
                     )
+                    wall = time.perf_counter() - start
+                    if not failed and len(pending) == len(jobs):
+                        compute = sum(seconds)
+                        ideal = max(compute / lanes, max(seconds))
+                        measured = (compute, max(0.0, wall - ideal))
+                if key is not None:
+                    self._record_placement(key, where, measured)
                 if not failed:
                     return results
                 attempt += 1
@@ -725,6 +814,7 @@ class EnsembleExecutor:
         masking the real failure a test is about to report.
         """
         self._close_pool()
+        self._placements = {}  # measured against the pool that just went away
         # Backstop for shm arenas whose gather never reached its finally
         # (a job thread killed mid-flight): unlink them now rather than
         # leaking /dev/shm segments for the interpreter's lifetime.  Pool
@@ -809,7 +899,8 @@ class EnsembleExecutor:
         The caller owns the decomposition; to guarantee worker-count
         invariance the job list must not depend on ``n_workers`` (the pool
         only changes *where* a job runs, never what it computes).  With one
-        job or one worker the jobs run serially in-process.  ``max_slots``
+        job, one worker or work measured too cheap to ship (class doc), the
+        jobs run serially in-process.  ``max_slots``
         (a lease quota) caps how many jobs run concurrently without touching
         the job list, so quota changes cannot change results.
         """

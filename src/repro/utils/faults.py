@@ -40,11 +40,17 @@ Injection sites
     (default), ``"inf"`` or ``"gross"``; ``payload["fraction"]`` the
     fraction of components corrupted (default 1.0).
 ``"checkpoint"``
-    Visited once per engine checkpoint write.  Kind
-    ``"checkpoint-truncate"``: the just-written file is truncated to
-    ``payload["keep"]`` of its bytes (default 0.5), simulating a crash the
-    atomic-write path cannot see (e.g. torn storage) — the checksum
-    verification and ``resume="auto"`` fallback must recover.
+    Visited once per *due* engine checkpoint boundary (every
+    ``checkpoint_every``-th completed cycle; a preemption's forced write
+    does not count).  With an integer cadence that is every periodic
+    write; a :class:`~repro.workflow.engine.CheckpointCadence` may skip a
+    due write but still visits, and always writes a boundary an event
+    targets, so occurrences never depend on host speed.  Kind
+    ``"checkpoint-truncate"``:
+    the just-written file is truncated to ``payload["keep"]`` of its bytes
+    (default 0.5), simulating a crash the atomic-write path cannot see
+    (e.g. torn storage) — the checksum verification and ``resume="auto"``
+    fallback must recover.
 ``"scheduler"``
     Visited once per :class:`~repro.workflow.scheduler.ExperimentService`
     journal write (every job lifecycle transition — submission, launch,

@@ -32,6 +32,7 @@ _EXPORTS = {
     "EngineCheckpoint": "repro.workflow.engine",
     "CheckpointCorruptError": "repro.workflow.engine",
     "CheckpointRing": "repro.workflow.engine",
+    "CheckpointCadence": "repro.workflow.engine",
     "DivergencePolicy": "repro.workflow.engine",
     "EnsembleDivergenceError": "repro.workflow.engine",
     "TruthStage": "repro.workflow.engine",

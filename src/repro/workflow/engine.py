@@ -66,6 +66,7 @@ __all__ = [
     "EngineCheckpoint",
     "CheckpointCorruptError",
     "CheckpointRing",
+    "CheckpointCadence",
     "EnginePreempted",
     "DivergencePolicy",
     "EnsembleDivergenceError",
@@ -102,9 +103,9 @@ def _load_rng_state(rng, state: dict | None) -> None:
     rng.bit_generator.state = copy.deepcopy(state)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CycleRecord:
-    """Diagnostics of one completed cycle.
+    """Diagnostics of one completed cycle (immutable: checkpoints share them).
 
     Degraded-mode flags: ``qc_rejected`` counts observation events this
     cycle's QC stage refused to assimilate, ``deadline_skipped`` marks a
@@ -225,8 +226,9 @@ class EngineCheckpoint:
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        except BaseException:
+            tmp.unlink(missing_ok=True)  # the replace did not happen
+            raise
 
     @classmethod
     def load(cls, path) -> "EngineCheckpoint":
@@ -329,6 +331,42 @@ class CheckpointRing:
                         "checkpoint", "checkpoint-fallback", f"skipping {path.name}: {exc}"
                     )
         return None
+
+
+# A due checkpoint is written once this many write-times have passed since
+# the previous write, which bounds checkpointing at ~1/10 of a run's wall time.
+_WRITE_COST_MULTIPLE = 10.0
+
+
+class CheckpointCadence:
+    """Checkpoint every ``every`` cycles, but never faster than writes can pay off.
+
+    Passed as ``CycleEngine.run(checkpoint_every=...)`` in place of the
+    integer: a boundary is *due* every ``every`` completed cycles, and is
+    written once the time since the previous write ended is at least
+    ``_WRITE_COST_MULTIPLE`` times what that write took.  Cycles that dwarf
+    the write are written at every due boundary, as with the integer;
+    millisecond cycles spend ~10 % of their time writing and a crash loses
+    about ten write-times of work plus one cycle — never a result, since
+    resuming from any checkpoint is bit-identical.
+    """
+
+    def __init__(self, every: int = 1, clock=time.perf_counter) -> None:
+        self.every = int(every)  # validated by CycleEngine.run, like the integer
+        self.clock = clock
+        self._write_ended: float | None = None
+        self._write_cost = 0.0
+
+    def worth_writing(self) -> bool:
+        """Has enough time passed since the previous write (or was there none)?"""
+        if self._write_ended is None:
+            return True
+        return self.clock() - self._write_ended >= _WRITE_COST_MULTIPLE * self._write_cost
+
+    def written(self, started: float) -> None:
+        """Record a write that began at ``started`` (on ``clock``) and just ended."""
+        self._write_ended = self.clock()
+        self._write_cost = self._write_ended - started
 
 
 class EnsembleDivergenceError(RuntimeError):
@@ -733,7 +771,7 @@ class CycleEngine:
             next_cycle=self._next_cycle,
             truth=np.array(self._truth),
             state=np.array(as_host_array(self._state)),
-            records=copy.deepcopy(self._records),
+            records=list(self._records),  # append-only, frozen records
             history=None if self._history is None else [h.copy() for h in self._history],
             stage_state={name: stage.state_dict() for name, stage in self._stages().items()},
             fingerprint=self._fingerprint(),
@@ -811,7 +849,7 @@ class CycleEngine:
         n_cycles: int | None = None,
         *,
         resume: EngineCheckpoint | str | Path | None = None,
-        checkpoint_every: int | None = None,
+        checkpoint_every: "int | CheckpointCadence | None" = None,
         checkpoint_path=None,
         keep_last: int | None = None,
         preempt=None,
@@ -830,7 +868,8 @@ class CycleEngine:
         file by default, or — with ``keep_last=k`` — to a
         :class:`CheckpointRing` of the ``k`` newest ``<path>.c<NNNNNN>``
         files (which is what makes ``resume="auto"`` and the ``"reset"``
-        divergence policy robust to a torn latest checkpoint).
+        divergence policy robust to a torn latest checkpoint).  A
+        :class:`CheckpointCadence` skips due writes that cannot pay off.
 
         ``preempt`` is an optional zero-argument callable polled once per
         **cycle boundary** (after the cycle's bookkeeping and ``on_cycle``
@@ -845,6 +884,9 @@ class CycleEngine:
             raise ValueError("preempt needs checkpoint_every/checkpoint_path")
         if n_cycles is None or n_cycles < 1:
             raise ValueError("n_cycles must be positive")
+        cadence = checkpoint_every if isinstance(checkpoint_every, CheckpointCadence) else None
+        if cadence is not None:
+            checkpoint_every = cadence.every
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
         if (checkpoint_every is None) != (checkpoint_path is None):
@@ -973,12 +1015,17 @@ class CycleEngine:
             self._next_cycle = cycle + 1
             wrote_checkpoint = False
             if checkpoint_every is not None and (cycle + 1 - start) % checkpoint_every == 0:
-                ckpt = self.checkpoint()
-                written = ring.save(ckpt) if ring is not None else Path(checkpoint_path)
-                if ring is None:
-                    ckpt.save(written)
-                self._maybe_corrupt_checkpoint(written, cycle)
-                wrote_checkpoint = True
+                # One "checkpoint" site visit per *due* boundary, and a
+                # boundary a truncation targets is always written, so fault
+                # plans hit the same cycle however fast the host is.
+                truncations = self._checkpoint_faults()
+                if cadence is None or truncations or cadence.worth_writing():
+                    started = None if cadence is None else cadence.clock()
+                    written = self._write_checkpoint(checkpoint_path, ring)
+                    if cadence is not None:
+                        cadence.written(started)
+                    self._truncate_checkpoint(written, cycle, truncations)
+                    wrote_checkpoint = True
             if self.on_cycle is not None and cycle > reported_high:
                 reported_high = cycle
                 self.on_cycle(record)
@@ -988,10 +1035,7 @@ class CycleEngine:
                     # site: preemption is scheduling, and shifting the site's
                     # occurrence counter would make fault plans fire at
                     # different cycles depending on when jobs were preempted.
-                    ckpt = self.checkpoint()
-                    written = ring.save(ckpt) if ring is not None else Path(checkpoint_path)
-                    if ring is None:
-                        ckpt.save(written)
+                    self._write_checkpoint(checkpoint_path, ring)
                 raise EnginePreempted(cycle + 1)
 
         stats_final = self.forecast_stage.statistics(self._state)
@@ -1059,13 +1103,21 @@ class CycleEngine:
             return stats, "reset"
         raise EnsembleDivergenceError(f"cycle {cycle}: {reason}")
 
-    def _maybe_corrupt_checkpoint(self, path: Path, cycle: int) -> None:
-        """Fire any injected ``"checkpoint"``-site faults on the file just written."""
-        if self.fault_plan is None:
-            return
-        for event in self.fault_plan.visit("checkpoint"):
-            if event.kind != "checkpoint-truncate":
-                continue
+    def _write_checkpoint(self, checkpoint_path, ring: "CheckpointRing | None") -> Path:
+        ckpt = self.checkpoint()
+        if ring is not None:
+            return ring.save(ckpt)
+        ckpt.save(checkpoint_path)
+        return Path(checkpoint_path)
+
+    def _checkpoint_faults(self) -> list:
+        """Visit the ``"checkpoint"`` site; the truncations injected at this boundary."""
+        events = () if self.fault_plan is None else self.fault_plan.visit("checkpoint")
+        return [event for event in events if event.kind == "checkpoint-truncate"]
+
+    def _truncate_checkpoint(self, path: Path, cycle: int, truncations: list) -> None:
+        """Apply injected truncations to the file just written."""
+        for event in truncations:
             keep = float(event.payload.get("keep", 0.5))
             size = path.stat().st_size
             with open(path, "r+b") as fh:

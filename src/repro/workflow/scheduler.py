@@ -78,7 +78,7 @@ import numpy as np
 
 from repro.hpc.ensemble_parallel import EnsembleExecutor
 from repro.utils.faults import FaultInjected, FaultLog, FaultPlan
-from repro.workflow.engine import EnginePreempted
+from repro.workflow.engine import CheckpointCadence, EnginePreempted
 
 __all__ = [
     "JOB_STATES",
@@ -106,10 +106,16 @@ class ServiceConfig:
     ``max_attempts`` is the per-job crash budget (a preemption is not a
     crash and never consumes it).  ``checkpoint_every``/``keep_last``
     configure each job's checkpoint ring, which is what makes preemption
-    and crash recovery bit-identical.  ``fair_share`` re-arbitrates
-    per-job pool-slot quotas (equal across tenants, weighted by
-    ``weight``/priority within one) every time the running set changes;
-    when off, every lease runs unconstrained as before.
+    and crash recovery bit-identical: a checkpoint is *due* every
+    ``checkpoint_every`` cycles and written unless the previous write
+    ended less than ten write-times ago
+    (:class:`~repro.workflow.engine.CheckpointCadence`) — millisecond
+    cycles spend ~10 % of their time checkpointing and a crash recomputes
+    about ten write-times of them; long cycles are written at every due
+    boundary, a preempted job always at its last completed cycle.
+    ``fair_share`` re-arbitrates per-job pool-slot quotas (equal across
+    tenants, weighted by ``weight``/priority within one) every time the
+    running set changes; when off, every lease runs unconstrained as before.
     """
 
     max_running: int = 2
@@ -381,9 +387,15 @@ class JobContext:
         return record.preempt_event.is_set()
 
     def engine_kwargs(self) -> dict:
+        """Engine keywords wiring a run to this job's ring and preempt hook.
+
+        ``checkpoint_every`` is a fresh
+        :class:`~repro.workflow.engine.CheckpointCadence`, so millisecond
+        cycles are not each followed by an fsynced checkpoint.
+        """
         return {
             "resume": "auto",
-            "checkpoint_every": self.checkpoint_every,
+            "checkpoint_every": CheckpointCadence(self.checkpoint_every),
             "checkpoint_path": self.checkpoint_path,
             "keep_last": self.keep_last,
             "preempt": self.should_preempt,

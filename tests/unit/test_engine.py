@@ -18,6 +18,9 @@ Three layers of coverage for :mod:`repro.workflow.engine`:
   observations.
 """
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -37,7 +40,14 @@ from repro.models.lorenz96 import Lorenz96
 from repro.models.model_error import StochasticModelErrorMixture
 from repro.utils.grid import Grid2D
 from repro.utils.random import SeedSequenceFactory
-from repro.workflow.engine import EngineCheckpoint
+from repro.utils.faults import FaultInjected, FaultPlan
+from repro.workflow.engine import (
+    CheckpointCadence,
+    CheckpointRing,
+    CycleRecord,
+    EngineCheckpoint,
+    EnginePreempted,
+)
 from repro.workflow.realtime import RealTimeDAWorkflow
 
 DIM = 40
@@ -471,6 +481,202 @@ class TestCheckpointRestart:
             engine.run(truth0, truth0, 3, checkpoint_every=2)  # path missing
         with pytest.raises(ValueError):
             engine.checkpoint()  # nothing ran yet
+
+
+# --------------------------------------------------------------------------- #
+# Checkpoint cadence policy
+# --------------------------------------------------------------------------- #
+
+
+class _Clock:
+    """A clock the test moves by hand."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def _ticking_clock():
+    """Every reading is one later than the last: a write costs 1, and ten
+    more boundaries pass before the next one is worth it."""
+    return itertools.count().__next__
+
+
+def _ring_cycles(base) -> list[int]:
+    return [int(p.name.rsplit(".c", 1)[1]) for p in CheckpointRing(base).paths()]
+
+
+class TestCheckpointCadence:
+    CONFIG = OSSEConfig(n_cycles=40, steps_per_cycle=2, ensemble_size=8, seed=4)
+
+    def _boundaries_written(self, cycle_s: float, write_s: float, n: int) -> list[int]:
+        clock = _Clock()
+        cadence = CheckpointCadence(1, clock=clock)
+        written = []
+        for boundary in range(1, n + 1):
+            clock.now += cycle_s
+            if cadence.worth_writing():
+                started = clock()
+                clock.now += write_s
+                cadence.written(started)
+                written.append(boundary)
+        return written
+
+    def test_fast_cycles_are_written_once_per_ten_write_costs(self):
+        # 1-unit cycles, 2-unit writes: the first boundary, then the first
+        # boundary at least 20 units after each write ended.
+        assert self._boundaries_written(1.0, 2.0, 60) == [1, 21, 41]
+
+    def test_slow_cycles_are_written_at_every_boundary(self):
+        assert self._boundaries_written(25.0, 2.0, 6) == [1, 2, 3, 4, 5, 6]
+
+    def _run(self, testbed, **kwargs):
+        model, truth0, operator = testbed
+        return run_osse(
+            model, model, _ensf(rng=SeedSequenceFactory(4).rng("filter")), operator,
+            truth0, self.CONFIG, **kwargs,
+        )
+
+    def test_engine_skips_due_writes_that_cannot_pay_off(self, testbed, tmp_path):
+        base = tmp_path / "engine.ckpt"
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            self._run(testbed, checkpoint_every=CheckpointCadence(0), checkpoint_path=base)
+        self._run(
+            testbed, checkpoint_every=CheckpointCadence(1, clock=_ticking_clock()),
+            checkpoint_path=base, keep_last=40,
+        )
+        assert _ring_cycles(base) == [1, 11, 21, 31]
+
+    def test_every_three_only_considers_multiples_of_three(self, testbed, tmp_path):
+        base = tmp_path / "engine.ckpt"
+        self._run(
+            testbed, checkpoint_every=CheckpointCadence(3, clock=_ticking_clock()),
+            checkpoint_path=base, keep_last=40,
+        )
+        # due at 3, 6, ...: one reading per due boundary, so ten of them apart
+        assert _ring_cycles(base) == [3, 33]
+        slow = tmp_path / "slow.ckpt"
+        self._run(
+            testbed, checkpoint_every=CheckpointCadence(3, clock=lambda: 0.0),
+            checkpoint_path=slow, keep_last=40,
+        )
+        assert _ring_cycles(slow) == list(range(3, 40, 3))  # free writes: all of them
+
+    def test_truncation_hits_the_same_boundary_under_integer_and_policy(
+        self, testbed, tmp_path
+    ):
+        """The "checkpoint" site is visited per *due* boundary and a targeted
+        boundary is always written, so a plan cannot depend on host speed."""
+        for name, every in (
+            ("integer", 1),
+            ("policy", CheckpointCadence(1, clock=_ticking_clock())),
+        ):
+            base = tmp_path / name / "engine.ckpt"
+            base.parent.mkdir()
+            result = self._run(
+                testbed, checkpoint_every=every, checkpoint_path=base, keep_last=40,
+                fault_plan=FaultPlan.from_spec("checkpoint-truncate@checkpoint:4"),
+            )
+            (action,) = [a for a in result.fault_log if a.action == "checkpoint-truncate"]
+            assert action.cycle == 4, name
+            with pytest.raises(ValueError):
+                EngineCheckpoint.load(CheckpointRing(base).path_for(5))
+        # the policy wrote cycle 5 only because the truncation targeted it
+        assert _ring_cycles(base) == [1, 5, 15, 25, 35]
+
+    def test_preempted_fast_run_checkpoints_its_last_cycle(self, testbed, tmp_path):
+        base = tmp_path / "engine.ckpt"
+        clean = self._run(testbed)
+        polls = itertools.count(1)
+        kwargs = dict(checkpoint_path=base, keep_last=3, resume="auto")
+        with pytest.raises(EnginePreempted) as excinfo:
+            self._run(
+                testbed, checkpoint_every=CheckpointCadence(1, clock=_ticking_clock()),
+                preempt=lambda: next(polls) == 7, **kwargs,
+            )
+        assert excinfo.value.next_cycle == 7
+        assert _ring_cycles(base) == [1, 7]  # the forced write, not a due one
+        resumed = self._run(
+            testbed, checkpoint_every=CheckpointCadence(1, clock=_ticking_clock()), **kwargs
+        )
+        _assert_identical(resumed, clean)
+
+    def test_checkpoint_shares_frozen_records(self, testbed, tmp_path):
+        record = CycleRecord(0, 1.0, 0.5, 0.2, True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.analysis_rmse = 0.0
+        path = tmp_path / "engine.ckpt"
+        self._run(testbed, checkpoint_every=25, checkpoint_path=path)
+        assert len(EngineCheckpoint.load(path).records) == 25  # a snapshot, not a view
+
+    def test_save_leaves_no_temporary_file(self, testbed, tmp_path, monkeypatch):
+        path = tmp_path / "engine.ckpt"
+        self._run(testbed, checkpoint_every=25, checkpoint_path=path)
+        assert [p.name for p in tmp_path.iterdir()] == ["engine.ckpt"]
+        ckpt = EngineCheckpoint.load(path)
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.workflow.engine.os.replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            ckpt.save(tmp_path / "other.ckpt")
+        assert [p.name for p in tmp_path.iterdir()] == ["engine.ckpt"]
+
+
+class TestPlacementCadenceDisturbanceMatrix:
+    """One result, however the gathers were placed, however often the ring
+    was written, and whatever interrupted the run."""
+
+    CONFIG = OSSEConfig(n_cycles=8, steps_per_cycle=2, ensemble_size=8, seed=11)
+
+    def _run(self, testbed, **kwargs):
+        model, truth0, operator = testbed
+        return run_osse(
+            model, model, _ensf(rng=SeedSequenceFactory(11).rng("filter")), operator,
+            truth0, self.CONFIG, **kwargs,
+        )
+
+    @pytest.mark.parametrize("disturbance", ["clean", "preempted", "crashed"])
+    @pytest.mark.parametrize("cadence", ["integer", "policy"])
+    @pytest.mark.parametrize("placement", ["shipped", "in-process", "flipped"])
+    def test_bit_identical(
+        self, testbed, pool, tmp_path, monkeypatch, placement, cadence, disturbance
+    ):
+        oracle = self._run(testbed)
+        calls = itertools.count()
+        here = {
+            "shipped": lambda self, key, lanes: False,
+            "in-process": lambda self, key, lanes: True,
+            "flipped": lambda self, key, lanes: next(calls) >= 5,
+        }[placement]
+        monkeypatch.setattr(EnsembleExecutor, "_cheaper_in_process", here)
+
+        def every():
+            return 2 if cadence == "integer" else CheckpointCadence(2, clock=_ticking_clock())
+
+        def crash():
+            raise FaultInjected("injected job crash")
+
+        polls = itertools.count(1)
+        hooks = {
+            "clean": (None, ()),
+            "preempted": (lambda: next(polls) == 5, EnginePreempted),
+            "crashed": (lambda: next(polls) == 5 and crash(), FaultInjected),
+        }
+        preempt, expected = hooks[disturbance]
+        kwargs = dict(
+            executor=pool, resume="auto", checkpoint_path=tmp_path / "engine.ckpt",
+            keep_last=3,
+        )
+        if preempt is not None:
+            with pytest.raises(expected):
+                self._run(testbed, checkpoint_every=every(), preempt=preempt, **kwargs)
+        result = self._run(testbed, checkpoint_every=every(), **kwargs)
+        _assert_identical(result, oracle)
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 # --------------------------------------------------------------------------- #

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import sys
 import threading
 import time
 
@@ -955,6 +956,159 @@ class TestLeaseQuotas:
         assert [r[::4] for r in results["late"]] == [
             (20 + i, float(20 + i) * 3.0 + 1.0) for i in range(2)
         ]
+
+
+def _pid_negative(job):
+    """``-job`` plus the pid that computed it (which placement ran it)."""
+    return os.getpid(), np.negative(job)
+
+
+def _raise_key_error(job):
+    raise KeyError("genuine job bug")
+
+
+class TestGatherPlacement:
+    """A gather is shipped until it has been measured, then runs wherever it
+    is cheaper — and which side ran it can never be read off the result."""
+
+    @staticmethod
+    def _force(monkeypatch, here: bool):
+        monkeypatch.setattr(
+            EnsembleExecutor, "_cheaper_in_process", lambda self, key, lanes: here
+        )
+
+    def _cases(self):
+        from repro.models.sqg import SQGModel, SQGParameters
+
+        l96 = Lorenz96(dim=12)
+        l96_ens = np.random.default_rng(0).normal(size=(8, 12)) + 8.0
+        sqg = SQGModel(SQGParameters(nx=16, ny=16))
+        sqg_ens = np.stack(
+            [sqg.flatten(sqg.random_initial_condition(rng=i)) for i in range(4)]
+        )
+        analysis = TestParallelAnalysis()
+        letkf, l_ens, l_obs, l_op = analysis._letkf_case()
+        filt, e_ens, e_obs, e_op = analysis._ensf_case()
+        blocks = [np.arange(5.0) + i for i in range(4)]
+        return {
+            "map_states-l96": lambda ex: ex.map_states(l96, l96_ens, n_steps=2),
+            "map_states-sqg": lambda ex: ex.map_states(sqg, sqg_ens, n_steps=2),
+            "map_blocks": lambda ex: np.stack(ex.map_blocks(np.negative, blocks)),
+            "map_blocks-letkf": lambda ex: letkf.analyze_parallel(
+                l_ens, l_obs, l_op, executor=ex
+            ),
+            "analyze_ensf": lambda ex: ex.analyze_ensf(filt, e_ens, e_obs, e_op, seed=9),
+        }
+
+    def test_results_identical_across_the_flip(self, monkeypatch):
+        for name, call in self._cases().items():
+            serial = call(EnsembleExecutor(n_workers=1))
+            with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as ex:
+                self._force(monkeypatch, False)
+                shipped = call(ex)  # unknown work is shipped: that measures it
+                (seen,) = ex.placements.values()
+                assert (seen["shipped"], seen["in_process"]) == (1, 0), name
+                assert seen["compute_s"] > 0.0 and seen["overhead_s"] >= 0.0
+                self._force(monkeypatch, True)
+                flipped = call(ex)
+                (seen,) = ex.placements.values()
+                assert (seen["shipped"], seen["in_process"]) == (1, 1), name
+            np.testing.assert_array_equal(shipped, serial, err_msg=name)
+            np.testing.assert_array_equal(flipped, serial, err_msg=name)
+            assert ex.placements == {}  # close() forgets the dead pool's numbers
+
+    def test_cheap_work_moves_in_process_and_costly_work_keeps_shipping(self):
+        model = Lorenz96(dim=12)
+        ens = np.random.default_rng(1).normal(size=(8, 12)) + 8.0
+        naps = [(i, 0.1) for i in range(2)]
+        rounds = 6
+        with EnsembleExecutor(n_workers=2) as ex:
+            for _ in range(rounds):
+                ex.map_states(model, ens, n_steps=2)
+                pids = {r[1] for r in ex.map_blocks(_stamped_sleep, naps)}
+                assert os.getpid() not in pids
+            by_entry = {key[0]: seen for key, seen in ex.placements.items()}
+        cheap, costly = by_entry["_forecast_chunk"], by_entry["_stamped_sleep"]
+        # ~0.1 ms of forecast against a pipe round trip; 0.2 s of naps likewise.
+        assert cheap["shipped"] >= 1 and cheap["in_process"] >= 1
+        assert cheap["shipped"] + cheap["in_process"] == rounds
+        assert (costly["shipped"], costly["in_process"]) == (rounds, 0)
+        assert costly["compute_s"] >= 0.2
+
+    def test_single_slot_lease_ends_up_in_process(self):
+        """One lane buys no overlap, so once measured the work stays home;
+        costly work returns to the pool when the quota is raised again (the
+        queueing behind one slot was not booked as dispatch overhead)."""
+        jobs = [np.full(3, float(i)) for i in range(4)]
+        naps = [(i, 0.05) for i in range(2)]
+        with EnsembleExecutor(n_workers=2) as ex:
+            with ex.lease(job="narrow", max_workers=1) as lease:
+                runs = [lease.map_blocks(_pid_negative, jobs) for _ in range(3)]
+                here = [{pid for pid, _ in run} == {os.getpid()} for run in runs]
+                assert here == [False, True, True]
+                for run in runs:
+                    for (_, out), job in zip(run, jobs):
+                        np.testing.assert_array_equal(out, -job)
+                napped = [lease.map_blocks(_stamped_sleep, naps) for _ in range(2)]
+                lease.max_workers = 2
+                napped.append(lease.map_blocks(_stamped_sleep, naps))
+                here = [{r[1] for r in run} == {os.getpid()} for run in napped]
+                assert here == [False, True, False]
+
+    def test_faulted_attempt_is_always_shipped(self, monkeypatch):
+        self._force(monkeypatch, True)
+        jobs = [np.arange(4.0) + i for i in range(3)]
+        with EnsembleExecutor(n_workers=2, retry_backoff_s=0.0, fault_plan=FaultPlan()) as ex:
+            lease = ex.lease(
+                job="chaos", fault_plan=FaultPlan.from_spec("worker-crash@executor:1")
+            )
+            clean = lease.map_blocks(np.negative, jobs)
+            healed = lease.map_blocks(np.negative, jobs)
+            (seen,) = ex.placements.values()
+            # gather 0 here; gather 1's faulted attempt on the pool, its retry here
+            assert (seen["shipped"], seen["in_process"]) == (1, 2)
+            assert lease.fault_log.count(action="pool-rebuild") == 1
+            assert lease.fault_log.count(action="retry") == 1
+        for a, b in zip(healed, clean):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("here", [False, True], ids=["shipped", "in-process"])
+    def test_job_function_errors_propagate_unwrapped(self, monkeypatch, here):
+        self._force(monkeypatch, here)
+        with EnsembleExecutor(n_workers=2, fault_plan=FaultPlan()) as ex:
+            with pytest.raises(KeyError, match="genuine job bug"):
+                ex.map_blocks(_raise_key_error, [0, 1])
+            assert len(ex.fault_log) == 0
+
+    def test_concurrent_gathers_keep_the_ledger_consistent(self):
+        """Threads sharing one executor: no placement count may be lost."""
+        model = Lorenz96(dim=12)
+        ens = np.random.default_rng(2).normal(size=(8, 12)) + 8.0
+        expected = model.forecast(ens, n_steps=1)
+        n_threads, n_gathers = 6, 25
+        failures = []
+
+        def work(lease):
+            for _ in range(n_gathers):
+                if not np.array_equal(lease.map_states(model, ens, n_steps=1), expected):
+                    failures.append(lease.job)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with EnsembleExecutor(n_workers=2) as ex:
+                leases = [ex.lease(job=f"t{i}") for i in range(n_threads)]
+                threads = [threading.Thread(target=work, args=(lease,)) for lease in leases]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                (seen,) = ex.placements.values()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+        assert seen["shipped"] + seen["in_process"] == n_threads * n_gathers
 
 
 class TestSharedMemoryPayloads:

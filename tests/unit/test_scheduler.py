@@ -557,6 +557,65 @@ class TestFairShare:
 # --------------------------------------------------------------------------- #
 
 
+class TestCheapJobs:
+    """Millisecond-cycle jobs on a pool: gathers placed in the parent, the
+    ring written far less often than once a cycle — results untouched."""
+
+    PARAMS = dict(LONG, n_cycles=120, ensemble_size=8)  # two 4-member chunks
+
+    @staticmethod
+    def _ring_cycles(svc, name) -> list:
+        from repro.workflow.engine import CheckpointRing
+
+        paths = CheckpointRing(svc.workdir / name / "engine.ckpt").paths()
+        return [int(p.name.rsplit(".c", 1)[1]) for p in paths]
+
+    def _assert_amortised_and_clean(self, svc, pool, name):
+        cycles = self._ring_cycles(svc, name)
+        # keep_last members spanning more cycles than members: writes were skipped
+        assert cycles and cycles[-1] - cycles[0] > len(cycles) - 1
+        assert not list(svc.workdir.rglob("*.tmp"))
+        assert pool.active_leases == 0
+        (forecast,) = [v for k, v in pool.placements.items() if k[0] == "_forecast_chunk"]
+        assert forecast["in_process"] > forecast["shipped"] >= 1
+
+    def test_crashed_mid_run_resumes_from_an_older_checkpoint(self, tmp_path):
+        params = dict(self.PARAMS, seed=21)
+        # visit #0 submit, #1 launch, #2 the bystander's submission: the crash
+        # is armed while the victim is cycling and fires at its next boundary
+        plan = FaultPlan.from_spec("job-crash@scheduler:2,job=victim")
+        with EnsembleExecutor(n_workers=2) as pool:
+            with _service(tmp_path, executor=pool, fault_plan=plan) as svc:
+                svc.start()
+                svc.submit("victim", RUNNER, params=params)
+                _wait_for_state(svc, "victim", "running")
+                svc.submit("bystander", RUNNER, params=dict(SHORT, seed=22))
+                states = svc.run_until_complete(timeout=180.0)
+            self._assert_amortised_and_clean(svc, pool, "victim")
+        assert states == {"victim": "done", "bystander": "done"}
+        log = svc.job_fault_log("victim").summary()
+        assert log.get("job-crash") == 1 and log.get("job-retry") == 1
+        assert svc.result("victim")["analysis_rmse"] == _clean_rmse(params)
+
+    def test_preempted_resumes_from_its_last_completed_cycle(self, tmp_path):
+        params = dict(self.PARAMS, seed=23)
+        config = ServiceConfig(max_running=1, retry_backoff_s=0.01, poll_s=0.01)
+        with EnsembleExecutor(n_workers=2) as pool:
+            with _service(tmp_path, executor=pool, config=config) as svc:
+                svc.start()
+                svc.submit("low", RUNNER, params=params, priority=0)
+                _wait_for_state(svc, "low", "running")
+                svc.submit("high", RUNNER, params=dict(SHORT, seed=24), priority=10)
+                states = svc.run_until_complete(timeout=180.0)
+            self._assert_amortised_and_clean(svc, pool, "low")
+        assert states == {"low": "done", "high": "done"}
+        log = svc.job_fault_log("low")
+        assert log.count(action="preempt") >= 1
+        # the forced checkpoint was there and intact: nothing to fall back past
+        assert log.count(action="checkpoint-fallback") == 0
+        assert svc.result("low")["analysis_rmse"] == _clean_rmse(params)
+
+
 class TestSignalChaining:
     def test_sigterm_handler_chains_to_previous(self, tmp_path):
         seen = []
