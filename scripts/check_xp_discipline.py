@@ -19,6 +19,8 @@ set: the documented host-side constructors, diagnostics and staging helpers
 that legitimately operate on host arrays (setup constants, observation
 prep, plotting-style summaries).  New functions are therefore checked by
 default; declaring one host-side is a reviewed decision, not an accident.
+The functions named in ``KERNELS`` (the SQG forecast kernel) must exist and
+may never be declared host-side.
 
 Layout/bookkeeping calls (``np.asarray``, ``np.ascontiguousarray``,
 ``np.array``, ``np.concatenate`` at the pickle/staging boundary, index
@@ -108,6 +110,20 @@ HOST_SIDE: dict[str, set[str]] = {
 }
 
 
+# module path -> kernel functions that must exist and stay deny-checked: a
+# rename, or a host-side exemption, of one of these fails the check instead
+# of silently dropping the hot path out of it.
+KERNELS: dict[str, set[str]] = {
+    "src/repro/models/sqg.py": {
+        "_SplitSpectrum.__init__",
+        "_ChunkWorkspace.__init__",
+        "SQGModel._tendency",
+        "SQGModel._rk4_step",
+        "SQGModel._advance",
+    },
+}
+
+
 def _numpy_aliases(tree: ast.Module) -> set[str]:
     """Names the module binds to numpy (``import numpy as np`` → {"np"})."""
     aliases = set()
@@ -125,6 +141,7 @@ class _Checker(ast.NodeVisitor):
         self.aliases = aliases
         self.host_side = host_side
         self.scope: list[str] = []
+        self.seen: set[str] = set()
         self.violations: list[tuple[int, str, str]] = []
 
     def _qualname(self) -> str:
@@ -137,6 +154,7 @@ class _Checker(ast.NodeVisitor):
 
     def _visit_func(self, node) -> None:
         self.scope.append(node.name)
+        self.seen.add(self._qualname())
         self.generic_visit(node)
         self.scope.pop()
 
@@ -168,7 +186,14 @@ def check_module(rel_path: str) -> list[str]:
     tree = ast.parse(source, filename=rel_path)
     checker = _Checker(rel_path, _numpy_aliases(tree), HOST_SIDE.get(rel_path, set()))
     checker.visit(tree)
+    kernels = KERNELS.get(rel_path, set())
     return [
+        f"{rel_path}: kernel function {qual!r} is declared host-side"
+        for qual in sorted(kernels & checker.host_side)
+    ] + [
+        f"{rel_path}: kernel function {qual!r} is missing"
+        for qual in sorted(kernels - checker.seen)
+    ] + [
         f"{rel_path}:{lineno}: {call} inside kernel function {qual!r} "
         "(route through the xp backend, or declare the function host-side "
         "in scripts/check_xp_discipline.py)"
@@ -182,7 +207,7 @@ def main() -> int:
         problems.extend(check_module(rel_path))
     if problems:
         print("\n".join(problems))
-        print(f"\nxp discipline FAILED: {len(problems)} bare numpy compute call(s)")
+        print(f"\nxp discipline FAILED: {len(problems)} problem(s)")
         return 1
     print(f"xp discipline OK ({len(HOST_SIDE)} kernel modules scanned)")
     return 0

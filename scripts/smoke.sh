@@ -13,7 +13,10 @@
 #   3. The backend-parametrized kernel-equivalence suite must pass with the
 #      array backend forced to ``mock-device`` via the environment variable
 #      (proving both the env-var precedence path and the transfer-metered
-#      dispatch layer without hardware).
+#      dispatch layer without hardware).  It includes the SQG step's
+#      oracle-equivalence test (test_forecast_kernels.py::TestAgainstHeadOracle),
+#      so the chunked kernel's real-view arithmetic runs under the transfer
+#      meters and must equal the previous step bit for bit with zero transfers.
 #   4. The routed kernel modules (sqg, letkf, ensf, score, sde) must pass
 #      the static xp-discipline check: no bare numpy compute calls outside
 #      the documented host-side functions, so device residency cannot rot
@@ -148,9 +151,11 @@ SPECS = {
     ),
     "BENCH_forecast.json": dict(
         required=["benchmark", "created_unix", "sections", "fft_backend",
-                  "forecast_step", "forecast_step_cases", "engine_overhead",
-                  "retry_overhead", "osse_128", "residency", "speedup_note"],
-        notes=[("speedup_note",), ("engine_overhead", "note"),
+                  "forecast_step", "forecast_step_cases", "forecast_chunk_curve",
+                  "engine_overhead", "retry_overhead", "osse_128", "residency",
+                  "speedup_note"],
+        notes=[("speedup_note",), ("forecast_chunk_curve", "note"),
+               ("engine_overhead", "note"),
                ("retry_overhead", "note"), ("residency", "note")],
     ),
 }
@@ -168,6 +173,10 @@ for path, spec in SPECS.items():
             raise SystemExit(f"{path}: speedup note at {'/'.join(keypath)} is empty")
     if "array_backend" in payload and not str(payload["array_backend"]).strip():
         raise SystemExit(f"{path}: array_backend recorded but empty")
+    for row in payload.get("forecast_chunk_curve", {}).get("rows", []):
+        marked = [c["chunk"] for c in row["candidates"] if c["derived"]]
+        if marked != [row["derived_chunk"]] or not payload["forecast_chunk_curve"]["host"]:
+            raise SystemExit(f"{path}: chunk curve at {row['grid']} lacks its derived chunk or host")
 print("BENCH schema OK")
 EOF
 

@@ -29,8 +29,15 @@ column-direction transform work.  Combined derivative-plus-dealias
 multipliers (:attr:`ikx_dealias`, :attr:`ily_dealias`) fold
 ``truncate``-then-``ddx`` into one multiply; because the mask entries are
 exactly 0 or 1, ``(i·k·mask)·θ̂`` is bit-identical to ``i·k·(mask·θ̂)``.
-These are the building blocks of the fused SQG tendency kernel
-(:meth:`repro.models.sqg.SQGModel.step_spectral`).
+These are the building blocks of the SQG tendency
+(:class:`repro.models.sqg.SQGModel`), whose trajectory loop keeps each state
+*split* into its ``kx_keep`` retained columns and its dead columns from the
+first step to the last: the retained-mode transforms read and write the
+retained block directly (no per-call column copy), and the dead block only
+sees the linear terms.  The loop advances a cache-sized chunk of members
+through all steps at a time; the chunk rule and the sweep it comes from are
+documented on ``SQGModel`` and in ``BENCH_forecast.json``
+(``forecast_chunk_curve``).
 """
 
 from __future__ import annotations

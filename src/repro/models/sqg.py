@@ -49,30 +49,61 @@ from repro.utils.xp import resolve_backend as resolve_array_backend
 __all__ = ["SQGParameters", "SQGModel", "spinup_sqg"]
 
 
-class _ForecastWorkspace:
-    """Persistent buffers for the fused tendency/RK4 kernel.
+# What one forecast call may keep hot.  ``SQGModel._advance`` walks an
+# ensemble in chunks of ``_WORKSPACE_BYTES // _member_bytes(...)`` members;
+# the value is read off the ``forecast_chunk_curve`` sweep recorded in
+# BENCH_forecast.json (flat optimum on every grid) — a constant, not a knob.
+_WORKSPACE_BYTES = 4 * 2**20
 
-    One workspace exists per leading (batch) shape; it is reused across RK4
-    stages, time steps and OSSE cycles, so the fused path performs no
-    per-stage allocations for its spectral intermediates.  (The FFT output
-    arrays are still allocated by the backend — numpy/scipy expose no ``out=``
-    for transforms.)
+
+def _member_bytes(ny: int, nkx: int, keep: int) -> int:
+    """Bytes one member keeps hot: its share of a :class:`_ChunkWorkspace`
+    plus one tendency's transform outputs (ifft, irfft, rfft, fft)."""
+    spectral, retained, physical = 32 * ny * nkx, 32 * ny * keep, 32 * ny * (nkx - 1)
+    return (5 * spectral + 7 * retained) + (5 * retained + spectral + 4 * physical)
+
+
+class _SplitSpectrum:
+    """``chunk`` spectral states, each stored as its *retained* columns
+    ``(2, ny, kx_keep)`` followed by its *dead* columns ``(2, ny, nkx -
+    kx_keep)`` (the 2/3 rule keeps the nonlinear term out of those: they only
+    see relaxation, the RK4 combination and hyperdiffusion).  ``real`` is the
+    ``float64`` view of whole states — one pass per RK4 operation; ``ret`` /
+    ``ret_real`` are what the tendency reads and writes.
     """
 
-    def __init__(self, lead: tuple[int, ...], ny: int, nkx: int, keep: int, xp: ArrayBackend):
-        full = lead + (2, ny, nkx)
-        pruned = lead + (2, ny, keep)
-        level = lead + (ny, keep)
-        self.thp = xp.empty(pruned, dtype=complex)  # contiguous retained-state copy
-        self.thf = xp.empty(pruned, dtype=complex)  # buoyancy-scaled θ̂
-        self.psi = xp.empty(pruned, dtype=complex)
-        self.t1 = xp.empty(level, dtype=complex)
-        self.t2 = xp.empty(level, dtype=complex)
-        self.quad = xp.empty((4,) + pruned, dtype=complex)  # θ̂_x, θ̂_y, û, v̂
-        self.k = [xp.empty(full, dtype=complex) for _ in range(4)]
-        self.stage = xp.empty(full, dtype=complex)
-        self.acc = xp.empty(full, dtype=complex)
-        self.div = xp.empty(full, dtype=complex)
+    def __init__(self, chunk: int, ny: int, nkx: int, keep: int, xp: ArrayBackend):
+        buf = xp.empty((chunk, 2 * ny * nkx), dtype=complex)
+        n_ret = 2 * ny * keep
+        self.real = buf.view(float)
+        self.ret = buf[:, :n_ret].reshape((chunk, 2, ny, keep))
+        self.dead = buf[:, n_ret:].reshape((chunk, 2, ny, nkx - keep))
+        self.ret_real = self.ret.view(float)
+
+
+class _ChunkWorkspace:
+    """Buffers that carry one chunk of members through a whole trajectory:
+    five split spectra (state, two tendencies, RK4 stage and accumulator)
+    and the tendency's retained-column intermediates.  Buffers only — no
+    constants, no reference to the model, so the two never form a cycle.
+    The FFT outputs are still allocated by the backend: ``out=`` buffers for
+    the four transforms (numpy >= 2.0 has them) measured within ±2 %.
+    """
+
+    def __init__(self, chunk: int, ny: int, nkx: int, keep: int, xp: ArrayBackend):
+        self.cur, self.k_a, self.k_b, self.stage, self.acc = (
+            _SplitSpectrum(chunk, ny, nkx, keep, xp) for _ in range(5)
+        )
+        retained = (chunk, 2, ny, keep)
+        self.thf = xp.empty((chunk, 2, ny, 2 * keep))  # buoyancy-scaled θ̂, as (re, im)
+        self.t2 = xp.empty((chunk, 2, ny, 2 * keep))
+        self.psi = xp.empty(retained, dtype=complex)
+        self.psi_real = self.psi.view(float)
+        self.quad = xp.empty((4,) + retained, dtype=complex)  # θ̂_x, θ̂_y, û, v̂
+        # Whole-state scratch for the Ekman branch, in quad's memory (free
+        # once the inverse transform has run; 4·kx_keep >= nkx always).
+        self.drag = self.quad.reshape((chunk, -1))[:, : 2 * ny * nkx].view(float)
+        self.nbytes = 5 * self.cur.real.nbytes + 3 * self.psi.nbytes + self.quad.nbytes
 
 
 @dataclass(frozen=True)
@@ -146,15 +177,21 @@ class SQGModel:
     accepted by :meth:`forecast`, which is how the DA layer drives it.
     Internally states are ``(..., 2, ny, nx)`` physical fields.
 
-    :meth:`step_spectral` is the **fused kernel**: the four advection
-    fields ``θ̂_x, θ̂_y, û, v̂`` are built with precomputed combined
-    derivative×dealias multipliers on the retained spectral columns only
-    and inverse-transformed in one batched pruned FFT per tendency call;
-    products, relaxation and the RK4 combination run in-place on persistent
-    workspace buffers.  (The original step implementation served as the
-    bit-identity oracle through several releases of equivalence testing and
-    has been retired; ``_tendency_fused`` documents the floating-point
-    ordering contract it was certified against.)
+    Every trajectory (:meth:`step`, :meth:`forecast_device`, :meth:`run`,
+    :meth:`step_spectral`) is one call of the **member-chunked kernel**
+    ``_advance(spec, n_steps)``: a chunk of members is taken through *all*
+    its steps before the next chunk is touched, with each spectral state
+    held split into its retained and its dead (2/3-rule) columns for the
+    whole trajectory, so no tendency call copies or slices it.  Members are
+    independent, hence any partition is exact; the chunk is derived, never
+    configured — ``_WORKSPACE_BYTES // bytes-per-member`` clamped to
+    ``[1, n_members]``: 3 / 1 / 13 / all members at 64² / 128² / 32² / 16² —
+    so that the RK4 buffers, the retained-column intermediates and one
+    tendency's transform outputs stay cache-resident
+    (``forecast_chunk_curve`` in ``BENCH_forecast.json`` is the sweep the
+    constant comes from).  ``_tendency`` documents the floating-point
+    ordering contract; ``tests/reference/sqg_step_head.py`` is the oracle
+    it is certified against.
 
     Parameters
     ----------
@@ -217,25 +254,38 @@ class SQGModel:
             p.dt, p.hyperdiff_efold, p.hyperdiff_order
         )
 
-        # --- fused-kernel constants (hoisted out of the tendency loop) ----- #
-        # The cycle-invariant multipliers move to the array backend's device
-        # once at construction (identity on the CPU backends).
+        # --- kernel constants, uploaded once ------------------------------- #
+        # A complex×real product is applied on the float64 view, so real
+        # multipliers are stored with each value repeated (re, im); the two
+        # sign flips of the tendency live in −i·l·mask and −mask.
         sp = self.spectral
         xp = self.xp
-        keep = sp.kx_keep
-        self._keep = keep
-        # Combined derivative×dealias multipliers on the retained columns.
-        self._ikx_m = xp.to_device(np.ascontiguousarray(sp.ikx_dealias[:, :keep]))
-        self._ily_m = xp.to_device(np.ascontiguousarray(sp.ily_dealias[:, :keep]))
-        self._mask_keep = xp.to_device(np.ascontiguousarray(sp.dealias_mask[:, :keep]))
-        # Pruned inversion coefficients (bit-identical values, fewer columns).
-        self._h_over_mu_k = xp.to_device(np.ascontiguousarray(self._h_over_mu[:, :keep]))
-        self._inv_sinh_k = xp.to_device(np.ascontiguousarray(self._inv_sinh[:, :keep]))
-        self._inv_tanh_k = xp.to_device(np.ascontiguousarray(self._inv_tanh[:, :keep]))
-        self._hyperdiff_dev = xp.to_device(self._hyperdiff)
+        keep = self._keep = sp.kx_keep
+        self._nkx = nkx = p.nx // 2 + 1
+
+        def repeated(values):  # (..., ny, nkx) → retained columns, (re, im)
+            return xp.to_device(np.repeat(values[..., :keep], 2, axis=-1))
+
+        def split_layout(values):  # → one whole state in _SplitSpectrum order, (re, im)
+            full = np.repeat(np.broadcast_to(values, (2, p.ny, nkx)), 2, axis=-1)
+            blocks = (full[..., : 2 * keep], full[..., 2 * keep :])
+            return xp.to_device(np.concatenate([b.ravel() for b in blocks]))
+
+        ikx, ily = sp.ikx_dealias[:, :keep], sp.ily_dealias[:, :keep]
+        self._grad_m = xp.to_device(np.stack([ikx, ily])[:, None, None])    # θ̂ → θ̂_x, θ̂_y
+        self._wind_m = xp.to_device(np.stack([-ily, ikx])[:, None, None])   # ψ̂ → û, v̂
+        self._inv_st = repeated(np.stack([self._inv_sinh, self._inv_tanh]))
+        self._inv_ts = repeated(np.stack([self._inv_tanh, self._inv_sinh]))
+        self._h_over_mu_r = repeated(self._h_over_mu)
+        self._neg_mask_r = repeated(-sp.dealias_mask)
+        self._hyperdiff_r = split_layout(self._hyperdiff)
+        # Ekman drag acts on the lower level only (no multiplier when off).
+        drag = np.array([-p.ekman_drag, 0.0]).reshape((2, 1, 1))
+        self._drag_r = split_layout(drag) if p.ekman_drag > 0.0 else None
         # Base state broadcast against (..., 2, ny, nx) physical fields.
         self._u_base_col = xp.to_device(self._u_base.reshape((2, 1, 1)))
-        self._workspaces: dict[tuple[int, ...], _ForecastWorkspace] = {}
+        self._member_bytes = _member_bytes(p.ny, nkx, keep)
+        self._workspaces: dict[int, _ChunkWorkspace] = {}  # by chunk size, oldest first
 
     def __getstate__(self):
         # Workspaces are cheap to rebuild and can be large; drop them so
@@ -244,12 +294,15 @@ class SQGModel:
         state["_workspaces"] = {}
         return state
 
-    def _workspace(self, lead: tuple[int, ...]) -> _ForecastWorkspace:
-        ws = self._workspaces.get(lead)
+    def _chunk(self, n_members: int) -> int:
+        """Members advanced together: what ``_WORKSPACE_BYTES`` holds, at least one."""
+        return max(1, min(_WORKSPACE_BYTES // self._member_bytes, n_members))
+
+    def _workspace(self, chunk: int) -> _ChunkWorkspace:
+        ws = self._workspaces.pop(chunk, None)
         if ws is None:
-            p = self.params
-            ws = _ForecastWorkspace(lead, p.ny, p.nx // 2 + 1, self._keep, self.xp)
-            self._workspaces[lead] = ws
+            ws = _ChunkWorkspace(chunk, self.params.ny, self._nkx, self._keep, self.xp)
+        self._workspaces[chunk] = ws  # most recently used last
         return ws
 
     # ------------------------------------------------------------------ #
@@ -334,51 +387,38 @@ class SQGModel:
         )
 
     # ------------------------------------------------------------------ #
-    # dynamics — fused path
+    # dynamics — the member-chunked kernel
     # ------------------------------------------------------------------ #
-    def _tendency_fused(
-        self, theta_spec: np.ndarray, out: np.ndarray, ws: _ForecastWorkspace
-    ) -> np.ndarray:
-        """Fused spectral tendency (advection + baroclinic source + relaxation).
+    def _tendency(self, ws: _ChunkWorkspace, theta: _SplitSpectrum, out: _SplitSpectrum):
+        """Spectral tendency (advection + baroclinic source + relaxation).
 
-        Every floating-point operation of the retired reference implementation
-        is replicated in the same order (the bit-identity contract the kernel
-        was certified against); the savings come from (a) the combined
-        derivative×dealias
-        multipliers (the mask entries are exactly 0/1, so ``(i·k·mask)·θ̂``
-        matches ``i·k·(mask·θ̂)`` bit for bit), (b) transforming only the
-        retained spectral columns (the rest are exact zeros), (c) one batched
-        inverse transform for all four advection fields instead of four, and
-        (d) in-place arithmetic on workspace buffers.
+        Every floating-point operation of the retired reference
+        implementation is kept, in the same order (the bit-identity contract
+        ``tests/reference/sqg_step_head.py`` certifies, signed zeros aside):
+        combined derivative×dealias multipliers (the mask is exactly 0/1, so
+        ``(i·k·mask)·θ̂`` is ``i·k·(mask·θ̂)``), transforms of the retained
+        columns only, one batched inverse transform for the four advection
+        fields.  A complex×real product is two real products, so those run
+        on the ``float64`` views; ``θ̂/τ`` is the same view times ``1/τ``
+        (numpy's complex division by a real *is* ``a·(1/c)``); negation
+        commutes exactly with every product and transform, so ``û`` and the
+        final sign come from the pre-negated multipliers.
         """
         sp = self.spectral
         p = self.params
         xp = self.xp
-        keep = self._keep
 
-        # Contiguous copy of the retained columns (strided views slow every
-        # subsequent elementwise pass).
-        xp.copyto(ws.thp, theta_spec[..., :keep])
-        thp = ws.thp
-
-        # --- inversion θ̂ → ψ̂ on the retained columns ---------------------- #
-        th0 = xp.multiply(thp[..., 0, :, :], self._factor, out=ws.thf[..., 0, :, :])
-        th1 = xp.multiply(thp[..., 1, :, :], self._factor, out=ws.thf[..., 1, :, :])
-        xp.multiply(th1, self._inv_sinh_k, out=ws.t1)
-        xp.multiply(th0, self._inv_tanh_k, out=ws.t2)
-        xp.subtract(ws.t1, ws.t2, out=ws.t1)
-        xp.multiply(self._h_over_mu_k, ws.t1, out=ws.psi[..., 0, :, :])
-        xp.multiply(th1, self._inv_tanh_k, out=ws.t1)
-        xp.multiply(th0, self._inv_sinh_k, out=ws.t2)
-        xp.subtract(ws.t1, ws.t2, out=ws.t1)
-        xp.multiply(self._h_over_mu_k, ws.t1, out=ws.psi[..., 1, :, :])
+        # --- inversion θ̂ → ψ̂ on the retained columns, both levels a pass --- #
+        xp.multiply(theta.ret_real, self._factor, out=ws.thf)
+        psi = ws.psi_real
+        xp.multiply(ws.thf[:, 1:], self._inv_st, out=psi)     # θ̂₁·(1/sinh μ, 1/tanh μ)
+        xp.multiply(ws.thf[:, :1], self._inv_ts, out=ws.t2)   # θ̂₀·(1/tanh μ, 1/sinh μ)
+        xp.subtract(psi, ws.t2, out=psi)
+        xp.multiply(self._h_over_mu_r, psi, out=psi)
 
         # --- θ̂_x, θ̂_y, û, v̂ stacked for one batched inverse transform ----- #
-        xp.multiply(self._ikx_m, thp, out=ws.quad[0])
-        xp.multiply(self._ily_m, thp, out=ws.quad[1])
-        xp.multiply(self._ily_m, ws.psi, out=ws.quad[2])
-        xp.negative(ws.quad[2], out=ws.quad[2])  # û = −(i·l·mask)·ψ̂
-        xp.multiply(self._ikx_m, ws.psi, out=ws.quad[3])
+        xp.multiply(self._grad_m, theta.ret, out=ws.quad[:2])
+        xp.multiply(self._wind_m, ws.psi, out=ws.quad[2:])
         theta_x, theta_y, u, v = sp.to_physical_retained(ws.quad)
 
         # --- physical-space products (reference operation order) ----------- #
@@ -387,73 +427,100 @@ class SQGModel:
         xp.multiply(v, theta_y, out=theta_y)
         xp.add(u, theta_y, out=u)                 # advection
         xp.multiply(v, -self._mean_grad, out=v)   # baroclinic
-        xp.add(u, v, out=u)
-        xp.negative(u, out=u)                     # tend_phys
+        xp.add(u, v, out=u)                       # −tend_phys
 
         # --- back to (retained) spectral space, dealias, relax -------------- #
-        conv = sp.to_spectral_retained(u)
-        xp.multiply(conv, self._mask_keep, out=conv)
-        xp.divide(theta_spec, p.relaxation_time, out=ws.div)
-        xp.subtract(conv, ws.div[..., :keep], out=out[..., :keep])
-        xp.negative(ws.div[..., keep:], out=out[..., keep:])
+        conv = sp.to_spectral_retained(u).view(float)
+        xp.multiply(conv, self._neg_mask_r, out=conv)
+        xp.multiply(theta.real, -1.0 / p.relaxation_time, out=out.real)
+        xp.add(out.ret_real, conv, out=out.ret_real)
+        if self._drag_r is not None:
+            xp.multiply(theta.real, self._drag_r, out=ws.drag)
+            xp.add(out.real, ws.drag, out=out.real)
 
-        if p.ekman_drag > 0.0:
-            drag0 = xp.multiply(
-                theta_spec[..., 0, :, :], -p.ekman_drag, out=ws.div[..., 0, :, :]
-            )
-            xp.add(out[..., 0, :, :], drag0, out=out[..., 0, :, :])
-            # The reference adds an all-zero drag level; replicate the +0.0
-            # pass so even signed zeros match.
-            xp.add(out[..., 1, :, :], 0.0, out=out[..., 1, :, :])
-        return out
+    def _rk4_step(self, ws: _ChunkWorkspace) -> None:
+        """One RK4 step plus implicit hyperdiffusion on ``ws.cur``, in place.
+
+        ``θ̂ ← (θ̂ + dt/6·(k1 + 2·k2 + 2·k3 + k4))·hyperdiff`` in the reference
+        association order; k1 and k2 are folded into the accumulator as soon
+        as both exist, so two tendency buffers serve all four stages.
+        """
+        xp = self.xp
+        dt = self.params.dt
+        cur, k_a, k_b, stage, acc = (s.real for s in (ws.cur, ws.k_a, ws.k_b, ws.stage, ws.acc))
+        self._tendency(ws, ws.cur, ws.k_a)        # k1
+        xp.multiply(k_a, 0.5 * dt, out=stage)
+        xp.add(cur, stage, out=stage)
+        self._tendency(ws, ws.stage, ws.k_b)      # k2
+        xp.multiply(k_b, 2.0, out=acc)
+        xp.add(k_a, acc, out=acc)
+        xp.multiply(k_b, 0.5 * dt, out=stage)
+        xp.add(cur, stage, out=stage)
+        self._tendency(ws, ws.stage, ws.k_a)      # k3
+        xp.multiply(k_a, 2.0, out=k_b)
+        xp.add(acc, k_b, out=acc)
+        xp.multiply(k_a, dt, out=stage)
+        xp.add(cur, stage, out=stage)
+        self._tendency(ws, ws.stage, ws.k_a)      # k4
+        xp.add(acc, k_a, out=acc)
+        xp.multiply(acc, dt / 6.0, out=acc)
+        xp.add(cur, acc, out=cur)
+        xp.multiply(cur, self._hyperdiff_r, out=cur)
+
+    def _advance(self, spec, n_steps: int):
+        """Advance device-resident spectral states by ``n_steps`` RK4 steps.
+
+        The one trajectory loop: ``spec`` is ``(..., 2, ny, nx//2+1)`` on the
+        model's array backend and is not modified; the result stays there
+        and nothing crosses to the host (the mock-device counters assert
+        it).  Each chunk of members is copied into the split layout once,
+        taken through *all* ``n_steps`` in a cache-sized workspace, and
+        copied out — members are independent, so no partition changes a bit.
+        """
+        if n_steps < 0:
+            raise ValueError("n_steps must be non-negative")
+        if n_steps == 0:
+            return spec
+        xp = self.xp
+        keep = self._keep
+        members = spec.reshape((-1,) + spec.shape[-3:])
+        out = xp.empty(members.shape, dtype=complex)
+        n = members.shape[0]
+        chunk = self._chunk(n)
+        for start in range(0, n, chunk):
+            block = slice(start, min(start + chunk, n))
+            ws = self._workspace(block.stop - start)
+            xp.copyto(ws.cur.ret, members[block, ..., :keep])
+            xp.copyto(ws.cur.dead, members[block, ..., keep:])
+            for _ in range(n_steps):
+                self._rk4_step(ws)
+            xp.copyto(out[block, ..., :keep], ws.cur.ret)
+            xp.copyto(out[block, ..., keep:], ws.cur.dead)
+        # Keep what this call used (a full chunk and at most one ragged
+        # tail); beyond that, least recently used goes first.
+        spare = list(self._workspaces)[: -(2 if n > chunk and n % chunk else 1)]
+        while spare and sum(w.nbytes for w in self._workspaces.values()) > 2 * _WORKSPACE_BYTES:
+            del self._workspaces[spare.pop(0)]
+        return out.reshape(spec.shape)
 
     def step_spectral(self, theta_spec: np.ndarray) -> np.ndarray:
         """Advance spectral θ̂ by one RK4 step plus implicit hyperdiffusion.
 
         Host-in/host-out public contract: exactly one upload and one
-        download per call.  Trajectory loops (:meth:`step`,
-        :meth:`forecast_device`, :meth:`run`) call
-        :meth:`step_spectral_device` instead and keep the state resident
-        across all steps.
+        download per call.  Trajectories (:meth:`step`,
+        :meth:`forecast_device`, :meth:`run`) keep the state resident
+        across all their steps instead.
         """
         xp = self.xp
         return xp.to_host(self.step_spectral_device(xp.to_device(np.asarray(theta_spec))))
 
     def step_spectral_device(self, theta_spec) -> np.ndarray:
-        """RK4 + hyperdiffusion on a **device-resident** spectral state.
+        """One step on a **device-resident** spectral state (zero transfers).
 
         ``theta_spec`` must already live on the model's array backend; the
-        returned state stays there.  No host↔device transfers happen here —
-        the RK4 stages, the fused tendency and the persistent workspaces all
-        operate on device buffers (the mock-device transfer counters assert
-        this).  Bit-identical to the pre-refactor in-step path: the transfer
-        hooks were identities on the CPU backends.
+        returned state stays there.
         """
-        xp = self.xp
-        ws = self._workspace(theta_spec.shape[:-3])
-        dt = self.params.dt
-        k1, k2, k3, k4 = ws.k
-        self._tendency_fused(theta_spec, k1, ws)
-        xp.multiply(k1, 0.5 * dt, out=ws.stage)
-        xp.add(theta_spec, ws.stage, out=ws.stage)
-        self._tendency_fused(ws.stage, k2, ws)
-        xp.multiply(k2, 0.5 * dt, out=ws.stage)
-        xp.add(theta_spec, ws.stage, out=ws.stage)
-        self._tendency_fused(ws.stage, k3, ws)
-        xp.multiply(k3, dt, out=ws.stage)
-        xp.add(theta_spec, ws.stage, out=ws.stage)
-        self._tendency_fused(ws.stage, k4, ws)
-        # new = (θ̂ + dt/6 · (k1 + 2·k2 + 2·k3 + k4)) · hyperdiff, in the
-        # reference association order.
-        xp.multiply(k2, 2.0, out=ws.acc)
-        xp.add(k1, ws.acc, out=ws.acc)
-        xp.multiply(k3, 2.0, out=ws.stage)
-        xp.add(ws.acc, ws.stage, out=ws.acc)
-        xp.add(ws.acc, k4, out=ws.acc)
-        xp.multiply(ws.acc, dt / 6.0, out=ws.acc)
-        new = xp.add(theta_spec, ws.acc)
-        xp.multiply(new, self._hyperdiff_dev, out=new)
-        return new
+        return self._advance(theta_spec, 1)
 
     def step(self, theta: np.ndarray, n_steps: int = 1) -> np.ndarray:
         """Advance physical states ``(..., 2, ny, nx)`` by ``n_steps`` steps.
@@ -461,13 +528,9 @@ class SQGModel:
         The whole trajectory is device-resident: one upload before the first
         step, one download after the last, regardless of ``n_steps``.
         """
-        if n_steps < 0:
-            raise ValueError("n_steps must be non-negative")
         theta = np.asarray(theta, dtype=float)
         xp = self.xp
-        spec = self.spectral.to_spectral(xp.to_device(theta))
-        for _ in range(n_steps):
-            spec = self.step_spectral_device(spec)
+        spec = self._advance(self.spectral.to_spectral(xp.to_device(theta)), n_steps)
         return xp.to_host(self.spectral.to_physical(spec))
 
     def forecast(self, state: np.ndarray, n_steps: int = 1) -> np.ndarray:
@@ -491,14 +554,10 @@ class SQGModel:
         the caller owns the boundary.  Identical arithmetic to
         :meth:`forecast`.
         """
-        if n_steps < 0:
-            raise ValueError("n_steps must be non-negative")
         squeeze = state.ndim == 1
         if squeeze:
             state = state[None, :]
-        spec = self.spectral.to_spectral(self.unflatten(state))
-        for _ in range(n_steps):
-            spec = self.step_spectral_device(spec)
+        spec = self._advance(self.spectral.to_spectral(self.unflatten(state)), n_steps)
         out = self.flatten(self.spectral.to_physical(spec))
         return out[0] if squeeze else out
 
@@ -526,10 +585,9 @@ class SQGModel:
         # download (a diagnostic — the integration state never leaves the
         # device).
         spec = self.spectral.to_spectral(xp.to_device(theta))
-        for istep in range(1, n_steps + 1):
-            spec = self.step_spectral_device(spec)
-            if istep % save_every == 0:
-                snapshots.append(xp.to_host(self.spectral.to_physical(spec)))
+        for _ in range(n_steps // save_every):
+            spec = self._advance(spec, save_every)
+            snapshots.append(xp.to_host(self.spectral.to_physical(spec)))
         return np.array(snapshots)
 
 

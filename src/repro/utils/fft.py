@@ -9,8 +9,8 @@ without touching the numerics.  Four backends are registered:
   Selected automatically when scipy is importable and more than one worker
   is available.
 * ``"numpy"`` — :mod:`numpy.fft` (pocketfft).  Always available; the
-  fallback on numpy-only installs and the faster choice on single-core
-  hosts.
+  fallback on numpy-only installs and the choice on single-core hosts,
+  where scipy's is no faster.
 * ``"mock-device"`` — :mod:`numpy.fft` again, but declared device-native for
   the ``mock-device`` array backend (:mod:`repro.utils.xp`): transforms on
   mock "device" arrays count as on-device work, so the transfer counters
@@ -223,9 +223,9 @@ def _auto_backend_name() -> str:
     """Pick the best backend for this host.
 
     scipy's edge over numpy is its ``workers`` thread pool for batched
-    transforms; on a single-core host that advantage vanishes (and its
-    pruned 1-D paths measure slightly slower than numpy's), so auto picks
-    scipy only when it is installed *and* more than one worker is available.
+    transforms; with one worker it is no faster (same pocketfft), so auto
+    picks scipy only when it is installed *and* more than one worker is
+    available.
     """
     if "scipy" in available_backends() and _fft_workers() > 1:
         return "scipy"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.da.localization as loc_mod
+import repro.models.sqg as sqg_mod
 from repro.core.filters import relax_spread
 from repro.core.observations import IdentityObservation, SubsampledObservation
 from repro.core.schedules import LinearAlphaSchedule
@@ -16,6 +17,7 @@ from repro.hpc.ensemble_parallel import EnsembleExecutor
 from repro.hpc.collectives import CollectiveKind, CollectiveModel
 from repro.hpc.comm import LocalCommGroup
 from repro.hpc.ddp import bucketize
+from repro.models.sqg import SQGModel, SQGParameters
 from repro.surrogate.flops import vit_parameter_count
 from repro.surrogate.patch import patchify, unpatchify
 from repro.surrogate.vit import ViTConfig
@@ -333,3 +335,33 @@ def test_letkf_interpolation_is_exact_for_uniform_local_problems(members, seed):
         expected = every_column.analyze(ensemble, observation, operator)
     assert np.abs(expected - ensemble).max() > 1e-3
     np.testing.assert_allclose(analysis, expected, rtol=1e-10, atol=1e-10)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    members=st.integers(1, 12),
+    cuts=st.lists(st.integers(0, 12), max_size=4),
+    n_steps=st.integers(1, 3),
+    seed=st.integers(0, 1000),
+)
+def test_sqg_forecast_is_invariant_under_any_member_partition(members, cuts, n_steps, seed):
+    """Members are independent: forecasting the parts of any partition and
+    concatenating is the whole forecast bit for bit, and so is any chunking
+    the kernel picks for itself (chunk 1 … chunk = ensemble)."""
+    model = SQGModel(SQGParameters(nx=16, ny=16, dt=1800.0))
+    ensemble = np.random.default_rng(seed).standard_normal((members, model.state_size))
+    whole = model.forecast(ensemble, n_steps=n_steps)
+    bounds = [0, *sorted({c for c in cuts if 0 < c < members}), members]
+    parts = [
+        model.forecast(ensemble[lo:hi], n_steps=n_steps) for lo, hi in zip(bounds, bounds[1:])
+    ]
+    assert np.array_equal(np.concatenate(parts), whole)
+    budget = sqg_mod._WORKSPACE_BYTES
+    try:
+        for chunk in (1, members):
+            sqg_mod._WORKSPACE_BYTES = chunk * model._member_bytes
+            model._workspaces.clear()
+            assert np.array_equal(model.forecast(ensemble, n_steps=n_steps), whole)
+            assert list(model._workspaces) == [chunk]
+    finally:
+        sqg_mod._WORKSPACE_BYTES = budget
