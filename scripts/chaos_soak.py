@@ -19,9 +19,15 @@ time dead between its lives) but every response that does land must be
 **strict JSON** — a ``NaN``/``Infinity`` token anywhere in a status body
 fails the soak.
 
+Every child runs its attempts on a 2-worker pool, so the kill lands on a
+service whose jobs are mid-attempt in *other processes*: those must be gone
+before the restarted service resumes the same checkpoint rings.
+
 The soak passes iff the killed-and-restarted campaign ends with every job
 ``done`` and RMSE histories **bit-identical** to the clean sweep — the
-service's whole durability contract in one assertion.
+service's whole durability contract in one assertion — and nothing is left
+behind: no worker of any generation, no ``/dev/shm`` segment, no ``*.tmp``
+checkpoint.
 
 Usage: python scripts/chaos_soak.py            (orchestrator)
        python scripts/chaos_soak.py run <journal> [--expect-kill]   (child)
@@ -49,11 +55,14 @@ KILL_SPEC = "service-kill@scheduler:9,code=137"
 
 
 def _child_run(journal: Path, expect_kill: bool) -> None:
+    from repro.hpc.ensemble_parallel import EnsembleExecutor
     from repro.workflow import ExperimentService, ServiceConfig
 
     config = ServiceConfig(max_running=2, retry_backoff_s=0.05, poll_s=0.02)
     journal.parent.mkdir(parents=True, exist_ok=True)
-    with ExperimentService(journal, config=config) as svc:
+    with EnsembleExecutor(n_workers=2) as pool, ExperimentService(
+        journal, executor=pool, config=config
+    ) as svc:
         server = svc.serve_status()
         (journal.parent / "status.port").write_text(str(server.port))
         for i in range(N_JOBS):
@@ -116,11 +125,40 @@ def _spawn(
     return subprocess.CompletedProcess(args, proc.returncode, stdout, stderr)
 
 
+def _soak_processes(root: str) -> list[int]:
+    """Live processes of this soak: children and their pool workers, which
+    all carry a journal path under ``root`` on their command line."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and int(entry) != os.getpid():
+            try:
+                cmdline = Path("/proc", entry, "cmdline").read_bytes()
+                state = Path("/proc", entry, "stat").read_text().rsplit(")", 1)[1].split()[0]
+            except OSError:
+                continue  # gone between the listing and the read
+            if root.encode() in cmdline and state != "Z":
+                found.append(int(entry))
+    return found
+
+
+def _assert_nothing_left(root: str, shm_before: set) -> None:
+    deadline = time.monotonic() + 10.0
+    while (orphans := _soak_processes(root)) and time.monotonic() < deadline:
+        time.sleep(0.05)  # a killed service's workers notice within a poll
+    if orphans:
+        raise SystemExit(f"orphaned worker process(es) left behind: {orphans}")
+    if os.path.isdir("/dev/shm") and (leaked := set(os.listdir("/dev/shm")) - shm_before):
+        raise SystemExit(f"/dev/shm segment(s) left behind: {sorted(leaked)}")
+    if torn := sorted(str(p) for p in Path(root).rglob("*.tmp")):
+        raise SystemExit(f"half-written file(s) left behind: {torn}")
+
+
 def main() -> None:
     if len(sys.argv) > 1 and sys.argv[1] == "run":
         _child_run(Path(sys.argv[2]), expect_kill="--expect-kill" in sys.argv[3:])
         return
 
+    shm_before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
     with tempfile.TemporaryDirectory() as tmp:
         chaos_journal = Path(tmp) / "chaos" / "journal.json"
         clean_journal = Path(tmp) / "clean" / "journal.json"
@@ -146,6 +184,8 @@ def main() -> None:
             sys.stderr.write(clean_run.stdout + clean_run.stderr)
             raise SystemExit(f"clean sweep failed (exit {clean_run.returncode})")
         clean = json.loads(clean_run.stdout.strip().splitlines()[-1])
+        if os.path.isdir("/proc"):
+            _assert_nothing_left(tmp, shm_before)
 
     expected = {f"soak-{i:02d}": "done" for i in range(N_JOBS)}
     if chaos["states"] != expected:
@@ -162,7 +202,8 @@ def main() -> None:
     print(
         f"chaos soak OK: {N_JOBS} jobs killed+restarted, all done, "
         f"RMSE bit-identical to the clean sweep; {len(polls)} strict-JSON "
-        f"status polls landed across the kill/restart"
+        f"status polls landed across the kill/restart; no worker, segment "
+        f"or *.tmp left behind"
     )
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -49,6 +50,28 @@ _RETRYABLE = (BrokenProcessPool, TimeoutError, FaultInjected)
 
 class ShardRetryError(RuntimeError):
     """A shard kept failing after exhausting the executor's retry budget."""
+
+
+# How often an idle pool worker checks that the process owning the pool lives.
+_ORPHAN_POLL_S = 0.5
+
+
+def _worker_init(owner_pid: int) -> None:
+    """Pool-worker initializer: die on SIGTERM, and never outlive the owner.
+
+    A forked worker inherits the owner's signal handlers (a service's drain
+    hook must not run in a worker that ``_discard_pool`` terminates) and the
+    write end of its own call queue, so a hard-killed owner closes no pipe a
+    blocked worker would notice: a watcher thread polls ``os.getppid()``.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+    def watch() -> None:
+        while os.getppid() == owner_pid:
+            time.sleep(_ORPHAN_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="orphan-watch", daemon=True).start()
 
 
 def _guarded_call(fn, job, fault, parent_pid: int):
@@ -142,11 +165,10 @@ class LeaseSlotScheduler:
     - with no hungry sibling the whole remaining capacity is grantable, so
       a lone gather is exactly as fast as under the old windowing.
 
-    ``capacity`` is live-retargetable (the experiment service's fair-share
-    re-arbitration assigns ``lease.max_workers``); ``None`` means
-    unconstrained.  The scheduler only ever caps *concurrency* — job
-    decompositions are fixed before submission — so scheduling cannot
-    change results, only occupancy.
+    ``capacity`` is live-retargetable (assign ``lease.max_workers``);
+    ``None`` means unconstrained.  The scheduler only ever caps
+    *concurrency* — job decompositions are fixed before submission — so
+    scheduling cannot change results, only occupancy.
     """
 
     def __init__(self, capacity: int | None = None):
@@ -268,8 +290,9 @@ def _ensf_chunk(args):
 class EnsembleExecutor:
     """Map ensemble-member work over worker processes.
 
-    The worker pool is created lazily and **reused across calls** (and hence
-    across OSSE cycles): process start-up plus re-importing numpy costs far
+    The worker pool is created lazily, at ``n_workers`` whatever the first
+    gather needs, and **reused across calls** (and hence across OSSE
+    cycles): process start-up plus re-importing numpy costs far
     more than a cycle's worth of forecast work for small ensembles, so a
     fresh pool per cycle would swamp the parallel speedup.  Models that carry
     forecast workspaces (e.g. the fused SQG engine) drop them when pickled to
@@ -380,17 +403,14 @@ class EnsembleExecutor:
         # Dedicated, non-experiment rng for backoff jitter (see class doc).
         self._backoff_rng = np.random.default_rng(backoff_seed)
         self._backoff_lock = threading.Lock()
-        # Pool management must be serialized: with an experiment service the
-        # same pool is shared by many concurrent jobs, and an unlocked
-        # rebuild racing a concurrent acquire would leak (or double-kill)
-        # worker processes.  Submission/gather stay lock-free — only
+        # Pool management must be serialized: an experiment service runs
+        # concurrent attempts on one pool, and an unlocked rebuild racing a
+        # concurrent acquire would leak (or double-kill) worker processes.  Submission/gather stay lock-free — only
         # acquire/discard/close take the lock.
         self._pool_lock = threading.RLock()
         self._pool: ProcessPoolExecutor | None = None
-        self._pool_workers = 0
         # Live per-gather shm arenas (released in each gather's finally; this
-        # set is the close()-time backstop) and open-lease bookkeeping the
-        # experiment service audits to prove jobs release their leases.
+        # set is the close()-time backstop) and open-lease bookkeeping.
         self._arena_lock = threading.Lock()
         self._arenas: set[SharedPayloadArena] = set()
         self._active_leases = 0
@@ -419,22 +439,36 @@ class EnsembleExecutor:
                 faults[target] = event
         return faults
 
+    def _new_pool(self, workers: int) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=workers, initializer=_worker_init, initargs=(os.getpid(),)
+        )
+
     def _acquire_pool(self, workers: int) -> ProcessPoolExecutor:
+        """The shared pool, built once at ``n_workers`` whatever ``workers`` asks.
+
+        A gather caps its own in-flight shards, so a pool wider than it needs
+        costs it nothing — while growing a narrower pool meant shutting it
+        down, which waits for every in-flight future of every other user
+        (seconds, once service attempts live on the pool).
+        """
         if not self.reuse_pool:
-            return ProcessPoolExecutor(max_workers=workers)
+            return self._new_pool(workers)
         with self._pool_lock:
-            if self._pool is None or self._pool_workers < workers:
-                self._close_pool()
-                self._pool = ProcessPoolExecutor(max_workers=workers)
-                self._pool_workers = workers
+            if self._pool is None:
+                self._pool = self._new_pool(self.n_workers)
             return self._pool
 
-    def _discard_pool(self, pool: ProcessPoolExecutor, hung: bool) -> None:
-        """Drop a broken or hung pool without ever blocking on its workers."""
+    def _discard_pool(self, pool: ProcessPoolExecutor, hung: bool) -> bool:
+        """Drop a broken or hung pool without ever blocking on its workers.
+
+        Returns whether ``pool`` was still the live one (several users of a
+        broken pool each report it; only the first replaces it).
+        """
         with self._pool_lock:
-            if pool is self._pool:
+            live = pool is self._pool
+            if live:
                 self._pool = None
-                self._pool_workers = 0
         if hung:
             # shutdown(wait=False) would leave hung workers running (and
             # clears the pool's process table); kill them first so they
@@ -448,6 +482,7 @@ class EnsembleExecutor:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:
             pass  # pool management threads may already be dead
+        return live
 
     def _attempt_serial(self, fn, jobs, results, pending, faults):
         failed, error = [], None
@@ -813,12 +848,18 @@ class EnsembleExecutor:
         on the broken pipes.  Swallowing those here keeps teardown from
         masking the real failure a test is about to report.
         """
-        self._close_pool()
+        pool = getattr(self, "_pool", None)
+        self._pool = None
+        if pool is not None:
+            try:
+                pool.shutdown()
+            except (OSError, RuntimeError):
+                pass  # workers already gone / interpreter shutting down
         self._placements = {}  # measured against the pool that just went away
         # Backstop for shm arenas whose gather never reached its finally
         # (a job thread killed mid-flight): unlink them now rather than
         # leaking /dev/shm segments for the interpreter's lifetime.  Pool
-        # *replacement* (_acquire_pool growing the pool mid-gather) must
+        # *replacement* (_discard_pool dropping a broken pool mid-gather) must
         # not do this — live gathers keep their arenas across rebuilds —
         # which is why only full close() drains the set.
         lock = getattr(self, "_arena_lock", None)
@@ -830,16 +871,6 @@ class EnsembleExecutor:
                     arena.release_all()
                 except Exception:
                     pass
-
-    def _close_pool(self) -> None:
-        pool = getattr(self, "_pool", None)
-        self._pool = None
-        self._pool_workers = 0
-        if pool is not None:
-            try:
-                pool.shutdown()
-            except (OSError, RuntimeError):
-                pass  # workers already gone / interpreter shutting down
 
     def __enter__(self) -> "EnsembleExecutor":
         return self
@@ -855,7 +886,7 @@ class EnsembleExecutor:
 
     @property
     def active_leases(self) -> int:
-        """Open (un-closed) leases — the service's release audit reads this."""
+        """Open (un-closed) leases."""
         with self._pool_lock:
             return self._active_leases
 
@@ -866,6 +897,30 @@ class EnsembleExecutor:
     def _lease_closed(self) -> None:
         with self._pool_lock:
             self._active_leases -= 1
+
+    def run_task(self, fn, *args):
+        """Run ``fn(*args)`` on one pool worker and return what it returns.
+
+        The single-task entry the experiment service runs its job attempts
+        through: no decomposition, no placement, no fault site, no retry —
+        the caller owns the retry policy.  A worker that dies takes the
+        whole pool with it (:class:`BrokenProcessPool`, raised to every
+        task in flight); the pool is dropped so the next call builds a
+        fresh one, and the error propagates.  With ``n_workers == 1`` the
+        call runs in-process, as every other entry does.
+        """
+        if self.n_workers == 1:
+            return fn(*args)
+        pool = self._acquire_pool(1)
+        try:
+            return pool.submit(fn, *args).result()
+        except BrokenProcessPool:
+            if self._discard_pool(pool, hung=False):
+                self.fault_log.record("executor", "pool-rebuild", "replaced broken worker pool")
+            raise
+        finally:
+            if not self.reuse_pool:
+                pool.shutdown(wait=False)
 
     def lease(
         self,
@@ -981,14 +1036,17 @@ class EnsembleExecutor:
 class ExecutorLease:
     """A per-job handle onto a shared :class:`EnsembleExecutor`.
 
-    An experiment service runs many jobs concurrently over one pool; each
-    job holds a lease rather than the executor itself.  The lease exposes
+    For callers that run several jobs concurrently over one pool from their
+    own threads: each job holds a lease rather than the executor itself.
+    (:class:`~repro.workflow.scheduler.ExperimentService` did until its
+    slots became the pool's workers; nothing in ``src/`` opens one now.)
+    The lease exposes
     the same mapping API (``map_blocks`` / ``map_states`` / ``analyze_ensf``)
     and shares the parent's workers, retry budget and deadlines, but:
 
     - recoveries are recorded in the **lease's own** :class:`FaultLog`, so
-      per-job health is attributable (the service reads it to decide
-      retry/fail transitions) instead of interleaved in one global ledger;
+      per-job health is attributable instead of interleaved in one global
+      ledger;
     - injected faults come from the **lease's own** :class:`FaultPlan`
       (empty by default), so a process-wide ``REPRO_FAULT_PLAN`` aimed at
       the scheduler site is not consumed N times by N concurrent jobs —
@@ -997,17 +1055,14 @@ class ExecutorLease:
       of the lease's shards are in flight on the shared pool at any instant
       (``None`` = unconstrained).  The quota caps concurrency only — the
       job decomposition is fixed before submission — so any quota yields
-      bit-identical results, and the service re-targets it live
-      (fair-share re-arbitration simply assigns ``lease.max_workers``).
-      The quota is arbitrated by a single :class:`LeaseSlotScheduler`
+      bit-identical results, and it can be re-targeted live.  The quota is arbitrated by a single :class:`LeaseSlotScheduler`
       shared across the lease's concurrent gathers, which round-robins the
       slots by fair share — one long gather can no longer starve a sibling
       gather of the same job for its whole duration.
 
     ``close()`` releases the lease: the shared pool stays up (it belongs to
     the parent and outlives any one job), but the parent's ``active_leases``
-    count drops so the scheduler can prove each job attempt released its
-    lease.  Unknown attributes delegate to the parent, so a lease
+    count drops.  Unknown attributes delegate to the parent, so a lease
     substitutes anywhere an ``EnsembleExecutor`` is accepted.
     """
 

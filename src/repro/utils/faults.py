@@ -57,7 +57,8 @@ Injection sites
     completion, preemption, drain — writes the journal, so occurrences
     index the service's serialized event stream).  Kinds:
     ``"job-crash"`` arms an injected crash of one job (``payload["job"]``
-    names it) which fires at that job's next cycle boundary and lands in
+    names it) which fires at that job's next cycle boundary — in the pool
+    worker running the attempt, when the service has a pool — and lands in
     the job's own :class:`FaultLog`; ``"journal-torn"`` truncates the
     just-written journal to ``payload["keep"]`` of its bytes (recovery
     must fall back to the previous journal generation); ``"service-kill"``
@@ -364,10 +365,11 @@ class FaultLog:
     service's ``"preempt"`` / ``"job-crash"`` / ``"job-retry"`` /
     ``"journal-torn"`` / ``"journal-fallback"`` (scheduler lifecycle).
 
-    The log is thread-safe: a job's log is appended to both by the job's
-    own thread (engine recoveries) and by the service supervisor
-    (preemption, retry scheduling), and read concurrently by status
-    pollers.  ``__iter__``/``snapshot`` iterate over a point-in-time copy.
+    The log is thread-safe: a job's log is appended to by the service
+    thread that books each attempt's outcome (the attempt's own recoveries,
+    recorded on a copy where it ran, then preemption and retry scheduling)
+    and read concurrently by status pollers.  ``__iter__``/``snapshot``
+    iterate over a point-in-time copy.
     """
 
     def __init__(self) -> None:

@@ -9,18 +9,35 @@ checkpoint/restart (:class:`~repro.workflow.engine.EngineCheckpoint`,
 ``resume="auto"``) and deterministic fault injection
 (:mod:`repro.utils.faults`):
 
-**Crash isolation.**  Every job runs on its own thread with its own
-:class:`~repro.utils.faults.FaultLog` and its own
-:class:`~repro.hpc.ensemble_parallel.ExecutorLease` onto the shared worker
-pool.  An exception (or injected fault) in one job transitions *that* job
-to ``backoff``/``failed`` and never touches its siblings or the pool.
+**A slot is a process.**  Given an
+:class:`~repro.hpc.ensemble_parallel.EnsembleExecutor`, every job attempt
+runs whole on one worker of its pool
+(:meth:`~repro.hpc.ensemble_parallel.EnsembleExecutor.run_task`), at most
+``min(max_running, n_workers)`` at once, each on its own core and its own
+interpreter lock.  The attempt's service-side thread only waits for the
+answer — ``done`` + result, ``preempted`` + next cycle, or the error text —
+and merges the recovery actions recorded meanwhile into the job's
+:class:`~repro.utils.faults.FaultLog`.  Without an executor the same
+attempt function runs on that thread, with the same bits.  Jobs do not fan
+shards over the pool (``ctx.executor`` is ``None``): at service sizes the
+job is what parallelises — two batches of Lorenz-96 jobs took 1.7–2.1 s on
+two threads and 0.76–0.97 s in two processes, while sharding one such job is
+slower than not (``analysis_speedup`` 0.80).
+
+**Crash isolation.**  An exception (or injected fault) in one job
+transitions *that* job to ``backoff``/``failed`` and never touches its
+siblings.  A worker that dies outright breaks the pool: the attempts it
+took down fail like any crash and the next launch builds a fresh pool.  No
+attempt outlives its service: an orphaned worker exits at its next cycle
+boundary, before a restarted service resumes the same checkpoint ring.
 
 **Checkpoint-based preemption.**  Jobs are queued by priority.  When a
 higher-priority job is waiting and every slot is busy, the lowest-priority
-running job is asked to yield: the engine writes a checkpoint at the next
-cycle boundary and raises :class:`~repro.workflow.engine.EnginePreempted`;
-the job re-enters the queue and later resumes **bit-identically** via
-``resume="auto"``.
+running job is asked to yield — a marker file in its workdir, which
+:meth:`JobContext.should_preempt` stats at every cycle boundary, reaches a
+thread and a worker process alike: the engine writes a checkpoint there and
+raises :class:`~repro.workflow.engine.EnginePreempted`; the job re-enters
+the queue and later resumes **bit-identically** via ``resume="auto"``.
 
 **Resume-on-failure.**  A crashed job is requeued from its newest intact
 checkpoint after a jittered exponential backoff
@@ -56,7 +73,8 @@ Job lifecycle::
 Chaos testing hooks live at the ``"scheduler"`` fault site, visited once
 per journal write under the service lock (see :mod:`repro.utils.faults`):
 ``job-crash`` arms an injected crash of one job at its next cycle
-boundary, ``journal-torn`` truncates the just-written journal, and
+boundary (a marker file again, consumed by the attempt it crashes),
+``journal-torn`` truncates the just-written journal, and
 ``service-kill`` hard-kills the process — the recorded recovery path must
 reproduce the clean run's results bit for bit.
 """
@@ -100,9 +118,10 @@ _JOURNAL_VERSION = 1
 class ServiceConfig:
     """Operating limits of an :class:`ExperimentService`.
 
-    ``max_running`` bounds concurrent jobs (each job may still fan its own
-    shards over the shared pool); ``max_queued`` bounds *live* (non-terminal)
-    jobs — submissions beyond it are journaled as ``rejected``.
+    ``max_running`` bounds concurrent jobs (with a pool, so does its worker
+    count: a running attempt occupies one worker); ``max_queued`` bounds
+    *live* (non-terminal) jobs — submissions beyond it are journaled as
+    ``rejected``.
     ``max_attempts`` is the per-job crash budget (a preemption is not a
     crash and never consumes it).  ``checkpoint_every``/``keep_last``
     configure each job's checkpoint ring, which is what makes preemption
@@ -113,9 +132,10 @@ class ServiceConfig:
     cycles spend ~10 % of their time checkpointing and a crash recomputes
     about ten write-times of them; long cycles are written at every due
     boundary, a preempted job always at its last completed cycle.
-    ``fair_share`` re-arbitrates per-job pool-slot quotas (equal across
-    tenants, weighted by ``weight``/priority within one) every time the
-    running set changes; when off, every lease runs unconstrained as before.
+    ``fair_share`` orders what tenants compete for, the next free slot:
+    among pending jobs of equal priority the one whose tenant has the least
+    running load (Σ 1/``weight`` over the tenant's running attempts) launches
+    first, then the earliest submitted; when off, submission order alone.
     """
 
     max_running: int = 2
@@ -211,35 +231,6 @@ def _jsonable(value, dropped: list | None = None, path: str = ""):
     return value
 
 
-def _fair_shares(weights: list[float], total_slots: int) -> list[int]:
-    """Split ``total_slots`` pool slots across weighted jobs, fairly.
-
-    Largest-remainder apportionment with a floor of one slot per job:
-    every running job can always make progress, the shares sum exactly to
-    ``total_slots`` whenever ``total_slots >= len(weights)``, and ties
-    break deterministically by position.  With more jobs than slots the
-    pool is simply oversubscribed at one slot each — the executor's
-    windowed submission then interleaves them on whatever workers exist.
-    """
-    n = len(weights)
-    if n == 0:
-        return []
-    if any(not (w > 0) for w in weights):
-        raise ValueError("fair-share weights must be positive")
-    total = int(total_slots)
-    if total <= n:
-        return [1] * n
-    extra = total - n  # one slot each is reserved; the rest follows weight
-    wsum = float(sum(weights))
-    ideal = [w / wsum * extra for w in weights]
-    base = [int(x) for x in ideal]
-    leftover = extra - sum(base)
-    by_remainder = sorted(range(n), key=lambda i: (-(ideal[i] - base[i]), i))
-    for i in by_remainder[:leftover]:
-        base[i] += 1
-    return [1 + b for b in base]
-
-
 @dataclass(frozen=True)
 class JobSpec:
     """One experiment submission.
@@ -250,9 +241,9 @@ class JobSpec:
     restarted service re-resolves runners from the journal.  ``params`` is
     the strict-JSON-serializable argument payload handed to the runner via
     ``ctx.params``.  Higher ``priority`` preempts lower.  ``tenant``
-    groups jobs for fair-share arbitration (untenanted jobs each count as
-    their own tenant) and ``weight`` scales a job's share within its
-    tenant.
+    groups jobs for the fair-share launch order (an untenanted job is its
+    own tenant) and a running attempt adds 1/``weight`` to its tenant's
+    load, so ``weight=2`` jobs hold two slots for the load of one.
     """
 
     name: str
@@ -289,11 +280,8 @@ class _JobRecord:
         self.error: str | None = None
         self.backoff_until = 0.0  # monotonic deadline while in "backoff"
         self.fault_log = FaultLog()
-        self.preempt_event = threading.Event()
-        self.crash_event = threading.Event()
+        self.preempting = False  # its preempt flag is up (see JobContext.should_preempt)
         self.thread: threading.Thread | None = None
-        self.context: "JobContext | None" = None  # live attempt only
-        self.quota: int | None = None  # current fair-share pool-slot quota
 
     def to_payload(self) -> dict:
         return {
@@ -335,56 +323,69 @@ class _JobRecord:
         return rec
 
 
+# Marker files in a job's workdir: how the service reaches a running attempt,
+# which may be a thread of this process or a pool worker.
+_PREEMPT_FLAG = "preempt.flag"
+_CRASH_FLAG = "crash.flag"
+
+
 class JobContext:
     """What a runner gets: identity, parameters, workdir, and the hooks
     that make it preemptible and crash-recoverable.
+
+    One context is one attempt.  It holds plain data only, so it pickles:
+    with a pool it is shipped to the worker that runs the attempt, without
+    one it is used on the service's thread — the same class, the same hooks.
+    ``fault_log`` starts as a copy of the job's ledger and what the attempt
+    appends is merged back when it ends.  ``executor`` is always ``None``:
+    inside the service the pool's workers run whole attempts, not shards.
 
     Runners should forward ``**ctx.engine_kwargs()`` to
     :func:`~repro.da.cycling.run_osse` /
     :meth:`~repro.workflow.engine.CycleEngine.run` — it wires up
     ``resume="auto"`` against the job's checkpoint ring and the service's
-    preemption hook — and use ``ctx.executor`` (the job's lease on the
-    shared pool, or ``None``) for ensemble-parallel work.
+    preemption hook.
     """
 
+    executor = None
+
     def __init__(self, service: "ExperimentService", record: _JobRecord):
-        self._record = record
         self.name = record.spec.name
         self.params = dict(record.spec.params)
         self.attempt = record.attempts + 1
         self.resume = record.resume
-        self.fault_log = record.fault_log
+        self.fault_log = FaultLog()
+        self.fault_log.actions = record.fault_log.snapshot()
         self.workdir = service.workdir / record.spec.name
         self.checkpoint_path = self.workdir / "engine.ckpt"
         self.checkpoint_every = service.config.checkpoint_every
         self.keep_last = service.config.keep_last
-        pool = service.executor
-        self.executor = None if pool is None else pool.lease(
-            job=self.name, fault_log=record.fault_log
-        )
+        self._service_pid = os.getpid()
+        self._preempt_flag = str(self.workdir / _PREEMPT_FLAG)
+        self._crash_flag = str(self.workdir / _CRASH_FLAG)
         self.workdir.mkdir(parents=True, exist_ok=True)
-
-    def release(self) -> None:
-        """Close this attempt's lease (idempotent; every attempt gets a fresh one).
-
-        Called from ``_run_job``'s ``finally`` so leases cannot accumulate
-        across retries and preemptions — the pool's ``active_leases`` count
-        returns to baseline after every attempt, however it ended.
-        """
-        if self.executor is not None:
-            self.executor.close()
-        self._record.context = None
+        # This attempt is the ring's only writer: a half-written checkpoint
+        # here belongs to an attempt that was killed, not to a live one.
+        for stale in self.workdir.glob("*.tmp"):
+            stale.unlink(missing_ok=True)
 
     def should_preempt(self) -> bool:
-        """Cycle-boundary hook: injected crashes fire here, preemption polls here."""
-        record = self._record
-        if record.crash_event.is_set():
-            record.crash_event.clear()
-            record.fault_log.record(
+        """Cycle-boundary hook: injected crashes fire here, preemption polls here.
+
+        In a pool worker it first checks that the service which dispatched
+        the attempt is still the worker's parent: a killed service is
+        restarted onto the same checkpoint ring, which must not have two
+        writers.
+        """
+        if os.getpid() != self._service_pid and os.getppid() != self._service_pid:
+            os._exit(1)
+        if os.path.exists(self._crash_flag):
+            os.unlink(self._crash_flag)
+            self.fault_log.record(
                 "scheduler", "job-crash", f"injected crash of job {self.name!r}"
             )
             raise FaultInjected(f"injected job crash in {self.name!r}")
-        return record.preempt_event.is_set()
+        return os.path.exists(self._preempt_flag)
 
     def engine_kwargs(self) -> dict:
         """Engine keywords wiring a run to this job's ring and preempt hook.
@@ -402,6 +403,41 @@ class JobContext:
         }
 
 
+def _run_attempt(runner_ref: str, ctx: JobContext) -> dict:
+    """One attempt of one job, wherever it runs: a service thread or a pool worker.
+
+    Nothing escapes: the outcome is ``state`` ``"done"`` with the
+    strict-JSON ``result``, ``"preempted"`` with ``next_cycle``, or
+    ``"error"`` with the ``error`` text — plus ``actions``, what the attempt
+    appended to its copy of the job's fault ledger.
+    """
+    known = len(ctx.fault_log)
+    try:
+        result = _resolve_runner(runner_ref)(ctx)
+    except EnginePreempted as exc:
+        outcome = {"state": "preempted", "next_cycle": exc.next_cycle}
+    except BaseException as exc:  # crash isolation: a failed attempt is an outcome
+        outcome = {"state": "error", "error": f"{type(exc).__name__}: {exc}"}
+    else:
+        payload = None
+        if isinstance(result, dict):
+            dropped: list[str] = []
+            payload = _jsonable(result, dropped)
+            if dropped:
+                # Sanitized non-finite floats: keep the journal strict but
+                # make the loss visible in the result and the fault ledger.
+                payload["nonfinite_fields"] = sorted(dropped)
+                ctx.fault_log.record(
+                    "scheduler",
+                    "nonfinite-result",
+                    f"sanitized {len(dropped)} non-finite result "
+                    f"field(s): {', '.join(sorted(dropped))}",
+                )
+        outcome = {"state": "done", "result": payload}
+    outcome["actions"] = ctx.fault_log.snapshot()[known:]
+    return outcome
+
+
 class ExperimentService:
     """Run many cycling experiments concurrently over one shared pool.
 
@@ -413,8 +449,9 @@ class ExperimentService:
         terminal jobs keep their results, everything else is requeued with
         ``resume=True`` and continues from its newest intact checkpoint.
     executor:
-        Optional shared :class:`~repro.hpc.ensemble_parallel.EnsembleExecutor`;
-        each job receives its own :class:`ExecutorLease` onto it.  The
+        Optional :class:`~repro.hpc.ensemble_parallel.EnsembleExecutor` whose
+        workers become the service's slots: each attempt runs on one of
+        them.  Without it attempts run on threads of this process.  The
         service never closes it — the caller owns the pool.
     config:
         :class:`ServiceConfig` operating limits.
@@ -436,6 +473,9 @@ class ExperimentService:
         self.journal_path = Path(journal_path)
         self.executor = executor
         self.config = config if config is not None else ServiceConfig()
+        self._slots = self.config.max_running
+        if executor is not None:
+            self._slots = min(self._slots, executor.n_workers)
         self.workdir = (
             Path(workdir) if workdir is not None else self.journal_path.parent / "jobs"
         )
@@ -510,13 +550,27 @@ class ExperimentService:
             elif event.kind == "job-crash":
                 rec = self._match_job(event.payload.get("job", 0))
                 if rec is not None:
-                    rec.crash_event.set()
+                    self._flag(rec, _CRASH_FLAG, up=True)
                     self.fault_log.record(
                         "scheduler", "job-crash", f"armed injected crash of {rec.spec.name!r}"
                     )
             elif event.kind == "service-kill":
                 code = int(event.payload.get("code", 137))
                 os._exit(code)  # the SIGKILL shape: no cleanup, no journal flush
+
+    def _flag(self, rec: _JobRecord, flag: str, up: bool) -> None:
+        """Raise or lower a marker file of ``rec`` (see :meth:`JobContext.should_preempt`)."""
+        path = self.workdir / rec.spec.name / flag
+        if up:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.touch()
+        else:
+            path.unlink(missing_ok=True)
+
+    def _preempt_locked(self, rec: _JobRecord) -> None:
+        if not rec.preempting:
+            rec.preempting = True
+            self._flag(rec, _PREEMPT_FLAG, up=True)
 
     def _match_job(self, which) -> _JobRecord | None:
         if isinstance(which, str) and which in self._jobs:
@@ -564,6 +618,9 @@ class ExperimentService:
                     # its newest intact checkpoint.
                     rec.state = "pending"
                     rec.resume = True
+                    # Flags are requests to a running attempt; none survived.
+                    self._flag(rec, _PREEMPT_FLAG, up=False)
+                    self._flag(rec, _CRASH_FLAG, up=False)
                 self._jobs[rec.spec.name] = rec
                 self._order.append(rec)
                 self._seq = max(self._seq, rec.index + 1)
@@ -650,7 +707,6 @@ class ExperimentService:
                 "attempts": rec.attempts,
                 "max_attempts": rec.spec.max_attempts or self.config.max_attempts,
                 "resume": rec.resume,
-                "quota": rec.quota,
                 "backoff_remaining_s": (
                     max(0.0, rec.backoff_until - now) if rec.state == "backoff" else 0.0
                 ),
@@ -670,7 +726,7 @@ class ExperimentService:
     def status_details(self) -> dict:
         """Service-wide strict-JSON snapshot (the ``/jobs`` payload).
 
-        Per-job summaries (state/attempts/backoff/quota/fault counts, no
+        Per-job summaries (state/attempts/backoff/fault counts, no
         result arrays — those stay behind ``/jobs/<name>``) plus scheduler
         counters, cheap enough for high-frequency polling.
         """
@@ -716,61 +772,35 @@ class ExperimentService:
         for rec in self._order:
             if rec.state == "backoff" and now >= rec.backoff_until:
                 self._transition_locked(rec, "pending")
-        ready = [rec for rec in self._order if rec.state == "pending"]
-        ready.sort(key=lambda r: (-r.spec.priority, r.index))
-        return ready
+        return [rec for rec in self._order if rec.state == "pending"]
+
+    def _launch_key_locked(self):
+        """Order of the pending queue, given who is running right now.
+
+        Priority first; then, with ``fair_share``, the running load of the
+        job's tenant (an untenanted job is its own tenant, so its load is
+        zero); then submission order.  The load changes with every launch,
+        so the key is rebuilt for each free slot.
+        """
+        load: dict[str, float] = {}
+        if self.config.fair_share:
+            for rec in self._running:
+                if rec.spec.tenant:
+                    load[rec.spec.tenant] = load.get(rec.spec.tenant, 0.0) + 1.0 / rec.spec.weight
+        return lambda r: (-r.spec.priority, load.get(r.spec.tenant, 0.0), r.index)
 
     def _launch_locked(self, rec: _JobRecord) -> None:
         # Only the preempt request is cleared: an injected crash armed while
         # the job sat in the queue must still fire once it runs.
-        rec.preempt_event.clear()
+        rec.preempting = False
+        self._flag(rec, _PREEMPT_FLAG, up=False)
         ctx = JobContext(self, rec)
-        rec.context = ctx
         self._transition_locked(rec, "running")
         self._running.append(rec)
-        self._rebalance_quotas_locked()
         rec.thread = threading.Thread(
             target=self._run_job, args=(rec, ctx), name=f"job-{rec.spec.name}", daemon=True
         )
         rec.thread.start()
-
-    def _finish_running_locked(self, rec: _JobRecord) -> None:
-        self._running.remove(rec)
-        rec.quota = None
-        self._rebalance_quotas_locked()
-
-    def _rebalance_quotas_locked(self) -> None:
-        """Re-arbitrate pool-slot quotas across the running set.
-
-        Two-level weighted fair share over the parent pool's workers:
-        tenants split the pool equally (an untenanted job is its own
-        tenant), and jobs within a tenant split that share proportionally
-        to ``weight * max(1, priority + 1)``.  Quotas land directly on each
-        live lease's ``max_workers``, so a re-arbitration takes effect at
-        the job's next gather — mid-gather shards are never revoked.  The
-        executor caps only *concurrency*, never the decomposition, so any
-        quota assignment yields bit-identical job results.
-        """
-        if self.executor is None or not self._running:
-            return
-        if not self.config.fair_share:
-            for rec in self._running:
-                rec.quota = None
-                if rec.context is not None and rec.context.executor is not None:
-                    rec.context.executor.max_workers = None
-            return
-        tenants: dict[str, list[_JobRecord]] = {}
-        for rec in self._running:
-            tenants.setdefault(rec.spec.tenant or f"~{rec.spec.name}", []).append(rec)
-        names = sorted(tenants)
-        tenant_shares = _fair_shares([1.0] * len(names), self.executor.n_workers)
-        for tenant_name, tenant_share in zip(names, tenant_shares):
-            members = tenants[tenant_name]
-            weights = [r.spec.weight * max(1, r.spec.priority + 1) for r in members]
-            for rec, share in zip(members, _fair_shares(weights, tenant_share)):
-                rec.quota = int(share)
-                if rec.context is not None and rec.context.executor is not None:
-                    rec.context.executor.max_workers = int(share)
 
     def _supervise(self) -> None:
         with self._cond:
@@ -780,18 +810,17 @@ class ExperimentService:
                 now = time.monotonic()
                 ready = self._ready_locked(now)
                 if not self._draining:
-                    while ready and len(self._running) < self.config.max_running:
-                        self._launch_locked(ready.pop(0))
+                    while ready and len(self._running) < self._slots:
+                        rec = min(ready, key=self._launch_key_locked())
+                        ready.remove(rec)
+                        self._launch_locked(rec)
                     if ready and self._running:
                         # Full house: ask the weakest running job to yield if
                         # something strictly more important is waiting.
-                        best = ready[0]
+                        best = min(ready, key=self._launch_key_locked())
                         victim = min(self._running, key=lambda r: (r.spec.priority, -r.index))
-                        if (
-                            victim.spec.priority < best.spec.priority
-                            and not victim.preempt_event.is_set()
-                        ):
-                            victim.preempt_event.set()
+                        if victim.spec.priority < best.spec.priority and not victim.preempting:
+                            self._preempt_locked(victim)
                             self.fault_log.record(
                                 "scheduler",
                                 "preempt",
@@ -801,7 +830,7 @@ class ExperimentService:
                             )
                 else:
                     for rec in self._running:
-                        rec.preempt_event.set()
+                        self._preempt_locked(rec)
                 timeout = self.config.poll_s
                 pending_backoff = [
                     rec.backoff_until - now for rec in self._order if rec.state == "backoff"
@@ -811,75 +840,54 @@ class ExperimentService:
                 self._cond.wait(timeout)
 
     def _run_job(self, rec: _JobRecord, ctx: JobContext) -> None:
+        """Run one attempt — here, or on a pool worker — and book its outcome."""
         try:
-            try:
-                runner = _resolve_runner(rec.spec.runner)
-                result = runner(ctx)
-            except EnginePreempted as exc:
-                with self._cond:
-                    self._finish_running_locked(rec)
-                    rec.resume = True
-                    rec.fault_log.record(
-                        "scheduler", "preempt", f"checkpointed; resumes at cycle {exc.next_cycle}"
-                    )
-                    self._transition_locked(rec, "preempted")
-                    # Outside a drain the job immediately re-enters the queue.
-                    if not self._draining:
-                        self._transition_locked(rec, "pending")
-                    self._cond.notify_all()
-            except BaseException as exc:  # crash isolation: nothing escapes the thread
-                with self._cond:
-                    self._finish_running_locked(rec)
-                    rec.attempts += 1
-                    rec.resume = True
-                    rec.error = f"{type(exc).__name__}: {exc}"
-                    budget = rec.spec.max_attempts or self.config.max_attempts
-                    if rec.attempts >= budget:
-                        self.fault_log.record(
-                            "scheduler",
-                            "job-failed",
-                            f"{rec.spec.name!r} exhausted {budget} attempts: {rec.error}",
-                        )
-                        self._transition_locked(rec, "failed")
-                    else:
-                        delay = self._retry_delay_locked(rec.attempts)
-                        rec.backoff_until = time.monotonic() + delay
-                        rec.fault_log.record(
-                            "scheduler",
-                            "job-retry",
-                            f"attempt {rec.attempts}/{budget} crashed ({rec.error}); "
-                            f"requeued after {delay:.3f}s backoff",
-                        )
-                        self._transition_locked(rec, "backoff")
-                    self._cond.notify_all()
+            if self.executor is None:
+                outcome = _run_attempt(rec.spec.runner, ctx)
             else:
-                with self._cond:
-                    self._finish_running_locked(rec)
-                    if isinstance(result, dict):
-                        dropped: list[str] = []
-                        payload = _jsonable(result, dropped)
-                        if dropped:
-                            # Sanitized non-finite floats: keep the journal
-                            # strict but make the loss visible in the result
-                            # and the job's fault ledger.
-                            payload["nonfinite_fields"] = sorted(dropped)
-                            rec.fault_log.record(
-                                "scheduler",
-                                "nonfinite-result",
-                                f"sanitized {len(dropped)} non-finite result "
-                                f"field(s): {', '.join(sorted(dropped))}",
-                            )
-                        rec.result = payload
-                    else:
-                        rec.result = None
-                    rec.error = None
-                    self._transition_locked(rec, "done")
-                    self._cond.notify_all()
-        finally:
-            # Whatever path the attempt took, its lease must die with it —
-            # leases (and their fault routing) never accumulate across
-            # retries and preemptions.
-            ctx.release()
+                outcome = self.executor.run_task(_run_attempt, rec.spec.runner, ctx)
+        except Exception as exc:  # the worker died under the attempt, or the pool is gone
+            outcome = {"state": "error", "error": f"{type(exc).__name__}: {exc}", "actions": ()}
+        with self._cond:
+            self._running.remove(rec)
+            for action in outcome["actions"]:
+                rec.fault_log.record(action.site, action.action, action.detail, action.cycle)
+            if outcome["state"] == "preempted":
+                rec.resume = True
+                rec.fault_log.record(
+                    "scheduler", "preempt", f"checkpointed; resumes at cycle {outcome['next_cycle']}"
+                )
+                self._transition_locked(rec, "preempted")
+                # Outside a drain the job immediately re-enters the queue.
+                if not self._draining:
+                    self._transition_locked(rec, "pending")
+            elif outcome["state"] == "error":
+                rec.attempts += 1
+                rec.resume = True
+                rec.error = outcome["error"]
+                budget = rec.spec.max_attempts or self.config.max_attempts
+                if rec.attempts >= budget:
+                    self.fault_log.record(
+                        "scheduler",
+                        "job-failed",
+                        f"{rec.spec.name!r} exhausted {budget} attempts: {rec.error}",
+                    )
+                    self._transition_locked(rec, "failed")
+                else:
+                    delay = self._retry_delay_locked(rec.attempts)
+                    rec.backoff_until = time.monotonic() + delay
+                    rec.fault_log.record(
+                        "scheduler",
+                        "job-retry",
+                        f"attempt {rec.attempts}/{budget} crashed ({rec.error}); "
+                        f"requeued after {delay:.3f}s backoff",
+                    )
+                    self._transition_locked(rec, "backoff")
+            else:
+                rec.result = outcome["result"]
+                rec.error = None
+                self._transition_locked(rec, "done")
+            self._cond.notify_all()
 
     def _retry_delay_locked(self, attempt: int) -> float:
         """Jittered exponential backoff (dedicated rng — never an experiment stream)."""
@@ -903,14 +911,15 @@ class ExperimentService:
         with self._cond:
             self._draining = True
             for rec in self._running:
-                rec.preempt_event.set()
+                self._preempt_locked(rec)
             self._cond.notify_all()
 
     def drain(self, timeout: float | None = None) -> bool:
         """Checkpoint-preempt everything, flush the journal, stop the supervisor.
 
-        Returns ``True`` once no job is running (all progress durably in
-        checkpoints + journal), ``False`` on timeout.
+        Returns ``True`` once no attempt is executing any more, on a thread
+        or on a pool worker (all progress durably in checkpoints + journal),
+        ``False`` on timeout.
         """
         self.request_drain()
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -981,6 +990,11 @@ class ExperimentService:
         self._cond.notify_all()
 
     def close(self) -> None:
+        """Stop the service; attempts still running are drained out first."""
+        with self._lock:
+            busy = bool(self._running)
+        if busy:
+            self.drain()
         self._shutdown_supervisor()
         server, self._status_server = self._status_server, None
         if server is not None:

@@ -11,7 +11,8 @@ Routes
 ------
 ``GET /jobs``
     Service-wide snapshot: per-job summaries (state, attempts, backoff,
-    fair-share quota, fault counts) plus scheduler counters.  Cheap enough
+    tenant and weight, fault counts) plus scheduler counters (who is
+    running, ``max_running``, ``pool_workers`` — the slots).  Cheap enough
     for high-frequency polling — result arrays are excluded.
 ``GET /jobs/<name>``
     Full detail for one job, including its journaled result payload.

@@ -463,6 +463,45 @@ class TestScalingHarness:
             assert executor._pool is pool  # same pool, no per-call respawn
         assert executor._pool is None  # context exit released the workers
 
+    def test_wider_gather_never_waits_for_a_narrower_one(self):
+        """The pool is built once at ``n_workers``: a 2-worker gather behind a
+        1-worker user neither rebuilds it nor waits for the slow task on it."""
+        with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as executor:
+            ended = []
+            slow = threading.Thread(
+                target=lambda: ended.append(executor.run_task(_stamped_sleep, (0, 0.5)))
+            )
+            slow.start()
+            while executor._pool is None:
+                time.sleep(0.001)
+            pool = executor._pool
+            results = executor.map_blocks(_stamped_sleep, [(1, 0.0), (2, 0.0)])
+            assert not ended  # growing the pool used to shut it down, waiting for this
+            assert executor._pool is pool
+            slow.join(timeout=30)
+        assert [r[0] for r in results] == [1, 2] and ended[0][0] == 0
+
+    def test_run_task_runs_on_a_worker_and_skips_the_gather_machinery(self):
+        with EnsembleExecutor(n_workers=2, fault_plan=FaultPlan()) as executor:
+            pid, out = executor.run_task(_pid_negative, np.arange(3.0))
+            assert pid != os.getpid()
+            np.testing.assert_array_equal(out, -np.arange(3.0))
+            with pytest.raises(KeyError, match="genuine job bug"):
+                executor.run_task(_raise_key_error, 0)
+            assert executor.placements == {} and len(executor.fault_log) == 0
+        # one worker means no pool, here as in every other entry
+        assert EnsembleExecutor(n_workers=1).run_task(_pid_negative, np.ones(1))[0] == os.getpid()
+
+    def test_run_task_reports_a_dead_worker_and_the_next_call_heals(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        with EnsembleExecutor(n_workers=2, fault_plan=FaultPlan()) as executor:
+            with pytest.raises(BrokenProcessPool):
+                executor.run_task(os._exit, 3)
+            assert executor._pool is None  # dropped, not retried: the caller's policy
+            assert executor.fault_log.count(action="pool-rebuild") == 1
+            assert executor.run_task(_pid_negative, np.ones(1))[0] != os.getpid()
+
     def test_map_blocks_preserves_order(self):
         jobs = [np.full(3, i, dtype=float) for i in range(7)]
         with EnsembleExecutor(n_workers=2) as executor:
@@ -497,7 +536,6 @@ class TestScalingHarness:
                 pass
 
         executor._pool = _DeadPool()
-        executor._pool_workers = 2
         with pytest.raises(ShardRetryError) as excinfo:
             executor._gather(np.negative, [np.ones(2), np.ones(2)], workers=2)
         assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
@@ -518,7 +556,6 @@ class TestScalingHarness:
                 pass
 
         executor._pool = _DeadPool()
-        executor._pool_workers = 2
         try:
             results = executor.map_blocks(np.negative, [np.ones(2), np.full(2, 2.0)])
             np.testing.assert_array_equal(results[0], -np.ones(2))
@@ -1034,6 +1071,20 @@ class TestGatherPlacement:
         assert cheap["shipped"] + cheap["in_process"] == rounds
         assert (costly["shipped"], costly["in_process"]) == (rounds, 0)
         assert costly["compute_s"] >= 0.2
+
+    def test_millisecond_osse_forecasts_end_up_in_process(self):
+        """A Lorenz-96 OSSE driven on a pool directly: its forecast gather is
+        shipped until measured and placed in the parent from then on."""
+        model = Lorenz96(dim=12)
+        with EnsembleExecutor(n_workers=2) as ex:
+            run_osse(
+                model, model, EnSF(EnSFConfig(n_sde_steps=5), rng=5),
+                IdentityObservation(12, obs_error_var=0.5), model.spinup(30, rng=0),
+                OSSEConfig(n_cycles=40, steps_per_cycle=2, ensemble_size=8, seed=0),
+                executor=ex,
+            )
+            (forecast,) = [v for k, v in ex.placements.items() if k[0] == "_forecast_chunk"]
+        assert forecast["in_process"] > forecast["shipped"] >= 1
 
     def test_single_slot_lease_ends_up_in_process(self):
         """One lane buys no overlap, so once measured the work stays home;

@@ -11,7 +11,10 @@ checkpointing and no service machinery at all.
 """
 
 import json
+import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -28,7 +31,6 @@ from repro.workflow.scheduler import (
     ExperimentService,
     JobSpec,
     ServiceConfig,
-    _fair_shares,
     lorenz96_ensf_job,
 )
 
@@ -76,15 +78,16 @@ def _service(tmp_path, **kwargs) -> ExperimentService:
     return ExperimentService(tmp_path / "journal.json", config=config, **kwargs)
 
 
-def _wait_for_state(service, name, state, timeout=20.0):
+def _wait_until(predicate, what, timeout=30.0):
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if service.state(name) == state:
-            return
-        time.sleep(0.005)
-    raise AssertionError(
-        f"job {name!r} never reached {state!r} (now {service.state(name)!r})"
-    )
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"timed out waiting for {what}")
+        time.sleep(0.002)
+
+
+def _wait_for_state(service, name, state, timeout=20.0):
+    _wait_until(lambda: service.state(name) == state, f"job {name!r} to be {state!r}", timeout)
 
 
 def _always_crash(ctx):
@@ -355,22 +358,48 @@ def _nonfinite_result_job(ctx):
     return {"final_rmse": float("nan"), "worst_member": float("inf"), "ok": 1.0}
 
 
-# Two-phase rendezvous for the fair-share probe: the first wait proves both
-# jobs are running (so quotas were re-arbitrated for a 2-job set) before
-# either reads its lease, the second keeps both alive until both have read.
-_QUOTA_SYNC: dict = {"barrier": None}
+# Runners below rendezvous through files in the service's job directory, so
+# they work the same on a service thread and in a pool worker.
 
 
-def _quota_probe(ctx):
-    _QUOTA_SYNC["barrier"].wait(timeout=20)
-    quota = None if ctx.executor is None else ctx.executor.max_workers
-    _QUOTA_SYNC["barrier"].wait(timeout=20)
-    return {"quota": -1 if quota is None else int(quota)}
+def _gated_job(ctx):
+    """Log the launch, then hold the slot until the test opens this job's gate."""
+    with open(ctx.workdir.parent / "launched.log", "a") as log:
+        log.write(ctx.name + "\n")
+    _wait_until((ctx.workdir / "go").exists, f"the gate of {ctx.name!r}")
+    return {"ok": True}
 
 
-def _quota_probe_solo(ctx):
-    quota = None if ctx.executor is None else ctx.executor.max_workers
-    return {"quota": -1 if quota is None else int(quota)}
+def _held_job(ctx):
+    """``lorenz96_ensf_job`` that stops at its ``hold_at``-th cycle boundary
+    until the test releases it — so a preemption or a drain lands at a
+    cycle the test chose, not at one the host's speed chose."""
+    release, poll, calls = ctx.workdir / "release", ctx.should_preempt, 0
+
+    def held():
+        nonlocal calls
+        calls += 1
+        if calls == ctx.params["hold_at"] and not release.exists():
+            (ctx.workdir / "held").touch()
+            _wait_until(release.exists, f"the release of {ctx.name!r}")
+        return poll()
+
+    ctx.should_preempt = held
+    return lorenz96_ensf_job(ctx)
+
+
+def _pid_job(ctx):
+    """Report this attempt's pid once every job of the campaign is running."""
+    (ctx.workdir / "started").touch()
+    _wait_until(
+        lambda: len(list(ctx.workdir.parent.glob("*/started"))) == ctx.params["n_jobs"],
+        "every sibling to be running at once",
+    )
+    return {"pid": os.getpid()}
+
+
+def _hard_exit(ctx):
+    os._exit(1)  # no exception, no cleanup: the worker is simply gone
 
 
 def _strict_loads(body: bytes):
@@ -487,55 +516,98 @@ class TestResubmission:
 
 
 class TestFairShare:
-    def test_fair_shares_apportionment(self):
-        assert _fair_shares([1.0, 1.0], 4) == [2, 2]
-        assert _fair_shares([1.0], 4) == [4]
-        assert _fair_shares([3.0, 1.0], 4) == [3, 1]
-        assert _fair_shares([2.0, 1.0, 1.0], 8) == [4, 2, 2]
-        # oversubscribed: everyone keeps the floor of one slot
-        assert _fair_shares([1.0, 1.0, 1.0], 2) == [1, 1, 1]
-        with pytest.raises(ValueError):
-            _fair_shares([0.0], 4)
+    """What tenants compete for is the next free slot: ``fair_share`` orders
+    the pending queue, it caps nothing."""
 
-    def test_fair_shares_conserve_slots_and_respect_floor(self):
-        for weights in ([1.0, 2.0, 3.0], [0.1, 0.9], [5.0] * 7):
-            for total in range(1, 12):
-                shares = _fair_shares(list(weights), total)
-                assert sum(shares) == max(total, len(weights))
-                assert min(shares) >= 1
+    A, B = "tenant-a", "tenant-b"
 
-    def test_concurrent_jobs_split_the_pool(self, tmp_path):
-        _QUOTA_SYNC["barrier"] = threading.Barrier(2)
-        with EnsembleExecutor(n_workers=4, min_members_per_worker=1) as pool:
-            with _service(tmp_path, executor=pool) as svc:
-                svc.submit("p1", "test_scheduler:_quota_probe")
-                svc.submit("p2", "test_scheduler:_quota_probe")
-                states = svc.run_until_complete(timeout=60.0)
-        assert states == {"p1": "done", "p2": "done"}
-        # two equal untenanted jobs on a 4-slot pool: 2 slots each
-        assert svc.result("p1")["quota"] == 2
-        assert svc.result("p2")["quota"] == 2
+    @staticmethod
+    def _launches(svc) -> list:
+        log = svc.workdir / "launched.log"
+        return log.read_text().split() if log.exists() else []
 
-    def test_single_job_gets_the_whole_pool(self, tmp_path):
-        with EnsembleExecutor(n_workers=4, min_members_per_worker=1) as pool:
-            with _service(tmp_path, executor=pool) as svc:
-                svc.submit("solo", "test_scheduler:_quota_probe_solo")
-                svc.run_until_complete(timeout=60.0)
-        assert svc.result("solo")["quota"] == 4
+    def _run_releasing_in_launch_order(self, svc, n_jobs) -> list:
+        """Open the gates one at a time, oldest launch first; the launch log."""
+        svc.start()
+        for released in range(n_jobs):
+            _wait_until(lambda: len(self._launches(svc)) > released, "the next launch")
+            name = self._launches(svc)[released]
+            (svc.workdir / name / "go").touch()
+            _wait_for_state(svc, name, "done")
+        return self._launches(svc)
 
-    def test_fair_share_off_leaves_leases_uncapped(self, tmp_path):
-        config = ServiceConfig(
-            max_running=2, retry_backoff_s=0.01, poll_s=0.01, fair_share=False
-        )
-        with EnsembleExecutor(n_workers=4, min_members_per_worker=1) as pool:
+    def _submit_two_tenants(self, svc) -> None:
+        for tenant in (self.A, self.B):
+            for i in range(3):
+                svc.submit(f"{tenant}-{i}", "test_scheduler:_gated_job", tenant=tenant)
+
+    def test_equal_priority_tenants_alternate(self, tmp_path):
+        with _service(tmp_path) as svc:  # two slots, one frees at a time
+            self._submit_two_tenants(svc)
+            order = self._run_releasing_in_launch_order(svc, 6)
+        # tenant A submitted everything first and still gets every other slot
+        assert order == [f"{t}-{i}" for i in range(3) for t in (self.A, self.B)]
+
+    def test_fair_share_off_is_submission_order(self, tmp_path):
+        config = ServiceConfig(max_running=2, poll_s=0.01, fair_share=False)
+        with _service(tmp_path, config=config) as svc:
+            self._submit_two_tenants(svc)
+            order = self._run_releasing_in_launch_order(svc, 6)
+        assert order == [f"{t}-{i}" for t in (self.A, self.B) for i in range(3)]
+
+    @pytest.mark.parametrize("weight, first_three", [(2.0, "b0 a0 a1"), (1.0, "b0 a0 b1")])
+    def test_weight_lets_a_tenant_hold_more_slots(self, tmp_path, weight, first_three):
+        config = ServiceConfig(max_running=3, poll_s=0.01)
+        with _service(tmp_path, config=config) as svc:
+            for i in range(2):
+                svc.submit(f"b{i}", "test_scheduler:_gated_job", tenant=self.B)
+            for i in range(2):
+                svc.submit(f"a{i}", "test_scheduler:_gated_job", tenant=self.A, weight=weight)
+            svc.start()
+            _wait_until(lambda: len(self._launches(svc)) == 3, "three launches")
+            # b0 first (nobody runs yet), a0 next (B is loaded); the third slot
+            # goes to A again only if two of its attempts weigh what one of B's does
+            assert self._launches(svc) == first_three.split()
+            for name in ("a0", "a1", "b0", "b1"):
+                (svc.workdir / name).mkdir(exist_ok=True)
+                (svc.workdir / name / "go").touch()
+            assert set(svc.run_until_complete(timeout=60.0).values()) == {"done"}
+
+    def test_higher_priority_still_jumps_the_queue(self, tmp_path):
+        with _service(tmp_path) as svc:
+            svc.submit("a0", "test_scheduler:_gated_job", tenant=self.A)
+            svc.submit("b0", "test_scheduler:_gated_job", tenant=self.B)
+            svc.start()
+            _wait_until(lambda: len(self._launches(svc)) == 2, "two launches")
+            svc.submit("b1", "test_scheduler:_gated_job", tenant=self.B)
+            svc.submit("a1", "test_scheduler:_gated_job", tenant=self.A, priority=5)
+            (svc.workdir / "b0" / "go").touch()
+            # a0 still runs, so tenant B is the idle one — and a1 goes first
+            _wait_until(lambda: len(self._launches(svc)) == 3, "the third launch")
+            assert self._launches(svc) == ["a0", "b0", "a1"]
+            for name in ("a0", "a1", "b1"):
+                (svc.workdir / name).mkdir(exist_ok=True)
+                (svc.workdir / name / "go").touch()
+            assert set(svc.run_until_complete(timeout=60.0).values()) == {"done"}
+
+    def test_slots_are_capped_by_the_pool(self, tmp_path):
+        config = ServiceConfig(max_running=4, poll_s=0.01)
+        with EnsembleExecutor(n_workers=2) as pool:
             with _service(tmp_path, config=config, executor=pool) as svc:
-                svc.submit("solo", "test_scheduler:_quota_probe_solo")
-                svc.run_until_complete(timeout=60.0)
-        assert svc.result("solo")["quota"] == -1  # lease max_workers is None
+                for i in range(3):
+                    svc.submit(f"job-{i}", "test_scheduler:_gated_job")
+                svc.start()
+                _wait_until(lambda: len(self._launches(svc)) == 2, "two launches")
+                time.sleep(0.05)  # several supervisor polls: a third would show
+                assert svc.status_details()["running"] == ["job-0", "job-1"]
+                for i in range(3):
+                    (svc.workdir / f"job-{i}").mkdir(exist_ok=True)
+                    (svc.workdir / f"job-{i}" / "go").touch()
+                assert set(svc.run_until_complete(timeout=60.0).values()) == {"done"}
 
     def test_fair_share_results_bit_identical_to_unshared(self, tmp_path):
-        """Arbitration caps concurrency only: OSSE results through a shared
-        arbitrated pool match the no-executor (serial) service exactly."""
+        """Ordering the queue touches no result: tenanted jobs on a shared
+        pool match the untenanted no-executor service exactly."""
         params = [dict(SHORT, seed=20 + i) for i in range(2)]
         with _service(tmp_path / "serial") as svc:
             for i, p in enumerate(params):
@@ -558,8 +630,8 @@ class TestFairShare:
 
 
 class TestCheapJobs:
-    """Millisecond-cycle jobs on a pool: gathers placed in the parent, the
-    ring written far less often than once a cycle — results untouched."""
+    """Millisecond-cycle jobs on a pool: the ring written far less often
+    than once a cycle — results untouched."""
 
     PARAMS = dict(LONG, n_cycles=120, ensemble_size=8)  # two 4-member chunks
 
@@ -576,8 +648,7 @@ class TestCheapJobs:
         assert cycles and cycles[-1] - cycles[0] > len(cycles) - 1
         assert not list(svc.workdir.rglob("*.tmp"))
         assert pool.active_leases == 0
-        (forecast,) = [v for k, v in pool.placements.items() if k[0] == "_forecast_chunk"]
-        assert forecast["in_process"] > forecast["shipped"] >= 1
+        assert pool.placements == {}  # a job in the service gathers nothing over the pool
 
     def test_crashed_mid_run_resumes_from_an_older_checkpoint(self, tmp_path):
         params = dict(self.PARAMS, seed=21)
@@ -614,6 +685,282 @@ class TestCheapJobs:
         # the forced checkpoint was there and intact: nothing to fall back past
         assert log.count(action="checkpoint-fallback") == 0
         assert svc.result("low")["analysis_rmse"] == _clean_rmse(params)
+
+
+# --------------------------------------------------------------------------- #
+# thread slots ≡ process slots
+# --------------------------------------------------------------------------- #
+
+
+HELD = "test_scheduler:_held_job"
+
+
+def _release(svc, name):
+    _wait_until((svc.workdir / name / "held").exists, f"{name!r} to reach its hold")
+    (svc.workdir / name / "release").touch()
+
+
+def _observed(svc, names) -> dict:
+    """What a layout may not change: per job, the result and the recovery ledger."""
+    return {
+        name: (svc.result(name), svc.job_fault_log(name).summary()) for name in names
+    }
+
+
+# Each scenario returns what it observed and, per job, what that must be:
+# the params of the undisturbed oracle run, the recovery ledger, and the
+# ``fault_recoveries`` the runner counted (the ledger's length as the last
+# attempt saw it, the service's own entries included).
+
+
+def _scenario_clean(root, pool):
+    params = {f"job-{i}": dict(SHORT, seed=40 + i) for i in range(2)}
+    with _service(root, executor=pool) as svc:
+        for name, p in params.items():
+            svc.submit(name, RUNNER, params=p)
+        assert set(svc.run_until_complete(timeout=120.0).values()) == {"done"}
+    return _observed(svc, params), {name: (p, {}, 0) for name, p in params.items()}
+
+
+def _scenario_preempted(root, pool):
+    low, high = dict(LONG, seed=42), dict(SHORT, seed=43)
+    config = ServiceConfig(max_running=1, retry_backoff_s=0.01, poll_s=0.01)
+    with _service(root, executor=pool, config=config) as svc:
+        svc.start()
+        svc.submit("low", HELD, params=dict(low, hold_at=5))
+        _wait_until((svc.workdir / "low" / "held").exists, "low to reach its hold")
+        svc.submit("high", RUNNER, params=high, priority=10)
+        _wait_until(lambda: svc.fault_log.count("preempt") == 1, "the preempt request")
+        _release(svc, "low")
+        assert set(svc.run_until_complete(timeout=120.0).values()) == {"done"}
+    return _observed(svc, ["low", "high"]), {
+        "low": (low, {"preempt": 1}, 1),
+        "high": (high, {}, 0),
+    }
+
+
+def _scenario_crashed(root, pool):
+    params = dict(LONG, seed=48)
+    # visit #0 the submission, #1 the launch: armed as the attempt starts,
+    # fired at its first cycle boundary -- inside the worker, on a pool
+    plan = FaultPlan.from_spec("job-crash@scheduler:1,job=victim")
+    with _service(root, executor=pool, fault_plan=plan) as svc:
+        svc.submit("victim", RUNNER, params=params)
+        assert svc.run_until_complete(timeout=120.0) == {"victim": "done"}
+    return _observed(svc, ["victim"]), {
+        "victim": (params, {"job-crash": 1, "job-retry": 1}, 2)
+    }
+
+
+def _scenario_drained_and_restarted(root, pool):
+    from repro.workflow.engine import CheckpointRing
+
+    params = dict(LONG, seed=45)
+    config = ServiceConfig(max_running=1, retry_backoff_s=0.01, poll_s=0.01)
+    with _service(root, executor=pool, config=config) as svc:
+        svc.start()
+        svc.submit("job", HELD, params=dict(params, hold_at=5))
+        _wait_until((svc.workdir / "job" / "held").exists, "the job to reach its hold")
+        svc.request_drain()
+        _release(svc, "job")
+        assert svc.drain(timeout=60.0)
+        assert svc.state("job") == "preempted"
+        # Tear the checkpoint the drain forced: the restarted attempt falls
+        # back past it, and says so in a ledger that lives in the worker.
+        newest = CheckpointRing(svc.workdir / "job" / "engine.ckpt").paths()[-1]
+        newest.write_bytes(newest.read_bytes()[:100])
+    with _service(root, executor=pool, config=config) as svc2:
+        assert svc2.run_until_complete(timeout=120.0) == {"job": "done"}
+    # the in-memory ledger does not outlive a service: only the restarted
+    # attempt's fallback is in it
+    return _observed(svc2, ["job"]), {"job": (params, {"checkpoint-fallback": 1}, 1)}
+
+
+class TestLayoutMatrix:
+    """{no pool, 2-worker pool} x {clean, preempted, crashed, drained +
+    restarted}: the same results as the undisturbed oracle, and as each
+    other, bit for bit — and the same recovery ledger per job, although
+    with a pool half of it was written in another process."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [_scenario_clean, _scenario_preempted, _scenario_crashed, _scenario_drained_and_restarted],
+        ids=["clean", "preempted", "crashed", "drained-restarted"],
+    )
+    def test_threads_and_processes_agree(self, tmp_path, scenario):
+        threads, expected = scenario(tmp_path / "threads", None)
+        with EnsembleExecutor(n_workers=2) as pool:
+            processes, _ = scenario(tmp_path / "processes", pool)
+            assert pool.active_leases == 0 and pool.placements == {}
+        assert processes == threads
+        for name, (params, ledger, recoveries) in expected.items():
+            result, seen = threads[name]
+            assert seen == ledger, name
+            assert result["fault_recoveries"] == recoveries, name
+            assert result["analysis_rmse"] == _clean_rmse(params), name
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_two_running_attempts_are_two_processes(self, tmp_path):
+        with EnsembleExecutor(n_workers=2) as pool:
+            with _service(tmp_path, executor=pool) as svc:
+                for name in ("left", "right"):
+                    svc.submit(name, "test_scheduler:_pid_job", params={"n_jobs": 2})
+                assert set(svc.run_until_complete(timeout=60.0).values()) == {"done"}
+        pids = {svc.result(name)["pid"] for name in ("left", "right")}
+        assert len(pids) == 2 and os.getpid() not in pids
+        # without a pool the same two attempts are two threads of this process
+        with _service(tmp_path / "threads") as svc:
+            for name in ("left", "right"):
+                svc.submit(name, "test_scheduler:_pid_job", params={"n_jobs": 2})
+            svc.run_until_complete(timeout=60.0)
+        assert {svc.result(n)["pid"] for n in ("left", "right")} == {os.getpid()}
+
+    def test_a_dying_worker_fails_its_job_not_its_sibling(self, tmp_path):
+        params = dict(LONG, seed=46)
+        with EnsembleExecutor(n_workers=2) as pool:
+            with _service(tmp_path, executor=pool) as svc:
+                svc.submit("dies", "test_scheduler:_hard_exit", max_attempts=2)
+                # each death breaks the pool under the sibling too
+                svc.submit("sibling", RUNNER, params=params, max_attempts=4)
+                states = svc.run_until_complete(timeout=120.0)
+            assert pool.fault_log.count("pool-rebuild") >= 1
+        assert states == {"dies": "failed", "sibling": "done"}
+        assert "BrokenProcessPool" in svc.job_details("dies")["error"]
+        assert svc.job_fault_log("dies").count("job-retry") == 1
+        assert svc.result("sibling")["analysis_rmse"] == _clean_rmse(params)
+
+    def test_oversubscribed_pool_under_priority_churn(self, tmp_path):
+        """More slots than cores, three priority tiers arriving while the
+        campaign runs, a status poller beside it: however often attempts are
+        preempted between processes, every result is the oracle's."""
+        config = ServiceConfig(max_running=3, retry_backoff_s=0.01, poll_s=0.005)
+        params = {f"job-{i}": dict(LONG, seed=60 + i) for i in range(9)}
+        with EnsembleExecutor(n_workers=3) as pool:
+            with _service(tmp_path, executor=pool, config=config) as svc:
+                svc.start()
+                stop = threading.Event()
+
+                def poll():
+                    while not stop.wait(0.001):
+                        svc.status_details()
+
+                poller = threading.Thread(target=poll)
+                poller.start()
+                try:
+                    for i, (name, p) in enumerate(params.items()):
+                        svc.submit(name, RUNNER, params=p, priority=i % 3, tenant=f"t{i % 2}")
+                        time.sleep(0.01)
+                    states = svc.run_until_complete(timeout=120.0)
+                finally:
+                    stop.set()
+                    poller.join(timeout=10)
+                assert not poller.is_alive()
+        assert set(states.values()) == {"done"}
+        for name, p in params.items():
+            assert svc.result(name)["analysis_rmse"] == _clean_rmse(p), name
+            assert svc.job_fault_log(name).count("job-retry") == 0
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["threads", "processes"])
+    def test_close_leaves_no_attempt_running(self, tmp_path, workers):
+        pool = None if workers is None else EnsembleExecutor(n_workers=workers)
+        try:
+            svc = _service(tmp_path, executor=pool)
+            svc.start()
+            svc.submit("job", HELD, params=dict(LONG, seed=47, hold_at=3))
+            _wait_until((svc.workdir / "job" / "held").exists, "the job to reach its hold")
+            closer = threading.Thread(target=svc.close)
+            closer.start()  # close() asks the attempt to yield, then waits for it
+            _release(svc, "job")
+            closer.join(timeout=60.0)
+            assert not closer.is_alive()
+            assert svc.state("job") == "preempted" and svc.status_details()["running"] == []
+        finally:
+            if pool is not None:
+                pool.close()
+
+
+_KILL_DRIVER = """
+import json, sys
+from pathlib import Path
+from repro.hpc.ensemble_parallel import EnsembleExecutor
+from repro.workflow import ExperimentService, ServiceConfig
+
+journal, params = Path(sys.argv[1]), json.loads(sys.argv[2])
+config = ServiceConfig(max_running=2, retry_backoff_s=0.01, poll_s=0.01)
+with EnsembleExecutor(n_workers=2) as pool:
+    with ExperimentService(journal, executor=pool, config=config) as svc:
+        for i in range(6):
+            if f"job-{i}" not in svc.status():
+                svc.submit(f"job-{i}", "repro.workflow.scheduler:lorenz96_ensf_job",
+                           params=dict(params, seed=50 + i))
+        svc.run_until_complete(timeout=300.0)
+        print(json.dumps({n: svc.result(n)["analysis_rmse"] for n in svc.status()}))
+"""
+
+
+def _children_of(pid: int) -> list:
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    stat = fh.read()
+            except OSError:
+                continue
+            if int(stat[stat.rindex(")") + 2 :].split()[1]) == pid:
+                found.append(int(entry))
+    return found
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to see the workers")
+class TestKilledService:
+    def test_sigkill_leaves_no_attempt_behind_and_restart_is_bit_identical(self, tmp_path):
+        """SIGKILL a service mid-campaign, with attempts running in its pool
+        workers: they must be gone before a restarted service resumes the
+        same checkpoint rings, or a ring would have two writers."""
+        from pathlib import Path
+
+        params = dict(LONG, n_cycles=200)
+        journal = tmp_path / "journal.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[2] / "src"))
+        env.pop("REPRO_FAULT_PLAN", None)
+        command = [sys.executable, "-c", _KILL_DRIVER, str(journal), json.dumps(params)]
+
+        def states():
+            payload = ExperimentService.load_journal(journal) or {"jobs": []}
+            return [job["state"] for job in payload["jobs"]]
+
+        first = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
+        try:
+            _wait_until(
+                lambda: "done" in states() and states().count("running") == 2,
+                "the campaign to be mid-flight",
+                timeout=60.0,
+            )
+            workers = _children_of(first.pid)
+            assert len(workers) >= 2
+        finally:
+            first.kill()
+            first.wait()
+        # the killed generation: idle workers and workers mid-attempt alike
+        _wait_until(lambda: not any(map(_alive, workers)), "the orphaned workers to exit")
+
+        second = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+        assert second.returncode == 0, second.stderr
+        results = json.loads(second.stdout.strip().splitlines()[-1])
+        assert results == {
+            f"job-{i}": _clean_rmse(dict(params, seed=50 + i)) for i in range(6)
+        }
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestSignalChaining:
