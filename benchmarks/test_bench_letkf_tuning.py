@@ -3,8 +3,9 @@
 The paper tunes LETKF's RTPS factor (0.3) and localization cut-off (2000 km)
 in an error-free twin experiment and stresses that EnSF needs no such tuning.
 This bench sweeps the LETKF parameters on a small twin experiment and also
-ablates the EnSF damping function and pseudo-time resolution (the design
-choices called out in DESIGN.md).
+ablates the EnSF damping function and pseudo-time resolution (the EnSF
+design choices; ROADMAP.md's filter-health item tracks the still-unmeasured
+``n_sde_steps`` default).
 """
 
 import numpy as np

@@ -2,8 +2,9 @@
 
 The paper's scalability results were obtained on the Frontier exascale system
 (AMD MI250X GPUs, RCCL collectives, Slingshot-11 interconnect) which we do
-not have.  Following the substitution policy in DESIGN.md this subpackage
-provides:
+not have.  In its place (the "simulated-Frontier HPC substrate" of README.md;
+ROADMAP.md says which scaling results are measured and which only modelled)
+this subpackage provides:
 
 * an analytical **performance model** of Frontier: node/system topology
   (:mod:`topology`), collective-communication cost models with empirically

@@ -37,8 +37,6 @@ from repro.utils.faults import FaultInjected, FaultLog, FaultPlan
 __all__ = [
     "ensemble_slices",
     "EnsembleExecutor",
-    "ExecutorLease",
-    "LeaseSlotScheduler",
     "ShardRetryError",
 ]
 
@@ -138,141 +136,6 @@ def ensemble_slices(n_members: int, n_workers: int) -> list[slice]:
     return slices
 
 
-class LeaseSlotScheduler:
-    """Fair-share arbitration of one lease's pool slots across its gathers.
-
-    A lease's quota (``max_workers``) used to be enforced per *gather*:
-    each concurrent ``_gather`` independently windowed its submissions to
-    the quota, so a job running two gathers at once (e.g. a forecast map
-    overlapping an analysis map) competed for its own slots first-come,
-    first-served — one long gather could hold every slot until it drained.
-    This scheduler is shared by all of a lease's gathers and round-robins
-    the quota instead:
-
-    - each gather registers on entry and releases one slot per completed
-      shard;
-    - a gather may take a slot while fewer than
-      ``ceil(capacity / n_demanding)`` are in its hands (its **fair
-      share** among the gathers currently asking for slots), so a
-      newly-arrived sibling reaches its share as the incumbent's shards
-      complete — no preemption, just refusal to re-acquire beyond the
-      share while someone else is hungry;
-    - a gather with nothing in flight blocks for a slot, and blocked
-      gathers hold **priority**: non-blocking re-acquires defer to the
-      FIFO of waiters, so an incumbent that merely got to the freed slot
-      first (its thread is already running; the waiter still has to wake)
-      cannot win every race and starve the sibling anyway;
-    - with no hungry sibling the whole remaining capacity is grantable, so
-      a lone gather is exactly as fast as under the old windowing.
-
-    ``capacity`` is live-retargetable (assign ``lease.max_workers``);
-    ``None`` means unconstrained.  The scheduler only ever caps
-    *concurrency* — job decompositions are fixed before submission — so
-    scheduling cannot change results, only occupancy.
-    """
-
-    def __init__(self, capacity: int | None = None):
-        if capacity is not None and int(capacity) < 1:
-            raise ValueError("capacity must be positive (or None)")
-        self._capacity = None if capacity is None else int(capacity)
-        self._cond = threading.Condition()
-        self._held: dict[int, int] = {}  # gather token -> slots held
-        self._want: dict[int, bool] = {}  # gather token -> has queued work
-        self._waiters: list[int] = []  # FIFO of gathers blocked in acquire()
-        self._next_token = 0
-
-    @property
-    def capacity(self) -> int | None:
-        return self._capacity
-
-    @capacity.setter
-    def capacity(self, value: int | None) -> None:
-        if value is not None and int(value) < 1:
-            raise ValueError("capacity must be positive (or None)")
-        with self._cond:
-            self._capacity = None if value is None else int(value)
-            self._cond.notify_all()
-
-    def register(self) -> int:
-        """Enter a gather; returns its token for acquire/release calls."""
-        with self._cond:
-            token = self._next_token
-            self._next_token += 1
-            self._held[token] = 0
-            self._want[token] = True
-            return token
-
-    def unregister(self, token: int) -> None:
-        """Leave a gather, releasing every slot it still holds."""
-        with self._cond:
-            self._held.pop(token, None)
-            self._want.pop(token, None)
-            self._cond.notify_all()
-
-    def set_demand(self, token: int, wants_more: bool) -> None:
-        """Record whether ``token`` still has queued shards (drives shares)."""
-        with self._cond:
-            if token in self._want and self._want[token] != wants_more:
-                self._want[token] = bool(wants_more)
-                self._cond.notify_all()
-
-    def _may_take(self, token: int) -> bool:
-        cap = self._capacity
-        if cap is None:
-            return True
-        if sum(self._held.values()) >= cap:
-            return False
-        hungry_others = sum(
-            1 for t, w in self._want.items() if w and t != token
-        )
-        if not hungry_others:
-            return True
-        share = -(-cap // (hungry_others + 1))  # ceil: remainder slots stay usable
-        return self._held[token] < share
-
-    def try_acquire(self, token: int) -> bool:
-        """Take one slot if fair-share allows it right now (non-blocking).
-
-        Defers unconditionally to blocked waiters: a gather that already
-        has shards in flight must not outrace a starved sibling to a freed
-        slot just because its thread happened to be scheduled first.
-        """
-        with self._cond:
-            if self._waiters or not self._may_take(token):
-                return False
-            self._held[token] += 1
-            return True
-
-    def acquire(self, token: int, timeout: float | None = None) -> bool:
-        """Block (up to ``timeout``) for one slot; the gather's progress path.
-
-        Only called when a gather has nothing in flight — it must hold at
-        least one slot to make progress, and its fair share is always
-        ``>= 1``, so it is granted as soon as siblings' completions free
-        capacity.  Waiters are served in FIFO order.
-        """
-        with self._cond:
-            self._waiters.append(token)
-            try:
-                granted = self._cond.wait_for(
-                    lambda: self._waiters[0] == token and self._may_take(token),
-                    timeout=timeout,
-                )
-                if granted:
-                    self._held[token] += 1
-                return granted
-            finally:
-                self._waiters.remove(token)
-                self._cond.notify_all()  # the next waiter is now at the head
-
-    def release(self, token: int) -> None:
-        """Give back one slot (one per completed shard)."""
-        with self._cond:
-            if token in self._held and self._held[token] > 0:
-                self._held[token] -= 1
-                self._cond.notify_all()
-
-
 def _forecast_chunk(args):
     """Worker entry point: propagate a chunk of members through the model."""
     model, chunk, n_steps = args
@@ -294,7 +157,8 @@ class EnsembleExecutor:
     gather needs, and **reused across calls** (and hence across OSSE
     cycles): process start-up plus re-importing numpy costs far
     more than a cycle's worth of forecast work for small ensembles, so a
-    fresh pool per cycle would swamp the parallel speedup.  Models that carry
+    fresh pool per cycle would swamp the parallel speedup; :meth:`close` (or
+    the context-manager form) releases the workers.  Models that carry
     forecast workspaces (e.g. the fused SQG engine) drop them when pickled to
     workers and rebuild them there on first use, so shipping a model per
     chunk stays cheap.
@@ -320,10 +184,6 @@ class EnsembleExecutor:
         Shapes the decomposition only: an ensemble is split into at most
         ``n_members // min_members_per_worker`` chunks.  Whether the chunks
         are worth shipping is measured, not inferred from this number.
-    reuse_pool:
-        Keep the worker pool alive between calls (default).  ``False``
-        restores the tear-down-per-call behaviour.  Use :meth:`close` (or the
-        context-manager form) to release workers deterministically.
     max_retries:
         How many times a failed shard batch is recomputed before
         :class:`ShardRetryError`.  Only *infrastructure* failures are
@@ -371,7 +231,6 @@ class EnsembleExecutor:
         self,
         n_workers: int | None = None,
         min_members_per_worker: int = 4,
-        reuse_pool: bool = True,
         max_retries: int = 2,
         retry_backoff_s: float = 0.05,
         task_deadline_s: float | None = None,
@@ -390,7 +249,6 @@ class EnsembleExecutor:
             raise ValueError("max_retries must be non-negative")
         self.n_workers = int(n_workers)
         self.min_members_per_worker = int(min_members_per_worker)
-        self.reuse_pool = bool(reuse_pool)
         self.max_retries = int(max_retries)
         self.retry_backoff_s = float(retry_backoff_s)
         self.task_deadline_s = None if task_deadline_s is None else float(task_deadline_s)
@@ -405,15 +263,15 @@ class EnsembleExecutor:
         self._backoff_lock = threading.Lock()
         # Pool management must be serialized: an experiment service runs
         # concurrent attempts on one pool, and an unlocked rebuild racing a
-        # concurrent acquire would leak (or double-kill) worker processes.  Submission/gather stay lock-free — only
-        # acquire/discard/close take the lock.
+        # concurrent acquire would leak (or double-kill) worker processes.
+        # Submission/gather stay lock-free — only acquire/discard/close take
+        # the lock.
         self._pool_lock = threading.RLock()
         self._pool: ProcessPoolExecutor | None = None
         # Live per-gather shm arenas (released in each gather's finally; this
-        # set is the close()-time backstop) and open-lease bookkeeping.
+        # set is the close()-time backstop).
         self._arena_lock = threading.Lock()
         self._arenas: set[SharedPayloadArena] = set()
-        self._active_leases = 0
         # Work key -> what its shipped gathers cost (see _cheaper_in_process).
         self._placement_lock = threading.Lock()
         self._placements: dict[tuple, dict] = {}
@@ -423,40 +281,37 @@ class EnsembleExecutor:
         by_size = max(1, n_members // self.min_members_per_worker)
         return max(1, min(self.n_workers, by_size))
 
-    def _faults_for(self, pending: list[int], fault_plan: FaultPlan | None) -> dict:
+    def _faults_for(self, pending: list[int]) -> dict:
         """Injected faults for this gather attempt, keyed by job index.
 
         One ``"executor"`` site visit per attempt — the counter advances
         identically for serial and pool gathers, so a fault plan hits the
         same logical shard batch under any worker layout.
         """
-        if fault_plan is None:
+        if self.fault_plan is None:  # REPRO_FAULT_PLAN unset
             return {}
         faults = {}
-        for event in fault_plan.visit("executor"):
+        for event in self.fault_plan.visit("executor"):
             if event.kind in ("worker-crash", "task-hang"):
                 target = pending[int(event.payload.get("job", 0)) % len(pending)]
                 faults[target] = event
         return faults
 
-    def _new_pool(self, workers: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(os.getpid(),)
-        )
-
-    def _acquire_pool(self, workers: int) -> ProcessPoolExecutor:
-        """The shared pool, built once at ``n_workers`` whatever ``workers`` asks.
+    def _acquire_pool(self) -> ProcessPoolExecutor:
+        """The shared pool, built once at ``n_workers`` whatever a caller needs.
 
         A gather caps its own in-flight shards, so a pool wider than it needs
         costs it nothing — while growing a narrower pool meant shutting it
         down, which waits for every in-flight future of every other user
         (seconds, once service attempts live on the pool).
         """
-        if not self.reuse_pool:
-            return self._new_pool(workers)
         with self._pool_lock:
             if self._pool is None:
-                self._pool = self._new_pool(self.n_workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.n_workers,
+                    initializer=_worker_init,
+                    initargs=(os.getpid(),),
+                )
             return self._pool
 
     def _discard_pool(self, pool: ProcessPoolExecutor, hung: bool) -> bool:
@@ -494,36 +349,20 @@ class EnsembleExecutor:
                 error = exc
         return failed, error
 
-    def _attempt_pool(
-        self, fn, jobs, results, seconds, pending, faults, workers, fault_log,
-        max_slots=None, on_success=None,
-    ):
-        """One pool attempt over ``pending``, in-flight capped by ``max_slots``.
+    def _attempt_pool(self, fn, jobs, results, seconds, pending, faults, workers, on_success):
+        """One pool attempt over ``pending``, at most ``workers`` shards in flight.
 
-        Submission is slot-arbitrated: a shard is only submitted after the
-        gather takes a slot from its :class:`LeaseSlotScheduler` (and one is
-        given back per completed shard), so at most the lease's quota of
-        futures exist at any instant no matter how many of the lease's
-        gathers run concurrently — merely capping the submit batch would
-        still let queued futures spread over every pool process.
-        ``max_slots`` may be the lease's shared scheduler (its concurrent
-        gathers then round-robin the quota instead of competing first-come,
-        first-served), an int (a private single-gather window, the
-        pre-scheduler behaviour), or ``None`` (unconstrained).  The job
-        decomposition — and hence the results — is never touched.
-        ``task_deadline_s`` bounds the whole attempt; if it expires with
-        shards still running they are treated as hung exactly as before.
-        ``on_success`` fires per completed shard (the gather uses it to
+        A shard is submitted only while fewer than ``workers`` are in flight
+        (merely capping the submit batch would still let queued futures spread
+        over every pool process).  The job decomposition — and hence the
+        results — is never touched.  ``task_deadline_s`` bounds the whole
+        attempt; if it expires with shards still running they are treated as
+        hung.  ``on_success`` fires per completed shard (the gather uses it to
         release that shard's shared-memory payloads early); ``seconds``
         receives each completed shard's compute time.
         """
-        pool = self._acquire_pool(workers)
+        pool = self._acquire_pool()
         parent_pid = os.getpid()
-        if isinstance(max_slots, LeaseSlotScheduler):
-            slots = max_slots
-        else:
-            slots = LeaseSlotScheduler(max_slots if max_slots else None)
-        token = slots.register()
         failed, error = [], None
         broken = hung = False
         inflight: dict = {}
@@ -532,85 +371,52 @@ class EnsembleExecutor:
             None if self.task_deadline_s is None
             else time.monotonic() + self.task_deadline_s
         )
-        try:
-            while queue or inflight:
-                while queue and not broken and len(inflight) < workers:
-                    if not slots.try_acquire(token):
-                        if inflight:
-                            break  # drain: completions free slots for everyone
-                        # Nothing in flight — block for one slot so the gather
-                        # always makes progress (its fair share is >= 1).
-                        timeout = (
-                            None if deadline is None
-                            else max(0.0, deadline - time.monotonic())
-                        )
-                        if not slots.acquire(token, timeout=timeout):
-                            # Starved past the attempt deadline: fail the
-                            # remaining shards for retry.  The pool is fine —
-                            # no rebuild, unlike a genuine hang.
-                            error = TimeoutError(
-                                f"gather starved of lease slots past the "
-                                f"{self.task_deadline_s}s task deadline"
-                            )
-                            fault_log.record("executor", "slot-starvation", str(error))
-                            failed.extend(queue)
-                            queue = []
-                            break
-                    try:
-                        fut = pool.submit(
-                            _guarded_call, fn, jobs[queue[0]], faults.get(queue[0]), parent_pid
-                        )
-                    except (BrokenProcessPool, RuntimeError) as exc:
-                        slots.release(token)
-                        broken, error = True, exc
-                        break
-                    inflight[fut] = queue.pop(0)
-                slots.set_demand(token, bool(queue) and not broken)
-                if not inflight:
-                    break  # pool broke (or slots starved) with nothing submitted
-                timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
-                done, not_done = wait(set(inflight), timeout=timeout, return_when=FIRST_COMPLETED)
-                if not done:
-                    hung = True
-                    failed.extend(inflight.values())
-                    inflight.clear()
-                    error = TimeoutError(
-                        f"{len(not_done)} shard(s) exceeded the "
-                        f"{self.task_deadline_s}s task deadline"
+        while queue or inflight:
+            while queue and not broken and len(inflight) < workers:
+                try:
+                    fut = pool.submit(
+                        _guarded_call, fn, jobs[queue[0]], faults.get(queue[0]), parent_pid
                     )
-                    fault_log.record("executor", "deadline-kill", str(error))
+                except (BrokenProcessPool, RuntimeError) as exc:
+                    broken, error = True, exc
                     break
-                for fut in done:
-                    idx = inflight.pop(fut)
-                    slots.release(token)
-                    exc = fut.exception()
-                    if exc is None:
-                        results[idx], seconds[idx] = fut.result()
-                        if on_success is not None:
-                            on_success(idx)
-                    elif isinstance(exc, _RETRYABLE):
-                        failed.append(idx)
-                        error = exc
-                        broken = broken or isinstance(exc, BrokenProcessPool)
-                    else:
-                        # A genuine job-function error: not the executor's to heal.
-                        if not self.reuse_pool:
-                            pool.shutdown(wait=False, cancel_futures=True)
-                        raise exc
-                # A broken pool fails its remaining futures promptly, so the loop
-                # keeps draining `inflight` without submitting anything new.
-            failed.extend(queue)  # never submitted (pool broke first)
-        finally:
-            slots.unregister(token)  # returns any slots still held
+                inflight[fut] = queue.pop(0)
+            if not inflight:
+                break  # pool broke with nothing submitted
+            timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
+            done, not_done = wait(set(inflight), timeout=timeout, return_when=FIRST_COMPLETED)
+            if not done:
+                hung = True
+                failed.extend(inflight.values())
+                inflight.clear()
+                error = TimeoutError(
+                    f"{len(not_done)} shard(s) exceeded the "
+                    f"{self.task_deadline_s}s task deadline"
+                )
+                self.fault_log.record("executor", "deadline-kill", str(error))
+                break
+            for fut in done:
+                idx = inflight.pop(fut)
+                exc = fut.exception()
+                if exc is None:
+                    results[idx], seconds[idx] = fut.result()
+                    on_success(idx)
+                elif isinstance(exc, _RETRYABLE):
+                    failed.append(idx)
+                    error = exc
+                    broken = broken or isinstance(exc, BrokenProcessPool)
+                else:
+                    raise exc  # a genuine job-function error: not the executor's to heal
+            # A broken pool fails its remaining futures promptly, so the loop
+            # keeps draining `inflight` without submitting anything new.
+        failed.extend(queue)  # never submitted (pool broke first)
         if broken or hung:
             self._discard_pool(pool, hung=hung)
-            fault_log.record(
+            self.fault_log.record(
                 "executor",
                 "pool-rebuild",
                 "terminated hung worker pool" if hung else "replaced broken worker pool",
             )
-        elif not self.reuse_pool:
-            pool.shutdown()
         return failed, error
 
     def _retry_delay(self, attempt: int) -> float:
@@ -627,20 +433,20 @@ class EnsembleExecutor:
 
     # ------------------------------------------------------------------ #
     # Placement: ship a gather to the pool, or run it here
-    def _cheaper_in_process(self, key: tuple, lanes: int) -> bool:
+    def _cheaper_in_process(self, key: tuple, workers: int) -> bool:
         """Would running this gather's jobs back to back here beat shipping it?
 
         With ``c`` the summed worker-side compute and ``o`` the dispatch
         overhead of its shipped runs (smallest seen, so contention inflates
-        neither), shipping over ``lanes`` slots costs about ``c / lanes + o``
-        and running here ``c``.  Unknown work is shipped: that measures it
-        without ever running big work in the parent.
+        neither), shipping over ``workers`` processes costs about
+        ``c / workers + o`` and running here ``c``.  Unknown work is shipped:
+        that measures it without ever running big work in the parent.
         """
         with self._placement_lock:
             seen = self._placements.get(key)
             if seen is None or seen["compute_s"] is None:
                 return False
-            return seen["compute_s"] * (1.0 - 1.0 / lanes) <= seen["overhead_s"]
+            return seen["compute_s"] * (1.0 - 1.0 / workers) <= seen["overhead_s"]
 
     def _record_placement(self, key: tuple, where: str, measured=None) -> None:
         with self._placement_lock:
@@ -732,27 +538,17 @@ class EnsembleExecutor:
             "n_handles": sum(count_handles(j) for j in shipped),
         }
 
-    def _gather(
-        self,
-        fn,
-        jobs,
-        workers: int,
-        fault_log: FaultLog | None = None,
-        fault_plan: FaultPlan | None | str = "inherit",
-        max_slots: int | None = None,
-    ) -> list:
+    def _gather(self, fn, jobs, workers: int) -> list:
         """Run ``jobs`` (here or on the pool), retrying failed shards.
 
         Results are returned in job order.  Failed shards are recomputed with
         jittered exponential backoff up to ``max_retries`` extra attempts;
         because the shards are deterministic and injected faults fire at most
         once, the recovered gather is bit-identical to a fault-free one.
-        ``fault_log``/``fault_plan`` default to the executor's own; an
-        :class:`ExecutorLease` passes per-job overrides so concurrent jobs
-        sharing the pool keep separately attributable recovery ledgers, and
-        its worker quota arrives as ``max_slots`` (a cap on concurrently
-        in-flight shards — never on the decomposition, which is fixed by the
-        caller before this method runs).
+        Injected faults come from :attr:`fault_plan` and every recovery is
+        recorded in :attr:`fault_log`.  ``workers`` caps the shards in flight
+        at once, never the decomposition, which the caller fixes before this
+        method runs.
 
         Pool gathers with shm enabled ship large arrays through a
         per-gather :class:`~repro.hpc.shm.SharedPayloadArena`; segments are
@@ -761,15 +557,10 @@ class EnsembleExecutor:
         retries can leak ``/dev/shm`` segments.  Retried shards re-read the
         still-retained segments — the recompute sees the same bytes.
         """
-        fault_log = self.fault_log if fault_log is None else fault_log
-        if isinstance(fault_plan, str):
-            fault_plan = self.fault_plan
         # One worker leaves nothing to place (key None); otherwise the gather
         # runs here once its shipped runs have shown that to be cheaper.
         key = _work_key(fn, jobs) if workers > 1 else None
-        quota = max_slots.capacity if isinstance(max_slots, LeaseSlotScheduler) else max_slots
-        lanes = min(workers, quota) if quota else workers
-        here = key is None or self._cheaper_in_process(key, lanes)
+        here = key is None or self._cheaper_in_process(key, workers)
         arena, shipped = None, jobs
         names_per_job: list[list[str]] | None = None
         if not here and self.shm_payloads:
@@ -794,7 +585,7 @@ class EnsembleExecutor:
             pending = list(range(len(jobs)))
             attempt = 0
             while True:
-                faults = self._faults_for(pending, fault_plan)
+                faults = self._faults_for(pending)
                 # An injected worker fault always meets a worker, so the
                 # site numbering and the recovery ledger ignore placement.
                 where, measured = "in_process", None
@@ -803,13 +594,12 @@ class EnsembleExecutor:
                 else:
                     where, start = "shipped", time.perf_counter()
                     failed, error = self._attempt_pool(
-                        fn, shipped, results, seconds, pending, faults, workers, fault_log,
-                        max_slots=max_slots, on_success=on_success,
+                        fn, shipped, results, seconds, pending, faults, workers, on_success
                     )
                     wall = time.perf_counter() - start
                     if not failed and len(pending) == len(jobs):
                         compute = sum(seconds)
-                        ideal = max(compute / lanes, max(seconds))
+                        ideal = max(compute / workers, max(seconds))
                         measured = (compute, max(0.0, wall - ideal))
                 if key is not None:
                     self._record_placement(key, where, measured)
@@ -821,7 +611,7 @@ class EnsembleExecutor:
                         f"{len(failed)} shard(s) still failing after "
                         f"{self.max_retries} retries: {error!r}"
                     ) from error
-                fault_log.record(
+                self.fault_log.record(
                     "executor",
                     "retry",
                     f"recomputing {len(failed)} shard(s), attempt {attempt + 1} "
@@ -884,20 +674,6 @@ class EnsembleExecutor:
         except Exception:
             pass  # interpreter tear-down: the pool reaps itself
 
-    @property
-    def active_leases(self) -> int:
-        """Open (un-closed) leases."""
-        with self._pool_lock:
-            return self._active_leases
-
-    def _lease_opened(self) -> None:
-        with self._pool_lock:
-            self._active_leases += 1
-
-    def _lease_closed(self) -> None:
-        with self._pool_lock:
-            self._active_leases -= 1
-
     def run_task(self, fn, *args):
         """Run ``fn(*args)`` on one pool worker and return what it returns.
 
@@ -911,40 +687,15 @@ class EnsembleExecutor:
         """
         if self.n_workers == 1:
             return fn(*args)
-        pool = self._acquire_pool(1)
+        pool = self._acquire_pool()
         try:
             return pool.submit(fn, *args).result()
         except BrokenProcessPool:
             if self._discard_pool(pool, hung=False):
                 self.fault_log.record("executor", "pool-rebuild", "replaced broken worker pool")
             raise
-        finally:
-            if not self.reuse_pool:
-                pool.shutdown(wait=False)
 
-    def lease(
-        self,
-        job: str = "",
-        fault_log: FaultLog | None = None,
-        fault_plan: FaultPlan | None = None,
-        max_workers: int | None = None,
-    ) -> "ExecutorLease":
-        """Per-job view of this executor for concurrent scheduling.
-
-        The lease shares the worker pool but routes recoveries to its own
-        :class:`FaultLog` (fresh by default) and draws injected faults from
-        its own :class:`FaultPlan` (empty by default, so a process-wide
-        ``REPRO_FAULT_PLAN`` targeting the service does not double-fire
-        inside every job).  ``max_workers`` is the lease's pool-slot quota
-        (see :class:`ExecutorLease`).
-        """
-        return ExecutorLease(
-            self, job=job, fault_log=fault_log, fault_plan=fault_plan, max_workers=max_workers
-        )
-
-    def map_blocks(
-        self, fn, jobs: list, *, fault_log=None, fault_plan="inherit", max_slots=None
-    ) -> list:
+    def map_blocks(self, fn, jobs: list) -> list:
         """Map independent, picklable work-units over the pool, in order.
 
         This is the generic sharding primitive behind the parallel analysis
@@ -955,21 +706,14 @@ class EnsembleExecutor:
         invariance the job list must not depend on ``n_workers`` (the pool
         only changes *where* a job runs, never what it computes).  With one
         job, one worker or work measured too cheap to ship (class doc), the
-        jobs run serially in-process.  ``max_slots``
-        (a lease quota) caps how many jobs run concurrently without touching
-        the job list, so quota changes cannot change results.
+        jobs run serially in-process.
         """
         if not jobs:
             return []
         workers = min(self.n_workers, len(jobs))
-        return self._gather(
-            fn, jobs, workers, fault_log=fault_log, fault_plan=fault_plan, max_slots=max_slots
-        )
+        return self._gather(fn, jobs, workers)
 
-    def map_states(
-        self, model, ensemble: np.ndarray, n_steps: int = 1, *,
-        fault_log=None, fault_plan="inherit", max_slots=None,
-    ) -> np.ndarray:
+    def map_states(self, model, ensemble: np.ndarray, n_steps: int = 1) -> np.ndarray:
         """Propagate an ``(m, d)`` ensemble through ``model`` member-parallel."""
         ensemble = np.asarray(ensemble, dtype=float)
         if ensemble.ndim != 2:
@@ -977,10 +721,7 @@ class EnsembleExecutor:
         workers = self._effective_workers(ensemble.shape[0])
         slices = ensemble_slices(ensemble.shape[0], workers)
         jobs = [(model, ensemble[s], n_steps) for s in slices]
-        results = self._gather(
-            _forecast_chunk, jobs, workers,
-            fault_log=fault_log, fault_plan=fault_plan, max_slots=max_slots,
-        )
+        results = self._gather(_forecast_chunk, jobs, workers)
         return np.concatenate(results, axis=0)
 
     def analyze_ensf(
@@ -990,10 +731,6 @@ class EnsembleExecutor:
         observation: np.ndarray,
         operator,
         seed: int | np.random.SeedSequence = 0,
-        *,
-        fault_log=None,
-        fault_plan="inherit",
-        max_slots=None,
     ) -> np.ndarray:
         """Member-parallel EnSF analysis (each worker integrates its members).
 
@@ -1026,120 +763,5 @@ class EnsembleExecutor:
             (filter_, forecast_ensemble, observation, operator, member_seeds[s.start : s.stop])
             for s in slices
         ]
-        results = self._gather(
-            _ensf_chunk, jobs, workers,
-            fault_log=fault_log, fault_plan=fault_plan, max_slots=max_slots,
-        )
+        results = self._gather(_ensf_chunk, jobs, workers)
         return np.concatenate(results, axis=0)
-
-
-class ExecutorLease:
-    """A per-job handle onto a shared :class:`EnsembleExecutor`.
-
-    For callers that run several jobs concurrently over one pool from their
-    own threads: each job holds a lease rather than the executor itself.
-    (:class:`~repro.workflow.scheduler.ExperimentService` did until its
-    slots became the pool's workers; nothing in ``src/`` opens one now.)
-    The lease exposes
-    the same mapping API (``map_blocks`` / ``map_states`` / ``analyze_ensf``)
-    and shares the parent's workers, retry budget and deadlines, but:
-
-    - recoveries are recorded in the **lease's own** :class:`FaultLog`, so
-      per-job health is attributable instead of interleaved in one global
-      ledger;
-    - injected faults come from the **lease's own** :class:`FaultPlan`
-      (empty by default), so a process-wide ``REPRO_FAULT_PLAN`` aimed at
-      the scheduler site is not consumed N times by N concurrent jobs —
-      chaos tests target a specific job by handing that job's lease a plan;
-    - ``max_workers`` is the lease's **pool-slot quota**: at most that many
-      of the lease's shards are in flight on the shared pool at any instant
-      (``None`` = unconstrained).  The quota caps concurrency only — the
-      job decomposition is fixed before submission — so any quota yields
-      bit-identical results, and it can be re-targeted live.  The quota is arbitrated by a single :class:`LeaseSlotScheduler`
-      shared across the lease's concurrent gathers, which round-robins the
-      slots by fair share — one long gather can no longer starve a sibling
-      gather of the same job for its whole duration.
-
-    ``close()`` releases the lease: the shared pool stays up (it belongs to
-    the parent and outlives any one job), but the parent's ``active_leases``
-    count drops.  Unknown attributes delegate to the parent, so a lease
-    substitutes anywhere an ``EnsembleExecutor`` is accepted.
-    """
-
-    def __init__(
-        self,
-        parent: EnsembleExecutor,
-        job: str = "",
-        fault_log: FaultLog | None = None,
-        fault_plan: FaultPlan | None = None,
-        max_workers: int | None = None,
-    ):
-        if max_workers is not None and int(max_workers) < 1:
-            raise ValueError("max_workers must be positive (or None)")
-        self._parent = parent
-        self.job = str(job)
-        self.fault_log = fault_log if fault_log is not None else FaultLog()
-        self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
-        # One scheduler per lease: every gather of this job arbitrates its
-        # in-flight shards through it (see LeaseSlotScheduler).
-        self._slots = LeaseSlotScheduler(None if max_workers is None else int(max_workers))
-        self._closed = False
-        parent._lease_opened()
-
-    @property
-    def max_workers(self) -> int | None:
-        """The lease's pool-slot quota (live-retargetable; ``None`` = no cap)."""
-        return self._slots.capacity
-
-    @max_workers.setter
-    def max_workers(self, value: int | None) -> None:
-        if value is not None and int(value) < 1:
-            raise ValueError("max_workers must be positive (or None)")
-        self._slots.capacity = None if value is None else int(value)
-
-    @property
-    def parent(self) -> EnsembleExecutor:
-        return self._parent
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def map_blocks(self, fn, jobs: list) -> list:
-        return self._parent.map_blocks(
-            fn, jobs,
-            fault_log=self.fault_log, fault_plan=self.fault_plan, max_slots=self._slots,
-        )
-
-    def map_states(self, model, ensemble: np.ndarray, n_steps: int = 1) -> np.ndarray:
-        return self._parent.map_states(
-            model, ensemble, n_steps,
-            fault_log=self.fault_log, fault_plan=self.fault_plan, max_slots=self._slots,
-        )
-
-    def analyze_ensf(self, filter_, forecast_ensemble, observation, operator, seed=0):
-        return self._parent.analyze_ensf(
-            filter_,
-            forecast_ensemble,
-            observation,
-            operator,
-            seed,
-            fault_log=self.fault_log,
-            fault_plan=self.fault_plan,
-            max_slots=self._slots,
-        )
-
-    def close(self) -> None:
-        """Release the lease (idempotent).  The shared pool stays up."""
-        if not self._closed:
-            self._closed = True
-            self._parent._lease_closed()
-
-    def __enter__(self) -> "ExecutorLease":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __getattr__(self, name):
-        return getattr(self._parent, name)

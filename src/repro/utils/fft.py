@@ -172,6 +172,11 @@ def _mock_device_backend() -> FFTBackend:
 
 
 def _cupy_backend() -> FFTBackend:
+    """``cupy.fft`` transforms for device-resident grids.
+
+    *Experimental*: never run on any host of this project; the tier-1 tests
+    that would exercise it skip without CuPy.
+    """
     import cupy.fft as cfft  # deferred: CPU-only installs never reach this
 
     return FFTBackend(

