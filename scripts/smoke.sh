@@ -17,6 +17,9 @@
 #      oracle-equivalence test (test_forecast_kernels.py::TestAgainstHeadOracle),
 #      so the chunked kernel's real-view arithmetic runs under the transfer
 #      meters and must equal the previous step bit for bit with zero transfers.
+#      test_kernels.py's TestFoldedAssembly and TestAssemblyWorkspace run the
+#      LETKF's folded convolution inverse and its reused channel buffers the
+#      same way: the steady assembly uploads its inputs and nothing more.
 #   4. The routed kernel modules (sqg, letkf, ensf, score, sde) must pass
 #      the static xp-discipline check: no bare numpy compute calls outside
 #      the documented host-side functions, so device residency cannot rot

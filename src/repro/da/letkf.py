@@ -39,7 +39,10 @@ Kalnay, Hunt & Bowler 2009, QJRMS 135; KENDA) — it is solved on a coarser
 4. **one kernel per assembly mode**, run once per shard on device-resident
    arrays: :func:`_solve_convolution` takes the shard's columns of a global
    circular FFT convolution (uniform observation errors, ``min_weight ==
-   0``); :func:`_solve_grouped` gathers the shard's precomputed footprints
+   0``), whose spectrum is folded onto the analysis grid before the inverse
+   and whose channel buffers persist across cycles
+   (:meth:`LETKF._convolution_channels`); :func:`_solve_grouped` gathers the
+   shard's precomputed footprints
    (a :class:`~repro.da.localization.GeometryBlock`).  Both end in
    :func:`solve_local_batch`, a stacked ``eigh`` over ``(n, m, m)`` tensors,
    and return each column's ``(m, m)`` weight matrix
@@ -261,6 +264,20 @@ def _solve_shard_grouped(args) -> np.ndarray:
     )
 
 
+class _AssemblyWorkspace:
+    """Buffers the convolution assembly keeps from cycle to cycle: the
+    ``(C, ny·nx)`` channels, their ``(C, ny, nx//2+1)`` spectrum and an
+    ``(m, ny·nx)`` product scratch, with ``C = m(m+1)/2 + m`` channels.
+    ``key`` is what they were sized for: ``(m, ny, nx, backend name)``."""
+
+    def __init__(self, n_members: int, ny: int, nx: int, xp: ArrayBackend):
+        n_channels = n_members * (n_members + 3) // 2
+        self.key = (n_members, ny, nx, xp.name)
+        self.channels = xp.empty((n_channels, ny * nx))
+        self.spectrum = xp.empty((n_channels, ny, nx // 2 + 1), dtype=complex)
+        self.scratch = xp.empty((n_members, ny * nx))
+
+
 @dataclass(frozen=True)
 class LETKFConfig:
     """LETKF tuning parameters.
@@ -340,6 +357,23 @@ class LETKF(EnsembleFilter):
         # networks/variances cannot accumulate stale geometries.
         self._geometry_cache: dict[tuple, LocalAnalysisGeometry] = {}
         self._geometry_cache_max = 4
+        self._assembly: _AssemblyWorkspace | None = None
+
+    def __getstate__(self):
+        # The assembly workspace is cheap to rebuild and large (≈ 60 MB at
+        # 128², 20 members); drop it so filters pickle compactly.
+        state = self.__dict__.copy()
+        state["_assembly"] = None
+        return state
+
+    def _assembly_workspace(self, n_members: int) -> _AssemblyWorkspace:
+        """The assembly buffers, rebuilt only when ``(m, ny, nx, backend)`` changes."""
+        grid, xp = self.grid, self.xp
+        key = (n_members, grid.ny, grid.nx, xp.name)
+        if self._assembly is None or self._assembly.key != key:
+            self._assembly = None  # release the old buffers before allocating
+            self._assembly = _AssemblyWorkspace(n_members, grid.ny, grid.nx, xp)
+        return self._assembly
 
     # ------------------------------------------------------------------ #
     def _resolve_obs_columns(self, operator: ObservationOperator) -> np.ndarray:
@@ -533,9 +567,25 @@ class LETKF(EnsembleFilter):
         ``m(m+1)/2`` symmetric channels (plus ``m`` innovation channels)
         replaces every per-column distance/weight/gather operation.
 
-        Returns the ``(geometry.n_columns, m(m+1)/2 + m)`` array of local
+        Only the analysis-grid columns are consumed, so with stride ``s > 1``
+        the inverse runs small: sampling every ``s``-th row of a periodic
+        signal sums the spectrum's ``s`` aliases along y, so the spectrum,
+        once multiplied by the kernel, is folded to ``ny/s`` rows, inverted
+        at ``(ny/s, nx)``, and every ``s``-th x is kept and divided by ``s``.
+        The same law as inverting at ``(ny, nx)`` and slicing, not the same
+        bits (≈ 1e-16 relative); stride 1 takes the unfolded inverse.
+
+        The channels, their spectrum and a product scratch live in the
+        instance's :class:`_AssemblyWorkspace`, reused every cycle (rebuilt
+        only when the member count, grid or backend changes): level 0 writes
+        its products straight into the channel rows and the ``bincount``
+        path overwrites every row, so nothing is zeroed.
+
+        Returns a fresh ``(geometry.n_columns, m(m+1)/2 + m)`` array of local
         system entries (one row per analysis-grid column: upper-triangle Gram
-        channels then innovation channels) on the analysis backend's device.
+        channels then innovation channels) on the analysis backend's device;
+        it never aliases the workspace, so shards of one cycle survive the
+        next cycle's assembly.
         """
         xp = self.xp
         grid = self.grid
@@ -545,22 +595,30 @@ class LETKF(EnsembleFilter):
         y_pert = xp.to_device(y_pert)
         innovation = xp.to_device(innovation)
         n_pair = n_members * (n_members + 1) // 2
-        channels = xp.zeros((n_pair + n_members, n_columns))
+        workspace = self._assembly_workspace(n_members)
+        channels, scratch = workspace.channels, workspace.scratch
 
         if geometry.identity_network:
             # Fast path for the fully observed grid: observations are the
             # state columns themselves, so the scatter is a reshape.  Row i
             # of the upper triangle — pairs (i, i), …, (i, m-1), contiguous
             # in ``triu_indices`` order — is one product of contiguous slices.
+            # Level 0 writes its products straight into the channel rows,
+            # later levels add theirs through the scratch.
             y_lev = y_pert.reshape(n_members, n_levels, n_columns)
             innov_lev = innovation.reshape(n_levels, n_columns)
             for lev in range(n_levels):
-                start = 0
+                y = y_lev[:, lev]
+                products, start = [], 0  # (channel rows, left, right)
                 for i in range(n_members):
-                    stop = start + n_members - i
-                    channels[start:stop] += y_lev[i:, lev] * y_lev[i, lev]
-                    start = stop
-                channels[n_pair:] += y_lev[:, lev] * innov_lev[lev][None, :]
+                    products.append((slice(start, start + n_members - i), y[i:], y[i]))
+                    start += n_members - i
+                products.append((slice(n_pair, None), y, innov_lev[lev]))
+                for rows, left, right in products:
+                    if lev == 0:
+                        xp.multiply(left, right, out=channels[rows])
+                    else:
+                        channels[rows] += xp.multiply(left, right, out=scratch[: len(left)])
         else:
             iu0, iu1 = xp.triu_indices(n_members)
             obs_cols_dev = xp.to_device(geometry.obs_columns)
@@ -575,10 +633,18 @@ class LETKF(EnsembleFilter):
                     obs_cols_dev, weights=proj[j], minlength=n_columns
                 )
 
-        spectra = xp.rfft2(channels.reshape(-1, ny, nx), axes=(-2, -1))
+        spectra = xp.rfft2(channels.reshape(-1, ny, nx), axes=(-2, -1), out=workspace.spectrum)
         spectra *= geometry.conv_kernel(xp)
-        conv = xp.irfft2(spectra, s=(ny, nx), axes=(-2, -1))
         stride = geometry.stride
-        return xp.ascontiguousarray(conv[:, ::stride, ::stride].transpose(1, 2, 0)).reshape(
-            geometry.n_columns, -1
-        )
+        if stride == 1:
+            conv = xp.irfft2(spectra, s=(ny, nx), axes=(-2, -1))
+            return xp.ascontiguousarray(conv.transpose(1, 2, 0)).reshape(n_columns, -1)
+        # Every stride-th row of the convolution is the inverse, at ny/s, of
+        # the sum of the spectrum's s aliases along y, divided by s.
+        ny_a, nx_a = geometry.shape
+        folded = xp.sum(spectra.reshape(-1, stride, ny_a, nx // 2 + 1), axis=1)
+        conv = xp.irfft2(folded, s=(ny_a, nx), axes=(-2, -1))
+        # Fresh rows: shards of this cycle may outlive the next assembly.
+        rows = xp.empty((ny_a, nx_a, len(channels)))
+        xp.divide(conv[:, :, ::stride].transpose(1, 2, 0), stride, out=rows)
+        return rows.reshape(geometry.n_columns, -1)

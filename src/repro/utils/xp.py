@@ -137,7 +137,8 @@ class ArrayBackend:
       (stacked), ``dot``, ``einsum``
     * reductions: ``sum``, ``amax``, ``amin``, ``mean``
     * gather/scatter: ``take``, ``put``, ``bincount``, ``triu_indices``
-    * FFT (LETKF convolution assembly): ``rfft2``, ``irfft2``
+    * FFT (LETKF convolution assembly): ``rfft2`` (accepting ``out=``),
+      ``irfft2``
     * movement: ``to_device``, ``to_host``, ``synchronize``
     * randomness: ``standard_normal`` (host-stream semantics, see module
       docstring)
@@ -339,17 +340,23 @@ class _CuPyBackend(ArrayBackend):
         self.amax = cp.max
         self.amin = cp.min
         self.mean = cp.mean
-        self.rfft2 = cp.fft.rfft2
         self.irfft2 = cp.fft.irfft2
 
     def einsum(self, subscripts, *operands, out=None, **kwargs):
         # cupy.einsum has no ``out=``; emulate it so the fused kernels keep
         # one call signature across backends.
-        result = self._cp.einsum(subscripts, *operands, **kwargs)
-        if out is not None:
-            out[...] = result
-            return out
-        return result
+        return self._into(out, self._cp.einsum(subscripts, *operands, **kwargs))
+
+    def rfft2(self, a, s=None, axes=(-2, -1), norm=None, out=None):
+        # cupy.fft.rfft2 has no ``out=`` either (numpy's has, since 2.0).
+        return self._into(out, self._cp.fft.rfft2(a, s=s, axes=axes, norm=norm))
+
+    @staticmethod
+    def _into(out, result):
+        if out is None:
+            return result
+        out[...] = result
+        return out
 
     def to_device(self, array):
         return self._cp.asarray(array)

@@ -34,6 +34,7 @@ from repro.models.lorenz96 import Lorenz96
 from repro.utils.grid import Grid2D
 from repro.utils.random import default_rng
 from repro.utils.timing import BenchRecorder
+from repro.utils.xp import MockDeviceBackend
 
 
 def _case(seed=0, shape=(16, 16), members=12, scale=1.0):
@@ -386,6 +387,173 @@ class TestAnalysisGrid:
         np.testing.assert_array_equal(analysis[:, keep], ensemble[:, keep])
         changed = np.setdiff1d(np.arange(grid.size), keep)
         assert not np.any(np.all(analysis[:, changed] == ensemble[:, changed], axis=0))
+
+
+def _assembly_inputs(grid, operator, members=6, seed=31):
+    """Observation-space perturbations and innovations for a direct assembly call."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((members, operator.obs_dim)), rng.standard_normal(operator.obs_dim)
+
+
+def _direct_channels(grid, geometry, y_pert, innovation, cutoff, obs_error_var):
+    """The local system entries as Gaspari-Cohn weighted sums over every
+    observation, one analysis column at a time: no FFT, no convolution."""
+    iu0, iu1 = np.triu_indices(y_pert.shape[0])
+    rows = []
+    for col in geometry.columns:
+        dist = grid.column_pair_distances(np.array([col]), geometry.obs_columns)[0]
+        weighted = y_pert * (gaspari_cohn(dist, cutoff) / obs_error_var)
+        gram = weighted @ y_pert.T
+        rows.append(np.concatenate([gram[iu0, iu1], weighted @ innovation]))
+    return np.array(rows)
+
+
+class TestFoldedAssembly:
+    """The convolution channels on the analysis grid, against an
+    independent per-column oracle: folding the spectrum onto the analysis
+    grid before the inverse is the same law as inverting at full size."""
+
+    @pytest.mark.parametrize(
+        "shape, cutoff, stride, network",
+        [
+            ((32, 32), 4.0e6, 2, "identity"),
+            ((32, 32), 4.0e6, 4, "identity"),
+            ((32, 32), 4.0e6, 8, "identity"),
+            ((64, 48), 3.0e6, 4, "identity"),  # ny != nx, the rule's own stride
+            ((32, 32), 4.0e6, 4, "subsampled"),  # the bincount scatter
+        ],
+        ids=["s2", "s4", "s8", "ny64-nx48", "subsampled"],
+    )
+    def test_matches_direct_weighted_sum(self, monkeypatch, shape, cutoff, stride, network):
+        grid = Grid2D(nx=shape[1], ny=shape[0])
+        if analysis_stride(grid, cutoff) != stride:
+            _force_stride(monkeypatch, grid, cutoff, stride)
+        operator = (
+            IdentityObservation(grid.size, 0.8)
+            if network == "identity"
+            else SubsampledObservation.every_nth(grid.size, 3, 0.8)
+        )
+        letkf = LETKF(grid, LETKFConfig(localization=LocalizationConfig(cutoff=cutoff)))
+        geometry = letkf.geometry(operator)
+        assert geometry.stride == stride
+        assert geometry.identity_network == (network == "identity")
+        y_pert, innovation = _assembly_inputs(grid, operator)
+        conv = letkf.xp.to_host(letkf._convolution_channels(y_pert, innovation, geometry, 6))
+        expected = _direct_channels(grid, geometry, y_pert, innovation, cutoff, 0.8)
+        assert conv.shape == expected.shape == (geometry.n_columns, 6 * 9 // 2)
+        np.testing.assert_allclose(conv, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    def test_stride_one_is_the_unfolded_formula(self):
+        grid = Grid2D(16, 16)
+        operator = IdentityObservation(grid.size, 0.8)
+        letkf = LETKF(grid)
+        geometry = letkf.geometry(operator)
+        assert geometry.stride == 1
+        y_pert, innovation = _assembly_inputs(grid, operator)
+        conv = letkf.xp.to_host(letkf._convolution_channels(y_pert, innovation, geometry, 6))
+
+        iu0, iu1 = np.triu_indices(6)
+        y_lev = y_pert.reshape(6, grid.nlev, -1)
+        channels = np.concatenate(
+            [
+                (y_lev[iu0] * y_lev[iu1]).sum(axis=1),
+                (y_lev * innovation.reshape(grid.nlev, -1)).sum(axis=1),
+            ]
+        ).reshape(-1, grid.ny, grid.nx)
+        spectra = np.fft.rfft2(channels) * geometry.kernel_rfft2
+        unfolded = np.fft.irfft2(spectra, s=(grid.ny, grid.nx)).reshape(len(channels), -1).T
+        np.testing.assert_array_equal(conv, unfolded)
+
+
+class TestAssemblyWorkspace:
+    """The assembly buffers persist per instance, never leak into a result
+    or a pickle, and follow every change of what they were sized for."""
+
+    def _setup(self, shape=(32, 32), members=8, network="identity", seed=41):
+        grid, rng, ensemble, truth = _case(seed=seed, shape=shape, members=members)
+        operator = (
+            IdentityObservation(grid.size, 1.0)
+            if network == "identity"
+            else SubsampledObservation.every_nth(grid.size, 3, 1.0)
+        )
+        return grid, ensemble, operator.observe(truth, rng=rng), operator
+
+    def test_pickle_drops_the_workspace(self):
+        import pickle
+
+        grid, ensemble, observation, operator = self._setup()
+        letkf = LETKF(grid)
+        # warm everything an analysis caches besides the workspace
+        letkf.geometry(operator).conv_kernel(letkf.xp)
+        before = len(pickle.dumps(letkf))
+        analysis = letkf.analyze(ensemble, observation, operator)
+        assert letkf._assembly is not None
+        assert len(pickle.dumps(letkf)) == before
+        clone = pickle.loads(pickle.dumps(letkf))
+        assert clone._assembly is None
+        np.testing.assert_array_equal(clone.analyze(ensemble, observation, operator), analysis)
+
+    @pytest.mark.parametrize("network", ["identity", "subsampled"])
+    def test_second_analysis_reuses_the_buffers(self, network, array_backend):
+        grid, ensemble, observation, operator = self._setup(network=network)
+        letkf = LETKF(grid)
+
+        def buffers():
+            workspace = letkf._assembly
+            return workspace.channels, workspace.spectrum, workspace.scratch
+
+        first = letkf.analyze(ensemble, observation, operator)
+        before = buffers()
+        np.testing.assert_array_equal(letkf.analyze(ensemble, observation, operator), first)
+        for old, new in zip(before, buffers()):
+            assert np.shares_memory(old, new)
+
+        if isinstance(array_backend, MockDeviceBackend):
+            # A steady assembly moves its inputs up and nothing else: the
+            # workspace and the fold cost zero transfers.
+            geometry = letkf.geometry(operator)
+            y_pert, innovation = _assembly_inputs(grid, operator, members=8)
+            array_backend.reset_transfers()
+            letkf._convolution_channels(y_pert, innovation, geometry, 8)
+            counts = array_backend.transfer_counts()
+            inputs = 2 if geometry.identity_network else 3  # + the observation columns
+            assert counts["h2d_calls"] == inputs and counts["d2h_calls"] == 0
+
+    @pytest.mark.parametrize("change", ["grid", "network", "members"])
+    def test_changes_rebuild_without_stale_rows(self, change):
+        first = self._setup(seed=42)
+        second = {
+            "grid": self._setup(shape=(64, 32), seed=43),
+            "network": self._setup(network="subsampled", seed=44),
+            "members": self._setup(members=5, seed=45),
+        }[change]
+        letkf = LETKF(first[0])
+        results, keys = [], []
+        for grid, ensemble, observation, operator in (first, second, first):
+            letkf.grid = grid
+            results.append(letkf.analyze(ensemble, observation, operator))
+            keys.append(letkf._assembly.key)
+            fresh = LETKF(grid).analyze(ensemble, observation, operator)
+            np.testing.assert_array_equal(results[-1], fresh)
+        # the network shares the grid and member count, so its buffers too
+        assert (keys[0] == keys[1]) == (change == "network")
+        assert keys[0] == keys[2]
+
+    @pytest.mark.parametrize("shape, stride", [((16, 16), 1), ((32, 32), 2)])
+    def test_returned_rows_survive_the_next_assembly(self, shape, stride):
+        grid, _, _, operator = self._setup(shape=shape)
+        letkf = LETKF(grid)
+        geometry = letkf.geometry(operator)
+        assert geometry.stride == stride
+        cycle_n = letkf._convolution_channels(*_assembly_inputs(grid, operator, 8, 1), geometry, 8)
+        kept = np.array(letkf.xp.to_host(cycle_n), copy=True)
+        cycle_n1 = letkf._convolution_channels(*_assembly_inputs(grid, operator, 8, 2), geometry, 8)
+        np.testing.assert_array_equal(cycle_n, kept)
+        assert not np.array_equal(cycle_n1, kept)
+        workspace = letkf._assembly
+        for buffer in (workspace.channels, workspace.spectrum, workspace.scratch):
+            assert not np.shares_memory(cycle_n, buffer)
+            assert not np.shares_memory(cycle_n1, buffer)
 
 
 class TestGeometryCache:
