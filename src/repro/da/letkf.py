@@ -266,16 +266,32 @@ def _solve_shard_grouped(args) -> np.ndarray:
 
 class _AssemblyWorkspace:
     """Buffers the convolution assembly keeps from cycle to cycle: the
-    ``(C, ny·nx)`` channels, their ``(C, ny, nx//2+1)`` spectrum and an
-    ``(m, ny·nx)`` product scratch, with ``C = m(m+1)/2 + m`` channels.
-    ``key`` is what they were sized for: ``(m, ny, nx, backend name)``."""
+    ``(C, ny·nx)`` channels and their ``(C, ny, nx//2+1)`` spectrum, with
+    ``C = m(m+1)/2 + m`` channels, plus an ``(m, ny·nx)`` product scratch
+    that only the identity network's second and later levels use, so it is
+    allocated on first use.  ``key`` is what they were sized for:
+    ``(m, ny, nx, backend name)``."""
 
     def __init__(self, n_members: int, ny: int, nx: int, xp: ArrayBackend):
         n_channels = n_members * (n_members + 3) // 2
         self.key = (n_members, ny, nx, xp.name)
         self.channels = xp.empty((n_channels, ny * nx))
         self.spectrum = xp.empty((n_channels, ny, nx // 2 + 1), dtype=complex)
-        self.scratch = xp.empty((n_members, ny * nx))
+        self.scratch = None
+
+    def product_scratch(self, xp: ArrayBackend):
+        if self.scratch is None:
+            self.scratch = xp.empty((self.key[0], self.channels.shape[1]))
+        return self.scratch
+
+
+def _deposit(rows, left, right, scratch, xp: ArrayBackend) -> None:
+    """``rows = left * right`` without a scratch (the first level), else
+    ``rows += left * right`` with the product formed in ``scratch``."""
+    if scratch is None:
+        xp.multiply(left, right, out=rows)
+    else:
+        rows += xp.multiply(left, right, out=scratch[: len(rows)])
 
 
 @dataclass(frozen=True)
@@ -573,7 +589,8 @@ class LETKF(EnsembleFilter):
         once multiplied by the kernel, is folded to ``ny/s`` rows, inverted
         at ``(ny/s, nx)``, and every ``s``-th x is kept and divided by ``s``.
         The same law as inverting at ``(ny, nx)`` and slicing, not the same
-        bits (≈ 1e-16 relative); stride 1 takes the unfolded inverse.
+        bits (≈ 1e-16 relative); at stride 1 the fold sums one alias and
+        the inverse is the unfolded one, bit for bit.
 
         The channels, their spectrum and a product scratch live in the
         instance's :class:`_AssemblyWorkspace`, reused every cycle (rebuilt
@@ -596,29 +613,23 @@ class LETKF(EnsembleFilter):
         innovation = xp.to_device(innovation)
         n_pair = n_members * (n_members + 1) // 2
         workspace = self._assembly_workspace(n_members)
-        channels, scratch = workspace.channels, workspace.scratch
+        channels = workspace.channels
 
         if geometry.identity_network:
             # Fast path for the fully observed grid: observations are the
             # state columns themselves, so the scatter is a reshape.  Row i
             # of the upper triangle — pairs (i, i), …, (i, m-1), contiguous
             # in ``triu_indices`` order — is one product of contiguous slices.
-            # Level 0 writes its products straight into the channel rows,
-            # later levels add theirs through the scratch.
             y_lev = y_pert.reshape(n_members, n_levels, n_columns)
             innov_lev = innovation.reshape(n_levels, n_columns)
             for lev in range(n_levels):
-                y = y_lev[:, lev]
-                products, start = [], 0  # (channel rows, left, right)
+                scratch = workspace.product_scratch(xp) if lev else None
+                start = 0
                 for i in range(n_members):
-                    products.append((slice(start, start + n_members - i), y[i:], y[i]))
-                    start += n_members - i
-                products.append((slice(n_pair, None), y, innov_lev[lev]))
-                for rows, left, right in products:
-                    if lev == 0:
-                        xp.multiply(left, right, out=channels[rows])
-                    else:
-                        channels[rows] += xp.multiply(left, right, out=scratch[: len(left)])
+                    stop = start + n_members - i
+                    _deposit(channels[start:stop], y_lev[i:, lev], y_lev[i, lev], scratch, xp)
+                    start = stop
+                _deposit(channels[n_pair:], y_lev[:, lev], innov_lev[lev], scratch, xp)
         else:
             iu0, iu1 = xp.triu_indices(n_members)
             obs_cols_dev = xp.to_device(geometry.obs_columns)
@@ -635,12 +646,9 @@ class LETKF(EnsembleFilter):
 
         spectra = xp.rfft2(channels.reshape(-1, ny, nx), axes=(-2, -1), out=workspace.spectrum)
         spectra *= geometry.conv_kernel(xp)
-        stride = geometry.stride
-        if stride == 1:
-            conv = xp.irfft2(spectra, s=(ny, nx), axes=(-2, -1))
-            return xp.ascontiguousarray(conv.transpose(1, 2, 0)).reshape(n_columns, -1)
         # Every stride-th row of the convolution is the inverse, at ny/s, of
         # the sum of the spectrum's s aliases along y, divided by s.
+        stride = geometry.stride
         ny_a, nx_a = geometry.shape
         folded = xp.sum(spectra.reshape(-1, stride, ny_a, nx // 2 + 1), axis=1)
         conv = xp.irfft2(folded, s=(ny_a, nx), axes=(-2, -1))

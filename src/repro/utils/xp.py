@@ -71,6 +71,7 @@ at host-side consumers.
 
 from __future__ import annotations
 
+import inspect
 import os
 from typing import Callable
 
@@ -97,6 +98,18 @@ __all__ = [
 _ENV_BACKEND = "REPRO_ARRAY_BACKEND"
 _ENV_DEVICE_RNG = "REPRO_DEVICE_RNG"
 _RNG_MODES = ("host-parity", "device")
+# numpy's FFT functions accept ``out=`` from numpy 2.0 on.
+_NUMPY_FFT_OUT = "out" in inspect.signature(np.fft.rfft2).parameters
+
+
+def _into(out, result):
+    """``result``, copied into ``out`` when one is given: emulates ``out=``
+    for library functions that lack it, so every backend keeps one call
+    signature."""
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 def device_rng_mode() -> str:
@@ -183,8 +196,13 @@ class ArrayBackend:
     triu_indices = staticmethod(np.triu_indices)
     # FFT (the LETKF convolution assembly; forecast FFTs go through
     # repro.utils.fft, whose backend is chosen independently)
-    rfft2 = staticmethod(np.fft.rfft2)
     irfft2 = staticmethod(np.fft.irfft2)
+
+    @staticmethod
+    def rfft2(a, s=None, axes=(-2, -1), norm=None, out=None):
+        if _NUMPY_FFT_OUT:
+            return np.fft.rfft2(a, s=s, axes=axes, norm=norm, out=out)
+        return _into(out, np.fft.rfft2(a, s=s, axes=axes, norm=norm))
 
     # ------------------------------------------------------------------ #
     def to_device(self, array: np.ndarray) -> np.ndarray:
@@ -345,18 +363,11 @@ class _CuPyBackend(ArrayBackend):
     def einsum(self, subscripts, *operands, out=None, **kwargs):
         # cupy.einsum has no ``out=``; emulate it so the fused kernels keep
         # one call signature across backends.
-        return self._into(out, self._cp.einsum(subscripts, *operands, **kwargs))
+        return _into(out, self._cp.einsum(subscripts, *operands, **kwargs))
 
     def rfft2(self, a, s=None, axes=(-2, -1), norm=None, out=None):
-        # cupy.fft.rfft2 has no ``out=`` either (numpy's has, since 2.0).
-        return self._into(out, self._cp.fft.rfft2(a, s=s, axes=axes, norm=norm))
-
-    @staticmethod
-    def _into(out, result):
-        if out is None:
-            return result
-        out[...] = result
-        return out
+        # cupy.fft.rfft2 has no ``out=`` either.
+        return _into(out, self._cp.fft.rfft2(a, s=s, axes=axes, norm=norm))
 
     def to_device(self, array):
         return self._cp.asarray(array)

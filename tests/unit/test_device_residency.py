@@ -133,6 +133,23 @@ class TestFFTDevicePairing:
         assert counts["h2d_calls"] == 0 and counts["d2h_calls"] == 0
 
 
+class TestRFFT2Out:
+    """``xp.rfft2(..., out=)`` fills ``out`` whether or not numpy's own FFT
+    accepts ``out=`` (numpy < 2.0 does not)."""
+
+    @pytest.mark.parametrize("numpy_out", [True, False], ids=["native", "copied"])
+    def test_fills_and_returns_out(self, monkeypatch, mock_xp, numpy_out):
+        if numpy_out and not xp_mod._NUMPY_FFT_OUT:
+            pytest.skip("this numpy's FFT has no out=")
+        monkeypatch.setattr(xp_mod, "_NUMPY_FFT_OUT", numpy_out)
+        field = np.random.default_rng(0).standard_normal((3, 8, 8))
+        for backend in (xp_mod.resolve_backend("numpy"), mock_xp):
+            out = np.empty((3, 8, 5), dtype=complex)
+            assert backend.rfft2(field, axes=(-2, -1), out=out) is out
+            np.testing.assert_array_equal(out, np.fft.rfft2(field))
+            np.testing.assert_array_equal(backend.rfft2(field), out)
+
+
 class TestStateHandle:
     def test_mirrors_cache_after_first_transfer(self, mock_xp):
         arr = np.arange(12.0).reshape(3, 4)

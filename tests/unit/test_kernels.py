@@ -504,6 +504,10 @@ class TestAssemblyWorkspace:
 
         first = letkf.analyze(ensemble, observation, operator)
         before = buffers()
+        # only the identity network's second level needs the product scratch
+        assert (before[2] is None) == (network == "subsampled")
+        if before[2] is None:
+            before = before[:2]
         np.testing.assert_array_equal(letkf.analyze(ensemble, observation, operator), first)
         for old, new in zip(before, buffers()):
             assert np.shares_memory(old, new)
@@ -551,6 +555,7 @@ class TestAssemblyWorkspace:
         np.testing.assert_array_equal(cycle_n, kept)
         assert not np.array_equal(cycle_n1, kept)
         workspace = letkf._assembly
+        assert workspace.scratch is not None
         for buffer in (workspace.channels, workspace.spectrum, workspace.scratch):
             assert not np.shares_memory(cycle_n, buffer)
             assert not np.shares_memory(cycle_n1, buffer)
