@@ -25,6 +25,11 @@ Record layout (see :mod:`repro.utils.timing` for the generic format)::
                                host, note, rows: [{grid, member_bytes,
                                derived_chunk, candidates: [{chunk, derived,
                                member_steps_per_s: {median, q1, q3}}]}]},
+      "cfl_step_curve": {seed, cycles, candidates, rmse_tolerance, selected,
+                         host, note, rows: [{workload, grid, filter,
+                         runs: [{c_max, k_counts, cfl: {min, max},
+                         mean_analysis_rmse, rmse_vs_fine_step,
+                         max_diff_from_fine_k, non_finite, cycles_per_s}]}]},
       "engine_overhead": {grid, cycles, members, legacy_s, engine_s,
                           overhead_pct, analysis_rmse_delta,
                           final_state_delta},      # CycleEngine vs inlined loop
@@ -70,6 +75,13 @@ CHUNK_GRIDS = (32, 64, 128)
 CHUNK_CANDIDATES = (1, 2, 4, 5, 10, 20)
 CHUNK_STEPS = 4
 CHUNK_REPEATS = 9
+# cfl_step_curve: the end-to-end workloads' own inputs (seed 7), each run
+# for CFL_CYCLES cycles at every candidate limit and at k = 1 (limit 0).
+CFL_CANDIDATES = (0.4, 0.6, 0.8, 1.0)
+CFL_WORKLOADS = ("letkf_serial_64", "ensf_serial_64", "letkf_pool_128")
+CFL_SEED = 7
+CFL_CYCLES = 100
+CFL_RMSE_TOLERANCE = 0.005
 
 SPEEDUP_NOTE = (
     "Measured on a 2-vCPU host where the RK4 step is FFT-bound (about two "
@@ -204,12 +216,123 @@ def _bench_chunk_curve():
     }
 
 
+def _bench_cfl_step_curve():
+    """Where ``repro.models.sqg._CFL_MAX`` comes from.
+
+    For every candidate limit ``C`` (and ``C = 0``, which keeps every cycle
+    at ``k = 1``) a serial ``run_osse`` of ``CFL_CYCLES`` cycles on the
+    end-to-end workloads' own seed-7 inputs records: how often each ``k``
+    was taken, the cycle-start CFL range, the mean analysis RMSE, the
+    largest RMS difference of one cycle's forecast from the fine-step
+    forecast of the same input, the non-finite cycles and cycles/s (the
+    fine-step comparison is timed apart and left out).  ``selected`` is
+    the largest ``C`` with no non-finite cycle and a mean RMSE within
+    ``CFL_RMSE_TOLERANCE`` of ``k = 1`` on every workload.
+    """
+    import repro.workflow.engine as engine_mod
+
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "e2e"))
+    import osse  # the end-to-end workloads' inputs and systems
+
+    real = engine_mod.propagate_ensemble
+    rows = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in CFL_WORKLOADS:
+            spec = osse.SPECS[name]
+            inputs = osse.generate(spec, CFL_SEED, spec.grid)
+            runs = []
+            for c_max in (0.0, *CFL_CANDIDATES):
+                patch.setattr(sqg_mod, "_CFL_MAX", c_max)
+                system = osse.build(spec, inputs, spec.grid, pooled=False)
+                fine = system.truth_model  # its own instance, never stepped coarsely
+                seen = []
+
+                def spy(model, state, n_steps, executor=None):
+                    out = real(model, state, n_steps=n_steps, executor=executor)
+                    start = time.perf_counter()
+                    k = getattr(model, "k", 1)
+                    cfl = system.forecast_model.max_cfl(
+                        system.forecast_model.unflatten(state.host())
+                    )
+                    diff = 0.0
+                    if k > 1:
+                        oracle = fine.forecast(state.host(), n_steps=k * n_steps)
+                        diff = float(np.sqrt(np.mean((out.host() - oracle) ** 2)))
+                    seen.append((k, cfl, diff, time.perf_counter() - start))
+                    return out
+
+                patch.setattr(engine_mod, "propagate_ensemble", spy)
+                config = OSSEConfig(
+                    n_cycles=CFL_CYCLES, steps_per_cycle=osse.STEPS_PER_CYCLE,
+                    ensemble_size=osse.N_MEMBERS, seed=inputs.osse_seed,
+                    apply_model_error_to_truth=not spec.perfect_model,
+                )
+                start = time.perf_counter()
+                result = run_osse(
+                    system.truth_model, system.forecast_model, system.filter,
+                    system.operator, inputs.truth0, config, initial_ensemble=inputs.ensemble,
+                )
+                elapsed = time.perf_counter() - start - sum(row[3] for row in seen)
+                patch.setattr(engine_mod, "propagate_ensemble", real)
+                ks = [row[0] for row in seen]
+                rmse = np.asarray(result.analysis_rmse, dtype=float)
+                runs.append(
+                    {
+                        "c_max": c_max,
+                        "k_counts": {str(k): ks.count(k) for k in sorted(set(ks))},
+                        "cfl": {"min": min(r[1] for r in seen), "max": max(r[1] for r in seen)},
+                        "mean_analysis_rmse": float(np.mean(rmse)),
+                        "max_diff_from_fine_k": max(r[2] for r in seen),
+                        "non_finite": int(np.sum(~np.isfinite(rmse))),
+                        "cycles_per_s": CFL_CYCLES / elapsed,
+                    }
+                )
+            for run in runs:
+                run["rmse_vs_fine_step"] = (
+                    run["mean_analysis_rmse"] / runs[0]["mean_analysis_rmse"] - 1.0
+                )
+            rows.append(
+                {"workload": name, "grid": [spec.grid, spec.grid], "filter": spec.filter,
+                 "runs": runs}
+            )
+    admissible = [
+        c for c in CFL_CANDIDATES
+        if all(
+            run["non_finite"] == 0 and abs(run["rmse_vs_fine_step"]) <= CFL_RMSE_TOLERANCE
+            for row in rows for run in row["runs"] if run["c_max"] == c
+        )
+    ]
+    return {
+        "seed": CFL_SEED,
+        "cycles": CFL_CYCLES,
+        "candidates": list(CFL_CANDIDATES),
+        "rmse_tolerance": CFL_RMSE_TOLERANCE,
+        "selected": max(admissible, default=None),
+        "host": _host_record(),
+        "rows": rows,
+        "note": (
+            "serial run_osse on each end-to-end workload's seed-7 inputs at every "
+            "candidate limit C on the ensemble's advective CFL (c_max 0 keeps "
+            "every cycle at k = 1, the reference); the forecast takes RK4 steps "
+            "of k*dt, k the largest divisor of steps_per_cycle with k*CFL <= C. "
+            "max_diff_from_fine_k is the largest RMS difference (K) of one "
+            "cycle's forecast from the fine-step forecast of the same input; "
+            "cycles_per_s leaves that comparison out. selected is the largest "
+            "C with no non-finite cycle and mean analysis RMSE within "
+            "rmse_tolerance of k = 1 on every workload: the value of "
+            "repro.models.sqg._CFL_MAX."
+        ),
+    }
+
+
 def _legacy_inlined_osse(truth_model, forecast_model, filter_, operator, truth0, config):
     """The pre-engine inlined OSSE loop (PR 4), minus timing instrumentation.
 
-    Kept verbatim as the baseline for the CycleEngine overhead record: same
-    named rng streams, same per-cycle operation order, so the engine-backed
+    Kept as the baseline for the CycleEngine overhead record: same named
+    rng streams, same per-cycle operation order, so the engine-backed
     :func:`run_osse` must match it bit for bit while adding <2 % wall time.
+    The ensemble forecast takes the model's ``coarse_step``, as the
+    engine's forecast stage does.
     (The old ``osse_parity`` entry compared against the retired
     ``fused=False`` reference forecast engine — a redundant oracle call site
     once the per-step oracle test certifies bit-identity; see ROADMAP
@@ -238,9 +361,8 @@ def _legacy_inlined_osse(truth_model, forecast_model, filter_, operator, truth0,
         truth = truth_model.forecast(truth, n_steps=config.steps_per_cycle)
         if model_error is not None:
             truth = model_error.perturb(truth)
-        ensemble = propagate_ensemble(
-            forecast_model, ensemble, n_steps=config.steps_per_cycle
-        )
+        stepper, n_steps = forecast_model.coarse_step(ensemble, config.steps_per_cycle)
+        ensemble = propagate_ensemble(stepper, ensemble, n_steps=n_steps)
         observation = operator.observe(truth, rng=rng_obs)
         ensemble = filter_.analyze_parallel(ensemble, observation, operator)
         stats = ensemble_statistics(ensemble)
@@ -476,6 +598,7 @@ def forecast_record():
         recorder.add("step_chunked", row["optimized_s"])
         recorder.add("step_oracle", row["oracle_s"])
     chunk_curve = _bench_chunk_curve()
+    cfl_curve = _bench_cfl_step_curve()
     overhead = _bench_engine_overhead()
     retry = _bench_retry_overhead()
     paper = _bench_osse_paper_scale()
@@ -490,6 +613,7 @@ def forecast_record():
         forecast_step=headline,
         forecast_step_cases=cases,
         forecast_chunk_curve=chunk_curve,
+        cfl_step_curve=cfl_curve,
         engine_overhead=overhead,
         retry_overhead=retry,
         osse_128=paper,
@@ -531,6 +655,25 @@ def test_step_exactness_and_chunk_curve(forecast_record, report):
         # host's run-to-run spread, not a performance target.
         best = max(r["median"] for r in rates.values())
         assert rates[row["derived_chunk"]]["median"] >= 0.8 * best
+
+
+def test_cfl_step_curve_backs_the_constant(forecast_record, report):
+    curve = forecast_record["cfl_step_curve"]
+    for row in curve["rows"]:
+        report(
+            f"{row['workload']}: {curve['cycles']} cycles per limit on the ensemble CFL",
+            [
+                f"C={run['c_max']:.1f}: k {run['k_counts']}, RMSE "
+                f"{run['mean_analysis_rmse']:.6f} ({100 * run['rmse_vs_fine_step']:+.3f}%), "
+                f"vs fine {run['max_diff_from_fine_k']:.1e} K, {run['cycles_per_s']:.2f} cycles/s"
+                for run in row["runs"]
+            ],
+        )
+        reference = row["runs"][0]
+        assert reference["c_max"] == 0.0 and list(reference["k_counts"]) == ["1"]
+        for run in row["runs"]:
+            assert sum(run["k_counts"].values()) == curve["cycles"]
+    assert curve["selected"] == sqg_mod._CFL_MAX
 
 
 def test_engine_overhead_and_parity(forecast_record, report):

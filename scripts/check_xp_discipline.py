@@ -73,7 +73,6 @@ HOST_SIDE: dict[str, set[str]] = {
         # host diagnostics (operate on downloaded states by contract)
         "SQGModel.random_initial_condition",
         "SQGModel.total_kinetic_energy",
-        "SQGModel.cfl_number",
     },
     # LETKF's shard solvers are fully xp-routed; host staging there uses
     # only layout ops, so no exemptions are needed today.
@@ -120,6 +119,8 @@ KERNELS: dict[str, set[str]] = {
         "SQGModel._tendency",
         "SQGModel._rk4_step",
         "SQGModel._advance",
+        # the CFL probe behind cfl_number and the coarse ensemble step
+        "SQGModel.max_cfl",
     },
 }
 

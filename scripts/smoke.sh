@@ -9,14 +9,18 @@
 #      LETKF analysis-grid stride must be the derived 4 / 8 / 2 on the
 #      64x64 / 128x128 / 32x32 benchmark grids (1 on this script's own
 #      10x2 grid), and a 2-worker analysis through the weight interpolation
-#      must equal the in-process one bit for bit.
+#      must equal the in-process one bit for bit.  Next to the strides, the
+#      SQG ensemble's derived coarse step k on the seed-7 benchmark inputs
+#      must be the recorded one on the 64x64 / 128x128 / 32x32 grids.
 #   3. The backend-parametrized kernel-equivalence suite must pass with the
 #      array backend forced to ``mock-device`` via the environment variable
 #      (proving both the env-var precedence path and the transfer-metered
 #      dispatch layer without hardware).  It includes the SQG step's
 #      oracle-equivalence test (test_forecast_kernels.py::TestAgainstHeadOracle),
 #      so the chunked kernel's real-view arithmetic runs under the transfer
-#      meters and must equal the previous step bit for bit with zero transfers.
+#      meters and must equal the previous step bit for bit with zero transfers;
+#      its TestCoarseStep runs the CFL probe and the k*dt ensemble step the
+#      same way (zero transfers once the k*dt multiplier exists).
 #      test_kernels.py's TestFoldedAssembly and TestAssemblyWorkspace run the
 #      LETKF's folded convolution inverse and its reused channel buffers the
 #      same way: the steady assembly uploads its inputs and nothing more.
@@ -117,6 +121,30 @@ with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as executor:
 assert np.array_equal(pooled, serial)
 print("analysis-grid strides OK; 2-worker analysis bit-identical at stride 2")
 EOF
+python - <<'EOF'
+import sys
+
+sys.path.insert(0, "benchmarks/e2e")
+import osse
+from inputs import STEPS_PER_CYCLE, climatological_inputs
+
+from repro.models.sqg import SQGModel, SQGParameters
+
+def derived_k(model, ensemble):
+    _, n_steps = model.coarse_step(ensemble, STEPS_PER_CYCLE)
+    return STEPS_PER_CYCLE // n_steps
+
+for name in ("letkf_serial_64", "ensf_serial_64", "letkf_pool_128"):
+    spec = osse.SPECS[name]
+    inputs = osse.generate(spec, 7, spec.grid)
+    model = SQGModel(SQGParameters(nx=spec.grid, ny=spec.grid))
+    assert derived_k(model, inputs.ensemble) == 4, name
+# the service campaign's 32x32 SQG job, on its own input recipe
+model = SQGModel(SQGParameters(nx=32, ny=32))
+_, ensemble = climatological_inputs(model, 7, sigma0=0.03, spinup_steps=200, gap=10)
+assert derived_k(model, ensemble) == 4
+print("coarse ensemble steps OK: k = 4 on the 64x64 LETKF / EnSF, 128x128 and 32x32 inputs")
+EOF
 
 echo "== smoke 3/9: backend suite under REPRO_ARRAY_BACKEND=mock-device =="
 # Prove the env-var resolution path itself in a fresh process (the
@@ -155,9 +183,9 @@ SPECS = {
     "BENCH_forecast.json": dict(
         required=["benchmark", "created_unix", "sections", "fft_backend",
                   "forecast_step", "forecast_step_cases", "forecast_chunk_curve",
-                  "engine_overhead", "retry_overhead", "osse_128", "residency",
-                  "speedup_note"],
-        notes=[("speedup_note",), ("forecast_chunk_curve", "note"),
+                  "cfl_step_curve", "engine_overhead", "retry_overhead", "osse_128",
+                  "residency", "speedup_note"],
+        notes=[("speedup_note",), ("forecast_chunk_curve", "note"), ("cfl_step_curve", "note"),
                ("engine_overhead", "note"),
                ("retry_overhead", "note"), ("residency", "note")],
     ),
@@ -180,6 +208,12 @@ for path, spec in SPECS.items():
         marked = [c["chunk"] for c in row["candidates"] if c["derived"]]
         if marked != [row["derived_chunk"]] or not payload["forecast_chunk_curve"]["host"]:
             raise SystemExit(f"{path}: chunk curve at {row['grid']} lacks its derived chunk or host")
+    if path == "BENCH_forecast.json":
+        from repro.models.sqg import _CFL_MAX
+
+        curve = payload["cfl_step_curve"]
+        if not curve["host"] or curve["selected"] != _CFL_MAX:
+            raise SystemExit(f"{path}: cfl_step_curve does not back _CFL_MAX = {_CFL_MAX}")
 print("BENCH schema OK")
 EOF
 

@@ -132,7 +132,6 @@ class SpectralGrid:
         # Cached derived arrays (satellite: kappa was recomputed per access).
         self._kappa = np.sqrt(ksq)
         self._ksq_max = float(ksq.max())
-        self._hyperdiff_cache: dict[tuple[float, float, int], np.ndarray] = {}
 
         # Number of retained kx columns: every column at index >= kx_keep is
         # zeroed by the mask, so masked spectra are fully described by their
@@ -292,20 +291,16 @@ class SpectralGrid:
 
         Damps the largest resolved wavenumber with e-folding time
         ``efolding_time`` and scales as ``(K²/K²_max)^(order/2)`` — this is
-        the implicit hyperdiffusion treatment referenced in §II-B.  The
-        multiplier is cached per ``(dt, efolding_time, order)``.
+        the implicit hyperdiffusion treatment referenced in §II-B.  Models
+        keep the result; the grid stores nothing, so it pickles the same
+        size whatever steps were asked for.
         """
         if efolding_time <= 0:
             raise ValueError("efolding_time must be positive")
         if order <= 0 or order % 2:
             raise ValueError("hyperdiffusion order must be a positive even integer")
-        key = (float(dt), float(efolding_time), int(order))
-        cached = self._hyperdiff_cache.get(key)
-        if cached is None:
-            ratio = self.ksq / self.ksq_max
-            cached = np.exp(-(dt / efolding_time) * ratio ** (order // 2))
-            self._hyperdiff_cache[key] = cached
-        return cached
+        ratio = self.ksq / self.ksq_max
+        return np.exp(-(dt / efolding_time) * ratio ** (order // 2))
 
     # ------------------------------------------------------------------ #
     # validation helpers

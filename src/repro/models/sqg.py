@@ -30,6 +30,18 @@ Dynamics
 with the symmetric Eady base state ``Ū = ∓U/2`` at the bottom/top boundary,
 thermal-wind meridional gradient ``∂θ̄/∂y = −Λ = −U/H``, and ``D`` an
 8th-order hyperdiffusion applied implicitly each step.
+
+Time step
+---------
+Every model call steps at ``params.dt``.  The hyperdiffusion factor is
+exact for any step, so only advection limits it, and the flow uses a small
+part of that limit (advective CFL ≈ 0.15–0.25 at the default ``dt``).  The
+cycle engine's ensemble forecast therefore asks :meth:`SQGModel.coarse_step`
+for a stepper: ``k`` model steps per RK4 step, ``k`` the largest divisor of
+the cycle's steps with ``k · CFL <= _CFL_MAX``, CFL the largest over the
+members at the cycle start (:meth:`SQGModel.max_cfl`).  Same law, not the
+same bits: a cycle's forecast differs from the fine-step one by ~1e-6 K
+RMS at 64².  The truth and the model's own ``dt`` stay untouched.
 """
 
 from __future__ import annotations
@@ -55,12 +67,29 @@ __all__ = ["SQGParameters", "SQGModel", "spinup_sqg"]
 # BENCH_forecast.json (flat optimum on every grid) — a constant, not a knob.
 _WORKSPACE_BYTES = 4 * 2**20
 
+# The largest advective CFL number one RK4 step of an ensemble forecast may
+# take.  :meth:`SQGModel.coarse_step` steps the ensemble ``k`` model steps at
+# a time, ``k`` the largest divisor of the cycle's steps with
+# ``k · CFL <= _CFL_MAX``; the value is the largest candidate of the
+# ``cfl_step_curve`` sweep in BENCH_forecast.json with no non-finite cycle and
+# a mean analysis RMSE within 0.5 % of ``k = 1`` on every input — a constant,
+# not a knob.  RK4's linear limit for the dealiased advection is ≈ 1.35.
+_CFL_MAX = 1.0
+
 
 def _member_bytes(ny: int, nkx: int, keep: int) -> int:
     """Bytes one member keeps hot: its share of a :class:`_ChunkWorkspace`
     plus one tendency's transform outputs (ifft, irfft, rfft, fft)."""
     spectral, retained, physical = 32 * ny * nkx, 32 * ny * keep, 32 * ny * (nkx - 1)
     return (5 * spectral + 7 * retained) + (5 * retained + spectral + 4 * physical)
+
+
+def step_factor_for(cfl: float, n_steps: int) -> int:
+    """Model steps per RK4 step for an ``n_steps`` forecast at advective CFL
+    number ``cfl``: the largest divisor ``k`` of ``n_steps`` with
+    ``k · cfl <= _CFL_MAX``, else 1 (also for a non-finite ``cfl``)."""
+    divisors = (k for k in range(1, n_steps + 1) if n_steps % k == 0)
+    return max((k for k in divisors if k * cfl <= _CFL_MAX), default=1)
 
 
 class _SplitSpectrum:
@@ -266,11 +295,6 @@ class SQGModel:
         def repeated(values):  # (..., ny, nkx) → retained columns, (re, im)
             return xp.to_device(np.repeat(values[..., :keep], 2, axis=-1))
 
-        def split_layout(values):  # → one whole state in _SplitSpectrum order, (re, im)
-            full = np.repeat(np.broadcast_to(values, (2, p.ny, nkx)), 2, axis=-1)
-            blocks = (full[..., : 2 * keep], full[..., 2 * keep :])
-            return xp.to_device(np.concatenate([b.ravel() for b in blocks]))
-
         ikx, ily = sp.ikx_dealias[:, :keep], sp.ily_dealias[:, :keep]
         self._grad_m = xp.to_device(np.stack([ikx, ily])[:, None, None])    # θ̂ → θ̂_x, θ̂_y
         self._wind_m = xp.to_device(np.stack([-ily, ikx])[:, None, None])   # ψ̂ → û, v̂
@@ -278,21 +302,32 @@ class SQGModel:
         self._inv_ts = repeated(np.stack([self._inv_tanh, self._inv_sinh]))
         self._h_over_mu_r = repeated(self._h_over_mu)
         self._neg_mask_r = repeated(-sp.dealias_mask)
-        self._hyperdiff_r = split_layout(self._hyperdiff)
+        self._hyperdiff_r = self._split_layout(self._hyperdiff)
+        self._coarse_hyperdiff: dict[int, object] = {}  # k → multiplier of k·dt, split layout
         # Ekman drag acts on the lower level only (no multiplier when off).
         drag = np.array([-p.ekman_drag, 0.0]).reshape((2, 1, 1))
-        self._drag_r = split_layout(drag) if p.ekman_drag > 0.0 else None
+        self._drag_r = self._split_layout(drag) if p.ekman_drag > 0.0 else None
         # Base state broadcast against (..., 2, ny, nx) physical fields.
         self._u_base_col = xp.to_device(self._u_base.reshape((2, 1, 1)))
         self._member_bytes = _member_bytes(p.ny, nkx, keep)
         self._workspaces: dict[int, _ChunkWorkspace] = {}  # by chunk size, oldest first
 
     def __getstate__(self):
-        # Workspaces are cheap to rebuild and can be large; drop them so
-        # models ship compactly to EnsembleExecutor worker processes.
+        # Workspaces and coarse-step multipliers are cheap to rebuild and can
+        # be large; drop them so models ship compactly to EnsembleExecutor
+        # worker processes.
         state = self.__dict__.copy()
         state["_workspaces"] = {}
+        state["_coarse_hyperdiff"] = {}
         return state
+
+    def _split_layout(self, values):
+        """``values`` broadcast to one whole state in :class:`_SplitSpectrum`
+        order, each value repeated (re, im), on the device."""
+        p, keep = self.params, self._keep
+        full = np.repeat(np.broadcast_to(values, (2, p.ny, self._nkx)), 2, axis=-1)
+        blocks = (full[..., : 2 * keep], full[..., 2 * keep :])
+        return self.xp.to_device(np.concatenate([b.ravel() for b in blocks]))
 
     def _chunk(self, n_members: int) -> int:
         """Members advanced together: what ``_WORKSPACE_BYTES`` holds, at least one."""
@@ -379,12 +414,53 @@ class SQGModel:
 
     def cfl_number(self, theta: np.ndarray) -> float:
         """Advective CFL number of the current state (should stay below ~1)."""
-        u, v = self.velocities(theta)
-        umax = np.abs(u + self._u_base[:, None, None]).max()
-        vmax = np.abs(v).max()
-        return float(
-            self.params.dt * (umax / self.grid.dx + vmax / self.grid.dy)
-        )
+        return self.max_cfl(theta)
+
+    def max_cfl(self, theta) -> float:
+        """Largest advective CFL number ``dt·(max|u|/dx + max|v|/dy)`` of
+        the states ``(..., 2, ny, nx)``, each taken over its own grid.
+
+        The wind is the one the tendency advects with: the retained,
+        dealiased wind plus the base state.  Members are walked in
+        :meth:`_chunk` blocks through the forecast's own workspace
+        (``thf`` / ``psi`` / ``quad`` carry θ̂ → ψ̂ → û, v̂ exactly as in
+        :meth:`_tendency`), so the probe adds no memory, and host states on
+        a CPU backend cross no meter.
+        """
+        p, xp = self.params, self.xp
+        members = xp.asarray(theta).reshape((-1, 2, p.ny, p.nx))
+        n = members.shape[0]
+        chunk = self._chunk(n)
+        ws = self._workspace(chunk)
+        worst = 0.0
+        for start in range(0, n, chunk):
+            b = min(chunk, n - start)
+            spec = self.spectral.to_spectral_retained(members[start : start + b])
+            self._invert(spec.view(float), ws.thf[:b], ws.t2[:b], ws.psi_real[:b])
+            wind = ws.quad[2:, :b]
+            xp.multiply(self._wind_m, ws.psi[:b], out=wind)
+            u, v = self.spectral.to_physical_retained(wind)
+            xp.add(u, self._u_base_col, out=u)
+            # per member: max|u|/dx + max|v|/dy
+            u_max, v_max = (
+                xp.maximum(xp.amax(f, axis=(1, 2, 3)), xp.negative(xp.amin(f, axis=(1, 2, 3))))
+                for f in (u, v)
+            )
+            rate = xp.add(xp.divide(u_max, self.grid.dx), xp.divide(v_max, self.grid.dy))
+            worst = max(worst, float(xp.amax(rate)))
+        return p.dt * worst
+
+    def coarse_step(self, ensemble: np.ndarray, n_steps: int):
+        """The stepper and step count for an ``n_steps`` forecast of the
+        flattened ``ensemble`` ``(m, state_size)``, at the CFL it allows.
+
+        ``k = step_factor_for(max_cfl(ensemble), n_steps)``: a pure function of
+        the ensemble, so every executor layout and a resumed run step
+        alike.  ``k = 1`` returns this model itself (today's bits);
+        otherwise a view taking ``n_steps // k`` RK4 steps of ``k·dt``.
+        """
+        k = step_factor_for(self.max_cfl(self.unflatten(ensemble)), n_steps)
+        return (self, n_steps) if k == 1 else (_CoarseStep(self, k), n_steps // k)
 
     # ------------------------------------------------------------------ #
     # dynamics — the member-chunked kernel
@@ -407,14 +483,7 @@ class SQGModel:
         sp = self.spectral
         p = self.params
         xp = self.xp
-
-        # --- inversion θ̂ → ψ̂ on the retained columns, both levels a pass --- #
-        xp.multiply(theta.ret_real, self._factor, out=ws.thf)
-        psi = ws.psi_real
-        xp.multiply(ws.thf[:, 1:], self._inv_st, out=psi)     # θ̂₁·(1/sinh μ, 1/tanh μ)
-        xp.multiply(ws.thf[:, :1], self._inv_ts, out=ws.t2)   # θ̂₀·(1/tanh μ, 1/sinh μ)
-        xp.subtract(psi, ws.t2, out=psi)
-        xp.multiply(self._h_over_mu_r, psi, out=psi)
+        self._invert(theta.ret_real, ws.thf, ws.t2, ws.psi_real)
 
         # --- θ̂_x, θ̂_y, û, v̂ stacked for one batched inverse transform ----- #
         xp.multiply(self._grad_m, theta.ret, out=ws.quad[:2])
@@ -438,15 +507,40 @@ class SQGModel:
             xp.multiply(theta.real, self._drag_r, out=ws.drag)
             xp.add(out.real, ws.drag, out=out.real)
 
-    def _rk4_step(self, ws: _ChunkWorkspace) -> None:
-        """One RK4 step plus implicit hyperdiffusion on ``ws.cur``, in place.
+    def _invert(self, theta_ret_real, thf, t2, psi) -> None:
+        """Inversion θ̂ → ψ̂ on the retained columns (``float64`` views),
+        both levels a pass, into ``psi``; ``thf`` and ``t2`` are scratch."""
+        xp = self.xp
+        xp.multiply(theta_ret_real, self._factor, out=thf)
+        xp.multiply(thf[:, 1:], self._inv_st, out=psi)     # θ̂₁·(1/sinh μ, 1/tanh μ)
+        xp.multiply(thf[:, :1], self._inv_ts, out=t2)      # θ̂₀·(1/tanh μ, 1/sinh μ)
+        xp.subtract(psi, t2, out=psi)
+        xp.multiply(self._h_over_mu_r, psi, out=psi)
+
+    def _step_constants(self, factor: int):
+        """Step and split-layout hyperdiffusion multiplier of one RK4 step
+        spanning ``factor`` model steps: the exact
+        ``hyperdiffusion_filter(factor·dt)``, built once per factor."""
+        if factor == 1:
+            return self.params.dt, self._hyperdiff_r
+        p = self.params
+        dt = factor * p.dt
+        hyperdiff = self._coarse_hyperdiff.get(factor)
+        if hyperdiff is None:
+            hyperdiff = self._coarse_hyperdiff[factor] = self._split_layout(
+                self.spectral.hyperdiffusion_filter(dt, p.hyperdiff_efold, p.hyperdiff_order)
+            )
+        return dt, hyperdiff
+
+    def _rk4_step(self, ws: _ChunkWorkspace, dt: float, hyperdiff) -> None:
+        """One RK4 step of ``dt`` plus implicit hyperdiffusion on ``ws.cur``,
+        in place.
 
         ``θ̂ ← (θ̂ + dt/6·(k1 + 2·k2 + 2·k3 + k4))·hyperdiff`` in the reference
         association order; k1 and k2 are folded into the accumulator as soon
         as both exist, so two tendency buffers serve all four stages.
         """
         xp = self.xp
-        dt = self.params.dt
         cur, k_a, k_b, stage, acc = (s.real for s in (ws.cur, ws.k_a, ws.k_b, ws.stage, ws.acc))
         self._tendency(ws, ws.cur, ws.k_a)        # k1
         xp.multiply(k_a, 0.5 * dt, out=stage)
@@ -465,10 +559,11 @@ class SQGModel:
         xp.add(acc, k_a, out=acc)
         xp.multiply(acc, dt / 6.0, out=acc)
         xp.add(cur, acc, out=cur)
-        xp.multiply(cur, self._hyperdiff_r, out=cur)
+        xp.multiply(cur, hyperdiff, out=cur)
 
-    def _advance(self, spec, n_steps: int):
-        """Advance device-resident spectral states by ``n_steps`` RK4 steps.
+    def _advance(self, spec, n_steps: int, step_factor: int = 1):
+        """Advance device-resident spectral states by ``n_steps`` RK4 steps,
+        each spanning ``step_factor`` model steps.
 
         The one trajectory loop: ``spec`` is ``(..., 2, ny, nx//2+1)`` on the
         model's array backend and is not modified; the result stays there
@@ -482,6 +577,7 @@ class SQGModel:
         if n_steps == 0:
             return spec
         xp = self.xp
+        dt, hyperdiff = self._step_constants(step_factor)
         keep = self._keep
         members = spec.reshape((-1,) + spec.shape[-3:])
         out = xp.empty(members.shape, dtype=complex)
@@ -493,7 +589,7 @@ class SQGModel:
             xp.copyto(ws.cur.ret, members[block, ..., :keep])
             xp.copyto(ws.cur.dead, members[block, ..., keep:])
             for _ in range(n_steps):
-                self._rk4_step(ws)
+                self._rk4_step(ws, dt, hyperdiff)
             xp.copyto(out[block, ..., :keep], ws.cur.ret)
             xp.copyto(out[block, ..., keep:], ws.cur.dead)
         # Keep what this call used (a full chunk and at most one ragged
@@ -544,7 +640,7 @@ class SQGModel:
         out = self.flatten(theta)
         return out[0] if squeeze else out
 
-    def forecast_device(self, state, n_steps: int = 1):
+    def forecast_device(self, state, n_steps: int = 1, *, step_factor: int = 1):
         """Device-resident forecast on flattened states.
 
         The counterpart of :meth:`forecast` for callers that already hold
@@ -552,12 +648,14 @@ class SQGModel:
         :class:`~repro.utils.xp.StateHandle` path): flattened device states
         in, flattened device states out, **zero** host↔device transfers —
         the caller owns the boundary.  Identical arithmetic to
-        :meth:`forecast`.
+        :meth:`forecast`.  ``step_factor`` is how :meth:`coarse_step`'s
+        view takes RK4 steps of ``step_factor·dt`` (1: the model's step).
         """
         squeeze = state.ndim == 1
         if squeeze:
             state = state[None, :]
-        spec = self._advance(self.spectral.to_spectral(self.unflatten(state)), n_steps)
+        spec = self.spectral.to_spectral(self.unflatten(state))
+        spec = self._advance(spec, n_steps, step_factor)
         out = self.flatten(self.spectral.to_physical(spec))
         return out[0] if squeeze else out
 
@@ -589,6 +687,36 @@ class SQGModel:
             spec = self._advance(spec, save_every)
             snapshots.append(xp.to_host(self.spectral.to_physical(spec)))
         return np.array(snapshots)
+
+
+class _CoarseStep:
+    """An SQG ensemble forecast taking ``k`` model steps per RK4 step.
+
+    A view, not a second model: it holds the model and ``k``.  The step
+    ``k·dt``, its hyperdiffusion multiplier (built once per ``k`` and kept
+    by the model, which never pickles it) and the chunk workspaces are the
+    model's, whose own ``params.dt`` and multiplier never change — truth and
+    ensemble may share one instance.  Forecasts go through the model's
+    :meth:`SQGModel.forecast_device`, so whatever wraps that entry point
+    sees them.  Pickles as the (compact) model plus ``k``.
+    """
+
+    def __init__(self, model: SQGModel, k: int):
+        self.model, self.k = model, k
+        self.state_size, self.xp = model.state_size, model.xp
+
+    @property
+    def _workspaces(self) -> dict:
+        return self.model._workspaces
+
+    def forecast_device(self, state, n_steps: int = 1):
+        return self.model.forecast_device(state, n_steps, step_factor=self.k)
+
+    def forecast(self, state: np.ndarray, n_steps: int = 1) -> np.ndarray:
+        """Host-in/host-out, one upload and one download (the pool path)."""
+        xp = self.xp
+        state = xp.to_device(np.asarray(state, dtype=float))
+        return xp.to_host(self.forecast_device(state, n_steps))
 
 
 def spinup_sqg(

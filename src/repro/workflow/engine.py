@@ -31,7 +31,9 @@ the idealized protocol of one identity observation per cycle.
 
 All stages consume named rng streams only, so the engine-backed drivers are
 *bit-identical* to the historical inlined loops (certified by the golden
-equivalence suite in ``tests/unit/test_engine.py``).  The engine also
+equivalence suite in ``tests/unit/test_engine.py``) — except that an SQG
+ensemble now steps at the coarser step its CFL allows (same law, not the
+same bits; see :class:`EnsembleForecastStage`).  The engine also
 checkpoints: :meth:`CycleEngine.checkpoint` serializes truth/ensemble state,
 per-stage rng streams and in-flight observations, and
 :meth:`CycleEngine.run` resumes from a checkpoint bit-identically — which is
@@ -463,6 +465,15 @@ class EnsembleForecastStage:
     cached host mirror — materialised here for the forecast mean — serves
     every host consumer (diagnostics, QC, analysis input, checkpoints)
     without further downloads.
+
+    A model with a ``coarse_step`` (the SQG model) chooses, from that host
+    mirror of the cycle-start ensemble, how many model steps each of its
+    RK4 steps spans — as many as the flow's CFL number allows (see
+    :meth:`repro.models.sqg.SQGModel.coarse_step`).  The choice is a pure
+    function of the ensemble, made here in the parent, so every executor
+    layout and a resumed run take the same steps; the forecast obeys the
+    same law as the model's own step, not the same bits.  Other models
+    (Lorenz-96, surrogates) step as they always have.
     """
 
     def __init__(self, model, steps_per_cycle: int) -> None:
@@ -477,8 +488,12 @@ class EnsembleForecastStage:
     def run(self, ctx: CycleContext) -> None:
         with ctx.recorder.section("forecast"):
             state = StateHandle.wrap(ctx.state, self.xp)
+            model, n_steps = self.model, self.steps_per_cycle
+            coarse_step = getattr(model, "coarse_step", None)
+            if coarse_step is not None:
+                model, n_steps = coarse_step(state.host(), n_steps)
             ctx.state = propagate_ensemble(
-                self.model, state, n_steps=self.steps_per_cycle, executor=ctx.executor
+                model, state, n_steps=n_steps, executor=ctx.executor
             )
         # The one scheduled download of the cycle: the handle caches this
         # host mirror, so everything downstream shares it.

@@ -323,3 +323,203 @@ class TestFusedOSSEParity:
         assert result.timing is not None
         for section in ("truth", "forecast"):
             assert len(result.timing[section]["per_cycle_s"]) == 2
+
+
+def _flow_ensemble(model: SQGModel, members: int, seed: int = 0):
+    """A spun-up truth and ``members`` small perturbations of it, flattened."""
+    truth = model.step(model.random_initial_condition(rng=seed, amplitude=3.0), n_steps=50)
+    noise = np.random.default_rng(seed).standard_normal((members,) + truth.shape)
+    return model.flatten(truth), model.flatten(truth + 0.05 * noise)
+
+
+class TestCoarseStep:
+    """The ensemble forecast at the CFL the flow allows: ``k`` model steps
+    per RK4 step.  Same law, not the same bits — the oracle is the fine-step
+    forecast of the same input; the truth, ``k = 1`` and the model itself
+    keep today's bits."""
+
+    @staticmethod
+    def _osse(model, n_cycles=6, members=8, executor=None, **kwargs):
+        from repro.core.observations import IdentityObservation
+        from repro.da.cycling import run_osse
+        from repro.da.letkf import LETKF, LETKFConfig
+
+        truth0, ensemble = _flow_ensemble(model, members)
+        config = OSSEConfig(
+            n_cycles=n_cycles, steps_per_cycle=4, ensemble_size=members, seed=5,
+            apply_model_error_to_truth=False,
+        )
+        return truth0, run_osse(
+            model, model, LETKF(model.grid, LETKFConfig()),
+            IdentityObservation(model.state_size, obs_error_var=1.0), truth0, config,
+            initial_ensemble=ensemble, executor=executor, **kwargs,
+        )
+
+    @staticmethod
+    def _record_steps(monkeypatch, fine=None):
+        """Spy on the stage's forecasts: the ``k`` of each and, given the
+        ``fine`` model, its RMS difference from the fine-step forecast."""
+        import repro.workflow.engine as engine_mod
+
+        seen = []
+        real = engine_mod.propagate_ensemble
+
+        def spy(model, state, n_steps, executor=None):
+            out = real(model, state, n_steps=n_steps, executor=executor)
+            k = getattr(model, "k", 1)
+            row = {"k": k}
+            if fine is not None:
+                oracle = fine.forecast(state.host(), n_steps=k * n_steps)
+                row["rms"] = float(np.sqrt(np.mean((out.host() - oracle) ** 2)))
+            seen.append(row)
+            return out
+
+        monkeypatch.setattr(engine_mod, "propagate_ensemble", spy)
+        return seen
+
+    def test_step_factor_is_the_largest_allowed_divisor(self):
+        step_factor = sqg_mod.step_factor_for
+        c_max = sqg_mod._CFL_MAX
+        cfls = np.linspace(0.0, 1.5 * c_max, 61)
+        for n_steps in range(1, 13):
+            ks = [step_factor(float(cfl), n_steps) for cfl in cfls]
+            for cfl, k in zip(cfls, ks):
+                assert n_steps % k == 0
+                assert k == 1 or k * cfl <= c_max
+                larger = [d for d in range(k + 1, n_steps + 1) if n_steps % d == 0]
+                assert all(d * cfl > c_max for d in larger)
+            assert ks == sorted(ks, reverse=True)  # monotone in the CFL
+            assert ks[0] == n_steps
+        for cfl in (np.nextafter(c_max, 2.0), 5.0, np.inf, np.nan):
+            assert step_factor(cfl, 4) == 1
+
+    def test_probe_is_the_dealiased_wind_cfl_per_member(self, monkeypatch):
+        model = SQGModel(SQGParameters(nx=32, ny=32))
+        _, ens = _flow_ensemble(model, 10, seed=3)
+        ens = ens * np.linspace(0.5, 3.0, 10)[:, None]  # members of unequal CFL
+        theta = model.unflatten(ens)
+        sp = model.spectral
+        psi = model.invert(sp.to_spectral(theta))
+        u = -sp.to_physical(sp.ily_dealias * psi) + model._u_base[:, None, None]
+        v = sp.to_physical(sp.ikx_dealias * psi)
+        per_member = model.params.dt * (
+            np.abs(u).max(axis=(1, 2, 3)) / model.grid.dx
+            + np.abs(v).max(axis=(1, 2, 3)) / model.grid.dy
+        )
+        # chunks of four: two full blocks and a ragged tail through one workspace
+        monkeypatch.setattr(sqg_mod, "_WORKSPACE_BYTES", 4 * model._member_bytes)
+        model._workspaces.clear()
+        assert model.max_cfl(theta) == pytest.approx(per_member.max(), rel=1e-12)
+        assert list(model._workspaces) == [4]
+        for member, expected in zip(theta, per_member):
+            assert model.cfl_number(member) == pytest.approx(expected, rel=1e-12)
+
+    def test_truth_is_bit_identical_with_one_shared_instance(self, monkeypatch):
+        model = SQGModel(SQGParameters(nx=32, ny=32))
+        dt, hyperdiff = model.params.dt, model._hyperdiff_r
+        hyperdiff_bits = np.array(hyperdiff, copy=True)
+        seen = self._record_steps(monkeypatch)
+        truth0, result = self._osse(model)
+        assert {row["k"] for row in seen} == {4}  # the coarse step is engaged
+        truth = truth0
+        for _ in range(6):
+            truth = model.forecast(truth, n_steps=4)
+        np.testing.assert_array_equal(result.truth_final, truth)
+        assert model.params.dt == dt
+        assert model._hyperdiff_r is hyperdiff
+        np.testing.assert_array_equal(model._hyperdiff_r, hyperdiff_bits)
+
+    def test_fast_flow_takes_the_fine_step(self):
+        from repro.models.base import propagate_ensemble
+        from repro.utils.timing import BenchRecorder
+        from repro.workflow.engine import CycleContext, EnsembleForecastStage
+
+        model = SQGModel(SQGParameters(nx=32, ny=32))
+        _, ens = _flow_ensemble(model, 6)
+        # one fast member is enough: the CFL is the largest over the members
+        ens[-1] *= 0.6 * sqg_mod._CFL_MAX / model.max_cfl(model.unflatten(ens[-1]))
+        assert 2 * model.max_cfl(model.unflatten(ens[-1])) > sqg_mod._CFL_MAX
+        assert 4 * model.max_cfl(model.unflatten(ens[:-1])) <= sqg_mod._CFL_MAX
+        assert model.coarse_step(ens, 4) == (model, 4)
+        ctx = CycleContext(cycle=0, recorder=BenchRecorder(), executor=None,
+                           truth=ens[0], state=ens)
+        EnsembleForecastStage(model, 4).run(ctx)
+        np.testing.assert_array_equal(
+            ctx.state.host(), propagate_ensemble(model, ens, n_steps=4)
+        )
+
+    def test_error_budget_against_the_fine_step(self, monkeypatch):
+        """Over 20 cycles at 64², each cycle's forecast stays within 1e-4 K
+        RMS of the fine-step forecast of the same input."""
+        model = SQGModel(SQGParameters(nx=64, ny=64))
+        fine = SQGModel(model.params)
+        seen = self._record_steps(monkeypatch, fine=fine)
+        _, result = self._osse(model, n_cycles=20, members=10)
+        assert len(seen) == 20 and max(row["k"] for row in seen) > 1
+        assert max(row["rms"] for row in seen) <= 1e-4
+        assert np.isfinite(result.analysis_rmse).all()
+
+    def test_pool_layout_equals_serial(self, monkeypatch):
+        from repro.hpc.ensemble_parallel import EnsembleExecutor
+
+        model = SQGModel(SQGParameters(nx=32, ny=32))
+        _, serial = self._osse(model)
+        # ship every gather, so the coarse stepper pickles to the workers
+        monkeypatch.setattr(
+            EnsembleExecutor, "_cheaper_in_process", lambda self, key, lanes: False
+        )
+        seen = self._record_steps(monkeypatch)
+        with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as executor:
+            _, pooled = self._osse(SQGModel(model.params), executor=executor)
+            assert any(name == "_forecast_chunk" for name, *_ in executor.placements)
+        assert {row["k"] for row in seen} == {4}
+        np.testing.assert_array_equal(pooled.analysis_rmse, serial.analysis_rmse)
+        np.testing.assert_array_equal(pooled.analysis_mean_final, serial.analysis_mean_final)
+
+    def test_resume_equals_uninterrupted(self, tmp_path):
+        model = SQGModel(SQGParameters(nx=32, ny=32))
+        from repro.workflow.engine import EngineCheckpoint
+
+        path = tmp_path / "coarse.ckpt"
+        _, whole = self._osse(model, checkpoint_every=4, checkpoint_path=path)
+        assert EngineCheckpoint.load(path).next_cycle == 4
+        _, resumed = self._osse(SQGModel(model.params), resume=path)
+        np.testing.assert_array_equal(resumed.analysis_rmse, whole.analysis_rmse)
+        np.testing.assert_array_equal(resumed.analysis_mean_final, whole.analysis_mean_final)
+        np.testing.assert_array_equal(resumed.truth_final, whole.truth_final)
+
+    def test_stepper_is_a_view_and_ships_nothing_new(self):
+        model = SQGModel(SQGParameters(nx=32, ny=32))
+        _, ens = _flow_ensemble(model, 6)
+        before = len(pickle.dumps(model))
+        stepper, n_steps = model.coarse_step(ens, 4)
+        assert (stepper.k, n_steps) == (4, 1)
+        assert stepper._workspaces is model._workspaces
+        coarse = stepper.forecast(ens, n_steps)
+        p = model.params
+        np.testing.assert_array_equal(  # the exact multiplier of k·dt
+            model._coarse_hyperdiff[4],
+            model._split_layout(
+                model.spectral.hyperdiffusion_filter(4 * p.dt, p.hyperdiff_efold, p.hyperdiff_order)
+            ),
+        )
+        assert len(pickle.dumps(model)) == before
+        clone = pickle.loads(pickle.dumps(stepper))  # what a pool worker runs
+        np.testing.assert_array_equal(clone.forecast(ens, n_steps), coarse)
+        assert clone.model._coarse_hyperdiff  # rebuilt on the worker's side
+
+    def test_probe_and_coarse_step_cross_no_meter(self, array_backend):
+        model = SQGModel(SQGParameters(nx=16, ny=16, dt=1800.0))
+        assert model.xp is array_backend
+        _, ens = _flow_ensemble(model, 5)
+        device = array_backend.to_device(ens)
+        stepper, n_steps = model.coarse_step(ens, 4)
+        assert stepper is not model
+        expected = stepper.forecast_device(device, n_steps)  # builds the k·dt multiplier
+        if hasattr(array_backend, "reset_transfers"):
+            array_backend.reset_transfers()
+        assert model.coarse_step(ens, 4)[1] == n_steps
+        out = stepper.forecast_device(device, n_steps)
+        if hasattr(array_backend, "transfer_counts"):
+            assert not any(array_backend.transfer_counts().values())
+        np.testing.assert_array_equal(out, expected)
