@@ -30,6 +30,11 @@ Record layout (see :mod:`repro.utils.timing` for the generic format)::
       "letkf_stride_curve": {grid, members, cycles, cutoff_m, derived_stride,
                              rows: [ {stride, spacing_over_cutoff,
                              mean_analysis_rmse, analysis_s} ... ], note},
+      "assembly_block_curve": {members, calls, selected, host, note,
+                               rows: [ {grid, channels, derived_block,
+                               candidates: [ {budget_mib, block, derived,
+                               workspace_mib, assembly_ms: {q1, median, q3}}
+                               ... ]} ... ]},
       "shard_payloads": {cases: [ ...per grid: shm-vs-pickle per-shard IPC
                          bytes + wall time... ], note},
       "ensf":  {grid, members, sampler, n_sde_steps, optimized_s,
@@ -48,14 +53,17 @@ reverse-SDE paths (the configuration of the e2e ``ensf_serial_64`` workload).
 import json
 import math
 import os
+import statistics
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.da.letkf as letkf_mod
 import repro.da.localization as loc_mod
 from benchmarks.e2e.inputs import climatological_inputs
+from benchmarks.test_bench_forecast import _host_record
 from repro.core.ensf import EnSF, EnSFConfig, _ScaledOperator, _StateScaler
 from repro.core.observations import IdentityObservation
 from repro.da.cycling import OSSEConfig, run_osse
@@ -76,6 +84,9 @@ LETKF_SHARD_WORKERS = (1, 2, 4)
 LETKF_SWEEP_SHARD = 64
 LETKF_STRIDES = (1, 2, 4, 8)
 LETKF_STRIDE_CYCLES = 60
+ASSEMBLY_GRIDS = (32, 64, 128)
+ASSEMBLY_BUDGETS_MIB = (0.5, 1, 2, 4, 8, 16, None)  # None: every channel in one block
+ASSEMBLY_CALLS = 21
 ENSF_GRIDS = ((16, 16), (32, 32), (64, 64))
 ENSF_PATHS_GRID = (64, 64)
 
@@ -255,6 +266,81 @@ def _bench_letkf_stride_curve():
             "bilinearly (Yang et al. 2009); the rule picks the largest common "
             "divisor with spacing <= 2/3 cutoff. analysis_s is the median "
             "in-process analysis per cycle on the recording host."
+        ),
+    }
+
+
+def _bench_assembly_block_curve():
+    """Where ``repro.da.letkf._ASSEMBLY_BYTES`` comes from.
+
+    One 20-member convolution assembly (fully observed, the derived stride)
+    per call, against the budget that sizes its channel blocks.  The budget
+    has no public knob: each candidate gets its own ``LETKF`` whose workspace
+    is built while the constant is moved to the candidate (and restored);
+    all share one geometry.  Within a repeat every candidate runs once, in
+    an order that alternates between repeats, so drift of the host hits all
+    candidates alike.
+    """
+    rng = np.random.default_rng(11)
+    rows = []
+    for n in ASSEMBLY_GRIDS:
+        grid = Grid2D(n, n)
+        operator = IdentityObservation(grid.size, 1.0)
+        geometry = LETKF(grid).geometry(operator)
+        y_pert = rng.standard_normal((N_MEMBERS, grid.size))
+        innovation = rng.standard_normal(grid.size)
+        runs = {}
+        for budget in ASSEMBLY_BUDGETS_MIB:
+            letkf = LETKF(grid)
+            with pytest.MonkeyPatch.context() as patch:
+                bytes_ = math.inf if budget is None else int(budget * 2**20)
+                patch.setattr(letkf_mod, "_ASSEMBLY_BYTES", bytes_)
+                runs[budget] = (letkf, letkf._assembly_workspace(N_MEMBERS), [])
+        expected = None
+        for call in range(ASSEMBLY_CALLS + 1):  # call 0 warms the workspaces
+            order = ASSEMBLY_BUDGETS_MIB if call % 2 else ASSEMBLY_BUDGETS_MIB[::-1]
+            for budget in order:
+                letkf, _, times = runs[budget]
+                start = time.perf_counter()
+                conv = letkf._convolution_channels(y_pert, innovation, geometry, N_MEMBERS)
+                if call:
+                    times.append(time.perf_counter() - start)
+                if expected is None:
+                    expected = conv
+                assert np.array_equal(conv, expected)  # any block, the same bits
+        n_channels = N_MEMBERS * (N_MEMBERS + 3) // 2
+        derived = letkf_mod._assembly_block(n_channels, n, n)
+        candidates = []
+        for budget, (_, workspace, times) in runs.items():
+            buffers = (workspace.channels, workspace.spectrum, workspace.scratch)
+            quartiles = (1e3 * t for t in statistics.quantiles(times, n=4))
+            candidates.append(
+                {
+                    "budget_mib": budget,
+                    "block": len(workspace.channels),
+                    "derived": budget is not None
+                    and budget * 2**20 == letkf_mod._ASSEMBLY_BYTES,
+                    "workspace_mib": sum(b.nbytes for b in buffers) / 2**20,
+                    "assembly_ms": dict(zip(("q1", "median", "q3"), quartiles)),
+                }
+            )
+        rows.append(
+            {"grid": [n, n], "channels": n_channels, "derived_block": derived,
+             "candidates": candidates}
+        )
+    return {
+        "members": N_MEMBERS,
+        "calls": ASSEMBLY_CALLS,
+        "selected": letkf_mod._ASSEMBLY_BYTES,
+        "host": _host_record(),
+        "rows": rows,
+        "note": (
+            "the assembly runs products, rfft2, kernel, fold and irfft2 one "
+            "contiguous block of channels at a time, as many as fit with their "
+            "spectrum in the budget (budget_mib null: every channel in one "
+            "block); every block gives the same bits. workspace_mib is the "
+            "block's channels, spectrum and product scratch; assembly_ms is "
+            "the median and quartiles over the calls on the recording host."
         ),
     }
 
@@ -471,6 +557,7 @@ def kernel_record():
     letkf_stride_curve = _bench_letkf_stride_curve()
     for row in letkf_stride_curve["rows"]:
         recorder.add(f"letkf_stride_{row['stride']}", row["analysis_s"])
+    assembly_block_curve = _bench_assembly_block_curve()
     shard_payloads = _bench_shard_payloads()
     for row in shard_payloads["cases"]:
         tag = f"shard_payloads_{row['grid'][0]}x{row['grid'][1]}"
@@ -496,6 +583,7 @@ def kernel_record():
         letkf=letkf,
         letkf_sharded=letkf_sharded,
         letkf_stride_curve=letkf_stride_curve,
+        assembly_block_curve=assembly_block_curve,
         shard_payloads=shard_payloads,
         ensf=ensf,
         ensf_cases=cases,
@@ -558,6 +646,31 @@ def test_letkf_stride_accuracy_curve(kernel_record, report):
     spacing = {row["stride"]: row["spacing_over_cutoff"] for row in curve["rows"]}
     assert spacing[8] > 1.0 and spacing[curve["derived_stride"]] <= 2.0 / 3.0
     assert curve["note"]
+
+
+def test_assembly_block_curve_backs_the_constant(kernel_record, report):
+    curve = kernel_record["assembly_block_curve"]
+    for row in curve["rows"]:
+        timing = {c["budget_mib"]: c["assembly_ms"] for c in row["candidates"]}
+        labels = {b: "unblocked" if b is None else f"{b} MiB" for b in timing}
+        report(
+            f"LETKF assembly at {row['grid'][0]}x{row['grid'][1]}, M={curve['members']} "
+            f"(derived block {row['derived_block']} of {row['channels']} channels)",
+            [
+                f"budget {labels[c['budget_mib']]:>9}: block {c['block']:3d}, "
+                f"workspace {c['workspace_mib']:6.1f} MiB, {c['assembly_ms']['median']:6.1f} ms "
+                f"[{c['assembly_ms']['q1']:6.1f}, {c['assembly_ms']['q3']:6.1f}]"
+                + ("  <- derived" if c["derived"] else "")
+                for c in row["candidates"]
+            ],
+        )
+        (derived,) = [c for c in row["candidates"] if c["derived"]]
+        assert derived["block"] == row["derived_block"]
+        for t in timing.values():
+            assert t["q1"] <= t["median"] <= t["q3"]
+        # No slower than the unblocked assembly beyond the host's spread.
+        assert derived["assembly_ms"]["median"] <= 1.2 * timing[None]["median"]
+    assert curve["selected"] == letkf_mod._ASSEMBLY_BYTES and curve["host"]
 
 
 def test_shard_payload_transport(kernel_record, report):

@@ -12,6 +12,10 @@
 #      must equal the in-process one bit for bit.  Next to the strides, the
 #      SQG ensemble's derived coarse step k on the seed-7 benchmark inputs
 #      must be the recorded one on the 64x64 / 128x128 / 32x32 grids.
+#      A 2-worker pooled 32x32 OSSE must run 12 steady cycles with the
+#      cyclic garbage collector off and leave nothing for it to collect:
+#      a gather frees its payloads when it returns, so a long pooled run
+#      keeps a flat memory footprint.
 #   3. The backend-parametrized kernel-equivalence suite must pass with the
 #      array backend forced to ``mock-device`` via the environment variable
 #      (proving both the env-var precedence path and the transfer-metered
@@ -23,14 +27,18 @@
 #      same way (zero transfers once the k*dt multiplier exists).
 #      test_kernels.py's TestFoldedAssembly and TestAssemblyWorkspace run the
 #      LETKF's folded convolution inverse and its reused channel buffers the
-#      same way: the steady assembly uploads its inputs and nothing more.
+#      same way: the steady assembly uploads its inputs and nothing more;
+#      its TestBlockedAssembly holds every channel block to the unblocked
+#      oracle (tests/reference/letkf_assembly_head.py), bit for bit.
 #   4. The routed kernel modules (sqg, letkf, ensf, score, sde) must pass
 #      the static xp-discipline check: no bare numpy compute calls outside
 #      the documented host-side functions, so device residency cannot rot
 #      silently (scripts/check_xp_discipline.py).
 #   5. The BENCH_*.json perf baselines must keep their documented schema
 #      (required keys present, speedup notes non-empty) so they cannot
-#      silently rot between benchmark refreshes.
+#      silently rot between benchmark refreshes; the recorded curves behind
+#      the derived constants (_CFL_MAX, the LETKF's _ASSEMBLY_BYTES) must
+#      name the constants the code holds.
 #   6. The streaming cycle engine must run a degraded observation scenario
 #      (dropout + rotating partial coverage) end to end, and a
 #      checkpoint/kill/resume round-trip must land on a bit-identical final
@@ -146,6 +154,40 @@ assert derived_k(model, ensemble) == 4
 print("coarse ensemble steps OK: k = 4 on the 64x64 LETKF / EnSF, 128x128 and 32x32 inputs")
 EOF
 
+python - <<'EOF'
+import gc
+
+from repro.core.observations import IdentityObservation
+from repro.da.cycling import OSSEConfig, run_osse
+from repro.da.letkf import LETKF
+from repro.hpc.ensemble_parallel import EnsembleExecutor
+from repro.models.sqg import SQGModel, SQGParameters, spinup_sqg
+
+model = SQGModel(SQGParameters(nx=32, ny=32))
+truth0 = model.flatten(spinup_sqg(model, n_steps=100, rng=0))
+operator = IdentityObservation(model.state_size, 1.0)
+letkf = LETKF(model.grid)
+
+
+def osse(executor, n_cycles):
+    config = OSSEConfig(n_cycles=n_cycles, steps_per_cycle=4, ensemble_size=10, seed=3)
+    run_osse(model, model, letkf, operator, truth0, config, executor=executor)
+
+
+with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as executor:
+    osse(executor, 2)  # spawns the pool, builds the geometry and the workspaces
+    gc.collect()
+    gc.disable()
+    try:
+        osse(executor, 12)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert executor.placements, "the forecast gathers never reached the executor"
+assert left == 0, f"12 pooled cycles left {left} unreachable objects"
+print("pooled cycles OK: 12 cycles with the cyclic collector off left no garbage")
+EOF
+
 echo "== smoke 3/9: backend suite under REPRO_ARRAY_BACKEND=mock-device =="
 # Prove the env-var resolution path itself in a fresh process (the
 # backend-parametrized fixture clears the env var to control its own
@@ -174,10 +216,10 @@ import json
 SPECS = {
     "BENCH_kernels.json": dict(
         required=["benchmark", "created_unix", "sections",
-                  "letkf", "letkf_sharded", "letkf_stride_curve", "shard_payloads",
-                  "ensf", "ensf_cases", "ensf_paths"],
+                  "letkf", "letkf_sharded", "letkf_stride_curve", "assembly_block_curve",
+                  "shard_payloads", "ensf", "ensf_cases", "ensf_paths"],
         notes=[("letkf_sharded", "speedup_note"), ("letkf_stride_curve", "note"),
-               ("shard_payloads", "note"),
+               ("assembly_block_curve", "note"), ("shard_payloads", "note"),
                ("ensf_paths", "note")],
     ),
     "BENCH_forecast.json": dict(
@@ -208,6 +250,12 @@ for path, spec in SPECS.items():
         marked = [c["chunk"] for c in row["candidates"] if c["derived"]]
         if marked != [row["derived_chunk"]] or not payload["forecast_chunk_curve"]["host"]:
             raise SystemExit(f"{path}: chunk curve at {row['grid']} lacks its derived chunk or host")
+    if path == "BENCH_kernels.json":
+        from repro.da.letkf import _ASSEMBLY_BYTES
+
+        curve = payload["assembly_block_curve"]
+        if not curve["host"] or curve["selected"] != _ASSEMBLY_BYTES:
+            raise SystemExit(f"{path}: assembly_block_curve does not back _ASSEMBLY_BYTES")
     if path == "BENCH_forecast.json":
         from repro.models.sqg import _CFL_MAX
 

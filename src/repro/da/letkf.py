@@ -39,11 +39,11 @@ Kalnay, Hunt & Bowler 2009, QJRMS 135; KENDA) — it is solved on a coarser
 4. **one kernel per assembly mode**, run once per shard on device-resident
    arrays: :func:`_solve_convolution` takes the shard's columns of a global
    circular FFT convolution (uniform observation errors, ``min_weight ==
-   0``), whose spectrum is folded onto the analysis grid before the inverse
-   and whose channel buffers persist across cycles
-   (:meth:`LETKF._convolution_channels`); :func:`_solve_grouped` gathers the
-   shard's precomputed footprints
-   (a :class:`~repro.da.localization.GeometryBlock`).  Both end in
+   0``), whose spectrum is folded onto the analysis grid before the inverse;
+   it runs one cache-sized block of channels at a time, through buffers
+   that persist across cycles (:meth:`LETKF._convolution_channels`).
+   :func:`_solve_grouped` gathers the shard's precomputed footprints (a
+   :class:`~repro.da.localization.GeometryBlock`).  Both end in
    :func:`solve_local_batch`, a stacked ``eigh`` over ``(n, m, m)`` tensors,
    and return each column's ``(m, m)`` weight matrix
    ``W_c = E √((m-1)/λ) Eᵀ + w̄_c 1ᵀ``;
@@ -264,25 +264,59 @@ def _solve_shard_grouped(args) -> np.ndarray:
     )
 
 
+# The convolution assembly runs one contiguous block of channels at a time,
+# as many as fit, with their spectrum, in this many bytes: 15 of a 20-member
+# ensemble's 230 channels at 128², 63 at 64², all 230 at 32².  Every channel
+# is an independent transform, so any block gives the same bits;
+# ``assembly_block_curve`` in ``BENCH_kernels.json`` is the sweep behind it.
+_ASSEMBLY_BYTES = 4 << 20
+
+
+def _assembly_block(n_channels: int, ny: int, nx: int) -> int:
+    """Channels per assembly block on a ``(ny, nx)`` grid (see ``_ASSEMBLY_BYTES``)."""
+    channel_bytes = ny * nx * 8 + ny * (nx // 2 + 1) * 16  # float rows + complex spectrum
+    return max(1, min(n_channels, _ASSEMBLY_BYTES // channel_bytes))
+
+
 class _AssemblyWorkspace:
-    """Buffers the convolution assembly keeps from cycle to cycle: the
-    ``(C, ny·nx)`` channels and their ``(C, ny, nx//2+1)`` spectrum, with
-    ``C = m(m+1)/2 + m`` channels, plus an ``(m, ny·nx)`` product scratch
-    that only the identity network's second and later levels use, so it is
+    """Buffers the convolution assembly keeps from cycle to cycle, sized to
+    one block of ``B = _assembly_block(C, ny, nx)`` of the ``C = m(m+1)/2 +
+    m`` channels: the ``(B, ny·nx)`` channel rows and their ``(B, ny,
+    nx//2+1)`` spectrum, plus a ``(min(m, B), ny·nx)`` product scratch that
+    only the identity network's second and later levels use, so it is
     allocated on first use.  ``key`` is what they were sized for:
     ``(m, ny, nx, backend name)``."""
 
     def __init__(self, n_members: int, ny: int, nx: int, xp: ArrayBackend):
-        n_channels = n_members * (n_members + 3) // 2
+        block = _assembly_block(n_members * (n_members + 3) // 2, ny, nx)
         self.key = (n_members, ny, nx, xp.name)
-        self.channels = xp.empty((n_channels, ny * nx))
-        self.spectrum = xp.empty((n_channels, ny, nx // 2 + 1), dtype=complex)
+        self.channels = xp.empty((block, ny * nx))
+        self.spectrum = xp.empty((block, ny, nx // 2 + 1), dtype=complex)
         self.scratch = None
 
     def product_scratch(self, xp: ArrayBackend):
         if self.scratch is None:
-            self.scratch = xp.empty((self.key[0], self.channels.shape[1]))
+            rows = min(self.key[0], len(self.channels))
+            self.scratch = xp.empty((rows, self.channels.shape[1]))
         return self.scratch
+
+
+def _channel_runs(n_members: int, lo: int, hi: int):
+    """Channels ``lo … hi-1`` as runs of one broadcast product each.
+
+    The channels are the upper triangle's rows, pairs ``(i, i) … (i, m-1)``
+    contiguous as in ``triu_indices``, then the ``m`` innovation channels.
+    Yields ``(i, j0, j1, row)``: block rows ``row, row+1, …`` are
+    ``y[j0:j1] * y[i]``, or ``y[j0:j1] * innovation`` for ``i == m``.
+    """
+    start = 0
+    for i in range(n_members + 1):
+        first = i if i < n_members else 0
+        stop = start + n_members - first
+        a, b = max(start, lo), min(stop, hi)
+        if a < b:
+            yield i, first + a - start, first + b - start, a - lo
+        start = stop
 
 
 def _deposit(rows, left, right, scratch, xp: ArrayBackend) -> None:
@@ -376,8 +410,8 @@ class LETKF(EnsembleFilter):
         self._assembly: _AssemblyWorkspace | None = None
 
     def __getstate__(self):
-        # The assembly workspace is cheap to rebuild and large (≈ 60 MB at
-        # 128², 20 members); drop it so filters pickle compactly.
+        # The assembly workspace is cheap to rebuild (≈ 6 MB at 128², 20
+        # members); drop it so filters pickle compactly.
         state = self.__dict__.copy()
         state["_assembly"] = None
         return state
@@ -592,11 +626,16 @@ class LETKF(EnsembleFilter):
         bits (≈ 1e-16 relative); at stride 1 the fold sums one alias and
         the inverse is the unfolded one, bit for bit.
 
-        The channels, their spectrum and a product scratch live in the
-        instance's :class:`_AssemblyWorkspace`, reused every cycle (rebuilt
-        only when the member count, grid or backend changes): level 0 writes
-        its products straight into the channel rows and the ``bincount``
-        path overwrites every row, so nothing is zeroed.
+        The channels run through products → ``rfft2`` → kernel → fold →
+        ``irfft2`` one contiguous block at a time (:func:`_assembly_block`:
+        15 channels at 128², all of them at 32²), so the transform working
+        set stays cache-sized; every channel is an independent transform,
+        so the blocking changes no bit.  The block's channels, spectrum and
+        product scratch live in the instance's :class:`_AssemblyWorkspace`,
+        reused every cycle (rebuilt only when the member count, grid or
+        backend changes): level 0 writes its products straight into the
+        channel rows and the ``bincount`` path overwrites every row, so
+        nothing is zeroed.
 
         Returns a fresh ``(geometry.n_columns, m(m+1)/2 + m)`` array of local
         system entries (one row per analysis-grid column: upper-triangle Gram
@@ -608,51 +647,52 @@ class LETKF(EnsembleFilter):
         grid = self.grid
         ny, nx, n_levels = grid.ny, grid.nx, grid.nlev
         n_columns = ny * nx
+        n_channels = n_members * (n_members + 3) // 2
 
         y_pert = xp.to_device(y_pert)
         innovation = xp.to_device(innovation)
-        n_pair = n_members * (n_members + 1) // 2
         workspace = self._assembly_workspace(n_members)
-        channels = workspace.channels
-
-        if geometry.identity_network:
-            # Fast path for the fully observed grid: observations are the
-            # state columns themselves, so the scatter is a reshape.  Row i
-            # of the upper triangle — pairs (i, i), …, (i, m-1), contiguous
-            # in ``triu_indices`` order — is one product of contiguous slices.
-            y_lev = y_pert.reshape(n_members, n_levels, n_columns)
-            innov_lev = innovation.reshape(n_levels, n_columns)
-            for lev in range(n_levels):
-                scratch = workspace.product_scratch(xp) if lev else None
-                start = 0
-                for i in range(n_members):
-                    stop = start + n_members - i
-                    _deposit(channels[start:stop], y_lev[i:, lev], y_lev[i, lev], scratch, xp)
-                    start = stop
-                _deposit(channels[n_pair:], y_lev[:, lev], innov_lev[lev], scratch, xp)
-        else:
-            iu0, iu1 = xp.triu_indices(n_members)
-            obs_cols_dev = xp.to_device(geometry.obs_columns)
-            contrib = y_pert[iu0] * y_pert[iu1]
-            proj = y_pert * innovation[None, :]
-            for q in range(n_pair):
-                channels[q] = xp.bincount(
-                    obs_cols_dev, weights=contrib[q], minlength=n_columns
-                )
-            for j in range(n_members):
-                channels[n_pair + j] = xp.bincount(
-                    obs_cols_dev, weights=proj[j], minlength=n_columns
-                )
-
-        spectra = xp.rfft2(channels.reshape(-1, ny, nx), axes=(-2, -1), out=workspace.spectrum)
-        spectra *= geometry.conv_kernel(xp)
-        # Every stride-th row of the convolution is the inverse, at ny/s, of
-        # the sum of the spectrum's s aliases along y, divided by s.
+        kernel = geometry.conv_kernel(xp)
         stride = geometry.stride
         ny_a, nx_a = geometry.shape
-        folded = xp.sum(spectra.reshape(-1, stride, ny_a, nx // 2 + 1), axis=1)
-        conv = xp.irfft2(folded, s=(ny_a, nx), axes=(-2, -1))
+        if geometry.identity_network:
+            # Fast path for the fully observed grid: observations are the
+            # state columns themselves, so the scatter is a reshape and a
+            # run of channels is one product of contiguous slices.
+            y_lev = y_pert.reshape(n_members, n_levels, n_columns)
+            innov_lev = innovation.reshape(n_levels, n_columns)
+        else:
+            obs_cols_dev = xp.to_device(geometry.obs_columns)
+
         # Fresh rows: shards of this cycle may outlive the next assembly.
-        rows = xp.empty((ny_a, nx_a, len(channels)))
-        xp.divide(conv[:, :, ::stride].transpose(1, 2, 0), stride, out=rows)
+        rows = xp.empty((ny_a, nx_a, n_channels))
+        block = len(workspace.channels)
+        for lo in range(0, n_channels, block):
+            hi = min(lo + block, n_channels)
+            channels = workspace.channels[: hi - lo]
+            runs = list(_channel_runs(n_members, lo, hi))
+            if geometry.identity_network:
+                for lev in range(n_levels):
+                    scratch = workspace.product_scratch(xp) if lev else None
+                    for i, j0, j1, row in runs:
+                        right = innov_lev[lev] if i == n_members else y_lev[i, lev]
+                        out = channels[row : row + j1 - j0]
+                        _deposit(out, y_lev[j0:j1, lev], right, scratch, xp)
+            else:
+                for i, j0, j1, row in runs:
+                    products = y_pert[j0:j1] * (innovation if i == n_members else y_pert[i])
+                    for k in range(j1 - j0):
+                        channels[row + k] = xp.bincount(
+                            obs_cols_dev, weights=products[k], minlength=n_columns
+                        )
+
+            spectra = xp.rfft2(
+                channels.reshape(-1, ny, nx), axes=(-2, -1), out=workspace.spectrum[: hi - lo]
+            )
+            spectra *= kernel
+            # Every stride-th row of the convolution is the inverse, at ny/s,
+            # of the sum of the spectrum's s aliases along y, divided by s.
+            folded = xp.sum(spectra.reshape(-1, stride, ny_a, nx // 2 + 1), axis=1)
+            conv = xp.irfft2(folded, s=(ny_a, nx), axes=(-2, -1))
+            xp.divide(conv[:, :, ::stride].transpose(1, 2, 0), stride, out=rows[:, :, lo:hi])
         return rows.reshape(geometry.n_columns, -1)

@@ -101,18 +101,48 @@ def _guarded_call(fn, job, fault, parent_pid: int):
     return result, time.perf_counter() - start
 
 
+def _describe(obj):
+    """What a work-unit says about its cost: array shapes, integer counts,
+    and the type name of anything else."""
+    if isinstance(obj, np.ndarray):
+        return obj.shape
+    if isinstance(obj, (tuple, list)):
+        return tuple(_describe(v) for v in obj)
+    return int(obj) if isinstance(obj, (int, np.integer)) else type(obj).__name__
+
+
 def _work_key(fn, jobs) -> tuple:
     """Identity of a recurring gather: entry point, job count, and what the
-    first work-unit says about its cost (array shapes, step counts)."""
+    first work-unit says about its cost (:func:`_describe`)."""
+    return (getattr(fn, "__qualname__", repr(fn)), len(jobs), _describe(jobs[0]))
 
-    def describe(obj):
-        if isinstance(obj, np.ndarray):
-            return obj.shape
-        if isinstance(obj, (tuple, list)):
-            return tuple(describe(v) for v in obj)
-        return int(obj) if isinstance(obj, (int, np.integer)) else type(obj).__name__
 
-    return (getattr(fn, "__qualname__", repr(fn)), len(jobs), describe(jobs[0]))
+def _swap_payloads(obj, names: list, arena, memo: dict, shareable):
+    """``obj`` with every array ``shareable`` accepts swapped for a handle
+    into ``arena``.
+
+    Each swap retains its segment once and appends the segment's name to
+    ``names``.  ``memo`` maps ``id(array) -> handle``, so a broadcast array
+    lands in one segment (the jobs hold every array for the whole swap, so
+    no id is reused meanwhile).  Module-level rather than a closure: a
+    self-recursive closure is a reference cycle, which would keep each
+    gather's arena and the arrays its jobs slice alive until the cyclic
+    collector runs.
+    """
+    if shareable(obj):
+        handle = memo.get(id(obj))
+        if handle is None:
+            handle = memo[id(obj)] = arena.share(obj)
+        arena.retain(handle.name)
+        names.append(handle.name)
+        return handle
+    if isinstance(obj, tuple):
+        return tuple(_swap_payloads(v, names, arena, memo, shareable) for v in obj)
+    if isinstance(obj, list):
+        return [_swap_payloads(v, names, arena, memo, shareable) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _swap_payloads(v, names, arena, memo, shareable) for k, v in obj.items()}
+    return obj
 
 
 def ensemble_slices(n_members: int, n_workers: int) -> list[slice]:
@@ -488,32 +518,12 @@ class EnsembleExecutor:
         """
         arena = SharedPayloadArena()
         memo: dict[int, object] = {}
-        keep = []  # pins shared source arrays so id() stays unambiguous
         names_per_job: list[list[str]] = []
-
-        def swap(obj, names):
-            if self._shareable(obj):
-                handle = memo.get(id(obj))
-                if handle is None:
-                    handle = arena.share(obj)
-                    memo[id(obj)] = handle
-                    keep.append(obj)
-                arena.retain(handle.name)
-                names.append(handle.name)
-                return handle
-            if isinstance(obj, tuple):
-                return tuple(swap(v, names) for v in obj)
-            if isinstance(obj, list):
-                return [swap(v, names) for v in obj]
-            if isinstance(obj, dict):
-                return {k: swap(v, names) for k, v in obj.items()}
-            return obj
-
         try:
             shipped = []
             for job in jobs:
                 names: list[str] = []
-                shipped.append(swap(job, names))
+                shipped.append(_swap_payloads(job, names, arena, memo, self._shareable))
                 names_per_job.append(names)
         except Exception:
             arena.release_all()

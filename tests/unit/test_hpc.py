@@ -1,11 +1,13 @@
 """Unit tests for the simulated-Frontier HPC substrate and local parallelism."""
 
+import gc
 import inspect
 import os
 import pickle
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -1227,3 +1229,54 @@ class TestSharedMemoryPayloads:
             assert ex.fault_log.count(action="retry") == 1
             assert len(ex._arenas) == 0
         assert healed == clean
+
+
+class TestGatherFreesItsInputs:
+    """A gather holds its inputs only while it runs: nothing it builds forms
+    a reference cycle, so with the cyclic collector off the shipped array
+    still dies with its last reference, and no garbage is left to collect."""
+
+    PLACEMENTS = {"shm": (True, False), "pickle": (False, False), "in-process": (False, True)}
+
+    @staticmethod
+    def _map_states(ex, array):
+        return ex.map_states(Lorenz96(dim=array.shape[1]), array, n_steps=1)
+
+    @staticmethod
+    def _map_blocks_broadcast(ex, array):
+        small = np.arange(8.0)
+        return ex.map_blocks(_payload_checksum, [(i, array, small) for i in range(4)])
+
+    @pytest.mark.parametrize("placement", list(PLACEMENTS))
+    @pytest.mark.parametrize("call", ["_map_states", "_map_blocks_broadcast"])
+    def test_payload_dies_without_the_collector(self, monkeypatch, placement, call):
+        shm, here = self.PLACEMENTS[placement]
+        if shm and not ensemble_parallel.HAVE_SHM:
+            pytest.skip("no shared memory on this platform")
+        monkeypatch.setattr(
+            EnsembleExecutor, "_cheaper_in_process", lambda self, key, lanes: here
+        )
+        run = getattr(self, call)
+        rng = np.random.default_rng(3)
+        with EnsembleExecutor(
+            n_workers=2, min_members_per_worker=1, shm_payloads=shm, shm_min_bytes=1024
+        ) as ex:
+            run(ex, rng.normal(size=(8, 40)) + 8.0)  # spawns the pool
+            array = rng.normal(size=(8, 40)) + 8.0
+            gc.collect()
+            gc.disable()
+            try:
+                ref = weakref.ref(array)
+                run(ex, array)
+                del array
+                # A pool thread may hold the last work item for a moment
+                # after its future resolved; a cycle would hold it for good.
+                deadline = time.monotonic() + 5.0
+                while ref() is not None and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert ref() is None
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+            (seen,) = ex.placements.values()
+            assert seen["in_process" if here else "shipped"] == 2

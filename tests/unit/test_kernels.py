@@ -14,7 +14,9 @@ single bit.  The whole-OSSE cross-backend certification lives in
 
 import numpy as np
 import pytest
+from reference.letkf_assembly_head import HeadAssembly
 
+import repro.da.letkf as letkf_mod
 import repro.da.localization as loc_mod
 import repro.utils.grid as grid_mod
 from repro.core.ensf import EnSF, EnSFConfig
@@ -559,6 +561,82 @@ class TestAssemblyWorkspace:
         for buffer in (workspace.channels, workspace.spectrum, workspace.scratch):
             assert not np.shares_memory(cycle_n, buffer)
             assert not np.shares_memory(cycle_n1, buffer)
+
+
+class TestBlockedAssembly:
+    """The assembly run one channel block at a time equals the previous
+    release's whole-spectrum assembly (``tests/reference/
+    letkf_assembly_head.py``) bit for bit, wherever the block boundaries
+    fall, and its workspace stays within the block budget."""
+
+    @staticmethod
+    def _force_block(monkeypatch, grid, block):
+        channel_bytes = grid.ny * grid.nx * 8 + grid.ny * (grid.nx // 2 + 1) * 16
+        monkeypatch.setattr(letkf_mod, "_ASSEMBLY_BYTES", block * channel_bytes)
+
+    @pytest.mark.parametrize("members", [5, 8, 20])
+    @pytest.mark.parametrize("network", ["identity", "subsampled"])
+    @pytest.mark.parametrize("stride", [1, 2, 4, 8])
+    def test_equals_the_unblocked_oracle(self, monkeypatch, stride, network, members):
+        grid, cutoff = Grid2D(32, 32), LocalizationConfig().cutoff
+        if analysis_stride(grid, cutoff) != stride:
+            _force_stride(monkeypatch, grid, cutoff, stride)
+        operator = (
+            IdentityObservation(grid.size, 0.8)
+            if network == "identity"
+            else SubsampledObservation.every_nth(grid.size, 3, 0.8)
+        )
+        letkf = LETKF(grid)
+        geometry = letkf.geometry(operator)
+        assert geometry.stride == stride
+        y_pert, innovation = _assembly_inputs(grid, operator, members=members, seed=stride)
+        xp = letkf.xp
+        expected = xp.to_host(
+            HeadAssembly(letkf)._convolution_channels(y_pert, innovation, geometry, members)
+        )
+        n_channels = members * (members + 3) // 2
+        # one channel a block; a boundary inside the triangle's second row
+        # (row 0 is channels 0..m-1); every channel in one block
+        for block in (1, members + 2, n_channels):
+            self._force_block(monkeypatch, grid, block)
+            letkf._assembly = None
+            conv = letkf._convolution_channels(y_pert, innovation, geometry, members)
+            assert len(letkf._assembly.channels) == block
+            np.testing.assert_array_equal(xp.to_host(conv), expected)
+
+    @pytest.mark.parametrize("shape, stride", [((64, 64), 4), ((128, 128), 8)])
+    def test_derived_block_equals_the_oracle(self, shape, stride):
+        grid = Grid2D(nx=shape[1], ny=shape[0])
+        letkf = LETKF(grid)
+        for operator in (
+            IdentityObservation(grid.size, 1.0),
+            SubsampledObservation.every_nth(grid.size, 3, 1.0),
+        ):
+            geometry = letkf.geometry(operator)
+            assert geometry.stride == stride
+            y_pert, innovation = _assembly_inputs(grid, operator, members=20)
+            conv = letkf._convolution_channels(y_pert, innovation, geometry, 20)
+            expected = HeadAssembly(letkf)._convolution_channels(y_pert, innovation, geometry, 20)
+            np.testing.assert_array_equal(letkf.xp.to_host(conv), letkf.xp.to_host(expected))
+        # the derived block ends inside a triangle row, not on a boundary
+        assert len(letkf._assembly.channels) == {64: 63, 128: 15}[shape[0]]
+
+    @pytest.mark.parametrize(
+        "shape, members, block",
+        [((32, 32), 20, 230), ((64, 64), 20, 63), ((128, 128), 20, 15), ((128, 128), 5, 15),
+         ((64, 48), 8, 44), ((512, 512), 20, 1)],
+    )
+    def test_workspace_stays_within_the_budget(self, shape, members, block):
+        xp = LETKF(Grid2D(8, 8)).xp
+        workspace = letkf_mod._AssemblyWorkspace(members, shape[0], shape[1], xp)
+        scratch = workspace.product_scratch(xp)
+        assert len(workspace.channels) == len(workspace.spectrum) == block
+        assert len(scratch) == min(members, block)
+        transform = workspace.channels.nbytes + workspace.spectrum.nbytes
+        # one 512² channel and its spectrum exceed the budget: the block
+        # never drops below one channel
+        assert transform <= letkf_mod._ASSEMBLY_BYTES or block == 1
+        assert scratch.nbytes <= workspace.channels.nbytes
 
 
 class TestGeometryCache:
