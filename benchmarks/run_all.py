@@ -36,10 +36,8 @@ if str(REPO_ROOT) not in sys.path:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Surface the backend selection: the BENCH_*.json records embed the
-    # resolved array backend (and the forecast record the FFT backend), so a
-    # GPU host produces a directly comparable entry by exporting
-    # REPRO_ARRAY_BACKEND=cupy (plus a device-aware FFT backend) before
-    # running this script.
+    # resolved array backend (and the forecast record the FFT backend), so
+    # entries refreshed under different selections stay distinguishable.
     from repro.utils.fft import default_backend_name as fft_backend
     from repro.utils.xp import default_backend_name as array_backend
 

@@ -57,7 +57,7 @@ class MonteCarloScoreEstimator:
     rng:
         Random stream used to draw mini-batches.
     backend:
-        Array backend name (``"numpy"``/``"mock-device"``/``"cupy"``), an
+        Array backend name (``"numpy"``/``"mock-device"``), an
         :class:`~repro.utils.xp.ArrayBackend`, or ``None`` for the
         process-wide default (``REPRO_ARRAY_BACKEND``).  The fused score
         path runs entirely on the backend's device: the ensemble (and its

@@ -37,9 +37,8 @@ per-member-row product, so results never depend on how members are batched.
 
 Full-size noise goes through the backend RNG hook
 (:meth:`~repro.utils.xp.ArrayBackend.standard_normal`): host ``rng`` stream
-bits staged to the device by default (**host-parity**: bit-identical and
-worker-invariant across backends), native device generation under
-``REPRO_DEVICE_RNG=device`` (see :func:`repro.utils.xp.device_rng_mode`).
+bits staged to the device, so draws are bit-identical and worker-invariant
+across backends.
 Full-size state and contractions are device-resident; the ``(n, M)``
 recursion of the ensemble-space integrator runs on the host.
 """
@@ -125,9 +124,8 @@ class ReverseSDESampler:
         full-size array.  The full-space state lives on the backend's device
         for the whole integration (the initial draw lands in a device
         buffer, one device→host move at the end); Gaussian increments go
-        through the backend RNG hook — host ``rng`` stream bits by default
-        (host-parity, backend-reproducible), backend-native generation
-        under ``REPRO_DEVICE_RNG=device`` (see
+        through the backend RNG hook — host ``rng`` stream bits, so the
+        result never depends on the backend (see
         :meth:`ArrayBackend.standard_normal`).
     """
 
@@ -186,8 +184,7 @@ class ReverseSDESampler:
         xp = self.xp
         if initial is None:
             # Initial Z_T lands directly in a device buffer via the backend
-            # RNG hook (host-parity bits by default; native device draws
-            # under REPRO_DEVICE_RNG=device).
+            # RNG hook (host stream bits, staged to the device).
             z = xp.standard_normal(rng, size=(n_samples, dim))
         else:
             host = np.array(initial, dtype=float, copy=True)

@@ -12,10 +12,6 @@ call — this is the main vectorisation lever for ensemble forecasting.
 Transforms are routed through the pluggable backend shim
 (:mod:`repro.utils.fft`): :mod:`scipy.fft` with multi-worker support when
 available, :mod:`numpy.fft` otherwise.  Both produce bit-identical results.
-When the grid's array backend is a device backend, the FFT backend defaults
-to its device-paired counterpart (``mock-device`` → metered numpy FFT,
-``cuda`` → ``cupy.fft``) so spectral state stays device-resident through
-every transform; an explicit FFT selection still wins.
 
 Fused-kernel support
 --------------------
@@ -46,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.fft import FFTBackend, default_backend_name_for, resolve_backend
+from repro.utils.fft import FFTBackend, resolve_backend
 from repro.utils.xp import ArrayBackend
 from repro.utils.xp import resolve_backend as resolve_array_backend
 
@@ -73,11 +69,9 @@ class SpectralGrid:
     dealias:
         Apply the 2/3 rule when truncating spectra of nonlinear products.
     backend:
-        FFT backend name (``"numpy"``/``"scipy"``/``"mock-device"``/
-        ``"cupy"``), an :class:`~repro.utils.fft.FFTBackend`, or ``None``
-        for the process-wide default (``REPRO_FFT_BACKEND`` / auto-detection,
-        paired to the array backend's device when that is a device backend —
-        see :func:`repro.utils.fft.default_backend_name_for`).
+        FFT backend name (``"numpy"``/``"scipy"``), an
+        :class:`~repro.utils.fft.FFTBackend`, or ``None`` for the
+        process-wide default (``REPRO_FFT_BACKEND`` / auto-detection).
     array_backend:
         Array backend (:mod:`repro.utils.xp`) for the non-FFT spectral
         arithmetic; ``None`` uses the ``REPRO_ARRAY_BACKEND`` default.  The
@@ -104,11 +98,6 @@ class SpectralGrid:
         self.ly = float(ly)
         self.dealias = bool(dealias)
         self.xp = resolve_array_backend(array_backend)
-        if backend is None:
-            # Pair the FFT to the array backend's device so device-resident
-            # spectral state transforms without host round-trips (explicit
-            # env/override selection wins inside default_backend_name_for).
-            backend = default_backend_name_for(self.xp.device)
         self.fft = resolve_backend(backend)
 
         # rfft2 layout: full frequencies along y (axis -2), half along x (axis -1).
@@ -201,8 +190,8 @@ class SpectralGrid:
         """Forward transform of the trailing ``(ny, nx)`` axes.
 
         Accepts host or backend-device arrays; ``xp.asarray`` keeps
-        device-resident inputs on the device (the paired FFT backend
-        transforms them in place there).
+        device-resident inputs on the device, and the transform itself
+        moves nothing across the host boundary.
         """
         field = self.xp.asarray(field)
         self._check_physical(field)

@@ -232,12 +232,10 @@ class SQGModel:
         Array backend (:mod:`repro.utils.xp`) for the fused kernel's
         workspace arithmetic; ``None`` uses the ``REPRO_ARRAY_BACKEND``
         default.  The numpy backend is bit-identical to the pre-shim
-        kernel.  Device array backends pair with their device-native FFT
-        backend automatically (see :mod:`repro.utils.fft`), and whole
-        trajectories stay device-resident: :meth:`step`, :meth:`run` and
-        :meth:`forecast` pay one upload and one download total, while
-        :meth:`forecast_device` / :meth:`step_spectral_device` never touch
-        the host at all.
+        kernel.  Whole trajectories stay device-resident: :meth:`step`,
+        :meth:`run` and :meth:`forecast` pay one upload and one download
+        total, while :meth:`forecast_device` / :meth:`step_spectral_device`
+        never touch the host at all.
     """
 
     def __init__(

@@ -18,7 +18,6 @@ from repro.utils.fft import (
     FFTBackend,
     available_backends,
     default_backend_name,
-    default_backend_name_for,
     resolve_backend,
     set_default_backend,
 )
@@ -29,8 +28,6 @@ from repro.utils.xp import (
     as_host_array,
     available_array_backends,
     default_array_backend_name,
-    device_rng_mode,
-    register_array_backend,
     resolve_array_backend,
     set_default_array_backend,
 )
@@ -61,7 +58,6 @@ __all__ = [
     "FFTBackend",
     "available_backends",
     "default_backend_name",
-    "default_backend_name_for",
     "resolve_backend",
     "set_default_backend",
     "ArrayBackend",
@@ -70,8 +66,6 @@ __all__ = [
     "as_host_array",
     "available_array_backends",
     "default_array_backend_name",
-    "device_rng_mode",
-    "register_array_backend",
     "resolve_array_backend",
     "set_default_array_backend",
     "Grid2D",

@@ -2,7 +2,7 @@
 
 The spectral machinery (:mod:`repro.models.spectral`) routes every transform
 through a small backend object so the FFT implementation can be swapped
-without touching the numerics.  Four backends are registered:
+without touching the numerics.  Two backends are registered:
 
 * ``"scipy"`` — :mod:`scipy.fft` (pypocketfft).  Supports the ``workers``
   argument, so batched ensemble transforms parallelise across cores.
@@ -11,29 +11,12 @@ without touching the numerics.  Four backends are registered:
 * ``"numpy"`` — :mod:`numpy.fft` (pocketfft).  Always available; the
   fallback on numpy-only installs and the choice on single-core hosts,
   where scipy's is no faster.
-* ``"mock-device"`` — :mod:`numpy.fft` again, but declared device-native for
-  the ``mock-device`` array backend (:mod:`repro.utils.xp`): transforms on
-  mock "device" arrays count as on-device work, so the transfer counters
-  meter only genuine host↔device boundary crossings.  Bit-identical to
-  ``"numpy"`` by construction.
-* ``"cupy"`` — :mod:`cupy.fft` (pocketfft-compatible), imported lazily, for
-  real device-resident transforms when CuPy and a GPU are present.
 
-The three host/pocketfft backends produce **bit-identical** results
-(asserted by the backend-parity regression tests), so swapping backends does
-not change forecast trajectories — the shim is a performance knob, not a
-numerics knob.  ``cupy.fft`` follows the same algorithm family but runs on
-device memory; its parity is certified on GPU hosts only.
-
-Device pairing
---------------
-:func:`default_backend_name_for` maps an array backend's ``device`` tag to
-the FFT backend whose transforms operate natively on that device
-(``"mock-device"`` → ``"mock-device"``, ``"cuda"`` → ``"cupy"``), so a
-:class:`~repro.models.spectral.SpectralGrid` built on a device array backend
-keeps spectral state device-resident through every transform.  Explicit
-selection (argument, ``REPRO_FFT_BACKEND``, :func:`set_default_backend`)
-still wins over the pairing.
+Both produce **bit-identical** results (asserted by the backend-parity
+regression tests), so swapping backends does not change forecast
+trajectories — the shim is a performance knob, not a numerics knob.  FFTs
+never call the array backend's transfer hooks, so a grid on the
+``mock-device`` array backend uses the same host FFT as any other grid.
 
 Selection
 ---------
@@ -63,7 +46,6 @@ __all__ = [
     "FFTBackend",
     "available_backends",
     "default_backend_name",
-    "default_backend_name_for",
     "resolve_backend",
     "set_default_backend",
 ]
@@ -94,8 +76,8 @@ class FFTBackend:
         # Reconstruct the built-in backends by name on unpickle: the scipy
         # wrappers close over the worker count, and closures do not pickle.
         # This keeps models that hold a backend shippable to EnsembleExecutor
-        # worker processes.  Custom (e.g. accelerator) backends fall back to
-        # field-wise pickling — their functions must then be picklable.
+        # worker processes.  Custom backends fall back to field-wise
+        # pickling — their functions must then be picklable.
         if self.name in _FACTORIES:
             return (resolve_backend, (self.name,))
         return super().__reduce__()
@@ -117,12 +99,15 @@ def _numpy_backend() -> FFTBackend:
 
 def _fft_workers() -> int:
     raw = os.environ.get(_ENV_WORKERS, "").strip()
-    if raw:
+    if not raw:
+        return os.cpu_count() or 1
+    try:
         workers = int(raw)
-        if workers < 1:
-            raise ValueError(f"{_ENV_WORKERS} must be a positive integer, got {raw!r}")
-        return workers
-    return os.cpu_count() or 1
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{_ENV_WORKERS} must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _scipy_backend() -> FFTBackend:
@@ -152,55 +137,10 @@ def _scipy_backend() -> FFTBackend:
     )
 
 
-def _mock_device_backend() -> FFTBackend:
-    # numpy's pocketfft, re-registered under the mock device's name: the mock
-    # array backend hands out plain ndarrays, so "on-device" transforms are
-    # host transforms — but declaring them device-native means the transfer
-    # counters only meter the explicit to_device/to_host boundary, exactly
-    # like a real accelerator FFT would behave.  Bit-identical to "numpy".
-    f = np.fft
-    return FFTBackend(
-        name="mock-device",
-        rfft2=f.rfft2,
-        irfft2=f.irfft2,
-        rfft=f.rfft,
-        irfft=f.irfft,
-        fft=f.fft,
-        ifft=f.ifft,
-        workers=1,
-    )
-
-
-def _cupy_backend() -> FFTBackend:
-    """``cupy.fft`` transforms for device-resident grids.
-
-    *Experimental*: never run on any host of this project; the tier-1 tests
-    that would exercise it skip without CuPy.
-    """
-    import cupy.fft as cfft  # deferred: CPU-only installs never reach this
-
-    return FFTBackend(
-        name="cupy",
-        rfft2=cfft.rfft2,
-        irfft2=cfft.irfft2,
-        rfft=cfft.rfft,
-        irfft=cfft.irfft,
-        fft=cfft.fft,
-        ifft=cfft.ifft,
-        workers=1,
-    )
-
-
 _FACTORIES = {
     "numpy": _numpy_backend,
     "scipy": _scipy_backend,
-    "mock-device": _mock_device_backend,
-    "cupy": _cupy_backend,
 }
-
-# Array-backend device tag -> FFT backend operating natively on that device.
-# Consulted by default_backend_name_for() below explicit selection.
-_DEVICE_PAIRING = {"mock-device": "mock-device", "cuda": "cupy"}
 
 _cache: dict[str, FFTBackend] = {}
 _default_override: str | None = None
@@ -208,20 +148,11 @@ _default_override: str | None = None
 
 def available_backends() -> tuple[str, ...]:
     """Backend names that can be constructed in this environment."""
-    names = ["numpy", "mock-device"]
     try:
         import scipy.fft  # noqa: F401  (availability probe only)
-
-        names.append("scipy")
     except ImportError:
-        pass
-    try:
-        import cupy.fft  # noqa: F401  (availability probe only)
-
-        names.append("cupy")
-    except ImportError:
-        pass
-    return tuple(names)
+        return ("numpy",)
+    return ("numpy", "scipy")
 
 
 def _auto_backend_name() -> str:
@@ -251,26 +182,15 @@ def default_backend_name() -> str:
     return _auto_backend_name()
 
 
-def default_backend_name_for(device: str) -> str:
-    """Default FFT backend for spectral state living on ``device``.
-
-    ``device`` is an array backend's device tag
-    (:attr:`repro.utils.xp.ArrayBackend.device` — ``"cpu"``,
-    ``"mock-device"`` or ``"cuda"``).  Same precedence as
-    :func:`default_backend_name`, with the device pairing slotting in just
-    above host auto-detection: an explicit ``REPRO_FFT_BACKEND`` beats
-    :func:`set_default_backend`, which beats the pairing, which beats auto.
-    Host devices (or unknown tags) fall through to the host default.
-    """
-    env = os.environ.get(_ENV_BACKEND, "auto").strip().lower() or "auto"
-    if env != "auto":
-        return env
-    if _default_override is not None:
-        return _default_override
-    paired = _DEVICE_PAIRING.get(device)
-    if paired is not None:
-        return paired
-    return _auto_backend_name()
+def _known(name: str) -> str:
+    """``name`` normalised, or a :class:`ValueError` listing the choices."""
+    key = name.strip().lower()
+    if key not in _FACTORIES:
+        raise ValueError(
+            f"unknown FFT backend {name!r}; choose from {sorted(_FACTORIES)} "
+            f"(available here: {available_backends()})"
+        )
+    return key
 
 
 def set_default_backend(name: str | None) -> None:
@@ -281,12 +201,7 @@ def set_default_backend(name: str | None) -> None:
     new default; existing grids keep the backend they were built with.
     """
     global _default_override
-    if name is not None and name not in _FACTORIES:
-        raise ValueError(
-            f"unknown FFT backend {name!r}; choose from {sorted(_FACTORIES)} "
-            f"(available here: {available_backends()})"
-        )
-    _default_override = name
+    _default_override = None if name is None else _known(name)
 
 
 def resolve_backend(backend: str | FFTBackend | None = None) -> FFTBackend:
@@ -294,16 +209,11 @@ def resolve_backend(backend: str | FFTBackend | None = None) -> FFTBackend:
     if isinstance(backend, FFTBackend):
         return backend
     name = backend if backend is not None else default_backend_name()
-    name = name.strip().lower()
-    if name == "auto":
+    if name.strip().lower() == "auto":
         # An explicit "auto" follows the same precedence as None: env var,
         # then set_default_backend, then host auto-detection.
         name = default_backend_name()
-    if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown FFT backend {name!r}; choose from {sorted(_FACTORIES)} "
-            f"(available here: {available_backends()})"
-        )
+    name = _known(name)
     if name not in _cache:
         try:
             _cache[name] = _FACTORIES[name]()

@@ -5,11 +5,11 @@ array-API layer: the hot kernels — the batched/sharded LETKF assembly and
 stacked-``eigh`` solve, the fused EnSF Monte-Carlo score path, the buffered
 reverse-SDE integrator and the fused SQG tendency/RK4 kernel — obtain their
 array operations from an :class:`ArrayBackend` namespace instead of calling
-:mod:`numpy` directly, so the whole analysis/forecast stack can run on an
-accelerator without code duplication (the route the source paper takes to
-Summit/Frontier scale).
+:mod:`numpy` directly, so one code path serves the host and any device
+backend plugged into the seam (the source paper runs its filters on
+Frontier's GPUs).
 
-Three backends are registered:
+Two backends are registered:
 
 * ``"numpy"`` (default) — every operation *is* the corresponding numpy
   function, so routing through the shim is **bit-identical** to the
@@ -17,18 +17,14 @@ Three backends are registered:
 * ``"mock-device"`` — CPU-only test double.  All arithmetic delegates to
   numpy (results stay bit-identical), but the explicit host↔device
   transfer points (:meth:`ArrayBackend.to_device` /
-  :meth:`ArrayBackend.to_host`) count calls and bytes, so CI can prove
-  dispatch properties that matter on real hardware — e.g. that the sharded
-  LETKF solve loop performs no per-column round-trips — without a GPU.
-* ``"cupy"`` — CuPy adapter, imported lazily; present in
-  :func:`available_backends` only when :mod:`cupy` is importable.  Random
-  draws are taken from the host :class:`numpy.random.Generator` in the
-  documented stream order and then copied to the device, so trajectories
-  remain reproducible against the CPU backends (see
-  :meth:`ArrayBackend.standard_normal`).
+  :meth:`ArrayBackend.to_host`) and every Gaussian draw count calls and
+  bytes, so CI can prove dispatch properties that matter on real hardware
+  — e.g. that the sharded LETKF solve loop performs no per-column
+  round-trips — without a GPU.
 
-Additional adapters (e.g. a generic array-API namespace) can be added with
-:func:`register_backend`.
+A device port subclasses :class:`ArrayBackend` (the operation table plus
+``to_device`` / ``to_host`` / ``standard_normal``) and adds itself to
+``_FACTORIES``; the mock's meters are the residency budget it must meet.
 
 Selection
 ---------
@@ -40,24 +36,14 @@ FFT shim.  Backends pickle by name (:meth:`ArrayBackend.__reduce__`), so
 configs and kernels that hold one ship cleanly to
 :class:`~repro.hpc.ensemble_parallel.EnsembleExecutor` worker processes.
 
-Stream semantics and the device RNG hook
-----------------------------------------
-``standard_normal(rng, size)`` / ``standard_normal(rng, out=buf)`` defaults
-to **host-parity** mode: the bits always come from the host generator
-exactly as ``rng.standard_normal`` would produce them — device backends
-draw on the host and copy.  This is what keeps parallel analyses
-worker-invariant (see :class:`repro.utils.random.MemberStreams`) regardless
-of where the arithmetic runs, and it is the mode every bit-parity
-certification runs in.
-
-``REPRO_DEVICE_RNG=device`` switches device backends to backend-native
-generation: the CuPy backend seeds a per-``rng`` device generator (one host
-draw) and then fills buffers on-device without any host staging, trading
-bit-parity with the CPU backends for bandwidth.  The mock device draws the
-same host bits in both modes (it has no second generator), but stops
-metering the draw as a host→device upload — so the transfer counters show
-exactly the residency win a real device-RNG run gets.  Host backends ignore
-the setting.  ``device_rng_mode()`` reports the active mode.
+Stream semantics
+----------------
+``standard_normal(rng, size)`` / ``standard_normal(rng, out=buf)`` always
+takes its bits from the host generator exactly as ``rng.standard_normal``
+would produce them; a device backend draws on the host and copies.  This
+is what keeps parallel analyses worker-invariant (see
+:class:`repro.utils.random.MemberStreams`) regardless of where the
+arithmetic runs, and it is why every backend is bit-identical to numpy.
 
 State handles
 -------------
@@ -82,13 +68,10 @@ __all__ = [
     "MockDeviceBackend",
     "StateHandle",
     "as_host_array",
-    "device_rng_mode",
     "available_backends",
     "available_array_backends",
     "default_backend_name",
     "default_array_backend_name",
-    "register_backend",
-    "register_array_backend",
     "resolve_backend",
     "resolve_array_backend",
     "set_default_backend",
@@ -96,8 +79,6 @@ __all__ = [
 ]
 
 _ENV_BACKEND = "REPRO_ARRAY_BACKEND"
-_ENV_DEVICE_RNG = "REPRO_DEVICE_RNG"
-_RNG_MODES = ("host-parity", "device")
 # numpy's FFT functions accept ``out=`` from numpy 2.0 on.
 _NUMPY_FFT_OUT = "out" in inspect.signature(np.fft.rfft2).parameters
 
@@ -110,23 +91,6 @@ def _into(out, result):
         return result
     out[...] = result
     return out
-
-
-def device_rng_mode() -> str:
-    """Active noise-generation mode for device backends.
-
-    ``"host-parity"`` (default): Gaussian bits come from the host generator
-    in the documented stream order and are staged to the device — bit-parity
-    with the CPU backends is preserved.  ``"device"``: device backends
-    generate natively on-device (the mock device keeps the host bits but
-    stops metering the draws as uploads).  Set via ``REPRO_DEVICE_RNG``.
-    """
-    mode = os.environ.get(_ENV_DEVICE_RNG, "host-parity").strip().lower() or "host-parity"
-    if mode not in _RNG_MODES:
-        raise ValueError(
-            f"invalid ${_ENV_DEVICE_RNG}={mode!r}; choose from {_RNG_MODES}"
-        )
-    return mode
 
 
 class ArrayBackend:
@@ -152,13 +116,12 @@ class ArrayBackend:
     * gather/scatter: ``take``, ``put``, ``bincount``, ``triu_indices``
     * FFT (LETKF convolution assembly): ``rfft2`` (accepting ``out=``),
       ``irfft2``
-    * movement: ``to_device``, ``to_host``, ``synchronize``
+    * movement: ``to_device``, ``to_host``
     * randomness: ``standard_normal`` (host-stream semantics, see module
       docstring)
     """
 
     name = "numpy"
-    device = "cpu"
 
     # creation / layout
     asarray = staticmethod(np.asarray)
@@ -213,9 +176,6 @@ class ArrayBackend:
         """Move a device array back to host memory (identity on CPU)."""
         return array
 
-    def synchronize(self) -> None:
-        """Block until queued device work completes (no-op on CPU)."""
-
     def stacked_eigh(self, a_stack):
         """Eigendecomposition of a ``(B, m, m)`` symmetric stack.
 
@@ -239,7 +199,7 @@ class ArrayBackend:
 
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"<ArrayBackend {self.name!r} device={self.device!r}>"
+        return f"<ArrayBackend {self.name!r}>"
 
     def __reduce__(self):
         # Registered backends reconstruct by name on unpickle (mirrors
@@ -255,7 +215,8 @@ class MockDeviceBackend(ArrayBackend):
     """Numpy-delegating backend that meters host↔device traffic.
 
     Arithmetic is bit-identical to the numpy backend; the only difference
-    is that :meth:`to_device` / :meth:`to_host` count calls and bytes.  The
+    is that :meth:`to_device` / :meth:`to_host` count calls and bytes, and
+    each :meth:`standard_normal` draw counts as one upload.  The
     dispatch layer of the routed kernels is thereby exercisable (and its
     transfer discipline provable) in CI without hardware: a kernel that
     round-trips per column shows up as a transfer count scaling with the
@@ -263,7 +224,6 @@ class MockDeviceBackend(ArrayBackend):
     """
 
     name = "mock-device"
-    device = "mock-device"
 
     def __init__(self) -> None:
         self.reset_transfers()
@@ -295,153 +255,32 @@ class MockDeviceBackend(ArrayBackend):
         return array
 
     def standard_normal(self, rng, size=None, out=None) -> np.ndarray:
-        # Both modes draw the same host bits (the mock has no second
-        # generator, so bit-parity holds unconditionally); what changes is
-        # the accounting.  Host-parity models a real device staging every
-        # draw through the host (one upload per call), device mode models
-        # on-device generation (no transfer) — so the counters expose
-        # exactly the residency difference a real device-RNG run gets.
-        drawn = super().standard_normal(rng, size=size, out=out)
-        if device_rng_mode() == "host-parity":
-            self.h2d_calls += 1
-            self.h2d_bytes += int(getattr(drawn, "nbytes", 0))
-        return drawn
-
-
-class _CuPyBackend(ArrayBackend):
-    """CuPy adapter (requires a CUDA device; imported lazily).
-
-    *Experimental*: this adapter has never run on any host of this project,
-    and every tier-1 test that would exercise it skips without CuPy.
-    """
-
-    name = "cupy"
-    device = "cuda"
-
-    def __init__(self) -> None:
-        import cupy as cp  # deferred: CPU-only installs never reach this
-
-        self._cp = cp
-        # Device generators for REPRO_DEVICE_RNG=device, one per host rng
-        # (weakly keyed so they die with their host stream).
-        import weakref
-
-        self._device_rngs = weakref.WeakKeyDictionary()
-        for op in (
-            "asarray",
-            "ascontiguousarray",
-            "empty",
-            "empty_like",
-            "zeros",
-            "arange",
-            "copyto",
-            "concatenate",
-            "add",
-            "subtract",
-            "multiply",
-            "divide",
-            "negative",
-            "maximum",
-            "sqrt",
-            "exp",
-            "clip",
-            "matmul",
-            "dot",
-            "sum",
-            "take",
-            "put",
-            "bincount",
-            "triu_indices",
-        ):
-            setattr(self, op, getattr(cp, op))
-        self.eigh = cp.linalg.eigh
-        self.amax = cp.max
-        self.amin = cp.min
-        self.mean = cp.mean
-        self.irfft2 = cp.fft.irfft2
-
-    def einsum(self, subscripts, *operands, out=None, **kwargs):
-        # cupy.einsum has no ``out=``; emulate it so the fused kernels keep
-        # one call signature across backends.
-        return _into(out, self._cp.einsum(subscripts, *operands, **kwargs))
-
-    def rfft2(self, a, s=None, axes=(-2, -1), norm=None, out=None):
-        # cupy.fft.rfft2 has no ``out=`` either.
-        return _into(out, self._cp.fft.rfft2(a, s=s, axes=axes, norm=norm))
-
-    def to_device(self, array):
-        return self._cp.asarray(array)
-
-    def to_host(self, array):
-        return self._cp.asnumpy(array)
-
-    def synchronize(self) -> None:
-        self._cp.cuda.get_current_stream().synchronize()
-
-    def standard_normal(self, rng, size=None, out=None):
-        if device_rng_mode() == "device":
-            # Backend-native generation: one host draw seeds a per-rng
-            # device generator, then every buffer fills on-device.  Faster
-            # (no host staging) but NOT bit-identical to the CPU backends —
-            # use the default host-parity mode for certified runs.
-            dev_rng = self._device_rngs.get(rng)
-            if dev_rng is None:
-                # MemberStreams has no .integers — seed from its first
-                # member stream (device mode surrenders per-member stream
-                # semantics along with bit-parity; both are documented).
-                seed_src = rng if hasattr(rng, "integers") else rng.generators[0]
-                dev_rng = self._cp.random.default_rng(int(seed_src.integers(2**63)))
-                self._device_rngs[rng] = dev_rng
-            if out is not None:
-                out[...] = dev_rng.standard_normal(out.shape, dtype=out.dtype)
-                return out
-            return dev_rng.standard_normal(size)
-        # Host-parity (default): host draw first (documented stream
-        # semantics), then device copy.
-        if out is not None:
-            host = rng.standard_normal(out.shape)
-            out[...] = self._cp.asarray(host)
-            return out
-        return self._cp.asarray(rng.standard_normal(size))
+        # The bits are the host stream's, so a device stages every draw
+        # through the host: one metered upload.
+        return self.to_device(super().standard_normal(rng, size=size, out=out))
 
 
 _FACTORIES: dict[str, Callable[[], ArrayBackend]] = {
     "numpy": ArrayBackend,
     "mock-device": MockDeviceBackend,
-    "cupy": _CuPyBackend,
 }
-_OPTIONAL_IMPORTS = {"cupy": "cupy"}
 _cache: dict[str, ArrayBackend] = {}
 _default_override: str | None = None
 
 
-def register_backend(name: str, factory: Callable[[], ArrayBackend]) -> None:
-    """Register an additional backend factory (e.g. an array-API adapter).
-
-    The factory must return an :class:`ArrayBackend` whose ``name`` matches
-    ``name``; it may raise :class:`ImportError` when its dependency is
-    missing, in which case the backend is simply absent from
-    :func:`available_backends`.
-    """
-    key = name.strip().lower()
-    if not key:
-        raise ValueError("backend name must be non-empty")
-    _FACTORIES[key] = factory
-    _cache.pop(key, None)
-
-
 def available_backends() -> tuple[str, ...]:
-    """Backend names that can be constructed in this environment."""
-    names = []
-    for name in _FACTORIES:
-        module = _OPTIONAL_IMPORTS.get(name)
-        if module is not None:
-            try:
-                __import__(module)
-            except ImportError:
-                continue
-        names.append(name)
-    return tuple(names)
+    """Registered backend names (every one is constructible anywhere)."""
+    return tuple(_FACTORIES)
+
+
+def _known(name: str) -> str:
+    """``name`` normalised, or a :class:`ValueError` listing the choices."""
+    key = name.strip().lower()
+    if key not in _FACTORIES:
+        raise ValueError(
+            f"unknown array backend {name!r}; available: {available_backends()}"
+        )
+    return key
 
 
 def default_backend_name() -> str:
@@ -466,12 +305,7 @@ def set_default_backend(name: str | None) -> None:
     ``mock-device`` across a whole run).
     """
     global _default_override
-    if name is not None and name.strip().lower() not in _FACTORIES:
-        raise ValueError(
-            f"unknown array backend {name!r}; choose from {sorted(_FACTORIES)} "
-            f"(available here: {available_backends()})"
-        )
-    _default_override = None if name is None else name.strip().lower()
+    _default_override = None if name is None else _known(name)
 
 
 def resolve_backend(backend: str | ArrayBackend | None = None) -> ArrayBackend:
@@ -479,24 +313,13 @@ def resolve_backend(backend: str | ArrayBackend | None = None) -> ArrayBackend:
     if isinstance(backend, ArrayBackend):
         return backend
     name = backend if backend is not None else default_backend_name()
-    name = name.strip().lower()
-    if name == "auto":
+    if name.strip().lower() == "auto":
         # An explicit "auto" follows the same precedence as None: env var,
         # then set_default_backend, then the built-in numpy default.
         name = default_backend_name()
-    if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown array backend {name!r}; choose from {sorted(_FACTORIES)} "
-            f"(available here: {available_backends()})"
-        )
+    name = _known(name)
     if name not in _cache:
-        try:
-            _cache[name] = _FACTORIES[name]()
-        except ImportError as exc:
-            raise ImportError(
-                f"array backend {name!r} requested (via argument or ${_ENV_BACKEND}) "
-                f"but its module is not installed; available: {available_backends()}"
-            ) from exc
+        _cache[name] = _FACTORIES[name]()
     return _cache[name]
 
 
@@ -607,6 +430,5 @@ def as_host_array(state) -> np.ndarray:
 # re-exports both modules into one namespace.
 available_array_backends = available_backends
 default_array_backend_name = default_backend_name
-register_array_backend = register_backend
 resolve_array_backend = resolve_backend
 set_default_array_backend = set_default_backend

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.utils.fft as fft_mod
 import repro.utils.xp as xp_mod
 from repro.core.ensf import EnSF, EnSFConfig
 from repro.core.observations import IdentityObservation
@@ -29,7 +30,7 @@ from repro.da.letkf import LETKF, LETKFConfig
 from repro.hpc.ensemble_parallel import EnsembleExecutor
 from repro.models.spectral import SpectralGrid
 from repro.models.sqg import SQGModel, SQGParameters, spinup_sqg
-from repro.utils.xp import StateHandle, device_rng_mode
+from repro.utils.xp import StateHandle
 from repro.workflow.engine import EngineCheckpoint
 
 N_SDE_STEPS = 8
@@ -39,13 +40,11 @@ N_SDE_STEPS = 8
 def mock_xp(monkeypatch):
     """Install mock-device as the process default with fresh counters.
 
-    The relevant environment variables are cleared so the fixture — not the
-    outer environment — controls backend selection, FFT pairing and the
-    device RNG mode (host-parity is the documented default).
+    The backend environment variables are cleared so the fixture — not the
+    outer environment — controls array and FFT backend selection.
     """
     monkeypatch.delenv("REPRO_ARRAY_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_FFT_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_DEVICE_RNG", raising=False)
     xp_mod.set_default_backend("mock-device")
     backend = xp_mod.resolve_backend("mock-device")
     backend.reset_transfers()
@@ -107,23 +106,15 @@ def _per_cycle_delta(mock_xp, filter_factory, nx, members, executor=None):
 
 
 class TestFFTDevicePairing:
-    """The FFT backend follows the array backend's device automatically."""
+    """A device grid transforms with the host FFT, and no transform crosses
+    the host boundary."""
 
-    def test_mock_device_grid_pairs_mock_device_fft(self, mock_xp):
+    def test_mock_device_grid_uses_host_fft(self, mock_xp):
         grid = SpectralGrid(8, 8, 1.0, 1.0, array_backend=mock_xp)
-        assert grid.fft.name == "mock-device"
-
-    def test_env_var_overrides_pairing(self, mock_xp, monkeypatch):
-        monkeypatch.setenv("REPRO_FFT_BACKEND", "numpy")
-        grid = SpectralGrid(8, 8, 1.0, 1.0, array_backend=mock_xp)
-        assert grid.fft.name == "numpy"
-
-    def test_explicit_backend_overrides_pairing(self, mock_xp):
-        grid = SpectralGrid(8, 8, 1.0, 1.0, backend="numpy", array_backend=mock_xp)
-        assert grid.fft.name == "numpy"
+        assert grid.fft is fft_mod.resolve_backend(None)
 
     def test_paired_fft_meters_no_transfers(self, mock_xp):
-        """Transforms on device-resident arrays are device-native."""
+        """Transforms on device-resident arrays call no transfer hook."""
         grid = SpectralGrid(8, 8, 1.0, 1.0, array_backend=mock_xp)
         field = mock_xp.to_device(np.random.default_rng(0).standard_normal((8, 8)))
         mock_xp.reset_transfers()
@@ -336,35 +327,3 @@ class TestCheckpointBackendPortability:
             resumed.analysis_mean_final, full.analysis_mean_final
         )
         np.testing.assert_array_equal(resumed.analysis_rmse, full.analysis_rmse)
-
-
-class TestDeviceRNGMode:
-    """REPRO_DEVICE_RNG switches noise residency without changing results."""
-
-    def test_default_is_host_parity(self, mock_xp):
-        assert device_rng_mode() == "host-parity"
-
-    def test_invalid_mode_rejected(self, mock_xp, monkeypatch):
-        monkeypatch.setenv("REPRO_DEVICE_RNG", "banana")
-        with pytest.raises(ValueError, match="REPRO_DEVICE_RNG"):
-            device_rng_mode()
-
-    def test_device_mode_bit_identical_and_cheaper(self, mock_xp, monkeypatch):
-        """On mock-device the two modes share one generator, so results are
-        bitwise identical while device mode drops the per-draw upload
-        metering: exactly one fewer upload per analysis — the single
-        full-size draw the ensemble-space integrator materialises from (its
-        ``(blocks, M)`` draws are host-side in both modes)."""
-        parity_result, _ = _run_counts(mock_xp, _ensf, 8, 4, 2)
-        parity_delta = _per_cycle_delta(mock_xp, _ensf, 8, 4)
-        monkeypatch.setenv("REPRO_DEVICE_RNG", "device")
-        device_result, _ = _run_counts(mock_xp, _ensf, 8, 4, 2)
-        device_delta = _per_cycle_delta(mock_xp, _ensf, 8, 4)
-        np.testing.assert_array_equal(
-            parity_result.analysis_rmse, device_result.analysis_rmse
-        )
-        np.testing.assert_array_equal(
-            parity_result.analysis_mean_final, device_result.analysis_mean_final
-        )
-        assert parity_delta["h2d"] - device_delta["h2d"] == 1
-        assert parity_delta["d2h"] == device_delta["d2h"]

@@ -35,11 +35,12 @@ class TestSelection:
         assert backend.name == "numpy"
         assert backend.rfft2 is np.fft.rfft2
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("name", ["fftw", "cupy", "mock-device"])
+    def test_unknown_backend_rejected(self, name):
         with pytest.raises(ValueError, match="unknown FFT backend"):
-            resolve_backend("fftw")
+            resolve_backend(name)
         with pytest.raises(ValueError, match="unknown FFT backend"):
-            set_default_backend("fftw")
+            set_default_backend(name)
 
     def test_explicit_backend_object_passthrough(self):
         backend = resolve_backend("numpy")
@@ -50,21 +51,24 @@ class TestSelection:
         assert default_backend_name() == "numpy"
         assert resolve_backend(None).name == "numpy"
 
-    def test_env_var_beats_set_default_backend(self, monkeypatch):
+    @pytest.mark.parametrize("override", ["scipy", "SciPy"])
+    def test_env_var_beats_set_default_backend(self, monkeypatch, override):
         """The env var is the operator's override of record (same contract
         as REPRO_ARRAY_BACKEND in the array shim)."""
         monkeypatch.setenv("REPRO_FFT_BACKEND", "numpy")
-        set_default_backend("scipy")
+        set_default_backend(override)
         assert default_backend_name() == "numpy"
         monkeypatch.delenv("REPRO_FFT_BACKEND")
         assert default_backend_name() == "scipy"  # override takes over
         set_default_backend(None)
         assert default_backend_name() in available_backends()
 
-    def test_unknown_env_backend_raises_with_available_list(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FFT_BACKEND", "fftw")
-        with pytest.raises(ValueError, match=r"unknown FFT backend.*available"):
+    @pytest.mark.parametrize("name", ["fftw", "cupy", "mock-device"])
+    def test_unknown_env_backend_raises_with_available_list(self, monkeypatch, name):
+        monkeypatch.setenv("REPRO_FFT_BACKEND", name)
+        with pytest.raises(ValueError, match=r"unknown FFT backend.*available") as excinfo:
             resolve_backend(None)
+        assert all(repr(choice) in str(excinfo.value) for choice in available_backends())
 
     def test_auto_resolves_somewhere_valid(self):
         assert resolve_backend("auto").name in available_backends()
@@ -76,9 +80,10 @@ class TestSelection:
         monkeypatch.setenv("REPRO_FFT_BACKEND", "numpy")
         assert resolve_backend("auto").name == "numpy"
 
-    def test_bad_worker_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FFT_WORKERS", "0")
-        with pytest.raises(ValueError, match="REPRO_FFT_WORKERS"):
+    @pytest.mark.parametrize("raw", ["0", "abc"])
+    def test_bad_worker_env_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_FFT_WORKERS", raw)
+        with pytest.raises(ValueError, match="REPRO_FFT_WORKERS must be a positive integer"):
             fft_mod._fft_workers()
 
 
@@ -89,8 +94,7 @@ class TestNumpyFallback:
         monkeypatch.setitem(sys.modules, "scipy", None)
         monkeypatch.setitem(sys.modules, "scipy.fft", None)
         monkeypatch.setattr(fft_mod, "_cache", {})
-        # mock-device wraps numpy's FFT, so it survives a scipy-less install.
-        assert available_backends() == ("numpy", "mock-device")
+        assert available_backends() == ("numpy",)
         assert default_backend_name() == "numpy"
         backend = resolve_backend(None)
         assert backend.name == "numpy"
