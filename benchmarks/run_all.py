@@ -12,8 +12,10 @@ Usage::
 The default run refreshes ``BENCH_kernels.json`` (vectorized analysis
 kernels, plus the ``letkf_sharded`` serial-vs-sharded worker sweep at 64×64
 and 128×128) and ``BENCH_forecast.json`` (fused pseudo-spectral forecast
-engine plus the 128×128 paper-scale OSSE breakdown) at the repository root
-(see :mod:`repro.utils.timing` for the file format).
+engine plus the 128×128 paper-scale OSSE breakdown, read from the
+per-stage seconds on each ``CycleRecord``) at the repository root.  Both
+are written by :func:`repro.utils.write_bench_json` (see its module for the
+file format).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ and quartiles over the repeats, with the derived chunk marked.  (It replaces
 and 3.05 in two records with no forecast change between them.)  End-to-end
 numbers live in ``benchmarks/e2e/``; this file keeps the kernel-level curve.
 
-Record layout (see :mod:`repro.utils.timing` for the generic format)::
+Record layout (see :func:`repro.utils.write_bench_json` for the generic format)::
 
     {
       "benchmark": "forecast-engine",
@@ -36,7 +36,8 @@ Record layout (see :mod:`repro.utils.timing` for the generic format)::
       "retry_overhead": {grid, cycles, members, clean_s, faulted_s,
                          overhead_pct, analysis_rmse_delta, recoveries,
                          note},                    # shard retry vs fault-free
-      "osse_128": {grid, cycles, members, timing breakdown per section},
+      "osse_128": {grid, cycles, members, <stage>_mean_s, <stage>_per_cycle_s},
+                                # stage seconds from the engine's records
       "residency": {array_backend, grid, members, per_cycle, note},
                                 # steady-state host transfers per cycle on
                                 # the metered mock-device backend
@@ -61,7 +62,7 @@ from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
 from repro.da.localization import LocalizationConfig
 from repro.models.sqg import SQGModel, SQGParameters
-from repro.utils.timing import BenchRecorder, best_of
+from repro.utils import best_of, write_bench_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RECORD_PATH = REPO_ROOT / "BENCH_forecast.json"
@@ -482,7 +483,7 @@ def _bench_retry_overhead():
 
 
 def _bench_osse_paper_scale():
-    """128×128 paper-scale OSSE (ROADMAP larger-grid item) with timing breakdown."""
+    """128×128 paper-scale OSSE (ROADMAP larger-grid item) with stage breakdown."""
     n_cycles = 10 if _full_scale() else 2
     params = SQGParameters(nx=PAPER_GRID[0], ny=PAPER_GRID[1])
     model = SQGModel(params)
@@ -497,10 +498,8 @@ def _bench_osse_paper_scale():
     config = OSSEConfig(
         n_cycles=n_cycles, steps_per_cycle=4, ensemble_size=N_MEMBERS, seed=9
     )
-    recorder = BenchRecorder()
     result = run_osse(
-        model, model, letkf, operator, truth0, config,
-        label="SQG128+LETKF", recorder=recorder,
+        model, model, letkf, operator, truth0, config, label="SQG128+LETKF"
     )
     row = {
         "grid": list(PAPER_GRID),
@@ -510,9 +509,10 @@ def _bench_osse_paper_scale():
         "full_scale": _full_scale(),
         "mean_analysis_rmse": result.mean_analysis_rmse,
     }
-    for section, report in result.timing.items():
-        row[f"{section}_mean_s"] = report["mean_s"]
-        row[f"{section}_per_cycle_s"] = report["per_cycle_s"]
+    for stage in ("truth", "forecast", "analysis"):
+        per_cycle = [getattr(r, f"{stage}_s") for r in result.records]
+        row[f"{stage}_mean_s"] = float(np.mean(per_cycle))
+        row[f"{stage}_per_cycle_s"] = per_cycle
     return row
 
 
@@ -591,12 +591,8 @@ def _bench_residency():
 
 @pytest.fixture(scope="module")
 def forecast_record():
-    recorder = BenchRecorder()
     cases = [_bench_step_case(members) for members in (0, N_MEMBERS)]
     headline = cases[-1]  # the 20-member ensemble step
-    for row in cases:
-        recorder.add("step_chunked", row["optimized_s"])
-        recorder.add("step_oracle", row["oracle_s"])
     chunk_curve = _bench_chunk_curve()
     cfl_curve = _bench_cfl_step_curve()
     overhead = _bench_engine_overhead()
@@ -605,7 +601,7 @@ def forecast_record():
     residency = _bench_residency()
     from repro.utils.xp import default_backend_name
 
-    return recorder.write_json(
+    return write_bench_json(
         RECORD_PATH,
         benchmark="forecast-engine",
         fft_backend=headline["fft_backend"],

@@ -19,7 +19,7 @@ on every refresh is what current code can still prove:
   reverse-SDE integrator against the full-space loop (same recorded noise,
   projected) stays at rounding level.
 
-Record layout (see :mod:`repro.utils.timing` for the generic format)::
+Record layout (see :func:`repro.utils.write_bench_json` for the generic format)::
 
     {
       "benchmark": "analysis-kernels",
@@ -72,7 +72,7 @@ from repro.da.localization import LocalizationConfig, analysis_stride
 from repro.hpc.ensemble_parallel import EnsembleExecutor
 from repro.models.sqg import SQGModel, SQGParameters
 from repro.utils.grid import Grid2D
-from repro.utils.timing import BenchRecorder, best_of
+from repro.utils import best_of, write_bench_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RECORD_PATH = REPO_ROOT / "BENCH_kernels.json"
@@ -128,7 +128,7 @@ def _bench_letkf():
         "geometry_build_s": t_first - t_new,
         # how much of the first call was one-time geometry build — the
         # amortization steady-state cycles enjoy
-        "cache_amortization": BenchRecorder.speedup(t_first, t_new),
+        "cache_amortization": t_first / t_new,
         "analysis_rmse": _rmse(new, truth),
         "max_repeat_delta": float(np.abs(first - new).max()),
     }
@@ -182,7 +182,7 @@ def _bench_letkf_sharded():
                 {
                     "n_workers": n_workers,
                     "sharded_s": t_sharded,
-                    "speedup_vs_serial": BenchRecorder.speedup(t_serial, t_sharded),
+                    "speedup_vs_serial": t_serial / t_sharded,
                     "bit_identical_to_n_workers_1": bool(
                         np.array_equal(sharded, reference_sharded)
                     ),
@@ -251,7 +251,7 @@ def _bench_letkf_stride_curve():
                 "stride": stride,
                 "spacing_over_cutoff": stride * grid.dx / cutoff,
                 "mean_analysis_rmse": result.mean_analysis_rmse,
-                "analysis_s": float(np.median(result.timing["analysis"]["per_cycle_s"])),
+                "analysis_s": float(np.median([r.analysis_s for r in result.records])),
             }
         )
     return {
@@ -409,9 +409,7 @@ def _bench_shard_payloads():
                 "bit_identical": bool(
                     np.array_equal(shm.pop("analysis"), pickle_.pop("analysis"))
                 ),
-                "ipc_reduction": BenchRecorder.speedup(
-                    float(pickle_["total_ipc_bytes"]), float(shm["total_ipc_bytes"])
-                ),
+                "ipc_reduction": pickle_["total_ipc_bytes"] / shm["total_ipc_bytes"],
                 "shm": shm,
                 "pickle": pickle_,
             }
@@ -527,7 +525,7 @@ def _bench_ensf_paths():
         "n_sde_steps": config.n_sde_steps,
         "ensemble_space_s": t_new,
         "full_space_s": t_full,
-        "speedup": BenchRecorder.speedup(t_full, t_new),
+        "speedup": t_full / t_new,
         "ensemble_space_rmse": _rmse(new, truth),
         "full_space_rmse": _rmse(full, truth),
         "note": (
@@ -544,39 +542,21 @@ def _bench_ensf_paths():
 
 @pytest.fixture(scope="module")
 def kernel_record():
-    recorder = BenchRecorder()
     letkf = _bench_letkf()
-    recorder.add("letkf_first_call", letkf["first_call_s"])
-    recorder.add("letkf_batched", letkf["optimized_s"])
     letkf_sharded = _bench_letkf_sharded()
-    for row in letkf_sharded["cases"]:
-        tag = f"letkf_sharded_{row['grid'][0]}x{row['grid'][1]}"
-        recorder.add(f"{tag}_serial", row["serial_s"])
-        for wrow in row["workers"]:
-            recorder.add(f"{tag}_w{wrow['n_workers']}", wrow["sharded_s"])
     letkf_stride_curve = _bench_letkf_stride_curve()
-    for row in letkf_stride_curve["rows"]:
-        recorder.add(f"letkf_stride_{row['stride']}", row["analysis_s"])
     assembly_block_curve = _bench_assembly_block_curve()
     shard_payloads = _bench_shard_payloads()
-    for row in shard_payloads["cases"]:
-        tag = f"shard_payloads_{row['grid'][0]}x{row['grid'][1]}"
-        recorder.add(f"{tag}_shm", row["shm"]["wall_s"])
-        recorder.add(f"{tag}_pickle", row["pickle"]["wall_s"])
     cases = [
         _bench_ensf_case(shape, stochastic)
         for shape in ENSF_GRIDS
         for stochastic in (True, False)
     ]
-    for row in cases:
-        recorder.add(f"ensf_{row['sampler']}_fused", row["optimized_s"])
     ensf = min(cases, key=lambda row: row["optimized_s"])
     ensf_paths = _bench_ensf_paths()
-    recorder.add("ensf_paths_ensemble_space", ensf_paths["ensemble_space_s"])
-    recorder.add("ensf_paths_full_space", ensf_paths["full_space_s"])
     from repro.utils.xp import default_backend_name
 
-    return recorder.write_json(
+    return write_bench_json(
         RECORD_PATH,
         benchmark="analysis-kernels",
         array_backend=default_backend_name(),

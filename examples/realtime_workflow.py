@@ -51,10 +51,21 @@ def main() -> None:
     for k, (f, a) in enumerate(zip(result["forecast_rmse"], result["analysis_rmse"]), start=1):
         print(f"{k:5d}   {f:13.3f}   {a:13.3f}")
 
-    timings = result["timings"]
+    # Each cycle's record carries the wall seconds of its stages; the
+    # post-analysis stage is the online training.
+    stages = {
+        "forecast": "forecast_s",
+        "analysis": "analysis_s",
+        "online_training": "post_analysis_s",
+    }
+    per_cycle = {
+        stage: np.mean([getattr(record, field) for record in workflow.history])
+        for stage, field in stages.items()
+    }
+    total = sum(per_cycle.values())
     print("\nPer-cycle wall-clock budget (the paper's two scalability tasks dominate):")
-    for stage, seconds in timings.per_cycle().items():
-        print(f"  {stage:16s} {seconds * 1e3:8.1f} ms/cycle  ({100 * timings.fractions()[stage]:.1f} %)")
+    for stage, seconds in per_cycle.items():
+        print(f"  {stage:16s} {seconds * 1e3:8.1f} ms/cycle  ({100 * seconds / total:.1f} %)")
     print(f"\nFinal analysis RMSE: {result['final_analysis_rmse']:.3f} K")
 
 

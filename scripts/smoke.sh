@@ -219,7 +219,7 @@ import json
 
 SPECS = {
     "BENCH_kernels.json": dict(
-        required=["benchmark", "created_unix", "sections",
+        required=["benchmark", "created_unix",
                   "letkf", "letkf_sharded", "letkf_stride_curve", "assembly_block_curve",
                   "shard_payloads", "ensf", "ensf_cases", "ensf_paths"],
         notes=[("letkf_sharded", "speedup_note"), ("letkf_stride_curve", "note"),
@@ -227,7 +227,7 @@ SPECS = {
                ("ensf_paths", "note")],
     ),
     "BENCH_forecast.json": dict(
-        required=["benchmark", "created_unix", "sections", "fft_backend",
+        required=["benchmark", "created_unix", "fft_backend",
                   "forecast_step", "forecast_step_cases", "forecast_chunk_curve",
                   "cfl_step_curve", "engine_overhead", "retry_overhead", "osse_128",
                   "residency", "speedup_note"],

@@ -19,7 +19,7 @@ restartable paper-scale runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,9 +34,9 @@ from repro.models.base import ForecastModel
 from repro.models.model_error import StochasticModelErrorMixture
 from repro.utils.faults import FaultLog, FaultPlan
 from repro.utils.random import SeedSequenceFactory
-from repro.utils.timing import BenchRecorder
 from repro.workflow.engine import (
     CycleEngine,
+    CycleRecord,
     DeterministicForecastStage,
     DivergencePolicy,
     EngineCheckpoint,
@@ -88,7 +88,9 @@ class CyclingResult:
     """Time series produced by a cycling experiment.
 
     All arrays have length ``n_cycles``.  ``analysis_rmse`` equals
-    ``forecast_rmse`` for free runs (no update is performed).
+    ``forecast_rmse`` for free runs (no update is performed).  ``records``
+    are the engine's per-cycle :class:`~repro.workflow.engine.CycleRecord`
+    list, stage wall seconds included.
     """
 
     times: np.ndarray
@@ -99,13 +101,18 @@ class CyclingResult:
     analysis_mean_final: np.ndarray
     label: str = ""
     analysis_mean_history: np.ndarray | None = None
-    timing: dict | None = None
+    records: list[CycleRecord] = field(default_factory=list)
     fault_log: FaultLog | None = None
 
     @property
     def mean_analysis_rmse(self) -> float:
-        """Time-mean analysis RMSE (skipping the first 10 % spin-up cycles)."""
-        skip = max(1, len(self.analysis_rmse) // 10)
+        """Time-mean analysis RMSE (skipping the first 10 % spin-up cycles).
+
+        At least one cycle is skipped and at least one kept, so a 1-cycle
+        run reports its only cycle.
+        """
+        n = len(self.analysis_rmse)
+        skip = min(max(1, n // 10), n - 1)
         return float(np.mean(self.analysis_rmse[skip:]))
 
     def summary(self) -> dict:
@@ -117,10 +124,10 @@ class CyclingResult:
             "final_analysis_rmse": float(self.analysis_rmse[-1]),
             "final_spread": float(self.analysis_spread[-1]),
         }
-        if self.timing is not None:
-            out["timing"] = {
-                name: {k: v for k, v in section.items() if k != "per_cycle_s"}
-                for name, section in self.timing.items()
+        if self.records:
+            out["stage_mean_s"] = {
+                stage: float(np.mean([getattr(r, f"{stage}_s") for r in self.records]))
+                for stage in ("truth", "forecast", "analysis", "post_analysis")
             }
         return out
 
@@ -161,7 +168,6 @@ def run_osse(
     executor=None,
     label: str | None = None,
     store_history: bool = False,
-    recorder: BenchRecorder | None = None,
     scenario: ObservationScenario | None = None,
     resume: EngineCheckpoint | str | None = None,
     checkpoint_every: int | None = None,
@@ -210,13 +216,6 @@ def run_osse(
     store_history:
         Also record the analysis-mean state at every cycle (needed by the
         Fig. 5 snapshot benchmark).
-    recorder:
-        Optional :class:`~repro.utils.timing.BenchRecorder`.  Every OSSE run
-        records a per-cycle forecast/analysis wall-time breakdown (sections
-        ``"truth"``, ``"forecast"``, ``"analysis"``) which is returned in
-        ``CyclingResult.timing``; pass an existing recorder to aggregate
-        several runs (each result's ``timing`` still covers only its own
-        cycles).
     scenario:
         Optional :class:`~repro.core.observations.ObservationScenario`
         degrading the idealized protocol (obs every k-th cycle, dropout,
@@ -300,7 +299,6 @@ def run_osse(
         forecast=EnsembleForecastStage(forecast_model, config.steps_per_cycle),
         analysis=analysis,
         executor=executor,
-        recorder=recorder,
         store_history=store_history,
         qc=qc,
         cycle_deadline_s=cycle_deadline_s,
@@ -328,7 +326,7 @@ def run_osse(
         analysis_mean_final=result.mean_final,
         label=label or (filter_.name if filter_ is not None else "free-run"),
         analysis_mean_history=result.history,
-        timing=result.timing,
+        records=result.records,
         fault_log=fault_log,
     )
 
@@ -340,16 +338,14 @@ def free_run(
     config: OSSEConfig,
     model_error: StochasticModelErrorMixture | None = None,
     label: str = "free-run",
-    recorder: BenchRecorder | None = None,
 ) -> CyclingResult:
     """Run a no-DA experiment (the "SQG only" / "ViT only" curves of Fig. 4).
 
     A single deterministic forecast started from the same initial state as
     the truth is compared against the (model-error-perturbed) truth; the
     growing RMSE illustrates the chaotic error growth that assimilation must
-    control.  Like :func:`run_osse`, the per-cycle ``"truth"``/``"forecast"``
-    wall times are recorded (there is no ``"analysis"`` section), so the
-    benchmark harness can attribute free-run cost with the same breakdown.
+    control.  The records carry the same per-stage wall seconds as
+    :func:`run_osse` (``analysis_s`` reads ``0.0``).
     """
     seeds = SeedSequenceFactory(config.seed)
     if model_error is None and config.apply_model_error_to_truth:
@@ -362,7 +358,6 @@ def free_run(
             model_error if config.apply_model_error_to_truth else None,
         ),
         forecast=DeterministicForecastStage(forecast_model, config.steps_per_cycle),
-        recorder=recorder,
     )
     truth = np.array(truth0, dtype=float)
     prediction = np.array(truth0, dtype=float)
@@ -376,5 +371,5 @@ def free_run(
         truth_final=result.truth_final,
         analysis_mean_final=result.state_final,
         label=label,
-        timing=result.timing,
+        records=result.records,
     )

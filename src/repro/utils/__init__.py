@@ -42,7 +42,7 @@ from repro.utils.spectra import (
     spectral_slope,
     kinetic_energy_spectrum,
 )
-from repro.utils.timing import best_of
+from repro.utils.timing import best_of, write_bench_json
 
 __all__ = [
     "SeedSequenceFactory",
@@ -76,4 +76,5 @@ __all__ = [
     "spectral_slope",
     "kinetic_energy_spectrum",
     "best_of",
+    "write_bench_json",
 ]

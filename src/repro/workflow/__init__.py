@@ -17,7 +17,6 @@ _EXPORTS = {
     "run_four_experiments": "repro.workflow.experiments",
     "build_sqg_testbed": "repro.workflow.experiments",
     "RealTimeDAWorkflow": "repro.workflow.realtime",
-    "WorkflowTimings": "repro.workflow.realtime",
     "ExperimentService": "repro.workflow.scheduler",
     "ServiceConfig": "repro.workflow.scheduler",
     "JobSpec": "repro.workflow.scheduler",

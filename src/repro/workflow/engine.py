@@ -57,7 +57,6 @@ from repro.core.observations import ObservationEvent, ObservationStream
 from repro.models.base import propagate_ensemble
 from repro.utils.faults import FaultLog, FaultPlan
 from repro.utils.random import SeedSequenceFactory
-from repro.utils.timing import BenchRecorder
 from repro.utils.xp import StateHandle, as_host_array
 
 __all__ = [
@@ -116,6 +115,11 @@ class CycleRecord:
     recovery applied (currently ``"reinflate"``; a checkpoint *reset*
     discards the diverged cycle entirely, so it appears in the
     :class:`~repro.utils.faults.FaultLog` instead).
+
+    The ``*_s`` fields are each stage's wall seconds (the forecast includes
+    its mean download, the analysis sums the cycle's events); ``0.0`` means
+    the stage did not run, or a checkpoint predates the fields.  Records
+    compare equal on the DA fields alone.
     """
 
     cycle: int
@@ -127,6 +131,10 @@ class CycleRecord:
     qc_rejected: int = 0
     deadline_skipped: bool = False
     divergence_action: str | None = None
+    truth_s: float = field(default=0.0, compare=False)
+    forecast_s: float = field(default=0.0, compare=False)
+    analysis_s: float = field(default=0.0, compare=False)
+    post_analysis_s: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -141,7 +149,6 @@ class CycleContext:
     """
 
     cycle: int
-    recorder: BenchRecorder
     executor: object | None
     truth: np.ndarray
     state: object
@@ -160,7 +167,6 @@ class EngineResult:
     state_final: np.ndarray
     mean_final: np.ndarray
     history: np.ndarray | None
-    timing: dict
     fault_log: FaultLog | None = None
 
     def series(self, name: str) -> np.ndarray:
@@ -423,10 +429,9 @@ class TruthStage:
         self.model_error = model_error
 
     def run(self, ctx: CycleContext) -> None:
-        with ctx.recorder.section("truth"):
-            ctx.truth = self.model.forecast(ctx.truth, n_steps=self.steps_per_cycle)
-            if self.model_error is not None:
-                ctx.truth = self.model_error.perturb(ctx.truth)
+        ctx.truth = self.model.forecast(ctx.truth, n_steps=self.steps_per_cycle)
+        if self.model_error is not None:
+            ctx.truth = self.model_error.perturb(ctx.truth)
 
     def state_dict(self) -> dict:
         if self.model_error is None:
@@ -486,15 +491,12 @@ class EnsembleForecastStage:
         return getattr(self.model, "xp", None)
 
     def run(self, ctx: CycleContext) -> None:
-        with ctx.recorder.section("forecast"):
-            state = StateHandle.wrap(ctx.state, self.xp)
-            model, n_steps = self.model, self.steps_per_cycle
-            coarse_step = getattr(model, "coarse_step", None)
-            if coarse_step is not None:
-                model, n_steps = coarse_step(state.host(), n_steps)
-            ctx.state = propagate_ensemble(
-                model, state, n_steps=n_steps, executor=ctx.executor
-            )
+        state = StateHandle.wrap(ctx.state, self.xp)
+        model, n_steps = self.model, self.steps_per_cycle
+        coarse_step = getattr(model, "coarse_step", None)
+        if coarse_step is not None:
+            model, n_steps = coarse_step(state.host(), n_steps)
+        ctx.state = propagate_ensemble(model, state, n_steps=n_steps, executor=ctx.executor)
         # The one scheduled download of the cycle: the handle caches this
         # host mirror, so everything downstream shares it.
         ctx.forecast_mean = ctx.state.host().mean(axis=0)
@@ -517,10 +519,9 @@ class DeterministicForecastStage:
         self.steps_per_cycle = int(steps_per_cycle)
 
     def run(self, ctx: CycleContext) -> None:
-        with ctx.recorder.section("forecast"):
-            # The state *is* the diagnosed mean here, so it stays a host
-            # array (the model's own forecast pays one up/down per cycle).
-            ctx.state = self.model.forecast(ctx.state, n_steps=self.steps_per_cycle)
+        # The state *is* the diagnosed mean here, so it stays a host
+        # array (the model's own forecast pays one up/down per cycle).
+        ctx.state = self.model.forecast(ctx.state, n_steps=self.steps_per_cycle)
         ctx.forecast_mean = ctx.state
 
     def statistics(self, state) -> EnsembleStatistics:
@@ -622,8 +623,7 @@ class OnlineTrainingStage:
     def run(self, ctx: CycleContext) -> None:
         if self.previous is None:
             raise ValueError("OnlineTrainingStage.prime() must be called before run()")
-        with ctx.recorder.section("online_training"):
-            ctx.online_loss = self.trainer.update(self.previous, ctx.analysis_stats.mean)
+        ctx.online_loss = self.trainer.update(self.previous, ctx.analysis_stats.mean)
         self.previous = ctx.analysis_stats.mean
 
     def state_dict(self) -> dict:
@@ -654,24 +654,22 @@ class CycleEngine:
         :class:`ObservationStage` or ``None`` (free runs).
     analysis:
         :class:`FilterAnalysisStage` / :class:`EnSFWorkflowAnalysisStage` or
-        ``None``; each delivered observation event triggers one analysis,
-        timed as one ``"analysis"`` recorder section (late arrivals can
-        yield several per cycle, schedule gaps none).
+        ``None``; each delivered observation event triggers one analysis
+        (late arrivals can yield several per cycle, schedule gaps none),
+        and ``CycleRecord.analysis_s`` sums their wall time.
     post_analysis:
         :class:`OnlineTrainingStage` or ``None``.
     executor:
         Optional :class:`~repro.hpc.ensemble_parallel.EnsembleExecutor`
         shared by the forecast and analysis stages.
-    recorder:
-        Optional :class:`~repro.utils.timing.BenchRecorder`; results report
-        only the sections recorded by their own :meth:`run` call.
     store_history:
         Keep the per-cycle analysis-mean states in the result.
     on_cycle:
         Optional callback invoked with each completed :class:`CycleRecord`
-        (the real-time workflow uses it for incremental timing/history).
-        Cycles replayed after a divergence *reset* recompute records the
-        callback already saw bit-identically, so they are not re-delivered.
+        (the real-time workflow appends them to its ``history``).  Cycles
+        replayed after a divergence *reset* recompute records the callback
+        already saw — equal on every DA field, only the stage seconds
+        differ — so they are not re-delivered.
     qc:
         Optional :class:`~repro.core.observations.ObservationQC`; events it
         rejects are counted in ``CycleRecord.qc_rejected`` and skipped.
@@ -698,7 +696,6 @@ class CycleEngine:
         analysis=None,
         post_analysis: OnlineTrainingStage | None = None,
         executor=None,
-        recorder: BenchRecorder | None = None,
         store_history: bool = False,
         on_cycle=None,
         qc=None,
@@ -713,7 +710,6 @@ class CycleEngine:
         self.analysis_stage = analysis
         self.post_analysis_stage = post_analysis
         self.executor = executor
-        self.recorder = recorder if recorder is not None else BenchRecorder()
         self.store_history = bool(store_history)
         self.on_cycle = on_cycle
         self.qc = qc
@@ -938,7 +934,6 @@ class CycleEngine:
                 state_final=as_host_array(self._state),
                 mean_final=stats_final.mean,
                 history=None if self._history is None else np.array(self._history),
-                timing=self.recorder.report(since=self.recorder.snapshot()),
                 fault_log=self.fault_log,
             )
         if n_cycles <= start:
@@ -946,29 +941,30 @@ class CycleEngine:
                 f"n_cycles={n_cycles} already completed (checkpoint at cycle {start})"
             )
 
-        recorder = self.recorder
-        timing_snapshot = recorder.snapshot()
         resets = 0
         reported_high = start - 1  # highest cycle already delivered to on_cycle
         while self._next_cycle < n_cycles:
             cycle = self._next_cycle
-            cycle_started = time.perf_counter()
             ctx = CycleContext(
                 cycle=cycle,
-                recorder=recorder,
                 executor=self.executor,
                 truth=self._truth,
                 state=self._state,
             )
+            cycle_started = time.perf_counter()
             self.truth_stage.run(ctx)
+            truth_s = time.perf_counter() - cycle_started
             if self.observation_stage is not None:
                 self.observation_stage.run(ctx)
+            started = time.perf_counter()
             self.forecast_stage.run(ctx)
+            forecast_s = time.perf_counter() - started
             forecast_rmse = rmse(ctx.forecast_mean, ctx.truth)
 
             observed = False
             qc_rejected = 0
             deadline_skipped = False
+            analysis_s = post_analysis_s = 0.0
             if self.analysis_stage is not None:
                 for event in ctx.events:
                     if (
@@ -992,8 +988,9 @@ class CycleEngine:
                                 "observations", "qc-reject", report.reason, cycle=cycle
                             )
                             continue
-                    with recorder.section("analysis"):
-                        ctx.state = self.analysis_stage.analyze(ctx, event)
+                    started = time.perf_counter()
+                    ctx.state = self.analysis_stage.analyze(ctx, event)
+                    analysis_s += time.perf_counter() - started
                     observed = True
 
             stats = self.forecast_stage.statistics(ctx.state)
@@ -1009,7 +1006,9 @@ class CycleEngine:
                         continue  # state rewound; recompute from the checkpoint
             ctx.analysis_stats = stats
             if self.post_analysis_stage is not None:
+                started = time.perf_counter()
                 self.post_analysis_stage.run(ctx)
+                post_analysis_s = time.perf_counter() - started
 
             record = CycleRecord(
                 cycle=cycle,
@@ -1021,6 +1020,10 @@ class CycleEngine:
                 qc_rejected=qc_rejected,
                 deadline_skipped=deadline_skipped,
                 divergence_action=divergence_action,
+                truth_s=truth_s,
+                forecast_s=forecast_s,
+                analysis_s=analysis_s,
+                post_analysis_s=post_analysis_s,
             )
             self._truth = ctx.truth
             self._state = ctx.state
@@ -1060,7 +1063,6 @@ class CycleEngine:
             state_final=as_host_array(self._state),
             mean_final=stats_final.mean,
             history=None if self._history is None else np.array(self._history),
-            timing=recorder.report(since=timing_snapshot),
             fault_log=self.fault_log,
         )
 

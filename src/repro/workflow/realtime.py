@@ -14,16 +14,15 @@ workflow time is their sum — which is why both must scale on the machine.
 The loop itself lives in the unified
 :class:`~repro.workflow.engine.CycleEngine`; :meth:`RealTimeDAWorkflow.run`
 configures the stage pipeline (surrogate forecast, the executor-aware EnSF
-analysis, online training) and accumulates ``timings``/``history``
-incrementally per cycle, so a run interrupted mid-stream still reports every
-completed cycle.  Each ``run()`` call starts from a clean ``history`` and
-``timings`` (earlier versions leaked history across calls while silently
-overwriting timings).
+analysis, online training) and appends each completed cycle's
+:class:`~repro.workflow.engine.CycleRecord` — stage seconds included
+(``forecast_s``, ``analysis_s``, ``post_analysis_s`` for online training) —
+to ``history`` as it completes, so a run interrupted mid-stream still
+reports every completed cycle.  Each ``run()`` call starts from a clean
+``history``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from repro.models.model_error import StochasticModelErrorMixture
 from repro.surrogate.training import OnlineTrainer, TrainingConfig
 from repro.surrogate.vit import SQGViTSurrogate
 from repro.utils.random import SeedSequenceFactory
-from repro.utils.timing import BenchRecorder
 from repro.workflow.engine import (
     CycleEngine,
     CycleRecord,
@@ -48,46 +46,7 @@ from repro.workflow.engine import (
     rmse,
 )
 
-__all__ = ["WorkflowTimings", "RealTimeDAWorkflow"]
-
-
-@dataclass
-class WorkflowTimings:
-    """Accumulated per-stage wall-clock time of the real-time workflow."""
-
-    forecast: float = 0.0
-    analysis: float = 0.0
-    online_training: float = 0.0
-    n_cycles: int = 0
-
-    @property
-    def total(self) -> float:
-        return self.forecast + self.analysis + self.online_training
-
-    def per_cycle(self) -> dict[str, float]:
-        """Mean seconds per cycle spent in each stage."""
-        n = max(self.n_cycles, 1)
-        return {
-            "forecast": self.forecast / n,
-            "analysis": self.analysis / n,
-            "online_training": self.online_training / n,
-        }
-
-    def fractions(self) -> dict[str, float]:
-        """Fraction of workflow time per stage (the paper's two scalability tasks)."""
-        total = self.total
-        if total == 0.0:
-            return {"forecast": 0.0, "analysis": 0.0, "online_training": 0.0}
-        return {
-            "forecast": self.forecast / total,
-            "analysis": self.analysis / total,
-            "online_training": self.online_training / total,
-        }
-
-
-# Per-cycle diagnostics are the engine's records; the historical name is kept
-# for callers that annotated against it.
-_CycleRecord = CycleRecord
+__all__ = ["RealTimeDAWorkflow"]
 
 
 class RealTimeDAWorkflow:
@@ -162,7 +121,6 @@ class RealTimeDAWorkflow:
         self.cycle_deadline_s = cycle_deadline_s
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
         self.fault_log = fault_log if fault_log is not None else FaultLog()
-        self.timings = WorkflowTimings()
         self.history: list[CycleRecord] = []
 
     # ------------------------------------------------------------------ #
@@ -184,31 +142,17 @@ class RealTimeDAWorkflow:
         The checkpoint/resume/preempt knobs are forwarded verbatim to
         :meth:`~repro.workflow.engine.CycleEngine.run`, which lets the
         realtime workflow run as a preemptible, resumable experiment-service
-        job.  A resumed run's ``history``/``timings`` cover only the cycles
-        executed by *this* call (completed cycles live in the checkpoint).
+        job.  A resumed run's ``history`` covers only the cycles executed by
+        *this* call (completed cycles live in the checkpoint).
         """
         if n_cycles < 1 or steps_per_cycle < 1:
             raise ValueError("n_cycles and steps_per_cycle must be positive")
         truth = np.array(truth0, dtype=float)
         ensemble = np.array(initial_ensemble, dtype=float)
 
-        # Fresh per-run state, updated incrementally from the engine's
-        # per-cycle callback: an exception mid-run keeps every completed
-        # cycle's timing and history instead of losing the whole run.
+        # Fresh per-run history, appended from the engine's per-cycle
+        # callback: an exception mid-run keeps every completed cycle.
         self.history = []
-        self.timings = WorkflowTimings()
-        recorder = BenchRecorder()
-        timing_snapshot = recorder.snapshot()
-
-        def on_cycle(record: CycleRecord) -> None:
-            report = recorder.report(since=timing_snapshot)
-            self.timings = WorkflowTimings(
-                forecast=report.get("forecast", {}).get("total_s", 0.0),
-                analysis=report.get("analysis", {}).get("total_s", 0.0),
-                online_training=report.get("online_training", {}).get("total_s", 0.0),
-                n_cycles=len(self.history) + 1,
-            )
-            self.history.append(record)
 
         stream = ObservationStream(
             self.operator,
@@ -230,8 +174,7 @@ class RealTimeDAWorkflow:
             analysis=EnSFWorkflowAnalysisStage(self.ensf, self.seeds),
             post_analysis=post_analysis,
             executor=self.executor,
-            recorder=recorder,
-            on_cycle=on_cycle,
+            on_cycle=self.history.append,
             qc=self.qc,
             cycle_deadline_s=self.cycle_deadline_s,
             fault_plan=self.fault_plan,
@@ -258,7 +201,6 @@ class RealTimeDAWorkflow:
             "final_spread": stats.mean_spread,
             "analysis_rmse": np.array([h.analysis_rmse for h in self.history]),
             "forecast_rmse": np.array([h.forecast_rmse for h in self.history]),
-            "timings": self.timings,
             "qc_rejected": int(sum(h.qc_rejected for h in self.history)),
             "deadline_skipped_cycles": int(sum(h.deadline_skipped for h in self.history)),
             "fault_recoveries": len(self.fault_log),

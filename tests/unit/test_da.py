@@ -241,7 +241,19 @@ class TestCycling:
         assert len(result.times) == cfg.n_cycles
         assert result.analysis_mean_history.shape == (cfg.n_cycles, 40)
         summary = result.summary()
-        assert set(summary) >= {"label", "cycles", "mean_analysis_rmse"}
+        assert set(summary) >= {"label", "cycles", "mean_analysis_rmse", "stage_mean_s"}
+        assert summary["stage_mean_s"]["analysis"] > 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_cycle_run_reports_its_only_cycle(self):
+        """Regression: the 10 % spin-up skip emptied a 1-cycle series, so
+        ``mean_analysis_rmse`` (and ``summary()``) was a NaN mean of an
+        empty slice."""
+        model, truth0, op, cfg = self._setup(seed=8)
+        one = OSSEConfig(n_cycles=1, steps_per_cycle=4, ensemble_size=8, seed=8)
+        result = run_osse(model, model, EnSF(EnSFConfig(n_sde_steps=5), rng=1), op, truth0, one)
+        assert result.mean_analysis_rmse == result.analysis_rmse[0]
+        assert np.isfinite(result.summary()["mean_analysis_rmse"])
 
     def test_no_filter_is_free_ensemble_run(self):
         model, truth0, op, cfg = self._setup(seed=6)

@@ -20,6 +20,7 @@ Three layers of coverage for :mod:`repro.workflow.engine`:
 
 import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.core.filters import ensemble_statistics, relax_spread
 from repro.core.observations import (
     IdentityObservation,
     ObservationScenario,
+    ObservationStream,
     coverage_windows,
 )
 from repro.da.cycling import CyclingResult, OSSEConfig, _initial_ensemble, free_run, rmse, run_osse
@@ -44,9 +46,15 @@ from repro.utils.faults import FaultInjected, FaultPlan
 from repro.workflow.engine import (
     CheckpointCadence,
     CheckpointRing,
+    CycleEngine,
     CycleRecord,
     EngineCheckpoint,
     EnginePreempted,
+    EnsembleForecastStage,
+    FilterAnalysisStage,
+    ObservationStage,
+    OnlineTrainingStage,
+    TruthStage,
 )
 from repro.workflow.realtime import RealTimeDAWorkflow
 
@@ -428,6 +436,31 @@ class TestCheckpointRestart:
             resumed.analysis_mean_history, uninterrupted.analysis_mean_history
         )
 
+    def test_checkpoint_without_stage_seconds_resumes_bit_identically(
+        self, testbed, tmp_path
+    ):
+        """A checkpoint written before records carried stage seconds still
+        loads: its records read ``0.0`` and the resume is bit-identical."""
+        path = tmp_path / "engine.ckpt"
+        uninterrupted = self._run(testbed, checkpoint_every=5, checkpoint_path=path)
+        ckpt = EngineCheckpoint.load(path)
+        stage_fields = ("truth_s", "forecast_s", "analysis_s", "post_analysis_s")
+        for record in ckpt.records:
+            for name in stage_fields:
+                del record.__dict__[name]  # the instance layout of older releases
+        ckpt.save(path)
+
+        old = EngineCheckpoint.load(path)
+        assert all(name not in r.__dict__ for r in old.records for name in stage_fields)
+        assert all(getattr(r, name) == 0.0 for r in old.records for name in stage_fields)
+        assert old.records == uninterrupted.records[:5]  # DA fields round-trip
+        resumed = self._run(testbed, resume=path)
+        _assert_identical(resumed, uninterrupted)
+        np.testing.assert_array_equal(
+            resumed.analysis_mean_history, uninterrupted.analysis_mean_history
+        )
+        assert all(r.forecast_s > 0.0 for r in resumed.records[5:])
+
     def test_checkpoint_rejects_parameter_drift(self, testbed, tmp_path):
         """A checkpoint resumed under an edited scenario (or steps-per-cycle)
         must be refused: slot names still match, so only the pipeline
@@ -700,6 +733,66 @@ class _ExplodingModel:
         return self.inner.forecast(state, n_steps=n_steps)
 
 
+class _SumTrainer:
+    """Online-training stand-in: its loss is the squared analysis increment."""
+
+    def update(self, previous, mean):
+        return float(np.sum((np.asarray(mean) - previous) ** 2))
+
+
+class TestStageSeconds:
+    """Each record carries the wall seconds of the stages that ran."""
+
+    def _run(self, testbed, *, observed: bool, trained: bool, n_cycles: int = 3):
+        model, truth0, operator = testbed
+        ens0 = truth0 + np.random.default_rng(1).standard_normal((6, DIM))
+        post_analysis = None
+        if trained:
+            post_analysis = OnlineTrainingStage(_SumTrainer())
+            post_analysis.prime(ens0.mean(axis=0))
+        observations = analysis = None
+        if observed:
+            observations = ObservationStage(ObservationStream(operator, rng=2))
+            analysis = FilterAnalysisStage(_ensf())
+        stamps = []
+        engine = CycleEngine(
+            truth=TruthStage(model, 2),
+            observations=observations,
+            forecast=EnsembleForecastStage(model, 2),
+            analysis=analysis,
+            post_analysis=post_analysis,
+            on_cycle=lambda record: stamps.append(time.perf_counter()),
+        )
+        stamps.append(time.perf_counter())
+        records = engine.run(truth0, ens0, n_cycles).records
+        return records, np.diff(stamps)
+
+    @pytest.mark.parametrize(
+        "observed, trained", [(True, True), (True, False), (False, False)],
+        ids=["full", "no-training", "free"],
+    )
+    def test_ran_stages_positive_absent_zero_sum_within_wall(self, testbed, observed, trained):
+        records, walls = self._run(testbed, observed=observed, trained=trained)
+        assert len(records) == len(walls) == 3
+        for record, wall in zip(records, walls):
+            assert record.truth_s > 0.0 and record.forecast_s > 0.0
+            assert (record.analysis_s > 0.0) == observed
+            assert (record.post_analysis_s > 0.0) == trained
+            if not observed:
+                assert record.analysis_s == 0.0
+            if not trained:
+                assert record.post_analysis_s == 0.0
+            stages = record.truth_s + record.forecast_s + record.analysis_s + record.post_analysis_s
+            assert stages <= wall
+
+    def test_seconds_do_not_enter_record_equality(self, testbed):
+        first, _ = self._run(testbed, observed=True, trained=True, n_cycles=2)
+        second, _ = self._run(testbed, observed=True, trained=True, n_cycles=2)
+        assert first == second
+        slower = dataclasses.replace(first[0], forecast_s=first[0].forecast_s + 1.0)
+        assert slower == first[0] and hash(slower) == hash(first[0])
+
+
 class TestRealtimeStateSemantics:
     def _workflow(self, testbed, surrogate=None):
         from repro.surrogate.training import TrainingConfig
@@ -717,16 +810,14 @@ class TestRealtimeStateSemantics:
         ens0 = truth0[None, :] + rng.standard_normal((6, DIM))
         return workflow, truth0, ens0
 
-    def test_repeated_runs_reset_history_and_timings(self, testbed):
-        """Regression: ``history`` used to accumulate across run() calls
-        while ``timings`` was overwritten, so a second run reported 2N
-        history rows against N-cycle timings."""
+    def test_repeated_runs_reset_history(self, testbed):
+        """Regression: ``history`` used to accumulate across run() calls, so
+        a second run reported 2N history rows for an N-cycle run."""
         workflow, truth0, ens0 = self._workflow(testbed)
         first = workflow.run(truth0, ens0, n_cycles=3, steps_per_cycle=2)
         assert len(workflow.history) == 3
         second = workflow.run(truth0, ens0, n_cycles=3, steps_per_cycle=2)
-        assert len(workflow.history) == 3
-        assert workflow.timings.n_cycles == 3
+        assert [r.cycle for r in workflow.history] == [0, 1, 2]
         assert len(second["analysis_rmse"]) == 3
         assert len(first["analysis_rmse"]) == 3
         # a fresh, identically-seeded workflow reproduces the first run
@@ -738,8 +829,8 @@ class TestRealtimeStateSemantics:
 
     def test_exception_mid_run_keeps_completed_cycle_records(self, testbed):
         """Regression: an exception mid-run used to lose *all* timing (it was
-        only written after the loop); timings/history now accumulate per
-        completed cycle."""
+        only written after the loop); history, stage seconds included, now
+        accumulates per completed cycle."""
         model, _, _ = testbed
         # 2 completed cycles, then the 3rd surrogate forecast explodes.
         surrogate = _ExplodingModel(model, explode_after=2)
@@ -747,9 +838,7 @@ class TestRealtimeStateSemantics:
         with pytest.raises(RuntimeError, match="boom"):
             workflow.run(truth0, ens0, n_cycles=5, steps_per_cycle=2)
         assert len(workflow.history) == 2
-        assert workflow.timings.n_cycles == 2
-        assert workflow.timings.forecast > 0.0
-        assert workflow.timings.analysis > 0.0
+        assert all(r.forecast_s > 0.0 and r.analysis_s > 0.0 for r in workflow.history)
 
     def test_fresh_run_after_exception_is_clean(self, testbed):
         model, _, _ = testbed
@@ -759,6 +848,5 @@ class TestRealtimeStateSemantics:
             workflow.run(truth0, ens0, n_cycles=5, steps_per_cycle=2)
         surrogate.explode_after = 10**9
         summary = workflow.run(truth0, ens0, n_cycles=2, steps_per_cycle=2)
-        assert len(workflow.history) == 2
-        assert workflow.timings.n_cycles == 2
+        assert [r.cycle for r in workflow.history] == [0, 1]
         assert np.isfinite(summary["final_analysis_rmse"])

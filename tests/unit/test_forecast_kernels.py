@@ -320,9 +320,10 @@ class TestFusedOSSEParity:
         truth0 = model.flatten(_states(model, 0, seed=15))
         config = OSSEConfig(n_cycles=2, steps_per_cycle=1, ensemble_size=2, seed=0)
         result = free_run(model, model, truth0, config)
-        assert result.timing is not None
-        for section in ("truth", "forecast"):
-            assert len(result.timing[section]["per_cycle_s"]) == 2
+        assert len(result.records) == 2
+        for record in result.records:
+            assert record.truth_s > 0.0 and record.forecast_s > 0.0
+            assert record.analysis_s == record.post_analysis_s == 0.0
 
 
 def _flow_ensemble(model: SQGModel, members: int, seed: int = 0):
@@ -431,7 +432,6 @@ class TestCoarseStep:
 
     def test_fast_flow_takes_the_fine_step(self):
         from repro.models.base import propagate_ensemble
-        from repro.utils.timing import BenchRecorder
         from repro.workflow.engine import CycleContext, EnsembleForecastStage
 
         model = SQGModel(SQGParameters(nx=32, ny=32))
@@ -441,8 +441,7 @@ class TestCoarseStep:
         assert 2 * model.max_cfl(model.unflatten(ens[-1])) > sqg_mod._CFL_MAX
         assert 4 * model.max_cfl(model.unflatten(ens[:-1])) <= sqg_mod._CFL_MAX
         assert model.coarse_step(ens, 4) == (model, 4)
-        ctx = CycleContext(cycle=0, recorder=BenchRecorder(), executor=None,
-                           truth=ens[0], state=ens)
+        ctx = CycleContext(cycle=0, executor=None, truth=ens[0], state=ens)
         EnsembleForecastStage(model, 4).run(ctx)
         np.testing.assert_array_equal(
             ctx.state.host(), propagate_ensemble(model, ens, n_steps=4)

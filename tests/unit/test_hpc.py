@@ -642,6 +642,27 @@ class TestExecutorSurface:
             assert list(params) == ["self", *expected], name
 
 
+class TestCyclingSurface:
+    """Parameter counts of the cycling entry points, a ratchet toward the
+    ROADMAP's ``run_osse`` <= 10: a count may fall here, never rise."""
+
+    COUNTS = {"run_osse": 22, "free_run": 6, "CycleEngine": 13}
+
+    def test_parameter_counts(self):
+        from repro.da import cycling
+        from repro.workflow.engine import CycleEngine
+
+        entries = {
+            "run_osse": cycling.run_osse,
+            "free_run": cycling.free_run,
+            "CycleEngine": CycleEngine.__init__,
+        }
+        for name, fn in entries.items():
+            params = [p for p in inspect.signature(fn).parameters if p != "self"]
+            assert len(params) == self.COUNTS[name], (name, params)
+            assert "recorder" not in params, name
+
+
 class TestExecutorFaultLedger:
     """One plan, one log per executor: every gather draws its injected faults
     from :attr:`fault_plan` and records its recoveries in :attr:`fault_log`."""

@@ -24,7 +24,6 @@ from repro.core.observations import IdentityObservation, NonlinearObservation, S
 from repro.core.schedules import LinearAlphaSchedule
 from repro.core.score import MonteCarloScoreEstimator
 from repro.core.sde import ReverseSDESampler
-from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
 from repro.da.localization import (
     LocalAnalysisGeometry,
@@ -32,10 +31,8 @@ from repro.da.localization import (
     analysis_stride,
     gaspari_cohn,
 )
-from repro.models.lorenz96 import Lorenz96
 from repro.utils.grid import Grid2D
 from repro.utils.random import default_rng
-from repro.utils.timing import BenchRecorder
 from repro.utils.xp import MockDeviceBackend
 
 
@@ -835,63 +832,3 @@ class TestFusedEnSFDeterminism:
         )
         np.testing.assert_array_equal(a, b)
 
-
-class TestBenchRecorder:
-    def test_sections_and_report(self):
-        rec = BenchRecorder()
-        with rec.section("analysis"):
-            pass
-        rec.add("analysis", 0.5)
-        rec.add("forecast", 0.25)
-        assert rec.counts() == {"analysis": 2, "forecast": 1}
-        assert rec.totals()["forecast"] == 0.25
-        assert rec.mean("forecast") == 0.25
-        report = rec.report()
-        assert report["analysis"]["count"] == 2
-        assert len(report["analysis"]["per_cycle_s"]) == 2
-
-    def test_speedup_and_errors(self):
-        assert BenchRecorder.speedup(2.0, 0.5) == 4.0
-        with pytest.raises(ValueError):
-            BenchRecorder.speedup(1.0, 0.0)
-        with pytest.raises(KeyError):
-            BenchRecorder().mean("missing")
-
-    def test_write_json(self, tmp_path):
-        rec = BenchRecorder()
-        rec.add("analysis", 0.125)
-        path = tmp_path / "BENCH_test.json"
-        payload = rec.write_json(path, benchmark="unit", letkf={"speedup": 6.0})
-        assert path.exists()
-        assert payload["benchmark"] == "unit"
-        assert payload["letkf"]["speedup"] == 6.0
-        assert payload["sections"]["analysis"]["count"] == 1
-
-    def test_run_osse_reports_timing_breakdown(self):
-        model = Lorenz96(dim=12)
-        rng = np.random.default_rng(0)
-        truth0 = rng.standard_normal(12)
-        operator = IdentityObservation(12, 1.0)
-        filt = EnSF(EnSFConfig(n_sde_steps=5), rng=1)
-        config = OSSEConfig(n_cycles=3, steps_per_cycle=1, ensemble_size=4, seed=0)
-        result = run_osse(model, model, filt, operator, truth0, config)
-        assert result.timing is not None
-        for section in ("truth", "forecast", "analysis"):
-            assert len(result.timing[section]["per_cycle_s"]) == 3
-            assert result.timing[section]["total_s"] >= 0.0
-        assert "timing" in result.summary()
-
-    def test_shared_recorder_attributes_timing_per_run(self):
-        model = Lorenz96(dim=12)
-        truth0 = np.random.default_rng(0).standard_normal(12)
-        operator = IdentityObservation(12, 1.0)
-        config = OSSEConfig(n_cycles=2, steps_per_cycle=1, ensemble_size=4, seed=0)
-        recorder = BenchRecorder()
-        for seed in (1, 2):
-            filt = EnSF(EnSFConfig(n_sde_steps=5), rng=seed)
-            result = run_osse(
-                model, model, filt, operator, truth0, config, recorder=recorder
-            )
-            # each run reports only its own cycles even on a shared recorder
-            assert result.timing["analysis"]["count"] == 2
-        assert recorder.counts()["analysis"] == 4

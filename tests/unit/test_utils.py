@@ -1,5 +1,6 @@
-"""Unit tests for repro.utils (random streams, grid geometry, spectra, env-knob census)."""
+"""Unit tests for repro.utils (random streams, grid geometry, spectra, bench JSON, env-knob census)."""
 
+import json
 import re
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from repro.utils.random import (
     sample_from_catalogue,
     split_rng,
 )
+from repro.utils import write_bench_json
 from repro.utils.spectra import isotropic_spectrum, kinetic_energy_spectrum, spectral_slope
 
 
@@ -182,6 +184,16 @@ class TestSpectra:
     def test_isotropic_spectrum_requires_2d(self):
         with pytest.raises(ValueError):
             isotropic_spectrum(np.zeros(10))
+
+
+class TestBenchJson:
+    def test_write_bench_json(self, tmp_path):
+        path = tmp_path / "BENCH_test.json"
+        payload = write_bench_json(path, benchmark="unit", letkf={"speedup": 6.0})
+        assert json.loads(path.read_text(encoding="utf-8")) == payload
+        assert set(payload) == {"benchmark", "created_unix", "letkf"}
+        assert payload["benchmark"] == "unit"
+        assert payload["letkf"]["speedup"] == 6.0
 
 
 class TestKnobCensus:
