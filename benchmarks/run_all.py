@@ -10,8 +10,8 @@ Usage::
     python benchmarks/run_all.py <pytest args...>
 
 The default run refreshes ``BENCH_kernels.json`` (vectorized analysis
-kernels, plus the ``letkf_sharded`` serial-vs-sharded worker sweep at 64×64
-and 128×128) and ``BENCH_forecast.json`` (fused pseudo-spectral forecast
+kernels, the LETKF stride and assembly-block curves, the EnSF paths) and
+``BENCH_forecast.json`` (fused pseudo-spectral forecast
 engine plus the 128×128 paper-scale OSSE breakdown, read from the
 per-stage seconds on each ``CycleRecord``) at the repository root.  Both
 are written by :func:`repro.utils.write_bench_json` (see its module for the

@@ -25,8 +25,6 @@ Record layout (see :func:`repro.utils.write_bench_json` for the generic format):
       "benchmark": "analysis-kernels",
       "letkf": {grid, members, n_obs, cutoff_m, first_call_s, optimized_s,
                 geometry_build_s, cache_amortization, max_repeat_delta},
-      "letkf_sharded": {cases: [ ...per grid: serial_s + worker sweep... ],
-                        speedup_note},
       "letkf_stride_curve": {grid, members, cycles, cutoff_m, derived_stride,
                              rows: [ {stride, spacing_over_cutoff,
                              mean_analysis_rmse, analysis_s} ... ], note},
@@ -35,8 +33,6 @@ Record layout (see :func:`repro.utils.write_bench_json` for the generic format):
                                candidates: [ {budget_mib, block, derived,
                                workspace_mib, assembly_ms: {q1, median, q3}}
                                ... ]} ... ]},
-      "shard_payloads": {cases: [ ...per grid: shm-vs-pickle per-shard IPC
-                         bytes + wall time... ], note},
       "ensf":  {grid, members, sampler, n_sde_steps, optimized_s,
                 coupled_residual, max_repeat_delta},
       "ensf_cases": [ ...one row per (grid, sampler mode)... ],
@@ -52,7 +48,6 @@ reverse-SDE paths (the configuration of the e2e ``ensf_serial_64`` workload).
 
 import json
 import math
-import os
 import statistics
 import time
 from pathlib import Path
@@ -69,7 +64,6 @@ from repro.core.observations import IdentityObservation
 from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
 from repro.da.localization import LocalizationConfig, analysis_stride
-from repro.hpc.ensemble_parallel import EnsembleExecutor
 from repro.models.sqg import SQGModel, SQGParameters
 from repro.utils.grid import Grid2D
 from repro.utils import best_of, write_bench_json
@@ -79,9 +73,6 @@ RECORD_PATH = REPO_ROOT / "BENCH_kernels.json"
 
 N_MEMBERS = 20
 LETKF_GRID = (64, 64)
-LETKF_SHARD_GRIDS = ((64, 64), (128, 128))
-LETKF_SHARD_WORKERS = (1, 2, 4)
-LETKF_SWEEP_SHARD = 64
 LETKF_STRIDES = (1, 2, 4, 8)
 LETKF_STRIDE_CYCLES = 60
 ASSEMBLY_GRIDS = (32, 64, 128)
@@ -132,91 +123,6 @@ def _bench_letkf():
         "analysis_rmse": _rmse(new, truth),
         "max_repeat_delta": float(np.abs(first - new).max()),
     }
-
-
-def _bench_letkf_sharded():
-    """Serial batched kernel vs the column-sharded parallel solve stage.
-
-    Sweeps the executor worker count at 64×64 and 128×128 (the paper-scale
-    OSSE grid where the LETKF analysis dominates the fused forecast).  The
-    shard decomposition is worker-count independent, so besides the timings
-    the sweep asserts the reproducibility contract: bit-identical analyses
-    for every worker count and member-wise equivalence to the serial kernel.
-    """
-    rows = []
-    for shape in LETKF_SHARD_GRIDS:
-        grid = Grid2D(*shape)
-        rng = np.random.default_rng(2025)
-        ensemble = rng.standard_normal((N_MEMBERS, grid.size))
-        truth = rng.standard_normal(grid.size)
-        operator = IdentityObservation(grid.size, 1.0)
-        observation = operator.observe(truth, rng=rng)
-        # 64 of the 256 analysis-grid columns per shard: at the default
-        # shard_columns the whole analysis grid is one shard, run in-process.
-        config = LETKFConfig(
-            localization=LocalizationConfig(cutoff=2.0e6), shard_columns=LETKF_SWEEP_SHARD
-        )
-        letkf = LETKF(grid, config)
-
-        letkf.analyze(ensemble, observation, operator)  # build + cache geometry
-        t_serial, serial = best_of(
-            lambda: letkf.analyze(ensemble, observation, operator), repeats=2
-        )
-
-        worker_rows = []
-        reference_sharded = None
-        for n_workers in LETKF_SHARD_WORKERS:
-            with EnsembleExecutor(n_workers=n_workers) as executor:
-                # Warm-up spawns the pool workers (numpy import etc.) so the
-                # timed runs measure steady-state cycles.
-                letkf.analyze_parallel(ensemble, observation, operator, executor=executor)
-                t_sharded, sharded = best_of(
-                    lambda: letkf.analyze_parallel(
-                        ensemble, observation, operator, executor=executor
-                    ),
-                    repeats=2,
-                )
-            if reference_sharded is None:
-                reference_sharded = sharded
-            worker_rows.append(
-                {
-                    "n_workers": n_workers,
-                    "sharded_s": t_sharded,
-                    "speedup_vs_serial": t_serial / t_sharded,
-                    "bit_identical_to_n_workers_1": bool(
-                        np.array_equal(sharded, reference_sharded)
-                    ),
-                }
-            )
-        rows.append(
-            {
-                "grid": list(shape),
-                "members": N_MEMBERS,
-                "shard_columns": config.shard_columns,
-                "n_shards": math.ceil(
-                    letkf.geometry(operator).n_columns / config.shard_columns
-                ),
-                "serial_s": t_serial,
-                "max_member_delta_vs_serial": float(
-                    np.abs(serial - reference_sharded).max()
-                ),
-                "workers": worker_rows,
-            }
-        )
-
-    note = (
-        "worker sweep: the shard decomposition is fixed by shard_columns, so "
-        "results are bit-identical for every n_workers; wall time only "
-        "improves with real cores."
-    )
-    if (os.cpu_count() or 1) <= 1:
-        note += (
-            " This host exposes a single CPU, so the process pool adds "
-            "pickle/IPC overhead without parallel compute and the sharded "
-            "path cannot beat the serial kernel here; the sweep records the "
-            "overhead and the reproducibility contract."
-        )
-    return {"cases": rows, "speedup_note": note}
 
 
 def _bench_letkf_stride_curve():
@@ -345,89 +251,6 @@ def _bench_assembly_block_curve():
     }
 
 
-def _bench_shard_payloads():
-    """Shared-memory vs pickle shard transport for the sharded LETKF sweep.
-
-    The executor's shm transport replaces each large C-contiguous array in a
-    shard work-unit with a ~100-byte segment handle, collapsing per-shard IPC
-    from O(payload) to O(name); broadcast arrays (the full ensemble every
-    shard reads) are shipped as ONE segment instead of once per shard.  This
-    benchmark records the per-shard pickled bytes and wall time both ways and
-    asserts the transports are bit-identical.
-    """
-    from repro.hpc.shm import HAVE_SHM
-
-    if not HAVE_SHM:
-        return {"cases": [], "note": "multiprocessing.shared_memory unavailable"}
-
-    rows = []
-    for shape in LETKF_SHARD_GRIDS:
-        grid = Grid2D(*shape)
-        rng = np.random.default_rng(2025)
-        ensemble = rng.standard_normal((N_MEMBERS, grid.size))
-        truth = rng.standard_normal(grid.size)
-        operator = IdentityObservation(grid.size, 1.0)
-        observation = operator.observe(truth, rng=rng)
-        # A cut-off within a few grid lengths keeps the every-column path
-        # (stride 1), whose 1024-column shards are what the transport is for;
-        # at the default cut-off the analysis grid is one 0.5 MB shard.
-        letkf = LETKF(grid, LETKFConfig(localization=LocalizationConfig(cutoff=1.4 * grid.dx)))
-        letkf.analyze(ensemble, observation, operator)  # build + cache geometry
-        assert letkf.geometry(operator).stride == 1
-
-        per_transport = {}
-        for label, shm_on in (("shm", True), ("pickle", False)):
-            with EnsembleExecutor(
-                n_workers=2, shm_payloads=shm_on, payload_stats=True
-            ) as executor:
-                # Warm-up spawns the pool workers; timed runs are steady-state.
-                letkf.analyze_parallel(ensemble, observation, operator, executor=executor)
-                t_wall, analysis = best_of(
-                    lambda: letkf.analyze_parallel(
-                        ensemble, observation, operator, executor=executor
-                    ),
-                    repeats=2,
-                )
-                stats = executor.last_payload_stats
-            shipped = stats["job_bytes_shipped"]
-            per_transport[label] = {
-                "wall_s": t_wall,
-                "analysis": analysis,
-                "n_shards": stats["n_jobs"],
-                "per_shard_ipc_bytes_mean": float(np.mean(shipped)),
-                "per_shard_ipc_bytes_max": int(max(shipped)),
-                "total_ipc_bytes": int(sum(shipped)),
-                "shared_segment_bytes": stats["shared_segment_bytes"],
-                "n_segments": stats["n_segments"],
-                "n_handles": stats["n_handles"],
-            }
-        shm, pickle_ = per_transport["shm"], per_transport["pickle"]
-        rows.append(
-            {
-                "grid": list(shape),
-                "members": N_MEMBERS,
-                "bit_identical": bool(
-                    np.array_equal(shm.pop("analysis"), pickle_.pop("analysis"))
-                ),
-                "ipc_reduction": pickle_["total_ipc_bytes"] / shm["total_ipc_bytes"],
-                "shm": shm,
-                "pickle": pickle_,
-            }
-        )
-    note = (
-        "per-shard IPC bytes are the pickled work-unit size crossing the "
-        "process boundary; under shm the payload moves once through "
-        "/dev/shm segments (shared_segment_bytes) and each shard ships "
-        "~100-byte handles, so the reduction grows with grid size. "
-        "Wall-time parity mirrors the letkf_sharded speedup_note: with no "
-        "spare cores the pool measures transport overhead, not compute. "
-        "Measured on the every-column path (cut-off 1.4 dx, stride 1): at "
-        "the default cut-off the LETKF solves a 16x16 analysis grid, one "
-        "shard below the shm threshold."
-    )
-    return {"cases": rows, "note": note}
-
-
 def _ensf_problem(shape):
     grid = Grid2D(*shape)
     rng = np.random.default_rng(7)
@@ -543,10 +366,8 @@ def _bench_ensf_paths():
 @pytest.fixture(scope="module")
 def kernel_record():
     letkf = _bench_letkf()
-    letkf_sharded = _bench_letkf_sharded()
     letkf_stride_curve = _bench_letkf_stride_curve()
     assembly_block_curve = _bench_assembly_block_curve()
-    shard_payloads = _bench_shard_payloads()
     cases = [
         _bench_ensf_case(shape, stochastic)
         for shape in ENSF_GRIDS
@@ -561,10 +382,8 @@ def kernel_record():
         benchmark="analysis-kernels",
         array_backend=default_backend_name(),
         letkf=letkf,
-        letkf_sharded=letkf_sharded,
         letkf_stride_curve=letkf_stride_curve,
         assembly_block_curve=assembly_block_curve,
-        shard_payloads=shard_payloads,
         ensf=ensf,
         ensf_cases=cases,
         ensf_paths=ensf_paths,
@@ -585,26 +404,6 @@ def test_letkf_batched_steady_state(kernel_record, report):
     # host-dependent magnitude.)
     assert row["max_repeat_delta"] == 0.0
     assert row["cache_amortization"] >= 1.05
-
-
-def test_letkf_sharded_worker_sweep(kernel_record, report):
-    sharded = kernel_record["letkf_sharded"]
-    lines = []
-    for row in sharded["cases"]:
-        for wrow in row["workers"]:
-            lines.append(
-                f"{row['grid'][0]}x{row['grid'][1]} n_workers={wrow['n_workers']}: "
-                f"{wrow['speedup_vs_serial']:.2f}x vs serial "
-                f"(serial {row['serial_s']:.4f}s, sharded {wrow['sharded_s']:.4f}s)"
-            )
-    report("LETKF column-sharded analysis (worker sweep, M=20)", lines)
-    for row in sharded["cases"]:
-        # Reproducibility contract: identical for every worker count and
-        # member-wise equivalent to the serial batched kernel.  No speedup
-        # floor — the recorded hosts are single-core (see speedup_note).
-        assert row["max_member_delta_vs_serial"] < 1.0e-10
-        for wrow in row["workers"]:
-            assert wrow["bit_identical_to_n_workers_1"]
 
 
 def test_letkf_stride_accuracy_curve(kernel_record, report):
@@ -651,31 +450,6 @@ def test_assembly_block_curve_backs_the_constant(kernel_record, report):
         # No slower than the unblocked assembly beyond the host's spread.
         assert derived["assembly_ms"]["median"] <= 1.2 * timing[None]["median"]
     assert curve["selected"] == letkf_mod._ASSEMBLY_BYTES and curve["host"]
-
-
-def test_shard_payload_transport(kernel_record, report):
-    payloads = kernel_record["shard_payloads"]
-    if not payloads["cases"]:
-        pytest.skip(payloads["note"])
-    lines = []
-    for row in payloads["cases"]:
-        lines.append(
-            f"{row['grid'][0]}x{row['grid'][1]}: per-shard IPC "
-            f"{row['pickle']['per_shard_ipc_bytes_mean']:.0f} B (pickle) -> "
-            f"{row['shm']['per_shard_ipc_bytes_mean']:.0f} B (shm), "
-            f"{row['ipc_reduction']:.0f}x less; wall "
-            f"{row['pickle']['wall_s']:.4f}s -> {row['shm']['wall_s']:.4f}s"
-        )
-    report("LETKF shard payload transport (shm vs pickle, M=20)", lines)
-    for row in payloads["cases"]:
-        assert row["bit_identical"]
-        # O(payload) -> O(name): handles really replaced the big arrays and
-        # the bytes crossing the process boundary collapsed accordingly.
-        assert row["shm"]["n_handles"] > 0
-        assert row["shm"]["shared_segment_bytes"] > 0
-        assert row["ipc_reduction"] > 5.0
-        assert row["shm"]["total_ipc_bytes"] < row["pickle"]["total_ipc_bytes"]
-    assert payloads["note"]
 
 
 def test_ensf_fused_reproducibility(kernel_record, report):

@@ -117,18 +117,14 @@ class EnsembleFilter(ABC):
         forecast_ensemble: np.ndarray,
         observation: np.ndarray,
         operator: ObservationOperator,
-        executor=None,
     ) -> np.ndarray:
-        """Analysis update with optional intra-analysis parallelism.
+        """The analysis call the cycle engine makes: :meth:`analyze`, unchanged.
 
-        ``executor`` is an :class:`repro.hpc.ensemble_parallel.EnsembleExecutor`
-        (or ``None``).  Filters whose update decomposes into independent
-        work-units override this to shard the work across the executor's
-        process pool — e.g. the LETKF's local column analyses.  The default
-        implementation ignores the executor and runs :meth:`analyze`
-        in-process, so the OSSE driver can pass its executor unconditionally.
-        Overrides must produce results bit-identical to :meth:`analyze`
-        for every executor and worker count.
+        No filter overrides it.  It stays a separate method so a caller can
+        wrap the engine's analysis span without touching ``analyze`` itself,
+        which filters also call internally: the end-to-end benchmark
+        (``benchmarks/e2e/osse.py``) shadows it on the filter instance to
+        time each cycle's analysis.
         """
         return self.analyze(forecast_ensemble, observation, operator)
 

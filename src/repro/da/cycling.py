@@ -204,12 +204,8 @@ def run_osse(
         Optional pre-built initial ensemble of shape ``(m, d)``.
     executor:
         Optional :class:`~repro.hpc.ensemble_parallel.EnsembleExecutor`.  The
-        ensemble forecast is member-sharded over its process pool, and the
-        analysis section routes through
-        :meth:`~repro.core.filters.EnsembleFilter.analyze_parallel`, so
-        filters with a parallel decomposition (the LETKF's column-sharded
-        solve stage) use the same pool; filters without one fall back to
-        their serial ``analyze``.  All parallel paths are worker-count
+        ensemble forecast is member-sharded over its process pool; the
+        filter's analysis runs in-process.  The forecast is worker-count
         invariant, so results never depend on the executor layout.
     label:
         Name recorded in the result (e.g. ``"SQG+LETKF"``).

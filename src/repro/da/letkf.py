@@ -21,8 +21,7 @@ One local-solve pipeline, on an analysis grid
 The ensemble-space transform of a column varies on the localization scale
 (``cutoff``), not the grid scale, so — as in operational LETKFs (Yang,
 Kalnay, Hunt & Bowler 2009, QJRMS 135; KENDA) — it is solved on a coarser
-**analysis grid** and interpolated.  :meth:`LETKF.analyze` and
-:meth:`LETKF.analyze_parallel` are the same six steps:
+**analysis grid** and interpolated.  :meth:`LETKF.analyze` runs six steps:
 
 1. **global statistics** (means, perturbations, innovation), computed once
    on the host by :meth:`LETKF._update_statistics`;
@@ -34,14 +33,15 @@ Kalnay, Hunt & Bowler 2009, QJRMS 135; KENDA) — it is solved on a coarser
    never configured.  A :class:`~repro.da.localization.LocalAnalysisGeometry`
    (cached across cycles) describes the analysis-grid columns only;
 3. **the shard list**: the analysis-grid columns cut into contiguous runs of
-   ``config.shard_columns`` — a function of the grid only, never of the
-   executor or its worker count;
-4. **one kernel per assembly mode**, run once per shard on device-resident
-   arrays: :func:`_solve_convolution` takes the shard's columns of a global
-   circular FFT convolution (uniform observation errors, ``min_weight ==
-   0``), whose spectrum is folded onto the analysis grid before the inverse;
-   it runs one cache-sized block of channels at a time, through buffers
-   that persist across cycles (:meth:`LETKF._convolution_channels`).
+   ``config.shard_columns`` — a function of the grid only, which bounds the
+   stacked-``eigh`` workspace;
+4. **one kernel per assembly mode**, run in-process once per shard on
+   device-resident arrays: :func:`_solve_convolution` takes the shard's
+   columns of a global circular FFT convolution (uniform observation
+   errors, ``min_weight == 0``), whose spectrum is folded onto the
+   analysis grid before the inverse; it runs one cache-sized block of
+   channels at a time, through buffers that persist across cycles
+   (:meth:`LETKF._convolution_channels`).
    :func:`_solve_grouped` gathers the shard's precomputed footprints (a
    :class:`~repro.da.localization.GeometryBlock`).  Both end in
    :func:`solve_local_batch`, a stacked ``eigh`` over ``(n, m, m)`` tensors,
@@ -59,16 +59,14 @@ Mean analysis RMSE against the stride (64² SQG, 20 members, 60 cycles; the
 rule picks 4): 0.02776 / 0.02767 / 0.02738 / 0.02711 K at ``s`` = 1 / 2 / 4 /
 8 (``letkf_stride_curve`` in ``BENCH_kernels.json``).
 
-With ``executor=None`` the parent runs step 4 in-process on slices of
-statistics it uploaded once.  With an
-:class:`~repro.hpc.ensemble_parallel.EnsembleExecutor` the shards go through
-``map_blocks``, all a *worker entry point* (:func:`_solve_shard_convolution`,
-:func:`_solve_shard_grouped`) adds is upload → the same kernel → download,
-and the parent interpolates.  Every analysis column is an independent problem
-fed the same numbers whichever route delivered them, and a state column's
+The shards run in the calling process on slices of statistics uploaded
+once.  The paper's column decomposition is not shipped to a process pool:
+on the hosts measured (``letkf_sharded`` in ``BENCH_kernels.json``),
+shipping shards has not measurably beaten running the same shards here.
+Every analysis column is an independent problem, and a state column's
 weights are an elementwise function of its four neighbours', so any
-``shard_columns`` / ``block_columns`` / executor layout gives the same bits,
-by construction rather than by tolerance.
+``shard_columns`` / ``block_columns`` layout gives the same bits, by
+construction rather than by tolerance.
 """
 
 from __future__ import annotations
@@ -231,39 +229,6 @@ def _solve_grouped(groups, y_sub_t, innov_sub, n_block, max_batch, xp):
     return weights
 
 
-def _solve_shard_convolution(args) -> np.ndarray:
-    """Worker entry point: upload one shard, :func:`_solve_convolution`, download.
-
-    The shard's channels move to the worker's device **once** (and the
-    weights move back once) — the per-column work inside never touches the
-    host, which the mock-device transfer counters assert in the tests.
-    """
-    conv_block, n_members, backend = args
-    xp = resolve_backend(backend)
-    return xp.to_host(_solve_convolution(xp.to_device(conv_block), n_members, xp))
-
-
-def _solve_shard_grouped(args) -> np.ndarray:
-    """Worker entry point: upload one shard, :func:`_solve_grouped`, download.
-
-    Device transfers happen once per shard input plus once per footprint
-    group (the geometry tensors arrive with the job) — never inside the
-    per-column batch loop.
-    """
-    groups, y_sub_t, innov_sub, n_block, max_batch, backend = args
-    xp = resolve_backend(backend)
-    return xp.to_host(
-        _solve_grouped(
-            tuple(group.to_device(xp) for group in groups),
-            xp.to_device(y_sub_t),
-            xp.to_device(innov_sub),
-            n_block,
-            max_batch,
-            xp,
-        )
-    )
-
-
 # The convolution assembly runs one contiguous block of channels at a time,
 # as many as fit, with their spectrum, in this many bytes: 15 of a 20-member
 # ensemble's 230 channels at 128², 63 at 64², all 230 at 32².  Every channel
@@ -347,14 +312,13 @@ class LETKFConfig:
         tensors, whose size depends on the footprint.
     shard_columns:
         Number of contiguous analysis-grid columns per shard — the unit the
-        local solves run over, in-process and on a pool alike, and therefore
-        the bound on the stacked-``eigh`` workspace.  The shard list is a
-        function of the grid only, never of the executor.
+        local solves run over, and therefore the bound on the
+        stacked-``eigh`` workspace.  The shard list is a function of the
+        grid only.
     backend:
         Array backend name for the shard kernels
         (``None`` = the ``REPRO_ARRAY_BACKEND`` process default).  The
-        numpy backend is bit-identical to the pre-shim kernels; the name is
-        what ships to pool workers, which resolve their own backend handle.
+        numpy backend is bit-identical to the pre-shim kernels.
     """
 
     localization: LocalizationConfig = field(default_factory=LocalizationConfig)
@@ -506,28 +470,8 @@ class LETKF(EnsembleFilter):
         observation: np.ndarray,
         operator: ObservationOperator,
     ) -> np.ndarray:
-        return self.analyze_parallel(forecast_ensemble, observation, operator)
-
-    def analyze_parallel(
-        self,
-        forecast_ensemble: np.ndarray,
-        observation: np.ndarray,
-        operator: ObservationOperator,
-        executor=None,
-    ) -> np.ndarray:
-        """The analysis pipeline (see the module docstring), on any layout.
-
-        ``executor=None`` runs the shard kernels in-process on slices of
-        device-resident statistics; an executor maps the same shards over
-        its process pool via :meth:`EnsembleExecutor.map_blocks`.  Either
-        way — and for every worker count — the result is bit-identical.
-
-        Shard payloads ride the executor's transport: where shared memory
-        is available the large per-shard slices cross the process boundary
-        as ~100-byte segment handles rather than per-shard pickles (see
-        :mod:`repro.hpc.shm`), which is transparent here — workers copy
-        out on attach.
-        """
+        """The analysis pipeline (see the module docstring): the shard
+        kernels run in-process on slices of device-resident statistics."""
         forecast_ensemble = self._validate(forecast_ensemble)
         observation = np.asarray(observation, dtype=float)
 
@@ -544,23 +488,17 @@ class LETKF(EnsembleFilter):
             for start in range(0, geometry.n_columns, shard)
         ]
 
-        # Shard inputs live where the kernels read them: on this process's
-        # device in-process, on the host when they ship to pool workers.
-        in_process = executor is None
-        stage = xp.to_device if in_process else np.asarray
         if geometry.mode == "convolution":
-            kernel, worker_entry = _solve_convolution, _solve_shard_convolution
-            # The circular convolution is global: it runs once, on this
-            # process's device, and each shard takes its columns' rows.
+            kernel = _solve_convolution
+            # The circular convolution is global: it runs once, and each
+            # shard takes its columns' rows.
             conv = self._convolution_channels(y_pert, innovation, geometry, n_members)
-            if not in_process:
-                conv = xp.to_host(conv)
             jobs = ((conv[a:b], n_members) for a, b in bounds)
         else:
-            kernel, worker_entry = _solve_grouped, _solve_shard_grouped
-            y_t = stage(np.ascontiguousarray(y_pert.T))  # (n_obs, m)
-            innovation = stage(innovation)
-            blocks = (geometry.block(a, b, xp if in_process else None) for a, b in bounds)
+            kernel = _solve_grouped
+            y_t = xp.to_device(np.ascontiguousarray(y_pert.T))  # (n_obs, m)
+            innovation = xp.to_device(innovation)
+            blocks = (geometry.block(a, b, xp) for a, b in bounds)
             jobs = (
                 (
                     block.groups,
@@ -572,12 +510,8 @@ class LETKF(EnsembleFilter):
                 for block in blocks
             )
 
-        # The jobs are lazy, so in-process only one shard's gather is alive.
-        if in_process:
-            weights = xp.concatenate([kernel(*job, xp) for job in jobs], axis=0)
-        else:
-            shards = executor.map_blocks(worker_entry, [(*job, xp.name) for job in jobs])
-            weights = xp.to_device(np.concatenate(shards, axis=0))
+        # The jobs are lazy, so only one shard's gather is alive at a time.
+        weights = xp.concatenate([kernel(*job, xp) for job in jobs], axis=0)
 
         # Column-major prior, member axis last: (n_columns, nlev, m).
         local_pert = xp.to_device(

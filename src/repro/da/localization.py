@@ -178,7 +178,7 @@ class GeometryBlock:
     This is the geometry of one LETKF shard (see
     :meth:`LocalAnalysisGeometry.column_block`): it carries only what is
     needed to assemble and solve the local systems of columns
-    ``[start, stop)``, so its groups pickle cheaply to pool processes.
+    ``[start, stop)``.
 
     Attributes
     ----------
@@ -189,9 +189,8 @@ class GeometryBlock:
     obs_subset:
         Grouped mode: sorted indices into the *full* observation vector of
         the observations appearing in any footprint of this block (what the
-        parent gathers from ``y_pert``/``innovation`` for the worker);
-        ``None`` in convolution mode, where assembly is a global FFT
-        performed by the parent.
+        shard gathers from ``y_pert``/``innovation``); ``None`` in
+        convolution mode, where assembly is one global FFT.
     groups:
         Grouped mode: :class:`FootprintGroup` slices with ``columns``
         shifted block-local and ``obs_indices`` remapped into
@@ -412,12 +411,12 @@ class LocalAnalysisGeometry:
         The returned :class:`GeometryBlock` is self-contained: in grouped
         mode the footprint rows of the block's columns are extracted, their
         observation indices remapped onto the block's own (sorted, unique)
-        ``obs_subset``, and the column indices shifted block-local, so a
-        worker needs only ``y_pert[:, obs_subset]`` and
+        ``obs_subset``, and the column indices shifted block-local, so the
+        shard kernel needs only ``y_pert[:, obs_subset]`` and
         ``innovation[obs_subset]`` alongside the block.  In convolution mode
         the per-column systems come from a *global* circular convolution, so
-        the block carries no geometry payload (the parent assembles and
-        ships the convolved channels instead).
+        the block carries no geometry payload (each shard takes its rows of
+        the convolved channels instead).
         """
         if not 0 <= start < stop <= self.n_columns:
             raise ValueError(

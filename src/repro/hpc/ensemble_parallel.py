@@ -1,28 +1,28 @@
 """Ensemble-parallel execution of forecasts and analyses.
 
 The paper parallelises the EnSF over the ensemble dimension because it
-"incurs minimal communication overhead" (§III-A3) and the LETKF over its
-independent local column analyses.  This module provides both decompositions
-on a workstation: work-units (member slices for forecasts/EnSF, column
-blocks for the LETKF solve stage via :meth:`EnsembleExecutor.map_blocks`)
-are processed by a persistent pool of worker processes (or serially when
-``n_workers == 1``) and the results are gathered in order — the local
-equivalent of the per-rank work plus final MPI gather of the paper's
-implementation.
+"incurs minimal communication overhead" (§III-A3).  This module provides
+that decomposition on a workstation: member slices (forecasts and EnSF
+analyses) are processed by a persistent pool of worker processes (or
+serially when ``n_workers == 1``) and the results are gathered in order —
+the local equivalent of the per-rank work plus final MPI gather of the
+paper's implementation.  The pool also runs whole experiment-service
+attempts (:meth:`EnsembleExecutor.run_task`).  The LETKF's independent
+column solves run in-process (:class:`~repro.da.letkf.LETKF`): shipping
+them has not beaten the same shards in the parent on the hosts measured.
 
 Reproducibility contract: every parallel path must be **worker-count
 invariant** — the gathered result is bit-identical for any ``n_workers``
 (including the serial in-process fallback).  For the EnSF this is achieved
 by spawning one seed per *member* from a single root
 :class:`numpy.random.SeedSequence` and drawing member-wise streams
-(:class:`~repro.utils.random.MemberStreams`); for the LETKF by decomposing
-the columns into fixed-size shards that do not depend on the worker count.
+(:class:`~repro.utils.random.MemberStreams`); a forecast chunk is a pure
+function of its members, so any slicing gives the same bits.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import threading
 import time
@@ -31,7 +31,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
-from repro.hpc.shm import HAVE_SHM, SharedPayloadArena, count_handles, resolve_payloads
+from repro.hpc.shm import HAVE_SHM, SharedPayloadArena, resolve_payloads
 from repro.utils.faults import FaultInjected, FaultLog, FaultPlan
 
 __all__ = [
@@ -52,6 +52,11 @@ class ShardRetryError(RuntimeError):
 
 # How often an idle pool worker checks that the process owning the pool lives.
 _ORPHAN_POLL_S = 0.5
+
+# Arrays of at least this many bytes inside a shipped work-unit cross to the
+# workers through shared memory (when the platform has it); smaller ones ride
+# the pickle, where the pipe is already cheaper than a segment round-trip.
+_SHM_MIN_BYTES = 1 << 18
 
 
 def _worker_init(owner_pid: int) -> None:
@@ -84,9 +89,6 @@ def _guarded_call(fn, job, fault, parent_pid: int):
     array) before ``fn`` ever sees the job, so worker functions are
     transport-agnostic: they receive exactly the arrays a pickled payload
     would have delivered, whichever path shipped them.
-
-    Returns ``(result, seconds inside fn)`` — what the work-unit would have
-    cost in the parent (see :meth:`EnsembleExecutor._cheaper_in_process`).
     """
     if fault is not None:
         if fault.kind == "worker-crash":
@@ -95,26 +97,7 @@ def _guarded_call(fn, job, fault, parent_pid: int):
             raise FaultInjected("injected worker crash (serial in-process shard)")
         elif fault.kind == "task-hang":
             time.sleep(float(fault.payload.get("hang_s", 0.25)))
-    job = resolve_payloads(job)
-    start = time.perf_counter()
-    result = fn(job)
-    return result, time.perf_counter() - start
-
-
-def _describe(obj):
-    """What a work-unit says about its cost: array shapes, integer counts,
-    and the type name of anything else."""
-    if isinstance(obj, np.ndarray):
-        return obj.shape
-    if isinstance(obj, (tuple, list)):
-        return tuple(_describe(v) for v in obj)
-    return int(obj) if isinstance(obj, (int, np.integer)) else type(obj).__name__
-
-
-def _work_key(fn, jobs) -> tuple:
-    """Identity of a recurring gather: entry point, job count, and what the
-    first work-unit says about its cost (:func:`_describe`)."""
-    return (getattr(fn, "__qualname__", repr(fn)), len(jobs), _describe(jobs[0]))
+    return fn(resolve_payloads(job))
 
 
 def _swap_payloads(obj, names: list, arena, memo: dict, shareable):
@@ -193,27 +176,30 @@ class EnsembleExecutor:
     workers and rebuild them there on first use, so shipping a model per
     chunk stays cheap.
 
-    **Placement.**  A gather's job list is always built the same way; only
-    *where* it runs is decided.  The first gather of a kind (entry point +
-    work-unit shapes) is shipped and its workers report their compute time;
-    from then on it runs in the parent, through the ``n_workers=1`` path,
-    whenever its jobs back to back would have beaten the shipped gather
-    (:meth:`_cheaper_in_process`; ledger in :attr:`placements`).  Serial,
-    in-process and pool runs of one job list are bit-identical, and a
-    fault-carrying attempt is always shipped, so neither results nor
-    fault-site numbering depend on placement.
+    **Routing.**  A gather's route is set by its worker count alone: one
+    worker (``n_workers == 1``, a single job, or an ensemble too small to
+    split) runs the jobs in-process, anything wider ships them to the pool.
+    The job list never depends on the route, and serial and pool runs of
+    one job list are bit-identical.
+
+    Large read-only arrays inside shipped work-units (at least
+    ``_SHM_MIN_BYTES``, 256 KiB) cross through
+    :mod:`multiprocessing.shared_memory` segments instead of per-shard
+    pickles whenever the platform has shared memory (``HAVE_SHM``); smaller
+    arrays, platforms without it and a gather whose segments could not be
+    created keep pickling.  Workers copy the bytes out before computing,
+    so results are bit-identical to pickle transport by construction;
+    in-process gathers never touch shared memory.
 
     Parameters
     ----------
     n_workers:
         Number of worker processes; defaults to the CPU count (capped at 8 to
         stay friendly on shared machines).  ``1`` disables multiprocessing
-        and runs serially in-process, which is also where a measured gather
-        runs once shipping it has been seen not to pay (see *Placement*).
+        and runs serially in-process.
     min_members_per_worker:
-        Shapes the decomposition only: an ensemble is split into at most
-        ``n_members // min_members_per_worker`` chunks.  Whether the chunks
-        are worth shipping is measured, not inferred from this number.
+        Shapes the decomposition: an ensemble is split into at most
+        ``n_members // min_members_per_worker`` chunks (at least 1).
     max_retries:
         How many times a failed shard batch is recomputed before
         :class:`ShardRetryError`.  Only *infrastructure* failures are
@@ -233,7 +219,8 @@ class EnsembleExecutor:
         Optional seed for the dedicated backoff rng (default: fresh OS
         entropy).  Only timing is affected — results never depend on it.
     task_deadline_s:
-        Wall-clock budget for one gather attempt on the pool.  Shards still
+        Wall-clock budget (positive, or ``None`` for none) for one gather
+        attempt on the pool.  Shards still
         running when it expires are treated as hung: the pool is terminated,
         rebuilt, and the shards recomputed (serial in-process shards cannot
         be interrupted, so the deadline only applies to pool runs).
@@ -242,19 +229,6 @@ class EnsembleExecutor:
         plan defaults to ``FaultPlan.from_env()`` (the ``REPRO_FAULT_PLAN``
         variable, usually unset); every recovery the executor performs is
         appended to the log.
-    shm_payloads / shm_min_bytes:
-        Ship large read-only arrays inside work-units through
-        :mod:`multiprocessing.shared_memory` segments instead of pickling
-        them per shard (default on; arrays below ``shm_min_bytes`` — 256 KiB
-        — keep riding the pickle, where the pipe is already cheaper than a
-        segment round-trip).  Workers copy the bytes out before computing,
-        so results are bit-identical to pickle transport by construction;
-        serial in-process gathers never touch shared memory.
-    payload_stats:
-        When true, each gather records a transport breakdown (pickled bytes
-        per shipped work-unit vs. the raw equivalent, shared-segment bytes)
-        in :attr:`last_payload_stats` — benchmark instrumentation, off by
-        default because measuring the raw pickle costs the copy it avoids.
     """
 
     def __init__(
@@ -267,16 +241,19 @@ class EnsembleExecutor:
         fault_plan: FaultPlan | None = None,
         fault_log: FaultLog | None = None,
         backoff_seed: int | None = None,
-        shm_payloads: bool = True,
-        shm_min_bytes: int = 1 << 18,
-        payload_stats: bool = False,
     ):
         if n_workers is None:
             n_workers = min(8, os.cpu_count() or 1)
         if n_workers < 1:
             raise ValueError("n_workers must be positive")
+        if min_members_per_worker < 1:
+            raise ValueError("min_members_per_worker must be positive")
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
+        if retry_backoff_s < 0:
+            raise ValueError("retry_backoff_s must be non-negative")
+        if task_deadline_s is not None and task_deadline_s <= 0:
+            raise ValueError("task_deadline_s must be positive (or None)")
         self.n_workers = int(n_workers)
         self.min_members_per_worker = int(min_members_per_worker)
         self.max_retries = int(max_retries)
@@ -284,10 +261,6 @@ class EnsembleExecutor:
         self.task_deadline_s = None if task_deadline_s is None else float(task_deadline_s)
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
         self.fault_log = fault_log if fault_log is not None else FaultLog()
-        self.shm_payloads = bool(shm_payloads) and HAVE_SHM
-        self.shm_min_bytes = int(shm_min_bytes)
-        self.payload_stats = bool(payload_stats)
-        self.last_payload_stats: dict | None = None
         # Dedicated, non-experiment rng for backoff jitter (see class doc).
         self._backoff_rng = np.random.default_rng(backoff_seed)
         self._backoff_lock = threading.Lock()
@@ -302,9 +275,6 @@ class EnsembleExecutor:
         # set is the close()-time backstop).
         self._arena_lock = threading.Lock()
         self._arenas: set[SharedPayloadArena] = set()
-        # Work key -> what its shipped gathers cost (see _cheaper_in_process).
-        self._placement_lock = threading.Lock()
-        self._placements: dict[tuple, dict] = {}
 
     # ------------------------------------------------------------------ #
     def _effective_workers(self, n_members: int) -> int:
@@ -373,13 +343,13 @@ class EnsembleExecutor:
         failed, error = [], None
         for idx in pending:
             try:
-                results[idx], _ = _guarded_call(fn, jobs[idx], faults.get(idx), os.getpid())
+                results[idx] = _guarded_call(fn, jobs[idx], faults.get(idx), os.getpid())
             except _RETRYABLE as exc:
                 failed.append(idx)
                 error = exc
         return failed, error
 
-    def _attempt_pool(self, fn, jobs, results, seconds, pending, faults, workers, on_success):
+    def _attempt_pool(self, fn, jobs, results, pending, faults, workers, on_success):
         """One pool attempt over ``pending``, at most ``workers`` shards in flight.
 
         A shard is submitted only while fewer than ``workers`` are in flight
@@ -388,8 +358,7 @@ class EnsembleExecutor:
         results — is never touched.  ``task_deadline_s`` bounds the whole
         attempt; if it expires with shards still running they are treated as
         hung.  ``on_success`` fires per completed shard (the gather uses it to
-        release that shard's shared-memory payloads early); ``seconds``
-        receives each completed shard's compute time.
+        release that shard's shared-memory payloads early).
         """
         pool = self._acquire_pool()
         parent_pid = os.getpid()
@@ -429,7 +398,7 @@ class EnsembleExecutor:
                 idx = inflight.pop(fut)
                 exc = fut.exception()
                 if exc is None:
-                    results[idx], seconds[idx] = fut.result()
+                    results[idx] = fut.result()
                     on_success(idx)
                 elif isinstance(exc, _RETRYABLE):
                     failed.append(idx)
@@ -462,48 +431,13 @@ class EnsembleExecutor:
         return self.retry_backoff_s * (2 ** (attempt - 1)) * jitter
 
     # ------------------------------------------------------------------ #
-    # Placement: ship a gather to the pool, or run it here
-    def _cheaper_in_process(self, key: tuple, workers: int) -> bool:
-        """Would running this gather's jobs back to back here beat shipping it?
-
-        With ``c`` the summed worker-side compute and ``o`` the dispatch
-        overhead of its shipped runs (smallest seen, so contention inflates
-        neither), shipping over ``workers`` processes costs about
-        ``c / workers + o`` and running here ``c``.  Unknown work is shipped:
-        that measures it without ever running big work in the parent.
-        """
-        with self._placement_lock:
-            seen = self._placements.get(key)
-            if seen is None or seen["compute_s"] is None:
-                return False
-            return seen["compute_s"] * (1.0 - 1.0 / workers) <= seen["overhead_s"]
-
-    def _record_placement(self, key: tuple, where: str, measured=None) -> None:
-        with self._placement_lock:
-            seen = self._placements.setdefault(
-                key, {"shipped": 0, "in_process": 0, "compute_s": None, "overhead_s": None}
-            )
-            seen[where] += 1
-            if measured is not None:
-                for name, value in zip(("compute_s", "overhead_s"), measured):
-                    seen[name] = value if seen[name] is None else min(seen[name], value)
-
-    @property
-    def placements(self) -> dict[tuple, dict]:
-        """Per work key: attempts ``shipped`` / run ``in_process``, and the
-        ``compute_s`` / ``overhead_s`` measured on its shipped gathers (``None``
-        until one completed).  A copy; :meth:`close` clears the ledger."""
-        with self._placement_lock:
-            return {key: dict(seen) for key, seen in self._placements.items()}
-
-    # ------------------------------------------------------------------ #
     # Shared-memory payload transport
     def _shareable(self, obj) -> bool:
         return (
             isinstance(obj, np.ndarray)
             and not obj.dtype.hasobject
             and obj.flags["C_CONTIGUOUS"]
-            and obj.nbytes >= self.shm_min_bytes
+            and obj.nbytes >= _SHM_MIN_BYTES
         )
 
     def _prepare_payloads(self, jobs):
@@ -530,26 +464,9 @@ class EnsembleExecutor:
             raise
         return arena, shipped, names_per_job
 
-    def _record_payload_stats(self, jobs, shipped, arena, workers) -> None:
-        proto = pickle.HIGHEST_PROTOCOL
-        segment_bytes = 0
-        if arena is not None:
-            with arena._lock:
-                segment_bytes = sum(entry[0].size for entry in arena._segments.values())
-        self.last_payload_stats = {
-            "transport": (
-                "serial" if workers == 1 else ("shm" if arena is not None else "pickle")
-            ),
-            "n_jobs": len(jobs),
-            "job_bytes_raw": [len(pickle.dumps(j, protocol=proto)) for j in jobs],
-            "job_bytes_shipped": [len(pickle.dumps(j, protocol=proto)) for j in shipped],
-            "shared_segment_bytes": int(segment_bytes),
-            "n_segments": 0 if arena is None else len(arena),
-            "n_handles": sum(count_handles(j) for j in shipped),
-        }
-
     def _gather(self, fn, jobs, workers: int) -> list:
-        """Run ``jobs`` (here or on the pool), retrying failed shards.
+        """Run ``jobs`` (in-process when ``workers == 1``, else on the pool),
+        retrying failed shards.
 
         Results are returned in job order.  Failed shards are recomputed with
         jittered exponential backoff up to ``max_retries`` extra attempts;
@@ -560,26 +477,20 @@ class EnsembleExecutor:
         at once, never the decomposition, which the caller fixes before this
         method runs.
 
-        Pool gathers with shm enabled ship large arrays through a
-        per-gather :class:`~repro.hpc.shm.SharedPayloadArena`; segments are
+        Pool gathers on a platform with shared memory ship large arrays
+        through a per-gather :class:`~repro.hpc.shm.SharedPayloadArena`; segments are
         refcount-released as their shards succeed and the arena is drained
         unconditionally in the ``finally`` below, so neither failures nor
         retries can leak ``/dev/shm`` segments.  Retried shards re-read the
         still-retained segments — the recompute sees the same bytes.
         """
-        # One worker leaves nothing to place (key None); otherwise the gather
-        # runs here once its shipped runs have shown that to be cheaper.
-        key = _work_key(fn, jobs) if workers > 1 else None
-        here = key is None or self._cheaper_in_process(key, workers)
         arena, shipped = None, jobs
         names_per_job: list[list[str]] | None = None
-        if not here and self.shm_payloads:
+        if workers > 1 and HAVE_SHM:
             try:
                 arena, shipped, names_per_job = self._prepare_payloads(jobs)
             except Exception:
                 arena, shipped, names_per_job = None, jobs, None  # pickle fallback
-        if self.payload_stats:
-            self._record_payload_stats(jobs, shipped, arena, 1 if here else workers)
         if arena is not None:
             with self._arena_lock:
                 self._arenas.add(arena)
@@ -591,28 +502,16 @@ class EnsembleExecutor:
 
         try:
             results: list = [None] * len(jobs)
-            seconds = [0.0] * len(jobs)
             pending = list(range(len(jobs)))
             attempt = 0
             while True:
                 faults = self._faults_for(pending)
-                # An injected worker fault always meets a worker, so the
-                # site numbering and the recovery ledger ignore placement.
-                where, measured = "in_process", None
-                if here and (key is None or not faults):
+                if workers == 1:
                     failed, error = self._attempt_serial(fn, jobs, results, pending, faults)
                 else:
-                    where, start = "shipped", time.perf_counter()
                     failed, error = self._attempt_pool(
-                        fn, shipped, results, seconds, pending, faults, workers, on_success
+                        fn, shipped, results, pending, faults, workers, on_success
                     )
-                    wall = time.perf_counter() - start
-                    if not failed and len(pending) == len(jobs):
-                        compute = sum(seconds)
-                        ideal = max(compute / workers, max(seconds))
-                        measured = (compute, max(0.0, wall - ideal))
-                if key is not None:
-                    self._record_placement(key, where, measured)
                 if not failed:
                     return results
                 attempt += 1
@@ -655,7 +554,6 @@ class EnsembleExecutor:
                 pool.shutdown()
             except (OSError, RuntimeError):
                 pass  # workers already gone / interpreter shutting down
-        self._placements = {}  # measured against the pool that just went away
         # Backstop for shm arenas whose gather never reached its finally
         # (a job thread killed mid-flight): unlink them now rather than
         # leaking /dev/shm segments for the interpreter's lifetime.  Pool
@@ -688,7 +586,7 @@ class EnsembleExecutor:
         """Run ``fn(*args)`` on one pool worker and return what it returns.
 
         The single-task entry the experiment service runs its job attempts
-        through: no decomposition, no placement, no fault site, no retry —
+        through: no decomposition, no fault site, no retry —
         the caller owns the retry policy.  A worker that dies takes the
         whole pool with it (:class:`BrokenProcessPool`, raised to every
         task in flight); the pool is dropped so the next call builds a
@@ -708,15 +606,13 @@ class EnsembleExecutor:
     def map_blocks(self, fn, jobs: list) -> list:
         """Map independent, picklable work-units over the pool, in order.
 
-        This is the generic sharding primitive behind the parallel analysis
-        paths: ``fn`` must be a module-level function and each element of
-        ``jobs`` a picklable work-unit (e.g. one contiguous LETKF column
-        block with its geometry slice).  Results are returned in job order.
-        The caller owns the decomposition; to guarantee worker-count
-        invariance the job list must not depend on ``n_workers`` (the pool
-        only changes *where* a job runs, never what it computes).  With one
-        job, one worker or work measured too cheap to ship (class doc), the
-        jobs run serially in-process.
+        The generic sharding primitive: ``fn`` must be a module-level
+        function and each element of ``jobs`` a picklable work-unit.
+        Results are returned in job order.  The caller owns the
+        decomposition; to guarantee worker-count invariance the job list
+        must not depend on ``n_workers`` (the pool only changes *where* a
+        job runs, never what it computes).  With one job or one worker the
+        jobs run serially in-process; otherwise they always go to the pool.
         """
         if not jobs:
             return []

@@ -2,9 +2,9 @@
 
 Every gather the :class:`~repro.hpc.ensemble_parallel.EnsembleExecutor`
 performs ships its work-units to pool workers by pickling them through a
-pipe.  For the analysis shards that is dominated by a handful of large,
-read-only numpy arrays — the broadcast EnSF forecast ensemble, the LETKF
-convolution channels, per-shard perturbation/mean blocks — which each
+pipe.  For member slices that is dominated by a handful of large,
+read-only numpy arrays — the forecast chunks, the broadcast EnSF forecast
+ensemble — which each
 worker receives as an O(payload) pickle even though the bytes already sit
 in the parent's memory.  This module moves those arrays through
 :mod:`multiprocessing.shared_memory` segments instead, so the pipe carries
@@ -22,8 +22,8 @@ straight out of the kernel's shared pages:
   ends up with exactly the private, writable array a pickled payload would
   have produced — the transport is invisible to worker functions, which is
   what keeps the shm and pickle paths bit-identical by construction.
-* :func:`resolve_payloads` / :func:`count_handles` — recursive swap-in of
-  handles inside tuple/list/dict work-units (the executor swaps arrays out
+* :func:`resolve_payloads` — recursive swap-in of handles inside
+  tuple/list/dict work-units (the executor swaps arrays out
   with the mirror walk in ``_prepare_payloads``).
 
 Attachment never outlives ``materialize()``: on Python < 3.13 merely
@@ -55,7 +55,6 @@ __all__ = [
     "SharedArrayHandle",
     "SharedPayloadArena",
     "resolve_payloads",
-    "count_handles",
 ]
 
 
@@ -210,13 +209,3 @@ def resolve_payloads(obj):
         return {k: resolve_payloads(v) for k, v in obj.items()}
     return obj
 
-
-def count_handles(obj) -> int:
-    """Number of :class:`SharedArrayHandle` tokens reachable inside ``obj``."""
-    if isinstance(obj, SharedArrayHandle):
-        return 1
-    if isinstance(obj, (tuple, list)):
-        return sum(count_handles(v) for v in obj)
-    if isinstance(obj, dict):
-        return sum(count_handles(v) for v in obj.values())
-    return 0

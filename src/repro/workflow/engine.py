@@ -22,10 +22,9 @@ the idealized protocol of one identity observation per cycle.
     "ViT only" free-run curves).
 ``analysis``
     :class:`FilterAnalysisStage` (any
-    :class:`~repro.core.filters.EnsembleFilter`, routed through
-    ``analyze_parallel`` so column-sharded LETKF analyses reuse the
-    executor) or :class:`EnSFWorkflowAnalysisStage` (the real-time
-    workflow's member-seeded executor path).
+    :class:`~repro.core.filters.EnsembleFilter`, run in-process) or
+    :class:`EnSFWorkflowAnalysisStage` (the real-time workflow's
+    member-seeded executor path).
 ``post_analysis``
     :class:`OnlineTrainingStage` — per-cycle surrogate fine-tuning.
 
@@ -538,10 +537,10 @@ class DeterministicForecastStage:
 class FilterAnalysisStage:
     """Analysis through any :class:`~repro.core.filters.EnsembleFilter`.
 
-    Routed through ``analyze_parallel`` so filters with an intra-analysis
-    decomposition (the LETKF's column-sharded solve stage) reuse the
-    engine's executor; filters without one fall back to their serial
-    ``analyze``.
+    Called through
+    :meth:`~repro.core.filters.EnsembleFilter.analyze_parallel`, the hook a
+    caller can wrap to time the analysis; it runs the filter's ``analyze``
+    in-process, whatever executor the engine holds.
     """
 
     def __init__(self, filter_) -> None:
@@ -552,8 +551,7 @@ class FilterAnalysisStage:
         # extra download); their internal kernels manage their own fixed
         # per-analysis device staging.
         return self.filter.analyze_parallel(
-            as_host_array(ctx.state), event.observation, event.operator,
-            executor=ctx.executor,
+            as_host_array(ctx.state), event.observation, event.operator
         )
 
     def state_dict(self) -> dict:
@@ -660,8 +658,10 @@ class CycleEngine:
     post_analysis:
         :class:`OnlineTrainingStage` or ``None``.
     executor:
-        Optional :class:`~repro.hpc.ensemble_parallel.EnsembleExecutor`
-        shared by the forecast and analysis stages.
+        Optional :class:`~repro.hpc.ensemble_parallel.EnsembleExecutor`:
+        the forecast stage member-shards over it, and so does
+        :class:`EnSFWorkflowAnalysisStage`; :class:`FilterAnalysisStage`
+        runs in-process.
     store_history:
         Keep the per-cycle analysis-mean states in the result.
     on_cycle:

@@ -1,4 +1,5 @@
-"""Shared test fixtures: the backend-parametrized ``array_backend`` fixture.
+"""Shared test fixtures: the backend-parametrized ``array_backend`` fixture
+and the ``gathers`` log of every executor gather a test runs.
 
 The ``slow_reference`` oracle bundle that used to live here is gone: the
 ROADMAP "reference-path retirement" item completed and the pre-refactor
@@ -51,3 +52,20 @@ def pytest_collection_modifyitems(items):
         fixtures = getattr(item, "fixturenames", ())
         if "array_backend" in fixtures:
             item.add_marker(pytest.mark.array_backend)
+
+
+@pytest.fixture
+def gathers(monkeypatch) -> list:
+    """Every :meth:`EnsembleExecutor._gather` call the test makes, in order,
+    as ``(entry point name, job count, workers)``."""
+    from repro.hpc.ensemble_parallel import EnsembleExecutor
+
+    calls: list = []
+    inner = EnsembleExecutor._gather
+
+    def counted(self, fn, jobs, workers):
+        calls.append((getattr(fn, "__name__", repr(fn)), len(jobs), workers))
+        return inner(self, fn, jobs, workers)
+
+    monkeypatch.setattr(EnsembleExecutor, "_gather", counted)
+    return calls

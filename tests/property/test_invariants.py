@@ -13,7 +13,6 @@ from repro.core.score import MonteCarloScoreEstimator
 from repro.da.inflation import rtps_inflation
 from repro.da.letkf import LETKF, LETKFConfig
 from repro.da.localization import LocalizationConfig, gaspari_cohn
-from repro.hpc.ensemble_parallel import EnsembleExecutor
 from repro.hpc.collectives import CollectiveKind, CollectiveModel
 from repro.hpc.comm import LocalCommGroup
 from repro.hpc.ddp import bucketize
@@ -235,14 +234,13 @@ def test_collective_times_positive_and_finite(msg_mb, n_gpus, kind):
     block_columns=st.integers(1, 200),
     min_weight=st.sampled_from([0.0, 1.0e-4]),
     every=st.sampled_from([1, 7]),
-    pooled=st.booleans(),
     seed=st.integers(0, 1000),
 )
 def test_letkf_analysis_invariant_under_layout(
-    shard_columns, block_columns, min_weight, every, pooled, seed
+    shard_columns, block_columns, min_weight, every, seed
 ):
     """Shard and gather-batch sizes re-partition independent column solves:
-    the analysis is bit-identical for every draw, with or without an executor."""
+    the analysis is bit-identical for every draw."""
     grid = Grid2D(nx=8, ny=8)
     rng = np.random.default_rng(seed)
     ensemble = rng.normal(size=(6, grid.size))
@@ -262,8 +260,7 @@ def test_letkf_analysis_invariant_under_layout(
         grid,
         LETKFConfig(localization=loc, shard_columns=shard_columns, block_columns=block_columns),
     )
-    executor = EnsembleExecutor(n_workers=1) if pooled else None
-    analysis = letkf.analyze_parallel(ensemble, observation, operator, executor=executor)
+    analysis = letkf.analyze(ensemble, observation, operator)
     assert np.array_equal(analysis, reference)
 
 

@@ -246,20 +246,13 @@ class TestPerCycleBudget:
         assert full_space["h2d"] == 2 + 2 + N_SDE_STEPS + 1
 
     @pytest.mark.parametrize("filter_factory", [_letkf, _ensf], ids=["letkf", "ensf"])
-    def test_pool_budget_independent_of_grid(self, mock_xp, filter_factory, monkeypatch):
+    def test_pool_budget_independent_of_grid(self, mock_xp, filter_factory):
         """Parent-side counters stay grid-independent through a real pool.
 
         Worker processes own separate backend instances (the backend
         pickles by name), so the parent's counters meter only the staging
-        the cycle engine itself performs.  Work this small is placed in
-        the parent once its first gather has been measured, which would put
-        the workers' transfers on the parent's meter from a timing-dependent
-        cycle on; the test is about the pool seam, so it pins the placement
-        decision to "ship".
+        the cycle engine itself performs.
         """
-        monkeypatch.setattr(
-            EnsembleExecutor, "_cheaper_in_process", lambda self, key, lanes: False
-        )
         with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as ex:
             base = _per_cycle_delta(mock_xp, filter_factory, 8, 4, executor=ex)
             wide = _per_cycle_delta(mock_xp, filter_factory, 16, 4, executor=ex)

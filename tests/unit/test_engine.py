@@ -104,7 +104,7 @@ def _legacy_run_osse(
         if filter_ is not None:
             observation = operator.observe(truth, rng=rng_obs)
             ensemble = filter_.analyze_parallel(
-                ensemble, observation, operator, executor=executor
+                ensemble, observation, operator
             )
         stats_a = ensemble_statistics(ensemble)
         analysis_rmse[cycle] = rmse(stats_a.mean, truth)
@@ -659,9 +659,9 @@ class TestCheckpointCadence:
         assert [p.name for p in tmp_path.iterdir()] == ["engine.ckpt"]
 
 
-class TestPlacementCadenceDisturbanceMatrix:
-    """One result, however the gathers were placed, however often the ring
-    was written, and whatever interrupted the run."""
+class TestCadenceDisturbanceMatrix:
+    """One result on whichever route the gathers took, however often the
+    ring was written, and whatever interrupted the run."""
 
     CONFIG = OSSEConfig(n_cycles=8, steps_per_cycle=2, ensemble_size=8, seed=11)
 
@@ -674,18 +674,16 @@ class TestPlacementCadenceDisturbanceMatrix:
 
     @pytest.mark.parametrize("disturbance", ["clean", "preempted", "crashed"])
     @pytest.mark.parametrize("cadence", ["integer", "policy"])
-    @pytest.mark.parametrize("placement", ["shipped", "in-process", "flipped"])
+    @pytest.mark.parametrize("route", ["pool", "in-process", "no-executor"])
     def test_bit_identical(
-        self, testbed, pool, tmp_path, monkeypatch, placement, cadence, disturbance
+        self, testbed, pool, tmp_path, gathers, route, cadence, disturbance
     ):
         oracle = self._run(testbed)
-        calls = itertools.count()
-        here = {
-            "shipped": lambda self, key, lanes: False,
-            "in-process": lambda self, key, lanes: True,
-            "flipped": lambda self, key, lanes: next(calls) >= 5,
-        }[placement]
-        monkeypatch.setattr(EnsembleExecutor, "_cheaper_in_process", here)
+        executor = {
+            "pool": pool,
+            "in-process": EnsembleExecutor(n_workers=1),
+            "no-executor": None,
+        }[route]
 
         def every():
             return 2 if cadence == "integer" else CheckpointCadence(2, clock=_ticking_clock())
@@ -701,7 +699,7 @@ class TestPlacementCadenceDisturbanceMatrix:
         }
         preempt, expected = hooks[disturbance]
         kwargs = dict(
-            executor=pool, resume="auto", checkpoint_path=tmp_path / "engine.ckpt",
+            executor=executor, resume="auto", checkpoint_path=tmp_path / "engine.ckpt",
             keep_last=3,
         )
         if preempt is not None:
@@ -710,6 +708,10 @@ class TestPlacementCadenceDisturbanceMatrix:
         result = self._run(testbed, checkpoint_every=every(), **kwargs)
         _assert_identical(result, oracle)
         assert not list(tmp_path.glob("*.tmp"))
+        # The worker count alone picks the route: one worker runs in-process,
+        # two ship every gather to the pool, no executor gathers nothing.
+        widths = {workers for _, _, workers in gathers}
+        assert widths == {"pool": {2}, "in-process": {1}, "no-executor": set()}[route]
 
 
 # --------------------------------------------------------------------------- #

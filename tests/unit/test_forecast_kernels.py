@@ -458,19 +458,18 @@ class TestCoarseStep:
         assert max(row["rms"] for row in seen) <= 1e-4
         assert np.isfinite(result.analysis_rmse).all()
 
-    def test_pool_layout_equals_serial(self, monkeypatch):
+    def test_pool_layout_equals_serial(self, monkeypatch, gathers):
         from repro.hpc.ensemble_parallel import EnsembleExecutor
 
         model = SQGModel(SQGParameters(nx=32, ny=32))
         _, serial = self._osse(model)
-        # ship every gather, so the coarse stepper pickles to the workers
-        monkeypatch.setattr(
-            EnsembleExecutor, "_cheaper_in_process", lambda self, key, lanes: False
-        )
         seen = self._record_steps(monkeypatch)
         with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as executor:
             _, pooled = self._osse(SQGModel(model.params), executor=executor)
-            assert any(name == "_forecast_chunk" for name, *_ in executor.placements)
+        # every forecast gather shipped, so the coarse stepper pickled to the workers
+        assert gathers and all(
+            name == "_forecast_chunk" and workers == 2 for name, _, workers in gathers
+        )
         assert {row["k"] for row in seen} == {4}
         np.testing.assert_array_equal(pooled.analysis_rmse, serial.analysis_rmse)
         np.testing.assert_array_equal(pooled.analysis_mean_final, serial.analysis_mean_final)

@@ -445,9 +445,26 @@ class TestScalingHarness:
         out = parallel.map_states(model, ens, n_steps=2)
         assert np.allclose(out, model.forecast(ens, n_steps=2))
 
-    def test_executor_validation(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_workers=0),
+            dict(min_members_per_worker=0),
+            dict(max_retries=-1),
+            dict(retry_backoff_s=-0.01),
+            dict(task_deadline_s=0),
+            dict(task_deadline_s=-1.0),
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_executor_validation(self, kwargs):
+        """Parameters that would break the first gather (a zero chunk size
+        divides by zero, a zero deadline kills every pool attempt) are
+        refused at construction."""
         with pytest.raises(ValueError):
-            EnsembleExecutor(n_workers=0)
+            EnsembleExecutor(**{"n_workers": 2, **kwargs})
+
+    def test_map_states_rejects_a_flat_ensemble(self):
         executor = EnsembleExecutor(n_workers=2)
         with pytest.raises(ValueError):
             executor.map_states(Lorenz96(dim=8), np.zeros(8))
@@ -481,14 +498,14 @@ class TestScalingHarness:
             slow.join(timeout=30)
         assert [r[0] for r in results] == [1, 2] and ended[0][0] == 0
 
-    def test_run_task_runs_on_a_worker_and_skips_the_gather_machinery(self):
+    def test_run_task_runs_on_a_worker_and_skips_the_gather_machinery(self, gathers):
         with EnsembleExecutor(n_workers=2, fault_plan=FaultPlan()) as executor:
             pid, out = executor.run_task(_pid_negative, np.arange(3.0))
             assert pid != os.getpid()
             np.testing.assert_array_equal(out, -np.arange(3.0))
             with pytest.raises(KeyError, match="genuine job bug"):
                 executor.run_task(_raise_key_error, 0)
-            assert executor.placements == {} and len(executor.fault_log) == 0
+            assert gathers == [] and len(executor.fault_log) == 0
         # one worker means no pool, here as in every other entry
         assert EnsembleExecutor(n_workers=1).run_task(_pid_negative, np.ones(1))[0] == os.getpid()
 
@@ -619,9 +636,6 @@ class TestExecutorSurface:
             "fault_plan",
             "fault_log",
             "backoff_seed",
-            "shm_payloads",
-            "shm_min_bytes",
-            "payload_stats",
         ],
         "map_blocks": ["fn", "jobs"],
         "map_states": ["model", "ensemble", "n_steps"],
@@ -830,33 +844,10 @@ class TestParallelAnalysis:
                 filt, ensemble, observation, operator, seed=0
             )
 
-    def _letkf_case(self, shape=(12, 12), members=10):
-        grid = Grid2D(*shape)
-        rng = np.random.default_rng(1)
-        ensemble = rng.standard_normal((members, grid.size))
-        truth = rng.standard_normal(grid.size)
-        operator = IdentityObservation(grid.size, 1.0)
-        observation = operator.observe(truth, rng=rng)
-        config = LETKFConfig(
-            localization=LocalizationConfig(cutoff=4.0e6), shard_columns=48
-        )
-        return LETKF(grid, config), ensemble, observation, operator
-
-    def test_letkf_sharded_worker_count_invariant(self):
-        letkf, ensemble, observation, operator = self._letkf_case()
-        serial = letkf.analyze(ensemble, observation, operator)
-        results = []
-        for n_workers in (1, 2):
-            with EnsembleExecutor(n_workers=n_workers) as ex:
-                results.append(
-                    letkf.analyze_parallel(ensemble, observation, operator, executor=ex)
-                )
-        np.testing.assert_array_equal(results[0], results[1])
-        np.testing.assert_allclose(results[0], serial, atol=1e-11, rtol=1e-11)
-
     def test_run_osse_analysis_executor_matches_serial(self):
-        """The executor plumbed through the OSSE analysis section must not
-        change the cycling results (worker-invariance end to end)."""
+        """An executor handed to an LETKF OSSE shards its forecasts and
+        leaves the in-process analysis alone: the cycling results do not
+        change (worker-invariance end to end)."""
         grid = Grid2D(8, 8)
         model = Lorenz96(dim=grid.size)
         truth0 = np.random.default_rng(2).standard_normal(grid.size)
@@ -897,23 +888,23 @@ def _payload_checksum(job):
 
 
 def _pid_negative(job):
-    """``-job`` plus the pid that computed it (which placement ran it)."""
+    """``-job`` plus the pid that computed it (which process ran it)."""
     return os.getpid(), np.negative(job)
+
+
+def _pid(job):
+    """The pid of the process that ran the work-unit."""
+    return os.getpid()
 
 
 def _raise_key_error(job):
     raise KeyError("genuine job bug")
 
 
-class TestGatherPlacement:
-    """A gather is shipped until it has been measured, then runs wherever it
-    is cheaper — and which side ran it can never be read off the result."""
-
-    @staticmethod
-    def _force(monkeypatch, here: bool):
-        monkeypatch.setattr(
-            EnsembleExecutor, "_cheaper_in_process", lambda self, key, lanes: here
-        )
+class TestGatherRouting:
+    """A gather's route is its worker count: one worker runs in-process,
+    anything wider ships to the pool every time — and which side ran it can
+    never be read off the result."""
 
     def _cases(self):
         from repro.models.sqg import SQGModel, SQGParameters
@@ -924,94 +915,41 @@ class TestGatherPlacement:
         sqg_ens = np.stack(
             [sqg.flatten(sqg.random_initial_condition(rng=i)) for i in range(4)]
         )
-        analysis = TestParallelAnalysis()
-        letkf, l_ens, l_obs, l_op = analysis._letkf_case()
-        filt, e_ens, e_obs, e_op = analysis._ensf_case()
+        filt, e_ens, e_obs, e_op = TestParallelAnalysis()._ensf_case()
         blocks = [np.arange(5.0) + i for i in range(4)]
         return {
             "map_states-l96": lambda ex: ex.map_states(l96, l96_ens, n_steps=2),
             "map_states-sqg": lambda ex: ex.map_states(sqg, sqg_ens, n_steps=2),
             "map_blocks": lambda ex: np.stack(ex.map_blocks(np.negative, blocks)),
-            "map_blocks-letkf": lambda ex: letkf.analyze_parallel(
-                l_ens, l_obs, l_op, executor=ex
-            ),
             "analyze_ensf": lambda ex: ex.analyze_ensf(filt, e_ens, e_obs, e_op, seed=9),
         }
 
-    def test_results_identical_across_the_flip(self, monkeypatch):
-        for name, call in self._cases().items():
+    def test_results_identical_in_process_and_on_the_pool(self, gathers):
+        cases = self._cases()
+        for name, call in cases.items():
             serial = call(EnsembleExecutor(n_workers=1))
             with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as ex:
-                self._force(monkeypatch, False)
-                shipped = call(ex)  # unknown work is shipped: that measures it
-                (seen,) = ex.placements.values()
-                assert (seen["shipped"], seen["in_process"]) == (1, 0), name
-                assert seen["compute_s"] > 0.0 and seen["overhead_s"] >= 0.0
-                self._force(monkeypatch, True)
-                flipped = call(ex)
-                (seen,) = ex.placements.values()
-                assert (seen["shipped"], seen["in_process"]) == (1, 1), name
+                shipped = call(ex)
             np.testing.assert_array_equal(shipped, serial, err_msg=name)
-            np.testing.assert_array_equal(flipped, serial, err_msg=name)
-            assert ex.placements == {}  # close() forgets the dead pool's numbers
+        assert [workers for *_, workers in gathers] == [1, 2] * len(cases)
 
-    def test_cheap_work_moves_in_process_and_costly_work_keeps_shipping(self):
-        model = Lorenz96(dim=12)
-        ens = np.random.default_rng(1).normal(size=(8, 12)) + 8.0
-        naps = [(i, 0.1) for i in range(2)]
-        rounds = 6
+    def test_cheap_work_keeps_landing_on_a_worker(self):
+        """Repeating a gather never moves it into the parent, however cheap."""
         with EnsembleExecutor(n_workers=2) as ex:
-            for _ in range(rounds):
-                ex.map_states(model, ens, n_steps=2)
-                pids = {r[1] for r in ex.map_blocks(_stamped_sleep, naps)}
+            for _ in range(5):
+                pids = ex.map_blocks(_pid, [0, 1])
                 assert os.getpid() not in pids
-            by_entry = {key[0]: seen for key, seen in ex.placements.items()}
-        cheap, costly = by_entry["_forecast_chunk"], by_entry["_stamped_sleep"]
-        # ~0.1 ms of forecast against a pipe round trip; 0.2 s of naps likewise.
-        assert cheap["shipped"] >= 1 and cheap["in_process"] >= 1
-        assert cheap["shipped"] + cheap["in_process"] == rounds
-        assert (costly["shipped"], costly["in_process"]) == (rounds, 0)
-        assert costly["compute_s"] >= 0.2
 
-    def test_millisecond_osse_forecasts_end_up_in_process(self):
-        """A Lorenz-96 OSSE driven on a pool directly: its forecast gather is
-        shipped until measured and placed in the parent from then on."""
-        model = Lorenz96(dim=12)
-        with EnsembleExecutor(n_workers=2) as ex:
-            run_osse(
-                model, model, EnSF(EnSFConfig(n_sde_steps=5), rng=5),
-                IdentityObservation(12, obs_error_var=0.5), model.spinup(30, rng=0),
-                OSSEConfig(n_cycles=40, steps_per_cycle=2, ensemble_size=8, seed=0),
-                executor=ex,
-            )
-            (forecast,) = [v for k, v in ex.placements.items() if k[0] == "_forecast_chunk"]
-        assert forecast["in_process"] > forecast["shipped"] >= 1
-
-    def test_faulted_attempt_is_always_shipped(self, monkeypatch):
-        self._force(monkeypatch, True)
-        jobs = [np.arange(4.0) + i for i in range(3)]
-        plan = FaultPlan.from_spec("worker-crash@executor:1")
-        with EnsembleExecutor(n_workers=2, retry_backoff_s=0.0, fault_plan=plan) as ex:
-            clean = ex.map_blocks(np.negative, jobs)
-            healed = ex.map_blocks(np.negative, jobs)
-            (seen,) = ex.placements.values()
-            # gather 0 here; gather 1's faulted attempt on the pool, its retry here
-            assert (seen["shipped"], seen["in_process"]) == (1, 2)
-            assert ex.fault_log.count(action="pool-rebuild") == 1
-            assert ex.fault_log.count(action="retry") == 1
-        for a, b in zip(healed, clean):
-            np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("here", [False, True], ids=["shipped", "in-process"])
-    def test_job_function_errors_propagate_unwrapped(self, monkeypatch, here):
-        self._force(monkeypatch, here)
-        with EnsembleExecutor(n_workers=2, fault_plan=FaultPlan()) as ex:
+    @pytest.mark.parametrize("n_workers", [2, 1], ids=["shipped", "in-process"])
+    def test_job_function_errors_propagate_unwrapped(self, n_workers):
+        with EnsembleExecutor(n_workers=n_workers, fault_plan=FaultPlan()) as ex:
             with pytest.raises(KeyError, match="genuine job bug"):
                 ex.map_blocks(_raise_key_error, [0, 1])
             assert len(ex.fault_log) == 0
 
-    def test_concurrent_gathers_keep_the_ledger_consistent(self):
-        """Threads sharing one executor: no placement count may be lost."""
+    def test_concurrent_gathers_share_one_pool(self, gathers):
+        """Threads sharing one executor: every gather ships and returns its
+        own bits."""
         model = Lorenz96(dim=12)
         ens = np.random.default_rng(2).normal(size=(8, 12)) + 8.0
         expected = model.forecast(ens, n_steps=1)
@@ -1035,11 +973,10 @@ class TestGatherPlacement:
                 for t in threads:
                     t.join(timeout=120)
                 assert not any(t.is_alive() for t in threads)
-                (seen,) = ex.placements.values()
         finally:
             sys.setswitchinterval(interval)
         assert not failures
-        assert seen["shipped"] + seen["in_process"] == n_threads * n_gathers
+        assert gathers == [("_forecast_chunk", 2, 2)] * (n_threads * n_gathers)
 
 
 def _max_overlap(spans) -> int:
@@ -1062,8 +999,6 @@ class TestInFlightBound:
         jobs = [(i, 0.1) for i in range(6)]
         with EnsembleExecutor(n_workers=3) as ex:
             results = ex._gather(_stamped_sleep, jobs, workers=2)
-            (seen,) = ex.placements.values()
-        assert (seen["shipped"], seen["in_process"]) == (1, 0)
         assert os.getpid() not in {r[1] for r in results}
         assert _max_overlap([(r[2], r[3]) for r in results]) == 2
         assert [r[::4] for r in results] == [(i, float(i) * 3.0 + 1.0) for i in range(6)]
@@ -1107,25 +1042,20 @@ class TestInFlightBound:
             (20 + i, float(20 + i) * 3.0 + 1.0) for i in range(2)
         ]
 
-    def test_results_bit_identical_letkf_and_ensf_across_worker_counts(self):
+    def test_results_bit_identical_ensf_across_worker_counts(self):
         """The bound caps concurrency, never the decomposition: any
         ``n_workers`` yields bit-identical analyses through a real pool."""
-        case = TestParallelAnalysis()
-        letkf, l_ens, l_obs, l_op = case._letkf_case()
-        filt, e_ens, e_obs, e_op = case._ensf_case()
-        letkf_results, ensf_results = [], []
+        filt, e_ens, e_obs, e_op = TestParallelAnalysis()._ensf_case()
+        ensf_results = []
         for n_workers in (1, 2, 3):
             with EnsembleExecutor(n_workers=n_workers, min_members_per_worker=1) as ex:
-                letkf_results.append(letkf.analyze_parallel(l_ens, l_obs, l_op, executor=ex))
                 ensf_results.append(ex.analyze_ensf(filt, e_ens, e_obs, e_op, seed=9))
-        for got in letkf_results[1:]:
-            np.testing.assert_array_equal(letkf_results[0], got)
         for got in ensf_results[1:]:
             np.testing.assert_array_equal(ensf_results[0], got)
 
     def test_single_worker_executor_runs_everything_in_process(self):
-        """One worker buys no overlap: every entry runs here, no pool is
-        built, and there is no placement to record."""
+        """One worker buys no overlap: every entry runs here and no pool is
+        built."""
         jobs = [np.full(3, float(i)) for i in range(4)]
         model = Lorenz96(dim=8)
         ens = np.random.default_rng(8).normal(size=(4, 8)) + 8.0
@@ -1139,17 +1069,16 @@ class TestInFlightBound:
                 ex.map_states(model, ens, n_steps=2), model.forecast(ens, n_steps=2)
             )
             assert ex._pool is None
-            assert ex.placements == {}
 
     def test_close_is_idempotent_and_the_executor_reopens(self):
         jobs = [(i, 0.0) for i in range(2)]
         with EnsembleExecutor(n_workers=2) as ex:
             first = ex.map_blocks(_stamped_sleep, jobs)
             pool = ex._pool
-            assert pool is not None and ex.placements
+            assert pool is not None
             ex.close()
             ex.close()  # idempotent
-            assert ex._pool is None and ex.placements == {}
+            assert ex._pool is None
             again = ex.map_blocks(_stamped_sleep, jobs)  # a fresh pool, lazily
             assert ex._pool is not None and ex._pool is not pool
         assert ex._pool is None  # context exit released the workers
@@ -1164,48 +1093,47 @@ class TestSharedMemoryPayloads:
         shared = rng.standard_normal((side, side))  # broadcast across work-units
         return [(i, shared, rng.standard_normal((side, side))) for i in range(n)]
 
-    def test_shm_vs_pickle_bit_parity_through_real_pools(self):
+    def test_shm_vs_pickle_bit_parity_through_real_pools(self, monkeypatch):
         jobs = self._jobs()
         with EnsembleExecutor(n_workers=1) as ex:
             serial = ex.map_blocks(_payload_checksum, jobs)
         for n_workers in (2, 4):
-            with EnsembleExecutor(n_workers=n_workers, shm_payloads=True) as ex:
+            with EnsembleExecutor(n_workers=n_workers) as ex:
                 via_shm = ex.map_blocks(_payload_checksum, jobs)
-            with EnsembleExecutor(n_workers=n_workers, shm_payloads=False) as ex:
-                via_pickle = ex.map_blocks(_payload_checksum, jobs)
+            with monkeypatch.context() as patch:
+                patch.setattr(ensemble_parallel, "HAVE_SHM", False)
+                with EnsembleExecutor(n_workers=n_workers) as ex:
+                    via_pickle = ex.map_blocks(_payload_checksum, jobs)
             assert via_shm == via_pickle == serial
 
-    def test_letkf_and_ensf_bit_identical_under_shm(self):
-        case = TestParallelAnalysis()
-        letkf, l_ens, l_obs, l_op = case._letkf_case()
-        filt, e_ens, e_obs, e_op = case._ensf_case()
+    def test_ensf_bit_identical_under_shm(self, monkeypatch):
+        filt, e_ens, e_obs, e_op = TestParallelAnalysis()._ensf_case()
+        monkeypatch.setattr(ensemble_parallel, "_SHM_MIN_BYTES", 1024)
         outs = {}
         for shm_on in (True, False):
-            with EnsembleExecutor(
-                n_workers=2, min_members_per_worker=1,
-                shm_payloads=shm_on, shm_min_bytes=1024,
-            ) as ex:
-                outs[shm_on] = (
-                    letkf.analyze_parallel(l_ens, l_obs, l_op, executor=ex),
-                    ex.analyze_ensf(filt, e_ens, e_obs, e_op, seed=3),
-                )
-        np.testing.assert_array_equal(outs[True][0], outs[False][0])
-        np.testing.assert_array_equal(outs[True][1], outs[False][1])
+            monkeypatch.setattr(ensemble_parallel, "HAVE_SHM", shm_on)
+            with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as ex:
+                outs[shm_on] = ex.analyze_ensf(filt, e_ens, e_obs, e_op, seed=3)
+        np.testing.assert_array_equal(outs[True], outs[False])
 
     def test_wire_size_is_o_name_and_broadcast_dedups(self):
+        from repro.hpc.shm import SharedArrayHandle
+
         jobs = self._jobs(n=6)
-        raw_bytes = len(pickle.dumps(jobs[0], protocol=pickle.HIGHEST_PROTOCOL))
-        with EnsembleExecutor(n_workers=2, payload_stats=True) as ex:
-            ex.map_blocks(_payload_checksum, jobs)
-            stats = ex.last_payload_stats
-        assert stats["transport"] == "shm"
-        # Two ~380 KB arrays per work-unit collapse to two ~100 B handles.
-        assert max(stats["job_bytes_shipped"]) < 512 < raw_bytes
-        assert stats["n_handles"] == 12
-        # The broadcast array lands in ONE segment: 6 private + 1 shared.
-        assert stats["n_segments"] == 7
-        expected = 7 * jobs[0][1].nbytes
-        assert stats["shared_segment_bytes"] == expected
+        proto = pickle.HIGHEST_PROTOCOL
+        raw_bytes = len(pickle.dumps(jobs[0], protocol=proto))
+        with EnsembleExecutor(n_workers=2) as ex:
+            arena, shipped, names = ex._prepare_payloads(jobs)
+        try:
+            # Two ~380 KB arrays per work-unit collapse to two ~100 B handles.
+            assert max(len(pickle.dumps(j, protocol=proto)) for j in shipped) < 512 < raw_bytes
+            handles = [v for job in shipped for v in job if isinstance(v, SharedArrayHandle)]
+            assert len(handles) == 12 and sum(map(len, names)) == 12
+            # The broadcast array lands in ONE segment: 6 private + 1 shared.
+            assert len(arena) == 7
+            assert len({h.name for h in handles}) == 7
+        finally:
+            arena.release_all()
 
     def test_segments_are_released_after_the_gather(self):
         from repro.hpc.shm import SharedArrayHandle
@@ -1224,19 +1152,23 @@ class TestSharedMemoryPayloads:
             ex.map_blocks(_payload_checksum, jobs)
             assert len(ex._arenas) == 0
 
-    def test_serial_and_small_payloads_never_touch_shared_memory(self):
+    def test_serial_and_small_payloads_never_touch_shared_memory(self, monkeypatch):
+        arenas = []
+        prepare = EnsembleExecutor._prepare_payloads
+
+        def recorded(self, jobs):
+            arena, shipped, names = prepare(self, jobs)
+            arenas.append((len(arena), sum(map(len, names))))
+            return arena, shipped, names
+
+        monkeypatch.setattr(EnsembleExecutor, "_prepare_payloads", recorded)
         small = [(i, np.ones((8, 8)), np.ones((8, 8))) for i in range(4)]
-        with EnsembleExecutor(n_workers=1, payload_stats=True) as ex:
+        with EnsembleExecutor(n_workers=1) as ex:
             ex.map_blocks(_payload_checksum, small)
-            assert ex.last_payload_stats["transport"] == "serial"
-            assert ex.last_payload_stats["n_segments"] == 0
-        with EnsembleExecutor(n_workers=2, payload_stats=True) as ex:
-            ex.map_blocks(_payload_checksum, small)  # all below shm_min_bytes
-            assert ex.last_payload_stats["transport"] == "shm"
-            assert ex.last_payload_stats["n_handles"] == 0
-            assert ex.last_payload_stats["job_bytes_shipped"] == (
-                ex.last_payload_stats["job_bytes_raw"]
-            )
+        assert arenas == []  # in-process: no arena at all
+        with EnsembleExecutor(n_workers=2) as ex:
+            ex.map_blocks(_payload_checksum, small)  # all below _SHM_MIN_BYTES
+        assert arenas == [(0, 0)]  # an empty arena: no segment, no handle
 
     def test_worker_crash_retry_heals_bit_identically_under_shm(self):
         """A crashed worker mid-gather must not invalidate retained segments:
@@ -1257,7 +1189,8 @@ class TestGatherFreesItsInputs:
     a reference cycle, so with the cyclic collector off the shipped array
     still dies with its last reference, and no garbage is left to collect."""
 
-    PLACEMENTS = {"shm": (True, False), "pickle": (False, False), "in-process": (False, True)}
+    # route -> (HAVE_SHM, n_workers)
+    ROUTES = {"shm": (True, 2), "pickle": (False, 2), "in-process": (False, 1)}
 
     @staticmethod
     def _map_states(ex, array):
@@ -1268,20 +1201,17 @@ class TestGatherFreesItsInputs:
         small = np.arange(8.0)
         return ex.map_blocks(_payload_checksum, [(i, array, small) for i in range(4)])
 
-    @pytest.mark.parametrize("placement", list(PLACEMENTS))
+    @pytest.mark.parametrize("route", list(ROUTES))
     @pytest.mark.parametrize("call", ["_map_states", "_map_blocks_broadcast"])
-    def test_payload_dies_without_the_collector(self, monkeypatch, placement, call):
-        shm, here = self.PLACEMENTS[placement]
+    def test_payload_dies_without_the_collector(self, monkeypatch, gathers, route, call):
+        shm, n_workers = self.ROUTES[route]
         if shm and not ensemble_parallel.HAVE_SHM:
             pytest.skip("no shared memory on this platform")
-        monkeypatch.setattr(
-            EnsembleExecutor, "_cheaper_in_process", lambda self, key, lanes: here
-        )
+        monkeypatch.setattr(ensemble_parallel, "HAVE_SHM", shm)
+        monkeypatch.setattr(ensemble_parallel, "_SHM_MIN_BYTES", 1024)
         run = getattr(self, call)
         rng = np.random.default_rng(3)
-        with EnsembleExecutor(
-            n_workers=2, min_members_per_worker=1, shm_payloads=shm, shm_min_bytes=1024
-        ) as ex:
+        with EnsembleExecutor(n_workers=n_workers, min_members_per_worker=1) as ex:
             run(ex, rng.normal(size=(8, 40)) + 8.0)  # spawns the pool
             array = rng.normal(size=(8, 40)) + 8.0
             gc.collect()
@@ -1299,5 +1229,4 @@ class TestGatherFreesItsInputs:
                 assert gc.collect() == 0
             finally:
                 gc.enable()
-            (seen,) = ex.placements.values()
-            assert seen["in_process" if here else "shipped"] == 2
+        assert [workers for *_, workers in gathers] == [n_workers] * 2

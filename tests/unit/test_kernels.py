@@ -160,24 +160,16 @@ def _layout_case(mode):
     return grid, ensemble, operator.observe(truth, rng=rng), operator, kwargs
 
 
-@pytest.fixture(scope="module")
-def layout_executors():
-    from repro.hpc.ensemble_parallel import EnsembleExecutor
-
-    with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as pool:
-        yield {"none": None, "in-process": EnsembleExecutor(n_workers=1), "pool-2": pool}
-
-
 class TestShardedLETKF:
     """One pipeline, any layout, the same bits.
 
-    ``analyze`` is ``analyze_parallel(executor=None)``: the shard kernels run
-    in-process over the ``shard_columns`` shard list.  An executor only
-    changes where a shard runs (``n_workers=1`` runs the worker entry points
-    serially in-process; ``pool-2`` is a real process pool).  Every cell of
-    mode x shard size x executor must equal the single-shard in-process
-    analysis exactly — on the every-column path (stride 1) and through the
-    weight interpolation (strides 2 and 4) alike.
+    ``analyze`` runs the shard kernels in-process over the ``shard_columns``
+    shard list.  Every cell of mode x stride x shard size x entry must equal
+    the single-shard analysis exactly — on the every-column path (stride 1)
+    and through the weight interpolation (strides 2 and 4) alike.  The entry
+    axis covers ``analyze``, the ``analyze_parallel`` wrapper the end-to-end
+    benchmark times, and a second ``analyze`` on the same filter, whose
+    geometry and shard blocks come from the cache.
     """
 
     N_COLUMNS = 16 * 16
@@ -198,15 +190,18 @@ class TestShardedLETKF:
             out[mode] = letkf.analyze(ensemble, observation, operator)
         return out
 
-    @pytest.mark.parametrize("executor", ["none", "in-process", "pool-2"])
+    @pytest.mark.parametrize("entry", ["analyze", "analyze_parallel", "cached"])
     @pytest.mark.parametrize("shard_columns", [1, 37, 64, N_COLUMNS, 10 * N_COLUMNS])
     @pytest.mark.parametrize("mode", list(LAYOUT_MODES))
-    def test_layout_matrix(self, mode, shard_columns, executor, reference, layout_executors):
+    def test_layout_matrix(self, mode, shard_columns, entry, reference):
         grid, ensemble, observation, operator, kwargs = _layout_case(mode)
         letkf = LETKF(grid, LETKFConfig(shard_columns=shard_columns, **kwargs))
-        analysis = letkf.analyze_parallel(
-            ensemble, observation, operator, executor=layout_executors[executor]
-        )
+        if entry == "analyze_parallel":
+            analysis = letkf.analyze_parallel(ensemble, observation, operator)
+        else:
+            analysis = letkf.analyze(ensemble, observation, operator)
+            if entry == "cached":
+                analysis = letkf.analyze(ensemble, observation, operator)
         np.testing.assert_array_equal(analysis, reference[mode])
 
     @pytest.mark.parametrize("mode", list(LAYOUT_MODES))
@@ -668,10 +663,7 @@ class TestGeometryCache:
         assert calls["n"] == 0  # static network: geometry fully cached
 
         # Grouped mode: the shard blocks are part of the cached geometry, so
-        # a second analysis slices no footprints either — in-process or
-        # through an executor.
-        from repro.hpc.ensemble_parallel import EnsembleExecutor
-
+        # a second analysis slices no footprints either.
         operator = IdentityObservation(grid.size, 0.5 + rng.random(grid.size))
         letkf = LETKF(grid, LETKFConfig(shard_columns=100))
         assert letkf.geometry(operator).mode == "grouped"
@@ -683,12 +675,11 @@ class TestGeometryCache:
             return original(self, start, stop)
 
         monkeypatch.setattr(LocalAnalysisGeometry, "column_block", counted_block)
-        for executor in (None, EnsembleExecutor(n_workers=1)):
-            letkf.analyze_parallel(ensemble, observation, operator, executor=executor)
+        letkf.analyze(ensemble, observation, operator)
         assert blocks["n"] == 3  # 256 columns / 100 per shard, built once
         blocks["n"] = calls["n"] = 0
-        for executor in (None, EnsembleExecutor(n_workers=1)):
-            letkf.analyze_parallel(ensemble, observation, operator, executor=executor)
+        letkf.analyze(ensemble, observation, operator)
+        letkf.analyze(ensemble, observation, operator)
         assert blocks["n"] == 0 and calls["n"] == 0
 
     def test_geometry_cached_per_network(self):

@@ -638,14 +638,14 @@ class TestCheapJobs:
         paths = CheckpointRing(svc.workdir / name / "engine.ckpt").paths()
         return [int(p.name.rsplit(".c", 1)[1]) for p in paths]
 
-    def _assert_amortised_and_clean(self, svc, pool, name):
+    def _assert_amortised_and_clean(self, svc, gathers, name):
         cycles = self._ring_cycles(svc, name)
         # keep_last members spanning more cycles than members: writes were skipped
         assert cycles and cycles[-1] - cycles[0] > len(cycles) - 1
         assert not list(svc.workdir.rglob("*.tmp"))
-        assert pool.placements == {}  # a job in the service gathers nothing over the pool
+        assert gathers == []  # a job in the service gathers nothing over the pool
 
-    def test_crashed_mid_run_resumes_from_an_older_checkpoint(self, tmp_path):
+    def test_crashed_mid_run_resumes_from_an_older_checkpoint(self, tmp_path, gathers):
         params = dict(self.PARAMS, seed=21)
         # visit #0 submit, #1 launch, #2 the bystander's submission: the crash
         # is armed while the victim is cycling and fires at its next boundary
@@ -657,13 +657,13 @@ class TestCheapJobs:
                 _wait_for_state(svc, "victim", "running")
                 svc.submit("bystander", RUNNER, params=dict(SHORT, seed=22))
                 states = svc.run_until_complete(timeout=180.0)
-            self._assert_amortised_and_clean(svc, pool, "victim")
+            self._assert_amortised_and_clean(svc, gathers, "victim")
         assert states == {"victim": "done", "bystander": "done"}
         log = svc.job_fault_log("victim").summary()
         assert log.get("job-crash") == 1 and log.get("job-retry") == 1
         assert svc.result("victim")["analysis_rmse"] == _clean_rmse(params)
 
-    def test_preempted_resumes_from_its_last_completed_cycle(self, tmp_path):
+    def test_preempted_resumes_from_its_last_completed_cycle(self, tmp_path, gathers):
         params = dict(self.PARAMS, seed=23)
         config = ServiceConfig(max_running=1, retry_backoff_s=0.01, poll_s=0.01)
         with EnsembleExecutor(n_workers=2) as pool:
@@ -673,7 +673,7 @@ class TestCheapJobs:
                 _wait_for_state(svc, "low", "running")
                 svc.submit("high", RUNNER, params=dict(SHORT, seed=24), priority=10)
                 states = svc.run_until_complete(timeout=180.0)
-            self._assert_amortised_and_clean(svc, pool, "low")
+            self._assert_amortised_and_clean(svc, gathers, "low")
         assert states == {"low": "done", "high": "done"}
         log = svc.job_fault_log("low")
         assert log.count(action="preempt") >= 1
@@ -782,11 +782,11 @@ class TestLayoutMatrix:
         [_scenario_clean, _scenario_preempted, _scenario_crashed, _scenario_drained_and_restarted],
         ids=["clean", "preempted", "crashed", "drained-restarted"],
     )
-    def test_threads_and_processes_agree(self, tmp_path, scenario):
+    def test_threads_and_processes_agree(self, tmp_path, scenario, gathers):
         threads, expected = scenario(tmp_path / "threads", None)
         with EnsembleExecutor(n_workers=2) as pool:
             processes, _ = scenario(tmp_path / "processes", pool)
-            assert pool.placements == {}
+            assert gathers == []
         assert processes == threads
         for name, (params, ledger, recoveries) in expected.items():
             result, seen = threads[name]

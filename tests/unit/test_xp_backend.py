@@ -57,12 +57,6 @@ def _case(seed=0, shape=(12, 12), members=10, scale=1.0):
     return grid, rng, ensemble, truth
 
 
-def _serial_executor():
-    from repro.hpc.ensemble_parallel import EnsembleExecutor
-
-    return EnsembleExecutor(n_workers=1)
-
-
 class TestSelection:
     def test_cpu_backends_always_available(self):
         names = available_backends()
@@ -218,15 +212,9 @@ class TestRoutedKernelBitIdentity:
             LETKFConfig(localization=loc, backend=array_backend.name, shard_columns=50),
         )
         assert routed.geometry(operator).mode == mode
-        serial_base = base.analyze(ensemble, observation, operator)
         np.testing.assert_array_equal(
-            routed.analyze(ensemble, observation, operator), serial_base
-        )
-        np.testing.assert_array_equal(
-            routed.analyze_parallel(
-                ensemble, observation, operator, executor=_serial_executor()
-            ),
-            serial_base,
+            routed.analyze(ensemble, observation, operator),
+            base.analyze(ensemble, observation, operator),
         )
 
     def test_sqg_step_exact_zero_coefficient_delta(self, array_backend):
@@ -265,7 +253,7 @@ class TestRoutedKernelBitIdentity:
 
 class TestShardedTransferDiscipline:
     """Mock-device proof that the sharded LETKF solve loop never round-trips
-    per column: transfer counts depend on the shard/group structure only."""
+    per shard or per column: each analysis stages its statistics once."""
 
     def _sharded_counts(self, shape, shard_columns, operator_var, block_columns=512):
         grid, rng, ensemble, truth = _case(seed=7, shape=shape)
@@ -286,9 +274,9 @@ class TestShardedTransferDiscipline:
         xp = resolve_backend("mock-device")
         # Prime the geometry (and its per-backend device cache) so the
         # measurement below sees only steady-state per-cycle traffic.
-        letkf.analyze_parallel(ensemble, observation, operator, executor=_serial_executor())
+        letkf.analyze(ensemble, observation, operator)
         xp.reset_transfers()
-        letkf.analyze_parallel(ensemble, observation, operator, executor=_serial_executor())
+        letkf.analyze(ensemble, observation, operator)
         counts = xp.transfer_counts()
         # shards cut the analysis grid (stride 2 at 16x16 with this cut-off)
         n_shards = -(-letkf.geometry(operator).n_columns // shard_columns)
@@ -301,12 +289,10 @@ class TestShardedTransferDiscipline:
         assert shards_small == shards_large == 4
         assert counts_small["h2d_calls"] == counts_large["h2d_calls"]
         assert counts_small["d2h_calls"] == counts_large["d2h_calls"]
-        # and the counts scale with shards, not columns: 2 transfers per
-        # shard (channels in, weights out) plus a constant parent overhead
-        # (y_pert, innovation, gathered weights, local_pert, local_mean in;
-        # convolved channels and the analysis out)
-        assert counts_small["h2d_calls"] == 4 + 5
-        assert counts_small["d2h_calls"] == 4 + 2
+        # and the shards add none: y_pert, innovation, local_pert and
+        # local_mean in, the analysis out, however many shards there are
+        assert counts_small["h2d_calls"] == 4
+        assert counts_small["d2h_calls"] == 1
 
     def test_grouped_counts_independent_of_block_columns(self):
         var = lambda n, rng: 0.5 + rng.random(n)
