@@ -11,7 +11,6 @@ Run with:  python examples/realtime_workflow.py
 import numpy as np
 
 from repro.core import EnSFConfig
-from repro.hpc import EnsembleExecutor
 from repro.models import StochasticModelErrorMixture
 from repro.surrogate import TrainingConfig
 from repro.workflow import ExperimentConfig, RealTimeDAWorkflow
@@ -32,7 +31,6 @@ def main() -> None:
         ensf_config=EnSFConfig(n_sde_steps=config.ensf_sde_steps),
         training_config=TrainingConfig(online_iterations=config.online_iterations),
         model_error=StochasticModelErrorMixture(rng=testbed.seeds.rng("model-error")),
-        executor=EnsembleExecutor(n_workers=1),
         seed=config.seed,
     )
 

@@ -94,13 +94,11 @@ HOST_SIDE: dict[str, set[str]] = {
     "src/repro/utils/random.py": {
         # The RNG module is the host side of the noise contract: stream
         # construction and seed derivation legitimately live on np.random.
-        # Everything else (MemberStreams fills) stays deny-checked.
+        # Everything else stays deny-checked.
         "default_rng",
         "split_rng",
         "SeedSequenceFactory.seed_for",
         "SeedSequenceFactory.rng",
-        "SeedSequenceFactory.member_rngs",
-        "MemberStreams.__init__",
     },
     "src/repro/core/ensf.py": {
         # observation-noise scaling constant, computed once on the host

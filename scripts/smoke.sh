@@ -3,13 +3,15 @@
 #   1. The test suite must *collect* with scipy blocked — the FFT shim and
 #      everything importing it must defer scipy imports so numpy-only
 #      installs keep working.
-#   2. The parallel-analysis worker-invariance contract must hold through a
-#      real n_workers=2 process pool (the EnSF member-seeded executor), so
-#      CI always exercises the pool path; the LETKF analysis-grid stride
-#      must be the derived 4 / 8 / 2 on the 64x64 / 128x128 / 32x32
-#      benchmark grids (1 on this script's own 10x2 grid).  Next to the strides, the
-#      SQG ensemble's derived coarse step k on the seed-7 benchmark inputs
-#      must be the recorded one on the 64x64 / 128x128 / 32x32 grids.
+#   2. Forecast worker invariance must hold through a real n_workers=2
+#      process pool (every gather route gives the in-process bits), and the
+#      real-time workflow must give the same bits with no executor, one
+#      worker and that pool, so CI always exercises the pool path; the LETKF
+#      analysis-grid stride must be the derived 4 / 8 / 2 on the 64x64 /
+#      128x128 / 32x32 benchmark grids (1 on this script's own 10x2 grid).
+#      Next to the strides, the SQG ensemble's derived coarse step k on the
+#      seed-7 benchmark inputs must be the recorded one on the 64x64 /
+#      128x128 / 32x32 grids.
 #      A 2-worker pooled 32x32 OSSE must run 12 steady cycles with the
 #      cyclic garbage collector off and leave nothing for it to collect:
 #      a gather frees its payloads when it returns, so a long pooled run
@@ -102,8 +104,9 @@ if rc != 0:
 print("collection OK without scipy")
 EOF
 
-echo "== smoke 2/9: parallel-analysis worker invariance (n_workers=2 pool) =="
-python -m pytest -x -q tests/unit/test_hpc.py::TestParallelAnalysis
+echo "== smoke 2/9: worker invariance through an n_workers=2 pool =="
+python -m pytest -x -q tests/unit/test_hpc.py::TestGatherRouting \
+    tests/unit/test_engine.py::TestRealtimeStateSemantics::test_executor_run_equals_the_serial_run
 python - <<'EOF'
 from repro.da.localization import LocalizationConfig, analysis_stride
 from repro.utils.grid import Grid2D

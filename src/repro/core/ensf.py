@@ -14,8 +14,9 @@ cycle ``k``:
 4. *Stabilisation*: relax the analysis spread to the forecast spread (the
    paper's only regularisation — no localization, no tuning).
 
-The update is embarrassingly parallel over the ensemble; member-sharded
-execution is provided by :mod:`repro.hpc.ensemble_parallel`.
+The update is embarrassingly parallel over the ensemble (the paper shards
+it over ranks); here it runs in-process, while the forecast member-shards
+through :mod:`repro.hpc.ensemble_parallel`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.core.observations import (
 from repro.core.schedules import LinearAlphaSchedule
 from repro.core.score import MonteCarloScoreEstimator
 from repro.core.sde import ReverseSDESampler
-from repro.utils.random import MemberStreams, default_rng
+from repro.utils.random import default_rng
 from repro.utils.xp import as_host_array
 
 __all__ = ["EnSFConfig", "EnSF"]
@@ -303,65 +304,17 @@ class EnSF(EnsembleFilter):
         forecast_ensemble: np.ndarray,
         observation: np.ndarray,
         operator: ObservationOperator,
-        member_rows: bool = False,
     ):
-        """Build the posterior score callable ``ŝ_{k|k}(z, t)`` (Eq. 17).
-
-        ``member_rows`` makes every evaluation row independent of the rest
-        of its batch (see :class:`MonteCarloScoreEstimator`).
-        """
+        """Build the posterior score callable ``ŝ_{k|k}(z, t)`` (Eq. 17)."""
         prior = MonteCarloScoreEstimator(
             forecast_ensemble,
             schedule=self.schedule,
             minibatch=self.config.minibatch,
             rng=self.rng,
             backend=self.config.backend,
-            member_rows=member_rows,
         )
         likelihood = GaussianLikelihoodScore(operator, observation, damping=self.config.damping)
         return _FusedPosteriorScore(prior, likelihood, operator, observation)
-
-    def _analysis_samples(
-        self,
-        forecast_ensemble: np.ndarray,
-        observation: np.ndarray,
-        operator: ObservationOperator,
-        n_samples: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Draw ``n_samples`` analysis members (no spread relaxation applied)."""
-        n_members, dim = forecast_ensemble.shape
-        if self.config.scale_states:
-            scaler = _StateScaler(forecast_ensemble)
-            work_ensemble = scaler.forward(forecast_ensemble)
-            work_operator = _ScaledOperator(operator, scaler, self.config.scaled_obs_var_floor)
-            work_observation = work_operator.scale_observation(observation)
-        else:
-            scaler = None
-            work_ensemble = forecast_ensemble
-            work_operator = operator
-            work_observation = observation
-
-        affine = _affine_likelihood(work_operator)
-        if affine is not None and self.config.minibatch is None:
-            # Full-ensemble prior score + scalar multiple of (y − z) on fixed
-            # coordinates: the integration closes on (n, M) coefficients.
-            analysis = self.sampler.sample_ensemble_space(
-                work_ensemble, work_observation, *affine, self.config.damping, n_samples, rng
-            )
-        else:
-            # Nonlinear h, non-uniform R or a minibatched score: full-space
-            # loop; member-seeded calls keep their rows batch-independent.
-            score_fn = self.posterior_score_fn(
-                work_ensemble,
-                work_observation,
-                work_operator,
-                member_rows=isinstance(rng, MemberStreams),
-            )
-            analysis = self.sampler.sample(score_fn, n_samples=n_samples, dim=dim, rng=rng)
-        if scaler is not None:
-            analysis = scaler.inverse(analysis)
-        return analysis
 
     def analyze(
         self,
@@ -382,73 +335,31 @@ class EnSF(EnsembleFilter):
         if forecast_ensemble.ndim != 2:
             raise ValueError("forecast ensemble must have shape (m, state_dim)")
         observation = np.asarray(observation, dtype=float)
-        analysis = self._analysis_samples(
-            forecast_ensemble, observation, operator, forecast_ensemble.shape[0], self.rng
-        )
+        n_members, dim = forecast_ensemble.shape
+        if self.config.scale_states:
+            scaler = _StateScaler(forecast_ensemble)
+            work_ensemble = scaler.forward(forecast_ensemble)
+            work_operator = _ScaledOperator(operator, scaler, self.config.scaled_obs_var_floor)
+            work_observation = work_operator.scale_observation(observation)
+        else:
+            scaler = None
+            work_ensemble = forecast_ensemble
+            work_operator = operator
+            work_observation = observation
+
+        affine = _affine_likelihood(work_operator)
+        if affine is not None and self.config.minibatch is None:
+            # Full-ensemble prior score + scalar multiple of (y − z) on fixed
+            # coordinates: the integration closes on (n, M) coefficients.
+            analysis = self.sampler.sample_ensemble_space(
+                work_ensemble, work_observation, *affine, self.config.damping, n_members, self.rng
+            )
+        else:
+            # Nonlinear h, non-uniform R or a minibatched score: full-space loop.
+            score_fn = self.posterior_score_fn(work_ensemble, work_observation, work_operator)
+            analysis = self.sampler.sample(score_fn, n_samples=n_members, dim=dim, rng=self.rng)
+        if scaler is not None:
+            analysis = scaler.inverse(analysis)
         if self.config.spread_relaxation > 0.0:
             analysis = relax_spread(analysis, forecast_ensemble, factor=self.config.spread_relaxation)
         return analysis
-
-    # ------------------------------------------------------------------ #
-    def analyze_members(
-        self,
-        forecast_ensemble: np.ndarray,
-        observation: np.ndarray,
-        operator: ObservationOperator,
-        n_local_members: int | None = None,
-        seed: int | None = None,
-        member_seeds=None,
-    ) -> np.ndarray:
-        """Draw the analysis members owned by one parallel rank.
-
-        This is the unit of work used by the MPI-style ensemble-parallel
-        execution (paper §III-A3: "The most efficient factor for
-        parallelization are the ensembles").  Each rank holds the full
-        forecast ensemble (it is broadcast once per cycle, so the score
-        estimator is identical everywhere) and integrates the reverse SDE
-        only for its own particles.  Spread relaxation is a global operation
-        and is applied by the caller after gathering.
-
-        Two seeding modes are supported:
-
-        ``member_seeds``
-            One seed (or :class:`numpy.random.SeedSequence`) *per local
-            member*; all Gaussian draws for member ``i`` come from its own
-            stream (:class:`~repro.utils.random.MemberStreams`), so the
-            gathered analysis is bit-identical for every worker layout.
-            This is what :meth:`EnsembleExecutor.analyze_ensf` uses.
-        ``n_local_members`` + ``seed``
-            Legacy rank-wise mode: one shared stream draws the whole
-            ``(n_local_members, dim)`` batch.  Results then depend on how
-            members are grouped into ranks; kept for the oracle parity
-            tests and for callers that manage their own rank streams.
-        """
-        forecast_ensemble = np.asarray(forecast_ensemble, dtype=float)
-        observation = np.asarray(observation, dtype=float)
-        if member_seeds is not None:
-            if n_local_members is not None and n_local_members != len(member_seeds):
-                raise ValueError("n_local_members does not match len(member_seeds)")
-            if self.config.minibatch is not None:
-                # The Monte-Carlo score minibatch is drawn from the filter's
-                # own rng and shared by every member of a chunk, so its draws
-                # depend on how members are grouped into workers — the
-                # worker-invariance contract of the member-seeded mode cannot
-                # hold.  Refuse loudly rather than return layout-dependent
-                # analyses (the paper's configuration uses the full ensemble).
-                raise ValueError(
-                    "member-seeded parallel analysis requires the full-ensemble "
-                    "score (EnSFConfig.minibatch=None); minibatched scores are "
-                    "not worker-layout invariant"
-                )
-            rank_rng = MemberStreams(member_seeds)
-            n_local_members = len(member_seeds)
-        else:
-            if n_local_members is None:
-                raise ValueError("pass either member_seeds or n_local_members")
-            if seed is None:
-                # Reproducibility API: never fall through to fresh OS entropy.
-                raise ValueError("the n_local_members mode requires an explicit seed")
-            rank_rng = default_rng(seed)
-        return self._analysis_samples(
-            forecast_ensemble, observation, operator, n_local_members, rank_rng
-        )

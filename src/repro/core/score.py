@@ -64,12 +64,6 @@ class MonteCarloScoreEstimator:
         statics) is moved once at construction, evaluation points are
         expected on-device, and the numpy backend is bit-identical to the
         pre-shim kernel.
-    member_rows:
-        Evaluate the two products of :meth:`score_into` one evaluation point
-        at a time instead of as two GEMMs over the batch.  A GEMM result can
-        differ in the last bit with the number of rows it is handed, so the
-        member-seeded parallel EnSF — whose contract is bit-identical
-        analyses for every grouping of members into workers — sets this.
     """
 
     def __init__(
@@ -79,7 +73,6 @@ class MonteCarloScoreEstimator:
         minibatch: int | None = None,
         rng: np.random.Generator | int | None = None,
         backend: str | ArrayBackend | None = None,
-        member_rows: bool = False,
     ) -> None:
         ensemble = np.asarray(ensemble, dtype=float)
         if ensemble.ndim != 2:
@@ -94,7 +87,6 @@ class MonteCarloScoreEstimator:
                 f"minibatch must lie in [1, {self.n_members}], got {minibatch}"
             )
         self.minibatch = minibatch
-        self.member_rows = bool(member_rows)
         self.rng = default_rng(rng)
         self.xp = resolve_backend(backend)
         xp = self.xp
@@ -200,10 +192,7 @@ class MonteCarloScoreEstimator:
         z_sq = self._zsq_buf
 
         xp.einsum("nd,nd->n", z, z, out=z_sq)
-        if self.member_rows:
-            xp.matmul(z[:, None, :], batch.T, out=w[:, None, :])
-        else:
-            xp.dot(z, batch.T, out=w)                 # cross terms (one GEMM)
+        xp.dot(z, batch.T, out=w)                     # cross terms (one GEMM)
         w *= -2.0 * alpha
         w += z_sq[:, None]
         w += (alpha * alpha) * x_sq[None, :]
@@ -213,10 +202,7 @@ class MonteCarloScoreEstimator:
         xp.exp(w, out=w)
         w /= w.sum(axis=1, keepdims=True)
 
-        if self.member_rows:
-            xp.matmul(w[:, None, :], batch, out=out[:, None, :])
-        else:
-            xp.dot(w, batch, out=out)                 # weighted mean (one GEMM)
+        xp.dot(w, batch, out=out)                     # weighted mean (one GEMM)
         out *= alpha
         out -= z
         out *= 1.0 / beta_sq                          # ŝ = −(z − α Σ w x)/β²

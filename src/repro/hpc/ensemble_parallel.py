@@ -1,22 +1,20 @@
-"""Ensemble-parallel execution of forecasts and analyses.
+"""Ensemble-parallel execution of forecasts.
 
-The paper parallelises the EnSF over the ensemble dimension because it
-"incurs minimal communication overhead" (§III-A3).  This module provides
-that decomposition on a workstation: member slices (forecasts and EnSF
-analyses) are processed by a persistent pool of worker processes (or
-serially when ``n_workers == 1``) and the results are gathered in order —
-the local equivalent of the per-rank work plus final MPI gather of the
-paper's implementation.  The pool also runs whole experiment-service
-attempts (:meth:`EnsembleExecutor.run_task`).  The LETKF's independent
-column solves run in-process (:class:`~repro.da.letkf.LETKF`): shipping
-them has not beaten the same shards in the parent on the hosts measured.
+The paper parallelises over the ensemble dimension because it "incurs
+minimal communication overhead" (§III-A3).  This module provides that
+decomposition on a workstation: forecast member slices are processed by a
+persistent pool of worker processes (or serially when ``n_workers == 1``)
+and the results are gathered in order — the local equivalent of the
+per-rank work plus final MPI gather of the paper's implementation.  The
+pool also runs whole experiment-service attempts
+(:meth:`EnsembleExecutor.run_task`) and any caller's independent
+work-units (:meth:`EnsembleExecutor.map_blocks`).  Both analyses run
+in-process: the LETKF's column solves and the EnSF's reverse SDE have not
+beaten their in-process runs when shipped on the hosts measured.
 
 Reproducibility contract: every parallel path must be **worker-count
 invariant** — the gathered result is bit-identical for any ``n_workers``
-(including the serial in-process fallback).  For the EnSF this is achieved
-by spawning one seed per *member* from a single root
-:class:`numpy.random.SeedSequence` and drawing member-wise streams
-(:class:`~repro.utils.random.MemberStreams`); a forecast chunk is a pure
+(including the serial in-process fallback).  A forecast chunk is a pure
 function of its members, so any slicing gives the same bits.
 """
 
@@ -155,14 +153,6 @@ def _forecast_chunk(args):
     return model.forecast(chunk, n_steps=n_steps)
 
 
-def _ensf_chunk(args):
-    """Worker entry point: draw a rank's analysis members with EnSF."""
-    filter_, forecast_ensemble, observation, operator, member_seeds = args
-    return filter_.analyze_members(
-        forecast_ensemble, observation, operator, member_seeds=member_seeds
-    )
-
-
 class EnsembleExecutor:
     """Map ensemble-member work over worker processes.
 
@@ -212,7 +202,7 @@ class EnsembleExecutor:
         jobs sharing one machine (without it, jobs that crashed together —
         e.g. on a pool death — retry in lockstep and collide again).  It is
         drawn from a **dedicated** backoff rng private to this executor:
-        no experiment rng stream (member streams, observation noise,
+        no experiment rng stream (filter noise, observation noise,
         seed-sequence factories) is ever touched, so results remain
         bit-identical regardless of how many retries were jittered.
     backoff_seed:
@@ -444,9 +434,9 @@ class EnsembleExecutor:
         """Swap large arrays in ``jobs`` for shared-memory handles.
 
         Returns ``(arena, shipped_jobs, names_per_job)``.  Arrays are
-        deduplicated by identity — a broadcast payload (e.g. the EnSF
-        forecast ensemble every shard receives) lands in **one** segment no
-        matter how many work-units reference it — and each segment's
+        deduplicated by identity — a broadcast payload (an array every
+        work-unit receives) lands in **one** segment no matter how many
+        work-units reference it — and each segment's
         refcount equals the number of work-units holding a handle to it, so
         the gather can release memory shard-by-shard as results land.
         """
@@ -628,46 +618,4 @@ class EnsembleExecutor:
         slices = ensemble_slices(ensemble.shape[0], workers)
         jobs = [(model, ensemble[s], n_steps) for s in slices]
         results = self._gather(_forecast_chunk, jobs, workers)
-        return np.concatenate(results, axis=0)
-
-    def analyze_ensf(
-        self,
-        filter_,
-        forecast_ensemble: np.ndarray,
-        observation: np.ndarray,
-        operator,
-        seed: int | np.random.SeedSequence = 0,
-    ) -> np.ndarray:
-        """Member-parallel EnSF analysis (each worker integrates its members).
-
-        Every worker receives the full forecast ensemble (the broadcast of
-        the paper's implementation) and integrates the reverse SDE only for
-        its slice of analysis members; the slices are concatenated and the
-        caller applies global post-processing (spread relaxation).
-
-        Seeding is member-wise: one child :class:`numpy.random.SeedSequence`
-        per ensemble member is spawned from the root ``seed``, and each
-        worker's :meth:`EnSF.analyze_members` call draws every member from
-        its own stream.  The gathered analysis is therefore bit-identical
-        for any ``n_workers`` / ``min_members_per_worker`` layout, including
-        the serial fallback.  (Pre-fix behaviour drew one seed per *slice*,
-        so the analysis changed with the worker count.)
-        """
-        forecast_ensemble = np.asarray(forecast_ensemble, dtype=float)
-        n_members = forecast_ensemble.shape[0]
-        if isinstance(seed, np.random.SeedSequence):
-            # Spawn from a private copy: SeedSequence.spawn() advances the
-            # parent's child counter, so spawning from the caller's object
-            # would make a second call with the same root non-reproducible.
-            root = np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key)
-        else:
-            root = np.random.SeedSequence(int(seed))
-        member_seeds = root.spawn(n_members)
-        workers = self._effective_workers(n_members)
-        slices = ensemble_slices(n_members, workers)
-        jobs = [
-            (filter_, forecast_ensemble, observation, operator, member_seeds[s.start : s.stop])
-            for s in slices
-        ]
-        results = self._gather(_ensf_chunk, jobs, workers)
         return np.concatenate(results, axis=0)

@@ -1,7 +1,6 @@
 """Shared utilities: RNG handling, grid geometry, spectra, FFT/array backends and timing."""
 
 from repro.utils.random import (
-    MemberStreams,
     SeedSequenceFactory,
     default_rng,
     sample_from_catalogue,
@@ -46,7 +45,6 @@ from repro.utils.timing import best_of, write_bench_json
 
 __all__ = [
     "SeedSequenceFactory",
-    "MemberStreams",
     "default_rng",
     "sample_from_catalogue",
     "split_rng",

@@ -40,10 +40,9 @@ Stream semantics
 ----------------
 ``standard_normal(rng, size)`` / ``standard_normal(rng, out=buf)`` always
 takes its bits from the host generator exactly as ``rng.standard_normal``
-would produce them; a device backend draws on the host and copies.  This
-is what keeps parallel analyses worker-invariant (see
-:class:`repro.utils.random.MemberStreams`) regardless of where the
-arithmetic runs, and it is why every backend is bit-identical to numpy.
+would produce them; a device backend draws on the host and copies.  An
+analysis therefore consumes its filter's stream identically wherever the
+arithmetic runs, which is why every backend is bit-identical to numpy.
 
 State handles
 -------------
@@ -187,10 +186,9 @@ class ArrayBackend:
     def standard_normal(self, rng, size=None, out=None) -> np.ndarray:
         """Gaussian draws with **host** stream semantics.
 
-        The bits always come from ``rng`` (a :class:`numpy.random.Generator`
-        or :class:`~repro.utils.random.MemberStreams`) in exactly the order
-        ``rng.standard_normal`` would produce them; device backends stage
-        through a host buffer and copy.  Reproducibility therefore never
+        The bits always come from ``rng`` (a :class:`numpy.random.Generator`)
+        in exactly the order ``rng.standard_normal`` would produce them;
+        device backends stage through a host buffer and copy.  Reproducibility therefore never
         depends on the backend.
         """
         if out is not None:

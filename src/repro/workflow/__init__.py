@@ -39,7 +39,6 @@ _EXPORTS = {
     "EnsembleForecastStage": "repro.workflow.engine",
     "DeterministicForecastStage": "repro.workflow.engine",
     "FilterAnalysisStage": "repro.workflow.engine",
-    "EnSFWorkflowAnalysisStage": "repro.workflow.engine",
     "OnlineTrainingStage": "repro.workflow.engine",
 }
 

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.observations import ObservationQC, ObservationScenario
 from repro.models.sqg import SQGParameters
-from repro.workflow.engine import DivergencePolicy
 
 __all__ = ["ExperimentConfig"]
 
@@ -38,35 +36,11 @@ class ExperimentConfig:
         Offline training-set size (state pairs) and epochs for the ViT.
     surrogate_embed_dim, surrogate_depth, surrogate_patch:
         Laptop-scale SQG-ViT architecture.
-    online_training:
-        Fine-tune the surrogate each cycle inside the ViT+EnSF workflow.
     array_backend:
         Array backend (:mod:`repro.utils.xp`) for the SQG forecast engine
         and both analysis algorithms; ``None`` defers to the
         ``REPRO_ARRAY_BACKEND`` process default.  The numpy backend is
         bit-identical, so this is a hardware knob, not a numerics knob.
-    obs_every, obs_dropout, obs_latency:
-        Streaming observation-network protocol applied to the DA
-        experiments (see :meth:`observation_scenario`): observe only every
-        k-th cycle, lose each scheduled observation with this probability,
-        and delay its arrival by this many cycles.  The defaults reproduce
-        the paper's idealized every-cycle protocol bit-identically.
-    qc_gross_threshold:
-        Gross-error QC bound in observation-error standard deviations; an
-        observation event with innovations beyond it is rejected before the
-        analysis (see :meth:`observation_qc`).  ``None`` (default) disables
-        QC entirely, preserving historical results bit-identically.
-    cycle_deadline_s:
-        Per-cycle wall-clock budget for the DA experiments; analyses past
-        it are skipped (forecast-only degraded cycle).  ``None``: no limit.
-    divergence_spread_max, divergence_action:
-        Ensemble-divergence guard (see :meth:`divergence_policy`): when the
-        mean spread exceeds the bound (or the state goes non-finite) the
-        engine halts, re-inflates, or resets from the last checkpoint.
-        ``divergence_spread_max=None`` (default) disables the guard.
-    checkpoint_keep_last:
-        Size of the rotating checkpoint ring the drivers use when
-        checkpointing is enabled.
     seed:
         Root seed for all stochastic streams.
     """
@@ -85,20 +59,11 @@ class ExperimentConfig:
     surrogate_depth: int = 2
     surrogate_patch: int = 8
     surrogate_heads: int = 4
-    online_training: bool = True
     online_iterations: int = 2
     letkf_cutoff: float = 2.0e6
     letkf_rtps: float = 0.3
     ensf_sde_steps: int = 100
     array_backend: str | None = None
-    obs_every: int = 1
-    obs_dropout: float = 0.0
-    obs_latency: int = 0
-    qc_gross_threshold: float | None = None
-    cycle_deadline_s: float | None = None
-    divergence_spread_max: float | None = None
-    divergence_action: str = "halt"
-    checkpoint_keep_last: int = 3
     seed: int = 1234
 
     def __post_init__(self) -> None:
@@ -108,12 +73,6 @@ class ExperimentConfig:
             raise ValueError("ensemble_size must be at least 2")
         if self.nx % self.surrogate_patch or self.ny % self.surrogate_patch:
             raise ValueError("grid size must be divisible by the surrogate patch size")
-        if self.checkpoint_keep_last < 1:
-            raise ValueError("checkpoint_keep_last must be positive")
-        # Delegate range validation of the observation/resilience knobs.
-        self.observation_scenario()
-        self.observation_qc()
-        self.divergence_policy()
 
     @classmethod
     def paper_scale(cls) -> "ExperimentConfig":
@@ -154,26 +113,3 @@ class ExperimentConfig:
     def sqg_parameters(self) -> SQGParameters:
         """SQG model parameters for this experiment."""
         return SQGParameters(nx=self.nx, ny=self.ny)
-
-    def observation_scenario(self) -> ObservationScenario:
-        """Observation protocol for the DA experiments (idealized by default)."""
-        return ObservationScenario(
-            name="config",
-            every=self.obs_every,
-            dropout=self.obs_dropout,
-            latency=self.obs_latency,
-        )
-
-    def observation_qc(self) -> ObservationQC | None:
-        """QC stage for the DA experiments, or ``None`` when disabled."""
-        if self.qc_gross_threshold is None:
-            return None
-        return ObservationQC(gross_threshold=self.qc_gross_threshold)
-
-    def divergence_policy(self) -> DivergencePolicy | None:
-        """Divergence guard for the DA experiments, or ``None`` when disabled."""
-        if self.divergence_spread_max is None:
-            return None
-        return DivergencePolicy(
-            spread_max=self.divergence_spread_max, action=self.divergence_action
-        )

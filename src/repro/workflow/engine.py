@@ -21,10 +21,9 @@ the idealized protocol of one identity observation per cycle.
     :class:`DeterministicForecastStage` (single trajectory, the "SQG only" /
     "ViT only" free-run curves).
 ``analysis``
-    :class:`FilterAnalysisStage` (any
-    :class:`~repro.core.filters.EnsembleFilter`, run in-process) or
-    :class:`EnSFWorkflowAnalysisStage` (the real-time workflow's
-    member-seeded executor path).
+    :class:`FilterAnalysisStage` — any
+    :class:`~repro.core.filters.EnsembleFilter`, run in-process on the
+    filter's own rng, whatever executor the engine holds.
 ``post_analysis``
     :class:`OnlineTrainingStage` — per-cycle surrogate fine-tuning.
 
@@ -51,11 +50,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.filters import EnsembleStatistics, ensemble_statistics, relax_spread
+from repro.core.filters import EnsembleStatistics, ensemble_statistics
 from repro.core.observations import ObservationEvent, ObservationStream
 from repro.models.base import propagate_ensemble
 from repro.utils.faults import FaultLog, FaultPlan
-from repro.utils.random import SeedSequenceFactory
 from repro.utils.xp import StateHandle, as_host_array
 
 __all__ = [
@@ -75,7 +73,6 @@ __all__ = [
     "EnsembleForecastStage",
     "DeterministicForecastStage",
     "FilterAnalysisStage",
-    "EnSFWorkflowAnalysisStage",
     "OnlineTrainingStage",
     "CycleEngine",
 ]
@@ -563,44 +560,6 @@ class FilterAnalysisStage:
             _load_rng_state(getattr(self.filter, "rng", None), rng_state)
 
 
-class EnSFWorkflowAnalysisStage:
-    """The real-time workflow's EnSF analysis semantics.
-
-    Serial runs use the filter's own rng (``EnSF.analyze``); with an
-    executor the analysis is member-seeded through
-    :meth:`~repro.hpc.ensemble_parallel.EnsembleExecutor.analyze_ensf`, with
-    the per-cycle seed derived from the workflow's root via the named
-    ``"ensf-parallel"`` stream, followed by the global spread relaxation the
-    executor path cannot apply per worker.
-    """
-
-    def __init__(self, ensf, seeds: SeedSequenceFactory, stream_name: str = "ensf-parallel") -> None:
-        self.ensf = ensf
-        self.seeds = seeds
-        self.stream_name = stream_name
-
-    def analyze(self, ctx: CycleContext, event: ObservationEvent) -> np.ndarray:
-        forecast = as_host_array(ctx.state)
-        if ctx.executor is None:
-            return self.ensf.analyze(forecast, event.observation, event.operator)
-        analysis = ctx.executor.analyze_ensf(
-            self.ensf,
-            forecast,
-            event.observation,
-            event.operator,
-            seed=self.seeds.seed_for(self.stream_name, ctx.cycle),
-        )
-        return relax_spread(analysis, forecast, factor=self.ensf.config.spread_relaxation)
-
-    def state_dict(self) -> dict:
-        return {"filter_rng": _rng_state(getattr(self.ensf, "rng", None))}
-
-    def load_state_dict(self, state: dict) -> None:
-        rng_state = state.get("filter_rng")
-        if rng_state is not None:
-            _load_rng_state(getattr(self.ensf, "rng", None), rng_state)
-
-
 class OnlineTrainingStage:
     """Per-cycle surrogate fine-tuning on the newly observed transition.
 
@@ -651,17 +610,16 @@ class CycleEngine:
     observations:
         :class:`ObservationStage` or ``None`` (free runs).
     analysis:
-        :class:`FilterAnalysisStage` / :class:`EnSFWorkflowAnalysisStage` or
-        ``None``; each delivered observation event triggers one analysis
-        (late arrivals can yield several per cycle, schedule gaps none),
-        and ``CycleRecord.analysis_s`` sums their wall time.
+        :class:`FilterAnalysisStage` or ``None``; each delivered observation
+        event triggers one analysis (late arrivals can yield several per
+        cycle, schedule gaps none), and ``CycleRecord.analysis_s`` sums
+        their wall time.
     post_analysis:
         :class:`OnlineTrainingStage` or ``None``.
     executor:
         Optional :class:`~repro.hpc.ensemble_parallel.EnsembleExecutor`:
-        the forecast stage member-shards over it, and so does
-        :class:`EnSFWorkflowAnalysisStage`; :class:`FilterAnalysisStage`
-        runs in-process.
+        the forecast stage member-shards over it; the analysis runs
+        in-process, so a run is bit-identical with or without one.
     store_history:
         Keep the per-cycle analysis-mean states in the result.
     on_cycle:
@@ -749,7 +707,7 @@ class CycleEngine:
             steps = getattr(stage, "steps_per_cycle", None)
             if steps is not None:
                 desc["steps_per_cycle"] = int(steps)
-            for attr in ("model", "filter", "ensf"):
+            for attr in ("model", "filter"):
                 obj = getattr(stage, attr, None)
                 if obj is not None:
                     desc[attr] = type(obj).__name__

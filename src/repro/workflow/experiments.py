@@ -155,9 +155,6 @@ def run_four_experiments(
     results["ViT only"] = free_run(
         testbed.model, surrogate, testbed.truth0, osse, label="ViT only"
     )
-    scenario = config.observation_scenario()
-    qc = config.observation_qc()
-    divergence = config.divergence_policy()
     results["SQG+LETKF"] = run_osse(
         truth_model=testbed.model,
         forecast_model=testbed.model,
@@ -167,10 +164,6 @@ def run_four_experiments(
         config=osse,
         label="SQG+LETKF",
         store_history=store_history,
-        scenario=scenario,
-        qc=qc,
-        cycle_deadline_s=config.cycle_deadline_s,
-        divergence=divergence,
     )
     results["ViT+EnSF"] = run_osse(
         truth_model=testbed.model,
@@ -181,10 +174,6 @@ def run_four_experiments(
         config=osse,
         label="ViT+EnSF",
         store_history=store_history,
-        scenario=scenario,
-        qc=qc,
-        cycle_deadline_s=config.cycle_deadline_s,
-        divergence=divergence,
     )
 
     return FourWayComparison(

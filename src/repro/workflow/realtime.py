@@ -13,13 +13,17 @@ workflow time is their sum — which is why both must scale on the machine.
 
 The loop itself lives in the unified
 :class:`~repro.workflow.engine.CycleEngine`; :meth:`RealTimeDAWorkflow.run`
-configures the stage pipeline (surrogate forecast, the executor-aware EnSF
-analysis, online training) and appends each completed cycle's
+configures the stage pipeline (surrogate forecast, EnSF analysis, online
+training) and appends each completed cycle's
 :class:`~repro.workflow.engine.CycleRecord` — stage seconds included
 (``forecast_s``, ``analysis_s``, ``post_analysis_s`` for online training) —
 to ``history`` as it completes, so a run interrupted mid-stream still
 reports every completed cycle.  Each ``run()`` call starts from a clean
 ``history``.
+
+As in :func:`~repro.da.cycling.run_osse`, an executor member-shards the
+forecast only.  The analysis is ``EnSF.analyze`` on the filter's own rng,
+so a run gives the same bits with or without an executor.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from repro.utils.random import SeedSequenceFactory
 from repro.workflow.engine import (
     CycleEngine,
     CycleRecord,
-    EnSFWorkflowAnalysisStage,
     EnsembleForecastStage,
+    FilterAnalysisStage,
     ObservationStage,
     OnlineTrainingStage,
     TruthStage,
@@ -68,7 +72,8 @@ class RealTimeDAWorkflow:
         the online-adaptation stage.
     executor:
         Optional :class:`repro.hpc.ensemble_parallel.EnsembleExecutor` to run
-        forecasts and EnSF member-parallel.
+        the surrogate forecasts member-parallel; the EnSF analysis runs
+        in-process.
     scenario:
         Optional :class:`~repro.core.observations.ObservationScenario`
         degrading the observation protocol (sparse / lossy / latent /
@@ -171,7 +176,7 @@ class RealTimeDAWorkflow:
             truth=TruthStage(self.truth_model, steps_per_cycle, self.model_error),
             observations=ObservationStage(stream),
             forecast=EnsembleForecastStage(self.surrogate, steps_per_cycle),
-            analysis=EnSFWorkflowAnalysisStage(self.ensf, self.seeds),
+            analysis=FilterAnalysisStage(self.ensf),
             post_analysis=post_analysis,
             executor=self.executor,
             on_cycle=self.history.append,

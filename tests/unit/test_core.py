@@ -324,15 +324,6 @@ class TestEnSF:
             analysis.std(axis=0, ddof=1), ensemble.std(axis=0, ddof=1), rtol=1e-6
         )
 
-    def test_analyze_members_matches_dimensions(self):
-        rng = np.random.default_rng(9)
-        ensemble = rng.standard_normal((12, 32))
-        op = IdentityObservation(32)
-        obs = op.observe(np.zeros(32), rng=10)
-        filt = EnSF(EnSFConfig(n_sde_steps=20), rng=11)
-        local = filt.analyze_members(ensemble, obs, op, n_local_members=5, seed=3)
-        assert local.shape == (5, 32)
-
     def test_rejects_bad_ensemble_shape(self):
         filt = EnSF()
         op = IdentityObservation(4)

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.ensf import EnSF, EnSFConfig
-from repro.core.filters import ensemble_statistics, relax_spread
+from repro.core.filters import ensemble_statistics
 from repro.core.observations import (
     IdentityObservation,
     ObservationScenario,
@@ -172,19 +172,7 @@ def _legacy_realtime_run(
         else:
             forecast = executor.map_states(surrogate, ensemble, n_steps=steps_per_cycle)
         forecast_rmse[cycle] = rmse(forecast.mean(axis=0), truth)
-        if executor is None:
-            analysis = ensf.analyze(forecast, observation, operator)
-        else:
-            analysis = executor.analyze_ensf(
-                ensf,
-                forecast,
-                observation,
-                operator,
-                seed=seeds.seed_for("ensf-parallel", cycle),
-            )
-            analysis = relax_spread(
-                analysis, forecast, factor=ensf.config.spread_relaxation
-            )
+        analysis = ensf.analyze(forecast, observation, operator)
         stats = ensemble_statistics(analysis)
         analysis_rmse[cycle] = rmse(stats.mean, truth)
         ensemble = analysis
@@ -314,6 +302,14 @@ class TestGoldenEquivalence:
         stats = ensemble_statistics(ensemble)
         assert summary["final_analysis_rmse"] == rmse(stats.mean, truth)
         assert summary["final_spread"] == stats.mean_spread
+        if use_executor:
+            serial = _legacy_realtime_run(
+                model, model, operator, ensf_config,
+                StochasticModelErrorMixture(rng=7), None, 11,
+                truth0, ens0, 3, 2,
+            )
+            for got, want in zip((forecast_rmse, analysis_rmse, truth, ensemble), serial):
+                np.testing.assert_array_equal(got, want)
 
 
 # --------------------------------------------------------------------------- #
@@ -796,21 +792,100 @@ class TestStageSeconds:
 
 
 class TestRealtimeStateSemantics:
-    def _workflow(self, testbed, surrogate=None):
+    def _workflow(self, testbed, surrogate=None, members=6, **kwargs):
         from repro.surrogate.training import TrainingConfig
 
         model, truth0, operator = testbed
+        kwargs.setdefault("ensf_config", EnSFConfig(n_sde_steps=8))
         workflow = RealTimeDAWorkflow(
             surrogate=surrogate if surrogate is not None else model,
             truth_model=model,
             operator=operator,
-            ensf_config=EnSFConfig(n_sde_steps=8),
             training_config=TrainingConfig(online_iterations=0),
             seed=21,
+            **kwargs,
         )
         rng = np.random.default_rng(3)
-        ens0 = truth0[None, :] + rng.standard_normal((6, DIM))
+        ens0 = truth0[None, :] + rng.standard_normal((members, DIM))
         return workflow, truth0, ens0
+
+    def _run(self, testbed, path, **kwargs):
+        """A 4-cycle, 8-member run's summary and its final checkpoint."""
+        workflow, truth0, ens0 = self._workflow(testbed, members=8, **kwargs)
+        summary = workflow.run(
+            truth0, ens0, n_cycles=4, steps_per_cycle=2,
+            checkpoint_every=4, checkpoint_path=path,
+        )
+        return summary, EngineCheckpoint.load(path)
+
+    @pytest.mark.parametrize("path", ["ensemble-space", "full-space"])
+    @pytest.mark.parametrize("route", ["in-process", "pool"])
+    def test_executor_run_equals_the_serial_run(
+        self, testbed, pool, tmp_path, gathers, route, path
+    ):
+        """Regression: an executor used to move the EnSF analysis onto
+        member-seeded streams, so one workflow gave one series without an
+        executor and another with one.  Only the forecast member-shards, on
+        both reverse-SDE paths (a non-uniform R forces the full-space one)."""
+        if path == "full-space":
+            model, truth0, _ = testbed
+            testbed = (model, truth0, IdentityObservation(DIM, np.linspace(0.3, 0.7, DIM)))
+        executor = {"in-process": EnsembleExecutor(n_workers=1), "pool": pool}[route]
+        serial, serial_ckpt = self._run(testbed, tmp_path / "serial.ckpt")
+        got, ckpt = self._run(testbed, tmp_path / "executor.ckpt", executor=executor)
+        np.testing.assert_array_equal(got["analysis_rmse"], serial["analysis_rmse"])
+        np.testing.assert_array_equal(got["forecast_rmse"], serial["forecast_rmse"])
+        np.testing.assert_array_equal(ckpt.state, serial_ckpt.state)
+        np.testing.assert_array_equal(ckpt.truth, serial_ckpt.truth)
+        # one forecast gather per cycle, of as many jobs as workers
+        workers = {"in-process": 1, "pool": 2}[route]
+        assert gathers == [("_forecast_chunk", workers, workers)] * 4
+
+    @pytest.mark.parametrize("route", ["in-process", "pool"])
+    def test_resumed_executor_run_equals_the_serial_run(self, testbed, pool, tmp_path, route):
+        """Two cycles under an executor, then a fresh workflow resumed from
+        their checkpoint: the last two cycles and the final state are the
+        uninterrupted serial run's.  The filter's stream, the only one the
+        analysis draws from, travels in the checkpoint."""
+        executor = {"in-process": EnsembleExecutor(n_workers=1), "pool": pool}[route]
+        serial, serial_ckpt = self._run(testbed, tmp_path / "serial.ckpt")
+        half = tmp_path / "half.ckpt"
+        first, truth0, ens0 = self._workflow(testbed, members=8, executor=executor)
+        first.run(
+            truth0, ens0, n_cycles=2, steps_per_cycle=2,
+            checkpoint_every=2, checkpoint_path=half,
+        )
+        workflow, truth0, ens0 = self._workflow(testbed, members=8, executor=executor)
+        final = tmp_path / "final.ckpt"
+        resumed = workflow.run(
+            truth0, ens0, n_cycles=4, steps_per_cycle=2, resume=half,
+            checkpoint_every=2, checkpoint_path=final,
+        )
+        np.testing.assert_array_equal(resumed["analysis_rmse"], serial["analysis_rmse"][2:])
+        np.testing.assert_array_equal(resumed["forecast_rmse"], serial["forecast_rmse"][2:])
+        np.testing.assert_array_equal(EngineCheckpoint.load(final).state, serial_ckpt.state)
+
+    def test_minibatched_score_runs_under_an_executor(self, testbed, pool, tmp_path):
+        """Regression: with an executor a minibatched score raised
+        ``ValueError`` at the first analysis."""
+        config = EnSFConfig(n_sde_steps=8, minibatch=4)
+        serial, _ = self._run(testbed, tmp_path / "serial.ckpt", ensf_config=config)
+        pooled, _ = self._run(
+            testbed, tmp_path / "pool.ckpt", ensf_config=config, executor=pool
+        )
+        assert np.isfinite(pooled["analysis_rmse"]).all()
+        np.testing.assert_array_equal(pooled["analysis_rmse"], serial["analysis_rmse"])
+
+    def test_member_seeded_checkpoint_is_refused(self, testbed, tmp_path):
+        """A checkpoint from the retired member-seeded analysis stage names
+        another pipeline; resuming from it fails loudly."""
+        path = tmp_path / "engine.ckpt"
+        _, ckpt = self._run(testbed, path)
+        ckpt.fingerprint["analysis"] = {"stage": "EnSFWorkflowAnalysisStage", "ensf": "EnSF"}
+        ckpt.save(path)
+        workflow, truth0, ens0 = self._workflow(testbed, members=8)
+        with pytest.raises(ValueError, match="fingerprint"):
+            workflow.run(truth0, ens0, n_cycles=6, steps_per_cycle=2, resume=path)
 
     def test_repeated_runs_reset_history(self, testbed):
         """Regression: ``history`` used to accumulate across run() calls, so

@@ -30,13 +30,13 @@ from repro.core.observations import (
     SubsampledObservation,
 )
 from repro.core.sde import _colour_noise
-from repro.utils.random import MemberStreams
 
 
-class _Replay(MemberStreams):
+class _Replay(np.random.Generator):
     """Serves prepared blocks through the ``standard_normal`` interface."""
 
     def __init__(self, blocks):
+        super().__init__(np.random.PCG64(0))
         self.blocks = list(blocks)
 
     def standard_normal(self, size=None, out=None):

@@ -639,7 +639,6 @@ class TestExecutorSurface:
         ],
         "map_blocks": ["fn", "jobs"],
         "map_states": ["model", "ensemble", "n_steps"],
-        "analyze_ensf": ["filter_", "forecast_ensemble", "observation", "operator", "seed"],
         "run_task": ["fn", "args"],
     }
 
@@ -733,116 +732,66 @@ class TestExecutorFaultLedger:
             np.testing.assert_array_equal(out, -job)
 
 
-class TestParallelAnalysis:
-    """Worker-invariance contracts of the parallel analysis paths."""
+def _realtime_ensf(executor=None, seed=0):
+    """A 3-cycle, 8-member realtime EnSF run on a 64-variable Lorenz-96:
+    its summary and the filter whose stream drew the analysis noise."""
+    from repro.surrogate.training import TrainingConfig
+    from repro.workflow.realtime import RealTimeDAWorkflow
 
-    def _ensf_case(self, members=8, shape=(8, 8)):
-        grid = Grid2D(*shape)
-        rng = np.random.default_rng(0)
-        ensemble = rng.standard_normal((members, grid.size)) * 2.0
-        truth = rng.standard_normal(grid.size) * 2.0
-        operator = IdentityObservation(grid.size, 1.0)
-        observation = operator.observe(truth, rng=rng)
-        filt = EnSF(EnSFConfig(n_sde_steps=6), rng=0)
-        return filt, ensemble, observation, operator
+    model = Lorenz96(dim=64)
+    truth0 = model.spinup(100, rng=0)
+    workflow = RealTimeDAWorkflow(
+        surrogate=model,
+        truth_model=model,
+        operator=IdentityObservation(64, 1.0),
+        ensf_config=EnSFConfig(n_sde_steps=6),
+        training_config=TrainingConfig(online_iterations=0),
+        executor=executor,
+        seed=seed,
+    )
+    ens0 = truth0[None, :] + np.random.default_rng(1).standard_normal((8, 64))
+    return workflow.run(truth0, ens0, n_cycles=3, steps_per_cycle=2), workflow.ensf
+
+
+def _assert_same_run(got, want):
+    for key in ("analysis_rmse", "forecast_rmse", "final_analysis_rmse", "final_spread"):
+        np.testing.assert_array_equal(got[key], want[key])
+
+
+class TestParallelAnalysis:
+    """An executor shards the forecast; every analysis runs in-process."""
 
     def test_ensf_executor_worker_count_invariant(self, array_backend):
-        """n_workers ∈ {1, 2, 4} must produce bit-identical analyses — under
-        every array backend (the member-seeded draws are host-stream by
-        contract, so the backend must never move them)."""
-        filt, ensemble, observation, operator = self._ensf_case()
+        """No executor and n_workers ∈ {1, 2, 4} give bit-identical EnSF
+        runs under every array backend: the analysis draws from the
+        filter's own stream wherever the forecast ran."""
+        serial, filt = _realtime_ensf()
         assert filt.sampler.xp is array_backend
-        results = []
         for n_workers in (1, 2, 4):
             with EnsembleExecutor(n_workers=n_workers, min_members_per_worker=1) as ex:
-                results.append(ex.analyze_ensf(filt, ensemble, observation, operator, seed=9))
-        np.testing.assert_array_equal(results[0], results[1])
-        np.testing.assert_array_equal(results[0], results[2])
+                _assert_same_run(_realtime_ensf(ex)[0], serial)
 
     def test_ensf_executor_slice_layout_invariant(self):
-        """min_members_per_worker only regroups members; draws must not move."""
-        filt, ensemble, observation, operator = self._ensf_case()
+        """min_members_per_worker only regroups forecast members; the EnSF
+        run must not move."""
         with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as fine:
-            a = fine.analyze_ensf(filt, ensemble, observation, operator, seed=4)
+            a, _ = _realtime_ensf(fine)
         with EnsembleExecutor(n_workers=2, min_members_per_worker=100) as coarse:
-            b = coarse.analyze_ensf(filt, ensemble, observation, operator, seed=4)
-        np.testing.assert_array_equal(a, b)
+            b, _ = _realtime_ensf(coarse)
+        _assert_same_run(a, b)
 
     def test_ensf_executor_seed_semantics(self):
-        filt, ensemble, observation, operator = self._ensf_case()
+        """Under an executor the root seed alone picks the analysis noise:
+        the same root reproduces, another differs, and the filter's stream
+        ends where the serial run leaves it (the executor draws nothing)."""
         executor = EnsembleExecutor(n_workers=1)
-        base = executor.analyze_ensf(filt, ensemble, observation, operator, seed=1)
-        again = executor.analyze_ensf(filt, ensemble, observation, operator, seed=1)
-        other = executor.analyze_ensf(filt, ensemble, observation, operator, seed=2)
-        np.testing.assert_array_equal(base, again)
-        assert not np.array_equal(base, other)
-        # SeedSequence roots (what the realtime workflow derives per cycle
-        # from its named "ensf-parallel" stream) are accepted directly, and
-        # the caller's object is never mutated: reusing the same root must
-        # reproduce (spawning from it directly would advance its child
-        # counter and silently change the second call).
-        seq = np.random.SeedSequence(1)
-        from_seq = executor.analyze_ensf(filt, ensemble, observation, operator, seed=seq)
-        np.testing.assert_array_equal(base, from_seq)
-        reused = executor.analyze_ensf(filt, ensemble, observation, operator, seed=seq)
-        np.testing.assert_array_equal(from_seq, reused)
-        assert seq.n_children_spawned == 0
-
-    @pytest.mark.parametrize("path", ["ensemble-space", "full-space"])
-    @pytest.mark.parametrize("members,shape", [(6, (8, 8)), (20, (64, 64))])
-    def test_analyze_members_every_split_point_concat_invariant(self, members, shape, path):
-        """Every split of the member list concatenates to the unsplit call,
-        bit for bit, on both reverse-SDE paths.  (Weights here are *not*
-        saturated, so a GEMM over the batch — whose last bit depends on the
-        row count — would show up; a non-uniform R forces the full-space
-        fallback under the same identity operator.)"""
-        filt, ensemble, observation, operator = self._ensf_case(members, shape)
-        if path == "full-space":
-            operator = IdentityObservation(
-                operator.state_dim, np.linspace(0.8, 1.2, operator.state_dim)
-            )
-        seeds = np.random.SeedSequence(3).spawn(members)
-        full = filt.analyze_members(ensemble, observation, operator, member_seeds=seeds)
-        for split in range(1, members):
-            head = filt.analyze_members(
-                ensemble, observation, operator, member_seeds=seeds[:split]
-            )
-            tail = filt.analyze_members(
-                ensemble, observation, operator, member_seeds=seeds[split:]
-            )
-            np.testing.assert_array_equal(full, np.concatenate([head, tail], axis=0))
-
-    def test_analyze_members_member_seeds_concat_invariant(self):
-        """Member-wise streams: any split of the seed list concatenates to
-        the full-batch draw (the property the executor relies on)."""
-        filt, ensemble, observation, operator = self._ensf_case(members=6)
-        seeds = np.random.SeedSequence(3).spawn(6)
-        full = filt.analyze_members(ensemble, observation, operator, member_seeds=seeds)
-        head = filt.analyze_members(ensemble, observation, operator, member_seeds=seeds[:2])
-        tail = filt.analyze_members(ensemble, observation, operator, member_seeds=seeds[2:])
-        np.testing.assert_array_equal(full, np.concatenate([head, tail], axis=0))
-        with pytest.raises(ValueError):
-            filt.analyze_members(ensemble, observation, operator)
-        with pytest.raises(ValueError):
-            filt.analyze_members(
-                ensemble, observation, operator, n_local_members=3, member_seeds=seeds
-            )
-        with pytest.raises(ValueError):
-            # legacy mode must never fall through to fresh OS entropy
-            filt.analyze_members(ensemble, observation, operator, n_local_members=3)
-
-    def test_analyze_members_rejects_minibatch_with_member_seeds(self):
-        """Minibatched score draws are shared per worker chunk, so they can
-        never be worker-layout invariant; the member-seeded mode refuses."""
-        _, ensemble, observation, operator = self._ensf_case(members=6)
-        filt = EnSF(EnSFConfig(n_sde_steps=6, minibatch=3), rng=0)
-        seeds = np.random.SeedSequence(0).spawn(6)
-        with pytest.raises(ValueError, match="minibatch"):
-            filt.analyze_members(ensemble, observation, operator, member_seeds=seeds)
-        with pytest.raises(ValueError, match="minibatch"):
-            EnsembleExecutor(n_workers=1).analyze_ensf(
-                filt, ensemble, observation, operator, seed=0
-            )
+        base, filt = _realtime_ensf(executor, seed=1)
+        again, _ = _realtime_ensf(executor, seed=1)
+        other, _ = _realtime_ensf(executor, seed=2)
+        _assert_same_run(base, again)
+        assert np.all(base["analysis_rmse"] != other["analysis_rmse"])
+        _, serial_filt = _realtime_ensf(seed=1)
+        assert filt.rng.bit_generator.state == serial_filt.rng.bit_generator.state
 
     def test_run_osse_analysis_executor_matches_serial(self):
         """An executor handed to an LETKF OSSE shards its forecasts and
@@ -901,6 +850,12 @@ def _raise_key_error(job):
     raise KeyError("genuine job bug")
 
 
+def _forecast_rows(job):
+    """Forecast one slice of rows of a broadcast ensemble."""
+    model, ensemble, rows = job
+    return model.forecast(ensemble[rows], n_steps=2)
+
+
 class TestGatherRouting:
     """A gather's route is its worker count: one worker runs in-process,
     anything wider ships to the pool every time — and which side ran it can
@@ -915,13 +870,16 @@ class TestGatherRouting:
         sqg_ens = np.stack(
             [sqg.flatten(sqg.random_initial_condition(rng=i)) for i in range(4)]
         )
-        filt, e_ens, e_obs, e_op = TestParallelAnalysis()._ensf_case()
         blocks = [np.arange(5.0) + i for i in range(4)]
+        # every work-unit carries the whole ensemble and forecasts its rows
+        broadcast = [(l96, l96_ens, rows) for rows in ensemble_slices(8, 3)]
         return {
             "map_states-l96": lambda ex: ex.map_states(l96, l96_ens, n_steps=2),
             "map_states-sqg": lambda ex: ex.map_states(sqg, sqg_ens, n_steps=2),
             "map_blocks": lambda ex: np.stack(ex.map_blocks(np.negative, blocks)),
-            "analyze_ensf": lambda ex: ex.analyze_ensf(filt, e_ens, e_obs, e_op, seed=9),
+            "map_blocks-broadcast": lambda ex: np.concatenate(
+                ex.map_blocks(_forecast_rows, broadcast)
+            ),
         }
 
     def test_results_identical_in_process_and_on_the_pool(self, gathers):
@@ -1042,16 +1000,38 @@ class TestInFlightBound:
             (20 + i, float(20 + i) * 3.0 + 1.0) for i in range(2)
         ]
 
-    def test_results_bit_identical_ensf_across_worker_counts(self):
-        """The bound caps concurrency, never the decomposition: any
-        ``n_workers`` yields bit-identical analyses through a real pool."""
-        filt, e_ens, e_obs, e_op = TestParallelAnalysis()._ensf_case()
-        ensf_results = []
+    def test_forecasts_bit_identical_across_worker_counts(self):
+        """The bound caps concurrency, never the result: any ``n_workers``
+        yields bit-identical forecasts through a real pool."""
+        model = Lorenz96(dim=64)
+        ens = np.random.default_rng(9).normal(size=(8, 64)) + 8.0
+        results = []
         for n_workers in (1, 2, 3):
             with EnsembleExecutor(n_workers=n_workers, min_members_per_worker=1) as ex:
-                ensf_results.append(ex.analyze_ensf(filt, e_ens, e_obs, e_op, seed=9))
-        for got in ensf_results[1:]:
-            np.testing.assert_array_equal(ensf_results[0], got)
+                results.append(ex.map_states(model, ens, n_steps=3))
+        for got in results:
+            np.testing.assert_array_equal(got, model.forecast(ens, n_steps=3))
+
+    def test_results_bit_identical_ensf_across_worker_counts(self):
+        """The bound caps concurrency, never the decomposition: an EnSF
+        OSSE whose forecasts go through a real pool of any ``n_workers``
+        is the serial one, bit for bit."""
+        grid = Grid2D(8, 8)
+        model = Lorenz96(dim=grid.size)
+        truth0 = model.spinup(100, rng=4)
+        operator = IdentityObservation(grid.size, 1.0)
+        config = OSSEConfig(n_cycles=3, steps_per_cycle=2, ensemble_size=8, seed=5)
+
+        def osse(executor=None):
+            filt = EnSF(EnSFConfig(n_sde_steps=6), rng=9)
+            return run_osse(model, model, filt, operator, truth0, config, executor=executor)
+
+        serial = osse()
+        for n_workers in (1, 2, 3):
+            with EnsembleExecutor(n_workers=n_workers, min_members_per_worker=1) as ex:
+                got = osse(ex)
+            np.testing.assert_array_equal(got.analysis_rmse, serial.analysis_rmse)
+            np.testing.assert_array_equal(got.analysis_mean_final, serial.analysis_mean_final)
 
     def test_single_worker_executor_runs_everything_in_process(self):
         """One worker buys no overlap: every entry runs here and no pool is
@@ -1106,15 +1086,54 @@ class TestSharedMemoryPayloads:
                     via_pickle = ex.map_blocks(_payload_checksum, jobs)
             assert via_shm == via_pickle == serial
 
-    def test_ensf_bit_identical_under_shm(self, monkeypatch):
-        filt, e_ens, e_obs, e_op = TestParallelAnalysis()._ensf_case()
+    def test_broadcast_forecast_bit_identical_under_shm(self, monkeypatch):
+        """Every work-unit carries one ensemble of ``_SHM_MIN_BYTES`` and
+        forecasts its own rows: one segment or a pickle per shard, same bits."""
+        model = Lorenz96(dim=4096)
+        ens = np.random.default_rng(3).normal(size=(8, 4096)) + 8.0
+        assert ens.nbytes >= ensemble_parallel._SHM_MIN_BYTES
+        jobs = [(model, ens, rows) for rows in ensemble_slices(8, 4)]
+        segments = []
+        prepare = EnsembleExecutor._prepare_payloads
+
+        def recorded(self, jobs):
+            arena, shipped, names = prepare(self, jobs)
+            segments.append(len(arena))
+            return arena, shipped, names
+
+        monkeypatch.setattr(EnsembleExecutor, "_prepare_payloads", recorded)
+        outs = {}
+        for shm_on in (True, False):
+            monkeypatch.setattr(ensemble_parallel, "HAVE_SHM", shm_on)
+            with EnsembleExecutor(n_workers=2) as ex:
+                outs[shm_on] = np.concatenate(ex.map_blocks(_forecast_rows, jobs))
+        assert segments == [1]  # the shm run shipped the ensemble once
+        np.testing.assert_array_equal(outs[True], outs[False])
+        np.testing.assert_array_equal(outs[True], model.forecast(ens, n_steps=2))
+
+    def test_ensf_bit_identical_under_shm(self, monkeypatch, gathers):
+        """A pooled realtime EnSF run whose forecast slices ship as shared
+        memory is the pickled run and the serial run, bit for bit."""
         monkeypatch.setattr(ensemble_parallel, "_SHM_MIN_BYTES", 1024)
+        serial, _ = _realtime_ensf()
+        segments = []
+        prepare = EnsembleExecutor._prepare_payloads
+
+        def recorded(self, jobs):
+            arena, shipped, names = prepare(self, jobs)
+            segments.append(len(arena))
+            return arena, shipped, names
+
+        monkeypatch.setattr(EnsembleExecutor, "_prepare_payloads", recorded)
         outs = {}
         for shm_on in (True, False):
             monkeypatch.setattr(ensemble_parallel, "HAVE_SHM", shm_on)
             with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as ex:
-                outs[shm_on] = ex.analyze_ensf(filt, e_ens, e_obs, e_op, seed=3)
-        np.testing.assert_array_equal(outs[True], outs[False])
+                outs[shm_on], _ = _realtime_ensf(ex)
+        assert gathers == [("_forecast_chunk", 2, 2)] * 6
+        assert segments == [2, 2, 2]  # the shm run shipped each 4-member slice as one
+        _assert_same_run(outs[True], outs[False])
+        _assert_same_run(outs[True], serial)
 
     def test_wire_size_is_o_name_and_broadcast_dedups(self):
         from repro.hpc.shm import SharedArrayHandle

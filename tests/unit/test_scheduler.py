@@ -29,6 +29,7 @@ from repro.workflow.scheduler import (
     JOB_STATES,
     TERMINAL_STATES,
     ExperimentService,
+    JobContext,
     JobSpec,
     ServiceConfig,
     lorenz96_ensf_job,
@@ -360,9 +361,7 @@ def _nonfinite_result_job(ctx):
 
 
 def _gated_job(ctx):
-    """Log the launch, then hold the slot until the test opens this job's gate."""
-    with open(ctx.workdir.parent / "launched.log", "a") as log:
-        log.write(ctx.name + "\n")
+    """Hold the slot until the test opens this job's gate."""
     _wait_until((ctx.workdir / "go").exists, f"the gate of {ctx.name!r}")
     return {"ok": True}
 
@@ -518,20 +517,37 @@ class TestFairShare:
 
     A, B = "tenant-a", "tenant-b"
 
-    @staticmethod
-    def _launches(svc) -> list:
-        log = svc.workdir / "launched.log"
-        return log.read_text().split() if log.exists() else []
+    @pytest.fixture(autouse=True)
+    def _record_launches(self, monkeypatch):
+        """Record each attempt as the scheduler launches it.  Its context is
+        built under the service's lock, in launch order; a log the jobs write
+        themselves reads in whatever order their threads got going."""
+        self.launched = []
+        init = JobContext.__init__
+
+        def recording(ctx, service, record):
+            init(ctx, service, record)
+            self.launched.append(ctx.name)
+
+        monkeypatch.setattr(JobContext, "__init__", recording)
+
+    def _launches(self) -> list:
+        return list(self.launched)
 
     def _run_releasing_in_launch_order(self, svc, n_jobs) -> list:
-        """Open the gates one at a time, oldest launch first; the launch log."""
+        """Open the gates one at a time, oldest launch first; the launch order.
+
+        The next gate opens only once the freed slot is filled again, so
+        one slot frees at a time however late the supervisor wakes up.
+        """
         svc.start()
         for released in range(n_jobs):
-            _wait_until(lambda: len(self._launches(svc)) > released, "the next launch")
-            name = self._launches(svc)[released]
+            filled = min(n_jobs, released + svc.config.max_running)
+            _wait_until(lambda: len(self._launches()) >= filled, "the free slots to fill")
+            name = self._launches()[released]
             (svc.workdir / name / "go").touch()
             _wait_for_state(svc, name, "done")
-        return self._launches(svc)
+        return self._launches()
 
     def _submit_two_tenants(self, svc) -> None:
         for tenant in (self.A, self.B):
@@ -561,10 +577,10 @@ class TestFairShare:
             for i in range(2):
                 svc.submit(f"a{i}", "test_scheduler:_gated_job", tenant=self.A, weight=weight)
             svc.start()
-            _wait_until(lambda: len(self._launches(svc)) == 3, "three launches")
+            _wait_until(lambda: len(self._launches()) == 3, "three launches")
             # b0 first (nobody runs yet), a0 next (B is loaded); the third slot
             # goes to A again only if two of its attempts weigh what one of B's does
-            assert self._launches(svc) == first_three.split()
+            assert self._launches() == first_three.split()
             for name in ("a0", "a1", "b0", "b1"):
                 (svc.workdir / name).mkdir(exist_ok=True)
                 (svc.workdir / name / "go").touch()
@@ -575,13 +591,13 @@ class TestFairShare:
             svc.submit("a0", "test_scheduler:_gated_job", tenant=self.A)
             svc.submit("b0", "test_scheduler:_gated_job", tenant=self.B)
             svc.start()
-            _wait_until(lambda: len(self._launches(svc)) == 2, "two launches")
+            _wait_until(lambda: len(self._launches()) == 2, "two launches")
             svc.submit("b1", "test_scheduler:_gated_job", tenant=self.B)
             svc.submit("a1", "test_scheduler:_gated_job", tenant=self.A, priority=5)
             (svc.workdir / "b0" / "go").touch()
             # a0 still runs, so tenant B is the idle one — and a1 goes first
-            _wait_until(lambda: len(self._launches(svc)) == 3, "the third launch")
-            assert self._launches(svc) == ["a0", "b0", "a1"]
+            _wait_until(lambda: len(self._launches()) == 3, "the third launch")
+            assert self._launches() == ["a0", "b0", "a1"]
             for name in ("a0", "a1", "b1"):
                 (svc.workdir / name).mkdir(exist_ok=True)
                 (svc.workdir / name / "go").touch()
@@ -594,7 +610,7 @@ class TestFairShare:
                 for i in range(3):
                     svc.submit(f"job-{i}", "test_scheduler:_gated_job")
                 svc.start()
-                _wait_until(lambda: len(self._launches(svc)) == 2, "two launches")
+                _wait_until(lambda: len(self._launches()) == 2, "two launches")
                 time.sleep(0.05)  # several supervisor polls: a third would show
                 assert svc.status_details()["running"] == ["job-0", "job-1"]
                 for i in range(3):

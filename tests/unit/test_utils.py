@@ -10,7 +10,6 @@ import pytest
 from repro.utils.grid import Grid2D, periodic_delta, periodic_distance_matrix, chord_distance_km
 import repro.utils.random as random_mod
 from repro.utils.random import (
-    MemberStreams,
     SeedSequenceFactory,
     default_rng,
     sample_from_catalogue,
@@ -46,13 +45,6 @@ class TestRandom:
         factory = SeedSequenceFactory(7)
         assert factory.rng("obs").normal() != factory.rng("truth").normal()
 
-    def test_seed_factory_member_rngs(self):
-        factory = SeedSequenceFactory(3)
-        rngs = factory.member_rngs("ensemble", 5)
-        assert len(rngs) == 5
-        vals = [r.normal() for r in rngs]
-        assert len(set(np.round(vals, 12))) == 5
-
     def test_seed_factory_collision_prone_names_distinct(self):
         """Regression: the byte-sum hash mapped anagrams (and any equal
         byte-sum pair) to identical spawn keys, silently correlating
@@ -62,35 +54,6 @@ class TestRandom:
             seq_a, seq_b = factory.seed_for(a), factory.seed_for(b)
             assert seq_a.spawn_key != seq_b.spawn_key, (a, b)
             assert factory.rng(a).normal() != factory.rng(b).normal(), (a, b)
-
-    def test_seed_factory_indexed_substreams(self):
-        factory = SeedSequenceFactory(5)
-        a0 = np.random.default_rng(factory.seed_for("ensf-parallel", 0)).normal()
-        a1 = np.random.default_rng(factory.seed_for("ensf-parallel", 1)).normal()
-        again = np.random.default_rng(factory.seed_for("ensf-parallel", 0)).normal()
-        assert a0 != a1
-        assert a0 == again
-        other_root = SeedSequenceFactory(6).seed_for("ensf-parallel", 0)
-        assert np.random.default_rng(other_root).normal() != a0
-
-    def test_member_streams_layout_invariant_draws(self):
-        seeds = np.random.SeedSequence(0).spawn(6)
-        full = MemberStreams(seeds).standard_normal((6, 4))
-        head = MemberStreams(seeds[:2]).standard_normal((2, 4))
-        tail = MemberStreams(seeds[2:]).standard_normal((4, 4))
-        np.testing.assert_array_equal(full, np.concatenate([head, tail], axis=0))
-
-    def test_member_streams_out_and_validation(self):
-        streams = MemberStreams([1, 2, 3])
-        assert default_rng(streams) is streams
-        out = np.empty((3, 5))
-        assert streams.standard_normal(out=out) is out
-        with pytest.raises(ValueError):
-            streams.standard_normal((4, 5))
-        with pytest.raises(ValueError):
-            streams.standard_normal()
-        with pytest.raises(ValueError):
-            MemberStreams([])
 
     def test_sample_from_catalogue_exported(self):
         assert "sample_from_catalogue" in random_mod.__all__

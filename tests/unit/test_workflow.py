@@ -1,5 +1,7 @@
 """Unit tests for the workflow layer (config, metrics)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,11 @@ class TestExperimentConfig:
             ExperimentConfig(ensemble_size=1)
         with pytest.raises(ValueError):
             ExperimentConfig(nx=30, surrogate_patch=8)
+
+    def test_field_count(self):
+        """A ratchet: a field nothing sets or reads was deleted, not kept
+        as a default; the count may fall here, never rise."""
+        assert len(dataclasses.fields(ExperimentConfig)) == 20
 
 
 class TestMetrics:
