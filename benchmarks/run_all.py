@@ -14,7 +14,7 @@ kernels, the LETKF stride and assembly-block curves, the EnSF paths) and
 ``BENCH_forecast.json`` (fused pseudo-spectral forecast
 engine plus the 128×128 paper-scale OSSE breakdown, read from the
 per-stage seconds on each ``CycleRecord``) at the repository root.  Both
-are written by :func:`repro.utils.write_bench_json` (see its module for the
+are written by :func:`repro.utils.timing.write_bench_json` (see its module for the
 file format).
 """
 

@@ -13,7 +13,7 @@ and quartiles over the repeats, with the derived chunk marked.  (It replaces
 and 3.05 in two records with no forecast change between them.)  End-to-end
 numbers live in ``benchmarks/e2e/``; this file keeps the kernel-level curve.
 
-Record layout (see :func:`repro.utils.write_bench_json` for the generic format)::
+Record layout (see :func:`repro.utils.timing.write_bench_json` for the generic format)::
 
     {
       "benchmark": "forecast-engine",
@@ -62,7 +62,7 @@ from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
 from repro.da.localization import LocalizationConfig
 from repro.models.sqg import SQGModel, SQGParameters
-from repro.utils import best_of, write_bench_json
+from repro.utils.timing import best_of, write_bench_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RECORD_PATH = REPO_ROOT / "BENCH_forecast.json"

@@ -19,7 +19,7 @@ on every refresh is what current code can still prove:
   reverse-SDE integrator against the full-space loop (same recorded noise,
   projected) stays at rounding level.
 
-Record layout (see :func:`repro.utils.write_bench_json` for the generic format)::
+Record layout (see :func:`repro.utils.timing.write_bench_json` for the generic format)::
 
     {
       "benchmark": "analysis-kernels",
@@ -66,7 +66,7 @@ from repro.da.letkf import LETKF, LETKFConfig
 from repro.da.localization import LocalizationConfig, analysis_stride
 from repro.models.sqg import SQGModel, SQGParameters
 from repro.utils.grid import Grid2D
-from repro.utils import best_of, write_bench_json
+from repro.utils.timing import best_of, write_bench_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RECORD_PATH = REPO_ROOT / "BENCH_kernels.json"

@@ -10,7 +10,8 @@ Run with:  python examples/fourway_comparison.py [--paper-scale]
 
 import argparse
 
-from repro.workflow import ExperimentConfig, run_four_experiments
+from repro.workflow.config import ExperimentConfig
+from repro.workflow.experiments import run_four_experiments
 
 
 def main() -> None:

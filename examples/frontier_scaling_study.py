@@ -9,18 +9,13 @@ Run with:  python examples/frontier_scaling_study.py
 
 import numpy as np
 
-from repro.hpc import (
-    CollectiveKind,
-    CollectiveModel,
-    DataParallel,
-    DistributedTrainingSimulator,
-    FSDPParallel,
-    TrainingRunConfig,
-    ZeROParallel,
-    strong_scaling_study,
-    weak_scaling_ensf,
-)
+from repro.hpc.collectives import CollectiveKind, CollectiveModel
+from repro.hpc.ddp import DataParallel
+from repro.hpc.fsdp import FSDPParallel
 from repro.hpc.gemm import vit_achieved_tflops
+from repro.hpc.scaling import strong_scaling_study, weak_scaling_ensf
+from repro.hpc.trainer_sim import DistributedTrainingSimulator, TrainingRunConfig
+from repro.hpc.zero import ZeROParallel
 from repro.surrogate.presets import TABLE_II_PRESETS
 from repro.surrogate.vit import ViTConfig
 

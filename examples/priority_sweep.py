@@ -22,8 +22,7 @@ from pathlib import Path
 
 from repro.hpc.ensemble_parallel import EnsembleExecutor
 from repro.utils.faults import FaultPlan
-from repro.workflow import ExperimentService, ServiceConfig
-from repro.workflow.scheduler import lorenz96_ensf_job
+from repro.workflow.scheduler import ExperimentService, ServiceConfig, lorenz96_ensf_job
 
 RUNNER = "priority_sweep:sweep_job"  # this file: examples/ is on the path of a script run from it
 PARAMS = {"dim": 12, "n_cycles": 10, "ensemble_size": 8, "n_sde_steps": 6}

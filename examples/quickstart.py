@@ -10,9 +10,10 @@ Run with:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import EnSF, EnSFConfig, IdentityObservation
-from repro.da import OSSEConfig, free_run, run_osse
-from repro.models import SQGModel, SQGParameters, spinup_sqg
+from repro.core.ensf import EnSF, EnSFConfig
+from repro.core.observations import IdentityObservation
+from repro.da.cycling import OSSEConfig, free_run, run_osse
+from repro.models.sqg import SQGModel, SQGParameters, spinup_sqg
 
 
 def main() -> None:

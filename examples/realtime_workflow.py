@@ -10,11 +10,12 @@ Run with:  python examples/realtime_workflow.py
 
 import numpy as np
 
-from repro.core import EnSFConfig
-from repro.models import StochasticModelErrorMixture
-from repro.surrogate import TrainingConfig
-from repro.workflow import ExperimentConfig, RealTimeDAWorkflow
+from repro.core.ensf import EnSFConfig
+from repro.models.model_error import StochasticModelErrorMixture
+from repro.surrogate.training import TrainingConfig
+from repro.workflow.config import ExperimentConfig
 from repro.workflow.experiments import build_sqg_testbed, train_offline_surrogate
+from repro.workflow.realtime import RealTimeDAWorkflow
 
 
 def main() -> None:

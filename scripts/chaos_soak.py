@@ -56,7 +56,7 @@ KILL_SPEC = "service-kill@scheduler:9,code=137"
 
 def _child_run(journal: Path, expect_kill: bool) -> None:
     from repro.hpc.ensemble_parallel import EnsembleExecutor
-    from repro.workflow import ExperimentService, ServiceConfig
+    from repro.workflow.scheduler import ExperimentService, ServiceConfig
 
     config = ServiceConfig(max_running=2, retry_backoff_s=0.05, poll_s=0.02)
     journal.parent.mkdir(parents=True, exist_ok=True)

@@ -406,7 +406,7 @@ from pathlib import Path
 sys.path.insert(0, "benchmarks/e2e")  # runners:sqg_letkf_job
 
 from repro.hpc.ensemble_parallel import EnsembleExecutor
-from repro.workflow import ExperimentService, ServiceConfig
+from repro.workflow.scheduler import ExperimentService, ServiceConfig
 from repro.workflow.engine import CheckpointRing
 
 L96 = {"dim": 12, "n_cycles": 40, "ensemble_size": 8, "n_sde_steps": 6}

@@ -17,50 +17,3 @@ Submodules
 ``filters``
     Common filter API and ensemble post-processing (spread relaxation).
 """
-
-from repro.core.schedules import LinearAlphaSchedule, DiffusionSchedule
-from repro.core.score import MonteCarloScoreEstimator
-from repro.core.likelihood import GaussianLikelihoodScore, LinearDamping, CosineDamping, ConstantDamping
-from repro.core.sde import ReverseSDESampler
-from repro.core.observations import (
-    ObservationOperator,
-    IdentityObservation,
-    LinearObservation,
-    SubsampledObservation,
-    NonlinearObservation,
-    ObservationScenario,
-    ObservationEvent,
-    ObservationStream,
-    ObservationQC,
-    QCReport,
-    coverage_windows,
-)
-from repro.core.filters import EnsembleFilter, relax_spread, ensemble_statistics
-from repro.core.ensf import EnSF, EnSFConfig
-
-__all__ = [
-    "LinearAlphaSchedule",
-    "DiffusionSchedule",
-    "MonteCarloScoreEstimator",
-    "GaussianLikelihoodScore",
-    "LinearDamping",
-    "CosineDamping",
-    "ConstantDamping",
-    "ReverseSDESampler",
-    "ObservationOperator",
-    "IdentityObservation",
-    "LinearObservation",
-    "SubsampledObservation",
-    "NonlinearObservation",
-    "ObservationScenario",
-    "ObservationEvent",
-    "ObservationStream",
-    "ObservationQC",
-    "QCReport",
-    "coverage_windows",
-    "EnsembleFilter",
-    "relax_spread",
-    "ensemble_statistics",
-    "EnSF",
-    "EnSFConfig",
-]

@@ -6,26 +6,3 @@ relaxation-to-prior-spread (RTPS) inflation.  A stochastic (perturbed
 observation) EnKF is also provided as a secondary baseline and as an exactly
 verifiable reference on linear-Gaussian problems.
 """
-
-from repro.da.localization import gaspari_cohn, LocalizationConfig, column_distances
-from repro.da.inflation import multiplicative_inflation, rtps_inflation, rtpp_inflation
-from repro.da.letkf import LETKF, LETKFConfig
-from repro.da.enkf import StochasticEnKF, EnKFConfig
-from repro.da.cycling import OSSEConfig, CyclingResult, run_osse, free_run
-
-__all__ = [
-    "gaspari_cohn",
-    "LocalizationConfig",
-    "column_distances",
-    "multiplicative_inflation",
-    "rtps_inflation",
-    "rtpp_inflation",
-    "LETKF",
-    "LETKFConfig",
-    "StochasticEnKF",
-    "EnKFConfig",
-    "OSSEConfig",
-    "CyclingResult",
-    "run_osse",
-    "free_run",
-]

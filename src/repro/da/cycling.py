@@ -163,7 +163,6 @@ def run_osse(
     operator: ObservationOperator,
     truth0: np.ndarray,
     config: OSSEConfig,
-    model_error: StochasticModelErrorMixture | None = None,
     initial_ensemble: np.ndarray | None = None,
     executor=None,
     label: str | None = None,
@@ -196,10 +195,9 @@ def run_osse(
     truth0:
         Initial flattened truth state.
     config:
-        Experiment configuration.
-    model_error:
-        Stochastic mixture perturbing the truth between cycles; defaults to
-        the paper's mixture when ``config.apply_model_error_to_truth`` is set.
+        Experiment configuration.  With ``config.apply_model_error_to_truth``
+        the paper's model-error mixture, drawn from the ``"model-error"``
+        stream of ``config.seed``, perturbs the truth between cycles.
     initial_ensemble:
         Optional pre-built initial ensemble of shape ``(m, d)``.
     executor:
@@ -257,8 +255,11 @@ def run_osse(
     seeds = SeedSequenceFactory(config.seed)
     rng_obs = seeds.rng("observations")
     rng_init = seeds.rng("initial-ensemble")
-    if model_error is None and config.apply_model_error_to_truth:
-        model_error = StochasticModelErrorMixture(rng=seeds.rng("model-error"))
+    model_error = (
+        StochasticModelErrorMixture(rng=seeds.rng("model-error"))
+        if config.apply_model_error_to_truth
+        else None
+    )
 
     truth = ensemble = None
     if resume is None or (isinstance(resume, str) and resume == "auto"):
@@ -286,11 +287,7 @@ def run_osse(
         analysis = FilterAnalysisStage(filter_)
 
     engine = CycleEngine(
-        truth=TruthStage(
-            truth_model,
-            config.steps_per_cycle,
-            model_error if config.apply_model_error_to_truth else None,
-        ),
+        truth=TruthStage(truth_model, config.steps_per_cycle, model_error),
         observations=observations,
         forecast=EnsembleForecastStage(forecast_model, config.steps_per_cycle),
         analysis=analysis,
@@ -332,7 +329,6 @@ def free_run(
     forecast_model: ForecastModel,
     truth0: np.ndarray,
     config: OSSEConfig,
-    model_error: StochasticModelErrorMixture | None = None,
     label: str = "free-run",
 ) -> CyclingResult:
     """Run a no-DA experiment (the "SQG only" / "ViT only" curves of Fig. 4).
@@ -344,15 +340,14 @@ def free_run(
     :func:`run_osse` (``analysis_s`` reads ``0.0``).
     """
     seeds = SeedSequenceFactory(config.seed)
-    if model_error is None and config.apply_model_error_to_truth:
-        model_error = StochasticModelErrorMixture(rng=seeds.rng("model-error"))
+    model_error = (
+        StochasticModelErrorMixture(rng=seeds.rng("model-error"))
+        if config.apply_model_error_to_truth
+        else None
+    )
 
     engine = CycleEngine(
-        truth=TruthStage(
-            truth_model,
-            config.steps_per_cycle,
-            model_error if config.apply_model_error_to_truth else None,
-        ),
+        truth=TruthStage(truth_model, config.steps_per_cycle, model_error),
         forecast=DeterministicForecastStage(forecast_model, config.steps_per_cycle),
     )
     truth = np.array(truth0, dtype=float)

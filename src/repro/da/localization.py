@@ -158,10 +158,6 @@ class FootprintGroup:
     obs_indices: np.ndarray
     sqrt_r_inv: np.ndarray
 
-    @property
-    def n_local_obs(self) -> int:
-        return int(self.obs_indices.shape[1])
-
     def to_device(self, xp) -> "FootprintGroup":
         """Copy of this group with its tensors on backend ``xp``'s device."""
         return FootprintGroup(

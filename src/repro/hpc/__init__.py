@@ -20,47 +20,3 @@ this subpackage provides:
 * a real **multiprocessing ensemble executor** (:mod:`ensemble_parallel`)
   exercising the paper's ensemble-parallel EnSF/forecast code path locally.
 """
-
-from repro.hpc.topology import GPUSpec, NodeSpec, FrontierTopology
-from repro.hpc.collectives import CollectiveModel, CollectiveKind
-from repro.hpc.gemm import GEMMPerformanceModel, vit_achieved_tflops
-from repro.hpc.memory import TrainingMemoryModel, ShardingStrategy, STRATEGY_TABLE
-from repro.hpc.comm import LocalCommGroup
-from repro.hpc.ddp import DataParallel
-from repro.hpc.zero import ZeROParallel
-from repro.hpc.fsdp import FSDPParallel
-from repro.hpc.trainer_sim import DistributedTrainingSimulator, StepBreakdown, TrainingRunConfig
-from repro.hpc.scaling import (
-    strong_scaling_study,
-    weak_scaling_ensf,
-    ScalingPoint,
-    EnSFScalingPoint,
-)
-from repro.hpc.ensemble_parallel import EnsembleExecutor, ShardRetryError, ensemble_slices
-
-__all__ = [
-    "GPUSpec",
-    "NodeSpec",
-    "FrontierTopology",
-    "CollectiveModel",
-    "CollectiveKind",
-    "GEMMPerformanceModel",
-    "vit_achieved_tflops",
-    "TrainingMemoryModel",
-    "ShardingStrategy",
-    "STRATEGY_TABLE",
-    "LocalCommGroup",
-    "DataParallel",
-    "ZeROParallel",
-    "FSDPParallel",
-    "DistributedTrainingSimulator",
-    "StepBreakdown",
-    "TrainingRunConfig",
-    "strong_scaling_study",
-    "weak_scaling_ensf",
-    "ScalingPoint",
-    "EnSFScalingPoint",
-    "EnsembleExecutor",
-    "ShardRetryError",
-    "ensemble_slices",
-]

@@ -91,7 +91,3 @@ class FrontierTopology:
             return self.node.intra_node_bandwidth_gbs
         gpus_per_node = min(n_gpus, self.node.gpus_per_node)
         return self.node.network_injection_gbs / gpus_per_node
-
-    def aggregate_compute_tflops(self, n_gpus: int, precision: str = "bf16") -> float:
-        """Aggregate peak TFLOP/s of an ``n_gpus`` allocation."""
-        return n_gpus * self.node.gpu.peak_flops(precision) / 1.0e12

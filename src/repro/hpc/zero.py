@@ -82,14 +82,6 @@ class ZeROParallel:
         return events
 
     # --------------------------- executable path ----------------------- #
-    def shard_optimizer_state(self, flat_state: np.ndarray, n_ranks: int) -> list[np.ndarray]:
-        """Partition a flattened optimizer-state vector across ranks (stage ≥ 1)."""
-        flat_state = np.asarray(flat_state, dtype=float).ravel()
-        chunk = -(-flat_state.size // n_ranks)
-        padded = np.zeros(chunk * n_ranks)
-        padded[: flat_state.size] = flat_state
-        return [padded[r * chunk : (r + 1) * chunk].copy() for r in range(n_ranks)]
-
     def step(
         self,
         comm: LocalCommGroup,

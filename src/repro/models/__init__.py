@@ -1,19 +1,1 @@
 """Forecast-model substrates: SQG turbulence, Lorenz-96, model-error processes."""
-
-from repro.models.base import ForecastModel, propagate_ensemble
-from repro.models.spectral import SpectralGrid
-from repro.models.sqg import SQGModel, SQGParameters, spinup_sqg
-from repro.models.lorenz96 import Lorenz96
-from repro.models.model_error import StochasticModelErrorMixture, ModelErrorComponent
-
-__all__ = [
-    "ForecastModel",
-    "propagate_ensemble",
-    "SpectralGrid",
-    "SQGModel",
-    "SQGParameters",
-    "spinup_sqg",
-    "Lorenz96",
-    "StochasticModelErrorMixture",
-    "ModelErrorComponent",
-]

@@ -252,10 +252,6 @@ class SpectralGrid:
         """Spectral Laplacian ``-(k²+l²)``."""
         return -self.ksq * spec
 
-    def gradient_physical(self, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Physical-space gradient ``(∂/∂x, ∂/∂y)`` of a spectral field."""
-        return self.to_physical(self.ddx(spec)), self.to_physical(self.ddy(spec))
-
     def jacobian(self, psi_spec: np.ndarray, theta_spec: np.ndarray) -> np.ndarray:
         """Advective Jacobian ``J(ψ, θ) = ψ_x θ_y − ψ_y θ_x`` in spectral space.
 

@@ -54,7 +54,7 @@ from repro.models.spectral import SpectralGrid
 from repro.utils.fft import FFTBackend
 from repro.utils.grid import Grid2D
 from repro.utils.random import default_rng
-from repro.utils.spectra import kinetic_energy_spectrum, spectral_slope
+from repro.utils.spectra import kinetic_energy_spectrum
 from repro.utils.xp import ArrayBackend
 from repro.utils.xp import resolve_backend as resolve_array_backend
 
@@ -404,11 +404,6 @@ class SQGModel:
         """Isotropic KE spectrum of the requested boundary level."""
         u, v = self.velocities(theta)
         return kinetic_energy_spectrum(u[..., level, :, :], v[..., level, :, :])
-
-    def spectrum_slope(self, theta: np.ndarray, level: int = 0) -> float:
-        """Inertial-range KE spectral slope (≈ −5/3 for developed SQG turbulence)."""
-        k, spec = self.kinetic_energy_spectrum(theta, level=level)
-        return spectral_slope(k, spec, k_min=4.0, k_max=self.params.nx // 3)
 
     def cfl_number(self, theta: np.ndarray) -> float:
         """Advective CFL number of the current state (should stay below ~1)."""

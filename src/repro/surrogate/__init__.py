@@ -11,67 +11,3 @@ The Table II architectures (157M / 1.2B / 2.5B parameters) are represented by
 :mod:`repro.surrogate.flops`; laptop-scale presets are provided for the
 accuracy experiments.
 """
-
-from repro.surrogate.layers import (
-    Parameter,
-    Module,
-    Linear,
-    LayerNorm,
-    GELU,
-    Dropout,
-    DropPath,
-    Sequential,
-)
-from repro.surrogate.attention import MultiHeadSelfAttention
-from repro.surrogate.blocks import MLP, TransformerBlock
-from repro.surrogate.patch import patchify, unpatchify, PatchEmbed
-from repro.surrogate.vit import ViTConfig, VisionTransformer, SQGViTSurrogate, StateNormalizer
-from repro.surrogate.optim import Adam, SGD, clip_gradients
-from repro.surrogate.training import (
-    TrajectoryDataset,
-    OfflineTrainer,
-    OnlineTrainer,
-    TrainingConfig,
-)
-from repro.surrogate.flops import (
-    vit_parameter_count,
-    vit_training_flops,
-    vit_layer_flops,
-    frontier_node_hours,
-)
-from repro.surrogate.presets import TABLE_II_PRESETS, laptop_preset, preset_by_input_size
-
-__all__ = [
-    "Parameter",
-    "Module",
-    "Linear",
-    "LayerNorm",
-    "GELU",
-    "Dropout",
-    "DropPath",
-    "Sequential",
-    "MultiHeadSelfAttention",
-    "MLP",
-    "TransformerBlock",
-    "patchify",
-    "unpatchify",
-    "PatchEmbed",
-    "ViTConfig",
-    "VisionTransformer",
-    "SQGViTSurrogate",
-    "StateNormalizer",
-    "Adam",
-    "SGD",
-    "clip_gradients",
-    "TrajectoryDataset",
-    "OfflineTrainer",
-    "OnlineTrainer",
-    "TrainingConfig",
-    "vit_parameter_count",
-    "vit_training_flops",
-    "vit_layer_flops",
-    "frontier_node_hours",
-    "TABLE_II_PRESETS",
-    "laptop_preset",
-    "preset_by_input_size",
-]

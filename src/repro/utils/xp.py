@@ -68,13 +68,9 @@ __all__ = [
     "StateHandle",
     "as_host_array",
     "available_backends",
-    "available_array_backends",
     "default_backend_name",
-    "default_array_backend_name",
     "resolve_backend",
-    "resolve_array_backend",
     "set_default_backend",
-    "set_default_array_backend",
 ]
 
 _ENV_BACKEND = "REPRO_ARRAY_BACKEND"
@@ -422,11 +418,3 @@ def as_host_array(state) -> np.ndarray:
         return state.host()
     return np.asarray(state)
 
-
-# Aliased re-exports: the short names mirror repro.utils.fft's API (the two
-# shims are siblings), the long names disambiguate in `repro.utils`, which
-# re-exports both modules into one namespace.
-available_array_backends = available_backends
-default_array_backend_name = default_backend_name
-resolve_array_backend = resolve_backend
-set_default_array_backend = set_default_backend

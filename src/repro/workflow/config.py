@@ -36,11 +36,6 @@ class ExperimentConfig:
         Offline training-set size (state pairs) and epochs for the ViT.
     surrogate_embed_dim, surrogate_depth, surrogate_patch:
         Laptop-scale SQG-ViT architecture.
-    array_backend:
-        Array backend (:mod:`repro.utils.xp`) for the SQG forecast engine
-        and both analysis algorithms; ``None`` defers to the
-        ``REPRO_ARRAY_BACKEND`` process default.  The numpy backend is
-        bit-identical, so this is a hardware knob, not a numerics knob.
     seed:
         Root seed for all stochastic streams.
     """
@@ -63,7 +58,6 @@ class ExperimentConfig:
     letkf_cutoff: float = 2.0e6
     letkf_rtps: float = 0.3
     ensf_sde_steps: int = 100
-    array_backend: str | None = None
     seed: int = 1234
 
     def __post_init__(self) -> None:

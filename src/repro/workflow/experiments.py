@@ -78,7 +78,7 @@ class FourWayComparison:
 def build_sqg_testbed(config: ExperimentConfig) -> SQGTestbed:
     """Build the SQG model, spin up the truth and create the observation operator."""
     seeds = SeedSequenceFactory(config.seed)
-    model = SQGModel(config.sqg_parameters(), array_backend=config.array_backend)
+    model = SQGModel(config.sqg_parameters())
     truth_field = spinup_sqg(model, n_steps=config.spinup_steps, rng=seeds.rng("truth-spinup"))
     truth0 = model.flatten(truth_field)
     operator = IdentityObservation(model.state_size, obs_error_var=config.obs_error_var)
@@ -136,14 +136,12 @@ def run_four_experiments(
         LETKFConfig(
             localization=LocalizationConfig(cutoff=config.letkf_cutoff),
             rtps_factor=config.letkf_rtps,
-            backend=config.array_backend,
         ),
     )
     ensf = EnSF(
         EnSFConfig(
             n_sde_steps=config.ensf_sde_steps,
             spread_relaxation=1.0,
-            backend=config.array_backend,
         ),
         rng=testbed.seeds.rng("ensf"),
     )

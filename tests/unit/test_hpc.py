@@ -659,7 +659,7 @@ class TestCyclingSurface:
     """Parameter counts of the cycling entry points, a ratchet toward the
     ROADMAP's ``run_osse`` <= 10: a count may fall here, never rise."""
 
-    COUNTS = {"run_osse": 22, "free_run": 6, "CycleEngine": 13}
+    COUNTS = {"run_osse": 21, "free_run": 5, "CycleEngine": 13}
 
     def test_parameter_counts(self):
         from repro.da import cycling

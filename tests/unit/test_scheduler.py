@@ -895,7 +895,7 @@ _KILL_DRIVER = """
 import json, sys
 from pathlib import Path
 from repro.hpc.ensemble_parallel import EnsembleExecutor
-from repro.workflow import ExperimentService, ServiceConfig
+from repro.workflow.scheduler import ExperimentService, ServiceConfig
 
 journal, params = Path(sys.argv[1]), json.loads(sys.argv[2])
 config = ServiceConfig(max_running=2, retry_backoff_s=0.01, poll_s=0.01)
