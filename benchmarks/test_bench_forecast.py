@@ -60,7 +60,6 @@ import repro.models.sqg as sqg_mod
 from repro.core.observations import IdentityObservation
 from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
-from repro.da.localization import LocalizationConfig
 from repro.models.sqg import SQGModel, SQGParameters
 from repro.utils.timing import best_of, write_bench_json
 
@@ -378,9 +377,7 @@ def _bench_engine_overhead():
     truth0 = model.flatten(
         model.step(model.random_initial_condition(rng=7, amplitude=3.0), n_steps=50)
     )
-    letkf = LETKF(
-        params.grid, LETKFConfig(localization=LocalizationConfig(cutoff=4.0e6))
-    )
+    letkf = LETKF(params.grid, LETKFConfig(cutoff=4.0e6))
     operator = IdentityObservation(model.state_size, 1.0)
     config = OSSEConfig(n_cycles=5, steps_per_cycle=4, ensemble_size=N_MEMBERS, seed=3)
 
@@ -434,9 +431,7 @@ def _bench_retry_overhead():
     truth0 = model.flatten(
         model.step(model.random_initial_condition(rng=7, amplitude=3.0), n_steps=50)
     )
-    letkf = LETKF(
-        params.grid, LETKFConfig(localization=LocalizationConfig(cutoff=4.0e6))
-    )
+    letkf = LETKF(params.grid, LETKFConfig(cutoff=4.0e6))
     operator = IdentityObservation(model.state_size, 1.0)
     config = OSSEConfig(n_cycles=4, steps_per_cycle=4, ensemble_size=8, seed=3)
     plan = FaultPlan.from_spec("worker-crash@executor:2;worker-crash@executor:5")
@@ -490,10 +485,7 @@ def _bench_osse_paper_scale():
     truth0 = model.flatten(
         model.step(model.random_initial_condition(rng=11, amplitude=3.0), n_steps=20)
     )
-    letkf = LETKF(
-        params.grid,
-        LETKFConfig(localization=LocalizationConfig(cutoff=2.0e6, min_weight=0.0)),
-    )
+    letkf = LETKF(params.grid, LETKFConfig(cutoff=2.0e6))
     operator = IdentityObservation(model.state_size, 1.0)
     config = OSSEConfig(
         n_cycles=n_cycles, steps_per_cycle=4, ensemble_size=N_MEMBERS, seed=9
@@ -558,10 +550,7 @@ def _bench_residency():
     letkf_budget = per_cycle(
         lambda m: LETKF(
             m.grid,
-            LETKFConfig(
-                localization=LocalizationConfig(cutoff=4.0e6),
-                backend="mock-device",
-            ),
+            LETKFConfig(cutoff=4.0e6, backend="mock-device"),
         )
     )
     ensf_budget = per_cycle(

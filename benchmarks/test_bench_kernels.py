@@ -63,7 +63,7 @@ from repro.core.ensf import EnSF, EnSFConfig, _ScaledOperator, _StateScaler
 from repro.core.observations import IdentityObservation
 from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
-from repro.da.localization import LocalizationConfig, analysis_stride
+from repro.da.localization import analysis_stride
 from repro.models.sqg import SQGModel, SQGParameters
 from repro.utils.grid import Grid2D
 from repro.utils.timing import best_of, write_bench_json
@@ -94,7 +94,7 @@ def _letkf_case():
     truth = rng.standard_normal(grid.size)
     operator = IdentityObservation(grid.size, 1.0)
     observation = operator.observe(truth, rng=rng)
-    config = LETKFConfig(localization=LocalizationConfig(cutoff=2.0e6, min_weight=0.0))
+    config = LETKFConfig(cutoff=2.0e6)
     return grid, ensemble, truth, operator, observation, config
 
 
@@ -113,7 +113,7 @@ def _bench_letkf():
         "grid": list(LETKF_GRID),
         "members": N_MEMBERS,
         "n_obs": int(operator.obs_dim),
-        "cutoff_m": config.localization.cutoff,
+        "cutoff_m": config.cutoff,
         "first_call_s": t_first,
         "optimized_s": t_new,
         "geometry_build_s": t_first - t_new,
@@ -142,7 +142,7 @@ def _bench_letkf_stride_curve():
         n_cycles=LETKF_STRIDE_CYCLES, steps_per_cycle=4, ensemble_size=N_MEMBERS, seed=7,
         apply_model_error_to_truth=False,
     )
-    cutoff = LocalizationConfig().cutoff
+    cutoff = LETKFConfig().cutoff
     rows = []
     for stride in LETKF_STRIDES:
         with pytest.MonkeyPatch.context() as patch:

@@ -15,7 +15,6 @@ from repro.core.likelihood import ConstantDamping, CosineDamping, LinearDamping
 from repro.core.observations import IdentityObservation
 from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
-from repro.da.localization import LocalizationConfig
 from repro.models.sqg import SQGModel, SQGParameters, spinup_sqg
 
 
@@ -37,7 +36,7 @@ def test_letkf_tuning_sweep(benchmark, report):
             for cutoff in (1.0e6, 2.0e6, 4.0e6):
                 letkf = LETKF(
                     model.grid,
-                    LETKFConfig(localization=LocalizationConfig(cutoff=cutoff), rtps_factor=rtps),
+                    LETKFConfig(cutoff=cutoff, rtps_factor=rtps),
                 )
                 result = run_osse(model, model, letkf, operator, truth0, osse)
                 rows.append({"rtps": rtps, "cutoff_km": cutoff / 1e3,

@@ -108,10 +108,11 @@ echo "== smoke 2/9: worker invariance through an n_workers=2 pool =="
 python -m pytest -x -q tests/unit/test_hpc.py::TestGatherRouting \
     tests/unit/test_engine.py::TestRealtimeStateSemantics::test_executor_run_equals_the_serial_run
 python - <<'EOF'
-from repro.da.localization import LocalizationConfig, analysis_stride
+from repro.da.letkf import LETKFConfig
+from repro.da.localization import analysis_stride
 from repro.utils.grid import Grid2D
 
-cutoff = LocalizationConfig().cutoff
+cutoff = LETKFConfig().cutoff
 for n, stride in ((64, 4), (128, 8), (32, 2)):
     assert analysis_stride(Grid2D(n, n), cutoff) == stride, (n, stride)
 # step 7's grid: fewer than 4 analysis points per axis, every column is solved
@@ -320,7 +321,6 @@ import numpy as np
 from repro.core.observations import IdentityObservation, ObservationQC
 from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
-from repro.da.localization import LocalizationConfig
 from repro.hpc.ensemble_parallel import EnsembleExecutor
 from repro.models.lorenz96 import Lorenz96
 from repro.utils.faults import ENV_FAULT_PLAN
@@ -345,7 +345,7 @@ FAULT_SEQUENCE = (
 def letkf():
     return LETKF(
         Grid2D(10, 2, nlev=2),
-        LETKFConfig(localization=LocalizationConfig(cutoff=4.0e6), shard_columns=8),
+        LETKFConfig(cutoff=4.0e6, shard_columns=8),
     )
 
 def run(executor, **kwargs):
@@ -449,8 +449,12 @@ with tempfile.TemporaryDirectory() as tmp, EnsembleExecutor(n_workers=2) as pool
         for i in range(4):
             ring = CheckpointRing(svc.workdir / f"l96-{i}" / "engine.ckpt", config.keep_last)
             cycles = [int(p.name.rsplit(".c", 1)[1]) for p in ring.paths()]
-            # every cycle written => the surviving members would be consecutive
-            assert cycles and cycles[-1] - cycles[0] > len(cycles) - 1, cycles
+            # every cycle written => the surviving members would be consecutive.
+            # The cadence may leave a single member: with keep_last=3 that
+            # means exactly one write in the 40 cycles, amortised too.
+            assert cycles and (
+                len(cycles) == 1 or cycles[-1] - cycles[0] > len(cycles) - 1
+            ), cycles
         assert not list(Path(tmp).rglob("*.tmp"))
     assert gathers == [], gathers  # whole attempts, no shards
     assert len(pool.fault_log) == 0

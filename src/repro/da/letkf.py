@@ -21,7 +21,7 @@ One local-solve pipeline, on an analysis grid
 The ensemble-space transform of a column varies on the localization scale
 (``cutoff``), not the grid scale, so — as in operational LETKFs (Yang,
 Kalnay, Hunt & Bowler 2009, QJRMS 135; KENDA) — it is solved on a coarser
-**analysis grid** and interpolated.  :meth:`LETKF.analyze` runs six steps:
+**analysis grid** and interpolated.  :meth:`LETKF.analyze` runs five steps:
 
 1. **global statistics** (means, perturbations, innovation), computed once
    on the host by :meth:`LETKF._update_statistics`;
@@ -32,46 +32,38 @@ Kalnay, Hunt & Bowler 2009, QJRMS 135; KENDA) — it is solved on a coarser
    when the cut-off is within a few grid lengths).  The stride is derived,
    never configured.  A :class:`~repro.da.localization.LocalAnalysisGeometry`
    (cached across cycles) describes the analysis-grid columns only;
-3. **the shard list**: the analysis-grid columns cut into contiguous runs of
-   ``config.shard_columns`` — a function of the grid only, which bounds the
-   stacked-``eigh`` workspace;
-4. **one kernel per assembly mode**, run in-process once per shard on
-   device-resident arrays: :func:`_solve_convolution` takes the shard's
-   columns of a global circular FFT convolution (uniform observation
-   errors, ``min_weight == 0``), whose spectrum is folded onto the
-   analysis grid before the inverse; it runs one cache-sized block of
-   channels at a time, through buffers that persist across cycles
-   (:meth:`LETKF._convolution_channels`).
-   :func:`_solve_grouped` gathers the shard's precomputed footprints (a
-   :class:`~repro.da.localization.GeometryBlock`).  Both end in
-   :func:`solve_local_batch`, a stacked ``eigh`` over ``(n, m, m)`` tensors,
-   and return each column's ``(m, m)`` weight matrix
+3. **one kernel per assembly mode** solves every analysis-grid column in
+   one pass on device-resident arrays: :func:`_solve_convolution` takes
+   the rows of a global circular FFT convolution (uniform observation
+   errors), whose spectrum is folded onto the analysis grid before the
+   inverse; it runs one cache-sized block of channels at a time, through
+   buffers that persist across cycles (:meth:`LETKF._convolution_channels`).
+   :func:`_solve_grouped` gathers the geometry's precomputed footprints
+   (non-uniform errors).  Both end in :func:`solve_local_batch`, a stacked
+   ``eigh`` over at most ``config.shard_columns`` columns at a time, and
+   return each column's ``(m, m)`` weight matrix
    ``W_c = E √((m-1)/λ) Eᵀ + w̄_c 1ᵀ``;
-5. **interpolate and apply** (:func:`_interpolate_apply`): periodic bilinear
+4. **interpolate and apply** (:func:`_interpolate_apply`): periodic bilinear
    interpolation of ``W`` to every state column fused with
    ``x̄_c + X′_c W_c``, one grid row at a time so the full-resolution weight
    field never exists.  With ``s = 1`` the interpolation is skipped.  State
    columns whose interpolation neighbours all lack observations keep the
    prior bit for bit;
-6. **RTPS** inflation on the whole ensemble.
+5. **RTPS** inflation on the whole ensemble.
 
 Mean analysis RMSE against the stride (64² SQG, 20 members, 60 cycles; the
 rule picks 4): 0.02776 / 0.02767 / 0.02738 / 0.02711 K at ``s`` = 1 / 2 / 4 /
 8 (``letkf_stride_curve`` in ``BENCH_kernels.json``).
 
-The shards run in the calling process on slices of statistics uploaded
-once.  The paper's column decomposition is not shipped to a process pool:
-on the hosts measured (``letkf_sharded`` in ``BENCH_kernels.json``),
-shipping shards has not measurably beaten running the same shards here.
 Every analysis column is an independent problem, and a state column's
 weights are an elementwise function of its four neighbours', so any
-``shard_columns`` / ``block_columns`` layout gives the same bits, by
-construction rather than by tolerance.
+``shard_columns`` gives the same bits, by construction rather than by
+tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,11 +74,7 @@ from repro.core.observations import (
     SubsampledObservation,
 )
 from repro.da.inflation import multiplicative_inflation, rtps_inflation
-from repro.da.localization import (
-    LocalAnalysisGeometry,
-    LocalizationConfig,
-    geometry_cache_key,
-)
+from repro.da.localization import LocalAnalysisGeometry, geometry_cache_key
 from repro.utils.grid import Grid2D
 from repro.utils.xp import ArrayBackend, as_host_array, resolve_backend
 
@@ -169,48 +157,42 @@ def _interpolate_apply(weights, local_pert, local_mean, shape, stride, xp: Array
     return analysis
 
 
-def _assemble_from_conv(
-    conv_block: np.ndarray, n_members: int, xp: ArrayBackend
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build ``(a_stack, c_innov)`` from a block of convolved channels.
+def _solve_convolution(conv, n_members: int, max_batch: int, xp: ArrayBackend):
+    """Convolution-mode kernel: assemble each column's system from its row of
+    channels, then solve, ``max_batch`` rows at a time.
 
-    Each row of ``conv_block`` ``(n_block_columns, n_pair + m)`` holds one
-    column's ``m(m+1)/2`` upper-triangle Gram channels followed by its ``m``
-    innovation channels — the output of the global circular convolution (see
-    :meth:`LETKF._convolution_channels`) — on ``xp``'s device.
+    Each row of ``conv`` ``(n_columns, m(m+1)/2 + m)`` (on ``xp``'s device,
+    see :meth:`LETKF._convolution_channels`) holds one analysis column's
+    upper-triangle Gram channels followed by its ``m`` innovation channels.
+    Returns weights ``(n_columns, m, m)``.
     """
     iu0, iu1 = xp.triu_indices(n_members)
     n_pair = iu0.size
-    a_stack = xp.empty((conv_block.shape[0], n_members, n_members))
-    a_stack[:, iu0, iu1] = conv_block[:, :n_pair]
-    a_stack[:, iu1, iu0] = conv_block[:, :n_pair]
     diag = xp.arange(n_members)
-    a_stack[:, diag, diag] += n_members - 1
-    return a_stack, conv_block[:, n_pair:]
+    weights = xp.empty((conv.shape[0], n_members, n_members))
+    for start in range(0, conv.shape[0], max_batch):
+        rows = conv[start : start + max_batch]
+        a_stack = xp.empty((rows.shape[0], n_members, n_members))
+        a_stack[:, iu0, iu1] = rows[:, :n_pair]
+        a_stack[:, iu1, iu0] = rows[:, :n_pair]
+        a_stack[:, diag, diag] += n_members - 1
+        weights[start : start + rows.shape[0]] = solve_local_batch(a_stack, rows[:, n_pair:], xp)
+    return weights
 
 
-def _solve_convolution(conv_block, n_members: int, xp: ArrayBackend):
-    """Convolution-mode shard kernel: assemble from channels, then solve.
+def _solve_grouped(groups, y_t, innovation, n_columns, max_batch, xp):
+    """Grouped-mode kernel: gather footprints, assemble, solve.
 
-    ``conv_block`` (on ``xp``'s device) is the shard's rows of
-    :meth:`LETKF._convolution_channels`.  Returns weights ``(n_block, m, m)``.
-    """
-    return solve_local_batch(*_assemble_from_conv(conv_block, n_members, xp), xp)
-
-
-def _solve_grouped(groups, y_sub_t, innov_sub, n_block, max_batch, xp):
-    """Grouped-mode shard kernel: gather footprints, assemble, solve.
-
-    All arrays live on ``xp``'s device.  ``groups`` are the shard's
-    :class:`~repro.da.localization.FootprintGroup` slices (block-local
-    columns, observation indices into ``y_sub_t`` ``(p_sub, m)`` /
-    ``innov_sub`` ``(p_sub,)``); at most ``max_batch`` columns are gathered
-    at a time.  Returns weights ``(n_block, m, m)``; a column without a
+    All arrays live on ``xp``'s device.  ``groups`` are the geometry's
+    :class:`~repro.da.localization.FootprintGroup` tensors (analysis-grid
+    columns, observation indices into ``y_t`` ``(n_obs, m)`` /
+    ``innovation`` ``(n_obs,)``); at most ``max_batch`` columns are gathered
+    at a time.  Returns weights ``(n_columns, m, m)``; a column without a
     footprint gets the identity.
     """
-    n_members = y_sub_t.shape[-1]
+    n_members = y_t.shape[-1]
     diag = xp.arange(n_members)
-    weights = xp.zeros((n_block, n_members, n_members))
+    weights = xp.zeros((n_columns, n_members, n_members))
     weights[:, diag, diag] = 1.0
     for group in groups:
         n_group = group.columns.shape[0]
@@ -220,11 +202,11 @@ def _solve_grouped(groups, y_sub_t, innov_sub, n_block, max_batch, xp):
             sqrt_r = group.sqrt_r_inv[sl]
             cols = group.columns[sl]
 
-            q = xp.take(y_sub_t, idx, axis=0)  # (B, p, m)
+            q = xp.take(y_t, idx, axis=0)  # (B, p, m)
             q *= sqrt_r[:, :, None]
             a_stack = xp.matmul(q.transpose(0, 2, 1), q)
             a_stack[:, diag, diag] += n_members - 1
-            c_innov = xp.einsum("bpm,bp->bm", q, sqrt_r * innov_sub[idx])
+            c_innov = xp.einsum("bpm,bp->bm", q, sqrt_r * innovation[idx])
             weights[cols] = solve_local_batch(a_stack, c_innov, xp)
     return weights
 
@@ -298,43 +280,36 @@ class LETKFConfig:
     """LETKF tuning parameters.
 
     The defaults are the paper's optimally tuned values for the SQG testbed:
-    RTPS factor 0.3 and a 2000 km localization cut-off.  The default
-    localization (see :class:`~repro.da.localization.LocalizationConfig`)
-    uses ``min_weight = 0`` — exact Gaspari–Cohn support, which enables the
-    fast convolution assembly; a positive ``min_weight`` selects the
-    grouped-footprint kernel instead.
+    RTPS factor 0.3 and a 2000 km localization cut-off.
 
     Attributes
     ----------
-    block_columns:
-        Upper bound on the number of columns per grouped-gather batch; caps
-        the peak size of the stacked ``(B, p, m)`` local-observation
-        tensors, whose size depends on the footprint.
+    cutoff:
+        Gaspari–Cohn length scale in metres; observations beyond twice the
+        cut-off have no influence on a column.
     shard_columns:
-        Number of contiguous analysis-grid columns per shard — the unit the
-        local solves run over, and therefore the bound on the
-        stacked-``eigh`` workspace.  The shard list is a function of the
-        grid only.
+        Most analysis-grid columns solved in one stacked batch: bounds the
+        ``(B, p, m)`` footprint gather and the ``(B, m, m)`` ``eigh`` stack.
+        Any value gives the same bits.
     backend:
-        Array backend name for the shard kernels
+        Array backend name for the kernels
         (``None`` = the ``REPRO_ARRAY_BACKEND`` process default).  The
         numpy backend is bit-identical to the pre-shim kernels.
     """
 
-    localization: LocalizationConfig = field(default_factory=LocalizationConfig)
+    cutoff: float = 2.0e6
     rtps_factor: float = 0.3
     prior_inflation: float = 1.0
-    block_columns: int = 512
     shard_columns: int = 1024
     backend: str | None = None
 
     def __post_init__(self) -> None:
+        if self.cutoff <= 0:
+            raise ValueError("cutoff must be positive")
         if not 0.0 <= self.rtps_factor <= 1.0:
             raise ValueError("rtps_factor must lie in [0, 1]")
         if self.prior_inflation < 1.0:
             raise ValueError("prior multiplicative inflation must be >= 1")
-        if self.block_columns < 1:
-            raise ValueError("block_columns must be positive")
         if self.shard_columns < 1:
             raise ValueError("shard_columns must be positive")
 
@@ -348,7 +323,7 @@ class LETKF(EnsembleFilter):
         Physical grid describing the state layout ``(nlev, ny, nx)``; used to
         compute periodic distances for localization.
     config:
-        Tuning parameters (localization radius, inflation factors).
+        Tuning parameters (localization cut-off, inflation factors).
     obs_columns:
         Optional explicit mapping from observation index to horizontal column
         index.  When omitted it is derived automatically for identity and
@@ -409,12 +384,12 @@ class LETKF(EnsembleFilter):
         """Cached :class:`LocalAnalysisGeometry` for ``operator``'s network."""
         obs_columns = self._resolve_obs_columns(operator)
         key = geometry_cache_key(
-            self.grid, obs_columns, self.config.localization, operator.obs_error_var
+            self.grid, obs_columns, self.config.cutoff, operator.obs_error_var
         )
         geometry = self._geometry_cache.get(key)
         if geometry is None:
             geometry = LocalAnalysisGeometry(
-                self.grid, obs_columns, self.config.localization, operator.obs_error_var
+                self.grid, obs_columns, self.config.cutoff, operator.obs_error_var
             )
             while len(self._geometry_cache) >= self._geometry_cache_max:
                 self._geometry_cache.pop(next(iter(self._geometry_cache)))
@@ -470,8 +445,8 @@ class LETKF(EnsembleFilter):
         observation: np.ndarray,
         operator: ObservationOperator,
     ) -> np.ndarray:
-        """The analysis pipeline (see the module docstring): the shard
-        kernels run in-process on slices of device-resident statistics."""
+        """The analysis pipeline (see the module docstring): one kernel
+        solves every analysis-grid column on device-resident statistics."""
         forecast_ensemble = self._validate(forecast_ensemble)
         observation = np.asarray(observation, dtype=float)
 
@@ -482,36 +457,20 @@ class LETKF(EnsembleFilter):
         xp = self.xp
         n_members = prior.shape[0]
         n_columns, n_levels = self.grid.ny * self.grid.nx, self.grid.nlev
-        shard = self.config.shard_columns
-        bounds = [
-            (start, min(start + shard, geometry.n_columns))
-            for start in range(0, geometry.n_columns, shard)
-        ]
+        batch = self.config.shard_columns
 
         if geometry.mode == "convolution":
-            kernel = _solve_convolution
-            # The circular convolution is global: it runs once, and each
-            # shard takes its columns' rows.
             conv = self._convolution_channels(y_pert, innovation, geometry, n_members)
-            jobs = ((conv[a:b], n_members) for a, b in bounds)
+            weights = _solve_convolution(conv, n_members, batch, xp)
         else:
-            kernel = _solve_grouped
-            y_t = xp.to_device(np.ascontiguousarray(y_pert.T))  # (n_obs, m)
-            innovation = xp.to_device(innovation)
-            blocks = (geometry.block(a, b, xp) for a, b in bounds)
-            jobs = (
-                (
-                    block.groups,
-                    y_t[block.obs_subset],
-                    innovation[block.obs_subset],
-                    block.n_block_columns,
-                    self.config.block_columns,
-                )
-                for block in blocks
+            weights = _solve_grouped(
+                geometry.device_groups(xp),
+                xp.to_device(np.ascontiguousarray(y_pert.T)),  # (n_obs, m)
+                xp.to_device(innovation),
+                geometry.n_columns,
+                batch,
+                xp,
             )
-
-        # The jobs are lazy, so only one shard's gather is alive at a time.
-        weights = xp.concatenate([kernel(*job, xp) for job in jobs], axis=0)
 
         # Column-major prior, member axis last: (n_columns, nlev, m).
         local_pert = xp.to_device(
@@ -574,8 +533,8 @@ class LETKF(EnsembleFilter):
         Returns a fresh ``(geometry.n_columns, m(m+1)/2 + m)`` array of local
         system entries (one row per analysis-grid column: upper-triangle Gram
         channels then innovation channels) on the analysis backend's device;
-        it never aliases the workspace, so shards of one cycle survive the
-        next cycle's assembly.
+        it never aliases the workspace, so it survives the next cycle's
+        assembly.
         """
         xp = self.xp
         grid = self.grid
@@ -598,7 +557,7 @@ class LETKF(EnsembleFilter):
         else:
             obs_cols_dev = xp.to_device(geometry.obs_columns)
 
-        # Fresh rows: shards of this cycle may outlive the next assembly.
+        # Fresh rows: this cycle's channels may outlive the next assembly.
         rows = xp.empty((ny_a, nx_a, n_channels))
         block = len(workspace.channels)
         for lo in range(0, n_channels, block):

@@ -17,7 +17,7 @@ built over the analysis-grid columns only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +25,9 @@ from repro.utils.grid import Grid2D, periodic_distance_matrix
 
 __all__ = [
     "gaspari_cohn",
-    "LocalizationConfig",
     "analysis_stride",
     "column_distances",
     "FootprintGroup",
-    "GeometryBlock",
     "LocalAnalysisGeometry",
     "geometry_cache_key",
 ]
@@ -73,39 +71,6 @@ def gaspari_cohn(distance: np.ndarray, cutoff: float) -> np.ndarray:
         - (2.0 / 3.0) / rf
     )
     return np.clip(out, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class LocalizationConfig:
-    """Localization settings for LETKF.
-
-    Attributes
-    ----------
-    cutoff:
-        Gaspari–Cohn length scale in metres (paper's tuned value: 2000 km).
-    min_weight:
-        Observations whose localization weight falls below this threshold are
-        dropped from the local analysis.  The default of 0 keeps the exact
-        Gaspari–Cohn support (identically zero beyond twice the cut-off) and
-        lets the batched LETKF use the convolution assembly; a positive
-        threshold shrinks the per-column problems (useful for the reference
-        loop and the grouped kernel) at the cost of ~``min_weight``-level
-        changes to the analysis.  Before the vectorized kernels the default
-        was ``1e-4``; pass that explicitly to reproduce older runs.
-    """
-
-    cutoff: float = 2.0e6
-    min_weight: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.cutoff <= 0:
-            raise ValueError("cutoff must be positive")
-        if not 0.0 <= self.min_weight < 1.0:
-            raise ValueError("min_weight must lie in [0, 1)")
-
-    def weights(self, distance: np.ndarray) -> np.ndarray:
-        """Localization weights for the given distances."""
-        return gaspari_cohn(distance, self.cutoff)
 
 
 # The analysis grid is spaced at most this fraction of the cut-off (the
@@ -167,43 +132,6 @@ class FootprintGroup:
         )
 
 
-@dataclass(frozen=True)
-class GeometryBlock:
-    """Slice of a :class:`LocalAnalysisGeometry` over contiguous columns.
-
-    This is the geometry of one LETKF shard (see
-    :meth:`LocalAnalysisGeometry.column_block`): it carries only what is
-    needed to assemble and solve the local systems of columns
-    ``[start, stop)``.
-
-    Attributes
-    ----------
-    start, stop:
-        Half-open analysis-grid column range covered by this block.
-    mode:
-        ``"convolution"`` or ``"grouped"`` (inherited from the geometry).
-    obs_subset:
-        Grouped mode: sorted indices into the *full* observation vector of
-        the observations appearing in any footprint of this block (what the
-        shard gathers from ``y_pert``/``innovation``); ``None`` in
-        convolution mode, where assembly is one global FFT.
-    groups:
-        Grouped mode: :class:`FootprintGroup` slices with ``columns``
-        shifted block-local and ``obs_indices`` remapped into
-        ``obs_subset``; empty in convolution mode.
-    """
-
-    start: int
-    stop: int
-    mode: str
-    obs_subset: np.ndarray | None
-    groups: tuple[FootprintGroup, ...]
-
-    @property
-    def n_block_columns(self) -> int:
-        return int(self.stop - self.start)
-
-
 class LocalAnalysisGeometry:
     """Precomputed localization geometry for one ``(grid, obs network)`` pair.
 
@@ -216,28 +144,29 @@ class LocalAnalysisGeometry:
     columns ``0, s, 2s, …`` of the state grid with ``s = stride`` from
     :func:`analysis_stride` — numbered row-major ``0 … n_columns - 1``;
     ``columns`` maps them to state-grid column indices and ``shape`` is the
-    analysis grid's ``(ny / s, nx / s)``.  Footprints, blocks and
-    ``empty_columns`` all index the analysis grid, so they are ``s²`` times
+    analysis grid's ``(ny / s, nx / s)``.  Footprints and ``empty_columns``
+    index the analysis grid, so they are ``s²`` times
     smaller than the state grid's.  ``prior_columns`` are the *state* columns
     every one of whose interpolation neighbours is empty: they keep the prior.
 
     Two execution modes are selected at build time:
 
     ``"convolution"``
-        Available when the observation-error variance is uniform and
-        ``min_weight == 0``.  Because the Gaspari–Cohn weight depends only on
-        the periodic column offset, the per-column weighted sums over
-        observations (the local Gram matrices and innovation projections) are
-        circular convolutions with a fixed kernel; the geometry stores the
-        kernel's real FFT and the analysis assembles all local systems with a
-        handful of batched FFTs.  This is exact: Gaspari–Cohn is identically
-        zero beyond twice the cut-off, so summing over *all* observations
-        equals summing over the selected footprint.
+        Selected when the observation-error variance is uniform.  Because
+        the Gaspari–Cohn weight depends only on the periodic column offset,
+        the per-column weighted sums over observations (the local Gram
+        matrices and innovation projections) are circular convolutions with
+        a fixed kernel; the geometry stores the kernel's real FFT and the
+        analysis assembles all local systems with a handful of batched FFTs.
+        This is exact: Gaspari–Cohn is identically zero beyond twice the
+        cut-off, so summing over *all* observations equals summing over the
+        footprint.
 
     ``"grouped"``
-        The general path: per-column footprints (``weight > min_weight``) are
-        grouped by footprint size into :class:`FootprintGroup` tensors which
-        the batched solver processes with stacked ``eigh`` calls.
+        Non-uniform observation-error variances: per-column footprints (the
+        exact Gaspari–Cohn support, ``weight > 0``) are grouped by footprint
+        size into :class:`FootprintGroup` tensors which the batched solver
+        processes with stacked ``eigh`` calls.
 
     Parameters
     ----------
@@ -245,8 +174,8 @@ class LocalAnalysisGeometry:
         The physical analysis grid.
     obs_columns:
         Horizontal column index of every observation, shape ``(n_obs,)``.
-    config:
-        Localization settings (cut-off, selection threshold).
+    cutoff:
+        Gaspari–Cohn length scale in metres (paper's tuned value: 2000 km).
     obs_error_var:
         Diagonal observation-error variances, shape ``(n_obs,)``.
     chunk:
@@ -258,17 +187,17 @@ class LocalAnalysisGeometry:
         self,
         grid: Grid2D,
         obs_columns: np.ndarray,
-        config: LocalizationConfig,
+        cutoff: float,
         obs_error_var: np.ndarray,
         chunk: int = 512,
     ) -> None:
         self.grid = grid
         self.obs_columns = np.asarray(obs_columns, dtype=np.intp)
-        self.config = config
+        self.cutoff = float(cutoff)
         self.obs_error_var = np.asarray(obs_error_var, dtype=float)
         if self.obs_error_var.shape != self.obs_columns.shape:
             raise ValueError("obs_error_var and obs_columns must have the same length")
-        self.stride = stride = analysis_stride(grid, config.cutoff)
+        self.stride = stride = analysis_stride(grid, self.cutoff)
         self.shape = (grid.ny // stride, grid.nx // stride)
         self.columns = (
             np.arange(0, grid.ny, stride)[:, None] * grid.nx + np.arange(0, grid.nx, stride)
@@ -276,13 +205,12 @@ class LocalAnalysisGeometry:
         self.n_columns = int(self.columns.size)
         self.n_obs = int(self.obs_columns.size)
 
-        # Cycle-invariant derived data — the shard blocks and the per-backend
-        # device copies of them and of the convolution kernel spectrum —
-        # so steady-state cycles do no geometry work and no geometry transfers.
+        # Per-backend device copies of the kernel spectrum or the footprint
+        # groups, so steady-state cycles do no geometry transfers.
         self._cache: dict[tuple, object] = {}
 
         uniform_var = bool(np.all(self.obs_error_var == self.obs_error_var[0]))
-        if uniform_var and config.min_weight == 0.0:
+        if uniform_var:
             self.mode = "convolution"
             self._build_convolution()
             self.groups: list[FootprintGroup] = []
@@ -297,7 +225,7 @@ class LocalAnalysisGeometry:
     def _build_convolution(self) -> None:
         """Store the real FFT of the localized R⁻¹ kernel on the grid."""
         stencil = self.grid.distance_stencil()
-        kernel = gaspari_cohn(stencil, self.config.cutoff) / float(self.obs_error_var[0])
+        kernel = gaspari_cohn(stencil, self.cutoff) / float(self.obs_error_var[0])
         # The kernel is even under periodic index negation, so its spectrum
         # is exactly real; taking .real only discards FFT round-off.
         self.kernel_rfft2 = np.fft.rfft2(kernel).real
@@ -311,8 +239,6 @@ class LocalAnalysisGeometry:
     def _build_grouped(self, chunk: int) -> None:
         """Group columns by footprint size with precomputed weights."""
         stencil = self.grid.distance_stencil()
-        cutoff = self.config.cutoff
-        min_weight = self.config.min_weight
 
         by_size: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
         empty: list[np.ndarray] = []
@@ -322,8 +248,8 @@ class LocalAnalysisGeometry:
             dist = self.grid.column_pair_distances(
                 self.columns[cols], self.obs_columns, stencil=stencil
             )
-            weight = gaspari_cohn(dist, cutoff)
-            mask = weight > min_weight
+            weight = gaspari_cohn(dist, self.cutoff)
+            mask = weight > 0.0
             counts = mask.sum(axis=1)
             for p in np.unique(counts):
                 rows = np.nonzero(counts == p)[0]
@@ -377,88 +303,25 @@ class LocalAnalysisGeometry:
             cached = self._cache[key] = xp.to_device(self.kernel_rfft2)
         return cached
 
-    def block(self, start: int, stop: int, xp=None) -> GeometryBlock:
-        """Cached :meth:`column_block`; with ``xp``, its copy on that device.
-
-        A static network is cut into the same shards every cycle, so each
-        ``(start, stop)`` block is built once (a second copy of its share of
-        the footprint arrays) and moved to a device once per backend; the
-        grouped solver indexes the device copy inside its batch loop, which
-        keeps that loop free of host↔device traffic.
-        """
-        key = ("block", int(start), int(stop), None if xp is None else xp.name)
+    def device_groups(self, xp) -> list[FootprintGroup]:
+        """Device copies of :attr:`groups` on backend ``xp`` (cached), moved
+        once per backend like :meth:`conv_kernel`."""
+        key = ("groups", xp.name)
         cached = self._cache.get(key)
         if cached is None:
-            if xp is None:
-                cached = self.column_block(start, stop)
-            else:
-                host = self.block(start, stop)
-                cached = replace(
-                    host,
-                    obs_subset=xp.to_device(host.obs_subset),
-                    groups=tuple(group.to_device(xp) for group in host.groups),
-                )
-            self._cache[key] = cached
+            cached = self._cache[key] = [group.to_device(xp) for group in self.groups]
         return cached
-
-    def column_block(self, start: int, stop: int) -> GeometryBlock:
-        """First-class slice of this geometry over columns ``[start, stop)``.
-
-        The returned :class:`GeometryBlock` is self-contained: in grouped
-        mode the footprint rows of the block's columns are extracted, their
-        observation indices remapped onto the block's own (sorted, unique)
-        ``obs_subset``, and the column indices shifted block-local, so the
-        shard kernel needs only ``y_pert[:, obs_subset]`` and
-        ``innovation[obs_subset]`` alongside the block.  In convolution mode
-        the per-column systems come from a *global* circular convolution, so
-        the block carries no geometry payload (each shard takes its rows of
-        the convolved channels instead).
-        """
-        if not 0 <= start < stop <= self.n_columns:
-            raise ValueError(
-                f"column block [{start}, {stop}) outside [0, {self.n_columns})"
-            )
-        if self.mode == "convolution":
-            return GeometryBlock(int(start), int(stop), "convolution", None, ())
-
-        parts = []
-        for group in self.groups:
-            mask = (group.columns >= start) & (group.columns < stop)
-            if not np.any(mask):
-                continue
-            parts.append(
-                (
-                    group.columns[mask] - start,
-                    group.obs_indices[mask],
-                    group.sqrt_r_inv[mask],
-                )
-            )
-        if parts:
-            obs_subset = np.unique(np.concatenate([idx.ravel() for _, idx, _ in parts]))
-        else:
-            obs_subset = np.empty(0, dtype=np.intp)
-        groups = tuple(
-            FootprintGroup(
-                columns=cols,
-                obs_indices=np.searchsorted(obs_subset, idx).astype(np.intp),
-                sqrt_r_inv=w,
-            )
-            for cols, idx, w in parts
-        )
-        return GeometryBlock(int(start), int(stop), "grouped", obs_subset, groups)
-
 
 def geometry_cache_key(
     grid: Grid2D,
     obs_columns: np.ndarray,
-    config: LocalizationConfig,
+    cutoff: float,
     obs_error_var: np.ndarray,
 ) -> tuple:
     """Key identifying one ``(grid, observation network, localization)`` tuple."""
     return (
         grid,
-        config.cutoff,
-        config.min_weight,
+        float(cutoff),
         np.asarray(obs_columns, dtype=np.intp).tobytes(),
         np.asarray(obs_error_var, dtype=float).tobytes(),
     )

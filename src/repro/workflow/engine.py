@@ -885,15 +885,7 @@ class CycleEngine:
             # an experiment service is killed between a job's final
             # checkpoint write and its "done" journal entry.  Nothing to
             # recompute: the completed result lives in the checkpoint.
-            stats_final = self.forecast_stage.statistics(self._state)
-            return EngineResult(
-                records=list(self._records),
-                truth_final=self._truth,
-                state_final=as_host_array(self._state),
-                mean_final=stats_final.mean,
-                history=None if self._history is None else np.array(self._history),
-                fault_log=self.fault_log,
-            )
+            return self._result()
         if n_cycles <= start:
             raise ValueError(
                 f"n_cycles={n_cycles} already completed (checkpoint at cycle {start})"
@@ -1014,6 +1006,10 @@ class CycleEngine:
                     self._write_checkpoint(checkpoint_path, ring)
                 raise EnginePreempted(cycle + 1)
 
+        return self._result()
+
+    def _result(self) -> EngineResult:
+        """The run's result from the engine's current state."""
         stats_final = self.forecast_stage.statistics(self._state)
         return EngineResult(
             records=list(self._records),

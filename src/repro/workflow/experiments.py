@@ -19,7 +19,6 @@ from repro.core.ensf import EnSF, EnSFConfig
 from repro.core.observations import IdentityObservation
 from repro.da.cycling import CyclingResult, OSSEConfig, free_run, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
-from repro.da.localization import LocalizationConfig
 from repro.models.sqg import SQGModel, spinup_sqg
 from repro.surrogate.presets import laptop_preset
 from repro.surrogate.training import OfflineTrainer, TrainingConfig, TrajectoryDataset
@@ -133,10 +132,7 @@ def run_four_experiments(
 
     letkf = LETKF(
         testbed.model.grid,
-        LETKFConfig(
-            localization=LocalizationConfig(cutoff=config.letkf_cutoff),
-            rtps_factor=config.letkf_rtps,
-        ),
+        LETKFConfig(cutoff=config.letkf_cutoff, rtps_factor=config.letkf_rtps),
     )
     ensf = EnSF(
         EnSFConfig(

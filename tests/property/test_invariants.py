@@ -12,7 +12,7 @@ from repro.core.schedules import LinearAlphaSchedule
 from repro.core.score import MonteCarloScoreEstimator
 from repro.da.inflation import rtps_inflation
 from repro.da.letkf import LETKF, LETKFConfig
-from repro.da.localization import LocalizationConfig, gaspari_cohn
+from repro.da.localization import gaspari_cohn
 from repro.hpc.collectives import CollectiveKind, CollectiveModel
 from repro.hpc.comm import LocalCommGroup
 from repro.hpc.ddp import bucketize
@@ -231,35 +231,26 @@ def test_collective_times_positive_and_finite(msg_mb, n_gpus, kind):
 @settings(**SETTINGS)
 @given(
     shard_columns=st.integers(1, 200),
-    block_columns=st.integers(1, 200),
-    min_weight=st.sampled_from([0.0, 1.0e-4]),
+    uniform_var=st.booleans(),
     every=st.sampled_from([1, 7]),
     seed=st.integers(0, 1000),
 )
-def test_letkf_analysis_invariant_under_layout(
-    shard_columns, block_columns, min_weight, every, seed
-):
-    """Shard and gather-batch sizes re-partition independent column solves:
-    the analysis is bit-identical for every draw."""
+def test_letkf_analysis_invariant_under_layout(shard_columns, uniform_var, every, seed):
+    """The solve-batch size re-partitions independent column solves: the
+    analysis is bit-identical for every draw, in both assembly modes."""
     grid = Grid2D(nx=8, ny=8)
     rng = np.random.default_rng(seed)
     ensemble = rng.normal(size=(6, grid.size))
-    if every == 1:
-        operator = IdentityObservation(grid.size, 1.0)
-    else:
-        operator = SubsampledObservation.every_nth(grid.size, every, 1.0)
+    n_obs = len(range(0, grid.size, every))
+    var = 1.0 if uniform_var else 0.5 + rng.random(n_obs)
+    operator = SubsampledObservation.every_nth(grid.size, every, var)
     observation = operator.observe(rng.normal(size=grid.size), rng=rng)
-    # every 7th variable at 0.8 dx with a selection threshold: several
-    # footprint sizes, and some columns no observation reaches
-    cutoff = 4.0e6 if min_weight == 0.0 else grid.dx * 0.8
-    loc = LocalizationConfig(cutoff=cutoff, min_weight=min_weight)
-    reference = LETKF(grid, LETKFConfig(localization=loc)).analyze(
-        ensemble, observation, operator
-    )
-    letkf = LETKF(
-        grid,
-        LETKFConfig(localization=loc, shard_columns=shard_columns, block_columns=block_columns),
-    )
+    # non-uniform: every 7th variable at 0.8 dx gives several footprint
+    # sizes, and some columns no observation reaches
+    cutoff = 4.0e6 if uniform_var else grid.dx * 0.8
+    reference = LETKF(grid, LETKFConfig(cutoff=cutoff)).analyze(ensemble, observation, operator)
+    letkf = LETKF(grid, LETKFConfig(cutoff=cutoff, shard_columns=shard_columns))
+    assert letkf.geometry(operator).mode == ("convolution" if uniform_var else "grouped")
     analysis = letkf.analyze(ensemble, observation, operator)
     assert np.array_equal(analysis, reference)
 
@@ -290,7 +281,7 @@ def test_letkf_interpolated_transform_preserves_the_mean(cutoff, members, seed):
     ensemble = rng.normal(size=(members, grid.size))
     operator = IdentityObservation(grid.size, 0.7)
     observation = operator.observe(rng.normal(size=grid.size), rng=rng)
-    letkf = LETKF(grid, LETKFConfig(localization=LocalizationConfig(cutoff=cutoff), rtps_factor=0.0))
+    letkf = LETKF(grid, LETKFConfig(cutoff=cutoff, rtps_factor=0.0))
     geometry = letkf.geometry(operator)
     assert geometry.stride == (2 if cutoff == 4.0e6 else 4)
     analysis = letkf.analyze(ensemble, observation, operator)
@@ -320,8 +311,7 @@ def test_letkf_interpolation_is_exact_for_uniform_local_problems(members, seed):
     ensemble = np.repeat(rng.normal(size=(members, grid.nlev)), n_columns, axis=1)
     operator = IdentityObservation(grid.size, 0.7)
     observation = np.repeat(rng.normal(size=grid.nlev), n_columns)
-    loc = LocalizationConfig(cutoff=4.0e6)
-    config = LETKFConfig(localization=loc, rtps_factor=0.0)
+    config = LETKFConfig(cutoff=4.0e6, rtps_factor=0.0)
     strided = LETKF(grid, config)
     assert strided.geometry(operator).stride == 2
     analysis = strided.analyze(ensemble, observation, operator)

@@ -9,7 +9,7 @@ from repro.da.cycling import OSSEConfig, free_run, run_osse
 from repro.da.enkf import EnKFConfig, StochasticEnKF
 from repro.da.inflation import multiplicative_inflation, rtpp_inflation, rtps_inflation
 from repro.da.letkf import LETKF, LETKFConfig
-from repro.da.localization import LocalizationConfig, column_distances, gaspari_cohn
+from repro.da.localization import column_distances, gaspari_cohn
 from repro.models.lorenz96 import Lorenz96
 from repro.utils.grid import Grid2D
 
@@ -34,10 +34,10 @@ class TestLocalization:
             gaspari_cohn(np.array(1.0), 0.0)
 
     def test_localization_config(self):
-        cfg = LocalizationConfig(cutoff=2.0e6)
-        assert cfg.weights(np.array(0.0)) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            LocalizationConfig(cutoff=-1.0)
+        assert LETKFConfig().cutoff == 2.0e6  # the paper's tuned cut-off
+        for cutoff in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                LETKFConfig(cutoff=cutoff)
 
     def test_column_distances_periodic(self):
         grid = Grid2D(nx=8, ny=8, lx=8.0, ly=8.0, nlev=2)
@@ -135,7 +135,7 @@ class TestLETKF:
         ens = truth[None, :] + rng.normal(size=(400, d))
         op = IdentityObservation(d, obs_error_var=0.5)
         obs = op.observe(truth, rng=1)
-        letkf = LETKF(grid, LETKFConfig(localization=LocalizationConfig(cutoff=1.0e9), rtps_factor=0.0))
+        letkf = LETKF(grid, LETKFConfig(cutoff=1.0e9, rtps_factor=0.0))
         analysis = letkf.analyze(ens, obs, op)
         expected = _kalman_posterior_mean(ens.mean(0), np.cov(ens.T), obs, 0.5)
         assert np.sqrt(((analysis.mean(0) - expected) ** 2).mean()) < 0.12
@@ -164,7 +164,7 @@ class TestLETKF:
         op = SubsampledObservation(d, indices=np.array([0]), obs_error_var=0.01)
         obs = np.array([5.0])
         letkf = LETKF(
-            grid, LETKFConfig(localization=LocalizationConfig(cutoff=grid.dx * 1.2), rtps_factor=0.0)
+            grid, LETKFConfig(cutoff=grid.dx * 1.2, rtps_factor=0.0)
         )
         analysis = letkf.analyze(ens, obs, op)
         far_column = grid.ny * grid.nx // 2 + grid.nx // 2

@@ -35,7 +35,6 @@ from repro.core.observations import (
 )
 from repro.da.cycling import CyclingResult, OSSEConfig, _initial_ensemble, free_run, rmse, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
-from repro.da.localization import LocalizationConfig
 from repro.hpc.ensemble_parallel import EnsembleExecutor
 from repro.models.base import propagate_ensemble
 from repro.models.lorenz96 import Lorenz96
@@ -205,7 +204,7 @@ def _letkf():
     grid = Grid2D(10, 2, nlev=2)
     return LETKF(
         grid,
-        LETKFConfig(localization=LocalizationConfig(cutoff=4.0e6), shard_columns=8),
+        LETKFConfig(cutoff=4.0e6, shard_columns=8),
     )
 
 

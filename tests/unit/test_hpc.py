@@ -28,7 +28,6 @@ from repro.core.ensf import EnSF, EnSFConfig
 from repro.core.observations import IdentityObservation
 from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
-from repro.da.localization import LocalizationConfig
 from repro.models.lorenz96 import Lorenz96
 from repro.surrogate.presets import TABLE_II_PRESETS, laptop_preset
 from repro.surrogate.vit import ViTConfig
@@ -802,9 +801,7 @@ class TestParallelAnalysis:
         truth0 = np.random.default_rng(2).standard_normal(grid.size)
         operator = IdentityObservation(grid.size, 1.0)
         config = OSSEConfig(n_cycles=2, steps_per_cycle=1, ensemble_size=6, seed=0)
-        letkf_cfg = LETKFConfig(
-            localization=LocalizationConfig(cutoff=4.0e6), shard_columns=32
-        )
+        letkf_cfg = LETKFConfig(cutoff=4.0e6, shard_columns=32)
         serial = run_osse(
             model, model, LETKF(grid, letkf_cfg), operator, truth0, config
         )

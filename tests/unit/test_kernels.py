@@ -26,8 +26,8 @@ from repro.core.score import MonteCarloScoreEstimator
 from repro.core.sde import ReverseSDESampler
 from repro.da.letkf import LETKF, LETKFConfig
 from repro.da.localization import (
+    FootprintGroup,
     LocalAnalysisGeometry,
-    LocalizationConfig,
     analysis_stride,
     gaspari_cohn,
 )
@@ -67,32 +67,35 @@ class TestGridGeometry:
 
 class TestBatchedLETKFDeterminism:
     """Exactness certification without an oracle (reference-path retirement,
-    ROADMAP): ``min_weight = 0`` exercises the convolution assembly (the
-    identity operator takes its reshape fast path, the subsampled operator
-    the bincount scatter), ``1e-4`` the grouped-footprint assembly, and the
+    ROADMAP): a uniform observation-error variance exercises the convolution
+    assembly (the identity operator takes its reshape fast path, the
+    subsampled operator the bincount scatter), a non-uniform one the
+    grouped-footprint assembly, and the
     ``array_backend`` fixture re-runs every case under every registered
     array backend, asserted bit-identical to the plain-numpy baseline."""
 
-    @pytest.mark.parametrize("min_weight", [0.0, 1.0e-4])
+    @pytest.mark.parametrize("variance", ["uniform", "non-uniform"])
     @pytest.mark.parametrize(
         "operator_factory",
         [
-            lambda d: IdentityObservation(d, 1.2),
-            lambda d: SubsampledObservation.every_nth(d, 3, 0.7),
+            lambda d, var: IdentityObservation(d, 1.2 * var(d)),
+            lambda d, var: SubsampledObservation.every_nth(d, 3, 0.7 * var(len(range(0, d, 3)))),
         ],
         ids=["identity", "subsampled"],
     )
     def test_batched_matches_numpy_baseline(
-        self, operator_factory, min_weight, array_backend
+        self, operator_factory, variance, array_backend
     ):
         grid, rng, ensemble, truth = _case(seed=1)
-        operator = operator_factory(grid.size)
+        var = (lambda n: 1.0) if variance == "uniform" else (lambda n: 0.5 + rng.random(n))
+        operator = operator_factory(grid.size, var)
         observation = operator.observe(truth, rng=rng)
-        loc = LocalizationConfig(cutoff=4.0e6, min_weight=min_weight)
-        letkf = LETKF(grid, LETKFConfig(localization=loc))
+        letkf = LETKF(grid, LETKFConfig(cutoff=4.0e6))
         assert letkf.xp is array_backend  # config backend=None → fixture default
+        mode = "convolution" if variance == "uniform" else "grouped"
+        assert letkf.geometry(operator).mode == mode
         batched = letkf.analyze(ensemble, observation, operator)
-        baseline = LETKF(grid, LETKFConfig(localization=loc, backend="numpy")).analyze(
+        baseline = LETKF(grid, LETKFConfig(cutoff=4.0e6, backend="numpy")).analyze(
             ensemble, observation, operator
         )
         np.testing.assert_array_equal(batched, baseline)
@@ -104,13 +107,10 @@ class TestBatchedLETKFDeterminism:
 
     def test_empty_footprints_keep_prior(self):
         grid, rng, ensemble, truth = _case(seed=4)
-        operator = SubsampledObservation.every_nth(grid.size, 7, 1.0)
+        n_obs = len(range(0, grid.size, 7))
+        operator = SubsampledObservation.every_nth(grid.size, 7, 0.5 + rng.random(n_obs))
         observation = operator.observe(truth, rng=rng)
-        cfg = LETKFConfig(
-            localization=LocalizationConfig(cutoff=grid.dx * 0.55, min_weight=1e-4),
-            rtps_factor=0.0,
-        )
-        letkf = LETKF(grid, cfg)
+        letkf = LETKF(grid, LETKFConfig(cutoff=grid.dx * 0.55, rtps_factor=0.0))
         geometry = letkf.geometry(operator)
         assert geometry.empty_columns.size > 0
         batched = letkf.analyze(ensemble, observation, operator)
@@ -143,33 +143,32 @@ def _layout_case(mode):
     seeds = {name: 11 + i for i, name in enumerate(LAYOUT_MODES)}
     shape = (32, 32) if mode in ("convolution-s4", "grouped-s2-empty") else (16, 16)
     grid, rng, ensemble, truth = _case(seed=seeds[mode], shape=shape)
-    kwargs = {"localization": LocalizationConfig(cutoff=4.0e6)}
+    kwargs = {"cutoff": 4.0e6}
     if mode.startswith("convolution"):
         operator = IdentityObservation(grid.size, 1.2)
     elif mode == "grouped":
         operator = IdentityObservation(grid.size, 0.5 + rng.random(grid.size))
     elif mode == "grouped-empty":  # grouped, with columns no observation reaches
-        operator = SubsampledObservation.every_nth(grid.size, 7, 1.0)
-        kwargs = {
-            "localization": LocalizationConfig(cutoff=grid.dx * 0.55, min_weight=1e-4),
-            "rtps_factor": 0.0,
-        }
+        n_obs = len(range(0, grid.size, 7))
+        operator = SubsampledObservation.every_nth(grid.size, 7, 0.5 + rng.random(n_obs))
+        kwargs = {"cutoff": grid.dx * 0.55, "rtps_factor": 0.0}
     else:  # "grouped-s2-empty": interpolation between empty and solved columns
-        operator = _patch_network(grid)
-        kwargs = {"localization": LocalizationConfig(min_weight=1e-4), "rtps_factor": 0.0}
+        operator = _patch_network(grid, 0.5 + rng.random(2 * 64))
+        kwargs = {"rtps_factor": 0.0}
     return grid, ensemble, operator.observe(truth, rng=rng), operator, kwargs
 
 
 class TestShardedLETKF:
     """One pipeline, any layout, the same bits.
 
-    ``analyze`` runs the shard kernels in-process over the ``shard_columns``
-    shard list.  Every cell of mode x stride x shard size x entry must equal
-    the single-shard analysis exactly — on the every-column path (stride 1)
-    and through the weight interpolation (strides 2 and 4) alike.  The entry
+    ``analyze`` solves the analysis grid in stacked batches of at most
+    ``shard_columns`` columns.  Every cell of mode x stride x batch size x
+    entry must equal the single-batch analysis exactly — on the every-column
+    path (stride 1) and through the weight interpolation (strides 2 and 4)
+    alike.  The entry
     axis covers ``analyze``, the ``analyze_parallel`` wrapper the end-to-end
     benchmark times, and a second ``analyze`` on the same filter, whose
-    geometry and shard blocks come from the cache.
+    geometry and device copies come from the cache.
     """
 
     N_COLUMNS = 16 * 16
@@ -213,39 +212,6 @@ class TestShardedLETKF:
             letkf.analyze(ensemble, observation, operator), reference[mode]
         )
 
-    def test_geometry_column_block_roundtrip(self):
-        grid = Grid2D(10, 8)
-        obs_columns = np.arange(grid.ny * grid.nx)[::3]
-        geometry = LocalAnalysisGeometry(
-            grid,
-            obs_columns,
-            LocalizationConfig(cutoff=2.0e6, min_weight=1e-4),
-            np.ones(obs_columns.size),
-        )
-        full_footprints = {
-            int(col): group.obs_indices[i]
-            for group in geometry.groups
-            for i, col in enumerate(group.columns)
-        }
-        covered = []
-        for start in range(0, geometry.n_columns, 25):
-            block = geometry.column_block(start, min(start + 25, geometry.n_columns))
-            assert block.mode == "grouped"
-            for group in block.groups:
-                assert group.columns.min() >= 0
-                assert group.columns.max() < block.n_block_columns
-                for i, col in enumerate(group.columns):
-                    # remapping through obs_subset recovers the original footprint
-                    np.testing.assert_array_equal(
-                        block.obs_subset[group.obs_indices[i]],
-                        full_footprints[int(col + block.start)],
-                    )
-                covered.extend((group.columns + block.start).tolist())
-        expected = np.setdiff1d(np.arange(geometry.n_columns), geometry.empty_columns)
-        assert np.array_equal(np.sort(covered), expected)
-        with pytest.raises(ValueError):
-            geometry.column_block(5, 3)
-
 
 def _force_stride(monkeypatch, grid, cutoff, stride):
     """Test-only hook: move the stride rule's spacing bound so that it picks
@@ -283,8 +249,7 @@ class TestAnalysisGrid:
     def test_stride_rule(self, grid, cutoff, stride):
         assert analysis_stride(grid, cutoff) == stride
         geometry = LocalAnalysisGeometry(
-            grid, np.arange(grid.ny * grid.nx), LocalizationConfig(cutoff=cutoff),
-            np.ones(grid.ny * grid.nx),
+            grid, np.arange(grid.ny * grid.nx), cutoff, np.ones(grid.ny * grid.nx),
         )
         assert geometry.stride == stride
         assert geometry.shape == (grid.ny // stride, grid.nx // stride)
@@ -310,7 +275,7 @@ class TestAnalysisGrid:
         expected = np.empty_like(ensemble)
         for col in range(n_columns):
             dist = grid.column_pair_distances(np.array([col]), obs_columns)[0]
-            r_inv = gaspari_cohn(dist, letkf.config.localization.cutoff) / 0.8
+            r_inv = gaspari_cohn(dist, letkf.config.cutoff) / 0.8
             c = x_pert * r_inv  # (m, p): C = Y' R_loc^-1
             pa = np.linalg.inv((m - 1) * np.eye(m) + c @ x_pert.T)
             u, sv, vt = np.linalg.svd((m - 1) * pa)
@@ -326,7 +291,7 @@ class TestAnalysisGrid:
         grid, rng, ensemble, truth = _case(seed=22)
         operator = IdentityObservation(grid.size, 0.5)
         observation = operator.observe(truth, rng=rng)
-        config = LETKFConfig(localization=LocalizationConfig(cutoff=1.0e9), rtps_factor=0.0)
+        config = LETKFConfig(cutoff=1.0e9, rtps_factor=0.0)
         strided = LETKF(grid, config)
         assert strided.geometry(operator).stride == 4
         analysis = strided.analyze(ensemble, observation, operator)
@@ -341,7 +306,7 @@ class TestAnalysisGrid:
         grid, rng, ensemble, truth = _case(seed=23, shape=(32, 32))
         operator = IdentityObservation(grid.size, 1.0)
         observation = operator.observe(truth, rng=rng)
-        config = LETKFConfig(localization=LocalizationConfig(cutoff=4.0e6), rtps_factor=0.0)
+        config = LETKFConfig(cutoff=4.0e6, rtps_factor=0.0)
         strided = LETKF(grid, config)
         geometry = strided.geometry(operator)
         assert geometry.stride == 4
@@ -427,7 +392,7 @@ class TestFoldedAssembly:
             if network == "identity"
             else SubsampledObservation.every_nth(grid.size, 3, 0.8)
         )
-        letkf = LETKF(grid, LETKFConfig(localization=LocalizationConfig(cutoff=cutoff)))
+        letkf = LETKF(grid, LETKFConfig(cutoff=cutoff))
         geometry = letkf.geometry(operator)
         assert geometry.stride == stride
         assert geometry.identity_network == (network == "identity")
@@ -570,7 +535,7 @@ class TestBlockedAssembly:
     @pytest.mark.parametrize("network", ["identity", "subsampled"])
     @pytest.mark.parametrize("stride", [1, 2, 4, 8])
     def test_equals_the_unblocked_oracle(self, monkeypatch, stride, network, members):
-        grid, cutoff = Grid2D(32, 32), LocalizationConfig().cutoff
+        grid, cutoff = Grid2D(32, 32), LETKFConfig().cutoff
         if analysis_stride(grid, cutoff) != stride:
             _force_stride(monkeypatch, grid, cutoff, stride)
         operator = (
@@ -662,25 +627,27 @@ class TestGeometryCache:
         letkf.analyze(ensemble, observation, operator)
         assert calls["n"] == 0  # static network: geometry fully cached
 
-        # Grouped mode: the shard blocks are part of the cached geometry, so
-        # a second analysis slices no footprints either.
-        operator = IdentityObservation(grid.size, 0.5 + rng.random(grid.size))
-        letkf = LETKF(grid, LETKFConfig(shard_columns=100))
-        assert letkf.geometry(operator).mode == "grouped"
-        blocks = {"n": 0}
-        original = LocalAnalysisGeometry.column_block
+        # Grouped mode: the footprint groups go to the device once per
+        # backend, whatever the batch bound, and never again.
+        n_obs = len(range(0, grid.size, 3))
+        operator = SubsampledObservation.every_nth(grid.size, 3, 0.5 + rng.random(n_obs))
+        observation = operator.observe(truth, rng=rng)
+        copies = {"n": 0}
+        original = FootprintGroup.to_device
 
-        def counted_block(self, start, stop):
-            blocks["n"] += 1
-            return original(self, start, stop)
+        def counted_to_device(self, xp):
+            copies["n"] += 1
+            return original(self, xp)
 
-        monkeypatch.setattr(LocalAnalysisGeometry, "column_block", counted_block)
-        letkf.analyze(ensemble, observation, operator)
-        assert blocks["n"] == 3  # 256 columns / 100 per shard, built once
-        blocks["n"] = calls["n"] = 0
-        letkf.analyze(ensemble, observation, operator)
-        letkf.analyze(ensemble, observation, operator)
-        assert blocks["n"] == 0 and calls["n"] == 0
+        monkeypatch.setattr(FootprintGroup, "to_device", counted_to_device)
+        for shard_columns in (100, 1024):
+            letkf = LETKF(grid, LETKFConfig(shard_columns=shard_columns))
+            geometry = letkf.geometry(operator)
+            assert geometry.mode == "grouped" and len(geometry.groups) > 1
+            copies["n"] = calls["n"] = 0
+            letkf.analyze(ensemble, observation, operator)
+            letkf.analyze(ensemble, observation, operator)
+            assert copies["n"] == len(geometry.groups) and calls["n"] == 0
 
     def test_geometry_cached_per_network(self):
         grid, rng, ensemble, truth = _case(seed=8)
@@ -697,10 +664,7 @@ class TestGeometryCache:
         grid = Grid2D(12, 10)
         obs_columns = np.arange(grid.ny * grid.nx)[::4]
         geometry = LocalAnalysisGeometry(
-            grid,
-            obs_columns,
-            LocalizationConfig(cutoff=2.0e6, min_weight=1e-4),
-            np.ones(obs_columns.size),
+            grid, obs_columns, 2.0e6, 0.5 + np.random.default_rng(0).random(obs_columns.size)
         )
         assert geometry.mode == "grouped"
         covered = np.concatenate(

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.da.letkf import LETKFConfig
 from repro.workflow.config import ExperimentConfig
 from repro.workflow.metrics import error_field, pattern_correlation, rmse_series, spread_skill_ratio
 
@@ -37,6 +38,14 @@ class TestExperimentConfig:
         """A ratchet: a field nothing sets or reads was deleted, not kept
         as a default; the count may fall here, never rise."""
         assert len(dataclasses.fields(ExperimentConfig)) == 19
+
+    def test_letkf_config_fields(self):
+        """A ratchet beside the one above: every settable LETKF value is a
+        flat field here (no nested localization settings); the list may
+        shrink, never grow."""
+        assert [f.name for f in dataclasses.fields(LETKFConfig)] == [
+            "cutoff", "rtps_factor", "prior_inflation", "shard_columns", "backend",
+        ]
 
 
 class TestMetrics:

@@ -11,10 +11,10 @@ Three layers of guarantees:
   fused SQG step, whole LETKF OSSEs) produces **exactly** the same floats
   under every CPU backend as under plain numpy, with identical rng draws —
   the shim is a hardware dispatch layer, not a numerics knob.
-* **Transfer discipline** — the mock-device counters prove the sharded
-  LETKF solve loop moves data host↔device per *shard* (plus per cached
-  geometry group), never per column or per block: counts are invariant
-  under grid size at fixed shard count and under ``block_columns``.
+* **Transfer discipline** — the mock-device counters prove the LETKF
+  solve moves its statistics host↔device once per analysis (plus each
+  cached geometry group once per backend), never per column or per solve
+  batch: counts are invariant under grid size and under ``shard_columns``.
 """
 
 import pickle
@@ -28,7 +28,6 @@ from repro.core.score import MonteCarloScoreEstimator
 from repro.core.sde import ReverseSDESampler
 from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
-from repro.da.localization import LocalizationConfig
 from repro.models.lorenz96 import Lorenz96
 from repro.models.sqg import SQGModel, SQGParameters
 from repro.utils.grid import Grid2D
@@ -205,11 +204,9 @@ class TestRoutedKernelBitIdentity:
         else:
             operator = IdentityObservation(grid.size, 0.5 + rng.random(grid.size))
         observation = operator.observe(truth, rng=rng)
-        loc = LocalizationConfig(cutoff=4.0e6)
-        base = LETKF(grid, LETKFConfig(localization=loc, backend="numpy"))
+        base = LETKF(grid, LETKFConfig(cutoff=4.0e6, backend="numpy"))
         routed = LETKF(
-            grid,
-            LETKFConfig(localization=loc, backend=array_backend.name, shard_columns=50),
+            grid, LETKFConfig(cutoff=4.0e6, backend=array_backend.name, shard_columns=50)
         )
         assert routed.geometry(operator).mode == mode
         np.testing.assert_array_equal(
@@ -237,10 +234,9 @@ class TestRoutedKernelBitIdentity:
         truth0 = np.random.default_rng(6).standard_normal(grid.size)
         operator = IdentityObservation(grid.size, 1.0)
         config = OSSEConfig(n_cycles=3, steps_per_cycle=1, ensemble_size=6, seed=0)
-        loc = LocalizationConfig(cutoff=4.0e6)
         results = {}
         for name in ("numpy", array_backend.name):
-            letkf = LETKF(grid, LETKFConfig(localization=loc, backend=name))
+            letkf = LETKF(grid, LETKFConfig(cutoff=4.0e6, backend=name))
             results[name] = run_osse(model, model, letkf, operator, truth0, config)
         np.testing.assert_array_equal(
             results[array_backend.name].analysis_rmse, results["numpy"].analysis_rmse
@@ -252,10 +248,10 @@ class TestRoutedKernelBitIdentity:
 
 
 class TestShardedTransferDiscipline:
-    """Mock-device proof that the sharded LETKF solve loop never round-trips
-    per shard or per column: each analysis stages its statistics once."""
+    """Mock-device proof that the LETKF solve never round-trips per solve
+    batch or per column: each analysis stages its statistics once."""
 
-    def _sharded_counts(self, shape, shard_columns, operator_var, block_columns=512):
+    def _sharded_counts(self, shape, shard_columns, operator_var):
         grid, rng, ensemble, truth = _case(seed=7, shape=shape)
         operator = IdentityObservation(
             grid.size,
@@ -263,13 +259,7 @@ class TestShardedTransferDiscipline:
         )
         observation = operator.observe(truth, rng=rng)
         letkf = LETKF(
-            grid,
-            LETKFConfig(
-                localization=LocalizationConfig(cutoff=4.0e6),
-                backend="mock-device",
-                shard_columns=shard_columns,
-                block_columns=block_columns,
-            ),
+            grid, LETKFConfig(cutoff=4.0e6, backend="mock-device", shard_columns=shard_columns)
         )
         xp = resolve_backend("mock-device")
         # Prime the geometry (and its per-backend device cache) so the
@@ -278,34 +268,36 @@ class TestShardedTransferDiscipline:
         xp.reset_transfers()
         letkf.analyze(ensemble, observation, operator)
         counts = xp.transfer_counts()
-        # shards cut the analysis grid (stride 2 at 16x16 with this cut-off)
-        n_shards = -(-letkf.geometry(operator).n_columns // shard_columns)
-        return counts, n_shards
+        # solve batches over the analysis grid (stride 2 at 16x16 with this cut-off)
+        n_batches = -(-letkf.geometry(operator).n_columns // shard_columns)
+        return counts, n_batches
 
     def test_convolution_counts_independent_of_column_count(self):
-        # Same shard count, 4x the columns: identical transfer counts.
-        counts_small, shards_small = self._sharded_counts((8, 8), 16, 1.2)
-        counts_large, shards_large = self._sharded_counts((16, 16), 16, 1.2)
-        assert shards_small == shards_large == 4
+        # Same batch count, 4x the columns: identical transfer counts.
+        counts_small, batches_small = self._sharded_counts((8, 8), 16, 1.2)
+        counts_large, batches_large = self._sharded_counts((16, 16), 16, 1.2)
+        assert batches_small == batches_large == 4
         assert counts_small["h2d_calls"] == counts_large["h2d_calls"]
         assert counts_small["d2h_calls"] == counts_large["d2h_calls"]
-        # and the shards add none: y_pert, innovation, local_pert and
-        # local_mean in, the analysis out, however many shards there are
+        # and the batches add none: y_pert, innovation, local_pert and
+        # local_mean in, the analysis out, however many batches there are
         assert counts_small["h2d_calls"] == 4
         assert counts_small["d2h_calls"] == 1
 
-    def test_grouped_counts_independent_of_block_columns(self):
+    def test_grouped_counts_independent_of_shard_columns(self):
         var = lambda n, rng: 0.5 + rng.random(n)
-        counts_fine, _ = self._sharded_counts((12, 12), 48, var, block_columns=2)
-        counts_coarse, _ = self._sharded_counts((12, 12), 48, var, block_columns=1000)
-        # block_columns only re-chunks the inner solve loop; if any transfer
-        # happened per block (or per column) these counts would differ
+        counts_fine, batches_fine = self._sharded_counts((12, 12), 2, var)
+        counts_coarse, batches_coarse = self._sharded_counts((12, 12), 1000, var)
+        assert batches_fine > 1 == batches_coarse
+        # shard_columns only re-chunks the solve loop; if any transfer
+        # happened per batch (or per column) these counts would differ
         assert counts_fine == counts_coarse
+        assert counts_fine["h2d_calls"] == 4 and counts_fine["d2h_calls"] == 1
 
     def test_serial_grouped_steady_state_transfers_constant(self):
         """In-process grouped path: per-cycle traffic is the statistics + the
-        result, independent of the number of footprint groups and of shards
-        (the shard blocks' device copies are cached on the geometry)."""
+        result, independent of the number of footprint groups and of the
+        batch bound (the groups' device copies are cached on the geometry)."""
         grid, rng, ensemble, truth = _case(seed=8)
         operator = IdentityObservation(grid.size, 0.5 + rng.random(grid.size))
         observation = operator.observe(truth, rng=rng)
@@ -313,11 +305,7 @@ class TestShardedTransferDiscipline:
         for shard_columns in (1024, 50):
             letkf = LETKF(
                 grid,
-                LETKFConfig(
-                    localization=LocalizationConfig(cutoff=4.0e6),
-                    backend="mock-device",
-                    shard_columns=shard_columns,
-                ),
+                LETKFConfig(cutoff=4.0e6, backend="mock-device", shard_columns=shard_columns),
             )
             letkf.analyze(ensemble, observation, operator)  # builds + stages geometry
             xp.reset_transfers()
