@@ -385,7 +385,7 @@ def _bench_engine_overhead():
         return _legacy_inlined_osse(model, model, letkf, operator, truth0, config)
 
     def engine():
-        return run_osse(model, model, letkf, operator, truth0, config, label="engine")
+        return run_osse(model, model, letkf, operator, truth0, config)
 
     legacy()  # warm the LETKF geometry cache and FFT workspaces for both paths
     t_legacy, (legacy_rmse, legacy_mean) = best_of(legacy, repeats=3)
@@ -440,7 +440,7 @@ def _bench_retry_overhead():
         return best_of(
             lambda: run_osse(
                 model, model, letkf, operator, truth0, config,
-                executor=executor, label="retry-overhead",
+                executor=executor,
             ),
             repeats=1,
         )
@@ -490,9 +490,7 @@ def _bench_osse_paper_scale():
     config = OSSEConfig(
         n_cycles=n_cycles, steps_per_cycle=4, ensemble_size=N_MEMBERS, seed=9
     )
-    result = run_osse(
-        model, model, letkf, operator, truth0, config, label="SQG128+LETKF"
-    )
+    result = run_osse(model, model, letkf, operator, truth0, config)
     row = {
         "grid": list(PAPER_GRID),
         "cycles": n_cycles,
@@ -538,10 +536,7 @@ def _bench_residency():
                 n_cycles=n_cycles, steps_per_cycle=2, ensemble_size=6, seed=11
             )
             xp.reset_transfers()
-            run_osse(
-                model, model, filter_factory(model), operator, truth0, config,
-                label="residency",
-            )
+            run_osse(model, model, filter_factory(model), operator, truth0, config)
             return xp.transfer_counts()
 
         t2, t3 = totals(2), totals(3)

@@ -32,8 +32,8 @@ def main() -> None:
     ensf = EnSF(EnSFConfig(n_sde_steps=60), rng=2)
 
     # 4. Run with and without assimilation.
-    with_da = run_osse(model, model, ensf, operator, truth0, osse, label="SQG+EnSF")
-    without_da = free_run(model, model, truth0, osse, label="SQG only")
+    with_da = run_osse(model, model, ensf, operator, truth0, osse)
+    without_da = free_run(model, model, truth0, osse)
 
     # 5. Report.
     print("\ncycle   RMSE (EnSF)   RMSE (no DA)")

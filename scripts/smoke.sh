@@ -4,8 +4,8 @@
 #      everything importing it must defer scipy imports so numpy-only
 #      installs keep working.
 #   2. Forecast worker invariance must hold through a real n_workers=2
-#      process pool (every gather route gives the in-process bits), and the
-#      real-time workflow must give the same bits with no executor, one
+#      process pool (every gather route gives the in-process bits), and a
+#      real-time EnSF run must give the same bits with no executor, one
 #      worker and that pool, so CI always exercises the pool path; the LETKF
 #      analysis-grid stride must be the derived 4 / 8 / 2 on the 64x64 /
 #      128x128 / 32x32 benchmark grids (1 on this script's own 10x2 grid).
@@ -106,7 +106,7 @@ EOF
 
 echo "== smoke 2/9: worker invariance through an n_workers=2 pool =="
 python -m pytest -x -q tests/unit/test_hpc.py::TestGatherRouting \
-    tests/unit/test_engine.py::TestRealtimeStateSemantics::test_executor_run_equals_the_serial_run
+    tests/unit/test_engine.py::TestRealtimeRun::test_executor_run_equals_the_serial_run
 python - <<'EOF'
 from repro.da.letkf import LETKFConfig
 from repro.da.localization import analysis_stride
@@ -281,7 +281,6 @@ DIM = 40
 model = Lorenz96(dim=DIM)
 truth0 = model.spinup(300, rng=0)
 operator = IdentityObservation(DIM, obs_error_var=0.5)
-config = OSSEConfig(n_cycles=10, steps_per_cycle=4, ensemble_size=10, seed=17)
 # Degraded streaming network: rotating half-domain coverage windows, each
 # scheduled measurement lost with 30% probability.
 scenario = ObservationScenario(
@@ -289,11 +288,14 @@ scenario = ObservationScenario(
     dropout=0.3,
     operators=coverage_windows(DIM, 2, obs_error_var=0.5),
 )
+config = OSSEConfig(
+    n_cycles=10, steps_per_cycle=4, ensemble_size=10, seed=17, scenario=scenario
+)
 
 def run(**kwargs):
     return run_osse(
         model, model, EnSF(EnSFConfig(n_sde_steps=10), rng=1), operator,
-        truth0, config, scenario=scenario, **kwargs,
+        truth0, config, **kwargs,
     )
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -330,7 +332,9 @@ DIM = 40
 model = Lorenz96(dim=DIM)
 truth0 = model.spinup(300, rng=0)
 operator = IdentityObservation(DIM, obs_error_var=0.5)
-config = OSSEConfig(n_cycles=8, steps_per_cycle=4, ensemble_size=10, seed=17)
+config = OSSEConfig(
+    n_cycles=8, steps_per_cycle=4, ensemble_size=10, seed=17, qc=ObservationQC()
+)
 
 # The recorded failure sequence: a worker crash at the 4th shard gather, a
 # NaN-corrupted retransmission of the 3rd observation batch, and a torn
@@ -351,7 +355,7 @@ def letkf():
 def run(executor, **kwargs):
     return run_osse(
         model, model, letkf(), operator, truth0, config,
-        executor=executor, qc=ObservationQC(), **kwargs,
+        executor=executor, **kwargs,
     )
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -2,10 +2,9 @@
 
 Every DA method in this library implements :class:`EnsembleFilter`:
 ``analyze(forecast_ensemble, observation, operator)`` maps the forecast
-(prior) ensemble to the analysis (posterior) ensemble.  The OSSE cycling
-driver in :mod:`repro.da.cycling` and the real-time workflow in
-:mod:`repro.workflow.realtime` only depend on this interface, so EnSF, LETKF
-and EnKF are interchangeable.
+(prior) ensemble to the analysis (posterior) ensemble.  The cycling drivers
+in :mod:`repro.da.cycling` only depend on this interface, so EnSF, LETKF and
+EnKF are interchangeable.
 """
 
 from __future__ import annotations

@@ -11,10 +11,14 @@ Both drivers are thin wrappers over the unified
 :class:`~repro.workflow.engine.CycleEngine` (they configure its stage
 pipeline and map the engine result back onto :class:`CyclingResult`); under
 the default idealized observation protocol they are bit-identical to the
-historical inlined loops.  :func:`run_osse` additionally accepts an
-:class:`~repro.core.observations.ObservationScenario` (sparse / lossy /
-latent / multi-operator networks) and engine checkpointing knobs for
-restartable paper-scale runs.
+historical inlined loops.  :class:`OSSEConfig` also carries a run's
+policies — an :class:`~repro.core.observations.ObservationScenario`
+(sparse / lossy / latent / multi-operator networks), observation QC, a cycle
+deadline and a divergence policy — and :func:`run_osse` takes the engine
+checkpointing knobs for restartable paper-scale runs.  Given an
+``online_trainer``, :func:`run_osse` is the real-time workflow of Fig. 1:
+surrogate forecast → EnSF analysis → online surrogate training, with each
+stage's wall seconds on the cycle's record.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from repro.workflow.engine import (
     EnsembleForecastStage,
     FilterAnalysisStage,
     ObservationStage,
+    OnlineTrainingStage,
     TruthStage,
     rmse,
 )
@@ -68,6 +73,21 @@ class OSSEConfig:
     apply_model_error_to_truth:
         Add the stochastic model-error mixture to the truth between cycles
         (the paper's imperfect-model scenario).
+    scenario:
+        Optional :class:`~repro.core.observations.ObservationScenario`
+        degrading the idealized protocol (obs every k-th cycle, dropout,
+        latency, alternating partial-coverage operator networks — scenario
+        operators override ``operator``).  ``None`` or the default scenario
+        reproduce the historical behaviour bit-identically.
+    qc:
+        Optional :class:`~repro.core.observations.ObservationQC` screening
+        every observation event before its analysis.
+    cycle_deadline_s:
+        Optional per-cycle wall-clock budget; remaining analyses are
+        skipped once exceeded (forecast-only cycle).
+    divergence:
+        Optional :class:`~repro.workflow.engine.DivergencePolicy` (halt /
+        reinflate / reset-from-checkpoint on ensemble blow-up).
     """
 
     n_cycles: int = 20
@@ -75,6 +95,10 @@ class OSSEConfig:
     ensemble_size: int = 20
     seed: int = 0
     apply_model_error_to_truth: bool = True
+    scenario: ObservationScenario | None = None
+    qc: ObservationQC | None = None
+    cycle_deadline_s: float | None = None
+    divergence: DivergencePolicy | None = None
 
     def __post_init__(self) -> None:
         if self.n_cycles < 1 or self.steps_per_cycle < 1:
@@ -99,7 +123,6 @@ class CyclingResult:
     analysis_spread: np.ndarray
     truth_final: np.ndarray
     analysis_mean_final: np.ndarray
-    label: str = ""
     analysis_mean_history: np.ndarray | None = None
     records: list[CycleRecord] = field(default_factory=list)
     fault_log: FaultLog | None = None
@@ -118,7 +141,6 @@ class CyclingResult:
     def summary(self) -> dict:
         """Compact dictionary summary used by the benchmark harness."""
         out = {
-            "label": self.label,
             "cycles": int(len(self.times)),
             "mean_analysis_rmse": self.mean_analysis_rmse,
             "final_analysis_rmse": float(self.analysis_rmse[-1]),
@@ -165,19 +187,15 @@ def run_osse(
     config: OSSEConfig,
     initial_ensemble: np.ndarray | None = None,
     executor=None,
-    label: str | None = None,
     store_history: bool = False,
-    scenario: ObservationScenario | None = None,
     resume: EngineCheckpoint | str | None = None,
     checkpoint_every: int | None = None,
     checkpoint_path=None,
     keep_last: int | None = None,
-    qc: ObservationQC | None = None,
-    cycle_deadline_s: float | None = None,
-    divergence: DivergencePolicy | None = None,
     fault_plan: FaultPlan | None = None,
     fault_log: FaultLog | None = None,
     preempt=None,
+    online_trainer=None,
 ) -> CyclingResult:
     """Run one cycling DA experiment.
 
@@ -195,9 +213,10 @@ def run_osse(
     truth0:
         Initial flattened truth state.
     config:
-        Experiment configuration.  With ``config.apply_model_error_to_truth``
-        the paper's model-error mixture, drawn from the ``"model-error"``
-        stream of ``config.seed``, perturbs the truth between cycles.
+        Experiment configuration and run policies.  With
+        ``config.apply_model_error_to_truth`` the paper's model-error
+        mixture, drawn from the ``"model-error"`` stream of ``config.seed``,
+        perturbs the truth between cycles.
     initial_ensemble:
         Optional pre-built initial ensemble of shape ``(m, d)``.
     executor:
@@ -205,17 +224,9 @@ def run_osse(
         ensemble forecast is member-sharded over its process pool; the
         filter's analysis runs in-process.  The forecast is worker-count
         invariant, so results never depend on the executor layout.
-    label:
-        Name recorded in the result (e.g. ``"SQG+LETKF"``).
     store_history:
         Also record the analysis-mean state at every cycle (needed by the
         Fig. 5 snapshot benchmark).
-    scenario:
-        Optional :class:`~repro.core.observations.ObservationScenario`
-        degrading the idealized protocol (obs every k-th cycle, dropout,
-        latency, alternating partial-coverage operator networks — scenario
-        operators override ``operator``).  ``None`` or the default scenario
-        reproduce the historical behaviour bit-identically.
     resume:
         :class:`~repro.workflow.engine.EngineCheckpoint` (or a path to one)
         from an earlier run with the same configuration; cycling continues
@@ -230,15 +241,6 @@ def run_osse(
     keep_last:
         Keep a rotating :class:`~repro.workflow.engine.CheckpointRing` of
         the ``k`` newest checkpoints instead of one self-replacing file.
-    qc:
-        Optional :class:`~repro.core.observations.ObservationQC` screening
-        every observation event before its analysis.
-    cycle_deadline_s:
-        Optional per-cycle wall-clock budget; remaining analyses are
-        skipped once exceeded (forecast-only cycle).
-    divergence:
-        Optional :class:`~repro.workflow.engine.DivergencePolicy` (halt /
-        reinflate / reset-from-checkpoint on ensemble blow-up).
     fault_plan, fault_log:
         Deterministic fault injection and its recovery log (see
         :mod:`repro.utils.faults`).  One shared log collects the stream's
@@ -249,6 +251,13 @@ def run_osse(
         Optional zero-argument callable polled at every cycle boundary; see
         :meth:`~repro.workflow.engine.CycleEngine.run`.  Used by the
         experiment service for checkpoint-based preemption.
+    online_trainer:
+        Optional object with ``update(previous_mean, new_mean) -> loss``
+        (e.g. :class:`~repro.surrogate.training.OnlineTrainer`), run after
+        every analysis as the engine's ``post_analysis`` stage — the online
+        surrogate fine-tuning of Fig. 1.  A fresh run primes it with the
+        initial-ensemble mean; a resume restores the previous analysis mean
+        from the checkpoint.  Each record then carries ``online_loss``.
     """
     fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
     fault_log = fault_log if fault_log is not None else FaultLog()
@@ -277,7 +286,7 @@ def run_osse(
     if filter_ is not None:
         stream = ObservationStream(
             operator,
-            scenario,
+            config.scenario,
             rng=rng_obs,
             schedule_rng=seeds.rng("observation-schedule"),
             fault_plan=fault_plan,
@@ -286,16 +295,23 @@ def run_osse(
         observations = ObservationStage(stream)
         analysis = FilterAnalysisStage(filter_)
 
+    post_analysis = None
+    if online_trainer is not None:
+        post_analysis = OnlineTrainingStage(online_trainer)
+        if ensemble is not None:  # on a resume the checkpoint restores it
+            post_analysis.prime(ensemble.mean(axis=0))
+
     engine = CycleEngine(
         truth=TruthStage(truth_model, config.steps_per_cycle, model_error),
         observations=observations,
         forecast=EnsembleForecastStage(forecast_model, config.steps_per_cycle),
         analysis=analysis,
+        post_analysis=post_analysis,
         executor=executor,
         store_history=store_history,
-        qc=qc,
-        cycle_deadline_s=cycle_deadline_s,
-        divergence=divergence,
+        qc=config.qc,
+        cycle_deadline_s=config.cycle_deadline_s,
+        divergence=config.divergence,
         fault_plan=fault_plan,
         fault_log=fault_log,
     )
@@ -317,7 +333,6 @@ def run_osse(
         analysis_spread=result.analysis_spread,
         truth_final=result.truth_final,
         analysis_mean_final=result.mean_final,
-        label=label or (filter_.name if filter_ is not None else "free-run"),
         analysis_mean_history=result.history,
         records=result.records,
         fault_log=fault_log,
@@ -329,7 +344,6 @@ def free_run(
     forecast_model: ForecastModel,
     truth0: np.ndarray,
     config: OSSEConfig,
-    label: str = "free-run",
 ) -> CyclingResult:
     """Run a no-DA experiment (the "SQG only" / "ViT only" curves of Fig. 4).
 
@@ -337,8 +351,15 @@ def free_run(
     the truth is compared against the (model-error-perturbed) truth; the
     growing RMSE illustrates the chaotic error growth that assimilation must
     control.  The records carry the same per-stage wall seconds as
-    :func:`run_osse` (``analysis_s`` reads ``0.0``).
+    :func:`run_osse` (``analysis_s`` reads ``0.0``).  A free run has no
+    observation or analysis stage, so a ``config`` that sets a run policy
+    (``scenario``, ``qc``, ``cycle_deadline_s`` or ``divergence``) is
+    refused with ``ValueError``.
     """
+    policies = ("scenario", "qc", "cycle_deadline_s", "divergence")
+    set_policies = [name for name in policies if getattr(config, name) is not None]
+    if set_policies:
+        raise ValueError(f"free_run has no analysis stage to apply {set_policies} to")
     seeds = SeedSequenceFactory(config.seed)
     model_error = (
         StochasticModelErrorMixture(rng=seeds.rng("model-error"))
@@ -361,6 +382,5 @@ def free_run(
         analysis_spread=np.zeros(config.n_cycles),
         truth_final=result.truth_final,
         analysis_mean_final=result.state_final,
-        label=label,
         records=result.records,
     )

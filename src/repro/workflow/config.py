@@ -54,7 +54,6 @@ class ExperimentConfig:
     surrogate_depth: int = 2
     surrogate_patch: int = 8
     surrogate_heads: int = 4
-    online_iterations: int = 2
     letkf_cutoff: float = 2.0e6
     letkf_rtps: float = 0.3
     ensf_sde_steps: int = 100

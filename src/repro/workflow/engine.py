@@ -1,11 +1,12 @@
 """Unified streaming cycle engine behind every cycling workflow.
 
 The paper's Fig. 1 loop — truth → observe → forecast → analyze →
-(online-train) → diagnose — used to be hand-rolled three times
-(:func:`repro.da.cycling.run_osse`, :func:`~repro.da.cycling.free_run` and
-:meth:`repro.workflow.realtime.RealTimeDAWorkflow.run`), each hard-coding
-the idealized protocol of one identity observation per cycle.
-:class:`CycleEngine` owns that loop once, as a pipeline of pluggable stages:
+(online-train) → diagnose — used to be hand-rolled in every driver, each
+hard-coding the idealized protocol of one identity observation per cycle.
+:class:`CycleEngine` owns that loop once, as a pipeline of pluggable stages,
+and the two drivers :func:`repro.da.cycling.run_osse` (with an
+``online_trainer``, the real-time workflow) and
+:func:`~repro.da.cycling.free_run` only configure it:
 
 ``truth``
     :class:`TruthStage` — hidden-truth evolution plus the stochastic
@@ -25,7 +26,8 @@ the idealized protocol of one identity observation per cycle.
     :class:`~repro.core.filters.EnsembleFilter`, run in-process on the
     filter's own rng, whatever executor the engine holds.
 ``post_analysis``
-    :class:`OnlineTrainingStage` — per-cycle surrogate fine-tuning.
+    :class:`OnlineTrainingStage` — per-cycle surrogate fine-tuning
+    (``run_osse(online_trainer=...)``).
 
 All stages consume named rng streams only, so the engine-backed drivers are
 *bit-identical* to the historical inlined loops (certified by the golden
@@ -622,12 +624,6 @@ class CycleEngine:
         in-process, so a run is bit-identical with or without one.
     store_history:
         Keep the per-cycle analysis-mean states in the result.
-    on_cycle:
-        Optional callback invoked with each completed :class:`CycleRecord`
-        (the real-time workflow appends them to its ``history``).  Cycles
-        replayed after a divergence *reset* recompute records the callback
-        already saw — equal on every DA field, only the stage seconds
-        differ — so they are not re-delivered.
     qc:
         Optional :class:`~repro.core.observations.ObservationQC`; events it
         rejects are counted in ``CycleRecord.qc_rejected`` and skipped.
@@ -655,7 +651,6 @@ class CycleEngine:
         post_analysis: OnlineTrainingStage | None = None,
         executor=None,
         store_history: bool = False,
-        on_cycle=None,
         qc=None,
         cycle_deadline_s: float | None = None,
         divergence: DivergencePolicy | None = None,
@@ -669,7 +664,6 @@ class CycleEngine:
         self.post_analysis_stage = post_analysis
         self.executor = executor
         self.store_history = bool(store_history)
-        self.on_cycle = on_cycle
         self.qc = qc
         self.cycle_deadline_s = None if cycle_deadline_s is None else float(cycle_deadline_s)
         self.divergence = divergence
@@ -841,10 +835,9 @@ class CycleEngine:
         :class:`CheckpointCadence` skips due writes that cannot pay off.
 
         ``preempt`` is an optional zero-argument callable polled once per
-        **cycle boundary** (after the cycle's bookkeeping and ``on_cycle``
-        delivery).  When it returns true the engine writes a checkpoint of
-        the completed cycle — unless the periodic checkpoint already covered
-        it — and raises :class:`EnginePreempted`; a later
+        **cycle boundary** (after the cycle's bookkeeping).  When it returns
+        true the engine writes a checkpoint of the completed cycle — unless
+        the periodic checkpoint already covered it — and raises :class:`EnginePreempted`; a later
         ``run(resume="auto")`` continues bit-identically.  Requires
         ``checkpoint_every``/``checkpoint_path``.  Exceptions raised by the
         hook itself (e.g. an injected job crash) propagate unchanged.
@@ -892,7 +885,6 @@ class CycleEngine:
             )
 
         resets = 0
-        reported_high = start - 1  # highest cycle already delivered to on_cycle
         while self._next_cycle < n_cycles:
             cycle = self._next_cycle
             ctx = CycleContext(
@@ -994,9 +986,6 @@ class CycleEngine:
                         cadence.written(started)
                     self._truncate_checkpoint(written, cycle, truncations)
                     wrote_checkpoint = True
-            if self.on_cycle is not None and cycle > reported_high:
-                reported_high = cycle
-                self.on_cycle(record)
             if preempt is not None and preempt():
                 if not wrote_checkpoint:
                     # The preempt save must not visit the "checkpoint" fault

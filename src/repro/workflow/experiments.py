@@ -70,8 +70,8 @@ class FourWayComparison:
         return bool(da_beats_free and ensf_beats_letkf)
 
     def summary_rows(self) -> list[dict]:
-        """Benchmark-friendly summary rows (one per experiment)."""
-        return [res.summary() for res in self.results.values()]
+        """Benchmark-friendly summary rows (one per experiment, labelled by its key)."""
+        return [{"label": name, **res.summary()} for name, res in self.results.items()]
 
 
 def build_sqg_testbed(config: ExperimentConfig) -> SQGTestbed:
@@ -143,12 +143,8 @@ def run_four_experiments(
     )
 
     results: dict[str, CyclingResult] = {}
-    results["SQG only"] = free_run(
-        testbed.model, testbed.model, testbed.truth0, osse, label="SQG only"
-    )
-    results["ViT only"] = free_run(
-        testbed.model, surrogate, testbed.truth0, osse, label="ViT only"
-    )
+    results["SQG only"] = free_run(testbed.model, testbed.model, testbed.truth0, osse)
+    results["ViT only"] = free_run(testbed.model, surrogate, testbed.truth0, osse)
     results["SQG+LETKF"] = run_osse(
         truth_model=testbed.model,
         forecast_model=testbed.model,
@@ -156,7 +152,6 @@ def run_four_experiments(
         operator=testbed.operator,
         truth0=testbed.truth0,
         config=osse,
-        label="SQG+LETKF",
         store_history=store_history,
     )
     results["ViT+EnSF"] = run_osse(
@@ -166,7 +161,6 @@ def run_four_experiments(
         operator=testbed.operator,
         truth0=testbed.truth0,
         config=osse,
-        label="ViT+EnSF",
         store_history=store_history,
     )
 

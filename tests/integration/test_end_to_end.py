@@ -1,5 +1,7 @@
 """Integration tests: full OSSE cycling, the four-way comparison and the real-time workflow."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,11 @@ from repro.core.observations import IdentityObservation
 from repro.da.cycling import OSSEConfig, free_run, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
 from repro.hpc.ensemble_parallel import EnsembleExecutor
-from repro.models.model_error import StochasticModelErrorMixture
 from repro.models.sqg import SQGModel, SQGParameters, spinup_sqg
-from repro.surrogate.training import TrainingConfig
+from repro.surrogate.training import OnlineTrainer, TrainingConfig
+from repro.utils.random import SeedSequenceFactory
 from repro.workflow.config import ExperimentConfig
 from repro.workflow.experiments import build_sqg_testbed, run_four_experiments, train_offline_surrogate
-from repro.workflow.realtime import RealTimeDAWorkflow
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +31,8 @@ class TestSQGCyclingIntegration:
         op = IdentityObservation(model.state_size, obs_error_var=1.0)
         cfg = OSSEConfig(n_cycles=6, steps_per_cycle=12, ensemble_size=10, seed=1)
         letkf = LETKF(model.grid, LETKFConfig())
-        da = run_osse(model, model, letkf, op, truth0, cfg, label="letkf")
-        free = free_run(model, model, truth0, cfg, label="free")
+        da = run_osse(model, model, letkf, op, truth0, cfg)
+        free = free_run(model, model, truth0, cfg)
         assert da.analysis_rmse[-1] < free.analysis_rmse[-1]
 
     def test_ensf_controls_error_growth_on_sqg(self):
@@ -40,8 +41,8 @@ class TestSQGCyclingIntegration:
         op = IdentityObservation(model.state_size, obs_error_var=1.0)
         cfg = OSSEConfig(n_cycles=6, steps_per_cycle=12, ensemble_size=10, seed=3)
         ensf = EnSF(EnSFConfig(n_sde_steps=50), rng=4)
-        da = run_osse(model, model, ensf, op, truth0, cfg, label="ensf")
-        free = free_run(model, model, truth0, cfg, label="free")
+        da = run_osse(model, model, ensf, op, truth0, cfg)
+        free = free_run(model, model, truth0, cfg)
         assert da.analysis_rmse[-1] < free.analysis_rmse[-1]
 
 
@@ -62,79 +63,82 @@ class TestFourWayComparison:
         rows = smoke_comparison.summary_rows()
         assert len(rows) == 4
         assert all("mean_analysis_rmse" in r for r in rows)
+        assert [r["label"] for r in rows] == list(smoke_comparison.results)
+
+
+@pytest.fixture(scope="class")
+def sqg_testbed_and_surrogate():
+    """The smoke SQG testbed and its offline-trained ViT, built once per class."""
+    config = ExperimentConfig.smoke_test()
+    testbed = build_sqg_testbed(config)
+    return config, testbed, train_offline_surrogate(testbed)
 
 
 class TestRealTimeWorkflow:
-    def test_workflow_runs_and_times_both_scalability_tasks(self):
-        config = ExperimentConfig.smoke_test()
-        testbed = build_sqg_testbed(config)
-        surrogate = train_offline_surrogate(testbed)
-        workflow = RealTimeDAWorkflow(
-            surrogate=surrogate,
-            truth_model=testbed.model,
-            operator=testbed.operator,
-            ensf_config=EnSFConfig(n_sde_steps=25),
-            training_config=TrainingConfig(online_iterations=1),
-            model_error=StochasticModelErrorMixture(rng=0),
-            seed=7,
+    """The Fig. 1 loop through ``run_osse``: ViT forecast, EnSF analysis and,
+    with an online trainer, ViT fine-tuning after every analysis."""
+
+    @pytest.fixture(autouse=True)
+    def _testbed(self, sqg_testbed_and_surrogate):
+        self.config, self.testbed, self.surrogate = sqg_testbed_and_surrogate
+
+    def _run(self, seed, n_members, n_cycles, n_sde_steps, executor=None, online_iterations=0):
+        testbed = self.testbed
+        surrogate = self.surrogate
+        trainer = None
+        if online_iterations:
+            # Online training updates the network in place: train a copy so
+            # the shared surrogate stays the offline one.
+            surrogate = copy.deepcopy(surrogate)
+            trainer = OnlineTrainer(surrogate, TrainingConfig(online_iterations=online_iterations))
+        rng = np.random.default_rng(seed + 1)
+        ensemble = testbed.truth0[None, :] + rng.standard_normal(
+            (n_members, testbed.model.state_size)
         )
-        rng = np.random.default_rng(8)
-        ensemble = testbed.truth0[None, :] + rng.standard_normal((8, testbed.model.state_size))
-        result = workflow.run(testbed.truth0, ensemble, n_cycles=3, steps_per_cycle=config.steps_per_cycle)
-        assert len(workflow.history) == 3
-        for record in workflow.history:
+        return run_osse(
+            testbed.model,
+            surrogate,
+            EnSF(EnSFConfig(n_sde_steps=n_sde_steps), rng=SeedSequenceFactory(seed).rng("ensf")),
+            testbed.operator,
+            testbed.truth0,
+            OSSEConfig(
+                n_cycles=n_cycles,
+                steps_per_cycle=self.config.steps_per_cycle,
+                ensemble_size=n_members,
+                seed=seed,
+            ),
+            initial_ensemble=ensemble,
+            executor=executor,
+            online_trainer=trainer,
+        )
+
+    def test_workflow_runs_and_times_both_scalability_tasks(self):
+        result = self._run(7, n_members=8, n_cycles=3, n_sde_steps=25, online_iterations=1)
+        assert len(result.records) == 3
+        for record in result.records:
             assert record.forecast_s > 0.0
             assert record.analysis_s > 0.0
             assert record.post_analysis_s > 0.0  # online training
-        assert len(result["analysis_rmse"]) == 3
-        assert np.isfinite(result["analysis_rmse"]).all()
+        assert np.isfinite(result.analysis_rmse).all()
 
     def test_workflow_with_ensemble_executor(self):
-        config = ExperimentConfig.smoke_test()
-        testbed = build_sqg_testbed(config)
-        surrogate = train_offline_surrogate(testbed)
-        workflow = RealTimeDAWorkflow(
-            surrogate=surrogate,
-            truth_model=testbed.model,
-            operator=testbed.operator,
-            ensf_config=EnSFConfig(n_sde_steps=20),
-            training_config=TrainingConfig(online_iterations=0),
-            executor=EnsembleExecutor(n_workers=1),
-            seed=9,
+        result = self._run(
+            9, n_members=6, n_cycles=2, n_sde_steps=20, executor=EnsembleExecutor(n_workers=1)
         )
-        rng = np.random.default_rng(10)
-        ensemble = testbed.truth0[None, :] + rng.standard_normal((6, testbed.model.state_size))
-        result = workflow.run(testbed.truth0, ensemble, n_cycles=2, steps_per_cycle=config.steps_per_cycle)
-        assert all(record.post_analysis_s == 0.0 for record in workflow.history)
-        assert np.isfinite(result["final_analysis_rmse"])
+        assert all(record.post_analysis_s == 0.0 for record in result.records)
+        assert np.isfinite(result.analysis_rmse[-1])
 
     def test_executor_workflow_seeds_derive_from_root(self):
         """Regression: the executor path once seeded the EnSF analysis with
-        ``seed=cycle``, so workflows built with different root seeds drew
-        *identical* analysis noise.  Under an executor the analysis draws
-        from the filter's own stream, named under the workflow's root."""
-        config = ExperimentConfig.smoke_test()
-        testbed = build_sqg_testbed(config)
-        surrogate = train_offline_surrogate(testbed)
+        ``seed=cycle``, so runs with different root seeds drew *identical*
+        analysis noise.  Under an executor the analysis draws from the
+        filter's own stream, named under the run's root seed."""
 
         def run_with_seed(seed):
-            workflow = RealTimeDAWorkflow(
-                surrogate=surrogate,
-                truth_model=testbed.model,
-                operator=testbed.operator,
-                ensf_config=EnSFConfig(n_sde_steps=10),
-                training_config=TrainingConfig(online_iterations=0),
+            return self._run(
+                seed, n_members=6, n_cycles=2, n_sde_steps=10,
                 executor=EnsembleExecutor(n_workers=1),
-                seed=seed,
-            )
-            rng = np.random.default_rng(10)
-            ensemble = testbed.truth0[None, :] + rng.standard_normal(
-                (6, testbed.model.state_size)
-            )
-            summary = workflow.run(
-                testbed.truth0, ensemble, n_cycles=2, steps_per_cycle=config.steps_per_cycle
-            )
-            return summary["analysis_rmse"]
+            ).analysis_rmse
 
         first = run_with_seed(1)
         assert np.all(first != run_with_seed(2))  # different roots, different analyses

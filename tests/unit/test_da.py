@@ -1,10 +1,17 @@
 """Unit tests for the DA baselines: localization, inflation, LETKF, EnKF, OSSE cycling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.ensf import EnSF, EnSFConfig
-from repro.core.observations import IdentityObservation, SubsampledObservation
+from repro.core.observations import (
+    IdentityObservation,
+    ObservationQC,
+    ObservationScenario,
+    SubsampledObservation,
+)
 from repro.da.cycling import OSSEConfig, free_run, run_osse
 from repro.da.enkf import EnKFConfig, StochasticEnKF
 from repro.da.inflation import multiplicative_inflation, rtpp_inflation, rtps_inflation
@@ -12,6 +19,7 @@ from repro.da.letkf import LETKF, LETKFConfig
 from repro.da.localization import column_distances, gaspari_cohn
 from repro.models.lorenz96 import Lorenz96
 from repro.utils.grid import Grid2D
+from repro.workflow.engine import DivergencePolicy
 
 
 class TestLocalization:
@@ -223,15 +231,15 @@ class TestCycling:
         # for lucky noise streams (it flipped when the sha256 seed-stream
         # derivation replaced the collision-prone byte-sum hash).
         filt = StochasticEnKF(EnKFConfig(prior_inflation=1.05, rtps_factor=0.5), rng=1)
-        result = run_osse(model, model, filt, op, truth0, cfg, label="EnKF")
-        free = free_run(model, model, truth0, cfg, label="free")
+        result = run_osse(model, model, filt, op, truth0, cfg)
+        free = free_run(model, model, truth0, cfg)
         assert result.mean_analysis_rmse < free.mean_analysis_rmse
 
     def test_ensf_beats_free_run_on_lorenz96(self):
         model, truth0, op, cfg = self._setup(seed=2)
         filt = EnSF(EnSFConfig(n_sde_steps=50), rng=3)
-        result = run_osse(model, model, filt, op, truth0, cfg, label="EnSF")
-        free = free_run(model, model, truth0, cfg, label="free")
+        result = run_osse(model, model, filt, op, truth0, cfg)
+        free = free_run(model, model, truth0, cfg)
         assert result.mean_analysis_rmse < free.mean_analysis_rmse
 
     def test_result_shapes_and_summary(self):
@@ -241,7 +249,7 @@ class TestCycling:
         assert len(result.times) == cfg.n_cycles
         assert result.analysis_mean_history.shape == (cfg.n_cycles, 40)
         summary = result.summary()
-        assert set(summary) >= {"label", "cycles", "mean_analysis_rmse", "stage_mean_s"}
+        assert set(summary) >= {"cycles", "mean_analysis_rmse", "stage_mean_s"}
         assert summary["stage_mean_s"]["analysis"] > 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -257,7 +265,7 @@ class TestCycling:
 
     def test_no_filter_is_free_ensemble_run(self):
         model, truth0, op, cfg = self._setup(seed=6)
-        result = run_osse(model, model, None, op, truth0, cfg, label="no-da")
+        result = run_osse(model, model, None, op, truth0, cfg)
         assert np.allclose(result.analysis_rmse, result.forecast_rmse)
 
     def test_config_validation(self):
@@ -265,6 +273,23 @@ class TestCycling:
             OSSEConfig(n_cycles=0)
         with pytest.raises(ValueError):
             OSSEConfig(ensemble_size=1)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            {"scenario": ObservationScenario(every=2)},
+            {"qc": ObservationQC()},
+            {"cycle_deadline_s": 1.0},
+            {"divergence": DivergencePolicy(spread_max=10.0)},
+        ],
+        ids=lambda policy: next(iter(policy)),
+    )
+    def test_free_run_refuses_a_run_policy(self, policy):
+        """A free run has no observation or analysis stage to apply a run
+        policy to; ignoring one silently would hide a misconfigured run."""
+        model, truth0, _, cfg = self._setup(seed=9)
+        with pytest.raises(ValueError, match=next(iter(policy))):
+            free_run(model, model, truth0, dataclasses.replace(cfg, **policy))
 
     def test_initial_ensemble_size_checked(self):
         model, truth0, op, cfg = self._setup(seed=7)

@@ -3,8 +3,8 @@
 Three layers of coverage for :mod:`repro.workflow.engine`:
 
 * **Golden equivalence** — verbatim copies of the pre-refactor inlined
-  loops (`run_osse`, `free_run`, `RealTimeDAWorkflow.run` as of PR 4) are
-  kept here as oracles, and the engine-backed drivers must reproduce their
+  loops (the OSSE, the free run and the real-time workflow) are kept here
+  as oracles, and the engine-backed drivers must reproduce their
   RMSE/spread trajectories and final states *bit-identically* for seeded
   LETKF and EnSF configurations, serially and through an ``n_workers=2``
   executor.
@@ -55,7 +55,6 @@ from repro.workflow.engine import (
     OnlineTrainingStage,
     TruthStage,
 )
-from repro.workflow.realtime import RealTimeDAWorkflow
 
 DIM = 40
 
@@ -153,7 +152,7 @@ def _legacy_realtime_run(
     n_cycles,
     steps_per_cycle,
 ):
-    """The pre-refactor ``RealTimeDAWorkflow.run`` loop (online training off)."""
+    """The pre-refactor real-time workflow loop (online training off)."""
     seeds = SeedSequenceFactory(seed)
     ensf = EnSF(ensf_config, rng=seeds.rng("ensf"))
     truth = np.array(truth0, dtype=float)
@@ -272,42 +271,35 @@ class TestGoldenEquivalence:
 
     @pytest.mark.parametrize("use_executor", [False, True], ids=["serial", "pool2"])
     def test_realtime_workflow(self, testbed, pool, use_executor):
-        from repro.surrogate.training import TrainingConfig
-
         model, truth0, operator = testbed
         executor = pool if use_executor else None
         rng = np.random.default_rng(2)
         ens0 = truth0[None, :] + rng.standard_normal((8, DIM))
         ensf_config = EnSFConfig(n_sde_steps=12)
+        seeds = SeedSequenceFactory(11)
 
-        workflow = RealTimeDAWorkflow(
-            surrogate=model,
-            truth_model=model,
-            operator=operator,
-            ensf_config=ensf_config,
-            training_config=TrainingConfig(online_iterations=0),
-            model_error=StochasticModelErrorMixture(rng=7),
-            executor=executor,
-            seed=11,
+        result = run_osse(
+            model, model, EnSF(ensf_config, rng=seeds.rng("ensf")), operator, truth0,
+            OSSEConfig(n_cycles=3, steps_per_cycle=2, ensemble_size=8, seed=11),
+            initial_ensemble=ens0, executor=executor,
         )
-        summary = workflow.run(truth0, ens0, n_cycles=3, steps_per_cycle=2)
-        forecast_rmse, analysis_rmse, truth, ensemble = _legacy_realtime_run(
-            model, model, operator, ensf_config,
-            StochasticModelErrorMixture(rng=7), executor, 11,
-            truth0, ens0, 3, 2,
-        )
-        np.testing.assert_array_equal(summary["forecast_rmse"], forecast_rmse)
-        np.testing.assert_array_equal(summary["analysis_rmse"], analysis_rmse)
-        stats = ensemble_statistics(ensemble)
-        assert summary["final_analysis_rmse"] == rmse(stats.mean, truth)
-        assert summary["final_spread"] == stats.mean_spread
-        if use_executor:
-            serial = _legacy_realtime_run(
+
+        def oracle(executor):
+            return _legacy_realtime_run(
                 model, model, operator, ensf_config,
-                StochasticModelErrorMixture(rng=7), None, 11,
+                StochasticModelErrorMixture(rng=seeds.rng("model-error")), executor, 11,
                 truth0, ens0, 3, 2,
             )
-            for got, want in zip((forecast_rmse, analysis_rmse, truth, ensemble), serial):
+
+        forecast_rmse, analysis_rmse, truth, ensemble = oracle(executor)
+        np.testing.assert_array_equal(result.forecast_rmse, forecast_rmse)
+        np.testing.assert_array_equal(result.analysis_rmse, analysis_rmse)
+        np.testing.assert_array_equal(result.truth_final, truth)
+        stats = ensemble_statistics(ensemble)
+        np.testing.assert_array_equal(result.analysis_mean_final, stats.mean)
+        assert result.analysis_spread[-1] == stats.mean_spread
+        if use_executor:
+            for got, want in zip((forecast_rmse, analysis_rmse, truth, ensemble), oracle(None)):
                 np.testing.assert_array_equal(got, want)
 
 
@@ -321,9 +313,8 @@ class TestScenarioMatrix:
 
     def _run(self, testbed, scenario):
         model, truth0, operator = testbed
-        return run_osse(
-            model, model, _letkf(), operator, truth0, self.CONFIG, scenario=scenario
-        )
+        config = dataclasses.replace(self.CONFIG, scenario=scenario)
+        return run_osse(model, model, _letkf(), operator, truth0, config)
 
     def scenarios(self):
         return {
@@ -405,14 +396,16 @@ class TestScenarioMatrix:
 
 
 class TestCheckpointRestart:
-    CONFIG = OSSEConfig(n_cycles=8, steps_per_cycle=4, ensemble_size=10, seed=9)
-    SCENARIO = ObservationScenario(name="stress", dropout=0.3, latency=1)
+    CONFIG = OSSEConfig(
+        n_cycles=8, steps_per_cycle=4, ensemble_size=10, seed=9,
+        scenario=ObservationScenario(name="stress", dropout=0.3, latency=1),
+    )
 
     def _run(self, testbed, **kwargs):
         model, truth0, operator = testbed
         return run_osse(
             model, model, _ensf(rng=SeedSequenceFactory(9).rng("filter")), operator,
-            truth0, self.CONFIG, scenario=self.SCENARIO, store_history=True, **kwargs,
+            truth0, self.CONFIG, store_history=True, **kwargs,
         )
 
     def test_resume_is_bit_identical(self, testbed, tmp_path):
@@ -464,11 +457,13 @@ class TestCheckpointRestart:
         model, truth0, operator = testbed
         path = tmp_path / "engine.ckpt"
         self._run(testbed, checkpoint_every=5, checkpoint_path=path)
-        drifted = ObservationScenario(name="stress", dropout=0.2, latency=1)
+        drifted = dataclasses.replace(
+            self.CONFIG, scenario=ObservationScenario(name="stress", dropout=0.2, latency=1)
+        )
         with pytest.raises(ValueError, match="fingerprint"):
             run_osse(
-                model, model, _ensf(), operator, truth0, self.CONFIG,
-                scenario=drifted, store_history=True, resume=path,
+                model, model, _ensf(), operator, truth0, drifted,
+                store_history=True, resume=path,
             )
 
     def test_checkpoint_rejects_stage_mismatch(self, testbed, tmp_path):
@@ -709,27 +704,6 @@ class TestCadenceDisturbanceMatrix:
         assert widths == {"pool": {2}, "in-process": {1}, "no-executor": set()}[route]
 
 
-# --------------------------------------------------------------------------- #
-# Real-time workflow state semantics (regression)
-# --------------------------------------------------------------------------- #
-
-
-class _ExplodingModel:
-    """Forecast model that raises after a set number of forecast calls."""
-
-    def __init__(self, inner, explode_after: int):
-        self.inner = inner
-        self.state_size = inner.state_size
-        self.calls = 0
-        self.explode_after = explode_after
-
-    def forecast(self, state, n_steps=1):
-        self.calls += 1
-        if self.calls > self.explode_after:
-            raise RuntimeError("boom")
-        return self.inner.forecast(state, n_steps=n_steps)
-
-
 class _SumTrainer:
     """Online-training stand-in: its loss is the squared analysis increment."""
 
@@ -751,27 +725,25 @@ class TestStageSeconds:
         if observed:
             observations = ObservationStage(ObservationStream(operator, rng=2))
             analysis = FilterAnalysisStage(_ensf())
-        stamps = []
         engine = CycleEngine(
             truth=TruthStage(model, 2),
             observations=observations,
             forecast=EnsembleForecastStage(model, 2),
             analysis=analysis,
             post_analysis=post_analysis,
-            on_cycle=lambda record: stamps.append(time.perf_counter()),
         )
-        stamps.append(time.perf_counter())
+        started = time.perf_counter()
         records = engine.run(truth0, ens0, n_cycles).records
-        return records, np.diff(stamps)
+        return records, time.perf_counter() - started
 
     @pytest.mark.parametrize(
         "observed, trained", [(True, True), (True, False), (False, False)],
         ids=["full", "no-training", "free"],
     )
     def test_ran_stages_positive_absent_zero_sum_within_wall(self, testbed, observed, trained):
-        records, walls = self._run(testbed, observed=observed, trained=trained)
-        assert len(records) == len(walls) == 3
-        for record, wall in zip(records, walls):
+        records, wall = self._run(testbed, observed=observed, trained=trained)
+        assert len(records) == 3
+        for record in records:
             assert record.truth_s > 0.0 and record.forecast_s > 0.0
             assert (record.analysis_s > 0.0) == observed
             assert (record.post_analysis_s > 0.0) == trained
@@ -779,8 +751,11 @@ class TestStageSeconds:
                 assert record.analysis_s == 0.0
             if not trained:
                 assert record.post_analysis_s == 0.0
-            stages = record.truth_s + record.forecast_s + record.analysis_s + record.post_analysis_s
-            assert stages <= wall
+        stages = sum(
+            record.truth_s + record.forecast_s + record.analysis_s + record.post_analysis_s
+            for record in records
+        )
+        assert stages <= wall
 
     def test_seconds_do_not_enter_record_equality(self, testbed):
         first, _ = self._run(testbed, observed=True, trained=True, n_cycles=2)
@@ -790,32 +765,30 @@ class TestStageSeconds:
         assert slower == first[0] and hash(slower) == hash(first[0])
 
 
-class TestRealtimeStateSemantics:
-    def _workflow(self, testbed, surrogate=None, members=6, **kwargs):
-        from repro.surrogate.training import TrainingConfig
+class TestRealtimeRun:
+    """The Fig. 1 real-time loop through ``run_osse``: the EnSF draws from
+    the ``"ensf"`` stream of the root seed and an online trainer runs after
+    every analysis."""
 
+    SEED = 21
+
+    def _run(self, testbed, path, *, n_cycles=4, ensf_config=None, resume=None, **kwargs):
+        """An ``n_cycles``, 8-member run and the checkpoint it wrote last."""
         model, truth0, operator = testbed
-        kwargs.setdefault("ensf_config", EnSFConfig(n_sde_steps=8))
-        workflow = RealTimeDAWorkflow(
-            surrogate=surrogate if surrogate is not None else model,
-            truth_model=model,
-            operator=operator,
-            training_config=TrainingConfig(online_iterations=0),
-            seed=21,
-            **kwargs,
+        ens0 = truth0[None, :] + np.random.default_rng(3).standard_normal((8, DIM))
+        ensf = EnSF(
+            ensf_config or EnSFConfig(n_sde_steps=8),
+            rng=SeedSequenceFactory(self.SEED).rng("ensf"),
         )
-        rng = np.random.default_rng(3)
-        ens0 = truth0[None, :] + rng.standard_normal((members, DIM))
-        return workflow, truth0, ens0
-
-    def _run(self, testbed, path, **kwargs):
-        """A 4-cycle, 8-member run's summary and its final checkpoint."""
-        workflow, truth0, ens0 = self._workflow(testbed, members=8, **kwargs)
-        summary = workflow.run(
-            truth0, ens0, n_cycles=4, steps_per_cycle=2,
-            checkpoint_every=4, checkpoint_path=path,
+        config = OSSEConfig(
+            n_cycles=n_cycles, steps_per_cycle=2, ensemble_size=8, seed=self.SEED,
+            apply_model_error_to_truth=False,
         )
-        return summary, EngineCheckpoint.load(path)
+        result = run_osse(
+            model, model, ensf, operator, truth0, config, initial_ensemble=ens0,
+            resume=resume, checkpoint_every=2, checkpoint_path=path, **kwargs,
+        )
+        return result, EngineCheckpoint.load(path)
 
     @pytest.mark.parametrize("path", ["ensemble-space", "full-space"])
     @pytest.mark.parametrize("route", ["in-process", "pool"])
@@ -823,7 +796,7 @@ class TestRealtimeStateSemantics:
         self, testbed, pool, tmp_path, gathers, route, path
     ):
         """Regression: an executor used to move the EnSF analysis onto
-        member-seeded streams, so one workflow gave one series without an
+        member-seeded streams, so one run gave one series without an
         executor and another with one.  Only the forecast member-shards, on
         both reverse-SDE paths (a non-uniform R forces the full-space one)."""
         if path == "full-space":
@@ -832,8 +805,8 @@ class TestRealtimeStateSemantics:
         executor = {"in-process": EnsembleExecutor(n_workers=1), "pool": pool}[route]
         serial, serial_ckpt = self._run(testbed, tmp_path / "serial.ckpt")
         got, ckpt = self._run(testbed, tmp_path / "executor.ckpt", executor=executor)
-        np.testing.assert_array_equal(got["analysis_rmse"], serial["analysis_rmse"])
-        np.testing.assert_array_equal(got["forecast_rmse"], serial["forecast_rmse"])
+        np.testing.assert_array_equal(got.analysis_rmse, serial.analysis_rmse)
+        np.testing.assert_array_equal(got.forecast_rmse, serial.forecast_rmse)
         np.testing.assert_array_equal(ckpt.state, serial_ckpt.state)
         np.testing.assert_array_equal(ckpt.truth, serial_ckpt.truth)
         # one forecast gather per cycle, of as many jobs as workers
@@ -841,28 +814,40 @@ class TestRealtimeStateSemantics:
         assert gathers == [("_forecast_chunk", workers, workers)] * 4
 
     @pytest.mark.parametrize("route", ["in-process", "pool"])
-    def test_resumed_executor_run_equals_the_serial_run(self, testbed, pool, tmp_path, route):
-        """Two cycles under an executor, then a fresh workflow resumed from
-        their checkpoint: the last two cycles and the final state are the
-        uninterrupted serial run's.  The filter's stream, the only one the
-        analysis draws from, travels in the checkpoint."""
+    def test_resumed_online_run_equals_the_uninterrupted_run(
+        self, testbed, pool, tmp_path, route
+    ):
+        """Two cycles under an executor, then a fresh run resumed from their
+        checkpoint: every record, online loss included, and the final state
+        are the uninterrupted serial run's.  The filter's stream and the
+        trainer's previous analysis mean travel in the checkpoint."""
         executor = {"in-process": EnsembleExecutor(n_workers=1), "pool": pool}[route]
-        serial, serial_ckpt = self._run(testbed, tmp_path / "serial.ckpt")
+        serial, serial_ckpt = self._run(
+            testbed, tmp_path / "serial.ckpt", online_trainer=_SumTrainer()
+        )
         half = tmp_path / "half.ckpt"
-        first, truth0, ens0 = self._workflow(testbed, members=8, executor=executor)
-        first.run(
-            truth0, ens0, n_cycles=2, steps_per_cycle=2,
-            checkpoint_every=2, checkpoint_path=half,
+        _, ckpt = self._run(
+            testbed, half, n_cycles=2, executor=executor, online_trainer=_SumTrainer()
         )
-        workflow, truth0, ens0 = self._workflow(testbed, members=8, executor=executor)
-        final = tmp_path / "final.ckpt"
-        resumed = workflow.run(
-            truth0, ens0, n_cycles=4, steps_per_cycle=2, resume=half,
-            checkpoint_every=2, checkpoint_path=final,
+        assert ckpt.stage_state["post_analysis"]["previous"] is not None
+        resumed, final = self._run(
+            testbed, tmp_path / "final.ckpt", resume=half, executor=executor,
+            online_trainer=_SumTrainer(),
         )
-        np.testing.assert_array_equal(resumed["analysis_rmse"], serial["analysis_rmse"][2:])
-        np.testing.assert_array_equal(resumed["forecast_rmse"], serial["forecast_rmse"][2:])
-        np.testing.assert_array_equal(EngineCheckpoint.load(final).state, serial_ckpt.state)
+        assert resumed.records == serial.records  # online_loss is a compared field
+        np.testing.assert_array_equal(resumed.analysis_rmse, serial.analysis_rmse)
+        np.testing.assert_array_equal(final.state, serial_ckpt.state)
+
+    def test_online_training_runs_every_cycle(self, testbed, tmp_path):
+        """With a trainer every record carries the training stage's seconds
+        and a finite loss; without one the stage reads ``0.0`` and no loss."""
+        trained, _ = self._run(testbed, tmp_path / "trained.ckpt", online_trainer=_SumTrainer())
+        assert all(r.post_analysis_s > 0.0 for r in trained.records)
+        assert all(np.isfinite(r.online_loss) for r in trained.records)
+        plain, _ = self._run(testbed, tmp_path / "plain.ckpt")
+        assert all(r.post_analysis_s == 0.0 and r.online_loss is None for r in plain.records)
+        # training reads the analysis and leaves the DA fields alone
+        np.testing.assert_array_equal(trained.analysis_rmse, plain.analysis_rmse)
 
     def test_minibatched_score_runs_under_an_executor(self, testbed, pool, tmp_path):
         """Regression: with an executor a minibatched score raised
@@ -872,8 +857,8 @@ class TestRealtimeStateSemantics:
         pooled, _ = self._run(
             testbed, tmp_path / "pool.ckpt", ensf_config=config, executor=pool
         )
-        assert np.isfinite(pooled["analysis_rmse"]).all()
-        np.testing.assert_array_equal(pooled["analysis_rmse"], serial["analysis_rmse"])
+        assert np.isfinite(pooled.analysis_rmse).all()
+        np.testing.assert_array_equal(pooled.analysis_rmse, serial.analysis_rmse)
 
     def test_member_seeded_checkpoint_is_refused(self, testbed, tmp_path):
         """A checkpoint from the retired member-seeded analysis stage names
@@ -882,47 +867,5 @@ class TestRealtimeStateSemantics:
         _, ckpt = self._run(testbed, path)
         ckpt.fingerprint["analysis"] = {"stage": "EnSFWorkflowAnalysisStage", "ensf": "EnSF"}
         ckpt.save(path)
-        workflow, truth0, ens0 = self._workflow(testbed, members=8)
         with pytest.raises(ValueError, match="fingerprint"):
-            workflow.run(truth0, ens0, n_cycles=6, steps_per_cycle=2, resume=path)
-
-    def test_repeated_runs_reset_history(self, testbed):
-        """Regression: ``history`` used to accumulate across run() calls, so
-        a second run reported 2N history rows for an N-cycle run."""
-        workflow, truth0, ens0 = self._workflow(testbed)
-        first = workflow.run(truth0, ens0, n_cycles=3, steps_per_cycle=2)
-        assert len(workflow.history) == 3
-        second = workflow.run(truth0, ens0, n_cycles=3, steps_per_cycle=2)
-        assert [r.cycle for r in workflow.history] == [0, 1, 2]
-        assert len(second["analysis_rmse"]) == 3
-        assert len(first["analysis_rmse"]) == 3
-        # a fresh, identically-seeded workflow reproduces the first run
-        fresh, truth0, ens0 = self._workflow(testbed)
-        np.testing.assert_array_equal(
-            first["analysis_rmse"],
-            fresh.run(truth0, ens0, n_cycles=3, steps_per_cycle=2)["analysis_rmse"],
-        )
-
-    def test_exception_mid_run_keeps_completed_cycle_records(self, testbed):
-        """Regression: an exception mid-run used to lose *all* timing (it was
-        only written after the loop); history, stage seconds included, now
-        accumulates per completed cycle."""
-        model, _, _ = testbed
-        # 2 completed cycles, then the 3rd surrogate forecast explodes.
-        surrogate = _ExplodingModel(model, explode_after=2)
-        workflow, truth0, ens0 = self._workflow(testbed, surrogate=surrogate)
-        with pytest.raises(RuntimeError, match="boom"):
-            workflow.run(truth0, ens0, n_cycles=5, steps_per_cycle=2)
-        assert len(workflow.history) == 2
-        assert all(r.forecast_s > 0.0 and r.analysis_s > 0.0 for r in workflow.history)
-
-    def test_fresh_run_after_exception_is_clean(self, testbed):
-        model, _, _ = testbed
-        surrogate = _ExplodingModel(model, explode_after=2)
-        workflow, truth0, ens0 = self._workflow(testbed, surrogate=surrogate)
-        with pytest.raises(RuntimeError):
-            workflow.run(truth0, ens0, n_cycles=5, steps_per_cycle=2)
-        surrogate.explode_after = 10**9
-        summary = workflow.run(truth0, ens0, n_cycles=2, steps_per_cycle=2)
-        assert [r.cycle for r in workflow.history] == [0, 1]
-        assert np.isfinite(summary["final_analysis_rmse"])
+            self._run(testbed, tmp_path / "next.ckpt", n_cycles=6, resume=path)

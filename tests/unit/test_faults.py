@@ -18,6 +18,7 @@ Four layers of coverage for the fault-tolerant cycling runtime:
   the latter bit-identical for transient faults).
 """
 
+import dataclasses
 import pickle
 import threading
 
@@ -337,13 +338,15 @@ OSSE_PLAN_SPEC = "obs-corrupt@observations:2;worker-crash@executor:3"
 
 
 class TestOSSEBitIdentity:
-    CONFIG = OSSEConfig(n_cycles=6, steps_per_cycle=4, ensemble_size=10, seed=3)
+    CONFIG = OSSEConfig(
+        n_cycles=6, steps_per_cycle=4, ensemble_size=10, seed=3, qc=ObservationQC()
+    )
 
     def _run(self, testbed, filter_factory, executor=None, fault_plan=None, **kwargs):
         model, truth0, operator = testbed
         return run_osse(
             model, model, filter_factory(), operator, truth0, self.CONFIG,
-            executor=executor, fault_plan=fault_plan, qc=ObservationQC(),
+            executor=executor, fault_plan=fault_plan,
             store_history=True, **kwargs,
         )
 
@@ -565,10 +568,11 @@ class TestDegradedCycles:
 class TestDivergencePolicies:
     CONFIG = OSSEConfig(n_cycles=6, steps_per_cycle=4, ensemble_size=10, seed=3)
 
-    def _run(self, testbed, **kwargs):
+    def _run(self, testbed, divergence=None, **kwargs):
         model, truth0, operator = testbed
+        config = dataclasses.replace(self.CONFIG, divergence=divergence)
         return run_osse(
-            model, model, _letkf(), operator, truth0, self.CONFIG,
+            model, model, _letkf(), operator, truth0, config,
             store_history=True, **kwargs,
         )
 

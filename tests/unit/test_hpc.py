@@ -1,5 +1,6 @@
 """Unit tests for the simulated-Frontier HPC substrate and local parallelism."""
 
+import dataclasses
 import gc
 import inspect
 import os
@@ -33,6 +34,7 @@ from repro.surrogate.presets import TABLE_II_PRESETS, laptop_preset
 from repro.surrogate.vit import ViTConfig
 from repro.utils.faults import FaultLog, FaultPlan
 from repro.utils.grid import Grid2D
+from repro.utils.random import SeedSequenceFactory
 
 MB = 2.0**20
 
@@ -656,9 +658,9 @@ class TestExecutorSurface:
 
 class TestCyclingSurface:
     """Parameter counts of the cycling entry points, a ratchet toward the
-    ROADMAP's ``run_osse`` <= 10: a count may fall here, never rise."""
+    ROADMAP's ``run_osse`` <= 11: a count may fall here, never rise."""
 
-    COUNTS = {"run_osse": 21, "free_run": 5, "CycleEngine": 13}
+    COUNTS = {"run_osse": 17, "free_run": 4, "CycleEngine": 12}
 
     def test_parameter_counts(self):
         from repro.da import cycling
@@ -673,6 +675,13 @@ class TestCyclingSurface:
             params = [p for p in inspect.signature(fn).parameters if p != "self"]
             assert len(params) == self.COUNTS[name], (name, params)
             assert "recorder" not in params, name
+
+    def test_osse_config_field_count(self):
+        """A run's protocol and policies live on one frozen config; its
+        field count may fall here, never rise."""
+        from repro.da.cycling import OSSEConfig
+
+        assert len(dataclasses.fields(OSSEConfig)) == 9
 
 
 class TestExecutorFaultLedger:
@@ -732,29 +741,26 @@ class TestExecutorFaultLedger:
 
 
 def _realtime_ensf(executor=None, seed=0):
-    """A 3-cycle, 8-member realtime EnSF run on a 64-variable Lorenz-96:
-    its summary and the filter whose stream drew the analysis noise."""
-    from repro.surrogate.training import TrainingConfig
-    from repro.workflow.realtime import RealTimeDAWorkflow
-
+    """A 3-cycle, 8-member real-time EnSF run on a 64-variable Lorenz-96:
+    its result and the filter whose stream drew the analysis noise."""
     model = Lorenz96(dim=64)
     truth0 = model.spinup(100, rng=0)
-    workflow = RealTimeDAWorkflow(
-        surrogate=model,
-        truth_model=model,
-        operator=IdentityObservation(64, 1.0),
-        ensf_config=EnSFConfig(n_sde_steps=6),
-        training_config=TrainingConfig(online_iterations=0),
-        executor=executor,
-        seed=seed,
-    )
+    ensf = EnSF(EnSFConfig(n_sde_steps=6), rng=SeedSequenceFactory(seed).rng("ensf"))
     ens0 = truth0[None, :] + np.random.default_rng(1).standard_normal((8, 64))
-    return workflow.run(truth0, ens0, n_cycles=3, steps_per_cycle=2), workflow.ensf
+    config = OSSEConfig(
+        n_cycles=3, steps_per_cycle=2, ensemble_size=8, seed=seed,
+        apply_model_error_to_truth=False,
+    )
+    result = run_osse(
+        model, model, ensf, IdentityObservation(64, 1.0), truth0, config,
+        initial_ensemble=ens0, executor=executor,
+    )
+    return result, ensf
 
 
 def _assert_same_run(got, want):
-    for key in ("analysis_rmse", "forecast_rmse", "final_analysis_rmse", "final_spread"):
-        np.testing.assert_array_equal(got[key], want[key])
+    for key in ("analysis_rmse", "forecast_rmse", "analysis_spread", "analysis_mean_final"):
+        np.testing.assert_array_equal(getattr(got, key), getattr(want, key))
 
 
 class TestParallelAnalysis:
@@ -788,7 +794,7 @@ class TestParallelAnalysis:
         again, _ = _realtime_ensf(executor, seed=1)
         other, _ = _realtime_ensf(executor, seed=2)
         _assert_same_run(base, again)
-        assert np.all(base["analysis_rmse"] != other["analysis_rmse"])
+        assert np.all(base.analysis_rmse != other.analysis_rmse)
         _, serial_filt = _realtime_ensf(seed=1)
         assert filt.rng.bit_generator.state == serial_filt.rng.bit_generator.state
 
@@ -1109,7 +1115,7 @@ class TestSharedMemoryPayloads:
         np.testing.assert_array_equal(outs[True], model.forecast(ens, n_steps=2))
 
     def test_ensf_bit_identical_under_shm(self, monkeypatch, gathers):
-        """A pooled realtime EnSF run whose forecast slices ship as shared
+        """A pooled real-time EnSF run whose forecast slices ship as shared
         memory is the pickled run and the serial run, bit for bit."""
         monkeypatch.setattr(ensemble_parallel, "_SHM_MIN_BYTES", 1024)
         serial, _ = _realtime_ensf()

@@ -44,7 +44,9 @@ def test_package_inits_are_docstrings():
         assert isinstance(body[0].value.value, str), path
 
 
-@pytest.mark.parametrize("module", ["repro.hpc.ensemble_parallel", "repro.workflow.scheduler"])
+@pytest.mark.parametrize(
+    "module", ["repro.da.cycling", "repro.hpc.ensemble_parallel", "repro.workflow.scheduler"]
+)
 def test_runtime_modules_load_no_frontier_model_or_vit(module):
     script = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

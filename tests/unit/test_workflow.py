@@ -37,7 +37,7 @@ class TestExperimentConfig:
     def test_field_count(self):
         """A ratchet: a field nothing sets or reads was deleted, not kept
         as a default; the count may fall here, never rise."""
-        assert len(dataclasses.fields(ExperimentConfig)) == 19
+        assert len(dataclasses.fields(ExperimentConfig)) == 18
 
     def test_letkf_config_fields(self):
         """A ratchet beside the one above: every settable LETKF value is a
