@@ -38,12 +38,11 @@ if str(REPO_ROOT) not in sys.path:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Surface the backend selection: the BENCH_*.json records embed the
-    # resolved array backend (and the forecast record the FFT backend), so
-    # entries refreshed under different selections stay distinguishable.
-    from repro.utils.fft import default_backend_name as fft_backend
+    # resolved array backend, so entries refreshed under different
+    # selections stay distinguishable.
     from repro.utils.xp import default_backend_name as array_backend
 
-    print(f"[run_all] array backend: {array_backend()}  fft backend: {fft_backend()}")
+    print(f"[run_all] array backend: {array_backend()}")
     if "--all" in argv:
         argv.remove("--all")
         targets = [str(BENCH_DIR)]

@@ -17,7 +17,7 @@ Record layout (see :func:`repro.utils.timing.write_bench_json` for the generic f
 
     {
       "benchmark": "forecast-engine",
-      "fft_backend": "numpy" | "scipy",
+      "fft_backend": "numpy",
       "forecast_step": {grid, members, optimized_s, oracle_s,
                         max_coeff_delta},           # 64x64, M=20
       "forecast_step_cases": [ ...per batch size... ],
@@ -61,6 +61,7 @@ from repro.core.observations import IdentityObservation
 from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
 from repro.models.sqg import SQGModel, SQGParameters
+from repro.utils.fft import default_backend_name as fft_backend_name
 from repro.utils.timing import best_of, write_bench_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -91,8 +92,7 @@ SPEEDUP_NOTE = (
     "columns for the whole trajectory, does complex-by-real products on "
     "float64 views, and advances a cache-sized chunk of members through all "
     "steps at a time; forecast_chunk_curve records member-steps/s against "
-    "that chunk size. On multi-core hosts the scipy backend additionally "
-    "threads every batched transform (REPRO_FFT_WORKERS)."
+    "that chunk size."
 )
 
 
@@ -128,7 +128,7 @@ def _bench_step_case(members):
         "optimized_s": t_new,
         "oracle_s": t_old,
         "max_coeff_delta": float(np.abs(old - new).max()),
-        "fft_backend": model.spectral.fft.name,
+        "fft_backend": fft_backend_name(),
     }
 
 
@@ -139,7 +139,7 @@ def _host_record():
         scipy_version = scipy.__version__
     except ImportError:
         scipy_version = None
-    pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "REPRO_FFT_WORKERS", "REPRO_FFT_BACKEND")
+    pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
     return {
         "nproc": os.cpu_count(),
         "platform": platform.platform(),

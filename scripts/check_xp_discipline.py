@@ -2,8 +2,8 @@
 """Static xp-discipline check for the routed kernel modules.
 
 The device-residency contract says the hot kernels obtain their array
-operations from the ``repro.utils.xp`` backend shim (or the paired FFT
-backend) — never from :mod:`numpy` directly, because a bare ``np.<compute>``
+operations (transforms included) from the ``repro.utils.xp`` backend
+shim — never from :mod:`numpy` directly, because a bare ``np.<compute>``
 call silently pins that operation to the host and, on a real device
 backend, forces a host round-trip the transfer counters would only catch at
 runtime.  This script catches it statically.

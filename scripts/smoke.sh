@@ -1,8 +1,7 @@
 #!/bin/sh
 # Tier-1 smoke check (see pytest.ini):
-#   1. The test suite must *collect* with scipy blocked — the FFT shim and
-#      everything importing it must defer scipy imports so numpy-only
-#      installs keep working.
+#   1. The test suite must *collect* with scipy blocked — nothing may
+#      import scipy at module level, so numpy-only installs keep working.
 #   2. Forecast worker invariance must hold through a real n_workers=2
 #      process pool (every gather route gives the in-process bits), and a
 #      real-time EnSF run must give the same bits with no executor, one
@@ -64,7 +63,7 @@
 #   9. The tier-1 suite itself must pass; --durations=10 surfaces creeping
 #      slow tests.  With -rs every skip is reported, and any skip whose
 #      reason is not one of the platform conditions the tests declare
-#      (no scipy, no /proc, no shared memory, a numpy FFT without out=)
+#      (no /proc, no shared memory, a numpy FFT without out=)
 #      fails the step: a backend that cannot run here is deleted, not
 #      skipped.
 # Usage: scripts/smoke.sh [extra pytest args for step 9]
@@ -480,7 +479,6 @@ python -m pytest -x -q -rs --durations=10 "$@" >"$log" 2>&1 || status=$?
 cat "$log"
 [ "$status" -eq 0 ] || exit "$status"
 unexplained=$(grep '^SKIPPED' "$log" | grep -v \
-    -e 'scipy not installed' \
     -e 'needs /proc to see the workers' \
     -e 'no shared memory on this platform' \
     -e "this numpy's FFT has no out=" || true)

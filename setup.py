@@ -1,9 +1,8 @@
 """Setuptools shim.
 
-The project metadata lives in ``pyproject.toml``.  This file exists so that
-``pip install -e .`` works in fully offline environments where the ``wheel``
-package (needed for PEP 517 editable builds) may not be available: pip then
-falls back to the legacy ``setup.py develop`` code path.
+The project metadata lives in ``pyproject.toml``; this file only keeps
+``python setup.py develop`` working for front ends that predate PEP 660
+editable installs.
 """
 
 from setuptools import setup

@@ -9,9 +9,9 @@ All transforms operate on the trailing two axes so that batched states
 (ensembles) of shape ``(..., nlev, ny, nx)`` are handled with a single FFT
 call — this is the main vectorisation lever for ensemble forecasting.
 
-Transforms are routed through the pluggable backend shim
-(:mod:`repro.utils.fft`): :mod:`scipy.fft` with multi-worker support when
-available, :mod:`numpy.fft` otherwise.  Both produce bit-identical results.
+Transforms run on :mod:`numpy.fft` through the grid's array backend
+(:class:`repro.utils.xp.ArrayBackend`), so a device backend supplies its FFT
+on the same object as the rest of the spectral arithmetic.
 
 Fused-kernel support
 --------------------
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.fft import FFTBackend, resolve_backend
 from repro.utils.xp import ArrayBackend
 from repro.utils.xp import resolve_backend as resolve_array_backend
 
@@ -68,14 +67,10 @@ class SpectralGrid:
         Physical domain lengths (metres).
     dealias:
         Apply the 2/3 rule when truncating spectra of nonlinear products.
-    backend:
-        FFT backend name (``"numpy"``/``"scipy"``), an
-        :class:`~repro.utils.fft.FFTBackend`, or ``None`` for the
-        process-wide default (``REPRO_FFT_BACKEND`` / auto-detection).
     array_backend:
-        Array backend (:mod:`repro.utils.xp`) for the non-FFT spectral
-        arithmetic; ``None`` uses the ``REPRO_ARRAY_BACKEND`` default.  The
-        numpy backend is bit-identical to the pre-shim grid.
+        Array backend (:mod:`repro.utils.xp`) for the transforms and the
+        spectral arithmetic; ``None`` uses the ``REPRO_ARRAY_BACKEND``
+        default.  The numpy backend is bit-identical to the pre-shim grid.
     """
 
     def __init__(
@@ -85,7 +80,6 @@ class SpectralGrid:
         lx: float,
         ly: float,
         dealias: bool = True,
-        backend: str | FFTBackend | None = None,
         array_backend: str | ArrayBackend | None = None,
     ):
         if nx < 4 or ny < 4:
@@ -98,7 +92,6 @@ class SpectralGrid:
         self.ly = float(ly)
         self.dealias = bool(dealias)
         self.xp = resolve_array_backend(array_backend)
-        self.fft = resolve_backend(backend)
 
         # rfft2 layout: full frequencies along y (axis -2), half along x (axis -1).
         kx = 2.0 * np.pi / self.lx * np.arange(0, self.nx // 2 + 1)
@@ -195,13 +188,13 @@ class SpectralGrid:
         """
         field = self.xp.asarray(field)
         self._check_physical(field)
-        return self.fft.rfft2(field, axes=(-2, -1))
+        return self.xp.rfft2(field, axes=(-2, -1))
 
     def to_physical(self, spec: np.ndarray) -> np.ndarray:
         """Inverse transform returning a real field on the trailing axes."""
         spec = self.xp.asarray(spec)
         self._check_spectral(spec)
-        return self.fft.irfft2(spec, s=(self.ny, self.nx), axes=(-2, -1))
+        return self.xp.irfft2(spec, s=(self.ny, self.nx), axes=(-2, -1))
 
     def to_physical_retained(self, spec_retained: np.ndarray) -> np.ndarray:
         """Inverse transform of the retained columns of a masked spectrum.
@@ -217,8 +210,8 @@ class SpectralGrid:
                 f"retained spectrum trailing shape {spec_retained.shape[-2:]} "
                 f"!= {(self.ny, self._kx_keep)}"
             )
-        w = self.fft.ifft(spec_retained, axis=-2)
-        return self.fft.irfft(w, n=self.nx, axis=-1)
+        w = self.xp.ifft(spec_retained, axis=-2)
+        return self.xp.irfft(w, n=self.nx, axis=-1)
 
     def to_spectral_retained(self, field: np.ndarray) -> np.ndarray:
         """Forward transform returning only the first :attr:`kx_keep` columns.
@@ -229,8 +222,8 @@ class SpectralGrid:
         """
         field = self.xp.asarray(field)
         self._check_physical(field)
-        r = self.fft.rfft(field, axis=-1)
-        return self.fft.fft(r[..., : self._kx_keep], axis=-2)
+        r = self.xp.rfft(field, axis=-1)
+        return self.xp.fft(r[..., : self._kx_keep], axis=-2)
 
     def truncate(self, spec: np.ndarray) -> np.ndarray:
         """Apply the 2/3 dealiasing mask to a spectral array."""

@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.models.spectral import SpectralGrid
-from repro.utils.fft import FFTBackend
 from repro.utils.grid import Grid2D
 from repro.utils.random import default_rng
 from repro.utils.spectra import kinetic_energy_spectrum
@@ -226,23 +225,20 @@ class SQGModel:
     ----------
     params:
         Physical/numerical configuration.
-    backend:
-        FFT backend selection forwarded to :class:`SpectralGrid`.
     array_backend:
         Array backend (:mod:`repro.utils.xp`) for the fused kernel's
-        workspace arithmetic; ``None`` uses the ``REPRO_ARRAY_BACKEND``
-        default.  The numpy backend is bit-identical to the pre-shim
-        kernel.  Whole trajectories stay device-resident: :meth:`step`,
-        :meth:`run` and :meth:`forecast` pay one upload and one download
-        total, while :meth:`forecast_device` / :meth:`step_spectral_device`
-        never touch the host at all.
+        transforms and workspace arithmetic; ``None`` uses the
+        ``REPRO_ARRAY_BACKEND`` default.  The numpy backend is bit-identical
+        to the pre-shim kernel.  Whole trajectories stay device-resident:
+        :meth:`step`, :meth:`run` and :meth:`forecast` pay one upload and
+        one download total, while :meth:`forecast_device` /
+        :meth:`step_spectral_device` never touch the host at all.
     """
 
     def __init__(
         self,
         params: SQGParameters | None = None,
         *,
-        backend: str | FFTBackend | None = None,
         array_backend: str | ArrayBackend | None = None,
     ):
         self.params = params or SQGParameters()
@@ -250,8 +246,7 @@ class SQGModel:
         p = self.params
         self.grid = p.grid
         self.spectral = SpectralGrid(
-            p.nx, p.ny, p.lx, p.ly, dealias=p.dealias, backend=backend,
-            array_backend=self.xp,
+            p.nx, p.ny, p.lx, p.ly, dealias=p.dealias, array_backend=self.xp
         )
         self.state_size = self.grid.size
 

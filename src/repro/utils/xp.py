@@ -1,10 +1,10 @@
 """Pluggable array backend shim for the analysis + forecast kernels.
 
-This extends the FFT-shim pattern (:mod:`repro.utils.fft`) into a full
-array-API layer: the hot kernels — the batched/sharded LETKF assembly and
-stacked-``eigh`` solve, the fused EnSF Monte-Carlo score path, the buffered
-reverse-SDE integrator and the fused SQG tendency/RK4 kernel — obtain their
-array operations from an :class:`ArrayBackend` namespace instead of calling
+The hot kernels — the batched/sharded LETKF assembly and stacked-``eigh``
+solve, the fused EnSF Monte-Carlo score path, the buffered reverse-SDE
+integrator, the fused SQG tendency/RK4 kernel and every spectral transform
+of :class:`~repro.models.spectral.SpectralGrid` — obtain their array
+operations from an :class:`ArrayBackend` namespace instead of calling
 :mod:`numpy` directly, so one code path serves the host and any device
 backend plugged into the seam (the source paper runs its filters on
 Frontier's GPUs).
@@ -31,8 +31,7 @@ Selection
 ``resolve_backend(None)`` consults the ``REPRO_ARRAY_BACKEND`` environment
 variable first; an explicit env value (anything but ``"auto"``) wins over
 :func:`set_default_backend`, which in turn wins over the built-in default
-(``"numpy"``).  The same precedence applies to ``REPRO_FFT_BACKEND`` in the
-FFT shim.  Backends pickle by name (:meth:`ArrayBackend.__reduce__`), so
+(``"numpy"``).  Backends pickle by name (:meth:`ArrayBackend.__reduce__`), so
 configs and kernels that hold one ship cleanly to
 :class:`~repro.hpc.ensemble_parallel.EnsembleExecutor` worker processes.
 
@@ -97,7 +96,7 @@ class ArrayBackend:
     Device backends subclass it and override the operation table plus the
     transfer hooks.
 
-    The operation set is deliberately small — the ~25 operations the hot
+    The operation set is deliberately small — the ~35 operations the hot
     kernels actually use — grouped as:
 
     * creation/layout: ``asarray``, ``ascontiguousarray``, ``empty``,
@@ -109,8 +108,8 @@ class ArrayBackend:
       (stacked), ``dot``, ``einsum``
     * reductions: ``sum``, ``amax``, ``amin``, ``mean``
     * gather/scatter: ``take``, ``put``, ``bincount``, ``triu_indices``
-    * FFT (LETKF convolution assembly): ``rfft2`` (accepting ``out=``),
-      ``irfft2``
+    * FFT: ``rfft2`` (accepting ``out=``), ``irfft2``, ``rfft``, ``irfft``,
+      ``fft``, ``ifft``
     * movement: ``to_device``, ``to_host``
     * randomness: ``standard_normal`` (host-stream semantics, see module
       docstring)
@@ -152,9 +151,12 @@ class ArrayBackend:
     put = staticmethod(np.put)
     bincount = staticmethod(np.bincount)
     triu_indices = staticmethod(np.triu_indices)
-    # FFT (the LETKF convolution assembly; forecast FFTs go through
-    # repro.utils.fft, whose backend is chosen independently)
+    # FFT (the LETKF convolution assembly and the spectral grid)
     irfft2 = staticmethod(np.fft.irfft2)
+    rfft = staticmethod(np.fft.rfft)
+    irfft = staticmethod(np.fft.irfft)
+    fft = staticmethod(np.fft.fft)
+    ifft = staticmethod(np.fft.ifft)
 
     @staticmethod
     def rfft2(a, s=None, axes=(-2, -1), norm=None, out=None):
@@ -196,10 +198,10 @@ class ArrayBackend:
         return f"<ArrayBackend {self.name!r}>"
 
     def __reduce__(self):
-        # Registered backends reconstruct by name on unpickle (mirrors
-        # FFTBackend.__reduce__): device handles and transfer counters are
-        # process-local, and this keeps configs holding a backend shippable
-        # to EnsembleExecutor worker processes.
+        # Registered backends reconstruct by name on unpickle: device
+        # handles and transfer counters are process-local, and this keeps
+        # configs holding a backend shippable to EnsembleExecutor worker
+        # processes.
         if self.name in _FACTORIES:
             return (resolve_backend, (self.name,))
         return super().__reduce__()  # pragma: no cover - custom backends

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.utils.fft as fft_mod
 import repro.utils.xp as xp_mod
 from repro.core.ensf import EnSF, EnSFConfig
 from repro.core.observations import IdentityObservation
@@ -40,11 +39,10 @@ N_SDE_STEPS = 8
 def mock_xp(monkeypatch):
     """Install mock-device as the process default with fresh counters.
 
-    The backend environment variables are cleared so the fixture — not the
-    outer environment — controls array and FFT backend selection.
+    The backend environment variable is cleared so the fixture — not the
+    outer environment — controls backend selection.
     """
     monkeypatch.delenv("REPRO_ARRAY_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_FFT_BACKEND", raising=False)
     xp_mod.set_default_backend("mock-device")
     backend = xp_mod.resolve_backend("mock-device")
     backend.reset_transfers()
@@ -106,12 +104,8 @@ def _per_cycle_delta(mock_xp, filter_factory, nx, members, executor=None):
 
 
 class TestFFTDevicePairing:
-    """A device grid transforms with the host FFT, and no transform crosses
-    the host boundary."""
-
-    def test_mock_device_grid_uses_host_fft(self, mock_xp):
-        grid = SpectralGrid(8, 8, 1.0, 1.0, array_backend=mock_xp)
-        assert grid.fft is fft_mod.resolve_backend(None)
+    """A device grid transforms through its array backend, and no transform
+    crosses the host boundary."""
 
     def test_paired_fft_meters_no_transfers(self, mock_xp):
         """Transforms on device-resident arrays call no transfer hook."""
@@ -265,7 +259,6 @@ class TestBitParityWithNumpy:
     @pytest.mark.parametrize("filter_factory", [_letkf, _ensf], ids=["letkf", "ensf"])
     def test_whole_osse_bit_identical(self, monkeypatch, filter_factory):
         monkeypatch.delenv("REPRO_ARRAY_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_FFT_BACKEND", raising=False)
         monkeypatch.delenv("REPRO_DEVICE_RNG", raising=False)
         results = {}
         for name in ("numpy", "mock-device"):
@@ -287,7 +280,6 @@ class TestCheckpointBackendPortability:
 
     def _run(self, filter_factory, backend_name, monkeypatch, **kwargs):
         monkeypatch.delenv("REPRO_ARRAY_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_FFT_BACKEND", raising=False)
         xp_mod.set_default_backend(backend_name)
         try:
             model = _make_model(8)

@@ -44,20 +44,38 @@ def test_package_inits_are_docstrings():
         assert isinstance(body[0].value.value, str), path
 
 
-@pytest.mark.parametrize(
-    "module", ["repro.da.cycling", "repro.hpc.ensemble_parallel", "repro.workflow.scheduler"]
-)
-def test_runtime_modules_load_no_frontier_model_or_vit(module):
-    script = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+def _modules_loaded_by(script: str) -> list:
+    """Every module loaded once ``script`` has run in a fresh interpreter."""
+    script += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stderr
-    loaded = json.loads(run.stdout)
+    return json.loads(run.stdout)
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.da.cycling", "repro.hpc.ensemble_parallel", "repro.workflow.scheduler"]
+)
+def test_runtime_modules_load_no_frontier_model_or_vit(module):
+    loaded = _modules_loaded_by(f"import {module}")
     assert module in loaded
     offline = {"repro.hpc.gemm", "repro.hpc.scaling", "repro.hpc.trainer_sim"}
     assert [m for m in loaded if m.startswith("repro.surrogate") or m in offline] == []
+
+
+def test_sqg_forecast_loads_no_scipy():
+    """Every spectral transform is ``numpy.fft`` through the array backend."""
+    loaded = _modules_loaded_by(
+        "import numpy as np\n"
+        "from repro.models.sqg import SQGModel, SQGParameters\n"
+        "model = SQGModel(SQGParameters(nx=16, ny=16, dt=1800.0))\n"
+        "ens = np.stack([model.flatten(model.random_initial_condition(rng=i)) for i in range(2)])\n"
+        "model.forecast(ens, n_steps=2)"
+    )
+    assert "repro.models.sqg" in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)

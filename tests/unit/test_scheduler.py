@@ -100,6 +100,23 @@ def _slow_job(ctx):
     return {"ok": True}
 
 
+def _yielding_job(ctx):
+    """``lorenz96_ensf_job`` whose first attempt holds its first cycle
+    boundary until the service asks it to yield — so the preemption lands
+    however fast the host finishes the job."""
+    poll, hold = ctx.should_preempt, not ctx.resume
+
+    def held():
+        nonlocal hold
+        if hold:
+            hold = False
+            _wait_until(poll, f"the preempt request for {ctx.name!r}")
+        return poll()
+
+    ctx.should_preempt = held
+    return lorenz96_ensf_job(ctx)
+
+
 # --------------------------------------------------------------------------- #
 # validation / submission
 # --------------------------------------------------------------------------- #
@@ -190,7 +207,7 @@ class TestPreemption:
         high_params = dict(SHORT, seed=2)
         with _service(tmp_path, config=config) as svc:
             svc.start()
-            svc.submit("low", RUNNER, params=low_params, priority=0)
+            svc.submit("low", "test_scheduler:_yielding_job", params=low_params, priority=0)
             _wait_for_state(svc, "low", "running")
             svc.submit("high", RUNNER, params=high_params, priority=10)
             states = svc.run_until_complete(timeout=180.0)

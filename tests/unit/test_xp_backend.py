@@ -2,7 +2,7 @@
 
 Three layers of guarantees:
 
-* **Shim mechanics** — selection semantics shared with the FFT shim:
+* **Shim mechanics** — selection semantics:
   numpy and mock-device always available, ``REPRO_ARRAY_BACKEND`` outranks
   ``set_default_backend``, unknown or retired names (``cupy``) raise
   listing the choices, backends pickle by name.
