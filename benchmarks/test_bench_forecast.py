@@ -45,6 +45,7 @@ Record layout (see :func:`repro.utils.timing.write_bench_json` for the generic f
     }
 """
 
+import importlib.metadata
 import json
 import os
 import platform
@@ -133,11 +134,10 @@ def _bench_step_case(members):
 
 
 def _host_record():
+    # The installed version from package metadata: no bench process loads SciPy.
     try:
-        import scipy
-
-        scipy_version = scipy.__version__
-    except ImportError:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
         scipy_version = None
     pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
     return {

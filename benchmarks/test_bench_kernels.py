@@ -37,19 +37,29 @@ Record layout (see :func:`repro.utils.timing.write_bench_json` for the generic f
                 coupled_residual, max_repeat_delta},
       "ensf_cases": [ ...one row per (grid, sampler mode)... ],
       "ensf_paths": {grid, members, n_sde_steps, ensemble_space_s,
-                     full_space_s, speedup, note}
+                     full_space_s, speedup, note},
+      "service_job_l96": {params, repeats, checkpoint_every, keep_last,
+                          job_s: {roll: {q1, median, q3}, take: {...}},
+                          speedup, host, note}
     }
 
 EnSF is benchmarked in both sampler modes; the headline ``"ensf"`` entry is
 the fastest case, every case is recorded in ``"ensf_cases"``.
 ``"ensf_paths"`` is the 64×64, 20-member, 100-step analysis on both
 reverse-SDE paths (the configuration of the e2e ``ensf_serial_64`` workload).
+``"service_job_l96"`` times the e2e ``service_campaign``'s urgent job, the
+standalone Lorenz-96/EnSF ``lorenz96_ensf_job``, on the rolled Lorenz-96
+kernel (``tests/reference/lorenz96_roll_head.py``) and on the model's
+``take``-index kernel, alternating.
 """
 
 import json
 import math
 import statistics
+import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +67,7 @@ import pytest
 
 import repro.da.letkf as letkf_mod
 import repro.da.localization as loc_mod
+import repro.models.lorenz96 as lorenz96_mod
 from benchmarks.e2e.inputs import climatological_inputs
 from benchmarks.test_bench_forecast import _host_record
 from repro.core.ensf import EnSF, EnSFConfig, _ScaledOperator, _StateScaler
@@ -65,11 +76,16 @@ from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
 from repro.da.localization import analysis_stride
 from repro.models.sqg import SQGModel, SQGParameters
+from repro.utils.faults import FaultLog
 from repro.utils.grid import Grid2D
 from repro.utils.timing import best_of, write_bench_json
+from repro.workflow.engine import CheckpointCadence
+from repro.workflow.scheduler import ServiceConfig, lorenz96_ensf_job
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RECORD_PATH = REPO_ROOT / "BENCH_kernels.json"
+sys.path.insert(0, str(REPO_ROOT / "tests"))  # the test-only rolled Lorenz-96 oracle
+from reference.lorenz96_roll_head import RollLorenz96  # noqa: E402
 
 N_MEMBERS = 20
 LETKF_GRID = (64, 64)
@@ -80,6 +96,9 @@ ASSEMBLY_BUDGETS_MIB = (0.5, 1, 2, 4, 8, 16, None)  # None: every channel in one
 ASSEMBLY_CALLS = 21
 ENSF_GRIDS = ((16, 16), (32, 32), (64, 64))
 ENSF_PATHS_GRID = (64, 64)
+# The Lorenz-96 job of the e2e service_campaign (benchmarks/e2e/campaign.py).
+L96_SERVICE_PARAMS = {"dim": 12, "n_cycles": 40, "ensemble_size": 8, "n_sde_steps": 6}
+L96_SERVICE_REPEATS = 12
 
 
 def _rmse(ensemble, truth):
@@ -363,6 +382,85 @@ def _bench_ensf_paths():
     }
 
 
+class _ServiceJobContext:
+    """What ``lorenz96_ensf_job`` reads of a service ``JobContext``.
+
+    A fresh checkpoint ring written under the service's
+    :class:`~repro.workflow.engine.CheckpointCadence` and ring size; no pool,
+    no preemption hook, no resume.
+    """
+
+    executor = None
+
+    def __init__(self, params: dict, workdir: str) -> None:
+        self.params = dict(params)
+        self.fault_log = FaultLog()
+        self.workdir = Path(workdir)
+
+    def engine_kwargs(self) -> dict:
+        config = ServiceConfig()
+        return {
+            "checkpoint_every": CheckpointCadence(config.checkpoint_every),
+            "checkpoint_path": self.workdir / "engine.ckpt",
+            "keep_last": config.keep_last,
+        }
+
+
+def _bench_service_job_l96():
+    """The campaign's Lorenz-96/EnSF job, standalone, on each Lorenz-96 kernel.
+
+    Each repeat runs the job once on the rolled kernel and once on the
+    ``take``-index one (the job builds its model from
+    ``repro.models.lorenz96.Lorenz96``, which is swapped for the oracle
+    class), in an order that alternates between repeats; repeat 0 warms
+    imports and is not timed.  Both kernels must give the same RMSE history.
+    """
+    kernels = {"roll": RollLorenz96, "take": lorenz96_mod.Lorenz96}
+    times = {name: [] for name in kernels}
+    for repeat in range(L96_SERVICE_REPEATS + 1):
+        order = list(kernels) if repeat % 2 else list(kernels)[::-1]
+        histories = []
+        for name in order:
+            params = dict(L96_SERVICE_PARAMS, seed=repeat)
+            with (
+                tempfile.TemporaryDirectory() as workdir,
+                pytest.MonkeyPatch.context() as patch,
+                warnings.catch_warnings(),
+            ):
+                warnings.simplefilter("ignore", RuntimeWarning)  # a diverging seed overflows
+                patch.setattr(lorenz96_mod, "Lorenz96", kernels[name])
+                start = time.perf_counter()
+                result = lorenz96_ensf_job(_ServiceJobContext(params, workdir))
+                elapsed = time.perf_counter() - start
+            if repeat:
+                times[name].append(elapsed)
+            histories.append(result["analysis_rmse"])
+        assert np.array_equal(*histories, equal_nan=True)  # the same bits on both kernels
+    quartiles = {
+        name: dict(zip(("q1", "median", "q3"), statistics.quantiles(t, n=4)))
+        for name, t in times.items()
+    }
+    config = ServiceConfig()
+    return {
+        "params": L96_SERVICE_PARAMS,
+        "repeats": L96_SERVICE_REPEATS,
+        "checkpoint_every": config.checkpoint_every,
+        "keep_last": config.keep_last,
+        "job_s": quartiles,
+        "speedup": quartiles["roll"]["median"] / quartiles["take"]["median"],
+        "host": _host_record(),
+        "note": (
+            "wall time of one standalone lorenz96_ensf_job (seed = repeat) "
+            "with its checkpoint ring under the service's CheckpointCadence; "
+            "roll is the Lorenz-96 tendency on three np.roll calls "
+            "(tests/reference/lorenz96_roll_head.py), take the model's "
+            "precomputed-index kernel; both runs share the EnSF closure "
+            "constants cached once per sampler. Median and quartiles over "
+            "the repeats on the recording host."
+        ),
+    }
+
+
 @pytest.fixture(scope="module")
 def kernel_record():
     letkf = _bench_letkf()
@@ -375,6 +473,7 @@ def kernel_record():
     ]
     ensf = min(cases, key=lambda row: row["optimized_s"])
     ensf_paths = _bench_ensf_paths()
+    service_job_l96 = _bench_service_job_l96()
     from repro.utils.xp import default_backend_name
 
     return write_bench_json(
@@ -387,6 +486,7 @@ def kernel_record():
         ensf=ensf,
         ensf_cases=cases,
         ensf_paths=ensf_paths,
+        service_job_l96=service_job_l96,
     )
 
 
@@ -483,6 +583,23 @@ def test_ensf_ensemble_space_speedup(kernel_record, report):
     assert row["speedup"] > 5.0
     assert abs(row["ensemble_space_rmse"] / row["full_space_rmse"] - 1.0) < 0.1
     assert row["note"]
+
+
+def test_service_job_l96_on_the_take_kernel(kernel_record, report):
+    row = kernel_record["service_job_l96"]
+    job_s = row["job_s"]
+    report(
+        f"Lorenz-96/EnSF service job standalone ({row['params']}, {row['repeats']} repeats)",
+        [
+            f"{name}: {t['median'] * 1e3:.1f} ms [{t['q1'] * 1e3:.1f}, {t['q3'] * 1e3:.1f}]"
+            for name, t in job_s.items()
+        ]
+        + [f"speedup {row['speedup']:.2f}x"],
+    )
+    for t in job_s.values():
+        assert t["q1"] <= t["median"] <= t["q3"]
+    assert job_s["take"]["median"] < job_s["roll"]["median"]
+    assert row["host"] and row["note"]
 
 
 def test_record_written(kernel_record):

@@ -152,6 +152,7 @@ class ReverseSDESampler:
         # integrations untouched.
         self.max_state_magnitude = float(max_state_magnitude)
         self.xp = resolve_backend(backend)
+        self._closure_cache: tuple[tuple, tuple[np.ndarray, ...]] | None = None
 
     def sample(
         self,
@@ -313,7 +314,29 @@ class ReverseSDESampler:
     def _closure_coefficients(
         self, inv_var: float, damping: Callable[[float], float]
     ) -> _ClosureCoefficients:
-        """Scalars of ``z ← c_z z + c_x W X + c_y y + c_n ξ`` for every step."""
+        """Scalars of ``z ← c_z z + c_x W X + c_y y + c_n ξ`` for every step.
+
+        Everything but ``inv_var`` depends on the schedule alone, so it is
+        computed once per sampler and reused until the schedule, the step
+        grid, the mode or the damping (a pure function of ``t``) changes;
+        each call forms only ``c_y`` and ``c_z``.
+        """
+        key = (self.schedule, self.n_steps, self.t_end, self.t_start, self.stochastic, damping)
+        if self._closure_cache is None or self._closure_cache[0] != key:
+            self._closure_cache = (key, self._schedule_terms(damping))
+        gain, damp, c_free, c_x, c_n, logit_lin, logit_quad = self._closure_cache[1]
+        c_y = gain * inv_var * damp
+        return _ClosureCoefficients(
+            c_z=np.stack([c_free - c_y, c_free]),
+            c_x=c_x,
+            c_y=c_y,
+            c_n=c_n,
+            logit_lin=logit_lin,
+            logit_quad=logit_quad,
+        )
+
+    def _schedule_terms(self, damping: Callable[[float], float]) -> tuple[np.ndarray, ...]:
+        """The per-step arrays of :meth:`_closure_coefficients` that ``inv_var`` leaves alone."""
         grid = self.schedule.time_grid(self.n_steps, t_end=self.t_end, t_start=self.t_start)
         t = grid[:-1]
         dt = grid[:-1] - grid[1:]
@@ -321,16 +344,18 @@ class ReverseSDESampler:
         beta_sq = np.asarray(self.schedule.beta_sq(t), dtype=float)
         diffusion_dt = self.schedule.diffusion_sq(t) * dt
         gain = diffusion_dt if self.stochastic else 0.5 * diffusion_dt
-        c_y = gain * inv_var * np.array([float(damping(float(ti))) for ti in t])
-        c_free = 1.0 - self.schedule.drift_coeff(t) * dt - gain / beta_sq
-        return _ClosureCoefficients(
-            c_z=np.stack([c_free - c_y, c_free]),
-            c_x=gain * alpha / beta_sq,
-            c_y=c_y,
-            c_n=diffusion_dt**0.5 if self.stochastic else np.zeros_like(dt),
-            logit_lin=alpha / beta_sq,
-            logit_quad=-0.5 * alpha**2 / beta_sq,
+        terms = (
+            gain,
+            np.array([float(damping(float(ti))) for ti in t]),
+            1.0 - self.schedule.drift_coeff(t) * dt - gain / beta_sq,
+            gain * alpha / beta_sq,
+            diffusion_dt**0.5 if self.stochastic else np.zeros_like(dt),
+            alpha / beta_sq,
+            -0.5 * alpha**2 / beta_sq,
         )
+        for term in terms:
+            term.flags.writeable = False  # shared by every analysis of this sampler
+        return terms
 
     def _integrate_closure(
         self,

@@ -27,6 +27,12 @@ class Lorenz96:
         Forcing constant ``F`` (8.0 gives chaotic dynamics).
     dt:
         RK4 time step.
+
+    The periodic neighbours are gathered with ``take`` from three index
+    arrays built once here: ``_ip1[i] = (i + 1) % dim``, ``_im2[i] = (i − 2)
+    % dim`` and ``_im1[i] = (i − 1) % dim``.  They select the same values as
+    ``np.roll(x, −1)``, ``np.roll(x, 2)`` and ``np.roll(x, 1)`` at a fraction
+    of the call cost, so the tendency is bit-identical to the rolled form.
     """
 
     def __init__(self, dim: int = 40, forcing: float = 8.0, dt: float = 0.05):
@@ -38,13 +44,17 @@ class Lorenz96:
         self.forcing = float(forcing)
         self.dt = float(dt)
         self.state_size = self.dim
+        i = np.arange(self.dim)
+        self._ip1 = (i + 1) % self.dim
+        self._im2 = (i - 2) % self.dim
+        self._im1 = (i - 1) % self.dim
 
     def tendency(self, x: np.ndarray) -> np.ndarray:
         """Right-hand side, vectorised over leading (ensemble) axes."""
         x = np.asarray(x, dtype=float)
-        xp1 = np.roll(x, -1, axis=-1)
-        xm2 = np.roll(x, 2, axis=-1)
-        xm1 = np.roll(x, 1, axis=-1)
+        xp1 = x.take(self._ip1, axis=-1)
+        xm2 = x.take(self._im2, axis=-1)
+        xm1 = x.take(self._im1, axis=-1)
         return (xp1 - xm2) * xm1 - x + self.forcing
 
     def step(self, x: np.ndarray, n_steps: int = 1) -> np.ndarray:

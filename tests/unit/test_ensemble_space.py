@@ -24,12 +24,13 @@ from repro.core.ensf import (
     _ScaledOperator,
     _StateScaler,
 )
+from repro.core.likelihood import ConstantDamping, CosineDamping, LinearDamping
 from repro.core.observations import (
     IdentityObservation,
     NonlinearObservation,
     SubsampledObservation,
 )
-from repro.core.sde import _colour_noise
+from repro.core.sde import ReverseSDESampler, _ClosureCoefficients, _colour_noise
 
 
 class _Replay(np.random.Generator):
@@ -283,3 +284,82 @@ class TestDispatch:
             ensemble, ensemble[0], indices, inv_var, filt.config.damping, 6, rng=1
         )
         assert np.abs(sample).max() == 2.0
+
+
+def _head_closure_coefficients(sampler, inv_var, damping):
+    """``ReverseSDESampler._closure_coefficients`` before its schedule terms
+    were cached, body verbatim (``self`` → ``sampler``)."""
+    grid = sampler.schedule.time_grid(sampler.n_steps, t_end=sampler.t_end, t_start=sampler.t_start)
+    t = grid[:-1]
+    dt = grid[:-1] - grid[1:]
+    alpha = np.asarray(sampler.schedule.alpha(t), dtype=float)
+    beta_sq = np.asarray(sampler.schedule.beta_sq(t), dtype=float)
+    diffusion_dt = sampler.schedule.diffusion_sq(t) * dt
+    gain = diffusion_dt if sampler.stochastic else 0.5 * diffusion_dt
+    c_y = gain * inv_var * np.array([float(damping(float(ti))) for ti in t])
+    c_free = 1.0 - sampler.schedule.drift_coeff(t) * dt - gain / beta_sq
+    return _ClosureCoefficients(
+        c_z=np.stack([c_free - c_y, c_free]),
+        c_x=gain * alpha / beta_sq,
+        c_y=c_y,
+        c_n=diffusion_dt**0.5 if sampler.stochastic else np.zeros_like(dt),
+        logit_lin=alpha / beta_sq,
+        logit_quad=-0.5 * alpha**2 / beta_sq,
+    )
+
+
+class TestClosureCache:
+    """The schedule-only closure terms are computed once per sampler: a
+    reused sampler must give a fresh sampler's bits, whatever changed."""
+
+    INV_VARS = (2.0, 0.7, 1.0 / 3.0, 13.5)
+
+    @staticmethod
+    def _problem(subsampled):
+        rng = np.random.default_rng(3)
+        ensemble = rng.standard_normal((8, 24)) * 2.0
+        observation = rng.standard_normal(24)
+        indices = np.arange(0, 24, 3) if subsampled else None
+        if subsampled:
+            observation = observation[indices]
+        return ensemble, observation, indices
+
+    @staticmethod
+    def _fresh(sampler):
+        return ReverseSDESampler(
+            schedule=sampler.schedule,
+            n_steps=sampler.n_steps,
+            stochastic=sampler.stochastic,
+            t_start=sampler.t_start,
+        )
+
+    def _assert_reuse_matches_fresh(self, sampler, damping, subsampled):
+        ensemble, observation, indices = self._problem(subsampled)
+        for seed, inv_var in enumerate(self.INV_VARS):
+            args = (ensemble, observation, indices, inv_var, damping, 5)
+            reused = sampler.sample_ensemble_space(*args, rng=seed)
+            fresh = self._fresh(sampler).sample_ensemble_space(*args, rng=seed)
+            assert np.array_equal(reused, fresh), (seed, inv_var)
+
+    @pytest.mark.parametrize("subsampled", [False, True], ids=["identity", "subsampled"])
+    @pytest.mark.parametrize("stochastic", [True, False], ids=["sde", "ode"])
+    def test_reused_sampler_matches_a_fresh_one(self, stochastic, subsampled):
+        sampler = ReverseSDESampler(n_steps=12, stochastic=stochastic)
+        damping = LinearDamping()
+        self._assert_reuse_matches_fresh(sampler, damping, subsampled)
+        sampler.n_steps = 7
+        self._assert_reuse_matches_fresh(sampler, damping, subsampled)
+        sampler.t_start = 0.05
+        self._assert_reuse_matches_fresh(sampler, damping, subsampled)
+        self._assert_reuse_matches_fresh(sampler, CosineDamping(), subsampled)
+        self._assert_reuse_matches_fresh(sampler, ConstantDamping(0.4), subsampled)
+
+    @pytest.mark.parametrize("stochastic", [True, False], ids=["sde", "ode"])
+    def test_coefficients_equal_the_uncached_ones(self, stochastic):
+        sampler = ReverseSDESampler(n_steps=30, stochastic=stochastic, t_start=0.01)
+        for damping in (LinearDamping(), CosineDamping(), LinearDamping(), ConstantDamping(2.0)):
+            for inv_var in self.INV_VARS:
+                cached = sampler._closure_coefficients(inv_var, damping)
+                head = _head_closure_coefficients(sampler, inv_var, damping)
+                for name in _ClosureCoefficients._fields:
+                    assert np.array_equal(getattr(cached, name), getattr(head, name)), name

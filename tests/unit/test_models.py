@@ -1,7 +1,10 @@
 """Unit tests for the forecast-model substrates (spectral ops, SQG, Lorenz-96, model error)."""
 
+import pickle
+
 import numpy as np
 import pytest
+from reference.lorenz96_roll_head import RollLorenz96
 
 from repro.models.base import propagate_ensemble
 from repro.models.lorenz96 import Lorenz96
@@ -221,6 +224,46 @@ class TestLorenz96:
         assert out.shape == ens.shape
         with pytest.raises(ValueError):
             propagate_ensemble(model, ens[:, :4], n_steps=1)
+
+
+class TestLorenz96AgainstRollOracle:
+    """The ``take``-index kernel equals the rolled one (tests/reference), bit for bit."""
+
+    @staticmethod
+    def _pair(dim):
+        return Lorenz96(dim=dim), RollLorenz96(dim=dim)
+
+    @staticmethod
+    def _states(dim):
+        rng = np.random.default_rng(dim)
+        wide = rng.normal(size=(6, 2 * dim)) + 8.0
+        return {
+            "single": rng.normal(size=dim) + 8.0,
+            "ensemble": rng.normal(size=(5, dim)) + 8.0,
+            "batched": rng.normal(size=(2, 3, dim)) + 8.0,
+            "strided view": wide[:, ::2],
+            "transposed view": np.ascontiguousarray(wide[:, :dim].T).T,
+        }
+
+    @pytest.mark.parametrize("dim", [4, 5, 12, 40])
+    def test_tendency_step_and_forecast(self, dim):
+        model, oracle = self._pair(dim)
+        for label, x in self._states(dim).items():
+            assert np.array_equal(model.tendency(x), oracle.tendency(x)), label
+            assert np.array_equal(model.step(x, 7), oracle.step(x, 7)), label
+            assert np.array_equal(model.forecast(x, 3), oracle.forecast(x, 3)), label
+
+    @pytest.mark.parametrize("dim", [4, 5, 12, 40])
+    def test_spinup(self, dim):
+        model, oracle = self._pair(dim)
+        assert np.array_equal(model.spinup(300, rng=dim), oracle.spinup(300, rng=dim))
+
+    def test_after_a_pickle_round_trip(self):
+        model, oracle = self._pair(12)
+        restored = pickle.loads(pickle.dumps(model))
+        x = self._states(12)["ensemble"]
+        assert np.array_equal(restored.tendency(x), oracle.tendency(x))
+        assert np.array_equal(restored.step(x, 5), oracle.step(x, 5))
 
 
 class TestModelError:
