@@ -11,12 +11,13 @@ this subpackage provides:
   calibrated bandwidth curves (:mod:`collectives`), a GEMM efficiency model
   for kernel sizing (:mod:`gemm`) and training memory accounting
   (:mod:`memory`);
-* **executable** distributed-training bookkeeping: parameter sharding and
-  collective algorithms run for real on NumPy buffers through
-  :class:`~repro.hpc.comm.LocalCommGroup`, with DDP / DeepSpeed-ZeRO / FSDP
-  strategies in :mod:`ddp`, :mod:`zero` and :mod:`fsdp`;
+* the DDP / DeepSpeed-ZeRO / FSDP strategies (:mod:`ddp`, :mod:`zero`,
+  :mod:`fsdp`), each described by the collectives it issues per step;
 * a **distributed-training step simulator** (:mod:`trainer_sim`) and scaling
-  harness (:mod:`scaling`) that regenerate the shapes of Figs. 7–10;
-* a real **multiprocessing ensemble executor** (:mod:`ensemble_parallel`)
-  exercising the paper's ensemble-parallel EnSF/forecast code path locally.
+  harness (:mod:`scaling`) that price those collectives and regenerate the
+  shapes of Figs. 7–10;
+* a real **multiprocessing ensemble executor** (:mod:`ensemble_parallel`,
+  with :mod:`shm` carrying large arrays) that member-shards ensemble
+  forecasts and runs experiment-service attempts on a worker pool; both
+  analyses (LETKF and EnSF) run in-process.
 """

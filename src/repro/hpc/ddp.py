@@ -3,17 +3,15 @@
 Every rank holds a full replica of the model; after the backward pass the
 gradients are AllReduced in buckets.  This is the DDP baseline of Fig. 9 and
 the reference against which the memory-efficient strategies (ZeRO, FSDP) are
-compared.
+compared.  Each strategy is described by the collectives it issues per step
+(``comm_events``), which :mod:`repro.hpc.trainer_sim` prices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.hpc.collectives import CollectiveKind
-from repro.hpc.comm import LocalCommGroup
 from repro.hpc.memory import ShardingStrategy
 
 __all__ = ["DataParallel", "CommEvent", "bucketize"]
@@ -64,7 +62,6 @@ class DataParallel:
             raise ValueError("bucket_bytes must be positive")
         self.bucket_bytes = float(bucket_bytes)
 
-    # ----------------------------- cost model ------------------------- #
     def comm_events(self, param_bytes: float, n_gpus: int) -> list[CommEvent]:
         """Collectives issued per optimisation step."""
         if n_gpus <= 1:
@@ -73,25 +70,3 @@ class DataParallel:
             CommEvent(CollectiveKind.ALL_REDUCE, b, overlappable=True)
             for b in bucketize(param_bytes, self.bucket_bytes)
         ]
-
-    # --------------------------- executable path ----------------------- #
-    def synchronize_gradients(
-        self, comm: LocalCommGroup, per_rank_grads: list[list[np.ndarray]]
-    ) -> list[list[np.ndarray]]:
-        """AllReduce-average gradients across ranks (the real DDP step).
-
-        ``per_rank_grads[rank]`` is the list of gradient arrays held by that
-        rank; the returned structure has identical, averaged gradients on
-        every rank — verified against a NumPy reference in the tests.
-        """
-        n_ranks = comm.n_ranks
-        if len(per_rank_grads) != n_ranks:
-            raise ValueError("per_rank_grads must have one entry per rank")
-        n_tensors = len(per_rank_grads[0])
-        out: list[list[np.ndarray]] = [[] for _ in range(n_ranks)]
-        for t in range(n_tensors):
-            buffers = [per_rank_grads[r][t] for r in range(n_ranks)]
-            reduced = comm.allreduce(buffers, op="mean")
-            for r in range(n_ranks):
-                out[r].append(reduced[r])
-        return out

@@ -30,7 +30,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from repro.hpc.shm import HAVE_SHM, SharedPayloadArena, resolve_payloads
-from repro.utils.faults import FaultInjected, FaultLog, FaultPlan
+from repro.utils.faults import FaultInjected, FaultLog, FaultPlan, jittered_backoff
 
 __all__ = [
     "ensemble_slices",
@@ -417,8 +417,7 @@ class EnsembleExecutor:
         influences timing alone).
         """
         with self._backoff_lock:
-            jitter = float(self._backoff_rng.uniform(0.5, 1.5))
-        return self.retry_backoff_s * (2 ** (attempt - 1)) * jitter
+            return jittered_backoff(self.retry_backoff_s, attempt, self._backoff_rng)
 
     # ------------------------------------------------------------------ #
     # Shared-memory payload transport

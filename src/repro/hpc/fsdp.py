@@ -12,10 +12,7 @@ SQG-ViT on Frontier (Fig. 9).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.hpc.collectives import CollectiveKind
-from repro.hpc.comm import LocalCommGroup
 from repro.hpc.ddp import CommEvent, bucketize
 from repro.hpc.memory import ShardingStrategy
 
@@ -29,7 +26,7 @@ _NAME_TO_STRATEGY = {
 
 
 class FSDPParallel:
-    """FSDP communication/sharding bookkeeping for the three Table I strategies."""
+    """The collectives each Table I FSDP strategy issues per step, for the cost model."""
 
     def __init__(
         self,
@@ -53,7 +50,6 @@ class FSDPParallel:
     def strategy(self) -> ShardingStrategy:
         return _NAME_TO_STRATEGY[self.sharding]
 
-    # ----------------------------- cost model ------------------------- #
     def comm_events(self, param_bytes: float, n_gpus: int) -> list[CommEvent]:
         """Collectives per optimisation step, one set per FSDP unit.
 
@@ -82,46 +78,3 @@ class FSDPParallel:
             for u in units:
                 events.append(CommEvent(CollectiveKind.ALL_REDUCE, u / group, overlappable=True))
         return events
-
-    # --------------------------- executable path ----------------------- #
-    def shard_unit(self, flat_params: np.ndarray, n_ranks: int) -> list[np.ndarray]:
-        """Shard one FSDP unit's flattened parameters across ranks (padded)."""
-        flat_params = np.asarray(flat_params, dtype=float).ravel()
-        chunk = -(-flat_params.size // n_ranks)
-        padded = np.zeros(chunk * n_ranks)
-        padded[: flat_params.size] = flat_params
-        return [padded[r * chunk : (r + 1) * chunk].copy() for r in range(n_ranks)]
-
-    def gather_unit(self, comm: LocalCommGroup, shards: list[np.ndarray], original_size: int) -> list[np.ndarray]:
-        """AllGather a unit's shards so each rank sees the full parameters."""
-        gathered = comm.allgather(shards)
-        return [g[:original_size].copy() for g in gathered]
-
-    def reduce_scatter_grads(
-        self, comm: LocalCommGroup, per_rank_grads: list[np.ndarray]
-    ) -> list[np.ndarray]:
-        """ReduceScatter unit gradients back to their owning shards (mean)."""
-        return comm.reduce_scatter(per_rank_grads, op="mean")
-
-    def train_step_identity_check(
-        self,
-        comm: LocalCommGroup,
-        flat_params: np.ndarray,
-        per_rank_grads: list[np.ndarray],
-        learning_rate: float = 0.1,
-    ) -> np.ndarray:
-        """Full shard → gather → update → verify round trip for one unit.
-
-        Returns the updated full parameter vector (identical on all ranks);
-        tests compare it to the serial SGD update.
-        """
-        flat_params = np.asarray(flat_params, dtype=float).ravel()
-        size = flat_params.size
-        shards = self.shard_unit(flat_params, comm.n_ranks)
-        grad_shards = self.reduce_scatter_grads(comm, per_rank_grads)
-        updated = [
-            shard - learning_rate * grad_shards[rank][: shard.size]
-            for rank, shard in enumerate(shards)
-        ]
-        full = self.gather_unit(comm, updated, size)
-        return full[0]

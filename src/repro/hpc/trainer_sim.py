@@ -32,7 +32,6 @@ import numpy as np
 from repro.hpc.collectives import CollectiveModel
 from repro.hpc.ddp import CommEvent, DataParallel
 from repro.hpc.gemm import GEMMPerformanceModel, vit_achieved_tflops
-from repro.hpc.memory import TrainingMemoryModel
 from repro.hpc.topology import FrontierTopology
 from repro.surrogate.flops import vit_forward_flops, vit_parameter_count
 from repro.surrogate.vit import ViTConfig
@@ -118,12 +117,10 @@ class DistributedTrainingSimulator:
         topology: FrontierTopology | None = None,
         collectives: CollectiveModel | None = None,
         gemm: GEMMPerformanceModel | None = None,
-        memory: TrainingMemoryModel | None = None,
     ):
         self.topology = topology or FrontierTopology()
         self.collectives = collectives or CollectiveModel(topology=self.topology)
         self.gemm = gemm or GEMMPerformanceModel()
-        self.memory = memory or TrainingMemoryModel()
 
     # ------------------------------------------------------------------ #
     def compute_time(self, run: TrainingRunConfig) -> float:
@@ -178,48 +175,3 @@ class DistributedTrainingSimulator:
     def throughput(self, run: TrainingRunConfig, strategy=None) -> float:
         """Global training throughput in samples per second."""
         return run.global_batch / self.step_time(run, strategy)
-
-    def memory_per_gpu_gb(self, run: TrainingRunConfig, strategy) -> float:
-        """Per-GPU memory footprint of the configuration under ``strategy``."""
-        params = vit_parameter_count(run.vit)
-        batch = run.per_gpu_batch
-        return (
-            self.memory.per_gpu_bytes(
-                params,
-                strategy.strategy,
-                run.n_gpus,
-                n_tokens=batch * run.vit.n_patches,
-                depth=run.vit.depth,
-                embed_dim=run.vit.embed_dim,
-            )
-            / 2.0**30
-        )
-
-    def scaling_efficiency(
-        self,
-        vit: ViTConfig,
-        gpu_counts: list[int],
-        strategy=None,
-        micro_batch: int | None = None,
-    ) -> dict[int, float]:
-        """Scaling efficiency relative to the smallest GPU count.
-
-        The per-GPU workload is fixed (the paper plots throughput vs GPU
-        count), so ``efficiency(n) = (throughput(n) / throughput(n0)) / (n /
-        n0) = step_time(n0) / step_time(n)``; losses come entirely from
-        exposed communication.
-        """
-        if not gpu_counts:
-            raise ValueError("gpu_counts must be non-empty")
-        gpu_counts = sorted(int(g) for g in gpu_counts)
-        base_n = gpu_counts[0]
-        base_time = self.step_time(
-            TrainingRunConfig(vit=vit, n_gpus=base_n, micro_batch=micro_batch), strategy
-        )
-        out: dict[int, float] = {}
-        for n in gpu_counts:
-            time_n = self.step_time(
-                TrainingRunConfig(vit=vit, n_gpus=n, micro_batch=micro_batch), strategy
-            )
-            out[n] = base_time / time_n
-        return out

@@ -18,10 +18,7 @@ The ``bucket_bytes`` knob mirrors DeepSpeed's ``allgather_bucket_size`` /
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.hpc.collectives import CollectiveKind
-from repro.hpc.comm import LocalCommGroup
 from repro.hpc.ddp import CommEvent, bucketize
 from repro.hpc.memory import ShardingStrategy
 
@@ -35,7 +32,7 @@ _STAGE_TO_STRATEGY = {
 
 
 class ZeROParallel:
-    """ZeRO stage 1/2/3 communication and sharding bookkeeping."""
+    """The collectives ZeRO stage 1/2/3 issues per step, for the cost model."""
 
     def __init__(self, stage: int = 1, bucket_bytes: float = 200 * 2.0**20):
         if stage not in (1, 2, 3):
@@ -53,7 +50,6 @@ class ZeROParallel:
     def strategy(self) -> ShardingStrategy:
         return _STAGE_TO_STRATEGY[self.stage]
 
-    # ----------------------------- cost model ------------------------- #
     def comm_events(self, param_bytes: float, n_gpus: int) -> list[CommEvent]:
         """Collectives per optimisation step.
 
@@ -80,39 +76,3 @@ class ZeROParallel:
             for b in bucketize(param_bytes, self.bucket_bytes):
                 events.append(CommEvent(CollectiveKind.ALL_GATHER, b, overlappable=False))
         return events
-
-    # --------------------------- executable path ----------------------- #
-    def step(
-        self,
-        comm: LocalCommGroup,
-        per_rank_params: list[np.ndarray],
-        per_rank_grads: list[np.ndarray],
-        learning_rate: float = 0.1,
-    ) -> list[np.ndarray]:
-        """One ZeRO optimisation step on flattened parameter/gradient vectors.
-
-        Each rank holds the full (replicated) parameter vector and its local
-        gradient.  The step reduce-scatters the gradients, applies an SGD
-        update to the locally-owned shard, and all-gathers the updated
-        parameters — the stage-1/2 data flow.  The result is identical on
-        every rank and equals the equivalent single-process SGD step, which
-        is what the unit tests assert.
-        """
-        n_ranks = comm.n_ranks
-        params = [np.asarray(p, dtype=float).ravel() for p in per_rank_params]
-        size = params[0].size
-        grad_shards = comm.reduce_scatter(per_rank_grads, op="mean")
-        chunk = grad_shards[0].size
-
-        updated_shards = []
-        for rank in range(n_ranks):
-            start = rank * chunk
-            stop = min(start + chunk, size)
-            local = params[rank][start:stop].copy()
-            local -= learning_rate * grad_shards[rank][: stop - start]
-            padded = np.zeros(chunk)
-            padded[: stop - start] = local
-            updated_shards.append(padded)
-
-        gathered = comm.allgather(updated_shards)
-        return [g[:size].copy() for g in gathered]

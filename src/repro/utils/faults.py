@@ -96,6 +96,7 @@ __all__ = [
     "FaultInjected",
     "RecoveryAction",
     "FaultLog",
+    "jittered_backoff",
 ]
 
 ENV_FAULT_PLAN = "REPRO_FAULT_PLAN"
@@ -416,3 +417,15 @@ class FaultLog:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultLog({self.summary()!r})"
+
+
+def jittered_backoff(base_s: float, attempt: int, rng: np.random.Generator) -> float:
+    """Seconds to wait before retry ``attempt`` (1-based).
+
+    ``base_s * 2**(attempt-1) * uniform(0.5, 1.5)``: exponential, with
+    multiplicative jitter so jobs that failed together do not retry in
+    lockstep.  Exactly one draw from ``rng`` per call, even when ``base_s``
+    is 0.  ``rng`` must be the caller's dedicated backoff generator, never
+    an experiment stream, and the caller holds whatever lock guards it.
+    """
+    return base_s * (2 ** (attempt - 1)) * float(rng.uniform(0.5, 1.5))

@@ -95,7 +95,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.hpc.ensemble_parallel import EnsembleExecutor
-from repro.utils.faults import FaultInjected, FaultLog, FaultPlan
+from repro.utils.faults import FaultInjected, FaultLog, FaultPlan, jittered_backoff
 from repro.workflow.engine import CheckpointCadence, EnginePreempted
 
 __all__ = [
@@ -874,7 +874,9 @@ class ExperimentService:
                     )
                     self._transition_locked(rec, "failed")
                 else:
-                    delay = self._retry_delay_locked(rec.attempts)
+                    delay = jittered_backoff(
+                        self.config.retry_backoff_s, rec.attempts, self._backoff_rng
+                    )
                     rec.backoff_until = time.monotonic() + delay
                     rec.fault_log.record(
                         "scheduler",
@@ -888,11 +890,6 @@ class ExperimentService:
                 rec.error = None
                 self._transition_locked(rec, "done")
             self._cond.notify_all()
-
-    def _retry_delay_locked(self, attempt: int) -> float:
-        """Jittered exponential backoff (dedicated rng — never an experiment stream)."""
-        jitter = float(self._backoff_rng.uniform(0.5, 1.5))
-        return self.config.retry_backoff_s * (2 ** (attempt - 1)) * jitter
 
     # -- lifecycle ---------------------------------------------------------- #
     def start(self) -> None:

@@ -14,7 +14,6 @@ from repro.da.inflation import rtps_inflation
 from repro.da.letkf import LETKF, LETKFConfig
 from repro.da.localization import gaspari_cohn
 from repro.hpc.collectives import CollectiveKind, CollectiveModel
-from repro.hpc.comm import LocalCommGroup
 from repro.hpc.ddp import bucketize
 from repro.models.sqg import SQGModel, SQGParameters
 from repro.surrogate.flops import vit_parameter_count
@@ -158,23 +157,6 @@ def test_grid_flatten_roundtrip(nx, ny, nlev, seed):
     grid = Grid2D(nx=nx, ny=ny, nlev=nlev)
     state = np.random.default_rng(seed).normal(size=grid.shape)
     assert np.allclose(grid.unflatten_state(grid.flatten_state(state)), state)
-
-
-@settings(**SETTINGS)
-@given(
-    n_ranks=st.integers(1, 6),
-    size=st.integers(1, 40),
-    seed=st.integers(0, 200),
-)
-def test_local_comm_allreduce_matches_numpy(n_ranks, size, seed):
-    rng = np.random.default_rng(seed)
-    comm = LocalCommGroup(n_ranks)
-    buffers = [rng.normal(size=size) for _ in range(n_ranks)]
-    out = comm.allreduce(buffers, op="sum")
-    expected = np.sum(buffers, axis=0)
-    assert all(np.allclose(o, expected) for o in out)
-    chunks = comm.reduce_scatter(buffers, op="sum")
-    assert np.allclose(np.concatenate(chunks)[:size], expected)
 
 
 @settings(**SETTINGS)

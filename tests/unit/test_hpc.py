@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import importlib.util
 import inspect
 import os
 import pickle
@@ -14,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.hpc.collectives import CollectiveKind, CollectiveModel
-from repro.hpc.comm import LocalCommGroup
 from repro.hpc.ddp import DataParallel, bucketize
 from repro.hpc import ensemble_parallel
 from repro.hpc.ensemble_parallel import EnsembleExecutor, ensemble_slices
@@ -30,6 +30,7 @@ from repro.core.observations import IdentityObservation
 from repro.da.cycling import OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
 from repro.models.lorenz96 import Lorenz96
+from repro.surrogate.flops import vit_parameter_count
 from repro.surrogate.presets import TABLE_II_PRESETS, laptop_preset
 from repro.surrogate.vit import ViTConfig
 from repro.utils.faults import FaultLog, FaultPlan
@@ -192,66 +193,6 @@ class TestMemory:
             TrainingMemoryModel().per_gpu_bytes(1e6, ShardingStrategy.DDP, 0)
 
 
-class TestLocalComm:
-    def test_allreduce_matches_numpy(self):
-        comm = LocalCommGroup(4)
-        rng = np.random.default_rng(0)
-        buffers = [rng.normal(size=(3, 2)) for _ in range(4)]
-        out = comm.allreduce(buffers, op="sum")
-        expected = np.sum(buffers, axis=0)
-        for o in out:
-            assert np.allclose(o, expected)
-
-    def test_allreduce_ops(self):
-        comm = LocalCommGroup(3)
-        buffers = [np.array([1.0, 5.0]), np.array([2.0, 1.0]), np.array([3.0, 3.0])]
-        assert np.allclose(comm.allreduce(buffers, "mean")[0], [2.0, 3.0])
-        assert np.allclose(comm.allreduce(buffers, "max")[1], [3.0, 5.0])
-        assert np.allclose(comm.allreduce(buffers, "min")[2], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            comm.allreduce(buffers, "prod")
-
-    def test_allgather(self):
-        comm = LocalCommGroup(3)
-        buffers = [np.full(2, r, dtype=float) for r in range(3)]
-        out = comm.allgather(buffers)
-        assert np.allclose(out[0], [0, 0, 1, 1, 2, 2])
-
-    def test_reduce_scatter_chunks_sum(self):
-        comm = LocalCommGroup(4)
-        rng = np.random.default_rng(1)
-        buffers = [rng.normal(size=8) for _ in range(4)]
-        chunks = comm.reduce_scatter(buffers)
-        reconstructed = np.concatenate(chunks)[:8]
-        assert np.allclose(reconstructed, np.sum(buffers, axis=0))
-
-    def test_broadcast_and_scatter_gather(self):
-        comm = LocalCommGroup(4)
-        out = comm.broadcast(np.arange(3.0), root=2)
-        assert all(np.allclose(o, [0, 1, 2]) for o in out)
-        scattered = comm.scatter(np.arange(8.0))
-        assert np.allclose(scattered[1], [2, 3])
-        gathered = comm.gather([np.full(2, r, dtype=float) for r in range(4)])
-        assert gathered.shape == (8,)
-
-    def test_traffic_log_and_estimated_time(self):
-        comm = LocalCommGroup(4, cost_model=CollectiveModel())
-        comm.allreduce([np.zeros(100) for _ in range(4)])
-        assert comm.traffic.calls["all_reduce"] == 1
-        assert comm.estimated_time(n_gpus=64) > 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LocalCommGroup(0)
-        comm = LocalCommGroup(2)
-        with pytest.raises(ValueError):
-            comm.allreduce([np.zeros(2)])
-        with pytest.raises(ValueError):
-            comm.allreduce([np.zeros(2), np.zeros(3)])
-        with pytest.raises(ValueError):
-            comm.broadcast(np.zeros(2), root=5)
-
-
 class TestStrategies:
     def test_bucketize(self):
         assert bucketize(450.0, 200.0) == [200.0, 200.0, 50.0]
@@ -259,53 +200,41 @@ class TestStrategies:
         with pytest.raises(ValueError):
             bucketize(10.0, 0.0)
 
-    def test_ddp_gradient_sync_matches_mean(self):
-        comm = LocalCommGroup(3)
-        rng = np.random.default_rng(0)
-        grads = [[rng.normal(size=(2, 2)), rng.normal(size=4)] for _ in range(3)]
-        synced = DataParallel().synchronize_gradients(comm, grads)
-        for t in range(2):
-            expected = np.mean([grads[r][t] for r in range(3)], axis=0)
-            for r in range(3):
-                assert np.allclose(synced[r][t], expected)
-
-    def test_zero_step_equals_serial_sgd(self):
-        comm = LocalCommGroup(4)
-        rng = np.random.default_rng(1)
-        params = rng.normal(size=10)
-        grads = [rng.normal(size=10) for _ in range(4)]
-        zero = ZeROParallel(stage=2)
-        updated = zero.step(comm, [params.copy() for _ in range(4)], grads, learning_rate=0.1)
-        serial = params - 0.1 * np.mean(grads, axis=0)
-        for rank_params in updated:
-            assert np.allclose(rank_params, serial)
-
-    def test_fsdp_round_trip_equals_serial_sgd(self):
-        comm = LocalCommGroup(3)
-        rng = np.random.default_rng(2)
-        params = rng.normal(size=11)
-        grads = [rng.normal(size=11) for _ in range(3)]
-        fsdp = FSDPParallel("full_shard")
-        updated = fsdp.train_step_identity_check(comm, params, grads, learning_rate=0.2)
-        assert np.allclose(updated, params - 0.2 * np.mean(grads, axis=0))
-
-    def test_comm_event_volumes(self):
-        param_bytes = 1000 * MB
-        ddp_vol = sum(e.total_bytes for e in DataParallel(bucket_bytes=200 * MB).comm_events(param_bytes, 64))
-        z2_vol = sum(e.total_bytes for e in ZeROParallel(2).comm_events(param_bytes, 64))
-        z3_vol = sum(e.total_bytes for e in ZeROParallel(3).comm_events(param_bytes, 64))
-        full = sum(e.total_bytes for e in FSDPParallel("full_shard").comm_events(param_bytes, 64))
-        grad_op = sum(e.total_bytes for e in FSDPParallel("shard_grad_op").comm_events(param_bytes, 64))
+    @pytest.mark.parametrize("n_gpus", [2, 64, 1024])
+    @pytest.mark.parametrize("param_bytes", [1000 * MB, 1234.5 * MB])
+    def test_comm_event_volumes(self, param_bytes, n_gpus):
+        ddp_vol = sum(e.total_bytes for e in DataParallel(bucket_bytes=200 * MB).comm_events(param_bytes, n_gpus))
+        z2_vol = sum(e.total_bytes for e in ZeROParallel(2).comm_events(param_bytes, n_gpus))
+        z3_vol = sum(e.total_bytes for e in ZeROParallel(3).comm_events(param_bytes, n_gpus))
+        full = sum(e.total_bytes for e in FSDPParallel("full_shard").comm_events(param_bytes, n_gpus))
+        grad_op = sum(e.total_bytes for e in FSDPParallel("shard_grad_op").comm_events(param_bytes, n_gpus))
+        hybrid = sum(e.total_bytes for e in FSDPParallel("hybrid_shard").comm_events(param_bytes, n_gpus))
         assert ddp_vol == pytest.approx(param_bytes)
         assert z2_vol == pytest.approx(2 * param_bytes)
         assert z3_vol == pytest.approx(3 * param_bytes)
         # FSDP full_shard carries ~50 % more traffic than shard_grad_op (§III-B b).
         assert full == pytest.approx(1.5 * grad_op)
+        # hybrid_shard: gather + scatter inside a node (group of 8), plus an
+        # AllReduce of P/group across nodes once the job spans more than one.
+        group = min(n_gpus, 8)
+        cross_node = param_bytes / group if n_gpus > group else 0.0
+        assert hybrid == pytest.approx(2 * param_bytes + cross_node)
 
-    def test_single_gpu_needs_no_communication(self):
-        assert DataParallel().comm_events(1e9, 1) == []
-        assert ZeROParallel(1).comm_events(1e9, 1) == []
-        assert FSDPParallel().comm_events(1e9, 1) == []
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            DataParallel(),
+            ZeROParallel(1),
+            ZeROParallel(2),
+            ZeROParallel(3),
+            FSDPParallel(),
+            FSDPParallel("shard_grad_op"),
+            FSDPParallel("hybrid_shard"),
+        ],
+        ids=lambda s: s.name,
+    )
+    def test_single_gpu_needs_no_communication(self, strategy):
+        assert strategy.comm_events(1e9, 1) == []
 
     def test_strategy_metadata(self):
         assert ZeROParallel(1).strategy == ShardingStrategy.ZERO_1
@@ -320,6 +249,11 @@ class TestTrainerSimulator:
     def setup_method(self):
         self.sim = DistributedTrainingSimulator()
 
+    def _efficiency(self, vit, gpu_counts, strategy):
+        """Fig. 9 efficiency per GPU count, from the strong-scaling harness."""
+        points = strong_scaling_study(vit, {"s": strategy}, gpu_counts, simulator=self.sim)
+        return {p.n_gpus: p.efficiency for p in points}
+
     def test_breakdown_fractions_sum_to_one(self):
         run = TrainingRunConfig(vit=TABLE_II_PRESETS[128], n_gpus=1024)
         bd = self.sim.step_breakdown(run, ZeROParallel(1))
@@ -331,7 +265,7 @@ class TestTrainerSimulator:
         assert TrainingRunConfig(vit=TABLE_II_PRESETS[256], n_gpus=8).per_gpu_batch == 1
 
     def test_efficiency_decreases_with_scale(self):
-        effs = self.sim.scaling_efficiency(TABLE_II_PRESETS[128], [8, 64, 1024], ZeROParallel(1))
+        effs = self._efficiency(TABLE_II_PRESETS[128], [8, 64, 1024], ZeROParallel(1))
         assert effs[8] == pytest.approx(1.0)
         assert effs[1024] <= effs[64] <= 1.0
 
@@ -339,7 +273,7 @@ class TestTrainerSimulator:
         """The 128² / 1.2B configuration achieves the best scaling efficiency (Fig. 9)."""
         strategy = ZeROParallel(1, bucket_bytes=500 * MB)
         eff = {
-            size: self.sim.scaling_efficiency(cfg, [8, 1024], strategy)[1024]
+            size: self._efficiency(cfg, [8, 1024], strategy)[1024]
             for size, cfg in TABLE_II_PRESETS.items()
         }
         assert eff[128] > eff[64]
@@ -347,8 +281,8 @@ class TestTrainerSimulator:
         assert 0.80 <= eff[128] <= 0.95
 
     def test_fig9_bucket_tuning_helps_256(self):
-        small_bucket = self.sim.scaling_efficiency(TABLE_II_PRESETS[256], [8, 1024], ZeROParallel(1, 200 * MB))[1024]
-        tuned_bucket = self.sim.scaling_efficiency(TABLE_II_PRESETS[256], [8, 1024], ZeROParallel(1, 500 * MB))[1024]
+        small_bucket = self._efficiency(TABLE_II_PRESETS[256], [8, 1024], ZeROParallel(1, 200 * MB))[1024]
+        tuned_bucket = self._efficiency(TABLE_II_PRESETS[256], [8, 1024], ZeROParallel(1, 500 * MB))[1024]
         assert tuned_bucket > small_bucket
 
     def test_fig9_fsdp_full_worst(self):
@@ -358,7 +292,7 @@ class TestTrainerSimulator:
             "fsdp_grad_op": FSDPParallel("shard_grad_op"),
         }
         eff = {
-            name: self.sim.scaling_efficiency(TABLE_II_PRESETS[256], [8, 1024], s)[1024]
+            name: self._efficiency(TABLE_II_PRESETS[256], [8, 1024], s)[1024]
             for name, s in strategies.items()
         }
         assert eff["fsdp_full"] < eff["fsdp_grad_op"]
@@ -379,8 +313,15 @@ class TestTrainerSimulator:
 
     def test_memory_per_gpu_decreases_with_sharding(self):
         run = TrainingRunConfig(vit=TABLE_II_PRESETS[256], n_gpus=64)
-        ddp = self.sim.memory_per_gpu_gb(run, DataParallel())
-        z3 = self.sim.memory_per_gpu_gb(run, ZeROParallel(3))
+        params = vit_parameter_count(run.vit)
+        activations = {
+            "n_tokens": run.per_gpu_batch * run.vit.n_patches,
+            "depth": run.vit.depth,
+            "embed_dim": run.vit.embed_dim,
+        }
+        memory = TrainingMemoryModel()
+        ddp = memory.per_gpu_bytes(params, DataParallel().strategy, run.n_gpus, **activations)
+        z3 = memory.per_gpu_bytes(params, ZeROParallel(3).strategy, run.n_gpus, **activations)
         assert z3 < ddp
 
     def test_run_config_validation(self):
@@ -388,6 +329,37 @@ class TestTrainerSimulator:
             TrainingRunConfig(vit=TABLE_II_PRESETS[64], n_gpus=0)
         with pytest.raises(ValueError):
             TrainingRunConfig(vit=TABLE_II_PRESETS[64], n_gpus=8, micro_batch=0)
+
+
+class TestCostModelSurface:
+    """``repro.hpc`` holds one model of distributed training: each strategy
+    is the collectives it issues (``comm_events``), and the simulator prices
+    them.  An executable strategy path or a second efficiency computation
+    can only come back by editing this census."""
+
+    STRATEGY_SURFACE = {"comm_events", "name", "strategy"}
+    SIMULATOR_METHODS = {
+        "compute_time",
+        "comm_times",
+        "io_time",
+        "step_breakdown",
+        "step_time",
+        "throughput",
+    }
+
+    @staticmethod
+    def _public(cls) -> set[str]:
+        return {name for name in dir(cls) if not name.startswith("_")}
+
+    @pytest.mark.parametrize("cls", [DataParallel, ZeROParallel, FSDPParallel], ids=lambda c: c.__name__)
+    def test_strategies_expose_only_comm_events(self, cls):
+        assert self._public(cls) == self.STRATEGY_SURFACE
+
+    def test_simulator_methods(self):
+        assert self._public(DistributedTrainingSimulator) == self.SIMULATOR_METHODS
+
+    def test_no_simulated_mpi_module(self):
+        assert importlib.util.find_spec("repro.hpc.comm") is None
 
 
 class TestScalingHarness:
