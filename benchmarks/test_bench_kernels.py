@@ -40,7 +40,11 @@ Record layout (see :func:`repro.utils.timing.write_bench_json` for the generic f
                      full_space_s, speedup, note},
       "service_job_l96": {params, repeats, checkpoint_every, keep_last,
                           job_s: {roll: {q1, median, q3}, take: {...}},
-                          speedup, host, note}
+                          speedup, host, note},
+      "letkf_analysis_peak": {members, network, host, note,
+                              rows: [ {grid, stride, ensemble_bytes,
+                              peak_bytes: {before, after},
+                              peak_over_ensemble: {before, after}} ... ]}
     }
 
 EnSF is benchmarked in both sampler modes; the headline ``"ensf"`` entry is
@@ -50,7 +54,10 @@ reverse-SDE paths (the configuration of the e2e ``ensf_serial_64`` workload).
 ``"service_job_l96"`` times the e2e ``service_campaign``'s urgent job, the
 standalone Lorenz-96/EnSF ``lorenz96_ensf_job``, on the rolled Lorenz-96
 kernel (``tests/reference/lorenz96_roll_head.py``) and on the model's
-``take``-index kernel, alternating.
+``take``-index kernel, alternating.  ``"letkf_analysis_peak"`` is the
+``tracemalloc`` peak of a steady-state identity-network LETKF analysis over
+the ensemble's bytes, for the previous release's analysis
+(``tests/reference/letkf_analyze_head.py``) and today's.
 """
 
 import json
@@ -59,6 +66,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -84,7 +92,8 @@ from repro.workflow.scheduler import ServiceConfig, lorenz96_ensf_job
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RECORD_PATH = REPO_ROOT / "BENCH_kernels.json"
-sys.path.insert(0, str(REPO_ROOT / "tests"))  # the test-only rolled Lorenz-96 oracle
+sys.path.insert(0, str(REPO_ROOT / "tests"))  # the test-only oracles
+from reference.letkf_analyze_head import HeadLETKF  # noqa: E402
 from reference.lorenz96_roll_head import RollLorenz96  # noqa: E402
 
 N_MEMBERS = 20
@@ -99,6 +108,7 @@ ENSF_PATHS_GRID = (64, 64)
 # The Lorenz-96 job of the e2e service_campaign (benchmarks/e2e/campaign.py).
 L96_SERVICE_PARAMS = {"dim": 12, "n_cycles": 40, "ensemble_size": 8, "n_sde_steps": 6}
 L96_SERVICE_REPEATS = 12
+LETKF_PEAK_GRIDS = (32, 64, 128)
 
 
 def _rmse(ensemble, truth):
@@ -461,6 +471,63 @@ def _bench_service_job_l96():
     }
 
 
+def _steady_state_peak(letkf, ensemble, observation, operator) -> int:
+    """Traced peak bytes of ``letkf``'s second analysis of one input (the
+    first builds the geometry and the assembly workspace)."""
+    letkf.analyze(ensemble, observation, operator)
+    tracemalloc.start()
+    try:
+        letkf.analyze(ensemble, observation, operator)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _bench_letkf_analysis_peak():
+    """Steady-state peak of an identity-network analysis, before and after.
+
+    ``before`` is the previous release's analysis (separate observation
+    perturbations, every staging array alive to the end, RTPS out of
+    place), ``after`` today's; both must return the same bits.
+    """
+    rows = []
+    for n in LETKF_PEAK_GRIDS:
+        grid = Grid2D(n, n)
+        rng = np.random.default_rng(n)
+        ensemble = rng.standard_normal((N_MEMBERS, grid.size))
+        operator = IdentityObservation(grid.size, 1.0)
+        observation = operator.observe(rng.standard_normal(grid.size), rng=rng)
+        peaks, analyses = {}, {}
+        for name, cls in (("before", HeadLETKF), ("after", LETKF)):
+            letkf = cls(grid)
+            peaks[name] = _steady_state_peak(letkf, ensemble, observation, operator)
+            analyses[name] = letkf.analyze(ensemble, observation, operator)
+        assert np.array_equal(analyses["before"], analyses["after"])
+        rows.append(
+            {
+                "grid": [n, n],
+                "stride": analysis_stride(grid, LETKFConfig().cutoff),
+                "ensemble_bytes": ensemble.nbytes,
+                "peak_bytes": peaks,
+                "peak_over_ensemble": {k: v / ensemble.nbytes for k, v in peaks.items()},
+            }
+        )
+    return {
+        "members": N_MEMBERS,
+        "network": "identity, uniform R = 1, default LETKFConfig",
+        "rows": rows,
+        "host": _host_record(),
+        "note": (
+            "tracemalloc peak of the second analyze call on one filter (numpy "
+            "allocations; LAPACK work arrays are not traced), over the "
+            "ensemble's bytes. before: tests/reference/letkf_analyze_head.py; "
+            "after: the observation perturbations are the state's for an "
+            "identity network, staging arrays go when their last reader "
+            "returns, RTPS runs in place. Both return the same bits."
+        ),
+    }
+
+
 @pytest.fixture(scope="module")
 def kernel_record():
     letkf = _bench_letkf()
@@ -474,6 +541,7 @@ def kernel_record():
     ensf = min(cases, key=lambda row: row["optimized_s"])
     ensf_paths = _bench_ensf_paths()
     service_job_l96 = _bench_service_job_l96()
+    letkf_analysis_peak = _bench_letkf_analysis_peak()
     from repro.utils.xp import default_backend_name
 
     return write_bench_json(
@@ -487,6 +555,7 @@ def kernel_record():
         ensf_cases=cases,
         ensf_paths=ensf_paths,
         service_job_l96=service_job_l96,
+        letkf_analysis_peak=letkf_analysis_peak,
     )
 
 
@@ -599,6 +668,24 @@ def test_service_job_l96_on_the_take_kernel(kernel_record, report):
     for t in job_s.values():
         assert t["q1"] <= t["median"] <= t["q3"]
     assert job_s["take"]["median"] < job_s["roll"]["median"]
+    assert row["host"] and row["note"]
+
+
+def test_letkf_analysis_peak_within_three_ensembles(kernel_record, report):
+    row = kernel_record["letkf_analysis_peak"]
+    report(
+        f"LETKF steady-state analysis peak (M={row['members']}, {row['network']})",
+        [
+            f"{r['grid'][0]}x{r['grid'][1]} (stride {r['stride']}): "
+            f"{r['peak_bytes']['before'] / 1e6:5.1f} MB -> {r['peak_bytes']['after'] / 1e6:5.1f} MB, "
+            f"{r['peak_over_ensemble']['before']:.2f} -> {r['peak_over_ensemble']['after']:.2f} ensembles"
+            for r in row["rows"]
+        ],
+    )
+    for r in row["rows"]:
+        assert r["peak_bytes"]["after"] < r["peak_bytes"]["before"]
+        if r["grid"][0] >= 64:  # at 32² the analysis-grid solve outweighs the ensemble
+            assert r["peak_bytes"]["after"] <= 3 * r["ensemble_bytes"] + (4 << 20)
     assert row["host"] and row["note"]
 
 

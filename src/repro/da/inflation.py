@@ -53,11 +53,28 @@ def rtps_inflation(
         raise ValueError("analysis and forecast must have the same shape")
     if factor == 0.0 or analysis.shape[0] < 2:
         return analysis
+    return _relax_spread(analysis.copy(), forecast, factor, floor)
+
+
+def _relax_spread(
+    analysis: np.ndarray, forecast: np.ndarray, factor: float, floor: float = 1.0e-12
+) -> np.ndarray:
+    """RTPS on an ``analysis`` the caller owns, in place, and returned.
+
+    ``ā`` and ``scale`` come from the unmodified analysis, then
+    ``(a − ā)·scale + ā`` is applied as ``-=``, ``*=``, ``+=``: the same
+    bits as the out-of-place expression, and no ensemble-sized temporary
+    beyond the one each ``std`` forms.  :func:`rtps_inflation` runs it on a
+    copy; the LETKF on the analysis it has just built.
+    """
     a_mean = analysis.mean(axis=0)
     sigma_a = np.maximum(analysis.std(axis=0, ddof=1), floor)
     sigma_f = forecast.std(axis=0, ddof=1)
     scale = 1.0 + factor * (sigma_f - sigma_a) / sigma_a
-    return a_mean + (analysis - a_mean) * scale
+    analysis -= a_mean
+    analysis *= scale
+    analysis += a_mean
+    return analysis
 
 
 def rtpp_inflation(analysis: np.ndarray, forecast: np.ndarray, factor: float) -> np.ndarray:

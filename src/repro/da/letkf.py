@@ -24,7 +24,8 @@ Kalnay, Hunt & Bowler 2009, QJRMS 135; KENDA) — it is solved on a coarser
 **analysis grid** and interpolated.  :meth:`LETKF.analyze` runs five steps:
 
 1. **global statistics** (means, perturbations, innovation), computed once
-   on the host by :meth:`LETKF._update_statistics`;
+   on the host by :meth:`LETKF._update_statistics`; for an identity network
+   the observation perturbations are the state perturbations themselves;
 2. **the analysis grid**: every ``s``-th row and column, with ``s`` the
    largest common divisor of ``ny`` and ``nx`` such that
    ``s·max(Δx, Δy) ≤ ⅔·cutoff`` and ≥ 4 analysis points remain per axis
@@ -49,7 +50,11 @@ Kalnay, Hunt & Bowler 2009, QJRMS 135; KENDA) — it is solved on a coarser
    field never exists.  With ``s = 1`` the interpolation is skipped.  State
    columns whose interpolation neighbours all lack observations keep the
    prior bit for bit;
-5. **RTPS** inflation on the whole ensemble.
+5. **RTPS** inflation on the whole ensemble, in place on the analysis.
+
+Each ensemble-sized staging array goes as soon as its last reader returns,
+so a steady-state analysis peaks at 2.7 ensembles at 128² (7.7 before;
+``letkf_analysis_peak`` in ``BENCH_kernels.json``), with the same bits.
 
 Mean analysis RMSE against the stride (64² SQG, 20 members, 60 cycles; the
 rule picks 4): 0.02776 / 0.02767 / 0.02738 / 0.02711 K at ``s`` = 1 / 2 / 4 /
@@ -73,7 +78,7 @@ from repro.core.observations import (
     ObservationOperator,
     SubsampledObservation,
 )
-from repro.da.inflation import multiplicative_inflation, rtps_inflation
+from repro.da.inflation import _relax_spread, multiplicative_inflation
 from repro.da.localization import LocalAnalysisGeometry, geometry_cache_key
 from repro.utils.grid import Grid2D
 from repro.utils.xp import ArrayBackend, as_host_array, resolve_backend
@@ -317,6 +322,10 @@ class LETKFConfig:
 class LETKF(EnsembleFilter):
     """LETKF analysis on a doubly-periodic grid.
 
+    Across cycles an instance keeps its geometry cache and its assembly
+    workspace (dropped on pickling); within :meth:`analyze` it holds, beside
+    the input, at most two state-sized ensembles at once.
+
     Parameters
     ----------
     grid:
@@ -425,7 +434,10 @@ class LETKF(EnsembleFilter):
         """Global ensemble statistics, the pipeline's first step (host side).
 
         Returns ``(prior, x_mean, x_pert, y_pert, innovation)`` with prior
-        multiplicative inflation already applied.
+        multiplicative inflation already applied.  An
+        :class:`~repro.core.observations.IdentityObservation` observes the
+        prior itself, so its ``ȳ`` is ``x̄`` and ``y_pert`` *is* ``x_pert``:
+        the same bits, one ensemble-sized array fewer.
         """
         prior = forecast_ensemble
         if self.config.prior_inflation > 1.0:
@@ -433,6 +445,8 @@ class LETKF(EnsembleFilter):
 
         x_mean = prior.mean(axis=0)
         x_pert = prior - x_mean
+        if isinstance(operator, IdentityObservation):
+            return prior, x_mean, x_pert, x_pert, observation - x_mean
         y_ens = operator.apply(prior)
         y_mean = y_ens.mean(axis=0)
         y_pert = y_ens - y_mean
@@ -446,7 +460,17 @@ class LETKF(EnsembleFilter):
         operator: ObservationOperator,
     ) -> np.ndarray:
         """The analysis pipeline (see the module docstring): one kernel
-        solves every analysis-grid column on device-resident statistics."""
+        solves every analysis-grid column on device-resident statistics.
+
+        Each ensemble-sized staging array is dropped as soon as its last
+        reader returns — ``x_pert`` / ``y_pert`` once the column-major
+        ``local_pert`` exists, ``local_pert`` once the weights are applied,
+        the column-major analysis once it is transposed back — and RTPS
+        runs in place on the member-major analysis this call owns.  Beside
+        its input, an analysis therefore holds at most two state-sized
+        ensembles at once (plus an inflated prior, or a partial network's
+        observation perturbations).
+        """
         forecast_ensemble = self._validate(forecast_ensemble)
         observation = np.asarray(observation, dtype=float)
 
@@ -462,6 +486,7 @@ class LETKF(EnsembleFilter):
         if geometry.mode == "convolution":
             conv = self._convolution_channels(y_pert, innovation, geometry, n_members)
             weights = _solve_convolution(conv, n_members, batch, xp)
+            del conv
         else:
             weights = _solve_grouped(
                 geometry.device_groups(xp),
@@ -476,21 +501,24 @@ class LETKF(EnsembleFilter):
         local_pert = xp.to_device(
             np.ascontiguousarray(x_pert.reshape(n_members, n_levels, n_columns).transpose(2, 1, 0))
         )
+        del x_pert, y_pert
         local_mean = xp.to_device(np.ascontiguousarray(x_mean.reshape(n_levels, n_columns).T))
         analysis_t = xp.to_host(
             _interpolate_apply(
                 weights, local_pert, local_mean, geometry.shape, geometry.stride, xp
             )
         )
+        del local_pert
         analysis = np.ascontiguousarray(analysis_t.transpose(2, 1, 0)).reshape(
             n_members, n_levels * n_columns
         )
+        del analysis_t
         if geometry.prior_columns.size:
             # Columns no observation reaches keep the prior, bit for bit.
             keep = (geometry.prior_columns + np.arange(n_levels)[:, None] * n_columns).ravel()
             analysis[:, keep] = prior[:, keep]
         if self.config.rtps_factor > 0.0:
-            analysis = rtps_inflation(analysis, forecast_ensemble, self.config.rtps_factor)
+            _relax_spread(analysis, forecast_ensemble, self.config.rtps_factor)
         return analysis
 
     # ------------------------------------------------------------------ #

@@ -42,7 +42,6 @@ class CollectiveKind(str, Enum):
     ALL_REDUCE = "all_reduce"
     ALL_GATHER = "all_gather"
     REDUCE_SCATTER = "reduce_scatter"
-    BROADCAST = "broadcast"
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class CollectiveModel:
         """Bytes moved per rank per message byte for the ring algorithm.
 
         Ring AllReduce moves ``2 (p − 1)/p`` of the message per rank;
-        AllGather / ReduceScatter / Broadcast move ``(p − 1)/p``.
+        AllGather / ReduceScatter move ``(p − 1)/p``.
         """
         if n_gpus < 1:
             raise ValueError("n_gpus must be positive")

@@ -162,9 +162,9 @@ class EnsembleExecutor:
     more than a cycle's worth of forecast work for small ensembles, so a
     fresh pool per cycle would swamp the parallel speedup; :meth:`close` (or
     the context-manager form) releases the workers.  Models that carry
-    forecast workspaces (e.g. the fused SQG engine) drop them when pickled to
-    workers and rebuild them there on first use, so shipping a model per
-    chunk stays cheap.
+    derived constants and forecast workspaces (e.g. the SQG model) pickle as
+    their parameters and rebuild the rest in the worker, so shipping a model
+    per chunk stays cheap.
 
     **Routing.**  A gather's route is set by its worker count alone: one
     worker (``n_workers == 1``, a single job, or an ensemble too small to

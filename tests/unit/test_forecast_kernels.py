@@ -502,3 +502,37 @@ class TestCoarseStep:
         if hasattr(array_backend, "transfer_counts"):
             assert not any(array_backend.transfer_counts().values())
         np.testing.assert_array_equal(out, expected)
+
+
+class TestShipsAsParameters:
+    """A model pickles as its parameters and backend and rebuilds its
+    constants where it lands, so a pool forecast job carries a few hundred
+    bytes of model instead of its ≈ 2 MB of constants (at 128²) — and
+    forecasts the same bits."""
+
+    def test_pickle_is_the_parameters(self, array_backend):
+        model = SQGModel(SQGParameters(nx=128, ny=128))
+        _, ens = _flow_ensemble(model, 3)
+        model.forecast(ens, n_steps=1)  # warm a workspace: it must not ship
+        blob = pickle.dumps(model)
+        assert len(blob) < 4096
+        clone = pickle.loads(blob)
+        assert clone.params == model.params and clone.xp is model.xp
+        assert clone._workspaces == {}
+        np.testing.assert_array_equal(
+            clone.forecast(ens, n_steps=2), model.forecast(ens, n_steps=2)
+        )
+
+    def test_coarse_step_through_a_pool_equals_in_process(self, gathers):
+        from repro.hpc.ensemble_parallel import EnsembleExecutor
+        from repro.models.sqg import _CoarseStep
+
+        model = SQGModel(SQGParameters(nx=128, ny=128))
+        _, ens = _flow_ensemble(model, 4)
+        stepper, n_steps = model.coarse_step(ens, 4)
+        assert isinstance(stepper, _CoarseStep)
+        assert len(pickle.dumps(stepper)) < 4096
+        with EnsembleExecutor(n_workers=2, min_members_per_worker=1) as executor:
+            pooled = executor.map_states(stepper, ens, n_steps)
+        assert gathers == [("_forecast_chunk", 2, 2)]
+        np.testing.assert_array_equal(pooled, stepper.forecast(ens, n_steps))

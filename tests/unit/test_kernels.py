@@ -12,8 +12,11 @@ single bit.  The whole-OSSE cross-backend certification lives in
 ``tests/unit/test_xp_backend.py``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from reference.letkf_analyze_head import HeadLETKF
 from reference.letkf_assembly_head import HeadAssembly
 
 import repro.da.letkf as letkf_mod
@@ -594,6 +597,70 @@ class TestBlockedAssembly:
         # never drops below one channel
         assert transform <= letkf_mod._ASSEMBLY_BYTES or block == 1
         assert scratch.nbytes <= workspace.channels.nbytes
+
+
+class TestLeanAnalysis:
+    """The allocation-lean analysis — observation perturbations shared with
+    the state's for an identity network, staging arrays released early,
+    RTPS in place — equals the previous release's analysis
+    (``tests/reference/letkf_analyze_head.py``) bit for bit, and leaves its
+    inputs untouched."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 4, 8])
+    @pytest.mark.parametrize("rtps", [0.0, 0.3])
+    @pytest.mark.parametrize("inflation", [1.0, 1.1])
+    @pytest.mark.parametrize("network", ["identity", "subsampled", "non-uniform"])
+    def test_equals_the_previous_release(
+        self, monkeypatch, network, inflation, rtps, stride, array_backend
+    ):
+        grid, rng, ensemble, truth = _case(seed=stride, shape=(32, 32), members=10)
+        cutoff = LETKFConfig().cutoff
+        if analysis_stride(grid, cutoff) != stride:
+            _force_stride(monkeypatch, grid, cutoff, stride)
+        operator = {
+            "identity": lambda: IdentityObservation(grid.size, 0.8),
+            "subsampled": lambda: SubsampledObservation.every_nth(grid.size, 3, 0.8),
+            "non-uniform": lambda: IdentityObservation(grid.size, 0.5 + rng.random(grid.size)),
+        }[network]()
+        observation = operator.observe(truth, rng=rng)
+        config = LETKFConfig(rtps_factor=rtps, prior_inflation=inflation)
+        lean, head = LETKF(grid, config), HeadLETKF(grid, config)
+        assert lean.xp is array_backend
+        geometry = lean.geometry(operator)
+        assert geometry.stride == stride
+        assert geometry.mode == ("grouped" if network == "non-uniform" else "convolution")
+        forecast = ensemble
+        for _ in range(2):  # the second reuses the cached geometry and workspace
+            before = forecast.copy()
+            expected = head.analyze(forecast, observation, operator)
+            analysis = lean.analyze(forecast, observation, operator)
+            np.testing.assert_array_equal(analysis, expected)
+            np.testing.assert_array_equal(forecast, before)
+            forecast = analysis + 0.1 * rng.standard_normal(analysis.shape)
+
+    @pytest.mark.parametrize(
+        "shape, allowance", [((64, 64), 4 << 20), ((128, 128), 0)], ids=["64x64", "128x128"]
+    )
+    def test_identity_analysis_peak_is_three_ensembles(self, shape, allowance):
+        """Steady state (the second analysis of one filter), 20 members: the
+        traced peak stays within three ensembles plus 4 MiB for the
+        analysis-grid solve, whose working set fits inside the third
+        ensemble at 128²; the previous release held 8.4 / 7.7 ensembles.
+        A duplicate ``y_pert`` breaks the 64² budget; it, a ``local_pert``
+        or column-major analysis kept alive, or an out-of-place RTPS each
+        break the 128² one."""
+        grid, rng, ensemble, truth = _case(seed=3, shape=shape, members=20)
+        operator = IdentityObservation(grid.size, 1.0)
+        observation = operator.observe(truth, rng=rng)
+        letkf = LETKF(grid)
+        letkf.analyze(ensemble, observation, operator)
+        tracemalloc.start()
+        try:
+            letkf.analyze(ensemble, observation, operator)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * ensemble.nbytes + allowance
 
 
 class TestGeometryCache:
