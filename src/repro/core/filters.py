@@ -3,8 +3,8 @@
 Every DA method in this library implements :class:`EnsembleFilter`:
 ``analyze(forecast_ensemble, observation, operator)`` maps the forecast
 (prior) ensemble to the analysis (posterior) ensemble.  The cycling drivers
-in :mod:`repro.da.cycling` only depend on this interface, so EnSF, LETKF and
-EnKF are interchangeable.
+in :mod:`repro.da.cycling` only depend on this interface, so EnSF and LETKF
+are interchangeable.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Observation operators, observation-error models (Eq. 2) and the
 streaming observation subsystem.
 
-All filters in this library (EnSF, LETKF, EnKF) interact with observations
+All filters in this library (EnSF, LETKF) interact with observations
 through :class:`ObservationOperator`, which bundles the forward map
 ``h_k(x)``, its adjoint action (needed by the EnSF likelihood score and by
 the Kalman-gain algebra), and the Gaussian observation-error covariance

@@ -33,23 +33,25 @@ Kalnay, Hunt & Bowler 2009, QJRMS 135; KENDA) — it is solved on a coarser
    when the cut-off is within a few grid lengths).  The stride is derived,
    never configured.  A :class:`~repro.da.localization.LocalAnalysisGeometry`
    (cached across cycles) describes the analysis-grid columns only;
-3. **one kernel per assembly mode** solves every analysis-grid column in
-   one pass on device-resident arrays: :func:`_solve_convolution` takes
-   the rows of a global circular FFT convolution (uniform observation
-   errors), whose spectrum is folded onto the analysis grid before the
-   inverse; it runs one cache-sized block of channels at a time, through
-   buffers that persist across cycles (:meth:`LETKF._convolution_channels`).
-   :func:`_solve_grouped` gathers the geometry's precomputed footprints
-   (non-uniform errors).  Both end in :func:`solve_local_batch`, a stacked
-   ``eigh`` over at most ``config.shard_columns`` columns at a time, and
-   return each column's ``(m, m)`` weight matrix
+3. **one assembly** solves every analysis-grid column in one pass on
+   device-resident arrays: :func:`_solve_convolution` takes the rows of a
+   global circular FFT convolution with the localized R⁻¹ kernel, whose
+   spectrum is folded onto the analysis grid before the inverse; it runs
+   one cache-sized block of channels at a time, through buffers that
+   persist across cycles (:meth:`LETKF._convolution_channels`).  A
+   non-uniform observation-error variance is folded into the channels: the
+   observation perturbations and innovation are multiplied by
+   ``√(r₀ / r_o)`` first, which costs one weighted copy of the observation
+   perturbations.  The rows end in :func:`solve_local_batch`, a stacked
+   ``eigh`` over at most ``config.shard_columns`` columns at a time, which
+   returns each column's ``(m, m)`` weight matrix
    ``W_c = E √((m-1)/λ) Eᵀ + w̄_c 1ᵀ``;
 4. **interpolate and apply** (:func:`_interpolate_apply`): periodic bilinear
    interpolation of ``W`` to every state column fused with
    ``x̄_c + X′_c W_c``, one grid row at a time so the full-resolution weight
    field never exists.  With ``s = 1`` the interpolation is skipped.  State
    columns whose interpolation neighbours all lack observations keep the
-   prior bit for bit;
+   prior bit for bit, for every network;
 5. **RTPS** inflation on the whole ensemble, in place on the analysis.
 
 Each ensemble-sized staging array goes as soon as its last reader returns,
@@ -163,7 +165,7 @@ def _interpolate_apply(weights, local_pert, local_mean, shape, stride, xp: Array
 
 
 def _solve_convolution(conv, n_members: int, max_batch: int, xp: ArrayBackend):
-    """Convolution-mode kernel: assemble each column's system from its row of
+    """The solve kernel: assemble each column's system from its row of
     channels, then solve, ``max_batch`` rows at a time.
 
     Each row of ``conv`` ``(n_columns, m(m+1)/2 + m)`` (on ``xp``'s device,
@@ -182,37 +184,6 @@ def _solve_convolution(conv, n_members: int, max_batch: int, xp: ArrayBackend):
         a_stack[:, iu1, iu0] = rows[:, :n_pair]
         a_stack[:, diag, diag] += n_members - 1
         weights[start : start + rows.shape[0]] = solve_local_batch(a_stack, rows[:, n_pair:], xp)
-    return weights
-
-
-def _solve_grouped(groups, y_t, innovation, n_columns, max_batch, xp):
-    """Grouped-mode kernel: gather footprints, assemble, solve.
-
-    All arrays live on ``xp``'s device.  ``groups`` are the geometry's
-    :class:`~repro.da.localization.FootprintGroup` tensors (analysis-grid
-    columns, observation indices into ``y_t`` ``(n_obs, m)`` /
-    ``innovation`` ``(n_obs,)``); at most ``max_batch`` columns are gathered
-    at a time.  Returns weights ``(n_columns, m, m)``; a column without a
-    footprint gets the identity.
-    """
-    n_members = y_t.shape[-1]
-    diag = xp.arange(n_members)
-    weights = xp.zeros((n_columns, n_members, n_members))
-    weights[:, diag, diag] = 1.0
-    for group in groups:
-        n_group = group.columns.shape[0]
-        for start in range(0, n_group, max_batch):
-            sl = slice(start, min(start + max_batch, n_group))
-            idx = group.obs_indices[sl]
-            sqrt_r = group.sqrt_r_inv[sl]
-            cols = group.columns[sl]
-
-            q = xp.take(y_t, idx, axis=0)  # (B, p, m)
-            q *= sqrt_r[:, :, None]
-            a_stack = xp.matmul(q.transpose(0, 2, 1), q)
-            a_stack[:, diag, diag] += n_members - 1
-            c_innov = xp.einsum("bpm,bp->bm", q, sqrt_r * innovation[idx])
-            weights[cols] = solve_local_batch(a_stack, c_innov, xp)
     return weights
 
 
@@ -294,7 +265,7 @@ class LETKFConfig:
         cut-off have no influence on a column.
     shard_columns:
         Most analysis-grid columns solved in one stacked batch: bounds the
-        ``(B, p, m)`` footprint gather and the ``(B, m, m)`` ``eigh`` stack.
+        ``(B, m, m)`` ``eigh`` stack.
         Any value gives the same bits.
     backend:
         Array backend name for the kernels
@@ -468,8 +439,9 @@ class LETKF(EnsembleFilter):
         the column-major analysis once it is transposed back — and RTPS
         runs in place on the member-major analysis this call owns.  Beside
         its input, an analysis therefore holds at most two state-sized
-        ensembles at once (plus an inflated prior, or a partial network's
-        observation perturbations).
+        ensembles at once (plus an inflated prior, a partial network's
+        observation perturbations, or a non-uniform network's weighted copy
+        of them).
         """
         forecast_ensemble = self._validate(forecast_ensemble)
         observation = np.asarray(observation, dtype=float)
@@ -481,21 +453,10 @@ class LETKF(EnsembleFilter):
         xp = self.xp
         n_members = prior.shape[0]
         n_columns, n_levels = self.grid.ny * self.grid.nx, self.grid.nlev
-        batch = self.config.shard_columns
 
-        if geometry.mode == "convolution":
-            conv = self._convolution_channels(y_pert, innovation, geometry, n_members)
-            weights = _solve_convolution(conv, n_members, batch, xp)
-            del conv
-        else:
-            weights = _solve_grouped(
-                geometry.device_groups(xp),
-                xp.to_device(np.ascontiguousarray(y_pert.T)),  # (n_obs, m)
-                xp.to_device(innovation),
-                geometry.n_columns,
-                batch,
-                xp,
-            )
+        conv = self._convolution_channels(y_pert, innovation, geometry, n_members)
+        weights = _solve_convolution(conv, n_members, self.config.shard_columns, xp)
+        del conv
 
         # Column-major prior, member axis last: (n_columns, nlev, m).
         local_pert = xp.to_device(
@@ -531,12 +492,15 @@ class LETKF(EnsembleFilter):
     ) -> np.ndarray:
         """Convolved Gram/innovation channels at the analysis-grid columns.
 
-        For uniform observation errors the localized Gram matrix of column
-        ``c`` is ``A_c = (m-1)I + Σ_o k(c ⊖ col(o)) y_o y_oᵀ / r`` — a
-        circular convolution of the per-column outer-product channels with
-        the fixed Gaspari–Cohn kernel.  One batched real FFT over the
-        ``m(m+1)/2`` symmetric channels (plus ``m`` innovation channels)
-        replaces every per-column distance/weight/gather operation.
+        The localized Gram matrix of column ``c`` is
+        ``A_c = (m-1)I + Σ_o gc(c ⊖ col(o)) y_o y_oᵀ / r_o`` — a circular
+        convolution of the per-column outer-product channels with the fixed
+        kernel ``gc / r₀`` once a non-uniform network's ``y_o`` and
+        innovation are multiplied by ``geometry.obs_weight = √(r₀ / r_o)``
+        (on the host, before the upload; a uniform network is not touched).
+        One batched real FFT over the ``m(m+1)/2`` symmetric channels (plus
+        ``m`` innovation channels) replaces every per-column
+        distance/weight/gather operation.
 
         Only the analysis-grid columns are consumed, so with stride ``s > 1``
         the inverse runs small: sampling every ``s``-th row of a periodic
@@ -570,6 +534,9 @@ class LETKF(EnsembleFilter):
         n_columns = ny * nx
         n_channels = n_members * (n_members + 3) // 2
 
+        if geometry.obs_weight is not None:
+            y_pert = y_pert * geometry.obs_weight
+            innovation = innovation * geometry.obs_weight
         y_pert = xp.to_device(y_pert)
         innovation = xp.to_device(innovation)
         workspace = self._assembly_workspace(n_members)

@@ -13,21 +13,23 @@ they are solved on a coarser *analysis grid* — every ``s``-th row and column,
 ``s`` = :func:`analysis_stride` — and interpolated to the state columns (Yang,
 Kalnay, Hunt & Bowler 2009, QJRMS 135).  :class:`LocalAnalysisGeometry` is
 built over the analysis-grid columns only.
+
+Every observation network is assembled one way: the local systems are
+circular convolutions with one Gaspari–Cohn kernel scaled by ``1 / r₀``, and
+a non-uniform R⁻¹ enters as the per-observation weight ``√(r₀ / r_o)``
+multiplied into the observation perturbations and innovation.  Columns no
+observation reaches keep the prior.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.utils.grid import Grid2D, periodic_distance_matrix
+from repro.utils.grid import Grid2D
 
 __all__ = [
     "gaspari_cohn",
     "analysis_stride",
-    "column_distances",
-    "FootprintGroup",
     "LocalAnalysisGeometry",
     "geometry_cache_key",
 ]
@@ -95,78 +97,39 @@ def analysis_stride(grid: Grid2D, cutoff: float) -> int:
     )
 
 
-@dataclass(frozen=True)
-class FootprintGroup:
-    """Columns whose local observation footprints have the same size.
-
-    Equal footprint sizes let the per-column local problems stack into dense
-    ``(n_cols_in_group, ...)`` tensors, which is all the batched LETKF solver
-    needs (columns with *identical* footprints are a special case and stack
-    automatically).  All arrays are precomputed once per ``(grid, operator)``
-    pair and reused every cycle.
-
-    Attributes
-    ----------
-    columns:
-        Analysis-grid column indices in this group, shape ``(g,)``.
-    obs_indices:
-        Indices into the observation vector of each column's local
-        observations, shape ``(g, p)``.
-    sqrt_r_inv:
-        Square roots of the localized inverse observation-error variances
-        ``sqrt(gc(d)/obs_error_var)`` at the selected observations,
-        ``(g, p)`` — the symmetrized form is all the batched Gram/innovation
-        products need.
-    """
-
-    columns: np.ndarray
-    obs_indices: np.ndarray
-    sqrt_r_inv: np.ndarray
-
-    def to_device(self, xp) -> "FootprintGroup":
-        """Copy of this group with its tensors on backend ``xp``'s device."""
-        return FootprintGroup(
-            xp.to_device(self.columns),
-            xp.to_device(self.obs_indices),
-            xp.to_device(self.sqrt_r_inv),
-        )
-
-
 class LocalAnalysisGeometry:
     """Precomputed localization geometry for one ``(grid, obs network)`` pair.
 
     This is the cache layer behind the vectorized LETKF analysis kernels: the
-    full column→observation distance structure, Gaspari–Cohn weights, and
-    per-column selection footprints are computed **once** and reused across
+    Gaspari–Cohn kernel and the columns no observation reaches are computed
+    **once** from a single distance-stencil evaluation and reused across
     cycles, so steady-state analysis steps perform zero distance evaluations.
 
     The columns it describes are those of the **analysis grid** — rows and
     columns ``0, s, 2s, …`` of the state grid with ``s = stride`` from
     :func:`analysis_stride` — numbered row-major ``0 … n_columns - 1``;
     ``columns`` maps them to state-grid column indices and ``shape`` is the
-    analysis grid's ``(ny / s, nx / s)``.  Footprints and ``empty_columns``
-    index the analysis grid, so they are ``s²`` times
-    smaller than the state grid's.  ``prior_columns`` are the *state* columns
-    every one of whose interpolation neighbours is empty: they keep the prior.
+    analysis grid's ``(ny / s, nx / s)``.
 
-    Two execution modes are selected at build time:
+    There is one assembly.  Because the Gaspari–Cohn weight depends only on
+    the periodic column offset, the per-column weighted sums over
+    observations (the local Gram matrices and innovation projections) are
+    circular convolutions with a fixed kernel; the geometry stores the real
+    FFT of ``k = gc(stencil) / r₀``, ``r₀`` the first observation's error
+    variance, and the analysis assembles all local systems with a handful of
+    batched FFTs.  This is exact: Gaspari–Cohn is identically zero beyond
+    twice the cut-off, so summing over *all* observations equals summing
+    over each column's footprint.  A non-uniform R stays a convolution:
+    ``Σ_o k(c ⊖ col(o)) y_o y_oᵀ r₀ / r_o`` is the same kernel applied to
+    observation perturbations weighted by ``obs_weight = √(r₀ / r_o)``, which
+    the LETKF multiplies in before the transform (``obs_weight`` is ``None``
+    for a uniform R, which is therefore never multiplied).
 
-    ``"convolution"``
-        Selected when the observation-error variance is uniform.  Because
-        the Gaspari–Cohn weight depends only on the periodic column offset,
-        the per-column weighted sums over observations (the local Gram
-        matrices and innovation projections) are circular convolutions with
-        a fixed kernel; the geometry stores the kernel's real FFT and the
-        analysis assembles all local systems with a handful of batched FFTs.
-        This is exact: Gaspari–Cohn is identically zero beyond twice the
-        cut-off, so summing over *all* observations equals summing over the
-        footprint.
-
-    ``"grouped"``
-        Non-uniform observation-error variances: per-column footprints (the
-        exact Gaspari–Cohn support, ``weight > 0``) are grouped by footprint
-        size into :class:`FootprintGroup` tensors which the batched solver
-        processes with stacked ``eigh`` calls.
+    ``empty_columns`` are the analysis-grid columns no observation reaches —
+    the kernel's support convolved with the observed columns is zero there;
+    ``prior_columns`` are the *state* columns every one of whose
+    interpolation neighbours is empty.  They keep the prior, for every
+    network; both are empty when every grid column is observed.
 
     Parameters
     ----------
@@ -178,9 +141,6 @@ class LocalAnalysisGeometry:
         Gaspari–Cohn length scale in metres (paper's tuned value: 2000 km).
     obs_error_var:
         Diagonal observation-error variances, shape ``(n_obs,)``.
-    chunk:
-        Number of analysis columns processed per build chunk (bounds the
-        peak memory of the one-off build; does not affect results).
     """
 
     def __init__(
@@ -189,7 +149,6 @@ class LocalAnalysisGeometry:
         obs_columns: np.ndarray,
         cutoff: float,
         obs_error_var: np.ndarray,
-        chunk: int = 512,
     ) -> None:
         self.grid = grid
         self.obs_columns = np.asarray(obs_columns, dtype=np.intp)
@@ -205,85 +164,43 @@ class LocalAnalysisGeometry:
         self.n_columns = int(self.columns.size)
         self.n_obs = int(self.obs_columns.size)
 
-        # Per-backend device copies of the kernel spectrum or the footprint
-        # groups, so steady-state cycles do no geometry transfers.
+        # Per-backend device copies of the kernel spectrum, so steady-state
+        # cycles do no geometry transfers.
         self._cache: dict[tuple, object] = {}
 
-        uniform_var = bool(np.all(self.obs_error_var == self.obs_error_var[0]))
-        if uniform_var:
-            self.mode = "convolution"
-            self._build_convolution()
-            self.groups: list[FootprintGroup] = []
-            self.empty_columns = self.prior_columns = np.empty(0, dtype=np.intp)
-        else:
-            self.mode = "grouped"
-            self.kernel_rfft2 = None
-            self.identity_network = False
-            self._build_grouped(chunk)
-
-    # ------------------------------------------------------------------ #
-    def _build_convolution(self) -> None:
-        """Store the real FFT of the localized R⁻¹ kernel on the grid."""
-        stencil = self.grid.distance_stencil()
-        kernel = gaspari_cohn(stencil, self.cutoff) / float(self.obs_error_var[0])
+        weight = gaspari_cohn(grid.distance_stencil(), self.cutoff)
+        r0 = float(self.obs_error_var[0])
         # The kernel is even under periodic index negation, so its spectrum
         # is exactly real; taking .real only discards FFT round-off.
-        self.kernel_rfft2 = np.fft.rfft2(kernel).real
+        self.kernel_rfft2 = np.fft.rfft2(weight / r0).real
+        uniform_var = bool(np.all(self.obs_error_var == r0))
+        self.obs_weight = None if uniform_var else np.sqrt(r0 / self.obs_error_var)
         # Fully observed grid (observation i *is* state variable i): the
         # per-cycle channel scatter degenerates to a reshape.
-        grid = self.grid
         self.identity_network = self.n_obs == grid.size and np.array_equal(
             self.obs_columns, np.tile(np.arange(grid.ny * grid.nx), grid.nlev)
         )
 
-    def _build_grouped(self, chunk: int) -> None:
-        """Group columns by footprint size with precomputed weights."""
-        stencil = self.grid.distance_stencil()
-
-        by_size: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-        empty: list[np.ndarray] = []
-        all_columns = np.arange(self.n_columns, dtype=np.intp)
-        for start in range(0, self.n_columns, chunk):
-            cols = all_columns[start : start + chunk]
-            dist = self.grid.column_pair_distances(
-                self.columns[cols], self.obs_columns, stencil=stencil
-            )
-            weight = gaspari_cohn(dist, self.cutoff)
-            mask = weight > 0.0
-            counts = mask.sum(axis=1)
-            for p in np.unique(counts):
-                rows = np.nonzero(counts == p)[0]
-                if p == 0:
-                    empty.append(cols[rows])
-                    continue
-                obs_idx = np.nonzero(mask[rows])[1].reshape(rows.size, int(p))
-                w_sel = weight[rows[:, None], obs_idx]
-                by_size.setdefault(int(p), []).append((cols[rows], obs_idx, w_sel))
-
-        groups = []
-        for p in sorted(by_size):
-            parts = by_size[p]
-            columns = np.concatenate([c for c, _, _ in parts])
-            obs_idx = np.concatenate([i for _, i, _ in parts]).astype(np.intp)
-            w_sel = np.concatenate([w for _, _, w in parts])
-            groups.append(
-                FootprintGroup(
-                    columns=columns,
-                    obs_indices=obs_idx,
-                    sqrt_r_inv=np.sqrt(w_sel / self.obs_error_var[obs_idx]),
-                )
-            )
-        self.groups = groups
-        self.empty_columns = (
-            np.concatenate(empty) if empty else np.empty(0, dtype=np.intp)
+        self.empty_columns = self.prior_columns = np.empty(0, dtype=np.intp)
+        if self.identity_network:
+            return
+        observed = np.zeros((grid.ny, grid.nx))
+        observed.ravel()[self.obs_columns] = 1.0
+        if observed.all():
+            return
+        # Observations reaching each column: the kernel's support convolved
+        # with the observed columns, an integer count up to FFT round-off.
+        reach = np.fft.irfft2(
+            np.fft.rfft2(weight > 0.0) * np.fft.rfft2(observed), s=(grid.ny, grid.nx)
         )
-        # Interpolate the occupancy (1 = has a footprint) exactly as the LETKF
+        self.empty_columns = np.flatnonzero(reach[::stride, ::stride] < 0.5)
+        # Interpolate the occupancy (1 = reached) exactly as the LETKF
         # interpolates weights: it is 0.0 where only empty columns contribute.
         occupied = np.ones(self.shape)
         occupied.ravel()[self.empty_columns] = 0.0
-        frac = np.arange(self.stride) / self.stride
+        frac = np.arange(stride) / stride
         rows = occupied[:, None] + frac[:, None] * (np.roll(occupied, -1, 0) - occupied)[:, None]
-        rows = rows.reshape(self.grid.ny, -1, 1)
+        rows = rows.reshape(grid.ny, -1, 1)
         full = rows + frac * (np.roll(rows, -1, 1) - rows)
         self.prior_columns = np.flatnonzero(full.ravel() == 0.0)
 
@@ -295,22 +212,12 @@ class LocalAnalysisGeometry:
         it is moved to the device once per backend and reused — the
         mock-device transfer counters verify this in the tests.
         """
-        if self.mode != "convolution":
-            raise ValueError("conv_kernel is only defined for convolution-mode geometries")
         key = ("kernel", xp.name)
         cached = self._cache.get(key)
         if cached is None:
             cached = self._cache[key] = xp.to_device(self.kernel_rfft2)
         return cached
 
-    def device_groups(self, xp) -> list[FootprintGroup]:
-        """Device copies of :attr:`groups` on backend ``xp`` (cached), moved
-        once per backend like :meth:`conv_kernel`."""
-        key = ("groups", xp.name)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._cache[key] = [group.to_device(xp) for group in self.groups]
-        return cached
 
 def geometry_cache_key(
     grid: Grid2D,
@@ -326,24 +233,3 @@ def geometry_cache_key(
         np.asarray(obs_error_var, dtype=float).tobytes(),
     )
 
-
-def column_distances(grid: Grid2D, column_index: int, obs_columns: np.ndarray) -> np.ndarray:
-    """Periodic horizontal distances from one analysis column to observation columns.
-
-    Parameters
-    ----------
-    grid:
-        The physical grid.
-    column_index:
-        Index of the analysis column in ``[0, ny*nx)``.
-    obs_columns:
-        Column indices of the observations.
-
-    Returns
-    -------
-    Distances in metres, shape ``(len(obs_columns),)``.
-    """
-    coords = grid.point_coordinates()
-    target = coords[column_index][None, :]
-    obs_xy = coords[np.asarray(obs_columns, dtype=int)]
-    return periodic_distance_matrix(target, obs_xy, grid.lx, grid.ly)[0]

@@ -1,6 +1,6 @@
 """Forecast-model protocol shared by physics models and the ViT surrogate.
 
-Every DA algorithm in this library (EnSF, LETKF, EnKF) only requires the
+Every DA algorithm in this library (EnSF, LETKF) only requires the
 forecast model to expose :meth:`ForecastModel.forecast` mapping a (batch of)
 state vector(s) to the next analysis time (Eq. 1 of the paper).  Both the
 spectral SQG model and the ViT surrogate satisfy this protocol, which is what

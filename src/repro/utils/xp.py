@@ -97,7 +97,7 @@ class ArrayBackend:
     transfer hooks.
 
     The operation set is deliberately small — the ~35 operations the hot
-    kernels actually use — grouped as:
+    kernels actually use — in these groups:
 
     * creation/layout: ``asarray``, ``ascontiguousarray``, ``empty``,
       ``empty_like``, ``zeros``, ``arange``, ``copyto``, ``concatenate``

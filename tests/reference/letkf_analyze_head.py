@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.observations import ObservationOperator
 from repro.da.inflation import multiplicative_inflation
-from repro.da.letkf import LETKF, _interpolate_apply, _solve_convolution, _solve_grouped
+from repro.da.letkf import LETKF, _interpolate_apply, _solve_convolution
 
 
 def _check_ensemble(ensemble: np.ndarray) -> np.ndarray:
@@ -106,18 +106,8 @@ class HeadLETKF(LETKF):
         n_columns, n_levels = self.grid.ny * self.grid.nx, self.grid.nlev
         batch = self.config.shard_columns
 
-        if geometry.mode == "convolution":
-            conv = self._convolution_channels(y_pert, innovation, geometry, n_members)
-            weights = _solve_convolution(conv, n_members, batch, xp)
-        else:
-            weights = _solve_grouped(
-                geometry.device_groups(xp),
-                xp.to_device(np.ascontiguousarray(y_pert.T)),  # (n_obs, m)
-                xp.to_device(innovation),
-                geometry.n_columns,
-                batch,
-                xp,
-            )
+        conv = self._convolution_channels(y_pert, innovation, geometry, n_members)
+        weights = _solve_convolution(conv, n_members, batch, xp)
 
         # Column-major prior, member axis last: (n_columns, nlev, m).
         local_pert = xp.to_device(

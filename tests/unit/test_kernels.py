@@ -28,12 +28,7 @@ from repro.core.schedules import LinearAlphaSchedule
 from repro.core.score import MonteCarloScoreEstimator
 from repro.core.sde import ReverseSDESampler
 from repro.da.letkf import LETKF, LETKFConfig
-from repro.da.localization import (
-    FootprintGroup,
-    LocalAnalysisGeometry,
-    analysis_stride,
-    gaspari_cohn,
-)
+from repro.da.localization import LocalAnalysisGeometry, analysis_stride, gaspari_cohn
 from repro.utils.grid import Grid2D
 from repro.utils.random import default_rng
 from repro.utils.xp import MockDeviceBackend
@@ -70,12 +65,12 @@ class TestGridGeometry:
 
 class TestBatchedLETKFDeterminism:
     """Exactness certification without an oracle (reference-path retirement,
-    ROADMAP): a uniform observation-error variance exercises the convolution
-    assembly (the identity operator takes its reshape fast path, the
-    subsampled operator the bincount scatter), a non-uniform one the
-    grouped-footprint assembly, and the
-    ``array_backend`` fixture re-runs every case under every registered
-    array backend, asserted bit-identical to the plain-numpy baseline."""
+    ROADMAP): the identity operator takes the convolution assembly's
+    reshape fast path and the subsampled operator its bincount scatter, a
+    non-uniform observation-error variance adds the weighted observation
+    perturbations, and the ``array_backend`` fixture re-runs every case under
+    every registered array backend, asserted bit-identical to the
+    plain-numpy baseline."""
 
     @pytest.mark.parametrize("variance", ["uniform", "non-uniform"])
     @pytest.mark.parametrize(
@@ -95,8 +90,6 @@ class TestBatchedLETKFDeterminism:
         observation = operator.observe(truth, rng=rng)
         letkf = LETKF(grid, LETKFConfig(cutoff=4.0e6))
         assert letkf.xp is array_backend  # config backend=None → fixture default
-        mode = "convolution" if variance == "uniform" else "grouped"
-        assert letkf.geometry(operator).mode == mode
         batched = letkf.analyze(ensemble, observation, operator)
         baseline = LETKF(grid, LETKFConfig(cutoff=4.0e6, backend="numpy")).analyze(
             ensemble, observation, operator
@@ -108,18 +101,21 @@ class TestBatchedLETKFDeterminism:
             letkf.analyze(ensemble, observation, operator), baseline
         )
 
-    def test_empty_footprints_keep_prior(self):
+    @pytest.mark.parametrize("variance", ["uniform", "non-uniform"])
+    def test_empty_footprints_keep_prior(self, variance):
         grid, rng, ensemble, truth = _case(seed=4)
         n_obs = len(range(0, grid.size, 7))
-        operator = SubsampledObservation.every_nth(grid.size, 7, 0.5 + rng.random(n_obs))
+        var = 0.5 if variance == "uniform" else 0.5 + rng.random(n_obs)
+        operator = SubsampledObservation.every_nth(grid.size, 7, var)
         observation = operator.observe(truth, rng=rng)
         letkf = LETKF(grid, LETKFConfig(cutoff=grid.dx * 0.55, rtps_factor=0.0))
         geometry = letkf.geometry(operator)
-        assert geometry.empty_columns.size > 0
+        assert geometry.stride == 1 and geometry.empty_columns.size > 0
         batched = letkf.analyze(ensemble, observation, operator)
         # columns without local observations must keep the prior exactly
-        col = int(geometry.empty_columns[0])
-        state_idx = col + np.arange(grid.nlev) * (grid.ny * grid.nx)
+        cols = geometry.columns[geometry.empty_columns]
+        np.testing.assert_array_equal(geometry.prior_columns, cols)
+        state_idx = (cols + np.arange(grid.nlev)[:, None] * (grid.ny * grid.nx)).ravel()
         np.testing.assert_array_equal(batched[:, state_idx], ensemble[:, state_idx])
 
 
@@ -131,31 +127,31 @@ def _patch_network(grid, obs_error_var=1.0):
     return SubsampledObservation(grid.size, indices, obs_error_var)
 
 
-# assembly mode -> derived analysis-grid stride
-LAYOUT_MODES = {
-    "convolution": 2,
-    "grouped": 2,
-    "grouped-empty": 1,
-    "convolution-s4": 4,
-    "grouped-s2-empty": 2,
+# layout case -> derived analysis-grid stride
+LAYOUT_CASES = {
+    "uniform": 2,
+    "non-uniform": 2,
+    "non-uniform-empty": 1,
+    "uniform-s4": 4,
+    "non-uniform-s2-empty": 2,
 }
 
 
-def _layout_case(mode):
-    """``(grid, ensemble, observation, operator, config kwargs)`` per assembly mode."""
-    seeds = {name: 11 + i for i, name in enumerate(LAYOUT_MODES)}
-    shape = (32, 32) if mode in ("convolution-s4", "grouped-s2-empty") else (16, 16)
-    grid, rng, ensemble, truth = _case(seed=seeds[mode], shape=shape)
+def _layout_case(case):
+    """``(grid, ensemble, observation, operator, config kwargs)`` per layout case."""
+    seeds = {name: 11 + i for i, name in enumerate(LAYOUT_CASES)}
+    shape = (32, 32) if case in ("uniform-s4", "non-uniform-s2-empty") else (16, 16)
+    grid, rng, ensemble, truth = _case(seed=seeds[case], shape=shape)
     kwargs = {"cutoff": 4.0e6}
-    if mode.startswith("convolution"):
+    if case.startswith("uniform"):
         operator = IdentityObservation(grid.size, 1.2)
-    elif mode == "grouped":
+    elif case == "non-uniform":
         operator = IdentityObservation(grid.size, 0.5 + rng.random(grid.size))
-    elif mode == "grouped-empty":  # grouped, with columns no observation reaches
+    elif case == "non-uniform-empty":  # with columns no observation reaches
         n_obs = len(range(0, grid.size, 7))
         operator = SubsampledObservation.every_nth(grid.size, 7, 0.5 + rng.random(n_obs))
         kwargs = {"cutoff": grid.dx * 0.55, "rtps_factor": 0.0}
-    else:  # "grouped-s2-empty": interpolation between empty and solved columns
+    else:  # "non-uniform-s2-empty": interpolation between empty and solved columns
         operator = _patch_network(grid, 0.5 + rng.random(2 * 64))
         kwargs = {"rtps_factor": 0.0}
     return grid, ensemble, operator.observe(truth, rng=rng), operator, kwargs
@@ -165,7 +161,7 @@ class TestShardedLETKF:
     """One pipeline, any layout, the same bits.
 
     ``analyze`` solves the analysis grid in stacked batches of at most
-    ``shard_columns`` columns.  Every cell of mode x stride x batch size x
+    ``shard_columns`` columns.  Every cell of case x stride x batch size x
     entry must equal the single-batch analysis exactly — on the every-column
     path (stride 1) and through the weight interpolation (strides 2 and 4)
     alike.  The entry
@@ -179,24 +175,23 @@ class TestShardedLETKF:
     @pytest.fixture(scope="class")
     def reference(self):
         out = {}
-        for mode, stride in LAYOUT_MODES.items():
-            grid, ensemble, observation, operator, kwargs = _layout_case(mode)
+        for case, stride in LAYOUT_CASES.items():
+            grid, ensemble, observation, operator, kwargs = _layout_case(case)
             letkf = LETKF(grid, LETKFConfig(backend="numpy", **kwargs))
             geometry = letkf.geometry(operator)
-            assert geometry.mode == mode.split("-")[0]
             assert geometry.stride == stride
             assert geometry.n_columns * stride**2 == grid.ny * grid.nx
-            assert (geometry.empty_columns.size > 0) == mode.endswith("empty")
-            if geometry.mode == "convolution":
-                assert geometry.identity_network  # the reshape fast path, at any stride
-            out[mode] = letkf.analyze(ensemble, observation, operator)
+            assert (geometry.empty_columns.size > 0) == case.endswith("empty")
+            # the reshape fast path, at any stride, for every identity operator
+            assert geometry.identity_network == isinstance(operator, IdentityObservation)
+            out[case] = letkf.analyze(ensemble, observation, operator)
         return out
 
     @pytest.mark.parametrize("entry", ["analyze", "analyze_parallel", "cached"])
     @pytest.mark.parametrize("shard_columns", [1, 37, 64, N_COLUMNS, 10 * N_COLUMNS])
-    @pytest.mark.parametrize("mode", list(LAYOUT_MODES))
-    def test_layout_matrix(self, mode, shard_columns, entry, reference):
-        grid, ensemble, observation, operator, kwargs = _layout_case(mode)
+    @pytest.mark.parametrize("case", list(LAYOUT_CASES))
+    def test_layout_matrix(self, case, shard_columns, entry, reference):
+        grid, ensemble, observation, operator, kwargs = _layout_case(case)
         letkf = LETKF(grid, LETKFConfig(shard_columns=shard_columns, **kwargs))
         if entry == "analyze_parallel":
             analysis = letkf.analyze_parallel(ensemble, observation, operator)
@@ -204,15 +199,15 @@ class TestShardedLETKF:
             analysis = letkf.analyze(ensemble, observation, operator)
             if entry == "cached":
                 analysis = letkf.analyze(ensemble, observation, operator)
-        np.testing.assert_array_equal(analysis, reference[mode])
+        np.testing.assert_array_equal(analysis, reference[case])
 
-    @pytest.mark.parametrize("mode", list(LAYOUT_MODES))
-    def test_backends_agree(self, mode, reference, array_backend):
-        grid, ensemble, observation, operator, kwargs = _layout_case(mode)
+    @pytest.mark.parametrize("case", list(LAYOUT_CASES))
+    def test_backends_agree(self, case, reference, array_backend):
+        grid, ensemble, observation, operator, kwargs = _layout_case(case)
         letkf = LETKF(grid, LETKFConfig(shard_columns=37, **kwargs))
         assert letkf.xp is array_backend
         np.testing.assert_array_equal(
-            letkf.analyze(ensemble, observation, operator), reference[mode]
+            letkf.analyze(ensemble, observation, operator), reference[case]
         )
 
 
@@ -260,11 +255,14 @@ class TestAnalysisGrid:
         assert np.all(iy % stride == 0) and np.all(ix % stride == 0)
         assert geometry.n_columns == geometry.shape[0] * geometry.shape[1]
 
-    def test_every_column_path_matches_dense_etkf(self):
+    @pytest.mark.parametrize("variance", ["uniform", "non-uniform"])
+    def test_every_column_path_matches_dense_etkf(self, variance):
         """Stride 1 against an independent per-column formula (explicit
-        inverse, SVD square root): same law, not the same bits."""
+        inverse, SVD square root, R⁻¹ localized per observation): same law,
+        not the same bits."""
         grid, rng, ensemble, truth = _case(seed=21, shape=(8, 8), members=6)
-        operator = IdentityObservation(grid.size, 0.8)
+        var = 0.8 if variance == "uniform" else 0.5 + rng.random(grid.size)
+        operator = IdentityObservation(grid.size, var)
         observation = operator.observe(truth, rng=rng)
         letkf = LETKF(grid, LETKFConfig(rtps_factor=0.0))
         assert letkf.geometry(operator).stride == 1
@@ -278,7 +276,7 @@ class TestAnalysisGrid:
         expected = np.empty_like(ensemble)
         for col in range(n_columns):
             dist = grid.column_pair_distances(np.array([col]), obs_columns)[0]
-            r_inv = gaspari_cohn(dist, letkf.config.cutoff) / 0.8
+            r_inv = gaspari_cohn(dist, letkf.config.cutoff) / operator.obs_error_var
             c = x_pert * r_inv  # (m, p): C = Y' R_loc^-1
             pa = np.linalg.inv((m - 1) * np.eye(m) + c @ x_pert.T)
             u, sv, vt = np.linalg.svd((m - 1) * pa)
@@ -323,7 +321,7 @@ class TestAnalysisGrid:
         assert 0.0 < np.abs(analysis - exact).max() < 0.2 * increment
 
     def test_columns_between_empty_analysis_columns_keep_prior(self):
-        grid, ensemble, observation, operator, kwargs = _layout_case("grouped-s2-empty")
+        grid, ensemble, observation, operator, kwargs = _layout_case("non-uniform-s2-empty")
         letkf = LETKF(grid, LETKFConfig(**kwargs))
         geometry = letkf.geometry(operator)
         stride, (ny_a, nx_a) = geometry.stride, geometry.shape
@@ -383,25 +381,35 @@ class TestFoldedAssembly:
             ((32, 32), 4.0e6, 8, "identity"),
             ((64, 48), 3.0e6, 4, "identity"),  # ny != nx, the rule's own stride
             ((32, 32), 4.0e6, 4, "subsampled"),  # the bincount scatter
+            # R⁻¹ folded into the channels as per-observation weights
+            ((32, 32), 4.0e6, 2, "non-uniform"),
+            ((32, 32), 4.0e6, 4, "non-uniform-subsampled"),
         ],
-        ids=["s2", "s4", "s8", "ny64-nx48", "subsampled"],
+        ids=["s2", "s4", "s8", "ny64-nx48", "subsampled", "non-uniform-s2", "non-uniform-s4"],
     )
     def test_matches_direct_weighted_sum(self, monkeypatch, shape, cutoff, stride, network):
         grid = Grid2D(nx=shape[1], ny=shape[0])
         if analysis_stride(grid, cutoff) != stride:
             _force_stride(monkeypatch, grid, cutoff, stride)
-        operator = (
-            IdentityObservation(grid.size, 0.8)
-            if network == "identity"
-            else SubsampledObservation.every_nth(grid.size, 3, 0.8)
-        )
+        rng = np.random.default_rng(stride)
+        n_sub = len(range(0, grid.size, 3))
+        operator = {
+            "identity": lambda: IdentityObservation(grid.size, 0.8),
+            "subsampled": lambda: SubsampledObservation.every_nth(grid.size, 3, 0.8),
+            "non-uniform": lambda: IdentityObservation(grid.size, 0.5 + rng.random(grid.size)),
+            "non-uniform-subsampled": lambda: SubsampledObservation.every_nth(
+                grid.size, 3, 0.5 + rng.random(n_sub)
+            ),
+        }[network]()
         letkf = LETKF(grid, LETKFConfig(cutoff=cutoff))
         geometry = letkf.geometry(operator)
         assert geometry.stride == stride
-        assert geometry.identity_network == (network == "identity")
+        assert geometry.identity_network == isinstance(operator, IdentityObservation)
         y_pert, innovation = _assembly_inputs(grid, operator)
         conv = letkf.xp.to_host(letkf._convolution_channels(y_pert, innovation, geometry, 6))
-        expected = _direct_channels(grid, geometry, y_pert, innovation, cutoff, 0.8)
+        expected = _direct_channels(
+            grid, geometry, y_pert, innovation, cutoff, operator.obs_error_var
+        )
         assert conv.shape == expected.shape == (geometry.n_columns, 6 * 9 // 2)
         np.testing.assert_allclose(conv, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
@@ -628,7 +636,6 @@ class TestLeanAnalysis:
         assert lean.xp is array_backend
         geometry = lean.geometry(operator)
         assert geometry.stride == stride
-        assert geometry.mode == ("grouped" if network == "non-uniform" else "convolution")
         forecast = ensemble
         for _ in range(2):  # the second reuses the cached geometry and workspace
             before = forecast.copy()
@@ -672,12 +679,8 @@ class TestGeometryCache:
             calls["n"] += 1
             return original(*args, **kwargs)
 
-        # Patch every module-level alias used by the analysis code paths
-        # (letkf.py no longer imports it since the reference path retired).
-        import repro.da.localization as loc_mod
-
+        # The kernel stencil (Grid2D.distance_stencil) is the one caller.
         monkeypatch.setattr(grid_mod, "periodic_distance_matrix", counted)
-        monkeypatch.setattr(loc_mod, "periodic_distance_matrix", counted)
         return calls
 
     def test_second_cycle_does_zero_distance_computations(self, monkeypatch):
@@ -694,27 +697,25 @@ class TestGeometryCache:
         letkf.analyze(ensemble, observation, operator)
         assert calls["n"] == 0  # static network: geometry fully cached
 
-        # Grouped mode: the footprint groups go to the device once per
-        # backend, whatever the batch bound, and never again.
+        # A non-uniform network: the kernel spectrum goes to the device once
+        # per backend, whatever the batch bound, and never again.
         n_obs = len(range(0, grid.size, 3))
         operator = SubsampledObservation.every_nth(grid.size, 3, 0.5 + rng.random(n_obs))
         observation = operator.observe(truth, rng=rng)
-        copies = {"n": 0}
-        original = FootprintGroup.to_device
-
-        def counted_to_device(self, xp):
-            copies["n"] += 1
-            return original(self, xp)
-
-        monkeypatch.setattr(FootprintGroup, "to_device", counted_to_device)
+        uploads = []
+        to_device = letkf.xp.to_device
+        monkeypatch.setattr(
+            letkf.xp, "to_device", lambda array: uploads.append(array) or to_device(array)
+        )
         for shard_columns in (100, 1024):
             letkf = LETKF(grid, LETKFConfig(shard_columns=shard_columns))
             geometry = letkf.geometry(operator)
-            assert geometry.mode == "grouped" and len(geometry.groups) > 1
-            copies["n"] = calls["n"] = 0
+            assert geometry.obs_weight is not None
+            uploads.clear()
+            calls["n"] = 0
             letkf.analyze(ensemble, observation, operator)
             letkf.analyze(ensemble, observation, operator)
-            assert copies["n"] == len(geometry.groups) and calls["n"] == 0
+            assert sum(a is geometry.kernel_rfft2 for a in uploads) == 1 and calls["n"] == 0
 
     def test_geometry_cached_per_network(self):
         grid, rng, ensemble, truth = _case(seed=8)
@@ -726,18 +727,6 @@ class TestGeometryCache:
         assert letkf.geometry(op_a) is geom_a
         assert letkf.geometry(op_b) is geom_b
         assert geom_a is not geom_b
-
-    def test_grouped_geometry_covers_all_columns(self):
-        grid = Grid2D(12, 10)
-        obs_columns = np.arange(grid.ny * grid.nx)[::4]
-        geometry = LocalAnalysisGeometry(
-            grid, obs_columns, 2.0e6, 0.5 + np.random.default_rng(0).random(obs_columns.size)
-        )
-        assert geometry.mode == "grouped"
-        covered = np.concatenate(
-            [g.columns for g in geometry.groups] + [geometry.empty_columns]
-        )
-        assert np.array_equal(np.sort(covered), np.arange(grid.ny * grid.nx))
 
 
 class TestFusedScorePath:

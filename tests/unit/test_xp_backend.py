@@ -196,10 +196,10 @@ class TestRoutedKernelBitIdentity:
             base.analyze(ensemble, observation, operator),
         )
 
-    @pytest.mark.parametrize("mode", ["convolution", "grouped"])
-    def test_letkf_serial_and_sharded(self, mode, array_backend):
+    @pytest.mark.parametrize("variance", ["uniform", "non-uniform"])
+    def test_letkf_serial_and_sharded(self, variance, array_backend):
         grid, rng, ensemble, truth = _case(seed=4)
-        if mode == "convolution":
+        if variance == "uniform":
             operator = IdentityObservation(grid.size, 1.2)
         else:
             operator = IdentityObservation(grid.size, 0.5 + rng.random(grid.size))
@@ -208,7 +208,6 @@ class TestRoutedKernelBitIdentity:
         routed = LETKF(
             grid, LETKFConfig(cutoff=4.0e6, backend=array_backend.name, shard_columns=50)
         )
-        assert routed.geometry(operator).mode == mode
         np.testing.assert_array_equal(
             routed.analyze(ensemble, observation, operator),
             base.analyze(ensemble, observation, operator),
@@ -284,7 +283,7 @@ class TestShardedTransferDiscipline:
         assert counts_small["h2d_calls"] == 4
         assert counts_small["d2h_calls"] == 1
 
-    def test_grouped_counts_independent_of_shard_columns(self):
+    def test_non_uniform_counts_independent_of_shard_columns(self):
         var = lambda n, rng: 0.5 + rng.random(n)
         counts_fine, batches_fine = self._sharded_counts((12, 12), 2, var)
         counts_coarse, batches_coarse = self._sharded_counts((12, 12), 1000, var)
@@ -294,10 +293,10 @@ class TestShardedTransferDiscipline:
         assert counts_fine == counts_coarse
         assert counts_fine["h2d_calls"] == 4 and counts_fine["d2h_calls"] == 1
 
-    def test_serial_grouped_steady_state_transfers_constant(self):
-        """In-process grouped path: per-cycle traffic is the statistics + the
-        result, independent of the number of footprint groups and of the
-        batch bound (the groups' device copies are cached on the geometry)."""
+    def test_serial_non_uniform_steady_state_transfers_constant(self):
+        """In-process non-uniform network: per-cycle traffic is the weighted
+        statistics + the result, independent of the batch bound (the kernel
+        spectrum's device copy is cached on the geometry)."""
         grid, rng, ensemble, truth = _case(seed=8)
         operator = IdentityObservation(grid.size, 0.5 + rng.random(grid.size))
         observation = operator.observe(truth, rng=rng)
@@ -311,6 +310,6 @@ class TestShardedTransferDiscipline:
             xp.reset_transfers()
             letkf.analyze(ensemble, observation, operator)
             counts = xp.transfer_counts()
-            # local_pert, local_mean, y_pert.T, innovation in; analysis out
+            # weighted y_pert and innovation, local_pert, local_mean in; analysis out
             assert counts["h2d_calls"] == 4
             assert counts["d2h_calls"] == 1
