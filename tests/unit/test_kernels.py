@@ -728,6 +728,28 @@ class TestGeometryCache:
         assert letkf.geometry(op_b) is geom_b
         assert geom_a is not geom_b
 
+    @pytest.mark.parametrize("cutoff", [1.5e6, 4.0e6])  # stride 1 and 2
+    def test_empty_columns_are_exactly_the_unreached(self, cutoff):
+        """The FFT reach count agrees with a direct minimum-image search:
+        an analysis column is empty iff no observation lies within the
+        Gaspari-Cohn support (twice the cut-off).  The observed 3x3 patch
+        sits at the grid corner, so the reach wraps around both axes."""
+        grid = Grid2D(24, 20)
+        rng = np.random.default_rng(0)
+        obs_columns = (np.arange(3)[:, None] * grid.nx + np.arange(3)).ravel()
+        geometry = LocalAnalysisGeometry(
+            grid, obs_columns, cutoff, 0.5 + rng.random(obs_columns.size)
+        )
+        iy, ix = np.divmod(geometry.columns, grid.nx)
+        oy, ox = np.divmod(obs_columns, grid.nx)
+        dy = np.abs(iy[:, None] - oy[None, :]) * grid.dy
+        dx = np.abs(ix[:, None] - ox[None, :]) * grid.dx
+        dy = np.minimum(dy, grid.ly - dy)
+        dx = np.minimum(dx, grid.lx - dx)
+        reached = np.any(np.hypot(dx, dy) < 2.0 * cutoff, axis=1)
+        assert 0 < geometry.empty_columns.size < geometry.n_columns
+        np.testing.assert_array_equal(geometry.empty_columns, np.flatnonzero(~reached))
+
 
 class TestFusedScorePath:
     def test_log_weights_clamped_nonpositive(self):
