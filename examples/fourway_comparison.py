@@ -19,7 +19,7 @@ def main() -> None:
     parser.add_argument(
         "--paper-scale",
         action="store_true",
-        help="use the paper's 64x64 grid and 300 cycles (takes hours)",
+        help="use the paper's 64x64 grid and 300 cycles (~13 min on 2 vCPUs)",
     )
     args = parser.parse_args()
 

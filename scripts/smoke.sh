@@ -39,8 +39,8 @@
 #      silently rot between benchmark refreshes; the recorded curves behind
 #      the derived constants (_CFL_MAX, the LETKF's _ASSEMBLY_BYTES) must
 #      name the constants the code holds.
-#   6. The streaming cycle engine must run a degraded observation scenario
-#      (dropout + rotating partial coverage) end to end, and a
+#   6. The cycle engine must run a partial observation network (every
+#      other Lorenz-96 variable observed) end to end, and a
 #      checkpoint/kill/resume round-trip must land on a bit-identical final
 #      analysis mean (the restartable-300-cycle-run contract).
 #   7. The fault-tolerant runtime must replay a recorded fault sequence
@@ -263,14 +263,14 @@ for path, spec in SPECS.items():
 print("BENCH schema OK")
 EOF
 
-echo "== smoke 6/9: streaming scenario end-to-end + checkpoint/kill/resume =="
+echo "== smoke 6/9: partial observation network end-to-end + checkpoint/kill/resume =="
 python - <<'EOF'
 import os
 import tempfile
 
 import numpy as np
 
-from repro.core.observations import IdentityObservation, ObservationScenario, coverage_windows
+from repro.core.observations import SubsampledObservation
 from repro.da.cycling import OSSEConfig, run_osse
 from repro.core.ensf import EnSF, EnSFConfig
 from repro.models.lorenz96 import Lorenz96
@@ -279,17 +279,9 @@ from repro.workflow.engine import EngineCheckpoint
 DIM = 40
 model = Lorenz96(dim=DIM)
 truth0 = model.spinup(300, rng=0)
-operator = IdentityObservation(DIM, obs_error_var=0.5)
-# Degraded streaming network: rotating half-domain coverage windows, each
-# scheduled measurement lost with 30% probability.
-scenario = ObservationScenario(
-    name="dropout+partial",
-    dropout=0.3,
-    operators=coverage_windows(DIM, 2, obs_error_var=0.5),
-)
-config = OSSEConfig(
-    n_cycles=10, steps_per_cycle=4, ensemble_size=10, seed=17, scenario=scenario
-)
+# Partial network: every other state variable observed, every cycle.
+operator = SubsampledObservation.every_nth(DIM, 2, obs_error_var=0.5)
+config = OSSEConfig(n_cycles=10, steps_per_cycle=4, ensemble_size=10, seed=17)
 
 def run(**kwargs):
     return run_osse(
@@ -309,7 +301,7 @@ with tempfile.TemporaryDirectory() as tmp:
     resumed = run(resume=path)
 assert np.array_equal(resumed.analysis_mean_final, full.analysis_mean_final)
 assert np.array_equal(resumed.analysis_rmse, full.analysis_rmse)
-print("scenario run OK; checkpoint/kill/resume bit-identical")
+print("partial-network run OK; checkpoint/kill/resume bit-identical")
 EOF
 
 echo "== smoke 7/9: recorded fault-sequence replay (REPRO_FAULT_PLAN) =="

@@ -1,5 +1,5 @@
 """Observation operators, observation-error models (Eq. 2) and the
-streaming observation subsystem.
+per-cycle observation stream.
 
 All filters in this library (EnSF, LETKF) interact with observations
 through :class:`ObservationOperator`, which bundles the forward map
@@ -7,15 +7,12 @@ through :class:`ObservationOperator`, which bundles the forward map
 the Kalman-gain algebra), and the Gaussian observation-error covariance
 ``R_k`` (assumed diagonal, as in the paper where ``R = I``).
 
-The *streaming* layer (:class:`ObservationScenario`,
-:class:`ObservationStream`) sits on top of the operators: a scenario
-describes the per-cycle observation protocol of a real-time network —
-observations every ``k``-th cycle, random message loss (dropout), arrival
-latency that defers an observation to a later analysis, and alternating
-multi-operator networks (e.g. rotating partial-coverage windows built with
-:func:`coverage_windows`) — and a stream instantiates it as a reproducible
-sequence of :class:`ObservationEvent`\\ s for the cycle engine
-(:mod:`repro.workflow.engine`).
+:class:`ObservationStream` sits on top of one operator: it takes one
+measurement of the truth per cycle (§IV-A: every 12-hour analysis time) as
+an :class:`ObservationEvent` for the cycle engine
+(:mod:`repro.workflow.engine`), on a reproducible noise stream, and owns the
+``"observations"`` fault-injection site.  Partial networks are operators
+(:meth:`SubsampledObservation.every_nth`, :class:`NonlinearObservation`).
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from __future__ import annotations
 import copy
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +33,10 @@ __all__ = [
     "LinearObservation",
     "SubsampledObservation",
     "NonlinearObservation",
-    "ObservationScenario",
     "ObservationEvent",
     "ObservationStream",
     "ObservationQC",
     "QCReport",
-    "coverage_windows",
 ]
 
 
@@ -217,105 +212,15 @@ class NonlinearObservation(ObservationOperator):
 
 
 # --------------------------------------------------------------------------- #
-# Streaming observation subsystem
+# Observation stream
 # --------------------------------------------------------------------------- #
-
-
-def coverage_windows(
-    state_dim: int, n_windows: int, obs_error_var: float | np.ndarray = 1.0
-) -> tuple[SubsampledObservation, ...]:
-    """Partition the state into ``n_windows`` contiguous coverage windows.
-
-    Returns one :class:`SubsampledObservation` per window; used with
-    :class:`ObservationScenario` multi-operator alternation this models a
-    scanning instrument that only sees part of the domain each cycle (every
-    state variable is revisited once per ``n_windows`` scheduled cycles).
-    """
-    if n_windows < 1 or n_windows > state_dim:
-        raise ValueError("n_windows must lie in [1, state_dim]")
-    edges = np.linspace(0, state_dim, n_windows + 1).astype(int)
-    return tuple(
-        SubsampledObservation(state_dim, np.arange(lo, hi), obs_error_var)
-        for lo, hi in zip(edges[:-1], edges[1:])
-    )
-
-
-@dataclass(frozen=True)
-class ObservationScenario:
-    """Per-cycle observation protocol of a (possibly degraded) network.
-
-    The default scenario — one observation of the configured operator at
-    every cycle, never lost, never late — reproduces the paper's idealized
-    OSSE protocol exactly (the cycling drivers are bit-identical to their
-    pre-scenario behaviour under it).
-
-    Attributes
-    ----------
-    every:
-        Measure only on cycles with ``(cycle - start) % every == 0``
-        (``every = 1``: every cycle).
-    dropout:
-        Probability that a scheduled measurement is lost before it reaches
-        the analysis (drawn from the stream's dedicated schedule rng, so the
-        observation-noise stream is untouched by the schedule).
-    latency:
-        Number of cycles between the measurement and its availability to the
-        analysis; a latent observation is assimilated — against the newer
-        forecast — at the first analysis time ``>= cycle + latency``.
-    start:
-        First cycle eligible for a measurement.
-    operators:
-        Alternating observation-operator network: scheduled cycle ``j`` uses
-        ``operators[j % len(operators)]`` (e.g. rotating coverage windows
-        from :func:`coverage_windows`).  Empty = the driver's default
-        operator.
-    name:
-        Label recorded in diagnostics.
-    """
-
-    name: str = "full"
-    every: int = 1
-    dropout: float = 0.0
-    latency: int = 0
-    start: int = 0
-    operators: tuple[ObservationOperator, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.every < 1:
-            raise ValueError("every must be at least 1")
-        if not 0.0 <= self.dropout <= 1.0:
-            raise ValueError("dropout must lie in [0, 1]")
-        if self.latency < 0 or self.start < 0:
-            raise ValueError("latency and start must be non-negative")
-        object.__setattr__(self, "operators", tuple(self.operators))
-
-    @property
-    def is_idealized(self) -> bool:
-        """True for the paper's protocol (full obs, every cycle, on time)."""
-        return (
-            self.every == 1
-            and self.dropout == 0.0
-            and self.latency == 0
-            and self.start == 0
-            and not self.operators
-        )
-
-    def scheduled(self, cycle: int) -> bool:
-        """Is a measurement scheduled at ``cycle``?"""
-        return cycle >= self.start and (cycle - self.start) % self.every == 0
-
-    def operator_index(self, cycle: int, n_operators: int) -> int:
-        """Index of the network operator used at scheduled ``cycle``."""
-        return ((cycle - self.start) // self.every) % n_operators
 
 
 @dataclass
 class ObservationEvent:
-    """One measurement: taken at ``cycle``, usable from ``available_at`` on."""
+    """One measurement of the truth, taken and assimilated at ``cycle``."""
 
     cycle: int
-    available_at: int
-    operator_index: int
     operator: ObservationOperator
     observation: np.ndarray
 
@@ -339,8 +244,7 @@ class ObservationQC:
     filter), and an optional gross-error check rejecting values whose
     innovation against the forecast mean exceeds ``gross_threshold``
     standard deviations of the operator's observation error
-    (``sqrt(obs_error_var)``).  ``per_operator`` overrides the threshold by
-    operator class name (e.g. a laxer bound for ``"NonlinearObservation"``).
+    (``sqrt(obs_error_var)``).
 
     Rejection is per *event*: the event is dropped once more than
     ``max_bad_fraction`` of its values fail (default 0.0 — one bad value
@@ -350,7 +254,6 @@ class ObservationQC:
     """
 
     gross_threshold: float | None = None
-    per_operator: dict = field(default_factory=dict)
     max_bad_fraction: float = 0.0
 
     def __post_init__(self) -> None:
@@ -359,15 +262,11 @@ class ObservationQC:
         if not 0.0 <= self.max_bad_fraction <= 1.0:
             raise ValueError("max_bad_fraction must lie in [0, 1]")
 
-    def threshold_for(self, operator: ObservationOperator) -> float | None:
-        """Gross-error threshold (in σ units) applying to ``operator``."""
-        return self.per_operator.get(type(operator).__name__, self.gross_threshold)
-
     def check(self, event: ObservationEvent, forecast_mean: np.ndarray | None = None) -> QCReport:
         """Judge ``event`` against the forecast mean (``None``: finite-only)."""
         obs = np.asarray(event.observation, dtype=float)
         bad = ~np.isfinite(obs)
-        threshold = self.threshold_for(event.operator)
+        threshold = self.gross_threshold
         if threshold is not None and forecast_mean is not None:
             predicted = event.operator.apply(np.asarray(forecast_mean, dtype=float))
             sigma = np.sqrt(event.operator.obs_error_var)
@@ -407,90 +306,61 @@ def _corrupt_observation(observation: np.ndarray, payload: dict) -> np.ndarray:
 
 
 class ObservationStream:
-    """Reproducible per-cycle stream of observation events for one scenario.
+    """Reproducible stream of one measurement per cycle through one operator.
 
     Parameters
     ----------
-    operators:
-        A single operator or the scenario's alternating network.  When the
-        scenario itself carries ``operators`` they take precedence.
-    scenario:
-        The protocol; ``None`` means the idealized default.
+    operator:
+        The observation operator of every measurement.
     rng:
-        Observation-noise stream (generator or seed).  Under the idealized
-        scenario the draws are identical, cycle for cycle, to the historical
+        Observation-noise stream (generator or seed).  The draws are
+        identical, cycle for cycle, to the historical
         ``operator.observe(truth, rng=rng_obs)`` loop — which is what keeps
         the engine-backed drivers bit-identical to their predecessors.
-    schedule_rng:
-        Separate stream for dropout decisions, so degrading the schedule
-        never shifts the noise realisations of the measurements that survive
-        their own cycle's draw.
     fault_plan / fault_log:
         Deterministic fault injection (see :mod:`repro.utils.faults`); the
         stream owns the ``"observations"`` site, visited once per
-        measurement actually taken.  Corruption is applied *after* the
-        noise draw and without consuming any rng, so an injected run's
-        surviving measurements are bit-identical to a clean run's.  The
-        plan defaults to ``FaultPlan.from_env()`` (usually unset).
+        measurement.  Corruption is applied *after* the noise draw and
+        without consuming any rng, so an injected run's genuine measurements
+        are bit-identical to a clean run's.  The plan defaults to
+        ``FaultPlan.from_env()`` (usually unset).
     """
 
     def __init__(
         self,
-        operators: ObservationOperator | tuple[ObservationOperator, ...] | list,
-        scenario: ObservationScenario | None = None,
+        operator: ObservationOperator,
         rng: np.random.Generator | int | None = None,
-        schedule_rng: np.random.Generator | int | None = None,
         fault_plan: FaultPlan | None = None,
         fault_log: FaultLog | None = None,
     ) -> None:
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
         self.fault_log = fault_log if fault_log is not None else FaultLog()
-        self.scenario = scenario or ObservationScenario()
-        if isinstance(operators, ObservationOperator):
-            operators = (operators,)
-        if self.scenario.operators:
-            operators = self.scenario.operators
-        self.operators = tuple(operators)
-        if not self.operators:
-            raise ValueError("an observation stream needs at least one operator")
-        if len({op.state_dim for op in self.operators}) != 1:
-            raise ValueError("all network operators must share one state_dim")
+        self.operator = operator
         self.rng = default_rng(rng)
-        self.schedule_rng = default_rng(schedule_rng)
-        self._pending: list[ObservationEvent] = []
 
-    # -- per-cycle protocol ------------------------------------------------ #
-    def measure(self, cycle: int, truth: np.ndarray) -> ObservationEvent | None:
-        """Take this cycle's measurement (if scheduled and not dropped)."""
-        scenario = self.scenario
-        if not scenario.scheduled(cycle):
-            return None
-        if scenario.dropout > 0.0 and self.schedule_rng.random() < scenario.dropout:
-            return None
-        index = scenario.operator_index(cycle, len(self.operators))
-        operator = self.operators[index]
+    def advance(self, cycle: int, truth: np.ndarray) -> list[ObservationEvent]:
+        """Measure the truth at ``cycle``: the event, then any injected duplicate."""
         event = ObservationEvent(
             cycle=cycle,
-            available_at=cycle + scenario.latency,
-            operator_index=index,
-            operator=operator,
-            observation=operator.observe(truth, rng=self.rng),
+            operator=self.operator,
+            observation=self.operator.observe(truth, rng=self.rng),
         )
-        self._pending.append(event)
+        events = [event]
         if self.fault_plan is not None:
-            self._inject_faults(event)
-        return event
+            events += self._inject_faults(event)
+        return events
 
-    def _inject_faults(self, event: ObservationEvent) -> None:
+    def _inject_faults(self, event: ObservationEvent) -> list[ObservationEvent]:
         """Fire this measurement's ``"observations"``-site fault events.
 
-        ``"spurious"`` mode (default) queues an *additional* corrupted
+        ``"spurious"`` mode (default) returns an *additional* corrupted
         duplicate of the measurement — the garbage retransmission QC must
         reject, leaving the genuine event untouched (bit-identical
         recovery).  ``"in-place"`` corrupts the genuine measurement itself —
         recoverable only by skipping it (QC) or rewinding past it
         (reset-from-checkpoint).
         """
+        duplicates = []
         for fault in self.fault_plan.visit("observations"):
             if fault.kind != "obs-corrupt":
                 continue
@@ -500,45 +370,20 @@ class ObservationStream:
                 event.observation = corrupted
                 detail = f"in-place corruption of cycle-{event.cycle} measurement"
             else:
-                self._pending.append(
+                duplicates.append(
                     ObservationEvent(
-                        cycle=event.cycle,
-                        available_at=event.available_at,
-                        operator_index=event.operator_index,
-                        operator=event.operator,
-                        observation=corrupted,
+                        cycle=event.cycle, operator=event.operator, observation=corrupted
                     )
                 )
                 detail = f"spurious corrupted duplicate of cycle-{event.cycle} measurement"
             self.fault_log.record("observations", "obs-corrupt", detail, cycle=event.cycle)
-
-    def deliver(self, cycle: int) -> list[ObservationEvent]:
-        """Pop every pending event that has arrived by ``cycle`` (in order)."""
-        ready = [e for e in self._pending if e.available_at <= cycle]
-        self._pending = [e for e in self._pending if e.available_at > cycle]
-        return ready
-
-    def advance(self, cycle: int, truth: np.ndarray) -> list[ObservationEvent]:
-        """Measure at ``cycle`` and return everything deliverable there."""
-        self.measure(cycle, truth)
-        return self.deliver(cycle)
-
-    @property
-    def pending(self) -> tuple[ObservationEvent, ...]:
-        """Measurements still in flight (scheduled but not yet delivered)."""
-        return tuple(self._pending)
+        return duplicates
 
     # -- checkpointing ----------------------------------------------------- #
     def state_dict(self) -> dict:
-        """Serializable stream state (rng states + in-flight events)."""
-        return {
-            "rng": copy.deepcopy(self.rng.bit_generator.state),
-            "schedule_rng": copy.deepcopy(self.schedule_rng.bit_generator.state),
-            "pending": copy.deepcopy(self._pending),
-        }
+        """Serializable stream state (the noise rng)."""
+        return {"rng": copy.deepcopy(self.rng.bit_generator.state)}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (bit-exact resume)."""
         self.rng.bit_generator.state = copy.deepcopy(state["rng"])
-        self.schedule_rng.bit_generator.state = copy.deepcopy(state["schedule_rng"])
-        self._pending = copy.deepcopy(state["pending"])

@@ -9,13 +9,11 @@ data assimilation) for the "SQG only" and "ViT only" curves of Fig. 4.
 
 Both drivers are thin wrappers over the unified
 :class:`~repro.workflow.engine.CycleEngine` (they configure its stage
-pipeline and map the engine result back onto :class:`CyclingResult`); under
-the default idealized observation protocol they are bit-identical to the
-historical inlined loops.  :class:`OSSEConfig` also carries a run's
-policies — an :class:`~repro.core.observations.ObservationScenario`
-(sparse / lossy / latent / multi-operator networks), observation QC, a cycle
-deadline and a divergence policy — and :func:`run_osse` takes the engine
-checkpointing knobs for restartable paper-scale runs.  Given an
+pipeline and map the engine result back onto :class:`CyclingResult`) and
+are bit-identical to the historical inlined loops.  :class:`OSSEConfig`
+also carries a run's policies — observation QC, a cycle deadline and a
+divergence policy — and :func:`run_osse` takes the engine checkpointing
+knobs for restartable paper-scale runs.  Given an
 ``online_trainer``, :func:`run_osse` is the real-time workflow of Fig. 1:
 surrogate forecast → EnSF analysis → online surrogate training, with each
 stage's wall seconds on the cycle's record.
@@ -31,7 +29,6 @@ from repro.core.filters import EnsembleFilter
 from repro.core.observations import (
     ObservationOperator,
     ObservationQC,
-    ObservationScenario,
     ObservationStream,
 )
 from repro.models.base import ForecastModel
@@ -59,6 +56,9 @@ __all__ = ["OSSEConfig", "CyclingResult", "run_osse", "free_run", "rmse"]
 class OSSEConfig:
     """Configuration of one OSSE cycling experiment.
 
+    Every cycle observes the truth once, through :func:`run_osse`'s
+    ``operator`` (the paper's protocol, §IV-A).
+
     Attributes
     ----------
     n_cycles:
@@ -73,12 +73,6 @@ class OSSEConfig:
     apply_model_error_to_truth:
         Add the stochastic model-error mixture to the truth between cycles
         (the paper's imperfect-model scenario).
-    scenario:
-        Optional :class:`~repro.core.observations.ObservationScenario`
-        degrading the idealized protocol (obs every k-th cycle, dropout,
-        latency, alternating partial-coverage operator networks — scenario
-        operators override ``operator``).  ``None`` or the default scenario
-        reproduce the historical behaviour bit-identically.
     qc:
         Optional :class:`~repro.core.observations.ObservationQC` screening
         every observation event before its analysis.
@@ -95,7 +89,6 @@ class OSSEConfig:
     ensemble_size: int = 20
     seed: int = 0
     apply_model_error_to_truth: bool = True
-    scenario: ObservationScenario | None = None
     qc: ObservationQC | None = None
     cycle_deadline_s: float | None = None
     divergence: DivergencePolicy | None = None
@@ -285,12 +278,7 @@ def run_osse(
     observations = analysis = None
     if filter_ is not None:
         stream = ObservationStream(
-            operator,
-            config.scenario,
-            rng=rng_obs,
-            schedule_rng=seeds.rng("observation-schedule"),
-            fault_plan=fault_plan,
-            fault_log=fault_log,
+            operator, rng=rng_obs, fault_plan=fault_plan, fault_log=fault_log
         )
         observations = ObservationStage(stream)
         analysis = FilterAnalysisStage(filter_)
@@ -353,10 +341,10 @@ def free_run(
     control.  The records carry the same per-stage wall seconds as
     :func:`run_osse` (``analysis_s`` reads ``0.0``).  A free run has no
     observation or analysis stage, so a ``config`` that sets a run policy
-    (``scenario``, ``qc``, ``cycle_deadline_s`` or ``divergence``) is
-    refused with ``ValueError``.
+    (``qc``, ``cycle_deadline_s`` or ``divergence``) is refused with
+    ``ValueError``.
     """
-    policies = ("scenario", "qc", "cycle_deadline_s", "divergence")
+    policies = ("qc", "cycle_deadline_s", "divergence")
     set_policies = [name for name in policies if getattr(config, name) is not None]
     if set_policies:
         raise ValueError(f"free_run has no analysis stage to apply {set_policies} to")

@@ -31,7 +31,7 @@ Injection sites
     catch it).  ``payload["job"]`` selects the shard (index into the batch,
     default 0).
 ``"observations"``
-    Visited once per measurement actually taken by an
+    Visited once per measurement (once per cycle) taken by an
     :class:`~repro.core.observations.ObservationStream`.  Kind
     ``"obs-corrupt"``: ``payload["mode"]`` is ``"spurious"`` (default —
     deliver an *additional* corrupted duplicate of the measurement, the

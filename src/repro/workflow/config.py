@@ -16,7 +16,8 @@ class ExperimentConfig:
     The paper's full setting is a 64×64×2 SQG mesh observed every 12 hours
     (72 model steps at dt = 600 s) for 300 cycles with a 20-member ensemble.
     The defaults here are a reduced configuration that runs in about a minute
-    on a laptop; the benchmark harness scales it up via environment options.
+    on a laptop; the Fig. 4 / Fig. 5 benchmarks switch to :meth:`paper_scale`
+    when ``full_scale()`` in ``benchmarks/conftest.py`` says so.
 
     Attributes
     ----------
@@ -69,7 +70,11 @@ class ExperimentConfig:
 
     @classmethod
     def paper_scale(cls) -> "ExperimentConfig":
-        """The configuration closest to the paper's §IV-A setup (slow: ~hours)."""
+        """The configuration closest to the paper's §IV-A setup.
+
+        Slow: the four arms of ``examples/fourway_comparison.py`` took
+        12.5 min together on a 2-vCPU host.
+        """
         return cls(
             nx=64,
             ny=64,

@@ -12,10 +12,9 @@ and the two drivers :func:`repro.da.cycling.run_osse` (with an
     :class:`TruthStage` — hidden-truth evolution plus the stochastic
     model-error mixture.
 ``observations``
-    :class:`ObservationStage` — a scenario-driven
-    :class:`~repro.core.observations.ObservationStream` (obs every k-th
-    cycle, dropout, latency, alternating partial-coverage networks); omitted
-    for free runs.
+    :class:`ObservationStage` — an
+    :class:`~repro.core.observations.ObservationStream` measuring the truth
+    once per cycle through one operator; omitted for free runs.
 ``forecast``
     :class:`EnsembleForecastStage` (member-parallel through an
     :class:`~repro.hpc.ensemble_parallel.EnsembleExecutor`) or
@@ -34,8 +33,8 @@ All stages consume named rng streams only, so the engine-backed drivers are
 equivalence suite in ``tests/unit/test_engine.py``) — except that an SQG
 ensemble now steps at the coarser step its CFL allows (same law, not the
 same bits; see :class:`EnsembleForecastStage`).  The engine also
-checkpoints: :meth:`CycleEngine.checkpoint` serializes truth/ensemble state,
-per-stage rng streams and in-flight observations, and
+checkpoints: :meth:`CycleEngine.checkpoint` serializes truth/ensemble state
+and per-stage rng streams, and
 :meth:`CycleEngine.run` resumes from a checkpoint bit-identically — which is
 what makes paper-scale 300-cycle runs restartable.
 """
@@ -189,15 +188,15 @@ class EngineCheckpoint:
     """Everything needed to resume a cycling run bit-identically.
 
     ``stage_state`` maps pipeline-slot names to the owning stage's
-    :meth:`state_dict` (rng bit-generator states, in-flight observation
-    events, the online trainer's previous analysis mean).  Loading a
-    checkpoint into an engine with a different slot layout — or whose
-    ``fingerprint`` (stage classes, steps per cycle, observation-scenario
-    parameters, model/filter types) drifted from the checkpointing engine —
-    is refused, since a silently-accepted mismatch would void the
-    bit-identical-resume contract.  The fingerprint is a drift tripwire,
-    not a proof: numerical knobs it cannot see (e.g. a filter's SDE step
-    count) remain the caller's responsibility.
+    :meth:`state_dict` (rng bit-generator states, the online trainer's
+    previous analysis mean).  Loading a checkpoint into an engine with a
+    different slot layout — or whose ``fingerprint`` (stage classes, steps
+    per cycle, observation operator, model/filter types) drifted from the
+    checkpointing engine — is refused, since a silently-accepted mismatch
+    would void the bit-identical-resume contract.  The fingerprint is a
+    drift tripwire, not a proof: numerical knobs it cannot see (e.g. a
+    filter's SDE step count or an operator's indices) remain the caller's
+    responsibility.
     """
 
     next_cycle: int
@@ -442,7 +441,7 @@ class TruthStage:
 
 
 class ObservationStage:
-    """Measure and deliver this cycle's observation events from the stream."""
+    """Take this cycle's observation events from the stream."""
 
     def __init__(self, stream: ObservationStream) -> None:
         self.stream = stream
@@ -612,10 +611,9 @@ class CycleEngine:
     observations:
         :class:`ObservationStage` or ``None`` (free runs).
     analysis:
-        :class:`FilterAnalysisStage` or ``None``; each delivered observation
-        event triggers one analysis (late arrivals can yield several per
-        cycle, schedule gaps none), and ``CycleRecord.analysis_s`` sums
-        their wall time.
+        :class:`FilterAnalysisStage` or ``None``; each observation event
+        triggers one analysis (one per cycle, plus any injected spurious
+        duplicate), and ``CycleRecord.analysis_s`` sums their wall time.
     post_analysis:
         :class:`OnlineTrainingStage` or ``None``.
     executor:
@@ -692,8 +690,8 @@ class CycleEngine:
 
         Captures what a resuming engine must not have drifted on for the
         bit-identical contract to be meaningful: stage classes, steps per
-        cycle, the model/filter types and the observation-scenario
-        parameters (schedule, dropout, latency, operator network shape).
+        cycle, the model/filter types and the observation operator (class
+        and shape).
         """
         fingerprint: dict[str, dict] = {}
         for name, stage in self._stages().items():
@@ -707,17 +705,8 @@ class CycleEngine:
                     desc[attr] = type(obj).__name__
             stream = getattr(stage, "stream", None)
             if stream is not None:
-                scenario = stream.scenario
-                desc["scenario"] = {
-                    "name": scenario.name,
-                    "every": scenario.every,
-                    "dropout": scenario.dropout,
-                    "latency": scenario.latency,
-                    "start": scenario.start,
-                }
-                desc["operators"] = [
-                    (type(op).__name__, op.state_dim, op.obs_dim) for op in stream.operators
-                ]
+                op = stream.operator
+                desc["operator"] = (type(op).__name__, op.state_dim, op.obs_dim)
             fingerprint[name] = desc
         return fingerprint
 

@@ -9,7 +9,6 @@ from repro.core.ensf import EnSF, EnSFConfig
 from repro.core.observations import (
     IdentityObservation,
     ObservationQC,
-    ObservationScenario,
     SubsampledObservation,
 )
 from repro.da.cycling import OSSEConfig, free_run, run_osse
@@ -234,7 +233,6 @@ class TestCycling:
     @pytest.mark.parametrize(
         "policy",
         [
-            {"scenario": ObservationScenario(every=2)},
             {"qc": ObservationQC()},
             {"cycle_deadline_s": 1.0},
             {"divergence": DivergencePolicy(spread_max=10.0)},

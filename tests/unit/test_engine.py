@@ -1,6 +1,6 @@
 """Cycle-engine certification suite.
 
-Three layers of coverage for :mod:`repro.workflow.engine`:
+Two layers of coverage for :mod:`repro.workflow.engine`:
 
 * **Golden equivalence** — verbatim copies of the pre-refactor inlined
   loops (the OSSE, the free run and the real-time workflow) are kept here
@@ -8,14 +8,10 @@ Three layers of coverage for :mod:`repro.workflow.engine`:
   RMSE/spread trajectories and final states *bit-identically* for seeded
   LETKF and EnSF configurations, serially and through an ``n_workers=2``
   executor.
-* **Scenario matrix** — every streaming observation scenario (every-k,
-  dropout, partial coverage, latency, alternating multi-operator network)
-  runs reproducibly through the engine, and sparser schedules degrade the
-  mean analysis RMSE monotonically versus full observation.
 * **Checkpoint/restart** — a run interrupted mid-stream and resumed from an
   :class:`EngineCheckpoint` (in memory or from disk) is bit-identical to
-  the uninterrupted run, including rng-stream state and in-flight latent
-  observations.
+  the uninterrupted run, rng-stream state included, on a full and on a
+  partial observation network.
 """
 
 import dataclasses
@@ -29,9 +25,8 @@ from repro.core.ensf import EnSF, EnSFConfig
 from repro.core.filters import ensemble_statistics
 from repro.core.observations import (
     IdentityObservation,
-    ObservationScenario,
     ObservationStream,
-    coverage_windows,
+    SubsampledObservation,
 )
 from repro.da.cycling import CyclingResult, OSSEConfig, _initial_ensemble, free_run, rmse, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
@@ -304,107 +299,18 @@ class TestGoldenEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# Scenario matrix
-# --------------------------------------------------------------------------- #
-
-
-class TestScenarioMatrix:
-    CONFIG = OSSEConfig(n_cycles=8, steps_per_cycle=4, ensemble_size=10, seed=6)
-
-    def _run(self, testbed, scenario):
-        model, truth0, operator = testbed
-        config = dataclasses.replace(self.CONFIG, scenario=scenario)
-        return run_osse(model, model, _letkf(), operator, truth0, config)
-
-    def scenarios(self):
-        return {
-            "every_2": ObservationScenario(name="every_2", every=2),
-            "dropout": ObservationScenario(name="dropout", dropout=0.5),
-            "partial": ObservationScenario(
-                name="partial", operators=coverage_windows(DIM, 2, obs_error_var=0.5)
-            ),
-            "latency": ObservationScenario(name="latency", latency=1),
-            "multi_op": ObservationScenario(
-                name="multi_op",
-                operators=(
-                    IdentityObservation(DIM, obs_error_var=0.5),
-                    coverage_windows(DIM, 2, obs_error_var=0.5)[0],
-                ),
-            ),
-        }
-
-    @pytest.mark.parametrize(
-        "name", ["every_2", "dropout", "partial", "latency", "multi_op"]
-    )
-    def test_each_scenario_runs_and_reproduces(self, testbed, name):
-        scenario = self.scenarios()[name]
-        first = self._run(testbed, scenario)
-        second = self._run(testbed, scenario)
-        assert np.isfinite(first.analysis_rmse).all()
-        _assert_identical(first, second)
-
-    def test_sparser_schedules_degrade_rmse_monotonically(self, testbed):
-        """Fewer analyses => worse (or equal) mean RMSE, monotonically."""
-        means = [
-            self._run(
-                testbed, ObservationScenario(name=f"every_{k}", every=k)
-            ).mean_analysis_rmse
-            for k in (1, 2, 4)
-        ]
-        assert means[0] < means[1] < means[2]
-
-    def test_dropout_degrades_versus_full(self, testbed):
-        full = self._run(testbed, None).mean_analysis_rmse
-        lossy = self._run(
-            testbed, ObservationScenario(name="dropout", dropout=0.5)
-        ).mean_analysis_rmse
-        assert full < lossy
-
-    def test_latency_marks_cycles_observed_late(self, testbed):
-        model, truth0, operator = testbed
-        from repro.workflow.engine import (
-            CycleEngine,
-            EnsembleForecastStage,
-            FilterAnalysisStage,
-            ObservationStage,
-            TruthStage,
-        )
-        from repro.core.observations import ObservationStream
-
-        seeds = SeedSequenceFactory(0)
-        engine = CycleEngine(
-            truth=TruthStage(model, 2),
-            observations=ObservationStage(
-                ObservationStream(
-                    operator,
-                    ObservationScenario(latency=2),
-                    rng=seeds.rng("observations"),
-                    schedule_rng=seeds.rng("observation-schedule"),
-                )
-            ),
-            forecast=EnsembleForecastStage(model, 2),
-            analysis=FilterAnalysisStage(_letkf()),
-        )
-        ens0 = truth0[None, :] + np.random.default_rng(1).standard_normal((6, DIM))
-        result = engine.run(truth0, ens0, 5)
-        assert [r.observed for r in result.records] == [False, False, True, True, True]
-
-
-# --------------------------------------------------------------------------- #
 # Checkpoint / restart
 # --------------------------------------------------------------------------- #
 
 
 class TestCheckpointRestart:
-    CONFIG = OSSEConfig(
-        n_cycles=8, steps_per_cycle=4, ensemble_size=10, seed=9,
-        scenario=ObservationScenario(name="stress", dropout=0.3, latency=1),
-    )
+    CONFIG = OSSEConfig(n_cycles=8, steps_per_cycle=4, ensemble_size=10, seed=9)
 
-    def _run(self, testbed, **kwargs):
-        model, truth0, operator = testbed
+    def _run(self, testbed, operator=None, **kwargs):
+        model, truth0, full = testbed
         return run_osse(
-            model, model, _ensf(rng=SeedSequenceFactory(9).rng("filter")), operator,
+            model, model, _ensf(rng=SeedSequenceFactory(9).rng("filter")),
+            full if operator is None else operator,
             truth0, self.CONFIG, store_history=True, **kwargs,
         )
 
@@ -423,6 +329,21 @@ class TestCheckpointRestart:
         np.testing.assert_array_equal(
             resumed.analysis_mean_history, uninterrupted.analysis_mean_history
         )
+
+    def test_partial_network_resume_is_bit_identical(self, testbed, tmp_path):
+        """Every other variable observed: the resume is still bit-identical."""
+        operator = SubsampledObservation.every_nth(DIM, 2, obs_error_var=0.5)
+        path = tmp_path / "engine.ckpt"
+        uninterrupted = self._run(
+            testbed, operator, checkpoint_every=5, checkpoint_path=path
+        )
+        assert EngineCheckpoint.load(path).next_cycle == 5
+        resumed = self._run(testbed, operator, resume=path)
+        _assert_identical(resumed, uninterrupted)
+        np.testing.assert_array_equal(
+            resumed.analysis_mean_history, uninterrupted.analysis_mean_history
+        )
+        assert np.isfinite(uninterrupted.analysis_rmse).all()
 
     def test_checkpoint_without_stage_seconds_resumes_bit_identically(
         self, testbed, tmp_path
@@ -450,19 +371,18 @@ class TestCheckpointRestart:
         assert all(r.forecast_s > 0.0 for r in resumed.records[5:])
 
     def test_checkpoint_rejects_parameter_drift(self, testbed, tmp_path):
-        """A checkpoint resumed under an edited scenario (or steps-per-cycle)
-        must be refused: slot names still match, so only the pipeline
-        fingerprint can catch the drift before it silently voids the
-        bit-identical-resume contract."""
-        model, truth0, operator = testbed
+        """A checkpoint resumed under an edited observation operator (or
+        steps-per-cycle) must be refused: slot names and the state dimension
+        still match, so only the pipeline fingerprint can catch the drift
+        before it silently voids the bit-identical-resume contract."""
+        model, truth0, _ = testbed
         path = tmp_path / "engine.ckpt"
         self._run(testbed, checkpoint_every=5, checkpoint_path=path)
-        drifted = dataclasses.replace(
-            self.CONFIG, scenario=ObservationScenario(name="stress", dropout=0.2, latency=1)
-        )
+        drifted = SubsampledObservation.every_nth(DIM, 2, obs_error_var=0.5)
+        assert drifted.state_dim == DIM
         with pytest.raises(ValueError, match="fingerprint"):
             run_osse(
-                model, model, _ensf(), operator, truth0, drifted,
+                model, model, _ensf(), drifted, truth0, self.CONFIG,
                 store_history=True, resume=path,
             )
 

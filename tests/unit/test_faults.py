@@ -30,7 +30,6 @@ from repro.core.observations import (
     IdentityObservation,
     ObservationEvent,
     ObservationQC,
-    ObservationScenario,
     ObservationStream,
 )
 from repro.da.cycling import CyclingResult, OSSEConfig, run_osse
@@ -478,8 +477,7 @@ class TestSelfHealingCheckpoints:
 
 def _event(operator, observation):
     return ObservationEvent(
-        cycle=0, available_at=0, operator_index=0,
-        operator=operator, observation=np.asarray(observation, dtype=float),
+        cycle=0, operator=operator, observation=np.asarray(observation, dtype=float)
     )
 
 
@@ -502,12 +500,8 @@ class TestObservationQC:
         # Without a forecast mean only the finite check can run.
         assert qc.check(_event(operator, np.full(4, 10.0))).ok
 
-    def test_per_operator_override_and_bad_fraction(self):
+    def test_bad_fraction(self):
         operator = IdentityObservation(4, obs_error_var=1.0)
-        laxer = ObservationQC(
-            gross_threshold=3.0, per_operator={"IdentityObservation": 100.0}
-        )
-        assert laxer.check(_event(operator, np.full(4, 10.0)), np.zeros(4)).ok
         tolerant = ObservationQC(max_bad_fraction=0.5)
         assert tolerant.check(_event(operator, [np.nan, 0.0, 0.0, 0.0])).ok
         assert not tolerant.check(_event(operator, [np.nan, np.nan, np.nan, 0.0])).ok
@@ -515,7 +509,7 @@ class TestObservationQC:
     def test_stream_spurious_duplicate_is_flagged(self):
         operator = IdentityObservation(4, obs_error_var=0.5)
         plan = FaultPlan.from_spec("obs-corrupt@observations:0,fraction=0.5")
-        stream = ObservationStream(operator, rng=1, schedule_rng=2, fault_plan=plan)
+        stream = ObservationStream(operator, rng=1, fault_plan=plan)
         events = stream.advance(0, np.zeros(4))
         assert len(events) == 2  # genuine + corrupted duplicate
         assert np.isfinite(events[0].observation).all()
@@ -532,11 +526,7 @@ class TestDegradedCycles:
             truth=TruthStage(model, 2),
             observations=ObservationStage(
                 ObservationStream(
-                    operator,
-                    ObservationScenario(),
-                    rng=seeds.rng("observations"),
-                    schedule_rng=seeds.rng("observation-schedule"),
-                    fault_plan=fault_plan,
+                    operator, rng=seeds.rng("observations"), fault_plan=fault_plan
                 )
             ),
             forecast=EnsembleForecastStage(model, 2),

@@ -653,7 +653,7 @@ class TestCyclingSurface:
         field count may fall here, never rise."""
         from repro.da.cycling import OSSEConfig
 
-        assert len(dataclasses.fields(OSSEConfig)) == 9
+        assert len(dataclasses.fields(OSSEConfig)) == 8
 
 
 class TestExecutorFaultLedger:

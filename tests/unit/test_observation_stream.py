@@ -1,20 +1,16 @@
-"""Unit tests for the streaming observation subsystem.
+"""Unit tests for the per-cycle observation stream.
 
-Covers the :class:`ObservationScenario` schedule algebra, the
-:class:`ObservationStream` event mechanics (dropout, latency, alternating
-multi-operator networks), seed-derived reproducibility and the
-checkpoint/restore state round-trip.
+Covers the :class:`ObservationStream` noise draws (draw for draw the
+historical ``operator.observe`` loop) and the checkpoint/restore state
+round-trip.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.observations import (
     IdentityObservation,
-    ObservationScenario,
     ObservationStream,
     SubsampledObservation,
-    coverage_windows,
 )
 from repro.utils.random import SeedSequenceFactory
 
@@ -25,73 +21,25 @@ def _truth(cycle: int) -> np.ndarray:
     return np.full(DIM, float(cycle))
 
 
-def _stream(scenario=None, operators=None, seed=0):
+def _stream(operator=None, seed=0):
     seeds = SeedSequenceFactory(seed)
     return ObservationStream(
-        operators if operators is not None else IdentityObservation(DIM),
-        scenario,
+        operator if operator is not None else IdentityObservation(DIM),
         rng=seeds.rng("observations"),
-        schedule_rng=seeds.rng("observation-schedule"),
     )
 
 
-def _drain(stream, n_cycles):
-    """Run the stream over n_cycles; returns {cycle: delivered events}."""
-    return {cycle: stream.advance(cycle, _truth(cycle)) for cycle in range(n_cycles)}
-
-
-class TestScenario:
-    def test_default_is_idealized(self):
-        scenario = ObservationScenario()
-        assert scenario.is_idealized
-        assert all(scenario.scheduled(c) for c in range(5))
-
-    def test_every_k_and_start(self):
-        scenario = ObservationScenario(every=3, start=2)
-        assert not scenario.is_idealized
-        assert [c for c in range(10) if scenario.scheduled(c)] == [2, 5, 8]
-
-    def test_operator_alternation_index(self):
-        scenario = ObservationScenario(every=2)
-        indices = [scenario.operator_index(c, 3) for c in range(0, 12, 2)]
-        assert indices == [0, 1, 2, 0, 1, 2]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ObservationScenario(every=0)
-        with pytest.raises(ValueError):
-            ObservationScenario(dropout=1.5)
-        with pytest.raises(ValueError):
-            ObservationScenario(latency=-1)
-        with pytest.raises(ValueError):
-            ObservationScenario(start=-2)
-
-
-class TestCoverageWindows:
-    def test_windows_partition_the_state(self):
-        ops = coverage_windows(DIM, 3)
-        assert len(ops) == 3
-        seen = np.concatenate([op.indices for op in ops])
-        np.testing.assert_array_equal(np.sort(seen), np.arange(DIM))
-        assert all(isinstance(op, SubsampledObservation) for op in ops)
-
-    def test_uneven_split_covers_everything(self):
-        ops = coverage_windows(10, 3)
-        assert sum(op.obs_dim for op in ops) == 10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            coverage_windows(DIM, 0)
-        with pytest.raises(ValueError):
-            coverage_windows(DIM, DIM + 1)
+def _drain(stream, start, stop):
+    """Run the stream over cycles [start, stop); returns {cycle: events}."""
+    return {cycle: stream.advance(cycle, _truth(cycle)) for cycle in range(start, stop)}
 
 
 class TestStreamMechanics:
-    def test_idealized_stream_matches_sequential_observe_loop(self):
-        """Default scenario == the historical per-cycle observe() loop, draw
+    def test_stream_matches_sequential_observe_loop(self):
+        """One event per cycle == the historical per-cycle observe() loop, draw
         for draw (the property the golden driver equivalence rests on)."""
         stream = _stream()
-        events = _drain(stream, 4)
+        events = _drain(stream, 0, 4)
         rng = SeedSequenceFactory(0).rng("observations")
         op = IdentityObservation(DIM)
         for cycle in range(4):
@@ -99,101 +47,28 @@ class TestStreamMechanics:
             np.testing.assert_array_equal(
                 event.observation, op.observe(_truth(cycle), rng=rng)
             )
-            assert event.cycle == event.available_at == cycle
-
-    def test_every_k_skips_cycles(self):
-        events = _drain(_stream(ObservationScenario(every=3)), 7)
-        delivered = {c for c, evs in events.items() if evs}
-        assert delivered == {0, 3, 6}
-
-    def test_latency_defers_delivery(self):
-        stream = _stream(ObservationScenario(latency=2))
-        events = _drain(stream, 5)
-        assert not events[0] and not events[1]
-        for cycle in range(2, 5):
-            (event,) = events[cycle]
-            assert event.cycle == cycle - 2 and event.available_at == cycle
-        assert len(stream.pending) == 2  # measured at cycles 3, 4, still in flight
-
-    def test_dropout_loses_some_but_reproducibly(self):
-        scenario = ObservationScenario(dropout=0.5)
-        kept_a = [c for c, evs in _drain(_stream(scenario), 20).items() if evs]
-        kept_b = [c for c, evs in _drain(_stream(scenario), 20).items() if evs]
-        assert kept_a == kept_b  # seed-derived schedule stream
-        assert 0 < len(kept_a) < 20  # some lost, some kept
-        kept_other = [c for c, evs in _drain(_stream(scenario, seed=1), 20).items() if evs]
-        assert kept_a != kept_other
-
-    def test_dropout_does_not_shift_noise_of_surviving_cycles(self):
-        """The schedule stream is separate: a kept cycle's noise only depends
-        on how many *measurements* preceded it, never on dropout draws."""
-        full = {c: e[0].observation for c, e in _drain(_stream(), 6).items()}
-        lossy_events = _drain(_stream(ObservationScenario(dropout=0.5)), 6)
-        survivors = [e[0] for e in lossy_events.values() if e]
-        # the i-th surviving measurement consumed the i-th slot of the noise
-        # stream, so it matches the full run's observation at the i-th
-        # *measured* cycle only when no earlier cycle was dropped; instead we
-        # check determinism against a fresh identically-seeded stream.
-        again = [e[0] for e in _drain(_stream(ObservationScenario(dropout=0.5)), 6).values() if e]
-        assert len(survivors) == len(again)
-        for a, b in zip(survivors, again):
-            np.testing.assert_array_equal(a.observation, b.observation)
-        assert len(survivors) < len(full)
-
-    def test_multi_operator_network_alternates(self):
-        ops = coverage_windows(DIM, 2)
-        stream = _stream(ObservationScenario(operators=ops))
-        events = _drain(stream, 4)
-        assert [events[c][0].operator_index for c in range(4)] == [0, 1, 0, 1]
-        assert events[0][0].operator is ops[0]
-        assert events[1][0].observation.shape == (ops[1].obs_dim,)
-
-    def test_scenario_operators_override_driver_default(self):
-        ops = coverage_windows(DIM, 2)
-        stream = _stream(ObservationScenario(operators=ops), operators=IdentityObservation(DIM))
-        assert stream.operators == ops
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ObservationStream((), rng=0)
-        with pytest.raises(ValueError):
-            ObservationStream(
-                (IdentityObservation(3), IdentityObservation(4)), rng=0
-            )
+            assert event.cycle == cycle
+            assert event.operator is stream.operator
 
 
 class TestStreamState:
     def test_state_roundtrip_resumes_bit_identically(self):
-        scenario = ObservationScenario(dropout=0.3, latency=1)
-        reference = _stream(scenario)
-        _drain(reference, 4)
-        ref_tail = _drain_from(reference, 4, 10)
+        operator = SubsampledObservation.every_nth(DIM, 3)
+        reference = _stream(operator)
+        _drain(reference, 0, 4)
+        ref_tail = _drain(reference, 4, 10)
 
-        fresh = _stream(scenario)
-        _drain(fresh, 4)
+        fresh = _stream(operator)
+        _drain(fresh, 0, 4)
         state = fresh.state_dict()
-        resumed = _stream(scenario)  # same construction, rewound streams
+        _drain(fresh, 4, 6)  # keeps drawing from the live stream
+        resumed = _stream(operator)  # same construction, rewound stream
         resumed.load_state_dict(state)
-        res_tail = _drain_from(resumed, 4, 10)
+        res_tail = _drain(resumed, 4, 10)
 
         assert sorted(ref_tail) == sorted(res_tail)
         for cycle in ref_tail:
-            assert len(ref_tail[cycle]) == len(res_tail[cycle])
-            for a, b in zip(ref_tail[cycle], res_tail[cycle]):
-                assert (a.cycle, a.available_at, a.operator_index) == (
-                    b.cycle,
-                    b.available_at,
-                    b.operator_index,
-                )
-                np.testing.assert_array_equal(a.observation, b.observation)
-
-    def test_state_dict_is_a_snapshot(self):
-        stream = _stream(ObservationScenario(latency=3))
-        _drain(stream, 2)
-        state = stream.state_dict()
-        _drain_from(stream, 2, 4)  # keeps mutating the live stream
-        assert len(state["pending"]) == 2  # snapshot unaffected
-
-
-def _drain_from(stream, start, stop):
-    return {cycle: stream.advance(cycle, _truth(cycle)) for cycle in range(start, stop)}
+            (a,), (b,) = ref_tail[cycle], res_tail[cycle]
+            assert a.cycle == b.cycle == cycle
+            assert a.observation.shape == (operator.obs_dim,)
+            np.testing.assert_array_equal(a.observation, b.observation)

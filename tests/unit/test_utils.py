@@ -182,3 +182,45 @@ class TestKnobCensus:
         read = in_src | self._names((root / "benchmarks").rglob("*.py"))
         assert in_readme - self.RETIRED <= read
         assert self.RETIRED.isdisjoint(read)
+
+
+class TestReadmeKeywords:
+    """Every keyword the README passes to a run-policy or executor
+    constructor is a real parameter, so a deleted one cannot linger in an
+    example."""
+
+    @staticmethod
+    def _keywords(text: str, name: str) -> list[set[str]]:
+        """Top-level keywords of each ``name(...)`` call in ``text``."""
+        calls = []
+        for match in re.finditer(rf"\b{name}\(", text):
+            depth, args = 1, []
+            for ch in text[match.end():]:
+                if ch == ")":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                elif ch == "(":
+                    depth += 1
+                elif depth == 1:
+                    args.append(ch)
+            else:
+                raise AssertionError(f"unclosed {name}( call in README")
+            calls.append(set(re.findall(r"(\w+)\s*=(?!=)", "".join(args))))
+        return calls
+
+    def test_readme_keywords_are_parameters(self):
+        import inspect
+
+        from repro.core.observations import ObservationQC
+        from repro.da.cycling import OSSEConfig
+        from repro.hpc.ensemble_parallel import EnsembleExecutor
+        from repro.workflow.engine import DivergencePolicy
+
+        readme = (Path(__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+        for cls in (OSSEConfig, DivergencePolicy, ObservationQC, EnsembleExecutor):
+            calls = self._keywords(readme, cls.__name__)
+            assert calls, cls.__name__  # the README still shows the constructor
+            params = set(inspect.signature(cls).parameters)
+            for keywords in calls:
+                assert keywords <= params, (cls.__name__, keywords - params)
