@@ -183,6 +183,19 @@ class EngineResult:
         return self.series("analysis_spread")
 
 
+def _parameter_digest(operator) -> str:
+    """SHA-256 of an observation operator's plain attributes (arrays,
+    numbers, strings) — the parameters that decide what it measures."""
+    digest = hashlib.sha256()
+    for name, value in sorted(vars(operator).items()):
+        if isinstance(value, np.ndarray):
+            digest.update(f"{name}:{value.dtype.str}{value.shape}".encode())
+            digest.update(np.ascontiguousarray(value).tobytes())
+        elif isinstance(value, (bool, int, float, str)):
+            digest.update(f"{name}={value!r}".encode())
+    return digest.hexdigest()
+
+
 @dataclass
 class EngineCheckpoint:
     """Everything needed to resume a cycling run bit-identically.
@@ -195,8 +208,10 @@ class EngineCheckpoint:
     checkpointing engine — is refused, since a silently-accepted mismatch
     would void the bit-identical-resume contract.  The fingerprint is a
     drift tripwire, not a proof: numerical knobs it cannot see (e.g. a
-    filter's SDE step count or an operator's indices) remain the caller's
-    responsibility.
+    filter's SDE step count) remain the caller's responsibility.  The
+    operator is recorded with a digest of its parameters (indices, matrix,
+    ``obs_error_var``, nonlinear kind), so a resume under a different
+    network of the same shape is refused too.
     """
 
     next_cycle: int
@@ -690,8 +705,8 @@ class CycleEngine:
 
         Captures what a resuming engine must not have drifted on for the
         bit-identical contract to be meaningful: stage classes, steps per
-        cycle, the model/filter types and the observation operator (class
-        and shape).
+        cycle, the model/filter types and the observation operator (class,
+        shape and a digest of its parameters).
         """
         fingerprint: dict[str, dict] = {}
         for name, stage in self._stages().items():
@@ -706,7 +721,9 @@ class CycleEngine:
             stream = getattr(stage, "stream", None)
             if stream is not None:
                 op = stream.operator
-                desc["operator"] = (type(op).__name__, op.state_dim, op.obs_dim)
+                desc["operator"] = (
+                    type(op).__name__, op.state_dim, op.obs_dim, _parameter_digest(op)
+                )
             fingerprint[name] = desc
         return fingerprint
 

@@ -1,6 +1,6 @@
 """Cycle-engine certification suite.
 
-Two layers of coverage for :mod:`repro.workflow.engine`:
+Three layers of coverage for :mod:`repro.workflow.engine`:
 
 * **Golden equivalence** — verbatim copies of the pre-refactor inlined
   loops (the OSSE, the free run and the real-time workflow) are kept here
@@ -8,10 +8,14 @@ Two layers of coverage for :mod:`repro.workflow.engine`:
   RMSE/spread trajectories and final states *bit-identically* for seeded
   LETKF and EnSF configurations, serially and through an ``n_workers=2``
   executor.
+* **Observation networks** — full, partial, non-uniform-R and nonlinear
+  operators each cycle and reproduce themselves bit for bit, and sparser
+  networks analyse worse.
 * **Checkpoint/restart** — a run interrupted mid-stream and resumed from an
   :class:`EngineCheckpoint` (in memory or from disk) is bit-identical to
   the uninterrupted run, rng-stream state included, on a full and on a
-  partial observation network.
+  partial observation network; a resume under a drifted operator (even
+  one of the same class and shape) is refused.
 """
 
 import dataclasses
@@ -25,6 +29,7 @@ from repro.core.ensf import EnSF, EnSFConfig
 from repro.core.filters import ensemble_statistics
 from repro.core.observations import (
     IdentityObservation,
+    NonlinearObservation,
     ObservationStream,
     SubsampledObservation,
 )
@@ -299,6 +304,58 @@ class TestGoldenEquivalence:
 
 
 # --------------------------------------------------------------------------- #
+# Observation networks
+# --------------------------------------------------------------------------- #
+
+
+def _network(name):
+    """An observation network of the 40-variable testbed, by name."""
+    if name == "full":
+        return IdentityObservation(DIM, obs_error_var=0.5)
+    if name.startswith("every_"):
+        return SubsampledObservation.every_nth(DIM, int(name[6:]), obs_error_var=0.5)
+    if name == "nonuniform_r":
+        return SubsampledObservation(
+            DIM, np.arange(DIM), obs_error_var=np.linspace(0.25, 1.0, DIM)
+        )
+    return NonlinearObservation(DIM, name, obs_error_var=0.05)
+
+
+class TestObservationNetworks:
+    """Partial, non-uniform-R and nonlinear networks are operators; each one
+    cycles, observes every cycle and reproduces itself bit for bit."""
+
+    CONFIG = OSSEConfig(n_cycles=8, steps_per_cycle=4, ensemble_size=10, seed=6)
+
+    def _run(self, testbed, filter_factory, network):
+        model, truth0, _ = testbed
+        return run_osse(model, model, filter_factory(), _network(network), truth0, self.CONFIG)
+
+    @pytest.mark.parametrize(
+        "filter_factory,network",
+        [
+            *[(_letkf, name) for name in ("full", "every_2", "every_4", "nonuniform_r")],
+            *[(_ensf, name) for name in ("full", "every_2", "every_4", "nonuniform_r", "arctan")],
+        ],
+        ids=lambda v: v if isinstance(v, str) else v.__name__.lstrip("_"),
+    )
+    def test_each_network_runs_and_reproduces(self, testbed, filter_factory, network):
+        first = self._run(testbed, filter_factory, network)
+        second = self._run(testbed, filter_factory, network)
+        assert np.isfinite(first.analysis_rmse).all()
+        assert [r.observed for r in first.records] == [True] * self.CONFIG.n_cycles
+        _assert_identical(first, second)
+
+    def test_sparser_networks_degrade_rmse_monotonically(self, testbed):
+        """Fewer observed variables => worse mean analysis RMSE, monotonically."""
+        means = [
+            self._run(testbed, _letkf, name).mean_analysis_rmse
+            for name in ("full", "every_2", "every_4")
+        ]
+        assert means[0] < means[1] < means[2]
+
+
+# --------------------------------------------------------------------------- #
 # Checkpoint / restart
 # --------------------------------------------------------------------------- #
 
@@ -380,6 +437,33 @@ class TestCheckpointRestart:
         self._run(testbed, checkpoint_every=5, checkpoint_path=path)
         drifted = SubsampledObservation.every_nth(DIM, 2, obs_error_var=0.5)
         assert drifted.state_dim == DIM
+        with pytest.raises(ValueError, match="fingerprint"):
+            run_osse(
+                model, model, _ensf(), drifted, truth0, self.CONFIG,
+                store_history=True, resume=path,
+            )
+
+    @pytest.mark.parametrize(
+        "drifted",
+        [
+            SubsampledObservation(DIM, np.arange(1, DIM, 2), obs_error_var=0.5),
+            SubsampledObservation.every_nth(DIM, 2, obs_error_var=1.0),
+            NonlinearObservation(DIM, "abs", np.arange(0, DIM, 2), obs_error_var=0.5),
+        ],
+        ids=["indices", "obs_error_var", "kind"],
+    )
+    def test_checkpoint_rejects_same_shape_operator_drift(self, testbed, tmp_path, drifted):
+        """A network of the same class and shape that measures something else
+        (other variables, another R, another nonlinearity) is refused too."""
+        model, truth0, _ = testbed
+        network = (
+            NonlinearObservation(DIM, "arctan", np.arange(0, DIM, 2), obs_error_var=0.5)
+            if isinstance(drifted, NonlinearObservation)
+            else SubsampledObservation.every_nth(DIM, 2, obs_error_var=0.5)
+        )
+        assert (type(drifted), drifted.obs_dim) == (type(network), network.obs_dim)
+        path = tmp_path / "engine.ckpt"
+        self._run(testbed, network, checkpoint_every=5, checkpoint_path=path)
         with pytest.raises(ValueError, match="fingerprint"):
             run_osse(
                 model, model, _ensf(), drifted, truth0, self.CONFIG,

@@ -28,9 +28,11 @@ import pytest
 from repro.core.ensf import EnSF, EnSFConfig
 from repro.core.observations import (
     IdentityObservation,
+    NonlinearObservation,
     ObservationEvent,
     ObservationQC,
     ObservationStream,
+    SubsampledObservation,
 )
 from repro.da.cycling import CyclingResult, OSSEConfig, run_osse
 from repro.da.letkf import LETKF, LETKFConfig
@@ -499,6 +501,35 @@ class TestObservationQC:
         assert not report.ok and report.n_bad == 4
         # Without a forecast mean only the finite check can run.
         assert qc.check(_event(operator, np.full(4, 10.0))).ok
+
+    def test_gross_threshold_scales_with_each_components_error(self):
+        """The threshold is in units of each component's own σ (diagonal R)."""
+        operator = SubsampledObservation(3, np.arange(3), obs_error_var=[1.0, 100.0, 1.0])
+        qc = ObservationQC(gross_threshold=3.0, max_bad_fraction=1.0)
+        report = qc.check(_event(operator, np.full(3, 5.0)), np.zeros(3))
+        assert report.n_bad == 2  # 5σ on components 0 and 2, 0.5σ on component 1
+
+    def test_gross_error_is_judged_in_observation_space(self):
+        """The innovation is taken against h(forecast mean), not the mean."""
+        operator = NonlinearObservation(4, "arctan", obs_error_var=0.01)
+        qc = ObservationQC(gross_threshold=3.0)
+        forecast_mean = np.full(4, 10.0)
+        assert qc.check(_event(operator, np.arctan(forecast_mean)), forecast_mean).ok
+        assert not qc.check(_event(operator, forecast_mean), forecast_mean).ok
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"gross_threshold": 0.0},
+            {"gross_threshold": -1.0},
+            {"max_bad_fraction": -0.1},
+            {"max_bad_fraction": 1.5},
+        ],
+        ids=["threshold_zero", "threshold_negative", "fraction_negative", "fraction_above_one"],
+    )
+    def test_validation(self, kwargs):
+        with pytest.raises(ValueError):
+            ObservationQC(**kwargs)
 
     def test_bad_fraction(self):
         operator = IdentityObservation(4, obs_error_var=1.0)
